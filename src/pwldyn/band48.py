@@ -73,7 +73,7 @@ def classify(b) -> LevelClass:
     """Unique level class containing b; endpoints respected exactly."""
     b = Fraction(b)
     if not 4 < b < 8:
-        raise ValueError("classification requires 4 < b < 8")
+        raise ValueError(f"classification requires 4 < b < 8, got b = {b}")
     n = 0
     while b > breakpoints(n)[0]:
         n += 1
@@ -170,6 +170,8 @@ def _agreed(bracket: tuple[Fraction, Fraction], places: int) -> str:
 
 def entropy_or_bounds(b, digits: int = 7) -> EntropyResult:
     """Exact entropy (classes T, V) or certified bounds (classes S, U)."""
+    if digits < 0:
+        raise ValueError(f"digits must be >= 0, got {digits}")
     lc = classify(b)
     polys = level_polynomials(lc)
     err = F(1, 10 ** (digits + 3))

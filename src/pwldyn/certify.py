@@ -35,7 +35,13 @@ from pwldyn.piecewise import (
 )
 from pwldyn.planemap import Params, Segment, point, restrict_iterate_to_segment
 from pwldyn.polys import RootInterval
-from pwldyn.rationals import common_decimal_prefix, decimal_digits, rational_str
+from pwldyn.rationals import (
+    common_decimal_prefix,
+    decimal_above,
+    decimal_digits,
+    first_digit_place,
+    rational_str,
+)
 
 F = Fraction
 
@@ -63,7 +69,7 @@ def upper_pattern(period: int) -> Itinerary:
     while len(pat) < period:
         pat = star_product(pat)
     if len(pat) != period:
-        raise ValueError("upper period must be 3*2^k")
+        raise ValueError(f"upper period must be 3*2^k, got {period}")
     return pat
 
 
@@ -73,7 +79,7 @@ def lower_pattern(period: int) -> Itinerary:
     while len(pat) < period:
         pat = star_product(pat)
     if len(pat) != period or period < 2:
-        raise ValueError("lower period must be 2^k with k >= 1")
+        raise ValueError(f"lower period must be 2^k with k >= 1, got {period}")
     return pat
 
 
@@ -322,7 +328,7 @@ class CertifiedInterval:
             "tag": self.tag,
             "lo": rational_str(self.lo),
             "hi": rational_str(self.hi),
-            "width_lt": decimal_digits(self.width, 60),
+            "width_lt": decimal_above(self.width, 6),
             "digits": digits_report(self),
             "lower": cert(self.lo_certificate),
             "upper": cert(self.hi_certificate),
@@ -406,10 +412,17 @@ def verify_certificate(ci: CertifiedInterval) -> bool:
 
 
 def digits_report(ci: CertifiedInterval, limit: int | None = None) -> str:
-    """Decimal digits shared by both bracket ends (the proven digits)."""
-    prefix = common_decimal_prefix(ci.lo, ci.hi, max_digits=80)
+    """Decimal digits shared by both bracket ends (the proven digits).
+
+    Ends that share m fractional digits lie within 10^-m of each other, so
+    comparing up to the first significant place of the width finds every
+    shared digit.
+    """
     if ci.lo == ci.hi:
         prefix = decimal_digits(ci.lo, limit if limit is not None else 60)
+    else:
+        places = max(1, first_digit_place(ci.hi - ci.lo))
+        prefix = common_decimal_prefix(ci.lo, ci.hi, max_digits=places)
     if limit is not None:
         head, _, tail = prefix.partition(".")
         prefix = head + "." + tail[:limit] if tail else head

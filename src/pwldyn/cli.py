@@ -41,19 +41,28 @@ def _resolve_b(args) -> Fraction:
     b = parse_rational(args.b)
     a = parse_rational(args.a) if getattr(args, "a", None) else Fraction(-1)
     if a >= 0:
-        raise SystemExit("only the a < 0 regime is supported; got a >= 0")
+        raise ValueError(f"only the a < 0 regime is supported; got a = {rational_str(a)}")
     return b / -a  # scaling by 1/|a| conjugates (a, b) to (-1, b/|a|)
 
 
 def cmd_entropy(args) -> int:
     b = _resolve_b(args)
-    res = band48.entropy_or_bounds(b, args.digits)
+    digits = args.digits
+    while True:
+        res = band48.entropy_or_bounds(b, digits)
+        try:
+            text = res.decimal(args.digits)
+            break
+        except ValueError:
+            # The bracket straddles a rounding boundary at the requested
+            # places; a tighter bracket decides the rounding.
+            digits += 3
     lc = res.level
     print(f"b = {rational_str(b)}  class {lc}")
     if res.kind == "exact":
-        print(f"entropy = ln(root({res.lo_root.poly})) = {res.decimal(args.digits)}")
+        print(f"entropy = ln(root({res.lo_root.poly})) = {text}")
     else:
-        print(f"entropy in {res.decimal(args.digits)}")
+        print(f"entropy in {text}")
         print(f"  lower root poly: {res.lo_root.poly}")
         print(f"  upper root poly: {res.hi_root.poly}")
     return 0
@@ -83,7 +92,7 @@ def cmd_graph(args) -> int:
         _emit(g.to_svg() + "\n", args.out)
     elif args.format == "dot":
         if args.regime != "band48":
-            raise SystemExit("digraph export is available for the band48 regime")
+            raise ValueError("digraph export is available for the band48 regime only")
         lower, _, _ = band48.cover_digraphs(parse_rational(args.b))
         _emit(lower.to_dot() + "\n", args.out)
     return 0
@@ -214,7 +223,12 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_verify)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        # Library functions raise ValueError for arguments outside their
+        # domain; report it like any other bad argument.
+        ap.error(str(exc))
 
 
 if __name__ == "__main__":

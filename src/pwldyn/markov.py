@@ -5,8 +5,12 @@ map.  Entropy comes from the spectral radius of its 0/1 adjacency matrix,
 computed exactly: a rome (a node set meeting every cycle) turns the
 characteristic polynomial into a small determinant over path-generating
 Laurent polynomials, whose relevant factor is then run through certified
-root isolation.  A floating-point power iteration cross-checks the result
-but never enters a certificate.
+root isolation.  Each enclosure is then proven again from the adjacency
+matrix alone, in exact rational arithmetic: a positive solution of the
+resolvent system (lam*I - A) v = 1 shows rho < lam, its absence shows
+rho >= lam, and a positive kernel vector of r*I - A shows rho = r.  The
+float power iteration `_power_iteration_radius` is kept as a test oracle
+and runs on no default path.
 """
 
 from __future__ import annotations
@@ -21,10 +25,13 @@ from pwldyn.polys import (
     IntPoly,
     LaurentPoly,
     RootInterval,
+    coefficient_bound,
+    count_roots_in,
     descartes_positive_sign_changes,
     isolate_unique_positive_root,
     laurent_poly_det,
     largest_positive_root,
+    poly_gcd,
 )
 from pwldyn.rationals import ln_enclosure
 
@@ -363,14 +370,11 @@ def spectral_radius(dg: CoverDigraph, digits: int = 12, check: bool = True) -> R
 
     Per strongly connected component the rome characteristic polynomial is
     isolated exactly; the global radius is the componentwise maximum.  With
-    `check` a float power iteration must agree within 1e-9 (a disagreement
-    means a bug, not a tolerance issue).
+    `check` the enclosure is proven again from the adjacency matrix alone by
+    exact resolvent solves (`_encloses_radius`); a failed proof means a bug
+    and raises.
     """
-    comps = [
-        comp
-        for comp in strongly_connected_components(dg.adjacency)
-        if len(comp) > 1 or dg.adjacency[comp[0]][comp[0]]
-    ]
+    comps = _cyclic_components(dg.adjacency)
     if not comps:
         return RootInterval(Fraction(0), Fraction(0), IntPoly([0, 1]))
     enclosures = []
@@ -381,20 +385,24 @@ def spectral_radius(dg: CoverDigraph, digits: int = 12, check: bool = True) -> R
     result = enclosures[0]
     for cand in enclosures[1:]:
         result = _max_enclosure(result, cand, digits)
-    if check:
-        est = _power_iteration_radius(dg.adjacency)
-        mid = float((result.lo + result.hi) / 2)
-        if abs(est - mid) > 1e-9 + float(result.hi - result.lo):
-            raise AssertionError(
-                f"power-iteration cross-check failed: float {est} vs exact ~{mid}"
-            )
+    if check and not _encloses_radius(dg.adjacency, result.lo, result.hi):
+        raise AssertionError(
+            f"exact radius check failed for [{result.lo}, {result.hi}] ({result.poly})"
+        )
     return result
+
+
+def _cyclic_components(adj: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components that carry a cycle."""
+    return [
+        comp
+        for comp in strongly_connected_components(adj)
+        if len(comp) > 1 or adj[comp[0]][comp[0]]
+    ]
 
 
 def _largest_root_enclosure(poly: IntPoly, digits: int) -> RootInterval:
     """Enclosure of the largest positive root of a cyclic component's factor."""
-    from pwldyn.polys import count_roots_in, coefficient_bound
-
     # Radius exactly 1 is common (pure cycles); detect it exactly.
     if poly(Fraction(1)) == 0 and count_roots_in(poly, Fraction(1), Fraction(coefficient_bound(poly))) == 0:
         return RootInterval(Fraction(1), Fraction(1), poly)
@@ -407,17 +415,134 @@ def _largest_root_enclosure(poly: IntPoly, digits: int) -> RootInterval:
 
 
 def _max_enclosure(a: RootInterval, b: RootInterval, digits: int) -> RootInterval:
-    """Enclosure of max(root(a), root(b)), refining until one side dominates."""
-    for extra in range(0, 60, 10):
+    """Enclosure of max(root(a), root(b)), refining until one side dominates.
+
+    Equal roots are decided exactly first, so the refinement below only runs
+    on distinct roots and always ends.
+    """
+    if a.hi > b.lo and b.hi > a.lo and _same_root(a, b):
+        return a
+    while True:
         if a.hi <= b.lo:
             return b
         if b.hi <= a.lo:
             return a
-        if a.lo == a.hi == b.lo == b.hi or (a.poly == b.poly and (a.lo, a.hi) == (b.lo, b.hi)):
-            return a
-        a = a.refined(digits + extra + 10)
-        b = b.refined(digits + extra + 10)
-    raise AssertionError("could not separate component spectral radii")
+        digits += 10
+        a, b = a.refined(digits), b.refined(digits)
+
+
+def _same_root(a: RootInterval, b: RootInterval) -> bool:
+    """Whether two enclosures hold the same root.
+
+    An exact enclosure holds lo; any other holds the one root of its
+    polynomial in (lo, hi].  The roots agree iff gcd(a.poly, b.poly) has a
+    root where those two root sets meet.
+    """
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if lo > hi:
+        return False
+    g = poly_gcd(a.poly, b.poly)
+    if g.degree <= 0:
+        return False
+    if lo == hi:
+        return g(lo) == 0 and all(r.is_exact or r.lo < lo for r in (a, b))
+    return count_roots_in(g, lo, hi) > 0
+
+
+# ---------------------------------------------------------------------------
+# Exact radius proof
+# ---------------------------------------------------------------------------
+#
+# For a nonnegative matrix A and a rational lam > 0, (lam*I - A) v = 1 has a
+# solution v > 0 exactly when lam > rho(A).  If rho < lam, v = sum_k A^k 1 /
+# lam^(k+1) > 0.  If a positive v exists, A v = lam*v - 1 < lam*v, and the
+# Collatz-Wielandt bound rho <= max_i (A v)_i / v_i gives rho < lam.  A
+# positive v with A v = lam*v gives rho = lam by the same bound.  The radius
+# of A is the largest radius of its cyclic strongly connected components, so
+# each fact is tested per component.
+
+_RHS = -1  # key of the right-hand side in a sparse row
+
+
+def _reduce(adj: Sequence[Sequence[int]], comp: Sequence[int], lam: Fraction):
+    """Sparse Gauss-Jordan reduction of [lam*I - A_C | 1] over the rationals.
+
+    Rows are dicts column -> nonzero entry.  Returns (pivots, free): pivots
+    maps each pivot column to its reduced row (pivot entry 1, right-hand
+    side under `_RHS`); free lists the columns without a pivot.  The
+    digraphs here have about 1.5 edges per node, so rows stay short.
+    """
+    pos = {v: k for k, v in enumerate(comp)}
+    pending = []
+    for v in comp:
+        row = {pos[w]: Fraction(-1) for w in comp if adj[v][w]}
+        diag = row.get(pos[v], 0) + lam
+        if diag:
+            row[pos[v]] = diag
+        else:
+            del row[pos[v]]
+        row[_RHS] = Fraction(1)
+        pending.append(row)
+    pivots: dict[int, dict[int, Fraction]] = {}
+    free = []
+    for k in range(len(comp)):
+        cands = [i for i, row in enumerate(pending) if k in row]
+        if not cands:
+            free.append(k)
+            continue
+        prow = pending.pop(min(cands, key=lambda i: len(pending[i])))
+        inv = 1 / prow[k]
+        prow = {c: x * inv for c, x in prow.items()}
+        for row in itertools.chain(pending, pivots.values()):
+            f = row.pop(k, 0)
+            if not f:
+                continue
+            for c, x in prow.items():
+                if c == k:
+                    continue
+                y = row.get(c, 0) - f * x
+                if y:
+                    row[c] = y
+                else:
+                    row.pop(c, None)
+        pivots[k] = prow
+    return pivots, free
+
+
+def _compare_radius(adj: Sequence[Sequence[int]], comp: Sequence[int], lam: Fraction) -> int:
+    """-1 if rho(A_C) < lam, 0 if rho(A_C) == lam, 1 if only rho(A_C) >= lam is proven.
+
+    -1 needs a positive solution of (lam*I - A_C) v = 1; 0 needs the kernel
+    of lam*I - A_C to be one-dimensional and spanned by a positive vector.
+    Without a positive solution rho(A_C) >= lam holds (a singular matrix
+    counts as having none).  Requires lam > 0.
+    """
+    pivots, free = _reduce(adj, comp, lam)
+    if not free and all(row.get(_RHS, 0) > 0 for row in pivots.values()):
+        return -1
+    if len(free) == 1 and all(row.get(free[0], 0) < 0 for row in pivots.values()):
+        return 0
+    return 1
+
+
+def _encloses_radius(adj: Sequence[Sequence[int]], lo: Fraction, hi: Fraction) -> bool:
+    """Whether exact arithmetic proves lo <= rho(adj) <= hi.
+
+    lo < hi is proven by a positive resolvent solution at hi in every cyclic
+    component and none at lo in some component.  lo == hi == r is proven by
+    each cyclic component sitting below r or having a positive Perron vector
+    at r, with at least one of the latter.
+    """
+    comps = _cyclic_components(adj)
+    if not comps:
+        return lo <= 0 <= hi
+    if hi <= 0:
+        return False
+    if lo < hi:
+        return all(_compare_radius(adj, c, hi) < 0 for c in comps) and (
+            lo <= 0 or any(_compare_radius(adj, c, lo) >= 0 for c in comps)
+        )
+    return max(_compare_radius(adj, c, hi) for c in comps) == 0
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,8 @@ def full_measure_report(regime: str, b, depth: int) -> FullMeasureReport:
     dynamics and is reported alone.
     """
     b = Fraction(b)
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     if regime == "negb":
         graph = build_gamma("negb", b)
         profiles = tuple(edge_capture_profile(regime, b, e, depth) for e in _NEGB_EDGES)

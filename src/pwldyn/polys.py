@@ -312,25 +312,35 @@ def count_roots_in(p: IntPoly, a: Fraction, b: Fraction, chain=None) -> int:
     return _sturm_variations(chain, a) - _sturm_variations(chain, b)
 
 
-def _squarefree_part(p: IntPoly) -> IntPoly:
-    """Primitive square-free part p / gcd(p, p') over the integers."""
-    a = _frac_coeffs(p)
-    b = _frac_coeffs(p.derivative())
-    while b:
-        a, b = b, _poly_rem(a, b)
-    # a is now gcd(p, p') over Q; divide p by it exactly.
-    if len(a) <= 1:
-        return p.normalized_sign()
-    q, rem = _poly_divmod(_frac_coeffs(p), a)
-    assert not rem, "gcd division must be exact"
+def _primitive(coeffs: Sequence[Fraction]) -> IntPoly:
+    """The primitive integer polynomial with positive leading coefficient
+    that is a rational multiple of `coeffs`."""
     from math import gcd, lcm
 
-    den = lcm(*(c.denominator for c in q)) if q else 1
-    ints = [int(c * den) for c in q]
+    den = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
+    ints = [int(c * den) for c in coeffs]
     g = 0
     for c in ints:
         g = gcd(g, abs(c))
-    return IntPoly([c // g for c in ints]).normalized_sign()
+    return IntPoly([c // g for c in ints]).normalized_sign() if g else IntPoly([])
+
+
+def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
+    """Greatest common divisor over Q, as a primitive integer polynomial."""
+    a, b = _frac_coeffs(p), _frac_coeffs(q)
+    while b:
+        a, b = b, _poly_rem(a, b)
+    return _primitive(a)
+
+
+def _squarefree_part(p: IntPoly) -> IntPoly:
+    """Primitive square-free part p / gcd(p, p') over the integers."""
+    g = poly_gcd(p, p.derivative())
+    if g.degree <= 0:
+        return p.normalized_sign()
+    q, rem = _poly_divmod(_frac_coeffs(p), _frac_coeffs(g))
+    assert not rem, "gcd division must be exact"
+    return _primitive(q)
 
 
 def _poly_divmod(a: list[Fraction], b: list[Fraction]):

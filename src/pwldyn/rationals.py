@@ -17,14 +17,15 @@ def parse_rational(text: str) -> Fraction:
     Decimals are converted exactly ("0.69" -> 69/100), never through float.
     """
     s = text.strip()
-    if not s:
-        raise ValueError("empty rational literal")
-    if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
-    if "." in s or "e" in s or "E" in s:
-        return Fraction(s)  # Fraction parses decimal strings exactly
-    return Fraction(int(s))
+    try:
+        if "/" in s:
+            num, den = s.split("/", 1)
+            return Fraction(int(num), int(den))
+        if "." in s or "e" in s or "E" in s:
+            return Fraction(s)  # Fraction parses decimal strings exactly
+        return Fraction(int(s))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"invalid rational {text!r}") from None
 
 
 def rational_str(q: Fraction) -> str:
@@ -68,6 +69,32 @@ def format_decimal(q: Fraction, places: int) -> str:
     if places == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{str(frac).zfill(places)}"
+
+
+def first_digit_place(q: Fraction) -> int:
+    """Place k of the first significant digit of q != 0: 10^-k <= |q| < 10^(1-k)."""
+    q = abs(q)
+    if q == 0:
+        raise ValueError("zero has no significant digit")
+    k = len(str(q.denominator)) - len(str(q.numerator))
+    while q * Fraction(10) ** k < 1:
+        k += 1
+    while q * Fraction(10) ** (k - 1) >= 1:
+        k -= 1
+    return k
+
+
+def decimal_above(q: Fraction, significant: int) -> str:
+    """Decimal strictly above q > 0 and within one unit of its last digit.
+
+    The digit count follows q: its leading zeros plus `significant`
+    significant digits, so the bound stays tight at every magnitude.
+    """
+    if q <= 0:
+        raise ValueError("decimal_above requires q > 0")
+    places = max(0, first_digit_place(q) + significant - 1)
+    scaled = q * 10**places
+    return format_decimal(Fraction(scaled.numerator // scaled.denominator + 1, 10**places), places)
 
 
 def common_decimal_prefix(a: Fraction, b: Fraction, max_digits: int = 80) -> str:

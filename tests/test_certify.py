@@ -26,6 +26,7 @@ from pwldyn.certify import (
     verify_certificate,
 )
 from pwldyn.piecewise import Itinerary, iterate_point, markov_radius_from_orbit
+from pwldyn.rationals import decimal_digits
 
 B_IN_BETA_WINDOW = F(34497, 50000)  # 0.68994, inside [603/874, 563/816]
 
@@ -182,6 +183,23 @@ def test_digits_report_limits_and_degenerate():
 
     degenerate = SimpleNamespace(lo=F(1, 8), hi=F(1, 8))
     assert digits_report(degenerate, limit=6) == "0.125000"
+
+
+def test_width_bound_and_digits_are_honest():
+    for upper, lower, shared in ((6, 8, 7), (96, 128, 159)):
+        ci = certify("alpha", upper, lower)
+        js = ci.to_json()
+        bound = F(js["width_lt"])
+        places = len(js["width_lt"].split(".")[1])
+        assert bound > ci.width > 0
+        assert bound - ci.width <= F(1, 10**places)  # rounded up at the last digit
+        rep = js["digits"]
+        assert rep == digits_report(ci)
+        assert len(rep.split(".")[1]) == shared
+        # every reported digit is shared, and the next one is not
+        lo_digits, hi_digits = decimal_digits(ci.lo, shared + 1), decimal_digits(ci.hi, shared + 1)
+        assert lo_digits[:-1] == hi_digits[:-1] == rep and lo_digits[-1] != hi_digits[-1]
+    assert certify("alpha", 6, 8).to_json()["width_lt"] == "0.000000000496284"
 
 
 def test_certificate_json_schema():

@@ -76,3 +76,34 @@ def test_verify_command(capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert len(lines) == 5
     assert all(ln.startswith("PASS") for ln in lines)
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (("entropy", "--b", "8"), "b = 8"),
+        (("entropy", "--b", "3/0"), "'3/0'"),
+        (("entropy", "--b", "5", "--digits", "-1"), "-1"),
+        (("certify-alpha", "--upper", "5", "--lower", "8"), "got 5"),
+        (("measure", "--regime", "negb", "--b", "-3", "--depth", "-1"), "got -1"),
+    ],
+    ids=["b-at-band-end", "zero-denominator", "negative-digits", "bad-period", "negative-depth"],
+)
+def test_bad_input_is_a_one_line_error(capsys, argv, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("pwldyn: error: ") and bad in last
+    assert "Traceback" not in err
+
+
+def test_entropy_digits_on_a_rounding_boundary(capsys):
+    # ln of the root of x^13 - x^10 - x^3 - 1 is 0.1505...9512225000122...,
+    # so the 63-digit bracket straddles a rounding boundary.
+    code, out = run(capsys, "entropy", "--b", "977/132", "--digits", "63")
+    assert code == 0
+    assert out.splitlines()[1].endswith(
+        "= 0.150507039588169513887448472673565893859728027605332147493951223"
+    )

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
+from pwldyn import band48, certify, markov
 from pwldyn.band48 import cover_digraphs
 from pwldyn.graphs import build_gamma
 from pwldyn.markov import (
@@ -17,6 +19,7 @@ from pwldyn.markov import (
     rome_char_poly_full,
     simple_cycle_lengths,
     spectral_radius,
+    _encloses_radius,
     _power_iteration_radius,
 )
 from pwldyn.planemap import Params, Segment, point
@@ -152,6 +155,111 @@ def test_power_iteration_agrees():
         r = spectral_radius(dg, 12, check=False)
         est = _power_iteration_radius(dg.adjacency)
         assert abs(est - float((r.lo + r.hi) / 2)) <= 1e-9 + float(r.hi - r.lo)
+
+
+def digraph_from_matrix(rows):
+    labels = [f"v{i}" for i in range(len(rows))]
+    edges = [(labels[i], labels[j]) for i, row in enumerate(rows) for j, e in enumerate(row) if e]
+    return digraph_from_edges(labels, edges)
+
+
+def test_spectral_radius_equal_component_radii():
+    # The golden-mean graph beside a component with char poly
+    # (x+1)(x^2-x-1): two components of radius (1+sqrt 5)/2.
+    golden = [[1, 1], [1, 0]]
+    other = [[0, 0, 1], [1, 0, 1], [1, 1, 0]]
+    for first, second in ((golden, other), (other, golden)):
+        n1, n2 = len(first), len(second)
+        rows = [row + [0] * n2 for row in first] + [[0] * n1 + row for row in second]
+        r = spectral_radius(digraph_from_matrix(rows), 12, check=True)
+        # On x > 0, x^2 - x - 1 <= 0 exactly when x <= (1+sqrt 5)/2.
+        assert 0 < r.lo and r.lo**2 - r.lo - 1 <= 0 <= r.hi**2 - r.hi - 1
+        assert r.width < F(1, 10**12)
+
+
+def test_exact_check_rejects_wrong_enclosures():
+    lower, _, lc = cover_digraphs(F(5))
+    assert str(lc) == "T0"
+    r = spectral_radius(lower, 12)
+    assert _encloses_radius(lower.adjacency, r.lo, r.hi)
+    shift = F(1, 10**6)
+    assert not _encloses_radius(lower.adjacency, r.lo - shift, r.hi - shift)  # hi below rho
+    assert not _encloses_radius(lower.adjacency, r.lo + shift, r.hi + shift)  # lo above rho
+    assert not _encloses_radius(lower.adjacency, F(1), F(1))  # rho > 1 is not exactly 1
+    # the radius of the neighbouring class S0 (about 1.158) is no enclosure at T0
+    s0_lower, _, lc_s0 = cover_digraphs(F(9, 2))
+    assert str(lc_s0) == "S0"
+    r_s0 = spectral_radius(s0_lower, 12)
+    assert not _encloses_radius(lower.adjacency, r_s0.lo, r_s0.hi)
+    # a wrong exact radius on a cycle, and a radius above 0 on a DAG
+    assert _encloses_radius(seven_cycle().adjacency, F(1), F(1))
+    assert not _encloses_radius(seven_cycle().adjacency, F(2), F(2))
+    assert not _encloses_radius(seven_cycle().adjacency, F(1, 2), F(1, 2))
+    # 1 is an eigenvalue here (char poly x^5 - x^4 - 2x^3 + 2, rho ~ 1.899)
+    # with a one-dimensional kernel, but no positive eigenvector
+    non_perron = [[0, 1, 0, 1, 0], [0, 1, 0, 0, 1], [1, 0, 0, 0, 0], [1, 0, 1, 0, 1], [0, 1, 1, 0, 0]]
+    assert not _encloses_radius(non_perron, F(1), F(1))
+    dag = digraph_from_edges(["a", "b"], [("a", "b")]).adjacency
+    assert _encloses_radius(dag, F(0), F(0))
+    assert not _encloses_radius(dag, F(1), F(1))
+
+
+def test_spectral_radius_raises_on_wrong_enclosure(monkeypatch):
+    lower, _, _ = cover_digraphs(F(5))  # one cyclic component
+    true_enclosure = markov._largest_root_enclosure
+    for shift in (F(1, 10**6), F(-1, 10**6)):
+
+        def shifted(poly, digits, shift=shift):
+            r = true_enclosure(poly, digits)
+            return SimpleNamespace(lo=r.lo + shift, hi=r.hi + shift, poly=r.poly)
+
+        monkeypatch.setattr(markov, "_largest_root_enclosure", shifted)
+        with pytest.raises(AssertionError, match="exact radius check failed"):
+            spectral_radius(lower, 12)
+        spectral_radius(lower, 12, check=False)
+
+
+def test_exact_check_accepts_certificates(monkeypatch):
+    seen = []
+    original = markov.spectral_radius
+
+    def spy(dg, digits=12, check=True):
+        r = original(dg, digits, check=False)
+        seen.append((dg.adjacency, r))
+        return r
+
+    monkeypatch.setattr(markov, "spectral_radius", spy)
+    for tag in ("alpha", "beta"):
+        ci = certify.certify(tag, 24, 32)
+        assert certify.verify_certificate(ci)
+    kinds = {"one" if r.is_exact and r.lo == 1 else "above" for _, r in seen}
+    assert kinds == {"one", "above"} and len(seen) >= 8
+    for adj, r in seen:
+        assert _encloses_radius(adj, r.lo, r.hi)
+
+
+def test_exact_check_accepts_random_digraphs():
+    # the 100 random digraphs of acceptance criterion 7
+    rng = random.Random(1234)
+    for _ in range(100):
+        size = rng.randint(1, 8)
+        labs = [f"v{i}" for i in range(size)]
+        edges = [(labs[i], labs[j]) for i in range(size) for j in range(size) if rng.random() < 0.3]
+        dg = digraph_from_edges(labs, edges)
+        r = spectral_radius(dg, 12, check=False)
+        assert _encloses_radius(dg.adjacency, r.lo, r.hi)
+
+
+def test_default_paths_use_no_float(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("float power iteration on a default path")
+
+    monkeypatch.setattr(markov, "_power_iteration_radius", forbidden)
+    ci = certify.certify("alpha", 6, 8)
+    assert certify.verify_certificate(ci)
+    assert band48.cross_check_entropy(5)
+    r = spectral_radius(cover_digraphs(F(6))[0])
+    assert format_decimal(r.lo, 5) == "1.20443"
 
 
 def test_entropy_bounds_examples():

@@ -7,7 +7,9 @@ import pytest
 
 from pwldyn.rationals import (
     common_decimal_prefix,
+    decimal_above,
     decimal_digits,
+    first_digit_place,
     format_decimal,
     ln_bounds,
     parse_rational,
@@ -20,8 +22,9 @@ def test_parse_rational():
     assert parse_rational("5") == F(5)
     assert parse_rational("0.69") == F(69, 100)
     assert parse_rational(" -0.815 ") == F(-163, 200)
-    with pytest.raises(ValueError):
-        parse_rational("")
+    for bad in ("", "3/0", "abc", "1/x"):
+        with pytest.raises(ValueError, match=repr(bad)):
+            parse_rational(bad)
 
 
 def test_rational_str_roundtrip():
@@ -40,6 +43,19 @@ def test_format_decimal_rounds_half_away():
     assert format_decimal(F(2888762, 10**7), 5) == "0.28888"
     assert format_decimal(F(15, 1000), 2) == "0.02"
     assert format_decimal(F(-25, 1000), 2) == "-0.03"
+
+
+def test_decimal_above_rounds_up_at_the_last_digit():
+    assert [first_digit_place(q) for q in (F(1), F(1, 10), F(99, 1000), F(123, 10), F(-1, 7))] == [0, 1, 2, -1, 1]
+    assert decimal_above(F(4962832381, 10**19), 6) == "0.000000000496284"
+    assert decimal_above(F(1, 1000), 6) == "0.00100001"  # strictly above an exact decimal
+    assert decimal_above(F(123, 10), 3) == "12.4"
+    for q in (F(1, 3), F(2, 3) * F(1, 10**150), F(7, 10**200)):
+        text = decimal_above(q, 4)
+        places = len(text.split(".")[1])
+        assert q < F(text) <= q + F(1, 10**places)
+    with pytest.raises(ValueError):
+        decimal_above(F(0), 3)
 
 
 def test_common_decimal_prefix():
