@@ -17,7 +17,7 @@ from pwldyn.graphs import build_gamma
 from pwldyn.markov import CoverDigraph, build_cover_digraph, spectral_radius
 from pwldyn.planemap import Params, Point, Segment
 from pwldyn.polys import IntPoly, RootInterval, isolate_unique_positive_root
-from pwldyn.rationals import format_decimal, ln_enclosure
+from pwldyn.rationals import format_decimal, ln_enclosure, rational_str
 
 F = Fraction
 
@@ -363,16 +363,12 @@ def table_rows(levels: int = 3, places: int = 5) -> list[dict[str, str]]:
             res = entropy_or_bounds(mid, places + 2)
             interval = "{}{}, {}{}".format(
                 "[" if lo_closed else "(",
-                _frac_str(lo),
-                _frac_str(hi),
+                rational_str(lo),
+                rational_str(hi),
                 "]" if hi_closed else ")",
             )
             rows.append({"set": str(lc), "interval": interval, "entropy": res.decimal(places)})
     return rows
-
-
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def table_csv(levels: int = 3, places: int = 5) -> str:

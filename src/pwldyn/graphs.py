@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 from pwldyn.planemap import (
+    LineCover,
     Params,
     Point,
     Segment,
@@ -394,24 +394,6 @@ class InvarianceReport:
     uncovered_points: tuple[Point, ...]
 
 
-def _line_chart(key) -> str:
-    a, bb, _ = key
-    return "y" if (a, bb) == (1, 0) else "x"
-
-
-def _chart_value(key, pt: Point) -> Fraction:
-    return pt.y if _line_chart(key) == "y" else pt.x
-
-
-def _point_on_line_at(key, t: Fraction) -> Point:
-    a, bcoef, c = key
-    if _line_chart(key) == "y":
-        return Point(c / a, t)
-    if bcoef == 0:
-        raise ValueError("line has no x chart")
-    return Point(t, (c - a * t) / bcoef)
-
-
 def verify_invariance(graph: PlanarGraph, params: Params) -> InvarianceReport:
     """Exact check that F maps the graph into itself.
 
@@ -421,48 +403,18 @@ def verify_invariance(graph: PlanarGraph, params: Params) -> InvarianceReport:
     """
     if params.a != -1:
         raise ValueError("invariance tables assume a = -1")
-    by_line: dict[tuple, list[tuple[Fraction, Fraction]]] = {}
-    for seg in graph.all_segments():
-        key = seg.line_key()
-        lo = _chart_value(key, seg.p)
-        hi = _chart_value(key, seg.q)
-        by_line.setdefault(key, []).append((min(lo, hi), max(lo, hi)))
+    segments = graph.all_segments()
+    cover = LineCover(segments)
     uncovered: list[Segment] = []
     bad_points: list[Point] = []
-    for seg in graph.all_segments():
+    for seg in segments:
         for piece in iterate_segment_pieces(params, seg, 1):
-            p0, p1 = piece.at(piece.t0), piece.at(piece.t1)
-            if piece.is_collapsed:
-                if not graph.contains_point(p0):
-                    bad_points.append(p0)
-                continue
-            img = Segment(p0, p1)
-            key = img.line_key()
-            lo = _chart_value(key, p0)
-            hi = _chart_value(key, p1)
-            lo, hi = min(lo, hi), max(lo, hi)
-            for glo, ghi in _subtract_union(lo, hi, by_line.get(key, [])):
-                uncovered.append(Segment(_point_on_line_at(key, glo), _point_on_line_at(key, ghi)))
+            p0 = piece.at(piece.t0)
+            if not piece.is_collapsed:
+                uncovered.extend(cover.gaps(Segment(p0, piece.at(piece.t1))))
+            elif not graph.contains_point(p0):
+                bad_points.append(p0)
     return InvarianceReport(not uncovered and not bad_points, tuple(uncovered), tuple(bad_points))
-
-
-def _subtract_union(lo: Fraction, hi: Fraction, cover: Iterable[tuple[Fraction, Fraction]]):
-    """Parts of [lo, hi] not covered by the union of the given intervals."""
-    gaps = [(lo, hi)]
-    for clo, chi in sorted(cover):
-        nxt = []
-        for glo, ghi in gaps:
-            if chi <= glo or ghi <= clo:
-                nxt.append((glo, ghi))
-                continue
-            if glo < clo:
-                nxt.append((glo, clo))
-            if chi < ghi:
-                nxt.append((chi, ghi))
-        gaps = nxt
-        if not gaps:
-            break
-    return [(a, b) for a, b in gaps if a < b]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from pwldyn.planemap import Params, Segment, iterate_segment_pieces
+from pwldyn.planemap import LineCover, Params, Segment, iterate_segment_pieces
 from pwldyn.polys import (
     IntPoly,
     LaurentPoly,
@@ -41,7 +41,6 @@ class CoverDigraph:
     labels: tuple[str, ...]
     adjacency: tuple[tuple[int, ...], ...]
     mode: str = "abstract"
-    node_segments: tuple[Segment, ...] | None = None
 
     @property
     def n(self) -> int:
@@ -352,14 +351,14 @@ def _power_iteration_radius(adj: Sequence[Sequence[int]], steps: int = 10_000) -
     for comp in strongly_connected_components(adj):
         if len(comp) == 1 and not adj[comp[0]][comp[0]]:
             continue
-        sub = [[adj[i][j] for j in comp] for i in comp]
-        n = len(sub)
-        v = [1.0] * n
+        # Successor lists: skipping the zero entries leaves every float sum unchanged.
+        succ = [[(k, adj[i][j]) for k, j in enumerate(comp) if adj[i][j]] for i in comp]
+        v = [1.0] * len(comp)
         growth = 1.0
         for _ in range(steps):
-            w = [sum(sub[i][j] * v[j] for j in range(n)) + v[i] for i in range(n)]
-            norm = sum(abs(c) for c in w)
-            growth = norm / sum(abs(c) for c in v)
+            w = [sum([a * v[k] for k, a in row]) + v[i] for i, row in enumerate(succ)]
+            norm = sum(map(abs, w))
+            growth = norm / sum(map(abs, v))
             v = [c / norm for c in w]
         best = max(best, growth - 1.0)
     return best
@@ -621,83 +620,33 @@ def build_cover_digraph(
         for lab, seg in partition:
             if not (graph.contains_point(seg.p) and graph.contains_point(seg.q)):
                 raise ValueError(f"partition interval {lab} is not on the graph")
-    node_keys = []
-    for _, seg in partition:
-        key = seg.line_key()
-        lo = _line_value(key, seg.p)
-        hi = _line_value(key, seg.q)
-        node_keys.append((key, min(lo, hi), max(lo, hi)))
-
-    def adjacency(require_containment: bool) -> list[list[int]]:
-        adj = [[0] * len(partition) for _ in partition]
-        for i, (_, seg) in enumerate(partition):
-            images = []
-            for piece in iterate_segment_pieces(params, seg, 1):
-                if piece.is_collapsed:
-                    continue
-                a, b = piece.at(piece.t0), piece.at(piece.t1)
-                img = Segment(a, b)
-                key = img.line_key()
-                lo = _line_value(key, a)
-                hi = _line_value(key, b)
-                images.append((key, min(lo, hi), max(lo, hi)))
-            for j, (jkey, jlo, jhi) in enumerate(node_keys):
-                spans = [(lo, hi) for key, lo, hi in images if key == jkey]
-                if require_containment:
-                    if not _subtract_cover(jlo, jhi, spans):
-                        adj[i][j] = 1
-                else:
-                    if any(min(jhi, hi) > max(jlo, lo) for lo, hi in spans):
-                        adj[i][j] = 1
-        return adj
-
-    if mode == "lower":
-        adj = adjacency(True)
-    elif mode == "upper":
-        adj = adjacency(False)
-    else:
-        low = adjacency(True)
-        up = adjacency(False)
-        if low != up:
-            raise ValueError("partition is not Markov: lower and upper digraphs differ")
-        adj = low
-    return CoverDigraph(
-        tuple(labels),
-        tuple(tuple(r) for r in adj),
-        mode,
-        tuple(seg for _, seg in partition),
-    )
-
-
-def _line_value(key, pt) -> Fraction:
-    a, b, _ = key
-    return pt.y if (a, b) == (1, 0) else pt.x
-
-
-def _subtract_cover(lo: Fraction, hi: Fraction, cover: list[tuple[Fraction, Fraction]]):
-    gaps = [(lo, hi)]
-    for clo, chi in sorted(cover):
-        nxt = []
-        for glo, ghi in gaps:
-            if chi <= glo or ghi <= clo:
-                nxt.append((glo, ghi))
-                continue
-            if glo < clo:
-                nxt.append((glo, clo))
-            if chi < ghi:
-                nxt.append((chi, ghi))
-        gaps = nxt
-    return [(a, b) for a, b in gaps if a < b]
+    # Partition intervals by carrying line, charted once.
+    targets: dict[tuple, list[tuple[int, Fraction, Fraction]]] = {}
+    for j, (_, seg) in enumerate(partition):
+        targets.setdefault(seg.line_key(), []).append((j, *seg.chart_interval()))
+    n = len(partition)
+    lower = [[0] * n for _ in range(n)]
+    upper = [[0] * n for _ in range(n)]
+    for i, (_, seg) in enumerate(partition):
+        images = LineCover(
+            Segment(piece.at(piece.t0), piece.at(piece.t1))
+            for piece in iterate_segment_pieces(params, seg, 1)
+            if not piece.is_collapsed
+        )
+        for key in images.lines:
+            for j, lo, hi in targets.get(key, ()):
+                gaps = images.chart_gaps(key, lo, hi)
+                lower[i][j] = int(not gaps)
+                upper[i][j] = int(gaps != [(lo, hi)])
+    if mode == "markov" and lower != upper:
+        raise ValueError("partition is not Markov: lower and upper digraphs differ")
+    adj = upper if mode == "upper" else lower
+    return CoverDigraph(tuple(labels), tuple(tuple(r) for r in adj), mode)
 
 
 def _check_disjoint(partition: Sequence[tuple[str, Segment]]):
-    seen: list[tuple[str, tuple, Fraction, Fraction]] = []
-    for lab, seg in partition:
-        key = seg.line_key()
-        lo = _line_value(key, seg.p)
-        hi = _line_value(key, seg.q)
-        lo, hi = min(lo, hi), max(lo, hi)
-        for olab, okey, olo, ohi in seen:
-            if okey == key and min(hi, ohi) > max(lo, olo):
-                raise ValueError(f"partition intervals {olab} and {lab} overlap")
-        seen.append((lab, key, lo, hi))
+    cover = LineCover()
+    for k, (lab, seg) in enumerate(partition):
+        if cover.add(seg):
+            other = next(o for o, oseg in partition[:k] if LineCover([oseg]).overlaps(seg))
+            raise ValueError(f"partition intervals {other} and {lab} overlap")

@@ -15,7 +15,8 @@ from fractions import Fraction
 from pwldyn.certify import pi_segment, sigma_segment
 from pwldyn.graphs import build_gamma
 from pwldyn.piecewise import PiecewiseAffine1D, conjugate_affine, plateau_preimage_measure
-from pwldyn.planemap import Params, Segment, restrict_iterate_to_segment
+from pwldyn.planemap import Params, restrict_iterate_to_segment
+from pwldyn.rationals import rational_str
 
 F = Fraction
 
@@ -71,7 +72,13 @@ def return_map_for_edge(regime: str, b, edge: str) -> tuple[PiecewiseAffine1D, i
         power = 7
     else:
         raise ValueError(f"no return structure tabulated for regime {regime!r}")
-    m = restrict_iterate_to_segment(Params.standard(b), seg, power)
+    try:
+        m = restrict_iterate_to_segment(Params.standard(b), seg, power)
+    except ValueError as exc:
+        raise ValueError(
+            f"regime {regime}, edge {edge}: F^{power} does not return the edge "
+            f"at b = {rational_str(b)} ({exc})"
+        ) from None
     _check_eventually_invariant(m, edge)
     return m, power
 
@@ -138,7 +145,7 @@ def full_measure_report(regime: str, b, depth: int) -> FullMeasureReport:
         graph = build_gamma("negb", b)
         profiles = tuple(edge_capture_profile(regime, b, e, depth) for e in _NEGB_EDGES)
         immediate = tuple(
-            (name, _chart_len(graph.edge_segment(name))) for name in ("plateau", "feeder")
+            (name, graph.edge_segment(name).chart_length()) for name in ("plateau", "feeder")
         )
     elif regime in ("alpha", "beta"):
         edge = "PI" if regime == "alpha" else "SIGMA"
@@ -155,8 +162,3 @@ def full_measure_report(regime: str, b, depth: int) -> FullMeasureReport:
             u += sum((length for _, length in immediate), Fraction(0))
         uncaptured.append(u)
     return FullMeasureReport(regime, b, depth, profiles, immediate, total, tuple(uncaptured))
-
-
-def _chart_len(seg: Segment) -> Fraction:
-    lo, hi = seg.chart_interval()
-    return hi - lo

@@ -368,18 +368,31 @@ def markov_radius_from_orbit(m: PiecewiseAffine1D, orbit: Sequence[Fraction], di
 # ---------------------------------------------------------------------------
 
 
-def _interval_union(intervals: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
-    if not intervals:
-        return []
-    ivs = sorted(intervals)
-    out = [ivs[0]]
-    for lo, hi in ivs[1:]:
-        plo, phi = out[-1]
-        if lo <= phi:
-            out[-1] = (plo, max(phi, hi))
+def interval_union(intervals) -> list[tuple[Fraction, Fraction]]:
+    """Sorted disjoint union of closed intervals; touching intervals merge."""
+    out: list[tuple[Fraction, Fraction]] = []
+    for lo, hi in sorted(intervals):
+        if out and lo <= out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
         else:
             out.append((lo, hi))
     return out
+
+
+def interval_gaps(lo: Fraction, hi: Fraction, union) -> list[tuple[Fraction, Fraction]]:
+    """Parts of positive length of [lo, hi] outside a sorted disjoint union."""
+    gaps = []
+    for clo, chi in union:
+        if clo >= hi:
+            break
+        if chi > lo:
+            if clo > lo:
+                gaps.append((lo, clo))
+            lo = chi
+    if lo < hi:
+        gaps.append((lo, hi))
+    return gaps
 
 
 def uncaptured_intervals(m: PiecewiseAffine1D, depth: int) -> list[tuple[Fraction, Fraction]]:
@@ -405,7 +418,7 @@ def uncaptured_intervals(m: PiecewiseAffine1D, depth: int) -> list[tuple[Fractio
                 ilo, ihi = max(a, plo), min(b, phi)
                 if ilo < ihi:
                     nxt.append((ilo, ihi))
-        current = _interval_union(nxt)
+        current = interval_union(nxt)
         if not current:
             break
     return current

@@ -9,10 +9,11 @@ one-dimensional map of F^k along a segment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from pwldyn.piecewise import Piece, PiecewiseAffine1D, merged
+from pwldyn.piecewise import Piece, PiecewiseAffine1D, interval_gaps, interval_union, merged
 from pwldyn.rationals import rational_str
 
 
@@ -48,11 +49,11 @@ class Segment:
         if self.p == self.q:
             raise ValueError("degenerate segment")
 
-    @property
+    @cached_property
     def dx(self) -> Fraction:
         return self.q.x - self.p.x
 
-    @property
+    @cached_property
     def dy(self) -> Fraction:
         return self.q.y - self.p.y
 
@@ -90,9 +91,6 @@ class Segment:
             return False
         t = self.dx * (pt.x - self.p.x) + self.dy * (pt.y - self.p.y)
         return 0 <= t <= self.dx * self.dx + self.dy * self.dy
-
-    def length_sq(self) -> Fraction:
-        return self.dx * self.dx + self.dy * self.dy
 
     def chart_length(self) -> Fraction:
         lo, hi = self.chart_interval()
@@ -287,6 +285,59 @@ def restrict_iterate_to_segment(params: Params, seg: Segment, k: int) -> Piecewi
 
 
 # ---------------------------------------------------------------------------
+# Unions of segments on carrying lines
+# ---------------------------------------------------------------------------
+
+
+class LineCover:
+    """Union of segments, kept per carrying line as sorted disjoint chart intervals.
+
+    All segments of one line share its chart (`Segment.chart_axis` depends
+    only on the slope), whatever their orientation.  Segments that touch
+    merge; contact at a single point is no overlap.
+    """
+
+    def __init__(self, segments: Iterable[Segment] = ()):
+        # line key -> (first segment added, which charts the line; union)
+        self.lines: dict[tuple, tuple[Segment, list[tuple[Fraction, Fraction]]]] = {}
+        for seg in segments:
+            self.add(seg)
+
+    def add(self, seg: Segment) -> bool:
+        """Add `seg`; whether it overlapped the cover before."""
+        key = seg.line_key()
+        lo, hi = seg.chart_interval()
+        anchor, union = self.lines.get(key, (seg, []))
+        self.lines[key] = (anchor, interval_union([*union, (lo, hi)]))
+        return interval_gaps(lo, hi, union) != [(lo, hi)]
+
+    def chart_gaps(self, key, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+        """Parts of the chart interval [lo, hi] of line `key` outside the cover."""
+        entry = self.lines.get(key)
+        return interval_gaps(lo, hi, entry[1] if entry else ())
+
+    def gaps(self, seg: Segment) -> list[Segment]:
+        """Maximal sub-segments of `seg` outside the cover."""
+        return [
+            Segment(seg.point_at_chart(lo), seg.point_at_chart(hi))
+            for lo, hi in self.chart_gaps(seg.line_key(), *seg.chart_interval())
+        ]
+
+    def overlaps(self, seg: Segment) -> bool:
+        """Whether `seg` shares a sub-segment of positive length with the cover."""
+        lo, hi = seg.chart_interval()
+        return self.chart_gaps(seg.line_key(), lo, hi) != [(lo, hi)]
+
+    def segments(self) -> list[Segment]:
+        """Maximal segments of the union, line by line in order of first addition."""
+        return [
+            Segment(anchor.point_at_chart(lo), anchor.point_at_chart(hi))
+            for anchor, union in self.lines.values()
+            for lo, hi in union
+        ]
+
+
+# ---------------------------------------------------------------------------
 # Plateaus
 # ---------------------------------------------------------------------------
 
@@ -314,7 +365,7 @@ def detect_plateaus(graph_or_segments) -> list[Segment]:
             continue
         if clipped is not None:
             found.append(clipped)
-    return _merge_collinear(found)
+    return LineCover(found).segments()
 
 
 def _clip_to_quadrant(seg: Segment, q: int) -> Segment | None:
@@ -335,22 +386,3 @@ def _clip_to_quadrant(seg: Segment, q: int) -> Segment | None:
     if t0 >= t1:
         return None
     return Segment(piece.at(t0), piece.at(t1))
-
-
-def _merge_collinear(segs: list[Segment]) -> list[Segment]:
-    out: list[Segment] = []
-    for seg in segs:
-        merged_in = False
-        for i, other in enumerate(out):
-            if other.line_key() != seg.line_key():
-                continue
-            a0, a1 = other.chart_interval()
-            b0, b1 = seg.chart_interval()
-            if b0 <= a1 and a0 <= b1:
-                lo, hi = min(a0, b0), max(a1, b1)
-                out[i] = Segment(other.point_at_chart(lo), other.point_at_chart(hi))
-                merged_in = True
-                break
-        if not merged_in:
-            out.append(seg)
-    return out

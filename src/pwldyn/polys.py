@@ -197,12 +197,6 @@ class RootInterval:
                 hi = mid
         return RootInterval(lo, hi, self.poly)
 
-    def contains(self, q: Fraction) -> bool:
-        return self.lo <= q <= self.hi
-
-    def midpoint_float(self) -> float:
-        return float((self.lo + self.hi) / 2)
-
 
 def _sign(q: Fraction) -> int:
     return (q > 0) - (q < 0)
@@ -260,8 +254,9 @@ def _frac_coeffs(p: IntPoly) -> list[Fraction]:
     return [Fraction(c) for c in p.coeffs]
 
 
-def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of a by b over the rationals (coefficients ascending)."""
+def _poly_divmod(a: list[Fraction], b: list[Fraction]):
+    """Quotient and remainder of a by b over the rationals (coefficients ascending)."""
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
     r = a[:]
     db = len(b) - 1
     while len(r) - 1 >= db and any(r):
@@ -271,18 +266,19 @@ def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
             break
         f = r[-1] / b[-1]
         shift = len(r) - 1 - db
+        q[shift] = f
         for i, c in enumerate(b):
             r[shift + i] -= f * c
         r.pop()
     while r and r[-1] == 0:
         r.pop()
-    return r
+    return q, r
 
 
 def sturm_chain(p: IntPoly) -> list[list[Fraction]]:
     chain = [_frac_coeffs(p), _frac_coeffs(p.derivative())]
     while chain[-1]:
-        rem = _poly_rem(chain[-2], chain[-1])
+        _, rem = _poly_divmod(chain[-2], chain[-1])
         if not rem:
             break
         chain.append([-c for c in rem])
@@ -329,7 +325,7 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     """Greatest common divisor over Q, as a primitive integer polynomial."""
     a, b = _frac_coeffs(p), _frac_coeffs(q)
     while b:
-        a, b = b, _poly_rem(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
     return _primitive(a)
 
 
@@ -341,26 +337,6 @@ def _squarefree_part(p: IntPoly) -> IntPoly:
     q, rem = _poly_divmod(_frac_coeffs(p), _frac_coeffs(g))
     assert not rem, "gcd division must be exact"
     return _primitive(q)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = a[:]
-    db = len(b) - 1
-    while len(r) - 1 >= db and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        f = r[-1] / b[-1]
-        shift = len(r) - 1 - db
-        q[shift] = f
-        for i, c in enumerate(b):
-            r[shift + i] -= f * c
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
 
 
 def largest_positive_root(p: IntPoly, digits: int) -> RootInterval | None:

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Q = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den", an integer, or a decimal string into an exact Fraction.

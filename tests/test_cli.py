@@ -86,8 +86,13 @@ def test_verify_command(capsys):
         (("entropy", "--b", "5", "--digits", "-1"), "-1"),
         (("certify-alpha", "--upper", "5", "--lower", "8"), "got 5"),
         (("measure", "--regime", "negb", "--b", "-3", "--depth", "-1"), "got -1"),
+        (("measure", "--regime", "alpha", "--b", "5", "--depth", "2"), "b = 5 "),
+        (("measure", "--regime", "beta", "--b", "7/10", "--depth", "2"), "b = 7/10 "),
     ],
-    ids=["b-at-band-end", "zero-denominator", "negative-digits", "bad-period", "negative-depth"],
+    ids=[
+        "b-at-band-end", "zero-denominator", "negative-digits", "bad-period", "negative-depth",
+        "alpha-b-off-return-map", "beta-b-off-return-map",
+    ],
 )
 def test_bad_input_is_a_one_line_error(capsys, argv, bad):
     with pytest.raises(SystemExit) as exc:

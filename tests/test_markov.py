@@ -66,8 +66,14 @@ def test_build_cover_digraph_markov_mode():
 def test_build_cover_digraph_rejects_overlap():
     seg1 = Segment(point(0, 0), point(2, 0))
     seg2 = Segment(point(1, 0), point(3, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="partition intervals a and b overlap"):
         build_cover_digraph(None, [("a", seg1), ("b", seg2)], Params.standard(5), "lower")
+    # Contact at a point is allowed; the message names the interval overlapped.
+    seg3 = Segment(point(5, 0), point(3, 0))
+    seg4 = Segment(point(4, 0), point(6, 0))
+    part = [("a", seg1), ("c", seg3), ("e", Segment(point(2, 0), point(3, 0))), ("d", seg4)]
+    with pytest.raises(ValueError, match="partition intervals c and d overlap"):
+        build_cover_digraph(None, part, Params.standard(5), "lower")
 
 
 def test_find_rome_examples():

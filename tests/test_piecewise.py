@@ -10,6 +10,8 @@ from pwldyn.piecewise import (
     Piece,
     PiecewiseAffine1D,
     closing_window,
+    interval_gaps,
+    interval_union,
     conjugate_affine,
     iterate_point,
     itinerary_of,
@@ -131,6 +133,15 @@ def test_uncaptured_geometric_decay():
     for n in range(11):
         left = sum((hi - lo for lo, hi in uncaptured_intervals(fA, n)), F(0))
         assert left == F(2) ** (1 - 4 * n)
+
+
+def test_interval_union_and_gaps():
+    union = interval_union([(F(2), F(3)), (F(0), F(1)), (F(5), F(6)), (F(1), F(2)), (F(5), F(11, 2))])
+    assert union == [(0, 3), (5, 6)]  # touching intervals merge
+    assert interval_gaps(F(-1), F(7), union) == [(-1, 0), (3, 5), (6, 7)]
+    assert interval_gaps(F(3), F(5), union) == [(3, 5)]  # end contact covers nothing
+    assert interval_gaps(F(1), F(2), union) == []
+    assert interval_gaps(F(1), F(2), []) == [(1, 2)]
 
 
 def test_compose_matches_double_iteration():

@@ -5,6 +5,7 @@ import pytest
 
 from pwldyn.graphs import build_gamma
 from pwldyn.planemap import (
+    LineCover,
     Params,
     Segment,
     apply_F,
@@ -123,6 +124,59 @@ def test_detect_plateaus_square_in_q2_empty():
         segment((-3, 3), (-3, 1)),
     ]
     assert detect_plateaus(square) == []
+
+
+def test_detect_plateaus_merges_through_a_bridging_piece():
+    # B overlaps both A and C; given in the order A, C, B the three pieces
+    # still form one plateau.
+    a = segment((0, 0), (1, 1))
+    c = segment((2, 2), (3, 3))
+    b = segment((F(5, 2), F(5, 2)), (F(1, 2), F(1, 2)))
+    assert detect_plateaus([a, c, b]) == [segment((0, 0), (3, 3))]
+
+
+def test_line_cover_merges_touching_segments():
+    cover = LineCover([segment((0, 0), (1, 1)), segment((2, 2), (1, 1))])
+    assert cover.segments() == [segment((0, 0), (2, 2))]
+    assert cover.gaps(segment((F(1, 2), F(1, 2)), (F(3, 2), F(3, 2)))) == []
+
+
+def test_line_cover_point_contact_is_no_overlap():
+    cover = LineCover([segment((0, 0), (2, 0))])
+    assert not cover.overlaps(segment((2, 0), (3, 0)))
+    assert not cover.overlaps(segment((2, 0), (2, 1)))  # another line through the end
+    assert not cover.overlaps(segment((0, 1), (2, 1)))  # a parallel line
+    assert cover.overlaps(segment((1, 0), (3, 0)))
+    assert cover.gaps(segment((1, 0), (3, 0))) == [segment((2, 0), (3, 0))]
+    assert cover.gaps(segment((2, 0), (0, 0))) == []
+
+
+def test_line_cover_gaps_on_a_steep_line():
+    assert segment((0, 0), (-1, 3)).chart_axis() == "y"  # slope -3
+    cover = LineCover([segment((0, 0), (F(-1, 3), 1)), segment((-1, 3), (F(-2, 3), 2))])
+    assert cover.gaps(segment((1, -3), (-2, 6))) == [
+        segment((1, -3), (0, 0)),
+        segment((F(-1, 3), 1), (F(-2, 3), 2)),
+        segment((-1, 3), (-2, 6)),
+    ]
+    assert cover.gaps(segment((0, 0), (F(-1, 3), 1))) == []
+
+
+def test_line_cover_collinear_segments_in_opposite_orientations():
+    down = segment((0, 4), (2, 0))  # slope -2
+    up = segment((3, -2), (2, 0))
+    flat = segment((1, 1), (-1, 0))  # slope 1/2, a second line
+    cover = LineCover([down, flat, up])
+    assert cover.segments() == [segment((3, -2), (0, 4)), segment((-1, 0), (1, 1))]
+    assert cover.gaps(segment((0, 4), (3, -2))) == []
+    assert cover.gaps(segment((-1, 6), (4, -4))) == [
+        segment((4, -4), (3, -2)),
+        segment((0, 4), (-1, 6)),
+    ]
+    assert cover.gaps(segment((3, 2), (-3, -1))) == [
+        segment((-3, -1), (-1, 0)),
+        segment((1, 1), (3, 2)),
+    ]
 
 
 def test_detect_plateaus_band48_brute_force_oracle():
