@@ -289,6 +289,7 @@ class PlanarGraph:
     edges: list[GraphEdge]
     marks: dict[str, tuple[Point, str]] = field(default_factory=dict)
     boundary: bool = False
+    _segments: tuple[Segment, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def edge_segment(self, name: str) -> Segment:
         for e in self.edges:
@@ -296,8 +297,17 @@ class PlanarGraph:
                 return Segment(self.vertices[e.a], self.vertices[e.b])
         raise KeyError(f"no edge named {name!r}")
 
-    def all_segments(self) -> list[Segment]:
-        return [Segment(self.vertices[e.a], self.vertices[e.b]) for e in self.edges]
+    def all_segments(self) -> tuple[Segment, ...]:
+        """Edge segments, built on first use.  An edge whose ends coincide
+        is skipped: at a regime boundary an edge can shrink to a point
+        (beta's B3 at b = 5/7), which is a vertex the graph keeps."""
+        if self._segments is None:
+            self._segments = tuple(
+                Segment(p, q)
+                for e in self.edges
+                if (p := self.vertices[e.a]) != (q := self.vertices[e.b])
+            )
+        return self._segments
 
     def named_point(self, name: str) -> Point:
         if name in self.vertices:

@@ -25,15 +25,11 @@ from pwldyn.polys import (
     IntPoly,
     LaurentPoly,
     RootInterval,
-    coefficient_bound,
     count_roots_in,
-    descartes_positive_sign_changes,
-    isolate_unique_positive_root,
     laurent_poly_det,
     largest_positive_root,
     poly_gcd,
 )
-from pwldyn.rationals import ln_enclosure
 
 
 @dataclass(frozen=True)
@@ -139,14 +135,13 @@ def strongly_connected_components(adj: Sequence[Sequence[int]]) -> list[list[int
     return out
 
 
-def _cycle_nodes(dg: CoverDigraph) -> list[int]:
-    nodes = []
-    for comp in strongly_connected_components(dg.adjacency):
-        if len(comp) > 1:
-            nodes.extend(comp)
-        elif dg.adjacency[comp[0]][comp[0]]:
-            nodes.append(comp[0])
-    return sorted(nodes)
+def _cyclic_components(adj: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components that carry a cycle."""
+    return [
+        comp
+        for comp in strongly_connected_components(adj)
+        if len(comp) > 1 or adj[comp[0]][comp[0]]
+    ]
 
 
 def _acyclic_without(dg: CoverDigraph, removed: frozenset[int]) -> bool:
@@ -197,7 +192,7 @@ def find_rome(dg: CoverDigraph) -> Rome:
     The candidate pool is restricted to nodes lying on cycles, which keeps
     the search tiny for the graphs arising here.
     """
-    candidates = _cycle_nodes(dg)
+    candidates = sorted(v for comp in _cyclic_components(dg.adjacency) for v in comp)
     if not candidates:
         return Rome(())
     for size in range(1, len(candidates) + 1):
@@ -380,7 +375,10 @@ def spectral_radius(dg: CoverDigraph, digits: int = 12, check: bool = True) -> R
     for comp in comps:
         sub = _sub_digraph(dg, sorted(comp))
         poly = rome_char_poly(sub, find_rome(sub))
-        enclosures.append(_largest_root_enclosure(poly, digits))
+        root = largest_positive_root(poly, digits)
+        if root is None:
+            raise AssertionError("cyclic component without positive root")
+        enclosures.append(root)
     result = enclosures[0]
     for cand in enclosures[1:]:
         result = _max_enclosure(result, cand, digits)
@@ -389,28 +387,6 @@ def spectral_radius(dg: CoverDigraph, digits: int = 12, check: bool = True) -> R
             f"exact radius check failed for [{result.lo}, {result.hi}] ({result.poly})"
         )
     return result
-
-
-def _cyclic_components(adj: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Strongly connected components that carry a cycle."""
-    return [
-        comp
-        for comp in strongly_connected_components(adj)
-        if len(comp) > 1 or adj[comp[0]][comp[0]]
-    ]
-
-
-def _largest_root_enclosure(poly: IntPoly, digits: int) -> RootInterval:
-    """Enclosure of the largest positive root of a cyclic component's factor."""
-    # Radius exactly 1 is common (pure cycles); detect it exactly.
-    if poly(Fraction(1)) == 0 and count_roots_in(poly, Fraction(1), Fraction(coefficient_bound(poly))) == 0:
-        return RootInterval(Fraction(1), Fraction(1), poly)
-    if descartes_positive_sign_changes(poly) == 1:
-        return isolate_unique_positive_root(poly, digits)
-    root = largest_positive_root(poly, digits)
-    if root is None:
-        raise AssertionError("cyclic component without positive root")
-    return root
 
 
 def _max_enclosure(a: RootInterval, b: RootInterval, digits: int) -> RootInterval:
@@ -542,31 +518,6 @@ def _encloses_radius(adj: Sequence[Sequence[int]], lo: Fraction, hi: Fraction) -
             lo <= 0 or any(_compare_radius(adj, c, lo) >= 0 for c in comps)
         )
     return max(_compare_radius(adj, c, hi) for c in comps) == 0
-
-
-@dataclass(frozen=True)
-class EntropyBounds:
-    lower_radius: RootInterval
-    upper_radius: RootInterval
-    ln_lower: tuple[Fraction, Fraction]
-    ln_upper: tuple[Fraction, Fraction]
-
-    @property
-    def exact(self) -> bool:
-        return self.lower_radius.poly == self.upper_radius.poly
-
-
-def entropy_bounds(dg_lower: CoverDigraph, dg_upper: CoverDigraph, digits: int = 7) -> EntropyBounds:
-    """[ln r(lower), ln r(upper)] as certified rational brackets."""
-    err = Fraction(1, 10 ** (digits + 2))
-    r_lo = spectral_radius(dg_lower, digits + 2)
-    r_hi = spectral_radius(dg_upper, digits + 2)
-    return EntropyBounds(
-        r_lo,
-        r_hi,
-        ln_enclosure(r_lo.lo, r_lo.hi, err),
-        ln_enclosure(r_hi.lo, r_hi.hi, err),
-    )
 
 
 def simple_cycle_lengths(dg: CoverDigraph) -> list[int]:

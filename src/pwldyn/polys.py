@@ -1,10 +1,20 @@
 """Integer polynomials, sign-change counting, and certified root isolation.
 
-Root enclosures are produced by exact bisection on Fractions.  A polynomial
-with exactly one positive sign change (one positive root) is refined through
-`isolate_unique_positive_root`; arbitrary integer polynomials go through a
-Sturm chain (`largest_positive_root`), which is what the spectral-radius
-code needs for characteristic polynomials with repeated or clustered roots.
+Root enclosures come from one exact bisection loop on Fractions,
+`RootInterval.refined`, behind two bracket strategies:
+
+- `isolate_unique_positive_root` takes a polynomial with exactly one
+  positive coefficient sign change (so one positive root) and brackets it
+  by [1, 1+max|coeff|] or [0, 1];
+- `largest_positive_root` takes any integer polynomial and bisects its
+  square-free part with Sturm counts until the largest positive root is
+  alone in (lo, hi].  That is what the spectral-radius code needs for
+  characteristic polynomials with repeated or clustered roots.  It routes a
+  polynomial with one sign change to the first strategy and returns a
+  largest root of exactly 1 as the exact interval [1, 1].
+
+Every polynomial, Sturm chain members included, is evaluated by the one
+sparse evaluator `IntPoly.__call__`.
 
 `LaurentPoly` supports the path-generating functions used by the rome
 method: entries are integer combinations of powers of 1/x.
@@ -152,10 +162,12 @@ def descartes_positive_sign_changes(p: IntPoly) -> int:
 
 @dataclass(frozen=True)
 class RootInterval:
-    """Certified enclosure [lo, hi] of a single real root of `poly`.
+    """Certified enclosure of a single real root of `poly`.
 
-    Either lo == hi is an exact root, or poly changes sign over [lo, hi]
-    and the interval contains exactly one root.
+    Either lo == hi is an exact root, or the root is the one root of poly
+    in the half-open (lo, hi]: hi is not a root, and poly changes sign
+    between just right of lo and hi.  lo itself may be a root (a smaller
+    one, as `largest_positive_root` can leave it).
     """
 
     lo: Fraction
@@ -168,8 +180,12 @@ class RootInterval:
         if self.lo == self.hi:
             if self.poly(self.lo) != 0:
                 raise ValueError("degenerate interval must hit the root exactly")
-        elif _sign(self.poly(self.lo)) * _sign(self.poly(self.hi)) > 0:
-            raise ValueError("polynomial does not change sign over the interval")
+            return
+        shi = _sign(self.poly(self.hi))
+        if shi == 0:
+            raise ValueError("hi is a root: use the exact interval [hi, hi]")
+        if _sign_right_of(self.poly, self.lo) == shi:
+            raise ValueError("polynomial does not change sign over (lo, hi]")
 
     @property
     def width(self) -> Fraction:
@@ -180,26 +196,39 @@ class RootInterval:
         return self.lo == self.hi
 
     def refined(self, digits: int) -> "RootInterval":
-        """Bisect until the width drops below 10^-digits."""
+        """Bisect until the width drops below 10^-digits.
+
+        The package's one bisection loop.  A midpoint with the sign of hi
+        becomes the new hi, any other the new lo, so the root kept is the
+        one in (lo, hi].
+        """
         lo, hi = self.lo, self.hi
         if lo == hi:
             return self
         tol = Fraction(1, 10**digits)
-        slo = _sign(self.poly(lo))
+        shi = _sign(self.poly(hi))
         while hi - lo >= tol:
             mid = (lo + hi) / 2
             v = self.poly(mid)
             if v == 0:
                 return RootInterval(mid, mid, self.poly)
-            if _sign(v) == slo:
-                lo = mid
-            else:
+            if _sign(v) == shi:
                 hi = mid
+            else:
+                lo = mid
         return RootInterval(lo, hi, self.poly)
 
 
 def _sign(q: Fraction) -> int:
     return (q > 0) - (q < 0)
+
+
+def _sign_right_of(p: IntPoly, x: Fraction) -> int:
+    """Sign of a nonzero p just right of x: that of the lowest derivative
+    (p itself included) not vanishing at x."""
+    while (v := p(x)) == 0:
+        p = p.derivative()
+    return _sign(v)
 
 
 def coefficient_bound(p: IntPoly) -> int:
@@ -210,9 +239,9 @@ def coefficient_bound(p: IntPoly) -> int:
 def isolate_unique_positive_root(p: IntPoly, digits: int) -> RootInterval:
     """Enclosure of width < 10^-digits for the unique positive root of `p`.
 
-    Requires exactly one coefficient sign change.  Pure bisection on exact
-    rationals; the initial bracket is [1, 1+max|coeff|], falling back to
-    [0, 1] when the root lies below 1.
+    Requires exactly one coefficient sign change.  The bracket is
+    [1, 1+max|coeff|], falling back to [0, 1] when the root lies below 1;
+    `RootInterval.refined` bisects it.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -223,25 +252,13 @@ def isolate_unique_positive_root(p: IntPoly, digits: int) -> RootInterval:
     one = core(Fraction(1))
     if one == 0:
         return RootInterval(Fraction(1), Fraction(1), core)
-    M = Fraction(coefficient_bound(core))
     if one < 0:
-        lo, hi = Fraction(1), M
+        lo, hi = Fraction(1), Fraction(coefficient_bound(core))
     else:
         # p(0) and p(1) share no sign with the (positive) leading behaviour,
         # so the lone root sits in (0, 1).
         lo, hi = Fraction(0), Fraction(1)
-    tol = Fraction(1, 10**digits)
-    slo = _sign(core(lo))
-    while hi - lo >= tol:
-        mid = (lo + hi) / 2
-        v = core(mid)
-        if v == 0:
-            return RootInterval(mid, mid, core)
-        if _sign(v) == slo:
-            lo = mid
-        else:
-            hi = mid
-    return RootInterval(lo, hi, core)
+    return RootInterval(lo, hi, core).refined(digits)
 
 
 # ---------------------------------------------------------------------------
@@ -275,29 +292,20 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]):
     return q, r
 
 
-def sturm_chain(p: IntPoly) -> list[list[Fraction]]:
-    chain = [_frac_coeffs(p), _frac_coeffs(p.derivative())]
-    while chain[-1]:
-        _, rem = _poly_divmod(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return [c for c in chain if c]
+def sturm_chain(p: IntPoly) -> list[IntPoly]:
+    """Sturm chain of p.  Each remainder is scaled by a positive constant to
+    a primitive integer polynomial, which keeps every sign of the chain."""
+    chain = [p]
+    nxt = p.derivative()
+    while not nxt.is_zero():
+        chain.append(nxt)
+        _, rem = _poly_divmod(_frac_coeffs(chain[-2]), _frac_coeffs(nxt))
+        nxt = _primitive([-c for c in rem])
+    return chain
 
 
-def _eval_frac(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
-def _sturm_variations(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for coeffs in chain:
-        v = _eval_frac(coeffs, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _sturm_variations(chain: list[IntPoly], x: Fraction) -> int:
+    signs = [_sign(v) for v in (q(x) for q in chain) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -309,8 +317,8 @@ def count_roots_in(p: IntPoly, a: Fraction, b: Fraction, chain=None) -> int:
 
 
 def _primitive(coeffs: Sequence[Fraction]) -> IntPoly:
-    """The primitive integer polynomial with positive leading coefficient
-    that is a rational multiple of `coeffs`."""
+    """The primitive integer polynomial that is a positive rational multiple
+    of `coeffs`."""
     from math import gcd, lcm
 
     den = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
@@ -318,15 +326,16 @@ def _primitive(coeffs: Sequence[Fraction]) -> IntPoly:
     g = 0
     for c in ints:
         g = gcd(g, abs(c))
-    return IntPoly([c // g for c in ints]).normalized_sign() if g else IntPoly([])
+    return IntPoly([c // g for c in ints]) if g else IntPoly([])
 
 
 def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Greatest common divisor over Q, as a primitive integer polynomial."""
+    """Greatest common divisor over Q, as a primitive integer polynomial
+    with positive leading coefficient."""
     a, b = _frac_coeffs(p), _frac_coeffs(q)
     while b:
         a, b = b, _poly_divmod(a, b)[1]
-    return _primitive(a)
+    return _primitive(a).normalized_sign()
 
 
 def _squarefree_part(p: IntPoly) -> IntPoly:
@@ -336,40 +345,46 @@ def _squarefree_part(p: IntPoly) -> IntPoly:
         return p.normalized_sign()
     q, rem = _poly_divmod(_frac_coeffs(p), _frac_coeffs(g))
     assert not rem, "gcd division must be exact"
-    return _primitive(q)
+    return _primitive(q).normalized_sign()
 
 
 def largest_positive_root(p: IntPoly, digits: int) -> RootInterval | None:
     """Certified enclosure of the largest positive real root, or None.
 
-    Works for any nonzero integer polynomial: the square-free part is
-    bracketed with a Sturm chain, so repeated roots and several positive
-    roots are all handled.
+    Works for any nonzero integer polynomial.  With one coefficient sign
+    change the root is unique and `isolate_unique_positive_root` brackets
+    it.  Otherwise the square-free part is bisected with Sturm counts until
+    the largest root is alone in (lo, hi], so repeated roots and several
+    positive roots are all handled; a largest root of exactly 1 (a pure
+    cycle's radius) is returned as the exact interval [1, 1].
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
     core, _ = p.strip_power_factor()
     if core.degree == 0:
         return None
+    if descartes_positive_sign_changes(core) == 1:
+        return isolate_unique_positive_root(core, digits)
     sf = _squarefree_part(core)
     chain = sturm_chain(sf)
-    M = Fraction(coefficient_bound(sf))
-    if count_roots_in(sf, Fraction(0), M, chain) == 0:
+    lo, hi = Fraction(0), Fraction(coefficient_bound(sf))
+    # Invariant: the largest positive root lies in (lo, hi], with n roots there.
+    n = count_roots_in(sf, lo, hi, chain)
+    if n == 0:
         return None
-    lo, hi = Fraction(0), M
-    tol = Fraction(1, 10**digits)
-    # Invariant: largest positive root lies in (lo, hi], none in (hi, M].
-    while hi - lo >= tol or count_roots_in(sf, lo, hi, chain) > 1:
+    one = Fraction(1)
+    if sf(one) == 0 and count_roots_in(sf, one, hi, chain) == 0:
+        return RootInterval(one, one, sf)
+    while n > 1:
         mid = (lo + hi) / 2
-        if _eval_frac(chain[0], mid) == 0 and count_roots_in(sf, mid, hi, chain) == 0:
+        above = count_roots_in(sf, mid, hi, chain)
+        if above:
+            lo, n = mid, above
+        elif sf(mid) == 0:
             return RootInterval(mid, mid, sf)
-        if count_roots_in(sf, mid, hi, chain) >= 1:
-            lo = mid
         else:
             hi = mid
-    if _eval_frac(chain[0], hi) == 0:
-        return RootInterval(hi, hi, sf)
-    return RootInterval(lo, hi, sf)
+    return RootInterval(lo, hi, sf).refined(digits)
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +443,6 @@ class LaurentPoly:
         if self.terms and min(self.terms) < 0:
             raise ValueError("Laurent polynomial has negative exponents")
         return IntPoly.from_terms(self.terms)
-
-    def cleared(self) -> tuple[IntPoly, int]:
-        """Clear denominators: returns (x^k * self as IntPoly, k)."""
-        k = -self.min_exponent()
-        if k < 0:
-            k = 0
-        return self.shifted(k).to_int_poly(), k
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms

@@ -63,6 +63,16 @@ def test_invariance_all_regimes_random_b():
             assert report.ok, (regime, b, report.uncovered_segments[:3])
 
 
+def test_invariance_at_regime_boundaries():
+    # at b = 5/7 beta's edge B3 shrinks to a point and is skipped
+    for regime, b in (("negb", F(-2)), ("alpha", F(-3, 4)), ("beta", F(5, 7))):
+        g = build_gamma(regime, b)
+        assert g.boundary
+        assert verify_invariance(g, Params.standard(b)).ok, regime
+        assert len(g.all_segments()) == len(g.edges) - (regime == "beta")
+        assert g.all_segments() is g.all_segments()
+
+
 def test_invariance_detects_corruption():
     g = build_gamma("negb", -3)
     g.vertices["S"] = point(3, 0)

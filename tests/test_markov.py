@@ -12,7 +12,6 @@ from pwldyn.markov import (
     build_cover_digraph,
     digraph_from_edges,
     direct_char_poly,
-    entropy_bounds,
     find_rome,
     is_rome,
     rome_char_poly,
@@ -24,7 +23,7 @@ from pwldyn.markov import (
 )
 from pwldyn.planemap import Params, Segment, point
 from pwldyn.polys import IntPoly
-from pwldyn.rationals import format_decimal
+from pwldyn.rationals import format_decimal, ln_enclosure
 
 
 def poly(**terms) -> IntPoly:
@@ -212,14 +211,14 @@ def test_exact_check_rejects_wrong_enclosures():
 
 def test_spectral_radius_raises_on_wrong_enclosure(monkeypatch):
     lower, _, _ = cover_digraphs(F(5))  # one cyclic component
-    true_enclosure = markov._largest_root_enclosure
+    true_enclosure = markov.largest_positive_root
     for shift in (F(1, 10**6), F(-1, 10**6)):
 
         def shifted(poly, digits, shift=shift):
             r = true_enclosure(poly, digits)
             return SimpleNamespace(lo=r.lo + shift, hi=r.hi + shift, poly=r.poly)
 
-        monkeypatch.setattr(markov, "_largest_root_enclosure", shifted)
+        monkeypatch.setattr(markov, "largest_positive_root", shifted)
         with pytest.raises(AssertionError, match="exact radius check failed"):
             spectral_radius(lower, 12)
         spectral_radius(lower, 12, check=False)
@@ -269,21 +268,24 @@ def test_default_paths_use_no_float(monkeypatch):
 
 
 def test_entropy_bounds_examples():
+    def ln_radius(dg):
+        r = spectral_radius(dg, 9)
+        return r.poly, ln_enclosure(r.lo, r.hi, F(1, 10**9))
+
     lower, upper, _ = cover_digraphs(F(9, 2))
-    eb = entropy_bounds(lower, upper, 7)
-    assert format_decimal(eb.ln_lower[0], 5) == "0.14717"
-    assert format_decimal(eb.ln_upper[0], 5) == "0.28888"
+    assert format_decimal(ln_radius(lower)[1][0], 5) == "0.14717"
+    assert format_decimal(ln_radius(upper)[1][0], 5) == "0.28888"
 
     lower5, upper5, _ = cover_digraphs(F(5))
-    eb = entropy_bounds(lower5, upper5, 7)
-    assert eb.exact
-    assert format_decimal(eb.ln_lower[0], 5) == format_decimal(eb.ln_upper[1], 5) == "0.20844"
+    (p_lo, ln_lo), (p_hi, ln_hi) = ln_radius(lower5), ln_radius(upper5)
+    assert p_lo == p_hi
+    assert format_decimal(ln_lo[0], 5) == format_decimal(ln_hi[1], 5) == "0.20844"
 
     lower31, upper31, lc = cover_digraphs(F(31, 4))
     assert str(lc) == "T2"
-    eb = entropy_bounds(lower31, upper31, 7)
-    assert eb.exact
-    assert format_decimal(eb.ln_lower[0], 5) == "0.13699"
+    (p_lo, ln_lo), (p_hi, _) = ln_radius(lower31), ln_radius(upper31)
+    assert p_lo == p_hi
+    assert format_decimal(ln_lo[0], 5) == "0.13699"
 
 
 def test_dot_and_json_export():

@@ -66,6 +66,17 @@ def test_root_interval_invariants():
         RootInterval(F(2), F(3), X7_X4_1)  # no sign change there
     with pytest.raises(ValueError):
         RootInterval(F(2), F(2), X7_X4_1)  # not an exact root
+    # (x-1)^k (x^2-3): the enclosure holds the one root in (lo, hi]
+    x_1 = poly(p1=1, p0=-1)
+    p = x_1 * poly(p2=1, p0=-3)
+    for q in (p, x_1 * p):
+        ri = RootInterval(F(1), F(2), q).refined(6)
+        assert ri.width < F(1, 10**6)
+        assert 1 < ri.lo and ri.lo**2 < 3 < ri.hi**2
+    with pytest.raises(ValueError):
+        RootInterval(F(1), F(3, 2), p)  # no root in (1, 3/2]
+    with pytest.raises(ValueError):
+        RootInterval(F(0), F(1), p)  # hi is a root
 
 
 def test_sturm_counting_and_largest_root():
@@ -78,14 +89,17 @@ def test_sturm_counting_and_largest_root():
     ri = largest_positive_root(p2, 12)
     assert ri.lo == ri.hi == 1
     assert largest_positive_root(poly(p2=1, p0=1), 8) is None
+    # largest root exactly 1, with no dyadic midpoint of [0, 5] equal to 1
+    p3 = poly(p1=1, p0=-1) * poly(p1=3, p0=-1) * poly(p2=1, p0=1)
+    ri = largest_positive_root(p3, 12)
+    assert ri.lo == ri.hi == 1
 
 
 def test_laurent_det_examples():
     a = LaurentPoly({-3: 1, -7: 1})
     assert laurent_poly_det([[a]]) == a
 
-    cleared, shift = (a - LaurentPoly.constant(1)).cleared()
-    assert shift == 7
+    cleared = (a - LaurentPoly.constant(1)).shifted(7).to_int_poly()
     assert cleared.normalized_sign() == X7_X4_1
 
     one = LaurentPoly.constant(1)
