@@ -227,8 +227,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except ValueError as exc:
         # Library functions raise ValueError for arguments outside their
-        # domain; report it like any other bad argument.
-        ap.error(str(exc))
+        # domain; report it in one line, without the usage text.
+        ap.exit(2, f"{ap.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Capture of orbits by plateau preimages, in exact measure.
 
 On each regime's return-invariant intervals the first-return map is
-piecewise affine with constancy pieces (the plateau preimages).  The set
-still missing a constancy piece after n returns is an exact union of
-rational intervals; its measure decreasing to zero is the computable
+piecewise affine with constancy pieces (the plateau preimages).  The
+measure of the set still missing a constancy piece after n returns follows
+an exact transfer recursion on the map's orbit-closure Markov partition
+(`piecewise.uncaptured_measures`); its decrease to zero is the computable
 content of the full-measure statements.
 """
 
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from pwldyn.certify import pi_segment, sigma_segment
 from pwldyn.graphs import build_gamma
-from pwldyn.piecewise import PiecewiseAffine1D, conjugate_affine, plateau_preimage_measure
+from pwldyn.piecewise import PiecewiseAffine1D, conjugate_affine, uncaptured_measures
 from pwldyn.planemap import Params, restrict_iterate_to_segment
 from pwldyn.rationals import rational_str
 
@@ -88,8 +89,8 @@ def _check_eventually_invariant(m: PiecewiseAffine1D, edge: str):
 
     A wrong edge/power pairing fails earlier, when the iterated image leaves
     the carrying line.  Points mapped off the edge along the line are exact
-    capture (they sit on a plateau feeder), which the preimage measure
-    accounts for automatically.
+    capture (they sit on a plateau feeder), which the capture recursion
+    counts as captured.
     """
     if not any(p.is_constant for p in m.pieces):
         raise ValueError(f"edge {edge!r} has no capture under the return power")
@@ -99,11 +100,8 @@ def edge_capture_profile(regime: str, b, edge: str, depth: int) -> CaptureProfil
     """(captured, uncaptured) exact measures per return depth on one edge."""
     m, _ = return_map_for_edge(regime, b, edge)
     length = Fraction(m.hi) - Fraction(m.lo)
-    entries = []
-    for n in range(depth + 1):
-        captured = plateau_preimage_measure(m, n)
-        entries.append((captured, length - captured))
-    return CaptureProfile(edge, length, tuple(entries))
+    entries = tuple((length - u, u) for u in uncaptured_measures(m, depth))
+    return CaptureProfile(edge, length, entries)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
 """One-dimensional piecewise-affine maps with rational breakpoints.
 
-Supports exact iteration, itineraries, composition, parameter-affine
-families (offsets and breakpoints of the form c0 + c1*d), periodic-orbit
-closing windows in the parameter, covering digraphs induced by periodic
-orbits, and the exact Lebesgue measure of iterated preimages of the
-constancy pieces.
+Supports exact iteration, itineraries, parameter-affine families (offsets
+and breakpoints of the form c0 + c1*d), periodic-orbit closing windows in
+the parameter, and the orbit-closure Markov partition: the cut points and
+chosen seeds closed under the map.  Its cells carry both the covering
+digraph induced by a periodic orbit and the exact transfer recursion for
+the measure of points not yet captured by a constancy piece.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -155,49 +157,6 @@ class PiecewiseAffine1D:
         self._require_concrete()
         return self.pieces[self.piece_index_at(x)].apply(Fraction(x))
 
-    def compose(self, inner: "PiecewiseAffine1D") -> "PiecewiseAffine1D":
-        """Exact composition self(inner(x)) on inner's domain."""
-        self._require_concrete()
-        inner._require_concrete()
-        cuts = set(inner.cut_points())
-        # Pull back self's breakpoints through every non-constant inner piece.
-        icuts = inner.cut_points()
-        for i, piece in enumerate(inner.pieces):
-            if piece.is_constant:
-                continue
-            for b in self.breakpoints:
-                t = (Fraction(b) - piece.offset) / piece.slope
-                if icuts[i] < t < icuts[i + 1]:
-                    cuts.add(t)
-        points = sorted(cuts)
-        bps = points[1:-1]
-        pieces = []
-        for lo, hi in zip(points, points[1:]):
-            mid = (lo + hi) / 2
-            ip = inner.pieces[inner.piece_index_at(mid)]
-            y = ip.apply(mid)
-            if not self.lo <= y <= self.hi:
-                raise ValueError("inner image escapes outer domain")
-            op = self.pieces[self.piece_index_at(y)]
-            pieces.append(Piece(op.slope * ip.slope, op.slope * ip.offset + op.offset))
-        return merged(PiecewiseAffine1D(points[0], points[-1], bps, pieces, chart=inner.chart))
-
-    def to_json(self) -> dict:
-        def val(v):
-            if isinstance(v, ParamAffine):
-                return {"c0": rational_str(v.c0), "c1": rational_str(v.c1)}
-            return rational_str(Fraction(v))
-
-        return {
-            "domain": [val(self.lo), val(self.hi)],
-            "breakpoints": [val(b) for b in self.breakpoints],
-            "pieces": [
-                {"slope": rational_str(p.slope), "offset": val(p.offset), "name": p.name}
-                for p in self.pieces
-            ],
-            "chart": self.chart,
-        }
-
 
 def _merge(pieces: list[Piece], bps: list[Fraction]) -> tuple[list[Piece], list[Fraction]]:
     """Merge adjacent pieces with identical affine data."""
@@ -318,16 +277,57 @@ def _plateau_name(family: PiecewiseAffine1D) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Covering digraph induced by a periodic orbit
+# Orbit-closure Markov partition
 # ---------------------------------------------------------------------------
+
+
+def markov_partition(m: PiecewiseAffine1D, seeds: Sequence[Fraction] = ()) -> list[tuple]:
+    """Sorted cells (a, b, piece, cover) cut at the forward closure of the
+    cut points and `seeds` under m.
+
+    At a point where two pieces meet, the value of every piece whose closed
+    span holds the point joins the closure, so a jump at a breakpoint still
+    maps cell ends to cell ends.  Points mapped off [lo, hi] are not
+    iterated.  So each non-constant cell maps onto the cells of index range
+    `cover`, plus its part off the domain; `cover` is None on a constancy
+    piece.  Integer slopes make the closure finite: every denominator
+    divides the lcm of those of the cut points, seeds and offsets.
+    """
+    m._require_concrete()
+    for p in m.pieces:
+        if p.slope.denominator != 1:
+            raise ValueError(f"slope {rational_str(p.slope)} is not an integer: no finite orbit closure")
+    lo, hi = Fraction(m.lo), Fraction(m.hi)
+    cuts = [Fraction(c) for c in m.cut_points()]
+    ends = set(cuts) | {Fraction(x) for x in seeds}
+    todo = [x for x in ends if lo <= x <= hi]
+    while todo:
+        x = todo.pop()
+        for i, piece in enumerate(m.pieces):
+            if cuts[i] <= x <= cuts[i + 1]:
+                y = piece.apply(x)
+                if y not in ends:
+                    ends.add(y)
+                    if lo <= y <= hi:
+                        todo.append(y)
+    ends = sorted(x for x in ends if lo <= x <= hi)
+    cells = []
+    for a, b in zip(ends, ends[1:]):
+        piece = m.pieces[bisect_right(cuts, a) - 1]
+        cover = None
+        if not piece.is_constant:
+            fa, fb = sorted((piece.apply(a), piece.apply(b)))
+            cover = range(bisect_left(ends, max(fa, lo)), bisect_left(ends, min(fb, hi)))
+        cells.append((a, b, piece, cover))
+    return cells
 
 
 def markov_radius_from_orbit(m: PiecewiseAffine1D, orbit: Sequence[Fraction], digits: int = 12) -> RootInterval:
     """Spectral-radius enclosure of the covering digraph cut at an exact periodic orbit.
 
-    The domain is partitioned at the orbit points and the map's breakpoints;
-    constancy intervals are dropped (they feed no itinerary growth), every
-    remaining interval is monotone, and adjacency is exact covering.
+    The domain is cut by `markov_partition` seeded with the orbit; constancy
+    cells are dropped (they feed no itinerary growth), every remaining cell
+    is monotone, and adjacency is exact covering.
     """
     from pwldyn.markov import digraph_from_edges, spectral_radius
 
@@ -337,34 +337,16 @@ def markov_radius_from_orbit(m: PiecewiseAffine1D, orbit: Sequence[Fraction], di
     full = iterate_point(m, orbit[0], period)
     if full[period] != full[0] or sorted(set(full[:period])) != pts:
         raise ValueError("orbit is not exactly periodic under the map")
-    cuts = sorted(set(pts) | set(m.breakpoints) | {m.lo, m.hi})
-    cut_set = set(cuts)
-    intervals = []
-    for a, b in zip(cuts, cuts[1:]):
-        if a == b:
-            continue
-        mid = (a + b) / 2
-        piece = m.pieces[m.piece_index_at(mid)]
-        if not piece.is_constant:
-            intervals.append((a, b, piece))
-    labels = [f"I{i}" for i in range(len(intervals))]
-    edges = []
-    for i, (a, b, piece) in enumerate(intervals):
-        fa, fb = piece.apply(a), piece.apply(b)
-        # The orbit partition must be genuinely Markov: monotone cells map
-        # onto exact unions of cells, so the 0/1 digraph radius is the truth.
-        if fa not in cut_set or fb not in cut_set:
-            raise ValueError("orbit points do not induce a Markov partition")
-        img_lo, img_hi = min(fa, fb), max(fa, fb)
-        for j, (c, d, _) in enumerate(intervals):
-            if img_lo <= c and d <= img_hi:
-                edges.append((labels[i], labels[j]))
-    dg = digraph_from_edges(labels, edges, mode="markov")
+    cells = markov_partition(m, pts)
+    nodes = [i for i, (_, _, _, cover) in enumerate(cells) if cover is not None]
+    label = {i: f"I{k}" for k, i in enumerate(nodes)}
+    edges = [(label[i], label[j]) for i in nodes for j in cells[i][3] if j in label]
+    dg = digraph_from_edges(list(label.values()), edges, mode="markov")
     return spectral_radius(dg, digits)
 
 
 # ---------------------------------------------------------------------------
-# Measure of plateau preimages
+# Interval unions and the measure of uncaptured points
 # ---------------------------------------------------------------------------
 
 
@@ -399,7 +381,8 @@ def uncaptured_intervals(m: PiecewiseAffine1D, depth: int) -> list[tuple[Fractio
     """Subset of the domain that avoids every constancy piece for `depth` steps.
 
     U_0 is the whole domain; U_{n+1} = (non-constancy pieces) intersect
-    preimage of U_n.  All preimages are exact interval unions.
+    preimage of U_n.  All preimages are exact interval unions.  Kept as the
+    reference that tests compare `uncaptured_measures` against.
     """
     m._require_concrete()
     current = [(Fraction(m.lo), Fraction(m.hi))]
@@ -424,10 +407,21 @@ def uncaptured_intervals(m: PiecewiseAffine1D, depth: int) -> list[tuple[Fractio
     return current
 
 
-def plateau_preimage_measure(m: PiecewiseAffine1D, depth: int) -> Fraction:
-    """Exact measure of points that reach a constancy piece within `depth` steps."""
+def uncaptured_measures(m: PiecewiseAffine1D, depth: int) -> list[Fraction]:
+    """[U_0, ..., U_depth], U_n the measure of the points that avoid every
+    constancy piece for n steps; points mapped off the domain are captured.
+
+    On the cells of `markov_partition(m)` this is the transfer recursion
+    u_{n+1}[i] = sum(u_n[cover_i]) / |slope_i|, with u_0 the cell lengths
+    and 0 on constancy cells.
+    """
     if not any(p.is_constant for p in m.pieces):
         raise ValueError("map has no constancy piece")
-    total = Fraction(m.hi) - Fraction(m.lo)
-    left = sum((hi - lo for lo, hi in uncaptured_intervals(m, depth)), Fraction(0))
-    return total - left
+    cells = markov_partition(m)
+    u = [b - a for a, b, _, _ in cells]
+    out = [sum(u, Fraction(0))]
+    for _ in range(depth):
+        u = [Fraction(0) if cov is None else sum(u[cov.start:cov.stop], Fraction(0)) / abs(p.slope)
+             for _, _, p, cov in cells]
+        out.append(sum(u, Fraction(0)))
+    return out

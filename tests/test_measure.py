@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from pwldyn.certify import ALPHA_WINDOW, BETA_WINDOW
 from pwldyn.measure import (
     edge_capture_profile,
     full_measure_report,
@@ -91,3 +93,20 @@ def test_return_map_respects_general_b():
         prof = edge_capture_profile("negb", b, "A", 3)
         for n in range(4):
             assert prof.uncaptured(n) == prof.length * F(16) ** (-n)
+
+
+def test_capture_recursion_matches_interval_oracle():
+    from pwldyn.piecewise import uncaptured_intervals, uncaptured_measures
+
+    rng = random.Random(6)
+
+    def draw(lo, hi):
+        return lo + (hi - lo) * F(rng.randint(1, 9999), 10000)
+
+    cases = [("negb", e, draw(F(-11), F(-2))) for _ in range(20) for e in ("A", "B", "C", "D", "E", "G", "H")]
+    cases += [("alpha", "PI", draw(*ALPHA_WINDOW)) for _ in range(20)]
+    cases += [("beta", "SIGMA", draw(*BETA_WINDOW)) for _ in range(20)]
+    for regime, edge, b in cases:
+        m, _ = return_map_for_edge(regime, b, edge)
+        oracle = [sum((hi - lo for lo, hi in uncaptured_intervals(m, n)), F(0)) for n in range(13)]
+        assert uncaptured_measures(m, 12) == oracle, (regime, edge, b)

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pwldyn.certify import phi_family
+from pwldyn.certify import certify, phi_family, trapezoid_family
 from pwldyn.piecewise import (
     Itinerary,
     ParamAffine,
@@ -15,9 +15,10 @@ from pwldyn.piecewise import (
     conjugate_affine,
     iterate_point,
     itinerary_of,
+    markov_partition,
     markov_radius_from_orbit,
-    plateau_preimage_measure,
     uncaptured_intervals,
+    uncaptured_measures,
 )
 from pwldyn.planemap import Params, restrict_iterate_to_segment, segment
 
@@ -117,15 +118,53 @@ def test_markov_radius_examples():
 
 def test_plateau_measure_examples():
     fA = edge_A_map()
-    assert plateau_preimage_measure(fA, 1) == F(15, 8)
-    assert F(2) - plateau_preimage_measure(fA, 2) == F(1, 128)
+    u = uncaptured_measures(fA, 2)
+    assert u[0] - u[1] == F(15, 8)  # captured within one step
+    assert u[2] == F(1, 128)
 
     const = PiecewiseAffine1D(F(0), F(1), [], [Piece(F(0), F(1, 2), "C")])
-    assert plateau_preimage_measure(const, 1) == 1
+    u = uncaptured_measures(const, 1)
+    assert u[0] - u[1] == 1
 
     ident = PiecewiseAffine1D(F(0), F(1), [], [Piece(F(1), F(0))])
     with pytest.raises(ValueError):
-        plateau_preimage_measure(ident, 1)
+        uncaptured_measures(ident, 1)
+
+
+def jump_map() -> PiecewiseAffine1D:
+    # B(1/2) = 1/2 but C(1/2) = 3/4: the jump value 3/4 is a cell end that
+    # m(1/2) (the left piece) never reaches.
+    return PiecewiseAffine1D(
+        F(0), F(1), [F(1, 4), F(1, 2)],
+        [Piece(F(0), F(0), "A"), Piece(F(2), F(-1, 2), "B"), Piece(F(-2), F(7, 4), "C")],
+    )
+
+
+def test_markov_partition_closes_jumps():
+    m = jump_map()
+    cells = markov_partition(m)
+    assert [c[:2] for c in cells] == [(0, F(1, 4)), (F(1, 4), F(1, 2)), (F(1, 2), F(3, 4)), (F(3, 4), 1)]
+    assert [c[3] for c in cells] == [None, range(0, 2), range(1, 3), range(0, 1)]
+    assert uncaptured_measures(m, 8) == [
+        sum((hi - lo for lo, hi in uncaptured_intervals(m, n)), F(0)) for n in range(9)
+    ]
+
+
+def test_markov_partition_needs_integer_slopes():
+    half = PiecewiseAffine1D(F(0), F(1), [F(1, 2)], [Piece(F(1, 2), F(0)), Piece(F(0), F(1))])
+    with pytest.raises(ValueError, match="slope 1/2 "):
+        markov_partition(half)
+    with pytest.raises(ValueError, match="slope 1/2 "):
+        uncaptured_measures(half, 1)
+
+
+def test_markov_partition_of_certified_orbits_adds_no_points():
+    fam = trapezoid_family("alpha")
+    ci = certify("alpha", 24, 32)
+    for cert in (ci.lo_certificate, ci.hi_certificate):
+        m = fam.concrete(cert.d)
+        ends = sorted(set(cert.orbit) | set(m.cut_points()))
+        assert [c[:2] for c in markov_partition(m, cert.orbit)] == list(zip(ends, ends[1:]))
 
 
 def test_uncaptured_geometric_decay():
@@ -142,15 +181,6 @@ def test_interval_union_and_gaps():
     assert interval_gaps(F(3), F(5), union) == [(3, 5)]  # end contact covers nothing
     assert interval_gaps(F(1), F(2), union) == []
     assert interval_gaps(F(1), F(2), []) == [(1, 2)]
-
-
-def test_compose_matches_double_iteration():
-    fA = edge_A_map()
-    ff = fA.compose(fA)
-    rng = random.Random(8)
-    for _ in range(1000):
-        x = F(-3) + 2 * F(rng.randint(0, 10**6), 10**6)
-        assert ff(x) == fA(fA(x))
 
 
 def test_conjugate_affine():
@@ -193,4 +223,5 @@ def test_restrict_then_measure_roundtrip():
     # the exact return map of the circle regime's vertical edge again,
     # this time consumed through the piecewise module
     m = restrict_iterate_to_segment(Params.standard(-3), segment((1, -3), (1, -1)), 7)
-    assert plateau_preimage_measure(m, 1) == F(15, 8)
+    u = uncaptured_measures(m, 1)
+    assert u[0] - u[1] == F(15, 8)
