@@ -155,17 +155,26 @@ class EntropyResult:
     ln_hi: tuple[Fraction, Fraction]
 
     def decimal(self, places: int = 5) -> str:
+        """The entropy, or its bounds, rounded to `places` decimals.
+
+        Where a bracket straddles a rounding boundary, its root and ln
+        bracket are refined 3 digits at a time until both ends round alike.
+        That ends: ln of an algebraic number other than 1 is transcendental,
+        so it is never a rounding boundary.
+        """
+        lo = _rounded(self.lo_root, self.ln_lo, places)
         if self.kind == "exact":
-            return _agreed(self.ln_lo, places)
-        return f"[{_agreed(self.ln_lo, places)}, {_agreed(self.ln_hi, places)}]"
+            return lo
+        return f"[{lo}, {_rounded(self.hi_root, self.ln_hi, places)}]"
 
 
-def _agreed(bracket: tuple[Fraction, Fraction], places: int) -> str:
-    lo, hi = bracket
-    s_lo, s_hi = format_decimal(lo, places), format_decimal(hi, places)
-    if s_lo != s_hi:
-        raise ValueError("bracket too wide for the requested number of places")
-    return s_lo
+def _rounded(root: RootInterval, ln: tuple[Fraction, Fraction], places: int) -> str:
+    digits = places + 3  # the precision `entropy_or_bounds(b, places)` used
+    while (text := format_decimal(ln[0], places)) != format_decimal(ln[1], places):
+        digits += 3
+        root = root.refined(digits)
+        ln = ln_enclosure(root.lo, root.hi, F(1, 10**digits))
+    return text
 
 
 def entropy_or_bounds(b, digits: int = 7) -> EntropyResult:

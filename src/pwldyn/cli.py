@@ -47,16 +47,8 @@ def _resolve_b(args) -> Fraction:
 
 def cmd_entropy(args) -> int:
     b = _resolve_b(args)
-    digits = args.digits
-    while True:
-        res = band48.entropy_or_bounds(b, digits)
-        try:
-            text = res.decimal(args.digits)
-            break
-        except ValueError:
-            # The bracket straddles a rounding boundary at the requested
-            # places; a tighter bracket decides the rounding.
-            digits += 3
+    res = band48.entropy_or_bounds(b, args.digits)
+    text = res.decimal(args.digits)
     lc = res.level
     print(f"b = {rational_str(b)}  class {lc}")
     if res.kind == "exact":
@@ -182,9 +174,17 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports every error, its subcommands' included, in one line without
+    the usage text."""
+
+    def error(self, message):
+        self.exit(2, f"pwldyn: error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(prog="pwldyn", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(prog="pwldyn", description=__doc__,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("entropy", help="entropy at a parameter in (4,8)")
@@ -226,9 +226,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except ValueError as exc:
-        # Library functions raise ValueError for arguments outside their
-        # domain; report it in one line, without the usage text.
-        ap.exit(2, f"{ap.prog}: error: {exc}\n")
+        # Library functions raise ValueError for arguments outside their domain.
+        ap.error(str(exc))
 
 
 if __name__ == "__main__":

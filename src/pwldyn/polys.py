@@ -1,7 +1,7 @@
 """Integer polynomials, sign-change counting, and certified root isolation.
 
-Root enclosures come from one exact bisection loop on Fractions,
-`RootInterval.refined`, behind two bracket strategies:
+Root enclosures come from one exact bisection loop, `RootInterval.refined`,
+behind two bracket strategies:
 
 - `isolate_unique_positive_root` takes a polynomial with exactly one
   positive coefficient sign change (so one positive root) and brackets it
@@ -13,8 +13,11 @@ Root enclosures come from one exact bisection loop on Fractions,
   polynomial with one sign change to the first strategy and returns a
   largest root of exactly 1 as the exact interval [1, 1].
 
-Every polynomial, Sturm chain members included, is evaluated by the one
-sparse evaluator `IntPoly.__call__`.
+Every polynomial, Sturm chain members included, is evaluated by one sparse
+integer kernel, `_homogeneous`: at x = m/d it returns d^deg * p(x), so a
+sign needs no Fraction.  `IntPoly.__call__` divides it by d^deg, and the
+bisection keeps its endpoints as integers over q * 2^k and builds
+Fractions only at return.
 
 `LaurentPoly` supports the path-generating functions used by the rome
 method: entries are integer combinations of powers of 1/x.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -98,13 +102,16 @@ class IntPoly:
         return IntPoly([k * c for c in self.coeffs])
 
     def __call__(self, x: Fraction) -> Fraction:
-        # Sparse evaluation: the polynomials here often have 3-5 terms but
-        # degree in the thousands.
-        total = Fraction(0)
-        for p, c in enumerate(self.coeffs):
-            if c:
-                total += c * x**p
-        return total
+        if not self.coeffs:
+            return Fraction(0)
+        d = x.denominator
+        return Fraction(_homogeneous(self._scaled_terms(d), x.numerator, 0), d**self.degree)
+
+    def _scaled_terms(self, d: int) -> list[tuple[int, int, int]]:
+        """(c_p * d^(deg-p), p, deg-p) for every nonzero c_p: the terms
+        `_homogeneous` sums for points with denominator d * 2^k."""
+        deg = self.degree
+        return [(c * d ** (deg - p), p, deg - p) for p, c in enumerate(self.coeffs) if c]
 
     def derivative(self) -> "IntPoly":
         return IntPoly([p * c for p, c in enumerate(self.coeffs)][1:])
@@ -178,10 +185,10 @@ class RootInterval:
         if self.lo > self.hi:
             raise ValueError("lo > hi")
         if self.lo == self.hi:
-            if self.poly(self.lo) != 0:
+            if _sign_at(self.poly, self.lo) != 0:
                 raise ValueError("degenerate interval must hit the root exactly")
             return
-        shi = _sign(self.poly(self.hi))
+        shi = _sign_at(self.poly, self.hi)
         if shi == 0:
             raise ValueError("hi is a root: use the exact interval [hi, hi]")
         if _sign_right_of(self.poly, self.lo) == shi:
@@ -200,35 +207,60 @@ class RootInterval:
 
         The package's one bisection loop.  A midpoint with the sign of hi
         becomes the new hi, any other the new lo, so the root kept is the
-        one in (lo, hi].
+        one in (lo, hi].  With lo = a/q and hi = b/q, every point visited is
+        an integer over q * 2^k, so the loop runs on integer numerators and
+        takes each sign from `_homogeneous`; Fractions are built at return.
         """
         lo, hi = self.lo, self.hi
         if lo == hi:
             return self
-        tol = Fraction(1, 10**digits)
-        shi = _sign(self.poly(hi))
-        while hi - lo >= tol:
-            mid = (lo + hi) / 2
-            v = self.poly(mid)
+        q = lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+        terms = self.poly._scaled_terms(q)
+        shi = _sign(_homogeneous(terms, b, 0))
+        # (lo, hi) = (a, b) / (q * 2^k), and b - a stays the initial gap:
+        # the width is below 10^-digits once (b - a) * 10^digits < q * 2^k.
+        gap, k = (b - a) * 10**digits, 0
+        while gap >= q << k:
+            mid, k = a + b, k + 1
+            v = _sign(_homogeneous(terms, mid, k))
             if v == 0:
-                return RootInterval(mid, mid, self.poly)
-            if _sign(v) == shi:
-                hi = mid
+                x = Fraction(mid, q << k)
+                return RootInterval(x, x, self.poly)
+            if v == shi:
+                a, b = 2 * a, mid
             else:
-                lo = mid
-        return RootInterval(lo, hi, self.poly)
+                a, b = mid, 2 * b
+        return RootInterval(Fraction(a, q << k), Fraction(b, q << k), self.poly)
 
 
-def _sign(q: Fraction) -> int:
+def _homogeneous(terms: list[tuple[int, int, int]], m: int, k: int) -> int:
+    """(d * 2^k)^deg * p(m / (d * 2^k)) for the `IntPoly._scaled_terms(d)`
+    of p: the exact integer sum of c_p d^(deg-p) m^p 2^(k(deg-p)).  The
+    powers of m are built upward, one gap in the exponents at a time."""
+    total, mp, prev = 0, 1, 0
+    for c, p, e in terms:
+        mp *= m ** (p - prev)
+        prev = p
+        total += c * mp << k * e
+    return total
+
+
+def _sign(q: int) -> int:
     return (q > 0) - (q < 0)
+
+
+def _sign_at(p: IntPoly, x: Fraction) -> int:
+    """Sign of p(x), read off `_homogeneous` without building p(x)."""
+    return _sign(_homogeneous(p._scaled_terms(x.denominator), x.numerator, 0))
 
 
 def _sign_right_of(p: IntPoly, x: Fraction) -> int:
     """Sign of a nonzero p just right of x: that of the lowest derivative
     (p itself included) not vanishing at x."""
-    while (v := p(x)) == 0:
+    while (s := _sign_at(p, x)) == 0:
         p = p.derivative()
-    return _sign(v)
+    return s
 
 
 def coefficient_bound(p: IntPoly) -> int:
@@ -249,7 +281,7 @@ def isolate_unique_positive_root(p: IntPoly, digits: int) -> RootInterval:
     if descartes_positive_sign_changes(core) != 1:
         raise ValueError("polynomial does not have exactly one positive sign change")
     core = core.normalized_sign()
-    one = core(Fraction(1))
+    one = _sign_at(core, Fraction(1))
     if one == 0:
         return RootInterval(Fraction(1), Fraction(1), core)
     if one < 0:
@@ -305,7 +337,7 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
 
 
 def _sturm_variations(chain: list[IntPoly], x: Fraction) -> int:
-    signs = [_sign(v) for v in (q(x) for q in chain) if v]
+    signs = [s for s in (_sign_at(q, x) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -319,8 +351,6 @@ def count_roots_in(p: IntPoly, a: Fraction, b: Fraction, chain=None) -> int:
 def _primitive(coeffs: Sequence[Fraction]) -> IntPoly:
     """The primitive integer polynomial that is a positive rational multiple
     of `coeffs`."""
-    from math import gcd, lcm
-
     den = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
     ints = [int(c * den) for c in coeffs]
     g = 0
@@ -373,14 +403,14 @@ def largest_positive_root(p: IntPoly, digits: int) -> RootInterval | None:
     if n == 0:
         return None
     one = Fraction(1)
-    if sf(one) == 0 and count_roots_in(sf, one, hi, chain) == 0:
+    if _sign_at(sf, one) == 0 and count_roots_in(sf, one, hi, chain) == 0:
         return RootInterval(one, one, sf)
     while n > 1:
         mid = (lo + hi) / 2
         above = count_roots_in(sf, mid, hi, chain)
         if above:
             lo, n = mid, above
-        elif sf(mid) == 0:
+        elif _sign_at(sf, mid) == 0:
             return RootInterval(mid, mid, sf)
         else:
             hi = mid

@@ -1,7 +1,9 @@
 """Exact rational helpers: parsing, decimal rendering, certified logarithms.
 
 All functions work on `fractions.Fraction` and never round through binary
-floats, so their outputs are usable inside certificates.
+floats, so their outputs are usable inside certificates.  `ln_bounds` sums
+its atanh series in fixed-point integers, once rounded down and once
+rounded up with an explicit tail bound, and returns dyadic endpoints.
 """
 
 from __future__ import annotations
@@ -119,8 +121,10 @@ def common_decimal_prefix(a: Fraction, b: Fraction, max_digits: int = 80) -> str
 def ln_bounds(x: Fraction, err: Fraction) -> tuple[Fraction, Fraction]:
     """Certified rational bracket [lo, hi] with lo <= ln(x) <= hi, hi-lo <= err.
 
-    Uses ln(x) = 2*atanh(z) with z=(x-1)/(x+1) and the geometric tail bound
-    2*z^(2K+1) / ((2K+1)*(1-z^2)); all arithmetic is exact.
+    Writes x = 2^k * m with m in [1, 2) and ln(x) = 2*atanh(z) + k*ln(2),
+    where z = (m-1)/(m+1) <= 1/3 and ln(2) = 2*atanh(1/3).  Each atanh is
+    summed in integers scaled by 2^prec (see `_atanh_fixed`), so the
+    endpoints are dyadic rationals.
     """
     if x <= 0:
         raise ValueError("ln_bounds requires x > 0")
@@ -128,21 +132,57 @@ def ln_bounds(x: Fraction, err: Fraction) -> tuple[Fraction, Fraction]:
         raise ValueError("err must be positive")
     if x == 1:
         return Fraction(0), Fraction(0)
-    if x < 1:
-        lo, hi = ln_bounds(1 / x, err)
-        return -hi, -lo
-    z = (x - 1) / (x + 1)
-    z2 = z * z
-    total = Fraction(0)
-    term = z  # z^(2k+1)
-    k = 0
-    while True:
-        total += term / (2 * k + 1)
-        term *= z2
-        k += 1
-        tail = 2 * term / ((2 * k + 1) * (1 - z2))
-        if tail <= err:
-            return 2 * total, 2 * total + tail
+    n, d = x.numerator, x.denominator
+    k = n.bit_length() - d.bit_length()
+    n, d = n << max(-k, 0), d << max(k, 0)  # n/d = x/2^k in (1/2, 2)
+    if n < d:
+        n, k = 2 * n, k - 1  # now m = n/d = x/2^k in [1, 2)
+    # 2^-e <= err.  Each atanh bracket spans at most 3*prec ulps (under
+    # prec/3 + 2 terms, each a few ulps apart), so the bracket of ln(x)
+    # spans at most 6*(1 + |k|)*prec ulps: below 2^-e with these guard bits.
+    e = max(0, err.denominator.bit_length() - err.numerator.bit_length() + 1)
+    prec = e + e.bit_length() + abs(k).bit_length() + 16
+    lo, hi = _atanh_fixed(n - d, n + d, prec)
+    lo, hi = 2 * lo, 2 * hi
+    if k:
+        ln2_lo, ln2_hi = _atanh_fixed(1, 3, prec)
+        if k < 0:
+            ln2_lo, ln2_hi = ln2_hi, ln2_lo
+        lo, hi = lo + 2 * k * ln2_lo, hi + 2 * k * ln2_hi
+    one = 1 << prec
+    return Fraction(lo, one), Fraction(hi, one)
+
+
+def _atanh_fixed(a: int, b: int, prec: int) -> tuple[int, int]:
+    """Integers lo <= 2^prec * atanh(a/b) <= hi for 0 <= a/b <= 1/3.
+
+    The series sum_j z^(2j+1)/(2j+1) runs twice in fixed point, once with
+    z, z^2, every term and every quotient rounded down and once with all
+    of them rounded up.  The upper sum stops at the first term t <= 1 ulp
+    and adds the tail bound 9t/8 + 1 ulp: the true terms from there on are
+    at most t, shrinking by z^2 <= 1/9 each, so they sum to at most 9t/8.
+    """
+    sums = []
+    for up in (False, True):
+        z = _div(a << prec, b, up)
+        z2 = _shr(z * z, prec, up)
+        term, total, j = z, 0, 1
+        while term > 1:
+            total += _div(term, j, up)
+            term = _shr(term * z2, prec, up)
+            j += 2
+        sums.append(total)
+    return sums[0], sums[1] + _div(9 * term, 8, True) + 1
+
+
+def _div(n: int, d: int, up: bool) -> int:
+    """n/d rounded down, or up when `up`."""
+    return -(-n // d) if up else n // d
+
+
+def _shr(n: int, s: int, up: bool) -> int:
+    """n/2^s rounded down, or up when `up`."""
+    return -(-n >> s) if up else n >> s
 
 
 def ln_enclosure(lo: Fraction, hi: Fraction, err: Fraction) -> tuple[Fraction, Fraction]:

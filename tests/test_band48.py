@@ -24,6 +24,7 @@ from pwldyn.band48 import (
     x_orbit_point,
 )
 from pwldyn.polys import IntPoly, isolate_unique_positive_root
+from pwldyn.rationals import format_decimal
 
 
 def poly(**terms) -> IntPoly:
@@ -82,6 +83,15 @@ def test_entropy_examples():
     res = entropy_or_bounds(F(9, 2))
     assert res.kind == "bounds"
     assert res.decimal(5) == "[0.14717, 0.28888]"
+
+
+def test_decimal_refines_a_bracket_on_a_rounding_boundary():
+    # ln root(x^13 - x^10 - x^3 - 1) = 0.1505...9512225000122...: the
+    # 63-digit bracket straddles ...95122|5, so decimal() must refine it.
+    res = entropy_or_bounds(F(977, 132), 63)
+    lo, hi = res.ln_lo
+    assert format_decimal(lo, 63) != format_decimal(hi, 63)
+    assert res.decimal(63) == "0.150507039588169513887448472673565893859728027605332147493951223"
 
 
 def test_x_orbit_point():

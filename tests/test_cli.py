@@ -88,10 +88,15 @@ def test_verify_command(capsys):
         (("measure", "--regime", "negb", "--b", "-3", "--depth", "-1"), "got -1"),
         (("measure", "--regime", "alpha", "--b", "5", "--depth", "2"), "b = 5 "),
         (("measure", "--regime", "beta", "--b", "7/10", "--depth", "2"), "b = 7/10 "),
+        (("measure", "--regime", "negb", "--b", "-3", "--depth", "x"), "'x'"),
+        (("entropy", "--b", "5", "--digits", "x"), "'x'"),
+        (("measure", "--regime", "gamma", "--b", "-3"), "'gamma'"),
+        (("entropy",), "--b"),
     ],
     ids=[
         "b-at-band-end", "zero-denominator", "negative-digits", "bad-period", "negative-depth",
         "alpha-b-off-return-map", "beta-b-off-return-map",
+        "non-integer-depth", "non-integer-digits", "unknown-regime", "missing-b",
     ],
 )
 def test_bad_input_is_a_one_line_error(capsys, argv, bad):

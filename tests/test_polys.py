@@ -148,3 +148,75 @@ def test_random_eval_consistency():
         x = F(rng.randint(-50, 50), rng.randint(1, 50))
         expect = sum(c * x**i for i, c in enumerate(coeffs))
         assert p(x) == expect
+
+
+def _fraction_bisection(ri: RootInterval, digits: int) -> tuple[F, F]:
+    """Oracle for `RootInterval.refined`: the same bisection on Fractions,
+    with a plain Fraction sum as the evaluator."""
+
+    def sign(x: F) -> int:
+        v = sum(c * x**p for p, c in enumerate(ri.poly.coeffs) if c)
+        return (v > 0) - (v < 0)
+
+    lo, hi = ri.lo, ri.hi
+    if lo == hi:
+        return lo, hi
+    shi = sign(hi)
+    while hi - lo >= F(1, 10**digits):
+        mid = (lo + hi) / 2
+        s = sign(mid)
+        if s == 0:
+            return mid, mid
+        if s == shi:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _assert_refines_like_oracle(ri: RootInterval, digits: int):
+    got = ri.refined(digits)
+    assert (got.lo, got.hi) == _fraction_bisection(ri, digits)
+
+
+def test_refined_matches_fraction_bisection_on_band48_families():
+    from pwldyn.band48 import poly_exact_t, poly_exact_v, poly_lower, poly_upper_s, poly_upper_u
+
+    for fam in (poly_lower, poly_upper_s, poly_exact_t, poly_upper_u, poly_exact_v):
+        for n in range(51):
+            p = fam(n)
+            # isolate_unique_positive_root's bracket: p(1) < 0 for all five
+            start = RootInterval(F(1), F(1 + max(abs(c) for c in p.coeffs)), p)
+            _assert_refines_like_oracle(start, 8 if n % 10 else 30)
+
+
+def test_refined_matches_fraction_bisection_from_non_dyadic_starts():
+    rng = random.Random(11)
+    checked = 0
+    while checked < 60:
+        terms = {rng.randint(0, 40): rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(2, 5))}
+        p = IntPoly.from_terms(terms)
+        a, b = F(rng.randint(1, 20), rng.randint(1, 15)), F(rng.randint(1, 20), rng.randint(1, 15))
+        lo, hi = min(a, b), max(a, b)
+        try:
+            ri = RootInterval(lo, hi, p)
+        except ValueError:
+            continue  # no single sign change over (lo, hi]
+        _assert_refines_like_oracle(ri, rng.randint(1, 30))
+        checked += 1
+    _assert_refines_like_oracle(RootInterval(F(1, 3), F(7, 5), poly(p2=1, p0=-1)), 25)
+
+
+def test_refined_midpoint_on_the_root_is_exact():
+    cases = [
+        # (2x-3)(x^2-2): the first midpoint is the root 3/2
+        (poly(p1=2, p0=-3) * poly(p2=1, p0=-2), F(23, 16), F(25, 16), F(3, 2)),
+        # (8x-11)(x^2+1): the third midpoint is the root 11/8
+        (poly(p1=8, p0=-11) * poly(p2=1, p0=1), F(1), F(2), F(11, 8)),
+        # (2x-1)(x^2+1) from a non-dyadic start: the midpoint of [1/3, 2/3]
+        (poly(p1=2, p0=-1) * poly(p2=1, p0=1), F(1, 3), F(2, 3), F(1, 2)),
+    ]
+    for p, lo, hi, root in cases:
+        ri = RootInterval(lo, hi, p).refined(20)
+        assert ri.lo == ri.hi == root
+        assert (ri.lo, ri.hi) == _fraction_bisection(RootInterval(lo, hi, p), 20)

@@ -90,3 +90,34 @@ def test_exact_addition_independent_normalization():
         expect = (num // g, den // g)
         got = F(a, b) + F(c, d)
         assert (got.numerator, got.denominator) == expect
+
+
+def _ln_cases(rng: random.Random):
+    """x of 1-3000-bit numerator and denominator (so about half below 1),
+    exact powers of 2, x within 2^-j of a power of 2 on either side, and
+    x = 1 + 2^-j, where only the tail bound keeps hi above ln(x)."""
+    for _ in range(240):
+        yield F(rng.getrandbits(rng.randint(1, 3000)) | 1, rng.getrandbits(rng.randint(1, 3000)) | 1)
+    for k in range(-30, 30):
+        yield F(2) ** k
+        yield F(2) ** k * (1 + F(rng.choice((-1, 1)), 2 ** rng.randint(1, 600)))
+    for j in range(100, 4000, 400):
+        yield 1 + F(1, 2**j)
+
+
+def test_ln_bounds_contain_mpmath_log():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(2026)
+    cases = list(_ln_cases(rng))
+    assert len(cases) >= 300 and any(x < 1 for x in cases)
+    for i, x in enumerate(cases):
+        # err from 10^-3 to 10^-1000, log-uniform, both ends included.
+        places = (3, 1000)[i] if i < 2 else round(10 ** rng.uniform(0.5, 3))
+        err = F(rng.randint(1, 9), 10**places)
+        lo, hi = ln_bounds(x, err)
+        assert lo <= hi and hi - lo <= err, x
+        # Enough digits to hold x exactly and to see past err.
+        with mpmath.workdps(places + 30 + len(str(max(x.numerator, x.denominator)))):
+            value = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
+            assert mpmath.mpf(lo.numerator) / lo.denominator <= value, x
+            assert value <= mpmath.mpf(hi.numerator) / hi.denominator, x
