@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from pwldyn.graphs import build_gamma
-from pwldyn.markov import CoverDigraph, build_cover_digraph, spectral_radius
+from pwldyn.markov import CoverDigraph, build_cover_digraph_pair, spectral_radius
 from pwldyn.planemap import Params, Point, Segment
 from pwldyn.polys import IntPoly, RootInterval, isolate_unique_positive_root
 from pwldyn.rationals import format_decimal, ln_enclosure, rational_str
@@ -74,10 +74,13 @@ def classify(b) -> LevelClass:
     b = Fraction(b)
     if not 4 < b < 8:
         raise ValueError(f"classification requires 4 < b < 8, got b = {b}")
-    n = 0
-    while b > breakpoints(n)[0]:
-        n += 1
+    # The level is the least n with b <= p_n.  For b = u/v that reads
+    # 4^(n+1) * (16v - 2u) >= 4v + u, i.e. 2^(2n+2) >= c below.
+    u, v = b.numerator, b.denominator
+    c = -(-(4 * v + u) // (16 * v - 2 * u))
+    n = max(0, ((c - 1).bit_length() - 1) // 2)
     p, q, r, s = breakpoints(n)
+    assert b <= p and b > level_left_end(n)
     if b < s:
         return LevelClass(n, "S")
     if b <= r:
@@ -288,9 +291,13 @@ def band48_partition(b) -> tuple[list[tuple[str, Segment]], LevelClass]:
     intervals contribute no itineraries.
     """
     b = Fraction(b)
+    return _partition(b, build_gamma("band48", b))
+
+
+def _partition(b: Fraction, g) -> tuple[list[tuple[str, Segment]], LevelClass]:
+    """`band48_partition` at b on its invariant graph g."""
     lc = classify(b)
     n = lc.n
-    g = build_gamma("band48", b)
 
     def P(name: str) -> Point:
         return g.named_point(name)
@@ -327,14 +334,12 @@ def band48_partition(b) -> tuple[list[tuple[str, Segment]], LevelClass]:
     return part, lc
 
 
-def cover_digraphs(b, mode_pair: bool = True) -> tuple[CoverDigraph, CoverDigraph, LevelClass]:
+def cover_digraphs(b) -> tuple[CoverDigraph, CoverDigraph, LevelClass]:
     """(lower, upper) covering digraphs at b, from the actual invariant graph."""
     b = Fraction(b)
-    part, lc = band48_partition(b)
     g = build_gamma("band48", b)
-    params = Params.standard(b)
-    lower = build_cover_digraph(g, part, params, "lower")
-    upper = build_cover_digraph(g, part, params, "upper")
+    part, lc = _partition(b, g)
+    lower, upper = build_cover_digraph_pair(g, part, Params.standard(b))
     return lower, upper, lc
 
 

@@ -563,6 +563,21 @@ def build_cover_digraph(
     """
     if mode not in ("lower", "upper", "markov"):
         raise ValueError(f"unknown mode {mode!r}")
+    lower, upper = build_cover_digraph_pair(graph, partition, params)
+    if mode == "markov":
+        if lower.adjacency != upper.adjacency:
+            raise ValueError("partition is not Markov: lower and upper digraphs differ")
+        return CoverDigraph(lower.labels, lower.adjacency, mode)
+    return upper if mode == "upper" else lower
+
+
+def build_cover_digraph_pair(
+    graph,
+    partition: Sequence[tuple[str, Segment]],
+    params: Params,
+) -> tuple[CoverDigraph, CoverDigraph]:
+    """(lower, upper) covering digraphs of `build_cover_digraph`, from one
+    set of checks and one pass over the partition's images."""
     labels = [lab for lab, _ in partition]
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate partition labels")
@@ -589,10 +604,11 @@ def build_cover_digraph(
                 gaps = images.chart_gaps(key, lo, hi)
                 lower[i][j] = int(not gaps)
                 upper[i][j] = int(gaps != [(lo, hi)])
-    if mode == "markov" and lower != upper:
-        raise ValueError("partition is not Markov: lower and upper digraphs differ")
-    adj = upper if mode == "upper" else lower
-    return CoverDigraph(tuple(labels), tuple(tuple(r) for r in adj), mode)
+    names = tuple(labels)
+    return (
+        CoverDigraph(names, tuple(map(tuple, lower)), "lower"),
+        CoverDigraph(names, tuple(map(tuple, upper)), "upper"),
+    )
 
 
 def _check_disjoint(partition: Sequence[tuple[str, Segment]]):

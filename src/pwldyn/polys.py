@@ -1,6 +1,6 @@
 """Integer polynomials, sign-change counting, and certified root isolation.
 
-Root enclosures come from one exact bisection loop, `RootInterval.refined`,
+Root enclosures come from one exact refinement loop, `RootInterval.refined`,
 behind two bracket strategies:
 
 - `isolate_unique_positive_root` takes a polynomial with exactly one
@@ -16,8 +16,11 @@ behind two bracket strategies:
 Every polynomial, Sturm chain members included, is evaluated by one sparse
 integer kernel, `_homogeneous`: at x = m/d it returns d^deg * p(x), so a
 sign needs no Fraction.  `IntPoly.__call__` divides it by d^deg, and the
-bisection keeps its endpoints as integers over q * 2^k and builds
-Fractions only at return.
+refinement keeps its endpoints as integers over q * 2^k and builds
+Fractions only at return.  It returns the bisection's enclosure to the
+bit, but takes quadratic interval refinement steps on the bisection's own
+grid where the root is unique, so a simple root costs O(log digits)
+evaluations rather than one per bit.
 
 `LaurentPoly` supports the path-generating functions used by the rome
 method: entries are integer combinations of powers of 1/x.
@@ -203,34 +206,81 @@ class RootInterval:
         return self.lo == self.hi
 
     def refined(self, digits: int) -> "RootInterval":
-        """Bisect until the width drops below 10^-digits.
+        """The bisection's enclosure of width below 10^-digits.
 
-        The package's one bisection loop.  A midpoint with the sign of hi
-        becomes the new hi, any other the new lo, so the root kept is the
-        one in (lo, hi].  With lo = a/q and hi = b/q, every point visited is
-        an integer over q * 2^k, so the loop runs on integer numerators and
-        takes each sign from `_homogeneous`; Fractions are built at return.
+        The package's one refinement loop.  With lo = a/q and hi = b/q,
+        the bisection's depth-k grid is the integers over q * 2^k, and it
+        stops at the first depth K whose cells are narrower than
+        10^-digits.  Its plain step evaluates the midpoint: one with the
+        sign of hi becomes the new hi, any other the new lo, so the root
+        kept is the one in (lo, hi].
+
+        When that root is the only one right of lo >= 0 (one coefficient
+        sign change) and lo is not a root, the loop first tries Abbott's
+        quadratic interval refinement on the same grid: split the cell
+        into 2^j sub-cells, evaluate the one the secant picks, and keep it
+        if its exact end signs bracket the root (then j doubles; else j
+        halves and the plain step runs).  A kept sub-cell is the grid cell
+        bisection would reach, and every probe is a grid point of depth at
+        most K, so the enclosure is the bisection's to the bit, in
+        O(log digits) steps once the secant is close.  Signs and values
+        come from `_homogeneous` on integer numerators; Fractions are built
+        at return.
         """
         lo, hi = self.lo, self.hi
         if lo == hi:
             return self
         q = lcm(lo.denominator, hi.denominator)
         a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
-        terms = self.poly._scaled_terms(q)
-        shi = _sign(_homogeneous(terms, b, 0))
-        # (lo, hi) = (a, b) / (q * 2^k), and b - a stays the initial gap:
-        # the width is below 10^-digits once (b - a) * 10^digits < q * 2^k.
-        gap, k = (b - a) * 10**digits, 0
-        while gap >= q << k:
+        terms, deg = self.poly._scaled_terms(q), self.poly.degree
+        fa, fb = _homogeneous(terms, a, 0), _homogeneous(terms, b, 0)
+        shi = _sign(fb)
+        # The cell is (a, b) / (q * 2^k) with b - a = gap throughout, and
+        # f(x) = (q * 2^k)^deg * p(x) at its ends.  K is the least k with
+        # gap * 10^digits < q * 2^k.
+        gap, k = b - a, 0
+        depth = (gap * 10**digits // q).bit_length()
+        qir = lo >= 0 and fa != 0 and descartes_positive_sign_changes(self.poly) == 1
+
+        def exact(m: int, depth_m: int) -> "RootInterval":
+            x = Fraction(m, q << depth_m)
+            return RootInterval(x, x, self.poly)
+
+        j = 1
+        while k < depth:
+            if qir:
+                j = min(j, depth - k)
+                n, s = 1 << j, abs(fa) + abs(fb)
+                i = min(max((2 * n * abs(fa) + s) // (2 * s), 1), n - 1)
+                p, kj = (a << j) + i * gap, k + j
+                fp = _homogeneous(terms, p, kj)
+                if fp == 0:
+                    return exact(p, kj)
+                # Evaluate the neighbour on the root's side; a cell end's
+                # value is the old one scaled to depth k + j.
+                if _sign(fp) == shi:
+                    m = p - gap
+                    fm = fa << j * deg if i == 1 else _homogeneous(terms, m, kj)
+                    cell = (m, p, fm, fp)
+                else:
+                    m = p + gap
+                    fm = fb << j * deg if i == n - 1 else _homogeneous(terms, m, kj)
+                    cell = (p, m, fp, fm)
+                if fm == 0:
+                    return exact(m, kj)
+                if _sign(fm) != _sign(fp):
+                    a, b, fa, fb = cell
+                    k, j = kj, 2 * j
+                    continue
+                j = max(j // 2, 1)
             mid, k = a + b, k + 1
-            v = _sign(_homogeneous(terms, mid, k))
-            if v == 0:
-                x = Fraction(mid, q << k)
-                return RootInterval(x, x, self.poly)
-            if v == shi:
-                a, b = 2 * a, mid
+            fm = _homogeneous(terms, mid, k)
+            if fm == 0:
+                return exact(mid, k)
+            if _sign(fm) == shi:
+                a, b, fa, fb = 2 * a, mid, fa << deg, fm
             else:
-                a, b = mid, 2 * b
+                a, b, fa, fb = mid, 2 * b, fm, fb << deg
         return RootInterval(Fraction(a, q << k), Fraction(b, q << k), self.poly)
 
 
@@ -273,7 +323,7 @@ def isolate_unique_positive_root(p: IntPoly, digits: int) -> RootInterval:
 
     Requires exactly one coefficient sign change.  The bracket is
     [1, 1+max|coeff|], falling back to [0, 1] when the root lies below 1;
-    `RootInterval.refined` bisects it.
+    `RootInterval.refined` narrows it by quadratic interval refinement.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")

@@ -61,6 +61,29 @@ def test_classify_examples():
         classify(8)
 
 
+def test_classify_matches_level_walk():
+    levels = [breakpoints(n) for n in range(80)]
+
+    def walk(b: F) -> LevelClass:
+        """Level by level: the first n with b <= p_n, then the class tests."""
+        n = 0
+        while b > levels[n][0]:
+            n += 1
+        p, q, r, s = levels[n]
+        return LevelClass(n, "S" if b < s else "T" if b <= r else "U" if b < q else "V")
+
+    eps = F(1, 10**30)
+    cases = [x + d for bps in levels[:61] for x in bps for d in (-eps, 0, eps)]
+    rng = random.Random(17)
+    for _ in range(20_000):
+        n = rng.randint(0, 60)
+        lo, hi = level_left_end(n), levels[n][0]
+        cases.append(lo + (hi - lo) * F(rng.randint(1, 10**6 - 1), 10**6))
+    for b in cases:
+        if 4 < b < 8:
+            assert classify(b) == walk(b)
+
+
 def test_level_polynomials():
     assert level_polynomials(LevelClass(0, "T")) == (poly(p7=1, p4=-1, p0=-2),)
     assert level_polynomials(LevelClass(0, "V")) == (poly(p10=1, p7=-1, p3=-1, p0=-1),)

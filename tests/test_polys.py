@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from pwldyn.band48 import poly_exact_t, poly_exact_v, poly_lower, poly_upper_s, poly_upper_u
 from pwldyn.polys import (
     IntPoly,
     LaurentPoly,
@@ -20,6 +21,7 @@ def poly(**terms) -> IntPoly:
 
 
 X7_X4_1 = poly(p7=1, p4=-1, p0=-1)
+BAND48_FAMILIES = (poly_lower, poly_upper_s, poly_exact_t, poly_upper_u, poly_exact_v)
 
 
 def test_descartes_counts():
@@ -113,15 +115,7 @@ def test_laurent_det_examples():
 
 
 def test_five_families_enclosure_property():
-    from pwldyn.band48 import (
-        poly_exact_t,
-        poly_exact_v,
-        poly_lower,
-        poly_upper_s,
-        poly_upper_u,
-    )
-
-    for fam in (poly_lower, poly_upper_s, poly_exact_t, poly_upper_u, poly_exact_v):
+    for fam in BAND48_FAMILIES:
         for n in (*range(0, 13, 3), 25, 50):
             p = fam(n)
             ri = isolate_unique_positive_root(p, 8)
@@ -150,13 +144,19 @@ def test_random_eval_consistency():
         assert p(x) == expect
 
 
+def _sign(p: IntPoly, x: F) -> int:
+    """Sign of p(x) from the plain integer sum sum c_i n^i d^(deg-i) at x = n/d."""
+    n, d, deg = x.numerator, x.denominator, p.degree
+    v = sum(c * n**i * d ** (deg - i) for i, c in enumerate(p.coeffs) if c)
+    return (v > 0) - (v < 0)
+
+
 def _fraction_bisection(ri: RootInterval, digits: int) -> tuple[F, F]:
-    """Oracle for `RootInterval.refined`: the same bisection on Fractions,
-    with a plain Fraction sum as the evaluator."""
+    """Oracle for `RootInterval.refined`: plain bisection on Fractions, one
+    midpoint per step, with `_sign` as the evaluator."""
 
     def sign(x: F) -> int:
-        v = sum(c * x**p for p, c in enumerate(ri.poly.coeffs) if c)
-        return (v > 0) - (v < 0)
+        return _sign(ri.poly, x)
 
     lo, hi = ri.lo, ri.hi
     if lo == hi:
@@ -179,15 +179,51 @@ def _assert_refines_like_oracle(ri: RootInterval, digits: int):
     assert (got.lo, got.hi) == _fraction_bisection(ri, digits)
 
 
-def test_refined_matches_fraction_bisection_on_band48_families():
-    from pwldyn.band48 import poly_exact_t, poly_exact_v, poly_lower, poly_upper_s, poly_upper_u
+def _bisection_cell(ri: RootInterval, digits: int, got: RootInterval) -> bool:
+    """Whether `got` is what bisecting `ri` to 10^-digits returns, when the
+    root is the only one in (lo, hi) and lo is not a root: the cell of the
+    bisection's last grid (spacing width / 2^K, K the first depth below
+    10^-digits) whose end signs bracket the root.  Two evaluations stand in
+    for the K of the bisection where those are too dear to run."""
+    cell = ri.width
+    while cell >= F(1, 10**digits):
+        cell /= 2
+    on_grid = ((got.lo - ri.lo) / cell).denominator == 1
+    if got.is_exact:
+        return on_grid and _sign(ri.poly, got.lo) == 0
+    shi = _sign(ri.poly, ri.hi)
+    return (
+        on_grid
+        and got.width == cell
+        and _sign(ri.poly, got.lo) == -shi
+        and _sign(ri.poly, got.hi) == shi
+    )
 
-    for fam in (poly_lower, poly_upper_s, poly_exact_t, poly_upper_u, poly_exact_v):
+
+def _band48_start(p: IntPoly) -> RootInterval:
+    """isolate_unique_positive_root's bracket [1, 1 + max|coeff|]: p(1) < 0
+    for all five families."""
+    return RootInterval(F(1), F(1 + max(abs(c) for c in p.coeffs)), p)
+
+
+def test_refined_matches_fraction_bisection_on_band48_families():
+    for fam in BAND48_FAMILIES:
         for n in range(51):
-            p = fam(n)
-            # isolate_unique_positive_root's bracket: p(1) < 0 for all five
-            start = RootInterval(F(1), F(1 + max(abs(c) for c in p.coeffs)), p)
-            _assert_refines_like_oracle(start, 8 if n % 10 else 30)
+            _assert_refines_like_oracle(_band48_start(fam(n)), 8 if n % 10 else 30)
+    _assert_refines_like_oracle(_band48_start(poly_exact_v(0)), 1000)
+
+
+def test_refined_is_the_bisection_cell_at_high_levels():
+    # The bisection oracle runs K evaluations of degree up to 3010; it is
+    # run where that is cheap, and there it must agree with the cell check.
+    for fam in BAND48_FAMILIES:
+        for n in (100, 400, 1000):
+            start = _band48_start(fam(n))
+            for digits in (5, 30, 150):
+                got = start.refined(digits)
+                assert _bisection_cell(start, digits, got)
+                if digits == 5 or n == 100 and digits == 30:
+                    assert (got.lo, got.hi) == _fraction_bisection(start, digits)
 
 
 def test_refined_matches_fraction_bisection_from_non_dyadic_starts():
@@ -220,3 +256,65 @@ def test_refined_midpoint_on_the_root_is_exact():
         ri = RootInterval(lo, hi, p).refined(20)
         assert ri.lo == ri.hi == root
         assert (ri.lo, ri.hi) == _fraction_bisection(RootInterval(lo, hi, p), 20)
+
+
+def _one_sign_change_poly(rng: random.Random) -> IntPoly:
+    """Random sparse integer polynomial: negative coefficients below a cut
+    degree, positive above, so exactly one positive root."""
+    cut = rng.randint(1, 30)
+    terms = {rng.randint(0, cut - 1): -rng.randint(1, 9) for _ in range(rng.randint(1, 3))}
+    terms.update({rng.randint(cut, 40): rng.randint(1, 9) for _ in range(rng.randint(1, 3))})
+    return IntPoly.from_terms(terms)
+
+
+def test_refined_matches_fraction_bisection_with_one_sign_change():
+    # lo >= 0, one coefficient sign change and p(lo) != 0: the interval
+    # refinement steps run, and must land on the bisection's cell.
+    rng = random.Random(23)
+    checked = 0
+    while checked < 200:
+        p = _one_sign_change_poly(rng)
+        assert descartes_positive_sign_changes(p) == 1
+        lo = F(rng.randint(0, 30), rng.randint(1, 31))
+        hi = lo + F(rng.randint(1, 60), rng.randint(1, 29))
+        if lo.denominator & (lo.denominator - 1) == 0 and hi.denominator & (hi.denominator - 1) == 0:
+            continue  # keep the grid non-dyadic
+        try:
+            ri = RootInterval(lo, hi, p)
+        except ValueError:
+            continue  # the root is not in (lo, hi)
+        _assert_refines_like_oracle(ri, rng.randint(1, 60))
+        checked += 1
+
+
+def test_refined_bisects_past_several_roots():
+    def roots(*rs: int) -> IntPoly:
+        out = IntPoly([1])
+        for r in rs:
+            out = out * poly(p1=1, p0=-r)
+        return out
+
+    # Three roots in (lo, hi): by three sign changes, or by one sign
+    # change and two negative roots right of lo < 0.  Both take the plain
+    # bisection step, which keeps the root its own rule picks.
+    for p, lo, hi in ((roots(1, 2, 3), F(0), F(10)), (roots(-3, -4, 1), F(-20), F(5, 3))):
+        for digits in (1, 5, 40):
+            _assert_refines_like_oracle(RootInterval(lo, hi, p), digits)
+
+
+def test_refined_evaluation_count(monkeypatch):
+    from pwldyn import polys
+
+    calls = 0
+    homogeneous = polys._homogeneous
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return homogeneous(*args)
+
+    monkeypatch.setattr(polys, "_homogeneous", counted)
+    for p, digits, limit in ((poly_exact_v(0), 1000, 100), (poly_exact_t(400), 30, 80)):
+        calls = 0
+        isolate_unique_positive_root(p, digits)
+        assert calls <= limit
