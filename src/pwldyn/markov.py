@@ -1,16 +1,17 @@
 """Covering digraphs, romes, characteristic polynomials, spectral radii.
 
 A covering digraph records which partition intervals cover which under the
-map.  Entropy comes from the spectral radius of its 0/1 adjacency matrix,
+map; it is stored as successor lists, and every algorithm here reads them.
+Entropy comes from the spectral radius of its 0/1 adjacency matrix A,
 computed exactly: a rome (a node set meeting every cycle) turns the
 characteristic polynomial into a small determinant over path-generating
 Laurent polynomials, whose relevant factor is then run through certified
-root isolation.  Each enclosure is then proven again from the adjacency
-matrix alone, in exact rational arithmetic: a positive solution of the
+root isolation.  Each enclosure is then proven again from the successor
+lists alone, in exact rational arithmetic: a positive solution of the
 resolvent system (lam*I - A) v = 1 shows rho < lam, its absence shows
-rho >= lam, and a positive kernel vector of r*I - A shows rho = r.  The
-float power iteration `_power_iteration_radius` is kept as a test oracle
-and runs on no default path.
+rho >= lam, and a positive kernel vector of r*I - A shows rho = r.  Only
+the oracles `direct_char_poly` and `_power_iteration_radius` (a float
+estimate that runs on no default path) work on the dense matrix.
 """
 
 from __future__ import annotations
@@ -34,26 +35,25 @@ from pwldyn.polys import (
 
 @dataclass(frozen=True)
 class CoverDigraph:
+    """0/1 digraph on named nodes: succ[i] is the sorted tuple of i's successors."""
+
     labels: tuple[str, ...]
-    adjacency: tuple[tuple[int, ...], ...]
-    mode: str = "abstract"
+    succ: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Dense 0/1 matrix derived from `succ`, for export and the test oracles."""
+        return tuple(tuple(int(j in row) for j in range(self.n)) for row in self.succ)
+
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
-    def successors(self, i: int) -> list[int]:
-        return [j for j, v in enumerate(self.adjacency[i]) if v]
-
     def edges(self) -> list[tuple[str, str]]:
-        return [
-            (self.labels[i], self.labels[j])
-            for i in range(self.n)
-            for j in self.successors(i)
-        ]
+        return [(self.labels[i], self.labels[j]) for i, row in enumerate(self.succ) for j in row]
 
     def to_dot(self) -> str:
         lines = ["digraph cover {"]
@@ -65,19 +65,15 @@ class CoverDigraph:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "labels": list(self.labels),
-            "adjacency": [list(row) for row in self.adjacency],
-        }
+        return {"labels": list(self.labels), "adjacency": [list(row) for row in self.adjacency]}
 
 
-def digraph_from_edges(labels: Sequence[str], edges: Iterable[tuple[str, str]], mode: str = "abstract") -> CoverDigraph:
+def digraph_from_edges(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> CoverDigraph:
     idx = {lab: i for i, lab in enumerate(labels)}
-    adj = [[0] * len(labels) for _ in labels]
+    succ: list[set[int]] = [set() for _ in labels]
     for a, b in edges:
-        adj[idx[a]][idx[b]] = 1
-    return CoverDigraph(tuple(labels), tuple(tuple(r) for r in adj), mode)
+        succ[idx[a]].add(idx[b])
+    return CoverDigraph(tuple(labels), tuple(tuple(sorted(row)) for row in succ))
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +81,9 @@ def digraph_from_edges(labels: Sequence[str], edges: Iterable[tuple[str, str]], 
 # ---------------------------------------------------------------------------
 
 
-def strongly_connected_components(adj: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative."""
-    n = len(adj)
+def strongly_connected_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Tarjan's algorithm, iterative, on successor lists."""
+    n = len(succ)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -106,9 +102,9 @@ def strongly_connected_components(adj: Sequence[Sequence[int]]) -> list[list[int
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
-            succ = [j for j, e in enumerate(adj[v]) if e]
-            while pi < len(succ):
-                w = succ[pi]
+            row = succ[v]
+            while pi < len(row):
+                w = row[pi]
                 pi += 1
                 if index[w] == -1:
                     work[-1] = (v, pi)
@@ -135,12 +131,12 @@ def strongly_connected_components(adj: Sequence[Sequence[int]]) -> list[list[int
     return out
 
 
-def _cyclic_components(adj: Sequence[Sequence[int]]) -> list[list[int]]:
+def _cyclic_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
     """Strongly connected components that carry a cycle."""
     return [
         comp
-        for comp in strongly_connected_components(adj)
-        if len(comp) > 1 or adj[comp[0]][comp[0]]
+        for comp in strongly_connected_components(succ)
+        if len(comp) > 1 or comp[0] in succ[comp[0]]
     ]
 
 
@@ -150,7 +146,7 @@ def _acyclic_without(dg: CoverDigraph, removed: frozenset[int]) -> bool:
     for start in range(n):
         if start in removed or color[start] != 0:
             continue
-        stack = [(start, iter(dg.successors(start)))]
+        stack = [(start, iter(dg.succ[start]))]
         color[start] = 1
         while stack:
             v, it = stack[-1]
@@ -162,7 +158,7 @@ def _acyclic_without(dg: CoverDigraph, removed: frozenset[int]) -> bool:
                     return False
                 if color[w] == 0:
                     color[w] = 1
-                    stack.append((w, iter(dg.successors(w))))
+                    stack.append((w, iter(dg.succ[w])))
                     found = True
                     break
             if not found:
@@ -192,7 +188,7 @@ def find_rome(dg: CoverDigraph) -> Rome:
     The candidate pool is restricted to nodes lying on cycles, which keeps
     the search tiny for the graphs arising here.
     """
-    candidates = sorted(v for comp in _cyclic_components(dg.adjacency) for v in comp)
+    candidates = sorted(v for comp in _cyclic_components(dg.succ) for v in comp)
     if not candidates:
         return Rome(())
     for size in range(1, len(candidates) + 1):
@@ -218,7 +214,7 @@ def _simple_path_lengths(dg: CoverDigraph, rome_idx: frozenset[int], start: int)
     stack = [(start, 0)]
     while stack:
         v, length = stack.pop()
-        for w in dg.successors(v):
+        for w in dg.succ[v]:
             if w in rome_idx:
                 d = out[w]
                 d[length + 1] = d.get(length + 1, 0) + 1
@@ -299,10 +295,11 @@ def direct_char_poly(dg: CoverDigraph) -> IntPoly:
     degree n by construction.
     """
     n = dg.n
+    adj = dg.adjacency
     xs = list(range(n + 1))
     ys = []
     for x in xs:
-        m = [[(x if i == j else 0) - dg.adjacency[i][j] for j in range(n)] for i in range(n)]
+        m = [[(x if i == j else 0) - adj[i][j] for j in range(n)] for i in range(n)]
         ys.append(_det_int(m))
     # Lagrange interpolation over the rationals; the result must be integral.
     coeffs = [Fraction(0)] * (n + 1)
@@ -331,9 +328,10 @@ def direct_char_poly(dg: CoverDigraph) -> IntPoly:
 
 
 def _sub_digraph(dg: CoverDigraph, nodes: list[int]) -> CoverDigraph:
-    labels = tuple(dg.labels[i] for i in nodes)
-    adj = tuple(tuple(dg.adjacency[i][j] for j in nodes) for i in nodes)
-    return CoverDigraph(labels, adj, dg.mode)
+    """Induced subdigraph on the sorted node list `nodes`, renumbered 0..k-1."""
+    pos = {v: k for k, v in enumerate(nodes)}
+    succ = tuple(tuple(pos[w] for w in dg.succ[v] if w in pos) for v in nodes)
+    return CoverDigraph(tuple(dg.labels[v] for v in nodes), succ)
 
 
 def _power_iteration_radius(adj: Sequence[Sequence[int]], steps: int = 10_000) -> float:
@@ -342,12 +340,12 @@ def _power_iteration_radius(adj: Sequence[Sequence[int]], steps: int = 10_000) -
     Runs on A+I per strongly connected component, where the iteration is
     primitive and converges geometrically; the +1 shift is removed at the end.
     """
+    rows = [[j for j, e in enumerate(row) if e] for row in adj]
     best = 0.0
-    for comp in strongly_connected_components(adj):
-        if len(comp) == 1 and not adj[comp[0]][comp[0]]:
-            continue
-        # Successor lists: skipping the zero entries leaves every float sum unchanged.
-        succ = [[(k, adj[i][j]) for k, j in enumerate(comp) if adj[i][j]] for i in comp]
+    for comp in _cyclic_components(rows):
+        pos = {v: k for k, v in enumerate(comp)}
+        # Rows in component order: skipping zero entries leaves every float sum unchanged.
+        succ = [sorted((pos[j], adj[i][j]) for j in rows[i] if j in pos) for i in comp]
         v = [1.0] * len(comp)
         growth = 1.0
         for _ in range(steps):
@@ -368,7 +366,7 @@ def spectral_radius(dg: CoverDigraph, digits: int = 12, check: bool = True) -> R
     exact resolvent solves (`_encloses_radius`); a failed proof means a bug
     and raises.
     """
-    comps = _cyclic_components(dg.adjacency)
+    comps = _cyclic_components(dg.succ)
     if not comps:
         return RootInterval(Fraction(0), Fraction(0), IntPoly([0, 1]))
     enclosures = []
@@ -382,7 +380,7 @@ def spectral_radius(dg: CoverDigraph, digits: int = 12, check: bool = True) -> R
     result = enclosures[0]
     for cand in enclosures[1:]:
         result = _max_enclosure(result, cand, digits)
-    if check and not _encloses_radius(dg.adjacency, result.lo, result.hi):
+    if check and not _encloses_radius(dg.succ, result.lo, result.hi):
         raise AssertionError(
             f"exact radius check failed for [{result.lo}, {result.hi}] ({result.poly})"
         )
@@ -439,7 +437,7 @@ def _same_root(a: RootInterval, b: RootInterval) -> bool:
 _RHS = -1  # key of the right-hand side in a sparse row
 
 
-def _reduce(adj: Sequence[Sequence[int]], comp: Sequence[int], lam: Fraction):
+def _reduce(succ: Sequence[Sequence[int]], comp: Sequence[int], lam: Fraction):
     """Sparse Gauss-Jordan reduction of [lam*I - A_C | 1] over the rationals.
 
     Rows are dicts column -> nonzero entry.  Returns (pivots, free): pivots
@@ -450,7 +448,7 @@ def _reduce(adj: Sequence[Sequence[int]], comp: Sequence[int], lam: Fraction):
     pos = {v: k for k, v in enumerate(comp)}
     pending = []
     for v in comp:
-        row = {pos[w]: Fraction(-1) for w in comp if adj[v][w]}
+        row = {pos[w]: Fraction(-1) for w in succ[v] if w in pos}
         diag = row.get(pos[v], 0) + lam
         if diag:
             row[pos[v]] = diag
@@ -484,7 +482,7 @@ def _reduce(adj: Sequence[Sequence[int]], comp: Sequence[int], lam: Fraction):
     return pivots, free
 
 
-def _compare_radius(adj: Sequence[Sequence[int]], comp: Sequence[int], lam: Fraction) -> int:
+def _compare_radius(succ: Sequence[Sequence[int]], comp: Sequence[int], lam: Fraction) -> int:
     """-1 if rho(A_C) < lam, 0 if rho(A_C) == lam, 1 if only rho(A_C) >= lam is proven.
 
     -1 needs a positive solution of (lam*I - A_C) v = 1; 0 needs the kernel
@@ -492,7 +490,7 @@ def _compare_radius(adj: Sequence[Sequence[int]], comp: Sequence[int], lam: Frac
     Without a positive solution rho(A_C) >= lam holds (a singular matrix
     counts as having none).  Requires lam > 0.
     """
-    pivots, free = _reduce(adj, comp, lam)
+    pivots, free = _reduce(succ, comp, lam)
     if not free and all(row.get(_RHS, 0) > 0 for row in pivots.values()):
         return -1
     if len(free) == 1 and all(row.get(free[0], 0) < 0 for row in pivots.values()):
@@ -500,24 +498,24 @@ def _compare_radius(adj: Sequence[Sequence[int]], comp: Sequence[int], lam: Frac
     return 1
 
 
-def _encloses_radius(adj: Sequence[Sequence[int]], lo: Fraction, hi: Fraction) -> bool:
-    """Whether exact arithmetic proves lo <= rho(adj) <= hi.
+def _encloses_radius(succ: Sequence[Sequence[int]], lo: Fraction, hi: Fraction) -> bool:
+    """Whether exact arithmetic proves lo <= rho <= hi for the digraph `succ`.
 
     lo < hi is proven by a positive resolvent solution at hi in every cyclic
     component and none at lo in some component.  lo == hi == r is proven by
     each cyclic component sitting below r or having a positive Perron vector
     at r, with at least one of the latter.
     """
-    comps = _cyclic_components(adj)
+    comps = _cyclic_components(succ)
     if not comps:
         return lo <= 0 <= hi
     if hi <= 0:
         return False
     if lo < hi:
-        return all(_compare_radius(adj, c, hi) < 0 for c in comps) and (
-            lo <= 0 or any(_compare_radius(adj, c, lo) >= 0 for c in comps)
+        return all(_compare_radius(succ, c, hi) < 0 for c in comps) and (
+            lo <= 0 or any(_compare_radius(succ, c, lo) >= 0 for c in comps)
         )
-    return max(_compare_radius(adj, c, hi) for c in comps) == 0
+    return max(_compare_radius(succ, c, hi) for c in comps) == 0
 
 
 def simple_cycle_lengths(dg: CoverDigraph) -> list[int]:
@@ -526,7 +524,7 @@ def simple_cycle_lengths(dg: CoverDigraph) -> list[int]:
     n = dg.n
 
     def dfs(start: int, v: int, visited: set[int], depth: int):
-        for w in dg.successors(v):
+        for w in dg.succ[v]:
             if w == start:
                 lengths.append(depth + 1)
             elif w > start and w not in visited:
@@ -544,40 +542,22 @@ def simple_cycle_lengths(dg: CoverDigraph) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def build_cover_digraph(
-    graph,
-    partition: Sequence[tuple[str, Segment]],
-    params: Params,
-    mode: str,
-) -> CoverDigraph:
-    """0/1 covering digraph of the named partition intervals under F.
-
-    lower:  edge i -> j iff interval j is contained in F(interval i);
-    upper:  edge iff the images overlap interval j with positive length
-            (the "dashed" super-covering used for upper entropy bounds);
-    markov: both constructions must coincide, else this raises.
-
-    All containment tests are exact interval comparisons on the carrying
-    lines.  `graph` supplies context only: when given, partition intervals
-    must lie on it.
-    """
-    if mode not in ("lower", "upper", "markov"):
-        raise ValueError(f"unknown mode {mode!r}")
-    lower, upper = build_cover_digraph_pair(graph, partition, params)
-    if mode == "markov":
-        if lower.adjacency != upper.adjacency:
-            raise ValueError("partition is not Markov: lower and upper digraphs differ")
-        return CoverDigraph(lower.labels, lower.adjacency, mode)
-    return upper if mode == "upper" else lower
-
-
 def build_cover_digraph_pair(
     graph,
     partition: Sequence[tuple[str, Segment]],
     params: Params,
 ) -> tuple[CoverDigraph, CoverDigraph]:
-    """(lower, upper) covering digraphs of `build_cover_digraph`, from one
-    set of checks and one pass over the partition's images."""
+    """(lower, upper) 0/1 covering digraphs of the named partition intervals under F.
+
+    lower:  edge i -> j iff interval j is contained in F(interval i);
+    upper:  edge iff the images overlap interval j with positive length
+            (the "dashed" super-covering used for upper entropy bounds).
+
+    Both come from one set of checks and one pass over the partition's
+    images.  All containment tests are exact interval comparisons on the
+    carrying lines.  `graph` supplies context only: when given, partition
+    intervals must lie on it.  The partition is Markov where the two agree.
+    """
     labels = [lab for lab, _ in partition]
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate partition labels")
@@ -591,8 +571,8 @@ def build_cover_digraph_pair(
     for j, (_, seg) in enumerate(partition):
         targets.setdefault(seg.line_key(), []).append((j, *seg.chart_interval()))
     n = len(partition)
-    lower = [[0] * n for _ in range(n)]
-    upper = [[0] * n for _ in range(n)]
+    lower: list[list[int]] = [[] for _ in range(n)]
+    upper: list[list[int]] = [[] for _ in range(n)]
     for i, (_, seg) in enumerate(partition):
         images = LineCover(
             Segment(piece.at(piece.t0), piece.at(piece.t1))
@@ -602,13 +582,12 @@ def build_cover_digraph_pair(
         for key in images.lines:
             for j, lo, hi in targets.get(key, ()):
                 gaps = images.chart_gaps(key, lo, hi)
-                lower[i][j] = int(not gaps)
-                upper[i][j] = int(gaps != [(lo, hi)])
+                if not gaps:
+                    lower[i].append(j)
+                if gaps != [(lo, hi)]:
+                    upper[i].append(j)
     names = tuple(labels)
-    return (
-        CoverDigraph(names, tuple(map(tuple, lower)), "lower"),
-        CoverDigraph(names, tuple(map(tuple, upper)), "upper"),
-    )
+    return tuple(CoverDigraph(names, tuple(tuple(sorted(row)) for row in rows)) for rows in (lower, upper))
 
 
 def _check_disjoint(partition: Sequence[tuple[str, Segment]]):

@@ -128,30 +128,17 @@ class PiecewiseAffine1D:
         self._require_concrete()
         return [self.lo, *self.breakpoints, self.hi]
 
-    def piece_index_at(self, x: Fraction, tie_break: str = "plateau") -> int:
-        """Index of the piece containing x; ties resolved per `tie_break`.
+    def piece_index_at(self, x: Fraction) -> int:
+        """Index of the piece containing x.
 
-        tie_break: "left", "right", or "plateau" (prefer a constancy piece
-        at its boundary; otherwise take the left piece).
+        At a boundary a constancy piece wins; otherwise the left piece does.
         """
         self._require_concrete()
         if not self.lo <= x <= self.hi:
             raise ValueError(f"{x} outside domain [{self.lo}, {self.hi}]")
-        hits = []
         cuts = self.cut_points()
-        for i, piece in enumerate(self.pieces):
-            if cuts[i] <= x <= cuts[i + 1]:
-                hits.append(i)
-        if len(hits) == 1:
-            return hits[0]
-        if tie_break == "left":
-            return hits[0]
-        if tie_break == "right":
-            return hits[-1]
-        for i in hits:
-            if self.pieces[i].is_constant:
-                return i
-        return hits[0]
+        hits = [i for i in range(len(self.pieces)) if cuts[i] <= x <= cuts[i + 1]]
+        return next((i for i in hits if self.pieces[i].is_constant), hits[0])
 
     def __call__(self, x: Fraction) -> Fraction:
         self._require_concrete()
@@ -204,12 +191,12 @@ def iterate_point(m: PiecewiseAffine1D, x0, k: int) -> list[Fraction]:
     return orbit
 
 
-def itinerary_of(m: PiecewiseAffine1D, x0, k: int, tie_break: str = "plateau") -> Itinerary:
+def itinerary_of(m: PiecewiseAffine1D, x0, k: int) -> Itinerary:
     """Symbols of x0..f^(k)(x0) by containing piece (k+1 symbols)."""
     orbit = iterate_point(m, x0, k)
     symbols = []
     for x in orbit:
-        i = m.piece_index_at(x, tie_break=tie_break)
+        i = m.piece_index_at(x)
         symbols.append(m.pieces[i].name or str(i))
     return Itinerary(tuple(symbols))
 
@@ -341,7 +328,7 @@ def markov_radius_from_orbit(m: PiecewiseAffine1D, orbit: Sequence[Fraction], di
     nodes = [i for i, (_, _, _, cover) in enumerate(cells) if cover is not None]
     label = {i: f"I{k}" for k, i in enumerate(nodes)}
     edges = [(label[i], label[j]) for i in nodes for j in cells[i][3] if j in label]
-    dg = digraph_from_edges(list(label.values()), edges, mode="markov")
+    dg = digraph_from_edges(list(label.values()), edges)
     return spectral_radius(dg, digits)
 
 

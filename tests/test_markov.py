@@ -5,11 +5,12 @@ from types import SimpleNamespace
 import pytest
 
 from pwldyn import band48, certify, markov
+from pwldyn.cli import main
 from pwldyn.band48 import cover_digraphs
-from pwldyn.graphs import build_gamma
 from pwldyn.markov import (
+    CoverDigraph,
     Rome,
-    build_cover_digraph,
+    build_cover_digraph_pair,
     digraph_from_edges,
     direct_char_poly,
     find_rome,
@@ -46,33 +47,45 @@ def test_build_cover_digraph_band48_cases():
 
     lower5, upper5, lc5 = cover_digraphs(F(5))
     assert str(lc5) == "T0"
-    assert lower5.adjacency == upper5.adjacency
+    assert lower5.succ == upper5.succ
     assert simple_cycle_lengths(lower5) == [3, 7, 7]
 
 
-def test_build_cover_digraph_markov_mode():
-    from pwldyn.band48 import band48_partition
+def test_cover_digraphs_successor_lists():
+    # class midpoints of levels 0-3, then seeded b across (4, 8)
+    bs = []
+    for n in range(4):
+        for letter in "STUV":
+            lo, hi, _, _ = band48.LevelClass(n, letter).interval()
+            bs.append((lo + hi) / 2)
+    rng = random.Random(2024)
+    bs += [F(4) + F(rng.randrange(1, 4000), 1000) for _ in range(100)]
+    for b in bs:
+        for dg in cover_digraphs(b)[:2]:
+            assert all(list(row) == sorted(set(row)) for row in dg.succ)
+            dense = [[0] * dg.n for _ in range(dg.n)]
+            for a, c in dg.edges():
+                dense[dg.index(a)][dg.index(c)] = 1
+            assert dg.adjacency == tuple(map(tuple, dense))
 
-    part, _ = band48_partition(F(5))
-    g = build_gamma("band48", 5)
-    dg = build_cover_digraph(g, part, Params.standard(5), "markov")
-    assert dg.mode == "markov"
-    part, _ = band48_partition(F(9, 2))
-    with pytest.raises(ValueError):
-        build_cover_digraph(build_gamma("band48", F(9, 2)), part, Params.standard(F(9, 2)), "markov")
+
+def test_digraph_from_edges_collapses_repeats():
+    dg = digraph_from_edges(["a", "b"], [("a", "b"), ("b", "a"), ("a", "b"), ("b", "b")])
+    assert dg.succ == ((1,), (0, 1))
+    assert dg.edges() == [("a", "b"), ("b", "a"), ("b", "b")]
 
 
 def test_build_cover_digraph_rejects_overlap():
     seg1 = Segment(point(0, 0), point(2, 0))
     seg2 = Segment(point(1, 0), point(3, 0))
     with pytest.raises(ValueError, match="partition intervals a and b overlap"):
-        build_cover_digraph(None, [("a", seg1), ("b", seg2)], Params.standard(5), "lower")
+        build_cover_digraph_pair(None, [("a", seg1), ("b", seg2)], Params.standard(5))
     # Contact at a point is allowed; the message names the interval overlapped.
     seg3 = Segment(point(5, 0), point(3, 0))
     seg4 = Segment(point(4, 0), point(6, 0))
     part = [("a", seg1), ("c", seg3), ("e", Segment(point(2, 0), point(3, 0))), ("d", seg4)]
     with pytest.raises(ValueError, match="partition intervals c and d overlap"):
-        build_cover_digraph(None, part, Params.standard(5), "lower")
+        build_cover_digraph_pair(None, part, Params.standard(5))
 
 
 def test_find_rome_examples():
@@ -186,25 +199,25 @@ def test_exact_check_rejects_wrong_enclosures():
     lower, _, lc = cover_digraphs(F(5))
     assert str(lc) == "T0"
     r = spectral_radius(lower, 12)
-    assert _encloses_radius(lower.adjacency, r.lo, r.hi)
+    assert _encloses_radius(lower.succ, r.lo, r.hi)
     shift = F(1, 10**6)
-    assert not _encloses_radius(lower.adjacency, r.lo - shift, r.hi - shift)  # hi below rho
-    assert not _encloses_radius(lower.adjacency, r.lo + shift, r.hi + shift)  # lo above rho
-    assert not _encloses_radius(lower.adjacency, F(1), F(1))  # rho > 1 is not exactly 1
+    assert not _encloses_radius(lower.succ, r.lo - shift, r.hi - shift)  # hi below rho
+    assert not _encloses_radius(lower.succ, r.lo + shift, r.hi + shift)  # lo above rho
+    assert not _encloses_radius(lower.succ, F(1), F(1))  # rho > 1 is not exactly 1
     # the radius of the neighbouring class S0 (about 1.158) is no enclosure at T0
     s0_lower, _, lc_s0 = cover_digraphs(F(9, 2))
     assert str(lc_s0) == "S0"
     r_s0 = spectral_radius(s0_lower, 12)
-    assert not _encloses_radius(lower.adjacency, r_s0.lo, r_s0.hi)
+    assert not _encloses_radius(lower.succ, r_s0.lo, r_s0.hi)
     # a wrong exact radius on a cycle, and a radius above 0 on a DAG
-    assert _encloses_radius(seven_cycle().adjacency, F(1), F(1))
-    assert not _encloses_radius(seven_cycle().adjacency, F(2), F(2))
-    assert not _encloses_radius(seven_cycle().adjacency, F(1, 2), F(1, 2))
+    assert _encloses_radius(seven_cycle().succ, F(1), F(1))
+    assert not _encloses_radius(seven_cycle().succ, F(2), F(2))
+    assert not _encloses_radius(seven_cycle().succ, F(1, 2), F(1, 2))
     # 1 is an eigenvalue here (char poly x^5 - x^4 - 2x^3 + 2, rho ~ 1.899)
     # with a one-dimensional kernel, but no positive eigenvector
-    non_perron = [[0, 1, 0, 1, 0], [0, 1, 0, 0, 1], [1, 0, 0, 0, 0], [1, 0, 1, 0, 1], [0, 1, 1, 0, 0]]
+    non_perron = [[1, 3], [1, 4], [0], [0, 2, 4], [1, 2]]
     assert not _encloses_radius(non_perron, F(1), F(1))
-    dag = digraph_from_edges(["a", "b"], [("a", "b")]).adjacency
+    dag = digraph_from_edges(["a", "b"], [("a", "b")]).succ
     assert _encloses_radius(dag, F(0), F(0))
     assert not _encloses_radius(dag, F(1), F(1))
 
@@ -230,7 +243,7 @@ def test_exact_check_accepts_certificates(monkeypatch):
 
     def spy(dg, digits=12, check=True):
         r = original(dg, digits, check=False)
-        seen.append((dg.adjacency, r))
+        seen.append((dg.succ, r))
         return r
 
     monkeypatch.setattr(markov, "spectral_radius", spy)
@@ -239,8 +252,8 @@ def test_exact_check_accepts_certificates(monkeypatch):
         assert certify.verify_certificate(ci)
     kinds = {"one" if r.is_exact and r.lo == 1 else "above" for _, r in seen}
     assert kinds == {"one", "above"} and len(seen) >= 8
-    for adj, r in seen:
-        assert _encloses_radius(adj, r.lo, r.hi)
+    for succ, r in seen:
+        assert _encloses_radius(succ, r.lo, r.hi)
 
 
 def test_exact_check_accepts_random_digraphs():
@@ -252,7 +265,7 @@ def test_exact_check_accepts_random_digraphs():
         edges = [(labs[i], labs[j]) for i in range(size) for j in range(size) if rng.random() < 0.3]
         dg = digraph_from_edges(labs, edges)
         r = spectral_radius(dg, 12, check=False)
-        assert _encloses_radius(dg.adjacency, r.lo, r.hi)
+        assert _encloses_radius(dg.succ, r.lo, r.hi)
 
 
 def test_default_paths_use_no_float(monkeypatch):
@@ -265,6 +278,20 @@ def test_default_paths_use_no_float(monkeypatch):
     assert band48.cross_check_entropy(5)
     r = spectral_radius(cover_digraphs(F(6))[0])
     assert format_decimal(r.lo, 5) == "1.20443"
+
+
+def test_default_paths_use_no_dense_matrix(monkeypatch, capsys):
+    def forbidden(self):
+        raise AssertionError("dense adjacency read on a default path")
+
+    monkeypatch.setattr(CoverDigraph, "adjacency", property(forbidden))
+    ci = certify.certify("alpha", 6, 8)
+    assert certify.verify_certificate(ci)
+    assert band48.cross_check_entropy(5)
+    r = spectral_radius(cover_digraphs(F(6))[0])
+    assert format_decimal(r.lo, 5) == "1.20443"
+    assert main(["graph", "--regime", "band48", "--b", "5", "--format", "dot"]) == 0
+    assert capsys.readouterr().out.startswith("digraph cover {")
 
 
 def test_entropy_bounds_examples():

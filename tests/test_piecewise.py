@@ -63,10 +63,8 @@ def test_itinerary_tie_breaks():
     m = phi_family().at(F(7295, 8191))
     # (1-d)/16 sits on the L|C boundary
     boundary = F(56, 8191)
-    assert m.pieces[m.piece_index_at(boundary, "plateau")].name == "C"
-    assert m.pieces[m.piece_index_at(boundary, "left")].name == "L"
-    assert m.pieces[m.piece_index_at(boundary, "right")].name == "C"
-    assert m.pieces[m.piece_index_at(F(7, 8), "plateau")].name == "C"
+    assert m.pieces[m.piece_index_at(boundary)].name == "C"
+    assert m.pieces[m.piece_index_at(F(7, 8))].name == "C"
 
 
 def test_closing_window_examples():
