@@ -368,6 +368,8 @@ def cross_check_entropy(b, digits: int = 7) -> bool:
 
 def table_rows(levels: int = 3, places: int = 5) -> list[dict[str, str]]:
     """One row per class for levels 0..levels-1: set, interval, entropy."""
+    if places < 0:
+        raise ValueError(f"digits must be >= 0, got {places}")
     rows = []
     for n in range(levels):
         for letter in "STUV":

@@ -13,8 +13,9 @@ point 1 decide the certificate:
 
 Patterns come from the doubling operator on itineraries; the admissible
 parameter window of a pattern is an exact rational interval, and the d <->
-b changes of variables are exact Moebius maps.  Every certificate is
-re-verified from scratch: exact periodicity, itinerary, and radius.
+b changes of variables are exact Moebius maps.  The radius is classified
+by one exact comparison with 1 (`markov.compare_radius`).  Every
+certificate is re-derived from scratch: periodicity, itinerary, radius.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
+from pwldyn.markov import CoverDigraph, compare_radius
 from pwldyn.piecewise import (
     Itinerary,
     ParamAffine,
@@ -31,10 +34,9 @@ from pwldyn.piecewise import (
     closing_window,
     iterate_point,
     itinerary_of,
-    markov_radius_from_orbit,
+    markov_partition,
 )
 from pwldyn.planemap import Params, Segment, point, restrict_iterate_to_segment
-from pwldyn.polys import RootInterval
 from pwldyn.rationals import (
     common_decimal_prefix,
     decimal_above,
@@ -161,9 +163,6 @@ class TrapezoidFamily:
     def d_to_b(self, d: Fraction) -> Fraction:
         return alpha_d_to_b(d) if self.tag == "alpha" else beta_d_to_b(d)
 
-    def b_to_d(self, b: Fraction) -> Fraction:
-        return alpha_b_to_d(b) if self.tag == "alpha" else beta_b_to_d(b)
-
 
 def trapezoid_family(tag: str) -> TrapezoidFamily:
     if tag == "alpha":
@@ -289,7 +288,6 @@ class OrbitCertificate:
     b: Fraction
     pattern: Itinerary
     orbit: tuple[Fraction, ...]
-    radius: RootInterval
     kind: str  # "radius_one" or "radius_above_one"
 
 
@@ -339,32 +337,50 @@ class CertifiedInterval:
         return json.dumps(self.to_json(), indent=2) + "\n"
 
 
-def _window_certificates(fam: TrapezoidFamily, pattern: Itinerary, want_radius_one: bool):
-    """Both endpoint certificates of the pattern's closing window, verified."""
+def orbit_digraph(m: PiecewiseAffine1D, orbit: Sequence[Fraction]) -> CoverDigraph:
+    """Covering digraph of the Markov partition cut at an exact periodic orbit.
+
+    The domain is cut by `markov_partition` seeded with the orbit; constancy
+    cells are dropped (they feed no itinerary growth), every remaining cell
+    is monotone, and an edge is exact covering.
+    """
+    pts = set(map(Fraction, orbit))
+    full = iterate_point(m, orbit[0], len(pts))
+    if full[-1] != full[0] or set(full[:-1]) != pts:
+        raise ValueError("orbit is not exactly periodic under the map")
+    cells = markov_partition(m, pts)
+    nodes = [i for i, (_, _, _, cover) in enumerate(cells) if cover is not None]
+    pos = {i: k for k, i in enumerate(nodes)}
+    succ = tuple(tuple(pos[j] for j in cells[i][3] if j in pos) for i in nodes)
+    return CoverDigraph(tuple(f"I{k}" for k in range(len(nodes))), succ)
+
+
+def _endpoint_certificate(fam: TrapezoidFamily, d: Fraction, pattern: Itinerary) -> OrbitCertificate | None:
+    """Certificate of the orbit of 1 at parameter d, or None when that orbit
+    is not periodic with exactly `pattern` as its itinerary (a window end
+    where the pattern degenerates)."""
+    m = fam.concrete(d)
+    period = len(pattern)
+    orbit = iterate_point(m, 1, period)
+    if orbit[period] != orbit[0] or len(set(orbit[:period])) != period:
+        return None
+    if itinerary_of(m, 1, period - 1) != pattern:
+        return None
+    side = compare_radius(orbit_digraph(m, orbit[:period]).succ, 1)
+    kind = ("radius_below_one", "radius_one", "radius_above_one")[side + 1]
+    return OrbitCertificate(d, fam.d_to_b(d), pattern, tuple(orbit[:period]), kind)
+
+
+def _window_certificates(fam: TrapezoidFamily, pattern: Itinerary, kind: str) -> list[OrbitCertificate]:
+    """Certificates at the valid ends of the pattern's closing window, each of `kind`."""
     window = closing_window(fam.family, pattern, 1)
     if window is None:
         raise ValueError(f"pattern {pattern} admits no parameter window")
-    period = len(pattern)
-    out = []
-    for d in window:
-        m = fam.concrete(d)
-        orbit = iterate_point(m, 1, period)
-        if orbit[period] != orbit[0] or len(set(orbit[:period])) != period:
-            continue  # degenerate endpoint (shorter period); skip it
-        if itinerary_of(m, 1, period - 1).symbols != pattern.symbols:
-            continue
-        radius = markov_radius_from_orbit(m, orbit[:period])
-        if want_radius_one:
-            if not radius.is_exact or radius.lo != 1:
-                raise AssertionError(f"expected spectral radius 1 at d = {d}")
-            kind = "radius_one"
-        else:
-            if not radius.lo > 1:
-                raise AssertionError(f"expected spectral radius above 1 at d = {d}")
-            kind = "radius_above_one"
-        out.append(OrbitCertificate(d, fam.d_to_b(d), pattern, tuple(orbit[:period]), radius, kind))
+    out = [c for c in (_endpoint_certificate(fam, d, pattern) for d in window) if c is not None]
     if not out:
         raise AssertionError(f"no valid certificate at the window endpoints of {pattern}")
+    if any(c.kind != kind for c in out):
+        raise AssertionError(f"expected {kind} at the window endpoints of {pattern}")
     return out
 
 
@@ -377,8 +393,8 @@ def certify(tag: str, upper_period: int, lower_period: int) -> CertifiedInterval
     endpoints the pair with the narrowest bracket is returned.
     """
     fam = trapezoid_family(tag)
-    uppers = _window_certificates(fam, upper_pattern(upper_period), want_radius_one=False)
-    lowers = _window_certificates(fam, lower_pattern(lower_period), want_radius_one=True)
+    uppers = _window_certificates(fam, upper_pattern(upper_period), "radius_above_one")
+    lowers = _window_certificates(fam, lower_pattern(lower_period), "radius_one")
     best = None
     for up in uppers:
         for lo in lowers:
@@ -393,22 +409,18 @@ def certify(tag: str, upper_period: int, lower_period: int) -> CertifiedInterval
 
 
 def verify_certificate(ci: CertifiedInterval) -> bool:
-    """Re-derive both sides of a certificate from scratch."""
+    """Re-derive both endpoint certificates from scratch; every field must match."""
     fam = trapezoid_family(ci.tag)
-    for cert, want_one in ((ci.lo_certificate, True), (ci.hi_certificate, False)):
-        m = fam.concrete(cert.d)
-        period = len(cert.pattern)
-        orbit = iterate_point(m, cert.orbit[0], period)
-        if tuple(orbit[:period]) != cert.orbit or orbit[period] != cert.orbit[0]:
-            return False
-        if fam.d_to_b(cert.d) != cert.b or fam.b_to_d(cert.b) != cert.d:
-            return False
-        radius = markov_radius_from_orbit(m, cert.orbit)
-        if want_one and not (radius.is_exact and radius.lo == 1):
-            return False
-        if not want_one and not radius.lo > 1:
-            return False
-    return ci.lo < ci.hi
+    lo, hi = ci.lo_certificate, ci.hi_certificate
+    try:  # a pattern length that no doubling gives, or an orbit that escapes, is no certificate
+        sides = ((lo, lower_pattern(len(lo.pattern)), "radius_one"),
+                 (hi, upper_pattern(len(hi.pattern)), "radius_above_one"))
+        for cert, pattern, kind in sides:
+            if cert.kind != kind or cert != _endpoint_certificate(fam, cert.d, pattern):
+                return False
+    except ValueError:
+        return False
+    return (ci.lo, ci.hi) == (lo.b, hi.b) and ci.lo < ci.hi and ci.return_power == fam.return_power
 
 
 def digits_report(ci: CertifiedInterval, limit: int | None = None) -> str:

@@ -6,12 +6,13 @@ Entropy comes from the spectral radius of its 0/1 adjacency matrix A,
 computed exactly: a rome (a node set meeting every cycle) turns the
 characteristic polynomial into a small determinant over path-generating
 Laurent polynomials, whose relevant factor is then run through certified
-root isolation.  Each enclosure is then proven again from the successor
-lists alone, in exact rational arithmetic: a positive solution of the
-resolvent system (lam*I - A) v = 1 shows rho < lam, its absence shows
-rho >= lam, and a positive kernel vector of r*I - A shows rho = r.  Only
-the oracles `direct_char_poly` and `_power_iteration_radius` (a float
-estimate that runs on no default path) work on the dense matrix.
+root isolation.  `compare_radius` decides rho <, = or > lam from the
+successor lists alone, in exact rational arithmetic: a positive solution
+of (lam*I - A) v = 1 shows rho < lam, a positive kernel vector of
+lam*I - A shows rho = lam.  It proves each enclosure again at both ends,
+and decides the transition certificates at lam = 1.  Only the oracles
+`direct_char_poly` and `_power_iteration_radius` (a float estimate that
+runs on no default path) work on the dense matrix.
 """
 
 from __future__ import annotations
@@ -430,8 +431,9 @@ def _same_root(a: RootInterval, b: RootInterval) -> bool:
 # solution v > 0 exactly when lam > rho(A).  If rho < lam, v = sum_k A^k 1 /
 # lam^(k+1) > 0.  If a positive v exists, A v = lam*v - 1 < lam*v, and the
 # Collatz-Wielandt bound rho <= max_i (A v)_i / v_i gives rho < lam.  A
-# positive v with A v = lam*v gives rho = lam by the same bound.  The radius
-# of A is the largest radius of its cyclic strongly connected components, so
+# positive v with A v = lam*v gives rho = lam by the same bound; an
+# irreducible A has one when rho = lam (Perron-Frobenius).  The radius of A
+# is the largest radius of its cyclic strongly connected components, so
 # each fact is tested per component.
 
 _RHS = -1  # key of the right-hand side in a sparse row
@@ -483,12 +485,13 @@ def _reduce(succ: Sequence[Sequence[int]], comp: Sequence[int], lam: Fraction):
 
 
 def _compare_radius(succ: Sequence[Sequence[int]], comp: Sequence[int], lam: Fraction) -> int:
-    """-1 if rho(A_C) < lam, 0 if rho(A_C) == lam, 1 if only rho(A_C) >= lam is proven.
+    """-1, 0 or 1 as rho(A_C) <, = or > lam, for a strongly connected comp C.
 
     -1 needs a positive solution of (lam*I - A_C) v = 1; 0 needs the kernel
     of lam*I - A_C to be one-dimensional and spanned by a positive vector.
-    Without a positive solution rho(A_C) >= lam holds (a singular matrix
-    counts as having none).  Requires lam > 0.
+    Perron-Frobenius gives A_C exactly that kernel when rho(A_C) == lam, so
+    neither means rho(A_C) > lam (a singular matrix counts as having no
+    solution).  Requires lam > 0.
     """
     pivots, free = _reduce(succ, comp, lam)
     if not free and all(row.get(_RHS, 0) > 0 for row in pivots.values()):
@@ -498,24 +501,29 @@ def _compare_radius(succ: Sequence[Sequence[int]], comp: Sequence[int], lam: Fra
     return 1
 
 
+def compare_radius(succ: Sequence[Sequence[int]], lam) -> int:
+    """-1, 0 or 1 as the spectral radius of the digraph `succ` is <, = or > lam > 0.
+
+    The answer is the largest over the cyclic strongly connected components;
+    a digraph without a cycle has radius 0 and gives -1.
+    """
+    lam = Fraction(lam)
+    if lam <= 0:
+        raise ValueError(f"lam must be > 0, got {lam}")
+    return max((_compare_radius(succ, c, lam) for c in _cyclic_components(succ)), default=-1)
+
+
 def _encloses_radius(succ: Sequence[Sequence[int]], lo: Fraction, hi: Fraction) -> bool:
     """Whether exact arithmetic proves lo <= rho <= hi for the digraph `succ`.
 
-    lo < hi is proven by a positive resolvent solution at hi in every cyclic
-    component and none at lo in some component.  lo == hi == r is proven by
-    each cyclic component sitting below r or having a positive Perron vector
-    at r, with at least one of the latter.
+    lo < hi is proven by rho < hi and, for lo > 0, not rho < lo; lo == hi by
+    rho == hi.  A radius of 0 holds only for a digraph without a cycle.
     """
-    comps = _cyclic_components(succ)
-    if not comps:
-        return lo <= 0 <= hi
     if hi <= 0:
-        return False
+        return lo <= hi == 0 and not _cyclic_components(succ)
     if lo < hi:
-        return all(_compare_radius(succ, c, hi) < 0 for c in comps) and (
-            lo <= 0 or any(_compare_radius(succ, c, lo) >= 0 for c in comps)
-        )
-    return max(_compare_radius(succ, c, hi) for c in comps) == 0
+        return compare_radius(succ, hi) < 0 and (lo <= 0 or compare_radius(succ, lo) >= 0)
+    return lo == hi and compare_radius(succ, hi) == 0
 
 
 def simple_cycle_lengths(dg: CoverDigraph) -> list[int]:

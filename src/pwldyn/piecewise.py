@@ -4,8 +4,8 @@ Supports exact iteration, itineraries, parameter-affine families (offsets
 and breakpoints of the form c0 + c1*d), periodic-orbit closing windows in
 the parameter, and the orbit-closure Markov partition: the cut points and
 chosen seeds closed under the map.  Its cells carry both the covering
-digraph induced by a periodic orbit and the exact transfer recursion for
-the measure of points not yet captured by a constancy piece.
+digraph of a periodic orbit (built in `certify`) and the exact transfer
+recursion for the measure of points not yet captured by a constancy piece.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from pwldyn.polys import RootInterval
 from pwldyn.rationals import rational_str
 
 
@@ -307,29 +306,6 @@ def markov_partition(m: PiecewiseAffine1D, seeds: Sequence[Fraction] = ()) -> li
             cover = range(bisect_left(ends, max(fa, lo)), bisect_left(ends, min(fb, hi)))
         cells.append((a, b, piece, cover))
     return cells
-
-
-def markov_radius_from_orbit(m: PiecewiseAffine1D, orbit: Sequence[Fraction], digits: int = 12) -> RootInterval:
-    """Spectral-radius enclosure of the covering digraph cut at an exact periodic orbit.
-
-    The domain is cut by `markov_partition` seeded with the orbit; constancy
-    cells are dropped (they feed no itinerary growth), every remaining cell
-    is monotone, and adjacency is exact covering.
-    """
-    from pwldyn.markov import digraph_from_edges, spectral_radius
-
-    m._require_concrete()
-    pts = sorted(set(Fraction(x) for x in orbit))
-    period = len(pts)
-    full = iterate_point(m, orbit[0], period)
-    if full[period] != full[0] or sorted(set(full[:period])) != pts:
-        raise ValueError("orbit is not exactly periodic under the map")
-    cells = markov_partition(m, pts)
-    nodes = [i for i, (_, _, _, cover) in enumerate(cells) if cover is not None]
-    label = {i: f"I{k}" for k, i in enumerate(nodes)}
-    edges = [(label[i], label[j]) for i in nodes for j in cells[i][3] if j in label]
-    dg = digraph_from_edges(list(label.values()), edges)
-    return spectral_radius(dg, digits)
 
 
 # ---------------------------------------------------------------------------

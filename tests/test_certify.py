@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from pwldyn.certify import (
     k1_from_return_map,
     lower_pattern,
     normalized_plateau_width,
+    orbit_digraph,
     phi_family,
     psi_family,
     sigma_segment,
@@ -25,7 +27,8 @@ from pwldyn.certify import (
     upper_pattern,
     verify_certificate,
 )
-from pwldyn.piecewise import Itinerary, iterate_point, markov_radius_from_orbit
+from pwldyn.markov import compare_radius
+from pwldyn.piecewise import Itinerary, iterate_point
 from pwldyn.rationals import decimal_digits
 
 B_IN_BETA_WINDOW = F(34497, 50000)  # 0.68994, inside [603/874, 563/816]
@@ -93,7 +96,7 @@ def test_beta_map_against_reference_certificates():
     m = psi_family().at(d32)
     orbit = iterate_point(m, 1, 32)
     assert orbit[32] == 1 and len(set(orbit[:32])) == 32
-    assert markov_radius_from_orbit(m, orbit[:32]).lo == 1
+    assert compare_radius(orbit_digraph(m, orbit[:32]).succ, 1) == 0
 
 
 def test_build_g2_g3():
@@ -153,6 +156,25 @@ def test_certify_intermediate_values():
     assert ci.hi == F(-910224, 1114103)
     assert ci.lo == F(-116508784, 142605321)
     assert ci.hi_certificate.orbit == (1, 0, F(7295, 8191), F(7168, 8191), F(8184, 8191), F(56, 8191))
+
+
+def test_verify_rejects_forged_certificates():
+    ci = certify("alpha", 6, 8)
+    assert verify_certificate(ci)
+    lo, hi = ci.lo_certificate, ci.hi_certificate
+    forged = [
+        dataclasses.replace(ci, lo=ci.lo - 1, hi=ci.hi + 1),  # bracket widened
+        dataclasses.replace(ci, hi_certificate=dataclasses.replace(hi, pattern=Itinerary.parse("LLLLLC"))),
+        # the same 6-cycle, listed from its second point
+        dataclasses.replace(ci, hi_certificate=dataclasses.replace(hi, orbit=hi.orbit[1:] + hi.orbit[:1])),
+        dataclasses.replace(ci, lo_certificate=dataclasses.replace(lo, kind=hi.kind)),
+        dataclasses.replace(ci, hi_certificate=dataclasses.replace(hi, kind=lo.kind)),
+        dataclasses.replace(ci, lo_certificate=dataclasses.replace(lo, pattern=Itinerary.parse("RLRRRLR"))),
+        dataclasses.replace(ci, return_power=7),
+        dataclasses.replace(ci, tag="beta"),
+    ]
+    for bad in forged:
+        assert verify_certificate(bad) is False
 
 
 def test_certify_monotone_bracketing():

@@ -92,11 +92,13 @@ def test_verify_command(capsys):
         (("entropy", "--b", "5", "--digits", "x"), "'x'"),
         (("measure", "--regime", "gamma", "--b", "-3"), "'gamma'"),
         (("entropy",), "--b"),
+        (("table1", "--digits", "-1"), "got -1"),
     ],
     ids=[
         "b-at-band-end", "zero-denominator", "negative-digits", "bad-period", "negative-depth",
         "alpha-b-off-return-map", "beta-b-off-return-map",
         "non-integer-depth", "non-integer-digits", "unknown-regime", "missing-b",
+        "table1-negative-digits",
     ],
 )
 def test_bad_input_is_a_one_line_error(capsys, argv, bad):

@@ -11,6 +11,7 @@ from pwldyn.markov import (
     CoverDigraph,
     Rome,
     build_cover_digraph_pair,
+    compare_radius,
     digraph_from_edges,
     direct_char_poly,
     find_rome,
@@ -19,6 +20,7 @@ from pwldyn.markov import (
     rome_char_poly_full,
     simple_cycle_lengths,
     spectral_radius,
+    _compare_radius,
     _encloses_radius,
     _power_iteration_radius,
 )
@@ -237,23 +239,70 @@ def test_spectral_radius_raises_on_wrong_enclosure(monkeypatch):
         spectral_radius(lower, 12, check=False)
 
 
-def test_exact_check_accepts_certificates(monkeypatch):
-    seen = []
-    original = markov.spectral_radius
-
-    def spy(dg, digits=12, check=True):
-        r = original(dg, digits, check=False)
-        seen.append((dg.succ, r))
-        return r
-
-    monkeypatch.setattr(markov, "spectral_radius", spy)
+def test_exact_check_accepts_certificates():
+    # each certificate's class agrees with the radius enclosure of its digraph
+    seen = set()
     for tag in ("alpha", "beta"):
         ci = certify.certify(tag, 24, 32)
         assert certify.verify_certificate(ci)
-    kinds = {"one" if r.is_exact and r.lo == 1 else "above" for _, r in seen}
-    assert kinds == {"one", "above"} and len(seen) >= 8
-    for succ, r in seen:
-        assert _encloses_radius(succ, r.lo, r.hi)
+        fam = certify.trapezoid_family(tag)
+        for cert in (ci.lo_certificate, ci.hi_certificate):
+            r = spectral_radius(certify.orbit_digraph(fam.concrete(cert.d), cert.orbit))
+            if r.is_exact and r.lo == 1:
+                want = "radius_one"
+            else:
+                assert r.lo > 1
+                want = "radius_above_one"
+            assert cert.kind == want
+            seen.add(want)
+    assert seen == {"radius_one", "radius_above_one"}
+
+
+def test_compare_radius_trichotomy():
+    rng = random.Random(4242)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        labels = [f"v{i}" for i in range(n)]
+        edges = [(labels[i], labels[j]) for i in range(n) for j in range(n) if rng.random() < 0.3]
+        dg = digraph_from_edges(labels, edges)
+        succ = dg.succ
+        r = spectral_radius(dg, 12, check=False)
+        if r.hi == 0:
+            assert compare_radius(succ, 1) == -1
+            continue
+        # a 0/1 matrix with a cycle has radius at least 1
+        assert compare_radius(succ, 1) == (0 if r.is_exact and r.lo == 1 else 1)
+        if r.is_exact:
+            assert compare_radius(succ, r.lo) == 0
+        else:  # the radius lies in (lo, hi]
+            assert compare_radius(succ, r.lo) == 1
+            assert compare_radius(succ, r.hi) == (0 if r.poly(r.hi) == 0 else -1)
+    # the complete digraph with loops on k nodes has radius k
+    eps = F(1, 10**9)
+    for k in range(1, 7):
+        succ = [list(range(k))] * k
+        assert compare_radius(succ, k) == 0
+        assert compare_radius(succ, k - eps) == 1
+        assert compare_radius(succ, k + eps) == -1
+    # two components of radius 2, the first feeding the second: the whole
+    # matrix has no positive kernel vector at 2, each component has one
+    succ = [[0, 1], [0, 1, 2], [2, 3], [2, 3]]
+    assert compare_radius(succ, 2) == 0
+    assert _compare_radius(succ, range(4), F(2)) == 1
+    assert compare_radius(succ, 2 - eps) == 1 and compare_radius(succ, 2 + eps) == -1
+    with pytest.raises(ValueError, match="got 0"):
+        compare_radius(succ, 0)
+
+
+def test_certificates_compute_no_enclosure(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("radius enclosure computed for a certificate")
+
+    monkeypatch.setattr(markov, "largest_positive_root", forbidden)
+    monkeypatch.setattr(markov, "find_rome", forbidden)
+    for tag in ("alpha", "beta"):
+        ci = certify.certify(tag, 6, 8)
+        assert certify.verify_certificate(ci)
 
 
 def test_exact_check_accepts_random_digraphs():

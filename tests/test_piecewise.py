@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from pwldyn.certify import certify, phi_family, trapezoid_family
+from pwldyn.certify import certify, orbit_digraph, phi_family, trapezoid_family
+from pwldyn.markov import spectral_radius
 from pwldyn.piecewise import (
     Itinerary,
     ParamAffine,
@@ -16,7 +17,6 @@ from pwldyn.piecewise import (
     iterate_point,
     itinerary_of,
     markov_partition,
-    markov_radius_from_orbit,
     uncaptured_intervals,
     uncaptured_measures,
 )
@@ -96,22 +96,22 @@ def test_markov_radius_examples():
     fam = phi_family()
     m8 = fam.at(F(933761, 1048449))
     orbit = iterate_point(m8, 1, 7)
-    r = markov_radius_from_orbit(m8, orbit)
+    r = spectral_radius(orbit_digraph(m8, orbit))
     assert r.lo == r.hi == 1
 
     m6 = fam.at(F(7295, 8191))
     orbit6 = iterate_point(m6, 1, 5)
-    r6 = markov_radius_from_orbit(m6, orbit6)
+    r6 = spectral_radius(orbit_digraph(m6, orbit6))
     assert r6.lo ** 6 > 2  # strictly above the sixth root of two
 
     # 2-cycle at the d = 1 end: the only node is the falling branch cell,
     # whose 0/1 matrix is the 1x1 identity-like loop
     m2 = fam.at(F(1))
-    r2 = markov_radius_from_orbit(m2, [F(1), F(0)])
+    r2 = spectral_radius(orbit_digraph(m2, [F(1), F(0)]))
     assert r2.lo == r2.hi == 1
 
     with pytest.raises(ValueError):
-        markov_radius_from_orbit(m6, [F(1), F(1, 2)])
+        orbit_digraph(m6, [F(1), F(1, 2)])
 
 
 def test_plateau_measure_examples():
