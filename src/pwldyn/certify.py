@@ -33,7 +33,6 @@ from pwldyn.piecewise import (
     PiecewiseAffine1D,
     closing_window,
     iterate_point,
-    itinerary_of,
     markov_partition,
 )
 from pwldyn.planemap import Params, Segment, point, restrict_iterate_to_segment
@@ -364,7 +363,7 @@ def _endpoint_certificate(fam: TrapezoidFamily, d: Fraction, pattern: Itinerary)
     orbit = iterate_point(m, 1, period)
     if orbit[period] != orbit[0] or len(set(orbit[:period])) != period:
         return None
-    if itinerary_of(m, 1, period - 1) != pattern:
+    if Itinerary(tuple(m.symbol(m.piece_index_at(x)) for x in orbit[:period])) != pattern:
         return None
     side = compare_radius(orbit_digraph(m, orbit[:period]).succ, 1)
     kind = ("radius_below_one", "radius_one", "radius_above_one")[side + 1]

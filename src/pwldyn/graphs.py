@@ -17,14 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from pwldyn.planemap import (
-    LineCover,
-    Params,
-    Point,
-    Segment,
-    apply_F,
-    iterate_segment_pieces,
-)
+from pwldyn.planemap import LineCover, Params, Point, Segment, apply_F, image_gaps
 
 F = Fraction
 
@@ -265,8 +258,10 @@ _ORBIT_RELATIONS = {
 
 
 def _eval_coords(coords, b: Fraction) -> Point:
+    """The point c0 + c1*b; with b = n/d each coordinate is (c0*d + c1*n)/d."""
+    n, d = b.numerator, b.denominator
     (c0x, c1x), (c0y, c1y) = coords
-    return Point(F(c0x) + F(c1x) * b, F(c0y) + F(c1y) * b)
+    return Point(F(c0x * d + c1x * n, d), F(c0y * d + c1y * n, d))
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +285,7 @@ class PlanarGraph:
     marks: dict[str, tuple[Point, str]] = field(default_factory=dict)
     boundary: bool = False
     _segments: tuple[Segment, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _cover: LineCover | None = field(default=None, init=False, repr=False, compare=False)
 
     def edge_segment(self, name: str) -> Segment:
         for e in self.edges:
@@ -317,7 +313,9 @@ class PlanarGraph:
         raise KeyError(f"no point named {name!r}")
 
     def contains_point(self, pt: Point) -> bool:
-        return any(seg.contains_point(pt) for seg in self.all_segments())
+        if self._cover is None:
+            self._cover = LineCover(self.all_segments())
+        return self._cover.contains_point(pt)
 
     def to_json(self) -> dict:
         return {
@@ -409,22 +407,13 @@ def verify_invariance(graph: PlanarGraph, params: Params) -> InvarianceReport:
 
     Each edge is split at the axes, every affine piece is pushed through F,
     and the image is subtracted from the union of collinear graph edges;
-    whatever remains is reported, not raised.
+    whatever remains, and every point off the graph that a piece collapses
+    to, is reported, not raised (`planemap.image_gaps`).
     """
     if params.a != -1:
         raise ValueError("invariance tables assume a = -1")
-    segments = graph.all_segments()
-    cover = LineCover(segments)
-    uncovered: list[Segment] = []
-    bad_points: list[Point] = []
-    for seg in segments:
-        for piece in iterate_segment_pieces(params, seg, 1):
-            p0 = piece.at(piece.t0)
-            if not piece.is_collapsed:
-                uncovered.extend(cover.gaps(Segment(p0, piece.at(piece.t1))))
-            elif not graph.contains_point(p0):
-                bad_points.append(p0)
-    return InvarianceReport(not uncovered and not bad_points, tuple(uncovered), tuple(bad_points))
+    gaps, points = image_gaps(params, graph.all_segments())
+    return InvarianceReport(not gaps and not points, tuple(gaps), tuple(points))
 
 
 # ---------------------------------------------------------------------------

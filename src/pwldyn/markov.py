@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from pwldyn.planemap import LineCover, Params, Segment, iterate_segment_pieces
+from pwldyn.planemap import LineCover, Params, Segment, image_cover_relations
 from pwldyn.polys import (
     IntPoly,
     LaurentPoly,
@@ -574,26 +574,7 @@ def build_cover_digraph_pair(
         for lab, seg in partition:
             if not (graph.contains_point(seg.p) and graph.contains_point(seg.q)):
                 raise ValueError(f"partition interval {lab} is not on the graph")
-    # Partition intervals by carrying line, charted once.
-    targets: dict[tuple, list[tuple[int, Fraction, Fraction]]] = {}
-    for j, (_, seg) in enumerate(partition):
-        targets.setdefault(seg.line_key(), []).append((j, *seg.chart_interval()))
-    n = len(partition)
-    lower: list[list[int]] = [[] for _ in range(n)]
-    upper: list[list[int]] = [[] for _ in range(n)]
-    for i, (_, seg) in enumerate(partition):
-        images = LineCover(
-            Segment(piece.at(piece.t0), piece.at(piece.t1))
-            for piece in iterate_segment_pieces(params, seg, 1)
-            if not piece.is_collapsed
-        )
-        for key in images.lines:
-            for j, lo, hi in targets.get(key, ()):
-                gaps = images.chart_gaps(key, lo, hi)
-                if not gaps:
-                    lower[i].append(j)
-                if gaps != [(lo, hi)]:
-                    upper[i].append(j)
+    lower, upper = image_cover_relations(params, [seg for _, seg in partition])
     names = tuple(labels)
     return tuple(CoverDigraph(names, tuple(tuple(sorted(row)) for row in rows)) for rows in (lower, upper))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from pwldyn.rationals import rational_str
@@ -143,6 +144,10 @@ class PiecewiseAffine1D:
         self._require_concrete()
         return self.pieces[self.piece_index_at(x)].apply(Fraction(x))
 
+    def symbol(self, i: int) -> str:
+        """Itinerary symbol of piece i: its name, else its index."""
+        return self.pieces[i].name or str(i)
+
 
 def _merge(pieces: list[Piece], bps: list[Fraction]) -> tuple[list[Piece], list[Fraction]]:
     """Merge adjacent pieces with identical affine data."""
@@ -191,12 +196,21 @@ def iterate_point(m: PiecewiseAffine1D, x0, k: int) -> list[Fraction]:
 
 
 def itinerary_of(m: PiecewiseAffine1D, x0, k: int) -> Itinerary:
-    """Symbols of x0..f^(k)(x0) by containing piece (k+1 symbols)."""
-    orbit = iterate_point(m, x0, k)
+    """Symbols of x0..f^(k)(x0) by containing piece (k+1 symbols).
+
+    Each symbol is read in the pass that maps its point; errors like
+    `iterate_point` if an iterate escapes.
+    """
+    m._require_concrete()
+    x = Fraction(x0)
     symbols = []
-    for x in orbit:
+    for step in range(k + 1):
+        if not m.lo <= x <= m.hi:
+            raise ValueError(f"iterate {x} escaped domain [{m.lo}, {m.hi}]")
         i = m.piece_index_at(x)
-        symbols.append(m.pieces[i].name or str(i))
+        symbols.append(m.symbol(i))
+        if step < k:
+            x = m.pieces[i].apply(x)
     return Itinerary(tuple(symbols))
 
 
@@ -376,15 +390,21 @@ def uncaptured_measures(m: PiecewiseAffine1D, depth: int) -> list[Fraction]:
 
     On the cells of `markov_partition(m)` this is the transfer recursion
     u_{n+1}[i] = sum(u_n[cover_i]) / |slope_i|, with u_0 the cell lengths
-    and 0 on constancy cells.
+    and 0 on constancy cells.  It runs on integer numerators over Q*S^n,
+    where Q clears the cell ends and S is the lcm of the |slopes|.
     """
     if not any(p.is_constant for p in m.pieces):
         raise ValueError("map has no constancy piece")
     cells = markov_partition(m)
-    u = [b - a for a, b, _, _ in cells]
-    out = [sum(u, Fraction(0))]
-    for _ in range(depth):
-        u = [Fraction(0) if cov is None else sum(u[cov.start:cov.stop], Fraction(0)) / abs(p.slope)
+    q = lcm(*(x.denominator for a, b, _, _ in cells for x in (a, b)))
+    s = lcm(*(abs(p.slope.numerator) for _, _, p, cov in cells if cov is not None))
+    # (cover, S/|slope|) per cell; None on a constancy cell
+    steps = [None if cov is None else (cov.start, cov.stop, s // abs(p.slope.numerator))
              for _, _, p, cov in cells]
-        out.append(sum(u, Fraction(0)))
+    w = [b.numerator * (q // b.denominator) - a.numerator * (q // a.denominator) for a, b, _, _ in cells]
+    out = [Fraction(sum(w), q)]
+    for _ in range(depth):
+        w = [0 if st is None else sum(w[st[0]:st[1]]) * st[2] for st in steps]
+        q *= s
+        out.append(Fraction(sum(w), q))
     return out

@@ -1,8 +1,22 @@
 """The planar map F(x,y) = (|x|-y+a, x-|y|+b) and exact segment dynamics.
 
-On each closed quadrant F is affine, so the image of a segment is computed
-exactly by splitting at the axes and applying the quadrant matrices.  That
-machinery yields invariance checks for planar graphs and the induced
+On each closed quadrant F is affine with an integer linear part, so the
+image of a segment is computed exactly by splitting at the axes and
+applying the quadrant matrices.  The segment engine (`SegmentLattice`,
+`iterate_segment_pieces`) does this on integers.  It picks one frame D,
+the lcm of the denominators of a, b and the input points, and holds each
+point p as the integer pair D*p.  That is the rescaling
+lam*F_{a,b}(p/lam) = F_{lam*a, lam*b}(p) at lam = D: F gets the integer
+offsets (a*D, b*D) and maps Z^2 into Z^2.  A segment is walked by an
+integer s along its primitive direction.
+
+Frame invariant: every point, offset, piece end and chart interval the
+engine holds is an integer in the current frame.  An axis crossing at a
+non-integer s multiplies D, and every integer held, by the smallest
+factor that makes it a lattice point; nothing is ever rounded.  Only this
+module knows D, and the engine builds `Fraction`s only for the values it
+returns.  It yields the invariance check of a union of segments, the
+covering relations between segments under F, and the induced
 one-dimensional map of F^k along a segment.
 """
 
@@ -11,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from math import gcd, lcm
+from typing import Iterable, NamedTuple, Sequence
 
 from pwldyn.piecewise import Piece, PiecewiseAffine1D, interval_gaps, interval_union, merged
 from pwldyn.rationals import rational_str
@@ -57,15 +72,6 @@ class Segment:
     def dy(self) -> Fraction:
         return self.q.y - self.p.y
 
-    def line_key(self) -> tuple[Fraction, Fraction, Fraction]:
-        """Canonical (A, B, C) with A*x + B*y = C describing the carrying line."""
-        a = self.dy
-        b = -self.dx
-        c = a * self.p.x + b * self.p.y
-        if a != 0:
-            return (Fraction(1), b / a, c / a)
-        return (Fraction(0), Fraction(1), c / b)
-
     def chart_axis(self) -> str:
         """Coordinate used as the 1D chart: the one with larger span (ties -> x)."""
         return "x" if abs(self.dx) >= abs(self.dy) else "y"
@@ -86,11 +92,12 @@ class Segment:
         return Point(self.p.x + s * self.dx, self.p.y + s * self.dy)
 
     def contains_point(self, pt: Point) -> bool:
-        cross = self.dx * (pt.y - self.p.y) - self.dy * (pt.x - self.p.x)
-        if cross != 0:
+        d = lcm(*(v.denominator for v in (*self.p, *self.q, *pt)))
+        (px, py), (qx, qy), (x, y) = (_on_frame(v, d) for v in (self.p, self.q, pt))
+        dx, dy = qx - px, qy - py
+        if dx * (y - py) != dy * (x - px):
             return False
-        t = self.dx * (pt.x - self.p.x) + self.dy * (pt.y - self.p.y)
-        return 0 <= t <= self.dx * self.dx + self.dy * self.dy
+        return 0 <= dx * (x - px) + dy * (y - py) <= dx * dx + dy * dy
 
     def chart_length(self) -> Fraction:
         lo, hi = self.chart_interval()
@@ -175,82 +182,122 @@ def iterate_F(params: Params, pt: Point, k: int) -> Point:
 
 
 # ---------------------------------------------------------------------------
-# Exact piecewise iteration of a segment
+# The segment engine on the lattice (1/D)Z^2
 # ---------------------------------------------------------------------------
+#
+# A piece is a tuple (i, s0, s1, x0, vx, y0, vy): on s in [s0, s1] of
+# segment i the current iterate is s -> (x0 + vx*s, y0 + vy*s), all in
+# frame units.  Integer s runs over the lattice points of segment i.
 
 
-@dataclass(frozen=True)
-class TrackedPiece:
-    """Image of the sub-segment t in [t0, t1]: (x0+vx*t, y0+vy*t)."""
-
-    t0: Fraction
-    t1: Fraction
-    x0: Fraction
-    vx: Fraction
-    y0: Fraction
-    vy: Fraction
-
-    def at(self, t: Fraction) -> Point:
-        return Point(self.x0 + self.vx * t, self.y0 + self.vy * t)
-
-    @property
-    def is_collapsed(self) -> bool:
-        return self.vx == 0 and self.vy == 0
+def _on_frame(pt: Point, d: int) -> tuple[int, int]:
+    """d*pt as an integer pair; d must be a multiple of both denominators."""
+    return (pt.x.numerator * (d // pt.x.denominator), pt.y.numerator * (d // pt.y.denominator))
 
 
-def _initial_piece(seg: Segment) -> TrackedPiece:
-    t0, t1 = seg.chart_interval()
-    if seg.chart_axis() == "x":
-        vx = Fraction(1)
-        vy = seg.dy / seg.dx
-        x0 = Fraction(0)
-        y0 = seg.p.y - vy * seg.p.x
-    else:
-        vy = Fraction(1)
-        vx = seg.dx / seg.dy
-        y0 = Fraction(0)
-        x0 = seg.p.x - vx * seg.p.y
-    return TrackedPiece(t0, t1, x0, vx, y0, vy)
+def _off_frame(x: int, y: int, d: int) -> Point:
+    """The point (x, y)/d."""
+    return Point(Fraction(x, d), Fraction(y, d))
 
 
-def _axis_crossings(piece: TrackedPiece) -> list[Fraction]:
-    cuts = []
-    for c0, v in ((piece.x0, piece.vx), (piece.y0, piece.vy)):
-        if v != 0:
-            t = -c0 / v
-            if piece.t0 < t < piece.t1:
-                cuts.append(t)
-    return sorted(set(cuts))
+def _walk(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int, int, int]:
+    """(x, y, ux, uy, n): the lattice segment between two distinct points as
+    n steps of its primitive direction u from (x, y), its end of lower chart
+    coordinate (the chart is x when |ux| >= |uy|, else y)."""
+    dx, dy = x2 - x1, y2 - y1
+    if (dx if abs(dx) >= abs(dy) else dy) < 0:
+        x1, y1, dx, dy = x2, y2, -dx, -dy
+    n = gcd(dx, dy)
+    return x1, y1, dx // n, dy // n, n
 
 
-def _step_piece(params: Params, piece: TrackedPiece) -> list[TrackedPiece]:
-    cuts = [piece.t0, *_axis_crossings(piece), piece.t1]
+def _line_chart(x1: int, y1: int, x2: int, y2: int) -> tuple[tuple[int, int, int], int, int]:
+    """(key, lo, hi) of the lattice segment between two distinct points.
+
+    The key (ux, uy, c) names the carrying line by the direction u of
+    `_walk` and c = uy*X - ux*Y on the line; [lo, hi] is the segment's
+    chart interval.
+    """
+    x, y, ux, uy, n = _walk(x1, y1, x2, y2)
+    t, ut = (x, ux) if abs(ux) >= abs(uy) else (y, uy)
+    return (ux, uy, uy * x - ux * y), t, t + n * ut
+
+
+def _piece_chart(piece: tuple[int, ...]) -> tuple[tuple[int, int, int], int, int]:
+    """(key, lo, hi) of the image of a piece that F has not collapsed."""
+    _, s0, s1, x0, vx, y0, vy = piece
+    return _line_chart(x0 + vx * s0, y0 + vy * s0, x0 + vx * s1, y0 + vy * s1)
+
+
+def _scaled(pieces: list[tuple[int, ...]], f: int) -> list[tuple[int, ...]]:
+    """The same pieces in a frame f times finer: s, x0 and y0 scale by f."""
+    return [(i, s0 * f, s1 * f, x0 * f, vx, y0 * f, vy) for i, s0, s1, x0, vx, y0, vy in pieces]
+
+
+def _crossing_factor(pieces: list[tuple[int, ...]]) -> int:
+    """Smallest frame factor that puts every axis crossing inside a piece at an integer s."""
+    f = 1
+    for _, s0, s1, x0, vx, y0, vy in pieces:
+        for c, v in ((x0, vx), (y0, vy)):  # crossing at s = -c/v
+            if v and c % v and ((s0 * v < -c < s1 * v) if v > 0 else (s0 * v > -c > s1 * v)):
+                f = lcm(f, abs(v) // gcd(c, v))
+    return f
+
+
+def _step(pieces: list[tuple[int, ...]], a: int, b: int) -> list[tuple[int, ...]]:
+    """Cut every piece at its axis crossings (integers) and apply F's quadrant branch."""
     out = []
-    for a, b in zip(cuts, cuts[1:]):
-        mid = (a + b) / 2
-        q = quadrant_of(piece.at(mid))
-        sx, sy = _QUADRANT_SIGNS[q]
-        # F on the quadrant: (sx*x - y + a, x - sy*y + b)
-        nx0 = sx * piece.x0 - piece.y0 + params.a
-        nvx = sx * piece.vx - piece.vy
-        ny0 = piece.x0 - sy * piece.y0 + params.b
-        nvy = piece.vx - sy * piece.vy
-        out.append(TrackedPiece(a, b, nx0, nvx, ny0, nvy))
+    for i, s0, s1, x0, vx, y0, vy in pieces:
+        cuts = {-c // v for c, v in ((x0, vx), (y0, vy)) if v and not c % v and s0 < -c // v < s1}
+        ends = [s0, *sorted(cuts), s1]
+        for lo, hi in zip(ends, ends[1:]):
+            # F on the quadrant of the piece's midpoint: (sx*x - y + a, x - sy*y + b)
+            sx = -1 if 2 * x0 + vx * (lo + hi) < 0 else 1
+            sy = -1 if 2 * y0 + vy * (lo + hi) < 0 else 1
+            out.append((i, lo, hi, sx * x0 - y0 + a, sx * vx - vy, x0 - sy * y0 + b, vx - sy * vy))
     return out
 
 
-def iterate_segment_pieces(params: Params, seg: Segment, k: int) -> list[TrackedPiece]:
-    """Exact piecewise-affine image of F^k restricted to `seg`.
+class SegmentLattice:
+    """Segments and the offsets of F on the lattice (1/D)Z^2, D = `frame`.
 
-    Each returned piece maps a chart sub-interval of `seg` affinely into the
-    plane; collapsed pieces (constant image) are kept.
+    `starts[i]` is the identity piece of segment i, walked as in `_walk`:
+    s runs over [0, n] and the chart coordinate grows with s.
     """
-    pieces = [_initial_piece(seg)]
+
+    def __init__(self, params: Params, segments: Sequence[Segment]):
+        pts = [pt for seg in segments for pt in (seg.p, seg.q)]
+        self.frame = d = lcm(params.a.denominator, params.b.denominator,
+                             *(v.denominator for pt in pts for v in pt))
+        self.a = params.a.numerator * (d // params.a.denominator)
+        self.b = params.b.numerator * (d // params.b.denominator)
+        self.starts = []
+        for i, seg in enumerate(segments):
+            x, y, ux, uy, n = _walk(*_on_frame(seg.p, d), *_on_frame(seg.q, d))
+            self.starts.append((i, 0, n, x, ux, y, uy))
+
+    def rescale(self, f: int) -> None:
+        self.frame *= f
+        self.a *= f
+        self.b *= f
+        self.starts = _scaled(self.starts, f)
+
+
+def iterate_segment_pieces(lat: SegmentLattice, k: int) -> list[tuple[int, ...]]:
+    """Pieces (i, s0, s1, x0, vx, y0, vy) of F^k on the segments of `lat`.
+
+    On s in [s0, s1] of segment i, F^k is s -> (x0 + vx*s, y0 + vy*s),
+    in lattice units; pieces come in segment order, then in s order, and
+    collapsed ones (vx = vy = 0) are kept.  `lat` is rescaled in place
+    whenever a crossing needs a finer frame.
+    """
+    pieces = lat.starts
     for _ in range(k):
-        nxt: list[TrackedPiece] = []
-        for piece in pieces:
-            nxt.extend(_step_piece(params, piece))
-        pieces = nxt
+        f = _crossing_factor(pieces)
+        if f > 1:
+            lat.rescale(f)
+            pieces = _scaled(pieces, f)
+        pieces = _step(pieces, lat.a, lat.b)
     return pieces
 
 
@@ -263,25 +310,76 @@ def restrict_iterate_to_segment(params: Params, seg: Segment, k: int) -> Piecewi
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    pieces = iterate_segment_pieces(params, seg, k)
-    A, B, C = seg.line_key()
-    axis = seg.chart_axis()
+    lat = SegmentLattice(params, [seg])
+    pieces = iterate_segment_pieces(lat, k)
+    _, _, n, px, ux, py, uy = lat.starts[0]
+    d = lat.frame
+    axis = "x" if abs(ux) >= abs(uy) else "y"
+    # chart t = (tp + ut*s)/d, and ut > 0
+    tp, ut = (px, ux) if axis == "x" else (py, uy)
     out_pieces = []
     breakpoints = []
-    for piece in pieces:
-        for t in (piece.t0, piece.t1):
-            pt = piece.at(t)
-            if A * pt.x + B * pt.y != C:
+    for _, s0, s1, x0, vx, y0, vy in pieces:
+        for s in (s0, s1):
+            if ux * (y0 + vy * s - py) != uy * (x0 + vx * s - px):
                 raise ValueError("image of iterated segment left the carrying line")
-        if axis == "x":
-            slope, offset = piece.vx, piece.x0
-        else:
-            slope, offset = piece.vy, piece.y0
-        out_pieces.append(Piece(slope, offset))
-        breakpoints.append(piece.t1)
+        c0, v = (x0, vx) if axis == "x" else (y0, vy)
+        out_pieces.append(Piece(Fraction(v, ut), Fraction(c0 * ut - v * tp, ut * d)))
+        breakpoints.append(Fraction(tp + ut * s1, d))
     breakpoints.pop()  # last right endpoint is the domain end
-    lo, hi = seg.chart_interval()
+    lo, hi = Fraction(tp, d), Fraction(tp + ut * n, d)
     return merged(PiecewiseAffine1D(lo, hi, breakpoints, out_pieces, chart=axis))
+
+
+def image_gaps(params: Params, segments: Sequence[Segment]) -> tuple[list[Segment], list[Point]]:
+    """What F adds to the union of `segments`: (sub-segments, points).
+
+    Each segment is split at the axes and every affine piece is pushed
+    through F.  The sub-segments are the maximal parts of the images outside
+    the union, piece by piece, each oriented by growing chart coordinate.
+    The points are those off the union to which F collapses a piece.
+    """
+    lat = SegmentLattice(params, segments)
+    pieces = iterate_segment_pieces(lat, 1)
+    cover = LineCover(frame=lat.frame)
+    for start in lat.starts:
+        cover._add(*_piece_chart(start))
+    gaps: list[Segment] = []
+    points: list[Point] = []
+    for piece in pieces:
+        _, _, _, x0, vx, y0, vy = piece
+        if vx or vy:
+            key, lo, hi = _piece_chart(piece)
+            gaps.extend(cover._segment(key, g0, g1) for g0, g1 in cover._gaps(key, lo, hi))
+        elif not cover._contains(x0, y0):
+            points.append(_off_frame(x0, y0, lat.frame))
+    return gaps, points
+
+
+def image_cover_relations(params: Params, segments: Sequence[Segment]) -> tuple[list[list[int]], list[list[int]]]:
+    """(lower, upper): lower[i] lists the j with segment j inside F(segment i);
+    upper[i] lists the j that F(segment i) meets in a part of positive length."""
+    lat = SegmentLattice(params, segments)
+    pieces = iterate_segment_pieces(lat, 1)
+    targets: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
+    for j, start in enumerate(lat.starts):
+        key, lo, hi = _piece_chart(start)
+        targets.setdefault(key, []).append((j, lo, hi))
+    images = [LineCover(frame=lat.frame) for _ in segments]
+    for piece in pieces:
+        if piece[4] or piece[6]:
+            images[piece[0]]._add(*_piece_chart(piece))
+    lower: list[list[int]] = [[] for _ in segments]
+    upper: list[list[int]] = [[] for _ in segments]
+    for i, image in enumerate(images):
+        for key in image.lines:
+            for j, lo, hi in targets.get(key, ()):
+                gaps = image._gaps(key, lo, hi)
+                if not gaps:
+                    lower[i].append(j)
+                if gaps != [(lo, hi)]:
+                    upper[i].append(j)
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------
@@ -292,49 +390,80 @@ def restrict_iterate_to_segment(params: Params, seg: Segment, k: int) -> Piecewi
 class LineCover:
     """Union of segments, kept per carrying line as sorted disjoint chart intervals.
 
-    All segments of one line share its chart (`Segment.chart_axis` depends
-    only on the slope), whatever their orientation.  Segments that touch
-    merge; contact at a single point is no overlap.
+    Points live on the lattice (1/D)Z^2, D = `frame`, which is multiplied
+    up when a segment or point with a new denominator arrives.  Lines are
+    keyed as in `_line_chart`: all segments of one line share its chart,
+    whatever their orientation.  Segments that touch merge; contact at a
+    single point is no overlap.
     """
 
-    def __init__(self, segments: Iterable[Segment] = ()):
-        # line key -> (first segment added, which charts the line; union)
-        self.lines: dict[tuple, tuple[Segment, list[tuple[Fraction, Fraction]]]] = {}
+    def __init__(self, segments: Iterable[Segment] = (), frame: int = 1):
+        self.frame = frame
+        # line key -> sorted disjoint chart intervals, lines in order of first addition
+        self.lines: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
         for seg in segments:
             self.add(seg)
 
+    def _fit(self, *values: Fraction) -> None:
+        """Multiply the frame up until it clears the denominators of `values`."""
+        f = lcm(self.frame, *(v.denominator for v in values)) // self.frame
+        if f > 1:
+            self.frame *= f
+            self.lines = {
+                (ux, uy, c * f): [(lo * f, hi * f) for lo, hi in union]
+                for (ux, uy, c), union in self.lines.items()
+            }
+
+    def _chart(self, seg: Segment) -> tuple[tuple[int, int, int], int, int]:
+        self._fit(*seg.p, *seg.q)
+        return _line_chart(*_on_frame(seg.p, self.frame), *_on_frame(seg.q, self.frame))
+
+    def _add(self, key: tuple[int, int, int], lo: int, hi: int) -> None:
+        self.lines[key] = interval_union([*self.lines.get(key, ()), (lo, hi)])
+
+    def _gaps(self, key: tuple[int, int, int], lo: int, hi: int) -> list[tuple[int, int]]:
+        return interval_gaps(lo, hi, self.lines.get(key, ()))
+
+    def _contains(self, x: int, y: int) -> bool:
+        for (ux, uy, c), union in self.lines.items():
+            if uy * x - ux * y == c:
+                t = x if abs(ux) >= abs(uy) else y
+                if any(lo <= t <= hi for lo, hi in union):
+                    return True
+        return False
+
+    def _segment(self, key: tuple[int, int, int], lo: int, hi: int) -> Segment:
+        ux, uy, c = key
+        if abs(ux) >= abs(uy):
+            ends = ((lo, (uy * lo - c) // ux), (hi, (uy * hi - c) // ux))
+        else:
+            ends = (((c + ux * lo) // uy, lo), ((c + ux * hi) // uy, hi))
+        return Segment(*(_off_frame(x, y, self.frame) for x, y in ends))
+
     def add(self, seg: Segment) -> bool:
         """Add `seg`; whether it overlapped the cover before."""
-        key = seg.line_key()
-        lo, hi = seg.chart_interval()
-        anchor, union = self.lines.get(key, (seg, []))
-        self.lines[key] = (anchor, interval_union([*union, (lo, hi)]))
-        return interval_gaps(lo, hi, union) != [(lo, hi)]
-
-    def chart_gaps(self, key, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-        """Parts of the chart interval [lo, hi] of line `key` outside the cover."""
-        entry = self.lines.get(key)
-        return interval_gaps(lo, hi, entry[1] if entry else ())
+        key, lo, hi = self._chart(seg)
+        overlapped = self._gaps(key, lo, hi) != [(lo, hi)]
+        self._add(key, lo, hi)
+        return overlapped
 
     def gaps(self, seg: Segment) -> list[Segment]:
         """Maximal sub-segments of `seg` outside the cover."""
-        return [
-            Segment(seg.point_at_chart(lo), seg.point_at_chart(hi))
-            for lo, hi in self.chart_gaps(seg.line_key(), *seg.chart_interval())
-        ]
+        key, lo, hi = self._chart(seg)
+        return [self._segment(key, g0, g1) for g0, g1 in self._gaps(key, lo, hi)]
 
     def overlaps(self, seg: Segment) -> bool:
         """Whether `seg` shares a sub-segment of positive length with the cover."""
-        lo, hi = seg.chart_interval()
-        return self.chart_gaps(seg.line_key(), lo, hi) != [(lo, hi)]
+        key, lo, hi = self._chart(seg)
+        return self._gaps(key, lo, hi) != [(lo, hi)]
+
+    def contains_point(self, pt: Point) -> bool:
+        self._fit(*pt)
+        return self._contains(*_on_frame(pt, self.frame))
 
     def segments(self) -> list[Segment]:
         """Maximal segments of the union, line by line in order of first addition."""
-        return [
-            Segment(anchor.point_at_chart(lo), anchor.point_at_chart(hi))
-            for anchor, union in self.lines.values()
-            for lo, hi in union
-        ]
+        return [self._segment(key, lo, hi) for key, union in self.lines.items() for lo, hi in union]
 
 
 # ---------------------------------------------------------------------------
@@ -370,19 +499,17 @@ def detect_plateaus(graph_or_segments) -> list[Segment]:
 
 def _clip_to_quadrant(seg: Segment, q: int) -> Segment | None:
     sx, sy = _QUADRANT_SIGNS[q]
-    piece = _initial_piece(seg)
-    t0, t1 = piece.t0, piece.t1
-    # Require sx*x(t) >= 0 and sy*y(t) >= 0; both are affine in t.
-    for c0, v in ((sx * piece.x0, sx * piece.vx), (sy * piece.y0, sy * piece.vy)):
+    # Points p + lam*(q - p), lam in [0, 1]: require sx*x >= 0 and sy*y >= 0,
+    # both affine in lam.
+    lam0, lam1 = Fraction(0), Fraction(1)
+    for c0, v in ((sx * seg.p.x, sx * seg.dx), (sy * seg.p.y, sy * seg.dy)):
         if v == 0:
             if c0 < 0:
                 return None
+        elif v > 0:
+            lam0 = max(lam0, -c0 / v)
         else:
-            t_at = -c0 / v
-            if v > 0:
-                t0 = max(t0, t_at)
-            else:
-                t1 = min(t1, t_at)
-    if t0 >= t1:
+            lam1 = min(lam1, -c0 / v)
+    if lam0 >= lam1:
         return None
-    return Segment(piece.at(t0), piece.at(t1))
+    return Segment(*(Point(seg.p.x + lam * seg.dx, seg.p.y + lam * seg.dy) for lam in (lam0, lam1)))

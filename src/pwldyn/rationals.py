@@ -28,11 +28,30 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"invalid rational {text!r}") from None
 
 
+_STR_BITS = 2000  # at most 603 digits: below every limit CPython accepts (640 or more)
+
+
+def _int_str(n: int) -> str:
+    """Decimal digits of n at any length.
+
+    CPython's int -> str refuses past a process-wide digit limit (4300 by
+    default, at least 640); larger integers are split at a power of ten
+    into halves that are rendered on their own.
+    """
+    if n < 0:
+        return "-" + _int_str(-n)
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digit count (log10(2) > 3/10)
+    hi, lo = divmod(n, 10**k)
+    return _int_str(hi) + _int_str(lo).zfill(k)
+
+
 def rational_str(q: Fraction) -> str:
     """Serialize as "num/den" (or plain integer when the denominator is 1)."""
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_str(q.numerator)
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
 def decimal_digits(q: Fraction, ndigits: int) -> str:
@@ -49,13 +68,13 @@ def decimal_digits(q: Fraction, ndigits: int) -> str:
     int_part = n // d
     rem = n % d
     if ndigits == 0:
-        return f"{sign}{int_part}"
+        return f"{sign}{_int_str(int_part)}"
     digits = []
     for _ in range(ndigits):
         rem *= 10
         digits.append(str(rem // d))
         rem %= d
-    return f"{sign}{int_part}." + "".join(digits)
+    return f"{sign}{_int_str(int_part)}." + "".join(digits)
 
 
 def format_decimal(q: Fraction, places: int) -> str:
@@ -67,8 +86,8 @@ def format_decimal(q: Fraction, places: int) -> str:
     sign = "-" if q < 0 and n != 0 else ""
     whole, frac = divmod(n, 10**places)
     if places == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{str(frac).zfill(places)}"
+        return f"{sign}{_int_str(whole)}"
+    return f"{sign}{_int_str(whole)}.{_int_str(frac).zfill(places)}"
 
 
 def first_digit_place(q: Fraction) -> int:
@@ -76,7 +95,7 @@ def first_digit_place(q: Fraction) -> int:
     q = abs(q)
     if q == 0:
         raise ValueError("zero has no significant digit")
-    k = len(str(q.denominator)) - len(str(q.numerator))
+    k = (q.denominator.bit_length() - q.numerator.bit_length()) * 30103 // 100000  # log10(2): a guess within two places
     while q * Fraction(10) ** k < 1:
         k += 1
     while q * Fraction(10) ** (k - 1) >= 1:

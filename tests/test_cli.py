@@ -118,3 +118,22 @@ def test_entropy_digits_on_a_rounding_boundary(capsys):
     assert out.splitlines()[1].endswith(
         "= 0.150507039588169513887448472673565893859728027605332147493951223"
     )
+
+
+def test_entropy_past_the_int_str_limit(capsys):
+    # 4400 digits: past CPython's default 4300-digit int -> str limit.
+    mpmath = pytest.importorskip("mpmath")
+    places = 4400
+    code, out = run(capsys, "entropy", "--b", "5", "--digits", str(places))
+    assert code == 0
+    with mpmath.workdps(places + 30):
+        root = mpmath.findroot(lambda x: x**7 - x**4 - 2, mpmath.mpf("1.2318"))
+        n = int(mpmath.floor(mpmath.log(root) * mpmath.mpf(10) ** places + mpmath.mpf(1) / 2))
+    chunks = []  # the digits of n in 1000-digit chunks, each inside the limit
+    for _ in range(places // 1000 + 1):
+        n, chunk = divmod(n, 10**1000)
+        chunks.append(f"{chunk:01000d}")
+    digits = "".join(reversed(chunks)).lstrip("0").rjust(places + 1, "0")
+    assert n == 0
+    want = f"{digits[:-places]}.{digits[-places:]}"
+    assert out.splitlines()[1] == f"entropy = ln(root(x^7 - x^4 - 2)) = {want}"

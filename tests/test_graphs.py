@@ -3,8 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from pwldyn.graphs import (
     REGIMES,
+    InvarianceReport,
     build_gamma,
     orbit_marks,
     regime_interval_contains,
@@ -79,6 +81,32 @@ def test_invariance_detects_corruption():
     report = verify_invariance(g, Params.standard(-3))
     assert not report.ok
     assert report.uncovered_segments or report.uncovered_points
+
+
+def test_invariance_matches_fraction_oracle():
+    # Seeded corruptions (one vertex moved) of all four graphs, and the graphs themselves.
+    rng = random.Random(1118)
+    failed = off_points = 0
+    for regime in REGIMES:
+        for trial in range(15):
+            b = random_b(regime, rng)
+            g = build_gamma(regime, b)
+            if trial:
+                name = rng.choice(sorted(g.vertices))
+                v = g.vertices[name]
+                dx, dy = (F(rng.randint(-4, 4), rng.choice((1, 2, 3, 1000, 10**6 + 3))) for _ in "xy")
+                g.vertices[name] = point(v.x + dx, v.y + dy)
+            params = Params.standard(b)
+            report = verify_invariance(g, params)
+            gaps, points = oracles.image_gaps(params, g.all_segments())
+            assert report == InvarianceReport(not gaps and not points, tuple(gaps), tuple(points))
+            failed += not report.ok
+            off_points += bool(points)
+            for _ in range(20):
+                seg = rng.choice(g.all_segments())
+                pt = seg.point_at_chart(rng.choice(seg.chart_interval()) + F(rng.randint(-2, 2), 7))
+                assert g.contains_point(pt) == any(oracles.contains_point(s, pt) for s in g.all_segments())
+    assert failed >= 40 and off_points >= 5, (failed, off_points)
 
 
 def test_invariance_requires_standard_slice():

@@ -4,8 +4,10 @@ from types import SimpleNamespace
 
 import pytest
 
+import oracles
 from pwldyn import band48, certify, markov
 from pwldyn.cli import main
+from pwldyn.graphs import build_gamma, verify_invariance
 from pwldyn.band48 import cover_digraphs
 from pwldyn.markov import (
     CoverDigraph,
@@ -69,6 +71,39 @@ def test_cover_digraphs_successor_lists():
             for a, c in dg.edges():
                 dense[dg.index(a)][dg.index(c)] = 1
             assert dg.adjacency == tuple(map(tuple, dense))
+
+
+def test_cover_digraphs_match_fraction_oracle():
+    # class midpoints of levels 0-3, then seeded b across (4, 8) with large denominators
+    bs = []
+    for n in range(4):
+        for letter in "STUV":
+            lo, hi, _, _ = band48.LevelClass(n, letter).interval()
+            bs.append((lo + hi) / 2)
+    rng = random.Random(1018)
+    bs += [F(4) + 4 * F(rng.randrange(1, 10**6 + 3), 10**6 + 3) for _ in range(100)]
+    for b in bs:
+        lower, upper, _ = cover_digraphs(b)
+        part, _ = band48.band48_partition(b)
+        want = oracles.image_cover_relations(Params.standard(b), [seg for _, seg in part])
+        assert ([list(r) for r in lower.succ], [list(r) for r in upper.succ]) == want, b
+
+
+def test_segment_engine_does_no_fraction_arithmetic(monkeypatch):
+    graphs = [build_gamma(regime, b) for regime, b in
+              (("negb", -3), ("alpha", F(-163, 200)), ("beta", F(34497, 50000)), ("band48", 5))]
+    params = [Params.standard(g.b) for g in graphs]
+    part, _ = band48.band48_partition(5)
+
+    def forbidden(self, other):
+        raise AssertionError("Fraction arithmetic in the segment engine")
+
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        monkeypatch.setattr(F, op, forbidden)
+    for g, p in zip(graphs, params):
+        assert verify_invariance(g, p).ok
+    lower, upper = build_cover_digraph_pair(graphs[-1], part, params[-1])
+    assert lower.succ == upper.succ and lower.n == 10
 
 
 def test_digraph_from_edges_collapses_repeats():

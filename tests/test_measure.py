@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
+
 from pwldyn.certify import ALPHA_WINDOW, BETA_WINDOW
 from pwldyn.measure import (
     edge_capture_profile,
@@ -110,3 +112,17 @@ def test_capture_recursion_matches_interval_oracle():
         m, _ = return_map_for_edge(regime, b, edge)
         oracle = [sum((hi - lo for lo, hi in uncaptured_intervals(m, n)), F(0)) for n in range(13)]
         assert uncaptured_measures(m, 12) == oracle, (regime, edge, b)
+
+
+def test_uncaptured_measures_match_fraction_recursion():
+    from pwldyn.piecewise import uncaptured_measures
+
+    rng = random.Random(2026)
+    cases = [("negb", F(-3), e) for e in ("A", "B", "C", "D", "E", "G", "H")]
+    for _ in range(4):
+        cases.append(("negb", -2 - 9 * F(rng.randint(1, 10**6 + 2), 10**6 + 3), rng.choice("ABCDEGH")))
+        for regime, edge, (lo, hi) in (("alpha", "PI", ALPHA_WINDOW), ("beta", "SIGMA", BETA_WINDOW)):
+            cases.append((regime, lo + (hi - lo) * F(rng.randint(1, 999), 1000), edge))
+    for regime, b, edge in cases:
+        m, _ = return_map_for_edge(regime, b, edge)
+        assert uncaptured_measures(m, 200) == oracles.uncaptured_measures(m, 200), (regime, b, edge)

@@ -3,14 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from pwldyn.graphs import build_gamma
 from pwldyn.planemap import (
     LineCover,
     Params,
     Segment,
+    SegmentLattice,
     apply_F,
     detect_plateaus,
     iterate_F,
+    iterate_segment_pieces,
     point,
     quadrant_affine,
     quadrant_of,
@@ -180,23 +183,20 @@ def test_line_cover_collinear_segments_in_opposite_orientations():
 
 
 def test_detect_plateaus_band48_brute_force_oracle():
-    from pwldyn.planemap import iterate_segment_pieces
-
     b = F(5)
     g = build_gamma("band48", b)
     params = Params.standard(b)
     brute = []
     for seg in g.all_segments():
-        for piece in iterate_segment_pieces(params, seg, 1):
+        for piece in oracles.iterate_segment_pieces(params, seg, 1):
             if piece.is_collapsed and piece.t0 != piece.t1:
-                axis = seg.chart_axis()
                 brute.append(
                     Segment(seg.point_at_chart(piece.t0), seg.point_at_chart(piece.t1))
                 )
 
     def key(s: Segment):
         lo, hi = s.chart_interval()
-        return (s.line_key(), lo, hi)
+        return (oracles.line_key(s), lo, hi)
 
     assert sorted(map(key, detect_plateaus(g))) == sorted(map(key, brute))
 
@@ -232,3 +232,104 @@ def test_segment_helpers():
     assert not s.contains_point(point(2, 2))
     with pytest.raises(ValueError):
         Segment(point(1, 1), point(1, 1))
+
+
+# ---------------------------------------------------------------------------
+# The lattice engine against the Fraction piece tracker
+# ---------------------------------------------------------------------------
+
+DENS = (1, 1, 2, 3, 4, 6, 7, 12, 97, 1000, 999_983, 10**6 + 3)
+SEGMENT_KINDS = ("generic", "on_axis", "ends_on_axis", "origin", "plateau", "unit_lattice")
+
+
+def _coord(rng: random.Random) -> F:
+    den = rng.choice(DENS)
+    return F(rng.randint(-8 * den, 8 * den), den)
+
+
+def _random_segment(rng: random.Random, kind: str) -> Segment:
+    def c() -> F:
+        return _coord(rng)
+
+    while True:
+        if kind == "generic":
+            p, q = (c(), c()), (c(), c())
+        elif kind == "on_axis":
+            p, q = ((c(), 0), (c(), 0)) if rng.random() < 0.5 else ((0, c()), (0, c()))
+        elif kind == "ends_on_axis":
+            p, q = ((0, c()) if rng.random() < 0.5 else (c(), 0)), (c(), c())
+        elif kind == "origin":  # the origin inside the segment
+            q = (c(), c())
+            lam = -F(rng.randint(1, 40), rng.choice(DENS[:9]))
+            p = (lam * q[0], lam * q[1])
+        elif kind == "plateau":  # slope +-1: F collapses its parts in Q1 (slope 1) or Q3 (slope -1)
+            x0, y0, d = c(), c(), c()
+            p, q = (x0, y0), (x0 + d, y0 + rng.choice((1, -1)) * d)
+        else:  # integer ends of coprime span: crossings fall between lattice points
+            p = (rng.randint(-6, 6), rng.randint(-6, 6))
+            q = (p[0] + rng.randint(-9, 9), p[1] + rng.randint(-9, 9))
+        if p != q:
+            return segment(p, q)
+
+
+def _engine_pieces(params: Params, seg: Segment, k: int):
+    lat = SegmentLattice(params, [seg])
+    frame = lat.frame
+    pieces = iterate_segment_pieces(lat, k)
+    _, _, _, px, ux, py, uy = lat.starts[0]
+    tp, ut = (px, ux) if abs(ux) >= abs(uy) else (py, uy)
+    d = lat.frame
+    out = [
+        (F(tp + ut * s0, d), F(tp + ut * s1, d),
+         point(F(x0 + vx * s0, d), F(y0 + vy * s0, d)), point(F(x0 + vx * s1, d), F(y0 + vy * s1, d)))
+        for _, s0, s1, x0, vx, y0, vy in pieces
+    ]
+    return out, lat.frame > frame
+
+
+def _restricted(fn, params: Params, seg: Segment, k: int):
+    try:
+        m = fn(params, seg, k)
+    except ValueError as exc:
+        return str(exc)
+    return (m.lo, m.hi, m.breakpoints, [(p.slope, p.offset) for p in m.pieces], m.chart)
+
+
+def test_engine_matches_fraction_tracker():
+    rng = random.Random(20261018)
+    seen = {"rescaled": 0, "collapsed": 0, "errors": 0, "maps": 0}
+    for case in range(150):
+        a = rng.choice((F(-1), F(-2), F(-3, 2)))
+        params = Params(a, _coord(rng))
+        seg = _random_segment(rng, SEGMENT_KINDS[case % len(SEGMENT_KINDS)])
+        for k in range(8):
+            tracked = oracles.iterate_segment_pieces(params, seg, k)
+            got, rescaled = _engine_pieces(params, seg, k)
+            assert got == [(p.t0, p.t1, p.at(p.t0), p.at(p.t1)) for p in tracked], (params, seg, k)
+            want = _restricted(oracles.restrict_iterate_to_segment, params, seg, k)
+            assert _restricted(restrict_iterate_to_segment, params, seg, k) == want, (params, seg, k)
+            seen["rescaled"] += rescaled
+            seen["collapsed"] += any(p.is_collapsed for p in tracked)
+            seen["errors" if isinstance(want, str) else "maps"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_engine_matches_tracker_on_return_maps():
+    # Capture and certificate return maps: the images stay on the line.
+    from pwldyn.certify import ALPHA_WINDOW, BETA_WINDOW, pi_segment, sigma_segment
+
+    rng = random.Random(77)
+    cases = []
+    for _ in range(8):
+        b = -2 - 9 * F(rng.randint(1, 10**6 + 2), 10**6 + 3)
+        edge = build_gamma("negb", b).edge_segment(rng.choice("ABCDEH"))
+        cases.append((b, edge, 7))
+        for (lo, hi), seg_at, k in ((ALPHA_WINDOW, pi_segment, 6), (BETA_WINDOW, sigma_segment, 7)):
+            b = lo + (hi - lo) * F(rng.randint(1, 10**6 + 2), 10**6 + 3)
+            cases.append((b, seg_at(b), k))
+    for b, seg, k in cases:
+        params = Params.standard(b)
+        for j in range(k + 1):
+            want = _restricted(oracles.restrict_iterate_to_segment, params, seg, j)
+            assert _restricted(restrict_iterate_to_segment, params, seg, j) == want, (b, seg, j)
+        assert not isinstance(want, str)
