@@ -11,11 +11,13 @@ point 1 decide the certificate:
   covering digraph of spectral radius exactly 1, bounding from the zero
   side.
 
-Patterns come from the doubling operator on itineraries; the admissible
-parameter window of a pattern is an exact rational interval, and the d <->
-b changes of variables are exact Moebius maps.  The radius is classified
-by one exact comparison with 1 (`markov.compare_radius`).  Every
-certificate is re-derived from scratch: periodicity, itinerary, radius.
+Patterns come from the doubling operator on itineraries.  The trapezoid
+family is the only map family with a parameter, and it owns it:
+`TrapezoidFamily.at(d)` is the concrete map, `window(pattern)` the exact
+rational d-window of a pattern, and the d <-> b changes of variables are
+exact Moebius maps.  The radius is classified by one exact comparison with
+1 (`markov.compare_radius`).  Every certificate is re-derived from scratch:
+periodicity, itinerary, radius.
 """
 
 from __future__ import annotations
@@ -26,15 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from pwldyn.markov import CoverDigraph, compare_radius
-from pwldyn.piecewise import (
-    Itinerary,
-    ParamAffine,
-    Piece,
-    PiecewiseAffine1D,
-    closing_window,
-    iterate_point,
-    markov_partition,
-)
+from pwldyn.piecewise import Itinerary, Piece, PiecewiseAffine1D, iterate_point, markov_partition
 from pwldyn.planemap import Params, Segment, point, restrict_iterate_to_segment
 from pwldyn.rationals import (
     common_decimal_prefix,
@@ -89,43 +83,12 @@ def lower_pattern(period: int) -> Itinerary:
 # ---------------------------------------------------------------------------
 
 
-def _trapezoid_family(falling_slope: int, plateau_right: Fraction) -> PiecewiseAffine1D:
-    return PiecewiseAffine1D(
-        F(0),
-        F(1),
-        [ParamAffine(F(1, 16), F(-1, 16)), plateau_right],
-        [
-            Piece(F(16), ParamAffine(F(0), F(1)), "L"),
-            Piece(F(0), F(1), "C"),
-            Piece(F(falling_slope), F(-falling_slope), "R"),
-        ],
-    )
-
-
-def phi_family() -> PiecewiseAffine1D:
-    """16x+d | 1 | -8x+8 on [0,1]; plateau ends at 7/8."""
-    return _trapezoid_family(-8, F(7, 8))
-
-
-def psi_family() -> PiecewiseAffine1D:
-    """16x+d | 1 | -16x+16 on [0,1]; plateau ends at 15/16."""
-    return _trapezoid_family(-16, F(15, 16))
-
-
 def alpha_d_to_b(d) -> Fraction:
     d = Fraction(d)
     den = 9 * d + 128
     if den == 0:
         raise ValueError("denominator vanishes")
     return F(-8) * (d + 13) / den
-
-
-def alpha_b_to_d(b) -> Fraction:
-    b = Fraction(b)
-    den = 9 * b + 8
-    if den == 0:
-        raise ValueError("denominator vanishes")
-    return F(-8) * (16 * b + 13) / den
 
 
 def beta_d_to_b(d) -> Fraction:
@@ -142,32 +105,86 @@ def beta_d_to_b(d) -> Fraction:
     return (40 * d + 563) / den
 
 
-def beta_b_to_d(b) -> Fraction:
-    b = Fraction(b)
-    den = 2 * (29 * b - 20)
-    if den == 0:
-        raise ValueError("denominator vanishes")
-    return (563 - 816 * b) / den
-
-
 @dataclass(frozen=True)
 class TrapezoidFamily:
+    """The maps 16x+d | 1 | s*x-s on [0, 1], one for each d in [0, 1].
+
+    The rising branch L meets the plateau C at (1-d)/16; C ends at
+    `plateau_right`, where the falling branch R (slope s = `falling_slope`)
+    starts and falls to 0 at x = 1.
+    """
+
     tag: str                      # "alpha" or "beta"
-    family: PiecewiseAffine1D     # parameter-affine trapezoid on [0, 1]
+    falling_slope: int
+    plateau_right: Fraction
     return_power: int             # F-iterates per trapezoid step (6 or 7)
 
-    def concrete(self, d: Fraction) -> PiecewiseAffine1D:
-        return self.family.at(d)
+    def at(self, d) -> PiecewiseAffine1D:
+        """The concrete map at parameter d."""
+        d = Fraction(d)
+        s = F(self.falling_slope)
+        return PiecewiseAffine1D(
+            F(0), F(1), [(1 - d) / 16, self.plateau_right],
+            [Piece(F(16), d, "L"), Piece(F(0), F(1), "C"), Piece(s, -s, "R")],
+        )
+
+    def window(self, pattern: Itinerary) -> tuple[Fraction, Fraction] | None:
+        """The d-window [lo, hi] within [0, 1] on which the orbit of 1 follows
+        `pattern`, or None when it is empty.
+
+        Each iterate is affine in d and is held as the pair (c0, c1) of
+        c0 + c1*d.  Requiring it to lie in the closed span of its piece gives
+        two linear inequalities in d.  The pattern must end at the plateau C,
+        whose value 1 closes the orbit.
+        """
+        if pattern.symbols[-1] != "C":
+            raise ValueError("pattern must end at the constancy piece")
+        s, u2 = self.falling_slope, self.plateau_right
+        u1 = (F(1, 16), F(-1, 16))  # (1-d)/16
+        spans = {"L": ((F(0), F(0)), u1), "C": (u1, (u2, F(0))), "R": ((u2, F(0)), (F(1), F(0)))}
+        lo_d, hi_d = F(0), F(1)
+        c0, c1 = F(1), F(0)
+        for sym in pattern.symbols:
+            if sym not in spans:
+                raise ValueError(f"symbol {sym!r} is not a piece name")
+            (a0, a1), (b0, b1) = spans[sym]
+            # a <= x and x <= b, each as k*d <= c
+            for k, c in ((a1 - c1, c0 - a0), (c1 - b1, b0 - c0)):
+                if k > 0:
+                    hi_d = min(hi_d, c / k)
+                elif k < 0:
+                    lo_d = max(lo_d, c / k)
+                elif c < 0:
+                    return None
+                if lo_d > hi_d:
+                    return None
+            if sym == "L":
+                c0, c1 = 16 * c0, 16 * c1 + 1
+            elif sym == "C":
+                c0, c1 = F(1), F(0)
+            else:
+                c0, c1 = s * (c0 - 1), s * c1
+        return lo_d, hi_d
 
     def d_to_b(self, d: Fraction) -> Fraction:
         return alpha_d_to_b(d) if self.tag == "alpha" else beta_d_to_b(d)
 
 
+def phi_family() -> TrapezoidFamily:
+    """16x+d | 1 | -8x+8 on [0,1]; plateau ends at 7/8."""
+    return TrapezoidFamily("alpha", -8, F(7, 8), 6)
+
+
+def psi_family() -> TrapezoidFamily:
+    """16x+d | 1 | -16x+16 on [0,1]; plateau ends at 15/16."""
+    return TrapezoidFamily("beta", -16, F(15, 16), 7)
+
+
 def trapezoid_family(tag: str) -> TrapezoidFamily:
     if tag == "alpha":
-        return TrapezoidFamily("alpha", phi_family(), 6)
+        return phi_family()
     if tag == "beta":
-        return TrapezoidFamily("beta", psi_family(), 7)
+        return psi_family()
     raise ValueError(f"unknown transition tag {tag!r}")
 
 
@@ -249,31 +266,6 @@ def k1_from_return_map(b) -> PiecewiseAffine1D:
     b = Fraction(b)
     _require_window(b, BETA_WINDOW, "k1_from_return_map")
     return restrict_iterate_to_segment(Params.standard(b), sigma_segment(b), 7)
-
-
-def normalized_plateau_width(m: PiecewiseAffine1D, extended: bool = False) -> Fraction:
-    """Plateau length of the trapezoid after rescaling its domain to [0, 1].
-
-    With `extended`, the map is first extended to the invariant interval
-    between the rising branch's fixed point and that point's preimage under
-    the falling branch (the shape parameter of the normalized trapezoid).
-    """
-    m._require_concrete()
-    consts = [i for i, p in enumerate(m.pieces) if p.is_constant]
-    if len(consts) != 1:
-        raise ValueError("map must have exactly one constancy piece")
-    i = consts[0]
-    cuts = m.cut_points()
-    u1, u2 = cuts[i], cuts[i + 1]
-    if extended:
-        rise = m.pieces[0]
-        fall = m.pieces[-1]
-        x_fix = rise.offset / (1 - rise.slope)
-        x_pre = (x_fix - fall.offset) / fall.slope
-        lo, hi = x_fix, x_pre
-    else:
-        lo, hi = Fraction(m.lo), Fraction(m.hi)
-    return (u2 - u1) / (hi - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +350,7 @@ def _endpoint_certificate(fam: TrapezoidFamily, d: Fraction, pattern: Itinerary)
     """Certificate of the orbit of 1 at parameter d, or None when that orbit
     is not periodic with exactly `pattern` as its itinerary (a window end
     where the pattern degenerates)."""
-    m = fam.concrete(d)
+    m = fam.at(d)
     period = len(pattern)
     orbit = iterate_point(m, 1, period)
     if orbit[period] != orbit[0] or len(set(orbit[:period])) != period:
@@ -372,7 +364,7 @@ def _endpoint_certificate(fam: TrapezoidFamily, d: Fraction, pattern: Itinerary)
 
 def _window_certificates(fam: TrapezoidFamily, pattern: Itinerary, kind: str) -> list[OrbitCertificate]:
     """Certificates at the valid ends of the pattern's closing window, each of `kind`."""
-    window = closing_window(fam.family, pattern, 1)
+    window = fam.window(pattern)
     if window is None:
         raise ValueError(f"pattern {pattern} admits no parameter window")
     out = [c for c in (_endpoint_certificate(fam, d, pattern) for d in window) if c is not None]

@@ -44,6 +44,14 @@ def regime_interval_contains(regime: str, b: Fraction) -> str:
     raise ValueError(f"unknown regime {regime!r}")
 
 
+def _regime_where(regime: str, b: Fraction) -> str:
+    """`regime_interval_contains`, refusing a b outside the regime."""
+    where = regime_interval_contains(regime, b)
+    if where == "outside":
+        raise ValueError(f"b = {b} outside the {regime} regime")
+    return where
+
+
 # ---------------------------------------------------------------------------
 # Data tables: coordinates are pairs ((c0x, c1x), (c0y, c1y)) -> c0 + c1*b
 # ---------------------------------------------------------------------------
@@ -376,9 +384,7 @@ def build_gamma(regime: str, b) -> PlanarGraph:
     construction time.
     """
     b = Fraction(b)
-    where = regime_interval_contains(regime, b)
-    if where == "outside":
-        raise ValueError(f"b = {b} outside the {regime} regime")
+    where = _regime_where(regime, b)
     vertices = {n: _eval_coords(c, b) for n, c in _VERTICES[regime].items()}
     edges = [GraphEdge(*t) for t in _EDGES[regime]]
     graph = PlanarGraph(regime, b, vertices, edges, {}, boundary=(where == "boundary"))
@@ -424,19 +430,22 @@ def verify_invariance(graph: PlanarGraph, params: Params) -> InvarianceReport:
 def orbit_marks(regime: str, b) -> list[tuple[str, Point, str]]:
     """Documented one-step relations F(named point) = named point, verified exactly.
 
-    A failing relation raises: it means the coordinate tables disagree with
-    the map, i.e. a transcription bug.
+    The named points are the vertices and marks of the regime's tables at b;
+    the graph itself is not built.  A failing relation raises: it means the
+    coordinate tables disagree with the map, i.e. a transcription bug.
     """
-    graph = build_gamma(regime, b)
-    params = Params.standard(graph.b)
+    b = Fraction(b)
+    _regime_where(regime, b)
+    named = {n: _eval_coords(c, b) for n, c in _VERTICES[regime].items()}
+    named.update((n, _eval_coords(c, b)) for n, c, _ in _MARKS[regime])
+    params = Params.standard(b)
     out = []
     for src, dst in _ORBIT_RELATIONS[regime]:
-        p_src = graph.named_point(src)
-        p_dst = graph.named_point(dst)
+        p_src, p_dst = named[src], named[dst]
         image = apply_F(params, p_src)
         if image != p_dst:
             raise AssertionError(
-                f"orbit relation {src} -> {dst} fails at b = {graph.b}: "
+                f"orbit relation {src} -> {dst} fails at b = {b}: "
                 f"F({src}) = {image}, expected {p_dst}"
             )
         out.append((src, p_src, dst))

@@ -526,25 +526,6 @@ def _encloses_radius(succ: Sequence[Sequence[int]], lo: Fraction, hi: Fraction) 
     return lo == hi and compare_radius(succ, hi) == 0
 
 
-def simple_cycle_lengths(dg: CoverDigraph) -> list[int]:
-    """Lengths of all simple cycles (each cycle counted once)."""
-    lengths: list[int] = []
-    n = dg.n
-
-    def dfs(start: int, v: int, visited: set[int], depth: int):
-        for w in dg.succ[v]:
-            if w == start:
-                lengths.append(depth + 1)
-            elif w > start and w not in visited:
-                visited.add(w)
-                dfs(start, w, visited, depth + 1)
-                visited.remove(w)
-
-    for s in range(n):
-        dfs(s, s, {s}, 0)
-    return sorted(lengths)
-
-
 # ---------------------------------------------------------------------------
 # Covering digraph of a partition under F
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """One-dimensional piecewise-affine maps with rational breakpoints.
 
-Supports exact iteration, itineraries, parameter-affine families (offsets
-and breakpoints of the form c0 + c1*d), periodic-orbit closing windows in
-the parameter, and the orbit-closure Markov partition: the cut points and
-chosen seeds closed under the map.  Its cells carry both the covering
-digraph of a periodic orbit (built in `certify`) and the exact transfer
-recursion for the measure of points not yet captured by a constancy piece.
+Supports exact iteration, itineraries, and the orbit-closure Markov
+partition: the cut points and chosen seeds closed under the map.  Its cells
+carry both the covering digraph of a periodic orbit (built in `certify`)
+and the exact transfer recursion for the measure of points not yet captured
+by a constancy piece.  A map here is concrete; the one family with a
+parameter, the trapezoid maps, lives in `certify`.
 """
 
 from __future__ import annotations
@@ -20,45 +20,9 @@ from pwldyn.rationals import rational_str
 
 
 @dataclass(frozen=True)
-class ParamAffine:
-    """Value c0 + c1*d for a map-family parameter d."""
-
-    c0: Fraction
-    c1: Fraction
-
-    def at(self, d: Fraction) -> Fraction:
-        return self.c0 + self.c1 * d
-
-    def __add__(self, other):
-        o = _as_param(other)
-        return ParamAffine(self.c0 + o.c0, self.c1 + o.c1)
-
-    def __sub__(self, other):
-        o = _as_param(other)
-        return ParamAffine(self.c0 - o.c0, self.c1 - o.c1)
-
-    def scaled(self, k: Fraction) -> "ParamAffine":
-        return ParamAffine(self.c0 * k, self.c1 * k)
-
-
-def _as_param(v) -> ParamAffine:
-    if isinstance(v, ParamAffine):
-        return v
-    return ParamAffine(Fraction(v), Fraction(0))
-
-
-def _concrete(v, d: Fraction | None = None) -> Fraction:
-    if isinstance(v, ParamAffine):
-        if d is None:
-            raise ValueError("parameter-affine value needs a concrete d")
-        return v.at(d)
-    return Fraction(v)
-
-
-@dataclass(frozen=True)
 class Piece:
     slope: Fraction
-    offset: Fraction | ParamAffine
+    offset: Fraction
     name: str | None = None
 
     def apply(self, x: Fraction) -> Fraction:
@@ -87,61 +51,34 @@ class Itinerary:
 class PiecewiseAffine1D:
     """Map of [lo, hi] given by `pieces[i]` on [breakpoints[i-1], breakpoints[i]].
 
-    There is one more piece than breakpoints.  Offsets and breakpoints may be
-    `ParamAffine`, making the object a one-parameter family; `at(d)` then
-    produces the concrete map.
+    There is one more piece than breakpoints.
     """
 
     def __init__(self, lo, hi, breakpoints, pieces: Sequence[Piece], chart: str | None = None):
         if len(pieces) != len(breakpoints) + 1:
             raise ValueError("piece count must be breakpoint count + 1")
-        self.lo = lo
-        self.hi = hi
-        self.breakpoints = list(breakpoints)
+        self.lo = Fraction(lo)
+        self.hi = Fraction(hi)
+        self.breakpoints = [Fraction(b) for b in breakpoints]
         self.pieces = list(pieces)
         self.chart = chart
-
-    # -- family handling ---------------------------------------------------
-
-    @property
-    def is_family(self) -> bool:
-        vals = [self.lo, self.hi, *self.breakpoints] + [p.offset for p in self.pieces]
-        return any(isinstance(v, ParamAffine) for v in vals)
-
-    def at(self, d: Fraction) -> "PiecewiseAffine1D":
-        """Concrete map obtained by substituting the family parameter."""
-        return PiecewiseAffine1D(
-            _concrete(self.lo, d),
-            _concrete(self.hi, d),
-            [_concrete(b, d) for b in self.breakpoints],
-            [Piece(p.slope, _concrete(p.offset, d), p.name) for p in self.pieces],
-            chart=self.chart,
-        )
-
-    # -- concrete evaluation ------------------------------------------------
-
-    def _require_concrete(self):
-        if self.is_family:
-            raise ValueError("operation requires concrete offsets (call .at(d))")
+        self._cuts = (self.lo, *self.breakpoints, self.hi)
 
     def cut_points(self) -> list[Fraction]:
-        self._require_concrete()
-        return [self.lo, *self.breakpoints, self.hi]
+        return list(self._cuts)
 
     def piece_index_at(self, x: Fraction) -> int:
         """Index of the piece containing x.
 
         At a boundary a constancy piece wins; otherwise the left piece does.
         """
-        self._require_concrete()
-        if not self.lo <= x <= self.hi:
+        cuts = self._cuts
+        if not cuts[0] <= x <= cuts[-1]:
             raise ValueError(f"{x} outside domain [{self.lo}, {self.hi}]")
-        cuts = self.cut_points()
         hits = [i for i in range(len(self.pieces)) if cuts[i] <= x <= cuts[i + 1]]
         return next((i for i in hits if self.pieces[i].is_constant), hits[0])
 
     def __call__(self, x: Fraction) -> Fraction:
-        self._require_concrete()
         return self.pieces[self.piece_index_at(x)].apply(Fraction(x))
 
     def symbol(self, i: int) -> str:
@@ -169,7 +106,6 @@ def merged(m: PiecewiseAffine1D) -> PiecewiseAffine1D:
 
 def conjugate_affine(m: PiecewiseAffine1D, p: Fraction, q: Fraction) -> PiecewiseAffine1D:
     """Conjugate by h(x) = p*x + q: returns h o m o h^-1 on the image chart."""
-    m._require_concrete()
     if p == 0:
         raise ValueError("conjugating map must be invertible")
     cuts = [p * c + q for c in m.cut_points()]
@@ -182,7 +118,6 @@ def conjugate_affine(m: PiecewiseAffine1D, p: Fraction, q: Fraction) -> Piecewis
 
 def iterate_point(m: PiecewiseAffine1D, x0, k: int) -> list[Fraction]:
     """Exact orbit [x0, f(x0), ..., f^k(x0)]; errors if an iterate escapes."""
-    m._require_concrete()
     x = Fraction(x0)
     orbit = [x]
     for _ in range(k):
@@ -201,7 +136,6 @@ def itinerary_of(m: PiecewiseAffine1D, x0, k: int) -> Itinerary:
     Each symbol is read in the pass that maps its point; errors like
     `iterate_point` if an iterate escapes.
     """
-    m._require_concrete()
     x = Fraction(x0)
     symbols = []
     for step in range(k + 1):
@@ -212,68 +146,6 @@ def itinerary_of(m: PiecewiseAffine1D, x0, k: int) -> Itinerary:
         if step < k:
             x = m.pieces[i].apply(x)
     return Itinerary(tuple(symbols))
-
-
-# ---------------------------------------------------------------------------
-# Parameter windows for patterned periodic orbits
-# ---------------------------------------------------------------------------
-
-
-def closing_window(
-    family: PiecewiseAffine1D,
-    pattern: Itinerary,
-    x0,
-    d_range: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1)),
-) -> tuple[Fraction, Fraction] | None:
-    """Admissible parameter interval for a periodic orbit with the given pattern.
-
-    The orbit of x0 is driven through the pieces named by `pattern`
-    symbolically in d (each iterate stays affine in d); requiring every
-    iterate to lie in its piece's closed span yields linear inequalities in
-    d whose intersection is returned, or None when empty.  The pattern must
-    end at the constancy symbol, whose image closes the orbit at x0.
-    """
-    if not family.pieces[-1].name:
-        raise ValueError("family pieces must be named")
-    by_name = {p.name: i for i, p in enumerate(family.pieces)}
-    if pattern.symbols[-1] != _plateau_name(family):
-        raise ValueError("pattern must end at the constancy piece")
-    lo_d, hi_d = d_range
-
-    def bound(v) -> ParamAffine:
-        return _as_param(v)
-
-    cuts = [family.lo, *family.breakpoints, family.hi]
-    x = _as_param(Fraction(x0))
-    for sym in pattern.symbols:
-        if sym not in by_name:
-            raise ValueError(f"symbol {sym!r} is not a piece name")
-        i = by_name[sym]
-        lo_b, hi_b = bound(cuts[i]), bound(cuts[i + 1])
-        # lo_b <= x and x <= hi_b, all affine in d.
-        for a, b in ((lo_b, x), (x, hi_b)):
-            # a <= b  <=>  (a.c1-b.c1)*d <= b.c0-a.c0
-            k = a.c1 - b.c1
-            c = b.c0 - a.c0
-            if k == 0:
-                if c < 0:
-                    return None
-            elif k > 0:
-                hi_d = min(hi_d, c / k)
-            else:
-                lo_d = max(lo_d, c / k)
-            if lo_d > hi_d:
-                return None
-        piece = family.pieces[i]
-        x = _as_param(piece.offset) + ParamAffine(piece.slope * x.c0, piece.slope * x.c1)
-    return lo_d, hi_d
-
-
-def _plateau_name(family: PiecewiseAffine1D) -> str:
-    names = [p.name for p in family.pieces if p.is_constant]
-    if len(names) != 1:
-        raise ValueError("family must have exactly one constancy piece")
-    return names[0]
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +165,11 @@ def markov_partition(m: PiecewiseAffine1D, seeds: Sequence[Fraction] = ()) -> li
     piece.  Integer slopes make the closure finite: every denominator
     divides the lcm of those of the cut points, seeds and offsets.
     """
-    m._require_concrete()
     for p in m.pieces:
         if p.slope.denominator != 1:
             raise ValueError(f"slope {rational_str(p.slope)} is not an integer: no finite orbit closure")
-    lo, hi = Fraction(m.lo), Fraction(m.hi)
-    cuts = [Fraction(c) for c in m.cut_points()]
+    lo, hi = m.lo, m.hi
+    cuts = m.cut_points()
     ends = set(cuts) | {Fraction(x) for x in seeds}
     todo = [x for x in ends if lo <= x <= hi]
     while todo:
@@ -352,36 +223,6 @@ def interval_gaps(lo: Fraction, hi: Fraction, union) -> list[tuple[Fraction, Fra
     if lo < hi:
         gaps.append((lo, hi))
     return gaps
-
-
-def uncaptured_intervals(m: PiecewiseAffine1D, depth: int) -> list[tuple[Fraction, Fraction]]:
-    """Subset of the domain that avoids every constancy piece for `depth` steps.
-
-    U_0 is the whole domain; U_{n+1} = (non-constancy pieces) intersect
-    preimage of U_n.  All preimages are exact interval unions.  Kept as the
-    reference that tests compare `uncaptured_measures` against.
-    """
-    m._require_concrete()
-    current = [(Fraction(m.lo), Fraction(m.hi))]
-    cuts = m.cut_points()
-    for _ in range(depth):
-        nxt: list[tuple[Fraction, Fraction]] = []
-        for i, piece in enumerate(m.pieces):
-            if piece.is_constant:
-                continue
-            a, b = cuts[i], cuts[i + 1]
-            for lo, hi in current:
-                # preimage of [lo, hi] under x -> slope*x+offset, inside [a, b]
-                t0 = (lo - piece.offset) / piece.slope
-                t1 = (hi - piece.offset) / piece.slope
-                plo, phi = (t0, t1) if t0 <= t1 else (t1, t0)
-                ilo, ihi = max(a, plo), min(b, phi)
-                if ilo < ihi:
-                    nxt.append((ilo, ihi))
-        current = interval_union(nxt)
-        if not current:
-            break
-    return current
 
 
 def uncaptured_measures(m: PiecewiseAffine1D, depth: int) -> list[Fraction]:

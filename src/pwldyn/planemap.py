@@ -134,51 +134,9 @@ def quadrant_of(pt: Point) -> int:
     raise AssertionError("unreachable")
 
 
-@dataclass(frozen=True)
-class QuadrantAffine:
-    """Affine expression of F on one closed quadrant: linear part and offset."""
-
-    quadrant: int
-    matrix: tuple[tuple[int, int], tuple[int, int]]
-    offset: tuple[Fraction, Fraction]
-
-    def apply(self, pt: Point) -> Point:
-        (m11, m12), (m21, m22) = self.matrix
-        return Point(
-            m11 * pt.x + m12 * pt.y + self.offset[0],
-            m21 * pt.x + m22 * pt.y + self.offset[1],
-        )
-
-
-def quadrant_affine(params: Params, q: int) -> QuadrantAffine:
-    sx, sy = _QUADRANT_SIGNS[q]
-    return QuadrantAffine(q, ((sx, -1), (1, -sy)), (params.a, params.b))
-
-
 def apply_F(params: Params, pt: Point) -> Point:
     """F(x, y) = (|x| - y + a, x - |y| + b), evaluated exactly."""
     return Point(abs(pt.x) - pt.y + params.a, pt.x - abs(pt.y) + params.b)
-
-
-def scale_conjugate_check(params: Params, lam: Fraction, pt: Point) -> bool:
-    """Whether lam * F_{a,b}(pt/lam) equals F_{lam*a, lam*b}(pt) exactly.
-
-    The identity holds for every lam > 0 and reduces the family to the
-    one-parameter slice a = -1.
-    """
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("scaling factor must be positive")
-    inner = apply_F(params, Point(pt.x / lam, pt.y / lam))
-    lhs = Point(lam * inner.x, lam * inner.y)
-    rhs = apply_F(Params(lam * params.a, lam * params.b), pt)
-    return lhs == rhs
-
-
-def iterate_F(params: Params, pt: Point, k: int) -> Point:
-    for _ in range(k):
-        pt = apply_F(params, pt)
-    return pt
 
 
 # ---------------------------------------------------------------------------

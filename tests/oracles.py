@@ -1,11 +1,16 @@
-"""Fraction oracles for the integer engines of `planemap` and `piecewise`.
+"""Reference implementations that only the tests use.
 
-These are the earlier `fractions.Fraction` implementations: the piece
-tracker that pushed a segment through F in the chart coordinate, the line
-cover keyed by rational line equations, the invariance check and covering
-relations built on them, and the Fraction transfer recursion of
-`uncaptured_measures`.  The tests compare the engines with them; no
-library code imports this module.
+Most are the earlier `fractions.Fraction` implementations of the integer
+engines of `planemap` and `piecewise`: the piece tracker that pushed a
+segment through F in the chart coordinate, the line cover keyed by
+rational line equations, the invariance check and covering relations built
+on them, the Fraction transfer recursion of `uncaptured_measures` and the
+interval preimages it replaced.  The parameter-affine map family and its
+closing window are the earlier generic form of `certify.TrapezoidFamily`.
+The rest are small checks of the map and of digraphs that back statements
+in the tests (quadrant pieces, the rescaling identity, simple cycles, the
+trapezoid shape and the inverse parameter changes).  No library code
+imports this module.
 """
 
 from __future__ import annotations
@@ -13,8 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from pwldyn.piecewise import Piece, PiecewiseAffine1D, interval_gaps, interval_union, markov_partition, merged
-from pwldyn.planemap import Params, Point, Segment
+from pwldyn.markov import CoverDigraph
+from pwldyn.piecewise import (
+    Itinerary,
+    Piece,
+    PiecewiseAffine1D,
+    interval_gaps,
+    interval_union,
+    markov_partition,
+    merged,
+)
+from pwldyn.planemap import Params, Point, Segment, apply_F
 
 _QUADRANT_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}
 
@@ -238,3 +252,252 @@ def uncaptured_measures(m: PiecewiseAffine1D, depth: int) -> list[Fraction]:
              for _, _, p, cov in cells]
         out.append(sum(u, Fraction(0)))
     return out
+
+
+def uncaptured_intervals(m: PiecewiseAffine1D, depth: int) -> list[tuple[Fraction, Fraction]]:
+    """Subset of the domain that avoids every constancy piece for `depth` steps.
+
+    U_0 is the whole domain; U_{n+1} = (non-constancy pieces) intersect
+    preimage of U_n.  All preimages are exact interval unions.
+    """
+    current = [(m.lo, m.hi)]
+    cuts = m.cut_points()
+    for _ in range(depth):
+        nxt: list[tuple[Fraction, Fraction]] = []
+        for i, piece in enumerate(m.pieces):
+            if piece.is_constant:
+                continue
+            a, b = cuts[i], cuts[i + 1]
+            for lo, hi in current:
+                # preimage of [lo, hi] under x -> slope*x+offset, inside [a, b]
+                t0 = (lo - piece.offset) / piece.slope
+                t1 = (hi - piece.offset) / piece.slope
+                plo, phi = (t0, t1) if t0 <= t1 else (t1, t0)
+                ilo, ihi = max(a, plo), min(b, phi)
+                if ilo < ihi:
+                    nxt.append((ilo, ihi))
+        current = interval_union(nxt)
+        if not current:
+            break
+    return current
+
+
+# ---------------------------------------------------------------------------
+# Parameter-affine map families and their closing windows
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ParamAffine:
+    """Value c0 + c1*d for a map-family parameter d."""
+
+    c0: Fraction
+    c1: Fraction
+
+    def at(self, d: Fraction) -> Fraction:
+        return self.c0 + self.c1 * d
+
+    def __add__(self, other):
+        o = _as_param(other)
+        return ParamAffine(self.c0 + o.c0, self.c1 + o.c1)
+
+    def scaled(self, k: Fraction) -> "ParamAffine":
+        return ParamAffine(self.c0 * k, self.c1 * k)
+
+
+def _as_param(v) -> ParamAffine:
+    if isinstance(v, ParamAffine):
+        return v
+    return ParamAffine(Fraction(v), Fraction(0))
+
+
+def _concrete(v, d: Fraction) -> Fraction:
+    return v.at(d) if isinstance(v, ParamAffine) else Fraction(v)
+
+
+@dataclass(frozen=True)
+class ParamFamily:
+    """A 1-D map whose ends, breakpoints and offsets may be `ParamAffine` in d."""
+
+    lo: object
+    hi: object
+    breakpoints: tuple
+    pieces: tuple[Piece, ...]
+
+    def at(self, d: Fraction) -> PiecewiseAffine1D:
+        """Concrete map obtained by substituting the family parameter."""
+        return PiecewiseAffine1D(
+            _concrete(self.lo, d),
+            _concrete(self.hi, d),
+            [_concrete(b, d) for b in self.breakpoints],
+            [Piece(p.slope, _concrete(p.offset, d), p.name) for p in self.pieces],
+        )
+
+
+def trapezoid_param_family(falling_slope: int, plateau_right: Fraction) -> ParamFamily:
+    """16x+d | 1 | s*x-s on [0, 1] with s = `falling_slope`."""
+    return ParamFamily(
+        Fraction(0),
+        Fraction(1),
+        (ParamAffine(Fraction(1, 16), Fraction(-1, 16)), plateau_right),
+        (
+            Piece(Fraction(16), ParamAffine(Fraction(0), Fraction(1)), "L"),
+            Piece(Fraction(0), Fraction(1), "C"),
+            Piece(Fraction(falling_slope), Fraction(-falling_slope), "R"),
+        ),
+    )
+
+
+def closing_window(
+    family: ParamFamily,
+    pattern: Itinerary,
+    x0,
+    d_range: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1)),
+) -> tuple[Fraction, Fraction] | None:
+    """Admissible parameter interval for a periodic orbit with the given pattern.
+
+    The orbit of x0 is driven through the pieces named by `pattern`
+    symbolically in d (each iterate stays affine in d); requiring every
+    iterate to lie in its piece's closed span yields linear inequalities in
+    d whose intersection is returned, or None when empty.  The pattern must
+    end at the constancy symbol, whose image closes the orbit at x0.
+    """
+    by_name = {p.name: i for i, p in enumerate(family.pieces)}
+    plateaus = [p.name for p in family.pieces if p.is_constant]
+    if len(plateaus) != 1:
+        raise ValueError("family must have exactly one constancy piece")
+    if pattern.symbols[-1] != plateaus[0]:
+        raise ValueError("pattern must end at the constancy piece")
+    lo_d, hi_d = d_range
+    cuts = [family.lo, *family.breakpoints, family.hi]
+    x = _as_param(Fraction(x0))
+    for sym in pattern.symbols:
+        if sym not in by_name:
+            raise ValueError(f"symbol {sym!r} is not a piece name")
+        i = by_name[sym]
+        lo_b, hi_b = _as_param(cuts[i]), _as_param(cuts[i + 1])
+        # lo_b <= x and x <= hi_b, all affine in d.
+        for a, b in ((lo_b, x), (x, hi_b)):
+            # a <= b  <=>  (a.c1-b.c1)*d <= b.c0-a.c0
+            k = a.c1 - b.c1
+            c = b.c0 - a.c0
+            if k == 0:
+                if c < 0:
+                    return None
+            elif k > 0:
+                hi_d = min(hi_d, c / k)
+            else:
+                lo_d = max(lo_d, c / k)
+            if lo_d > hi_d:
+                return None
+        piece = family.pieces[i]
+        x = _as_param(piece.offset) + x.scaled(piece.slope)
+    return lo_d, hi_d
+
+
+# ---------------------------------------------------------------------------
+# Small checks that only tests use
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class QuadrantAffine:
+    """Affine expression of F on one closed quadrant: linear part and offset."""
+
+    quadrant: int
+    matrix: tuple[tuple[int, int], tuple[int, int]]
+    offset: tuple[Fraction, Fraction]
+
+    def apply(self, pt: Point) -> Point:
+        (m11, m12), (m21, m22) = self.matrix
+        return Point(
+            m11 * pt.x + m12 * pt.y + self.offset[0],
+            m21 * pt.x + m22 * pt.y + self.offset[1],
+        )
+
+
+def quadrant_affine(params: Params, q: int) -> QuadrantAffine:
+    sx, sy = _QUADRANT_SIGNS[q]
+    return QuadrantAffine(q, ((sx, -1), (1, -sy)), (params.a, params.b))
+
+
+def scale_conjugate_check(params: Params, lam: Fraction, pt: Point) -> bool:
+    """Whether lam * F_{a,b}(pt/lam) equals F_{lam*a, lam*b}(pt) exactly.
+
+    The identity holds for every lam > 0 and reduces the family to the
+    one-parameter slice a = -1.
+    """
+    lam = Fraction(lam)
+    if lam <= 0:
+        raise ValueError("scaling factor must be positive")
+    inner = apply_F(params, Point(pt.x / lam, pt.y / lam))
+    lhs = Point(lam * inner.x, lam * inner.y)
+    rhs = apply_F(Params(lam * params.a, lam * params.b), pt)
+    return lhs == rhs
+
+
+def iterate_F(params: Params, pt: Point, k: int) -> Point:
+    for _ in range(k):
+        pt = apply_F(params, pt)
+    return pt
+
+
+def simple_cycle_lengths(dg: CoverDigraph) -> list[int]:
+    """Lengths of all simple cycles (each cycle counted once)."""
+    lengths: list[int] = []
+    n = dg.n
+
+    def dfs(start: int, v: int, visited: set[int], depth: int):
+        for w in dg.succ[v]:
+            if w == start:
+                lengths.append(depth + 1)
+            elif w > start and w not in visited:
+                visited.add(w)
+                dfs(start, w, visited, depth + 1)
+                visited.remove(w)
+
+    for s in range(n):
+        dfs(s, s, {s}, 0)
+    return sorted(lengths)
+
+
+def normalized_plateau_width(m: PiecewiseAffine1D, extended: bool = False) -> Fraction:
+    """Plateau length of the trapezoid after rescaling its domain to [0, 1].
+
+    With `extended`, the map is first extended to the invariant interval
+    between the rising branch's fixed point and that point's preimage under
+    the falling branch (the shape parameter of the normalized trapezoid).
+    """
+    consts = [i for i, p in enumerate(m.pieces) if p.is_constant]
+    if len(consts) != 1:
+        raise ValueError("map must have exactly one constancy piece")
+    i = consts[0]
+    cuts = m.cut_points()
+    u1, u2 = cuts[i], cuts[i + 1]
+    if extended:
+        rise = m.pieces[0]
+        fall = m.pieces[-1]
+        x_fix = rise.offset / (1 - rise.slope)
+        x_pre = (x_fix - fall.offset) / fall.slope
+        lo, hi = x_fix, x_pre
+    else:
+        lo, hi = m.lo, m.hi
+    return (u2 - u1) / (hi - lo)
+
+
+def alpha_b_to_d(b) -> Fraction:
+    """Inverse of `certify.alpha_d_to_b`."""
+    b = Fraction(b)
+    den = 9 * b + 8
+    if den == 0:
+        raise ValueError("denominator vanishes")
+    return Fraction(-8) * (16 * b + 13) / den
+
+
+def beta_b_to_d(b) -> Fraction:
+    """Inverse of `certify.beta_d_to_b`."""
+    b = Fraction(b)
+    den = 2 * (29 * b - 20)
+    if den == 0:
+        raise ValueError("denominator vanishes")
+    return (563 - 816 * b) / den

@@ -1,14 +1,15 @@
 import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
 
+import oracles
+from oracles import alpha_b_to_d, beta_b_to_d, normalized_plateau_width
 from pwldyn.certify import (
     ALPHA_WINDOW,
     BETA_WINDOW,
-    alpha_b_to_d,
     alpha_d_to_b,
-    beta_b_to_d,
     beta_d_to_b,
     build_g2,
     build_g3,
@@ -17,8 +18,8 @@ from pwldyn.certify import (
     digits_report,
     k1_from_return_map,
     lower_pattern,
-    normalized_plateau_width,
     orbit_digraph,
+    TrapezoidFamily,
     phi_family,
     psi_family,
     sigma_segment,
@@ -250,3 +251,28 @@ def test_sigma_segment_is_return_invariant():
     k1 = build_k1(b)
     lo, hi = seg.chart_interval()
     assert (F(k1.lo), F(k1.hi)) == (lo, hi)
+
+
+def _map_data(m):
+    return m.lo, m.hi, m.breakpoints, [(p.slope, p.offset, p.name) for p in m.pieces]
+
+
+@pytest.mark.parametrize("fam", [phi_family(), psi_family()], ids=["phi", "psi"])
+def test_window_matches_param_affine_oracle(fam: TrapezoidFamily):
+    oracle = oracles.trapezoid_param_family(fam.falling_slope, fam.plateau_right)
+    rng = random.Random(1216)
+    patterns = [upper_pattern(3 * 2**k) for k in range(9)]  # up to 768
+    patterns += [lower_pattern(2**k) for k in range(1, 11)]  # up to 1024
+    patterns += [
+        Itinerary((*(rng.choice("LR") for _ in range(rng.randint(0, 9))), "C")) for _ in range(300)
+    ]
+    empty = 0
+    for pattern in patterns:
+        window = fam.window(pattern)
+        assert window == oracles.closing_window(oracle, pattern, 1), pattern
+        if window is None:
+            empty += 1
+            continue
+        for d in window:
+            assert _map_data(fam.at(d)) == _map_data(oracle.at(d)), (pattern, d)
+    assert 0 < empty < 300  # the random words give both empty and nonempty windows

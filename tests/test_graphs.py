@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from pwldyn import graphs
 from pwldyn.graphs import (
     REGIMES,
     InvarianceReport,
@@ -132,6 +133,22 @@ def test_orbit_marks_many_b():
     for regime in REGIMES:
         for _ in range(25):
             orbit_marks(regime, random_b(regime, rng))
+
+
+def test_orbit_marks_points_match_the_graph():
+    for regime, b in (("negb", F(-3)), ("alpha", F(-4, 5)), ("beta", F(34497, 50000)), ("band48", F(5))):
+        g = build_gamma(regime, b)
+        for src, pt, _ in orbit_marks(regime, b):
+            assert pt == g.named_point(src), (regime, src)
+
+
+def test_orbit_marks_names_a_failing_relation(monkeypatch):
+    wrong = dict(graphs._ORBIT_RELATIONS, negb=[("P1", "P2"), ("P2", "P4")])
+    monkeypatch.setattr(graphs, "_ORBIT_RELATIONS", wrong)
+    with pytest.raises(AssertionError, match=r"orbit relation P2 -> P4 fails at b = -3: "):
+        orbit_marks("negb", -3)
+    with pytest.raises(ValueError, match=r"^b = -1 outside the negb regime$"):
+        orbit_marks("negb", -1)
 
 
 def test_plateau_counts():

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
+from oracles import simple_cycle_lengths
 from pwldyn import band48, certify, markov
 from pwldyn.cli import main
 from pwldyn.graphs import build_gamma, verify_invariance
@@ -20,7 +21,6 @@ from pwldyn.markov import (
     is_rome,
     rome_char_poly,
     rome_char_poly_full,
-    simple_cycle_lengths,
     spectral_radius,
     _compare_radius,
     _encloses_radius,
@@ -282,7 +282,7 @@ def test_exact_check_accepts_certificates():
         assert certify.verify_certificate(ci)
         fam = certify.trapezoid_family(tag)
         for cert in (ci.lo_certificate, ci.hi_certificate):
-            r = spectral_radius(certify.orbit_digraph(fam.concrete(cert.d), cert.orbit))
+            r = spectral_radius(certify.orbit_digraph(fam.at(cert.d), cert.orbit))
             if r.is_exact and r.lo == 1:
                 want = "radius_one"
             else:

@@ -74,7 +74,7 @@ def test_full_measure_beta_window():
 
 
 def test_uncaptured_nests_to_repelling_fixed_point():
-    from pwldyn.piecewise import uncaptured_intervals
+    from oracles import uncaptured_intervals
 
     m, _ = return_map_for_edge("negb", -3, "A")
     fixed = F(-17, 15)
@@ -98,7 +98,8 @@ def test_return_map_respects_general_b():
 
 
 def test_capture_recursion_matches_interval_oracle():
-    from pwldyn.piecewise import uncaptured_intervals, uncaptured_measures
+    from oracles import uncaptured_intervals
+    from pwldyn.piecewise import uncaptured_measures
 
     rng = random.Random(6)
 

@@ -3,21 +3,19 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import uncaptured_intervals
 from pwldyn.certify import certify, orbit_digraph, phi_family, trapezoid_family
 from pwldyn.markov import spectral_radius
 from pwldyn.piecewise import (
     Itinerary,
-    ParamAffine,
     Piece,
     PiecewiseAffine1D,
-    closing_window,
     interval_gaps,
     interval_union,
     conjugate_affine,
     iterate_point,
     itinerary_of,
     markov_partition,
-    uncaptured_intervals,
     uncaptured_measures,
 )
 from pwldyn.planemap import Params, restrict_iterate_to_segment, segment
@@ -69,19 +67,19 @@ def test_itinerary_tie_breaks():
 
 def test_closing_window_examples():
     fam = phi_family()
-    assert closing_window(fam, Itinerary.parse("RLC"), 1) == (F(1, 17), F(7, 8))
-    assert closing_window(fam, Itinerary.parse("RLRC"), 1) == (F(57, 64), F(1))
-    w8 = closing_window(fam, Itinerary.parse("RLRRRLRC"), 1)
+    assert fam.window(Itinerary.parse("RLC")) == (F(1, 17), F(7, 8))
+    assert fam.window(Itinerary.parse("RLRC")) == (F(57, 64), F(1))
+    w8 = fam.window(Itinerary.parse("RLRRRLRC"))
     assert w8[0] == F(933761, 1048449)
     # infeasible pattern: L first needs x0=1 in [0, (1-d)/16]
-    assert closing_window(fam, Itinerary.parse("LC"), 1) is None
+    assert fam.window(Itinerary.parse("LC")) is None
 
 
 def test_closing_window_endpoints_give_patterned_orbits():
     fam = phi_family()
     for pattern in ("RLC", "RLRC", "RLRRRLRC"):
         it = Itinerary.parse(pattern)
-        lo, hi = closing_window(fam, it, 1)
+        lo, hi = fam.window(it)
         for d in (lo, (lo + hi) / 2, hi):
             m = fam.at(d)
             orbit = iterate_point(m, 1, len(it))
@@ -160,7 +158,7 @@ def test_markov_partition_of_certified_orbits_adds_no_points():
     fam = trapezoid_family("alpha")
     ci = certify("alpha", 24, 32)
     for cert in (ci.lo_certificate, ci.hi_certificate):
-        m = fam.concrete(cert.d)
+        m = fam.at(cert.d)
         ends = sorted(set(cert.orbit) | set(m.cut_points()))
         assert [c[:2] for c in markov_partition(m, cert.orbit)] == list(zip(ends, ends[1:]))
 
@@ -207,14 +205,6 @@ def test_family_affinity_in_d():
     v1, v2, v3 = closing_value(d1), closing_value(d2), closing_value(d3)
     slope = (v2 - v1) / (d2 - d1)
     assert v3 == v1 + slope * (d3 - d1)  # three points on one line
-
-
-def test_param_affine_arithmetic():
-    pa = ParamAffine(F(1), F(2))
-    assert pa.at(F(3)) == 7
-    assert (pa + F(1)).at(F(3)) == 8
-    assert (pa - pa).at(F(5)) == 0
-    assert pa.scaled(F(2)).at(F(3)) == 14
 
 
 def test_restrict_then_measure_roundtrip():

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from oracles import iterate_F, quadrant_affine, scale_conjugate_check
 from pwldyn.graphs import build_gamma
 from pwldyn.planemap import (
     LineCover,
@@ -12,13 +13,10 @@ from pwldyn.planemap import (
     SegmentLattice,
     apply_F,
     detect_plateaus,
-    iterate_F,
     iterate_segment_pieces,
     point,
-    quadrant_affine,
     quadrant_of,
     restrict_iterate_to_segment,
-    scale_conjugate_check,
     segment,
 )
 
