@@ -4,6 +4,10 @@ Each parameter regime of the slice a = -1 carries a compact graph that
 absorbs every planar orbit.  Vertices are affine functions of b; edge lists
 are fixed data tables per regime, and `verify_invariance` re-derives
 F(graph) subset-of graph exactly, which is the arbiter for the tables.
+Every named point is c0 + c1*b with c0, c1 in (1/4)Z, so the tables are
+held as integers 4*c0, 4*c1 and evaluated at b = n/d on the lattice
+(1/4d)Z^2: the mark checks and the orbit relations run on integers, and
+Fractions are built only for the points returned.
 
 Regimes (all for a = -1):
   negb    b <= -2          topological circle with one plateau
@@ -17,7 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from pwldyn.planemap import LineCover, Params, Point, Segment, apply_F, image_gaps
+from pwldyn.planemap import (
+    LineCover,
+    Params,
+    Point,
+    Segment,
+    _lattice_segment_holds,
+    _off_frame,
+    image_gaps,
+)
 
 F = Fraction
 
@@ -56,7 +68,7 @@ def _regime_where(regime: str, b: Fraction) -> str:
 # Data tables: coordinates are pairs ((c0x, c1x), (c0y, c1y)) -> c0 + c1*b
 # ---------------------------------------------------------------------------
 
-_VERTICES = {
+_VERTEX_COORDS = {
     "negb": {
         "P1": ((-2, -1), (-1, 0)),
         "P2": ((-2, -1), (-3, 0)),
@@ -187,7 +199,7 @@ _EDGES = {
 
 # Marked points (name, coords, host edge): dynamically relevant points that
 # are not graph vertices.
-_MARKS = {
+_MARK_COORDS = {
     "negb": [
         ("P7", ((0, -1), (1, 0)), "plateau"),
     ],
@@ -265,11 +277,24 @@ _ORBIT_RELATIONS = {
 }
 
 
-def _eval_coords(coords, b: Fraction) -> Point:
-    """The point c0 + c1*b; with b = n/d each coordinate is (c0*d + c1*n)/d."""
-    n, d = b.numerator, b.denominator
-    (c0x, c1x), (c0y, c1y) = coords
-    return Point(F(c0x * d + c1x * n, d), F(c0y * d + c1y * n, d))
+def _quarters(coords) -> tuple[int, int, int, int]:
+    """(4*c0x, 4*c1x, 4*c0y, 4*c1y) of a table entry, as integers."""
+    out = tuple(4 * Fraction(c) for pair in coords for c in pair)
+    if any(v.denominator != 1 for v in out):
+        raise ValueError(f"table coordinates {coords} are not in (1/4)Z")
+    return tuple(v.numerator for v in out)
+
+
+# The tables as integers: with b = n/d a named point is the lattice pair
+# (X, Y) = (4c0x*d + 4c1x*n, 4c0y*d + 4c1y*n) over D = 4d.
+_VERTICES = {r: {name: _quarters(c) for name, c in t.items()} for r, t in _VERTEX_COORDS.items()}
+_MARKS = {r: [(name, _quarters(c), host) for name, c, host in t] for r, t in _MARK_COORDS.items()}
+
+
+def _on_lattice(quarters: tuple[int, int, int, int], n: int, d: int) -> tuple[int, int]:
+    """4d*(c0 + c1*b) per coordinate, for b = n/d."""
+    ax, bx, ay, by = quarters
+    return ax * d + bx * n, ay * d + by * n
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +404,24 @@ class PlanarGraph:
 def build_gamma(regime: str, b) -> PlanarGraph:
     """Instantiate the invariant graph of the regime at parameter b.
 
-    Vertices, edges and marks come from the per-regime tables; every mark is
-    checked to sit on its host edge, which catches transcription slips at
-    construction time.
+    Vertices, edges and marks come from the per-regime tables, evaluated on
+    the lattice (1/4d)Z^2; every mark is checked there to sit on its host
+    edge, which catches transcription slips at construction time.
     """
     b = Fraction(b)
     where = _regime_where(regime, b)
-    vertices = {n: _eval_coords(c, b) for n, c in _VERTICES[regime].items()}
+    n, d = b.numerator, b.denominator
+    frame = 4 * d
+    lattice = {name: _on_lattice(q, n, d) for name, q in _VERTICES[regime].items()}
+    vertices = {name: _off_frame(x, y, frame) for name, (x, y) in lattice.items()}
     edges = [GraphEdge(*t) for t in _EDGES[regime]]
+    ends = {e.name: (lattice[e.a], lattice[e.b]) for e in edges}
     graph = PlanarGraph(regime, b, vertices, edges, {}, boundary=(where == "boundary"))
-    for name, coords, host in _MARKS[regime]:
-        pt = _eval_coords(coords, b)
-        if not graph.edge_segment(host).contains_point(pt):
+    for name, q, host in _MARKS[regime]:
+        x, y = _on_lattice(q, n, d)
+        if not _lattice_segment_holds(*ends[host], (x, y)):
             raise AssertionError(f"mark {name} fell off edge {host} at b = {b}")
-        graph.marks[name] = (pt, host)
+        graph.marks[name] = (_off_frame(x, y, frame), host)
     return graph
 
 
@@ -430,23 +459,26 @@ def verify_invariance(graph: PlanarGraph, params: Params) -> InvarianceReport:
 def orbit_marks(regime: str, b) -> list[tuple[str, Point, str]]:
     """Documented one-step relations F(named point) = named point, verified exactly.
 
-    The named points are the vertices and marks of the regime's tables at b;
-    the graph itself is not built.  A failing relation raises: it means the
-    coordinate tables disagree with the map, i.e. a transcription bug.
+    The named points are the vertices and marks of the regime's tables at b,
+    on the lattice (1/4d)Z^2 of b = n/d, where F(X, Y) is
+    (|X| - Y - 4d, X - |Y| + 4n); the graph itself is not built.  A failing
+    relation raises: it means the coordinate tables disagree with the map,
+    i.e. a transcription bug.
     """
     b = Fraction(b)
     _regime_where(regime, b)
-    named = {n: _eval_coords(c, b) for n, c in _VERTICES[regime].items()}
-    named.update((n, _eval_coords(c, b)) for n, c, _ in _MARKS[regime])
-    params = Params.standard(b)
+    n, d = b.numerator, b.denominator
+    frame = 4 * d
+    named = {name: _on_lattice(q, n, d) for name, q in _VERTICES[regime].items()}
+    named.update((name, _on_lattice(q, n, d)) for name, q, _ in _MARKS[regime])
     out = []
     for src, dst in _ORBIT_RELATIONS[regime]:
-        p_src, p_dst = named[src], named[dst]
-        image = apply_F(params, p_src)
-        if image != p_dst:
+        x, y = named[src]
+        image = (abs(x) - y - frame, x - abs(y) + 4 * n)
+        if image != named[dst]:
             raise AssertionError(
                 f"orbit relation {src} -> {dst} fails at b = {b}: "
-                f"F({src}) = {image}, expected {p_dst}"
+                f"F({src}) = {_off_frame(*image, frame)}, expected {_off_frame(*named[dst], frame)}"
             )
-        out.append((src, p_src, dst))
+        out.append((src, _off_frame(x, y, frame), dst))
     return out

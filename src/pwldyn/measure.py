@@ -4,19 +4,23 @@ On each regime's return-invariant intervals the first-return map is
 piecewise affine with constancy pieces (the plateau preimages).  The
 measure of the set still missing a constancy piece after n returns follows
 an exact transfer recursion on the map's orbit-closure Markov partition
-(`piecewise.uncaptured_measures`); its decrease to zero is the computable
-content of the full-measure statements.
+(`piecewise.uncaptured_numerators`); its decrease to zero is the computable
+content of the full-measure statements.  The recursion returns integer
+numerators w_n over q*s^n; each profile entry is built from them with two
+Fractions, and the report sums the edges' numerators per depth over the lcm
+of their denominators, one Fraction per depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from pwldyn.certify import pi_segment, sigma_segment
-from pwldyn.graphs import build_gamma
-from pwldyn.piecewise import PiecewiseAffine1D, conjugate_affine, uncaptured_measures
-from pwldyn.planemap import Params, restrict_iterate_to_segment
+from pwldyn.graphs import PlanarGraph, build_gamma
+from pwldyn.piecewise import PiecewiseAffine1D, conjugate_affine, uncaptured_numerators
+from pwldyn.planemap import Params, Segment, restrict_iterate_to_segment
 from pwldyn.rationals import rational_str
 
 F = Fraction
@@ -55,24 +59,28 @@ def return_map_for_edge(regime: str, b, edge: str) -> tuple[PiecewiseAffine1D, i
     if regime == "negb":
         if edge not in _NEGB_EDGES:
             raise ValueError(f"edge {edge!r} is not return-invariant in regime negb")
-        if edge == "G":
-            inner, power = return_map_for_edge(regime, b, "E")
-            # F maps E onto G by (x, y) -> chart' = -y + (7 - b).
-            return conjugate_affine(inner, F(-1), 7 - b), power
-        seg = build_gamma("negb", b).edge_segment(edge)
-        power = 7
-    elif regime == "alpha":
+        return _negb_return_map(build_gamma("negb", b), edge)
+    if regime == "alpha":
         if edge != "PI":
             raise ValueError("regime alpha supports the invariant interval 'PI'")
-        seg = pi_segment(b)
-        power = 6
-    elif regime == "beta":
+        return _return_map(regime, b, edge, pi_segment(b), 6)
+    if regime == "beta":
         if edge != "SIGMA":
             raise ValueError("regime beta supports the invariant interval 'SIGMA'")
-        seg = sigma_segment(b)
-        power = 7
-    else:
-        raise ValueError(f"no return structure tabulated for regime {regime!r}")
+        return _return_map(regime, b, edge, sigma_segment(b), 7)
+    raise ValueError(f"no return structure tabulated for regime {regime!r}")
+
+
+def _negb_return_map(graph: PlanarGraph, edge: str) -> tuple[PiecewiseAffine1D, int]:
+    """`return_map_for_edge` of a circle-regime edge, on the graph at its b."""
+    if edge == "G":
+        inner, power = _negb_return_map(graph, "E")
+        # F maps E onto G by (x, y) -> chart' = -y + (7 - b).
+        return conjugate_affine(inner, F(-1), 7 - graph.b), power
+    return _return_map("negb", graph.b, edge, graph.edge_segment(edge), 7)
+
+
+def _return_map(regime: str, b: Fraction, edge: str, seg: Segment, power: int) -> tuple[PiecewiseAffine1D, int]:
     try:
         m = restrict_iterate_to_segment(Params.standard(b), seg, power)
     except ValueError as exc:
@@ -99,9 +107,22 @@ def _check_eventually_invariant(m: PiecewiseAffine1D, edge: str):
 def edge_capture_profile(regime: str, b, edge: str, depth: int) -> CaptureProfile:
     """(captured, uncaptured) exact measures per return depth on one edge."""
     m, _ = return_map_for_edge(regime, b, edge)
-    length = Fraction(m.hi) - Fraction(m.lo)
-    entries = tuple((length - u, u) for u in uncaptured_measures(m, depth))
-    return CaptureProfile(edge, length, entries)
+    return _capture(m, edge, depth)[0]
+
+
+def _capture(m: PiecewiseAffine1D, edge: str, depth: int) -> tuple[CaptureProfile, list[int], list[int]]:
+    """The edge's profile, and its uncaptured measures as numerators w_n over q_n.
+
+    The entry at depth n is ((L*q_n - w_n)/q_n, w_n/q_n), L the length.
+    """
+    w, q, s = uncaptured_numerators(m, depth)
+    lq, dens, entries = w[0], [], []
+    for wn in w:
+        dens.append(q)
+        entries.append((Fraction(lq - wn, q), Fraction(wn, q)))
+        lq *= s
+        q *= s
+    return CaptureProfile(edge, m.hi - m.lo, tuple(entries)), w, dens
 
 
 @dataclass(frozen=True)
@@ -134,29 +155,31 @@ def full_measure_report(regime: str, b, depth: int) -> FullMeasureReport:
     For the circle regime this is all seven return edges plus the plateau
     and its feeder (both fully captured after one return).  For the two
     transition windows the return-invariant interval carries all asymptotic
-    dynamics and is reported alone.
+    dynamics and is reported alone.  The uncaptured total at each depth is
+    the sum of the edges' numerators over the lcm of their denominators.
     """
     b = Fraction(b)
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if regime == "negb":
         graph = build_gamma("negb", b)
-        profiles = tuple(edge_capture_profile(regime, b, e, depth) for e in _NEGB_EDGES)
+        maps = {e: _negb_return_map(graph, e)[0] for e in _NEGB_EDGES}
         immediate = tuple(
             (name, graph.edge_segment(name).chart_length()) for name in ("plateau", "feeder")
         )
     elif regime in ("alpha", "beta"):
         edge = "PI" if regime == "alpha" else "SIGMA"
-        profiles = (edge_capture_profile(regime, b, edge, depth),)
+        maps = {edge: return_map_for_edge(regime, b, edge)[0]}
         immediate = ()
     else:
         raise ValueError(f"no full-measure structure for regime {regime!r}")
-    total = sum((p.length for p in profiles), Fraction(0))
-    total += sum((length for _, length in immediate), Fraction(0))
+    captures = [_capture(m, e, depth) for e, m in maps.items()]
+    profiles = tuple(p for p, _, _ in captures)
+    immediate_length = sum((length for _, length in immediate), Fraction(0))
+    total = sum((p.length for p in profiles), immediate_length)
     uncaptured = []
     for n in range(depth + 1):
-        u = sum((p.uncaptured(n) for p in profiles), Fraction(0))
-        if n == 0:
-            u += sum((length for _, length in immediate), Fraction(0))
-        uncaptured.append(u)
+        den = lcm(*(dens[n] for _, _, dens in captures))
+        uncaptured.append(Fraction(sum(w[n] * (den // dens[n]) for _, w, dens in captures), den))
+    uncaptured[0] += immediate_length
     return FullMeasureReport(regime, b, depth, profiles, immediate, total, tuple(uncaptured))

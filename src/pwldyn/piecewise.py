@@ -225,27 +225,38 @@ def interval_gaps(lo: Fraction, hi: Fraction, union) -> list[tuple[Fraction, Fra
     return gaps
 
 
-def uncaptured_measures(m: PiecewiseAffine1D, depth: int) -> list[Fraction]:
-    """[U_0, ..., U_depth], U_n the measure of the points that avoid every
-    constancy piece for n steps; points mapped off the domain are captured.
+def uncaptured_numerators(m: PiecewiseAffine1D, depth: int) -> tuple[list[int], int, int]:
+    """(w, q, s) with U_n = w[n] / (q*s^n) for n = 0..depth, U_n the measure
+    of the points that avoid every constancy piece for n steps; points
+    mapped off the domain are captured.
 
     On the cells of `markov_partition(m)` this is the transfer recursion
     u_{n+1}[i] = sum(u_n[cover_i]) / |slope_i|, with u_0 the cell lengths
-    and 0 on constancy cells.  It runs on integer numerators over Q*S^n,
-    where Q clears the cell ends and S is the lcm of the |slopes|.
+    and 0 on constancy cells.  It runs on integer numerators over q*s^n,
+    where q clears the cell ends and s is the lcm of the |slopes|; so
+    w[0] = (hi - lo)*q.
     """
     if not any(p.is_constant for p in m.pieces):
         raise ValueError("map has no constancy piece")
     cells = markov_partition(m)
     q = lcm(*(x.denominator for a, b, _, _ in cells for x in (a, b)))
     s = lcm(*(abs(p.slope.numerator) for _, _, p, cov in cells if cov is not None))
-    # (cover, S/|slope|) per cell; None on a constancy cell
+    # (cover, s/|slope|) per cell; None on a constancy cell
     steps = [None if cov is None else (cov.start, cov.stop, s // abs(p.slope.numerator))
              for _, _, p, cov in cells]
     w = [b.numerator * (q // b.denominator) - a.numerator * (q // a.denominator) for a, b, _, _ in cells]
-    out = [Fraction(sum(w), q)]
+    out = [sum(w)]
     for _ in range(depth):
         w = [0 if st is None else sum(w[st[0]:st[1]]) * st[2] for st in steps]
+        out.append(sum(w))
+    return out, q, s
+
+
+def uncaptured_measures(m: PiecewiseAffine1D, depth: int) -> list[Fraction]:
+    """[U_0, ..., U_depth] of `uncaptured_numerators`, as Fractions."""
+    w, q, s = uncaptured_numerators(m, depth)
+    out = []
+    for wn in w:
+        out.append(Fraction(wn, q))
         q *= s
-        out.append(Fraction(sum(w), q))
     return out

@@ -93,11 +93,7 @@ class Segment:
 
     def contains_point(self, pt: Point) -> bool:
         d = lcm(*(v.denominator for v in (*self.p, *self.q, *pt)))
-        (px, py), (qx, qy), (x, y) = (_on_frame(v, d) for v in (self.p, self.q, pt))
-        dx, dy = qx - px, qy - py
-        if dx * (y - py) != dy * (x - px):
-            return False
-        return 0 <= dx * (x - px) + dy * (y - py) <= dx * dx + dy * dy
+        return _lattice_segment_holds(*(_on_frame(v, d) for v in (self.p, self.q, pt)))
 
     def chart_length(self) -> Fraction:
         lo, hi = self.chart_interval()
@@ -156,6 +152,16 @@ def _on_frame(pt: Point, d: int) -> tuple[int, int]:
 def _off_frame(x: int, y: int, d: int) -> Point:
     """The point (x, y)/d."""
     return Point(Fraction(x, d), Fraction(y, d))
+
+
+def _lattice_segment_holds(p: tuple[int, int], q: tuple[int, int], pt: tuple[int, int]) -> bool:
+    """Whether the lattice point pt lies on the segment from p to q != p
+    (exact cross and dot tests)."""
+    (px, py), (qx, qy), (x, y) = p, q, pt
+    dx, dy = qx - px, qy - py
+    if dx * (y - py) != dy * (x - px):
+        return False
+    return 0 <= dx * (x - px) + dy * (y - py) <= dx * dx + dy * dy
 
 
 def _walk(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int, int, int]:

@@ -4,7 +4,8 @@ Most are the earlier `fractions.Fraction` implementations of the integer
 engines of `planemap` and `piecewise`: the piece tracker that pushed a
 segment through F in the chart coordinate, the line cover keyed by
 rational line equations, the invariance check and covering relations built
-on them, the Fraction transfer recursion of `uncaptured_measures` and the
+on them, the Fraction evaluation of the graph tables and of their orbit
+relations, the Fraction transfer recursion of `uncaptured_measures` and the
 interval preimages it replaced.  The parameter-affine map family and its
 closing window are the earlier generic form of `certify.TrapezoidFamily`.
 The rest are small checks of the map and of digraphs that back statements
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from pwldyn import graphs
 from pwldyn.markov import CoverDigraph
 from pwldyn.piecewise import (
     Itinerary,
@@ -236,6 +238,37 @@ def image_cover_relations(params: Params, segments) -> tuple[list[list[int]], li
                 if gaps != [(lo, hi)]:
                     upper[i].append(j)
     return [sorted(row) for row in lower], [sorted(row) for row in upper]
+
+
+# ---------------------------------------------------------------------------
+# The graph tables in Fractions
+# ---------------------------------------------------------------------------
+
+
+def eval_coords(coords, b: Fraction) -> Point:
+    """The point c0 + c1*b; with b = n/d each coordinate is (c0*d + c1*n)/d."""
+    n, d = b.numerator, b.denominator
+    (c0x, c1x), (c0y, c1y) = coords
+    return Point(Fraction(c0x * d + c1x * n, d), Fraction(c0y * d + c1y * n, d))
+
+
+def named_points(regime: str, b: Fraction) -> dict[str, Point]:
+    """Vertices and marks of the regime's readable coordinate tables at b."""
+    named = {n: eval_coords(c, b) for n, c in graphs._VERTEX_COORDS[regime].items()}
+    named.update((n, eval_coords(c, b)) for n, c, _ in graphs._MARK_COORDS[regime])
+    return named
+
+
+def orbit_marks(regime: str, b: Fraction) -> list[tuple[str, Point, str]]:
+    """The documented relations F(src) = dst, checked with `apply_F` on Fraction points."""
+    named = named_points(regime, b)
+    params = Params.standard(b)
+    out = []
+    for src, dst in graphs._ORBIT_RELATIONS[regime]:
+        if apply_F(params, named[src]) != named[dst]:
+            raise AssertionError(f"orbit relation {src} -> {dst} fails at b = {b}")
+        out.append((src, named[src], dst))
+    return out
 
 
 # ---------------------------------------------------------------------------

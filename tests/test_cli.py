@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -68,6 +69,21 @@ def test_measure_command(capsys):
     assert code == 0
     assert out.splitlines()[0] == "edge,depth,captured,uncaptured"
     assert "A,1,15/8,1/8" in out
+
+
+@pytest.mark.parametrize(
+    "regime, b, depth, sha256",
+    [
+        ("negb", "-3", 64, "24fb0edaac0f158ccf1292576f31dee12bf9ce86cdb919c3fbd0bb922dd70e5e"),
+        ("alpha", "-163/200", 16, "b56c1a20ffac3c36234ac529774c940b2cd96dbea3ca28e1cdcd9dd59513dea8"),
+        ("beta", "34497/50000", 16, "7271a4c163571c391eb63f14166f6a749183b48f45869db41d88409f219ead11"),
+    ],
+    ids=["negb", "alpha", "beta"],
+)
+def test_measure_csv_is_pinned(capsys, regime, b, depth, sha256):
+    code, out = run(capsys, "measure", "--regime", regime, f"--b={b}", "--depth", str(depth))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_verify_command(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -149,6 +150,49 @@ def test_orbit_marks_names_a_failing_relation(monkeypatch):
         orbit_marks("negb", -3)
     with pytest.raises(ValueError, match=r"^b = -1 outside the negb regime$"):
         orbit_marks("negb", -1)
+
+
+_WINDOWS = {"negb": (F(-11), F(-2)), "alpha": (F(-1), F(-3, 4)), "beta": (F(2, 3), F(5, 7)), "band48": (F(4), F(8))}
+_BOUNDARIES = {"negb": [F(-2)], "alpha": [F(-3, 4)], "beta": [F(5, 7)], "band48": []}
+
+
+def seeded_b(regime: str, rng: random.Random, count: int) -> list[F]:
+    """Interior b = k/den, den up to 10^6 + 3 (every other one exactly that prime)."""
+    lo, hi = _WINDOWS[regime]
+    out = []
+    while len(out) < count:
+        den = 10**6 + 3 if len(out) % 2 else rng.randint(1, 10**6 + 3)
+        k_lo, k_hi = math.floor(lo * den) + 1, math.ceil(hi * den) - 1
+        if k_lo <= k_hi:
+            out.append(F(rng.randint(k_lo, k_hi), den))
+    return out
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_integer_tables_match_fraction_oracle(regime):
+    rng = random.Random(f"tables {regime}")
+    for b in seeded_b(regime, rng, 50) + _BOUNDARIES[regime]:
+        g = build_gamma(regime, b)
+        named = oracles.named_points(regime, b)
+        assert g.vertices == {n: named[n] for n in graphs._VERTEX_COORDS[regime]}, b
+        assert g.marks == {n: (named[n], host) for n, _, host in graphs._MARK_COORDS[regime]}, b
+        for pt, host in g.marks.values():
+            assert g.edge_segment(host).contains_point(pt), (b, host)
+        assert orbit_marks(regime, b) == oracles.orbit_marks(regime, b), b
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [((0, -1), (2, 0)), ((-2, -1), (-1, 0))],
+    ids=["off-the-line", "past-the-end"],
+)
+def test_mark_off_its_host_edge_raises(monkeypatch, coords):
+    # negb's plateau runs from R2 = (7 - b, 8) to S = (-1 - b, 0), on y = x + 1 + b;
+    # (-b, 2) is off that line, (-2 - b, -1) on it beyond S.
+    marks = dict(graphs._MARKS, negb=[("P7", graphs._quarters(coords), "plateau")])
+    monkeypatch.setattr(graphs, "_MARKS", marks)
+    with pytest.raises(AssertionError, match=r"^mark P7 fell off edge plateau at b = -3$"):
+        build_gamma("negb", -3)
 
 
 def test_plateau_counts():

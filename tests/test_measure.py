@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 
+from pwldyn import graphs, measure
 from pwldyn.certify import ALPHA_WINDOW, BETA_WINDOW
 from pwldyn.measure import (
     edge_capture_profile,
@@ -127,3 +128,40 @@ def test_uncaptured_measures_match_fraction_recursion():
     for regime, b, edge in cases:
         m, _ = return_map_for_edge(regime, b, edge)
         assert uncaptured_measures(m, 200) == oracles.uncaptured_measures(m, 200), (regime, b, edge)
+
+
+def test_full_measure_report_matches_fraction_oracle():
+    rng = random.Random(1313)
+    cases = [("negb", -2 - 9 * F(rng.randint(1, 10**6 + 2), 10**6 + 3), 80) for _ in range(2)]
+    for regime, (lo, hi) in (("alpha", ALPHA_WINDOW), ("beta", BETA_WINDOW)):
+        cases += [(regime, lo + (hi - lo) * F(rng.randint(1, 999), 1000), 40) for _ in range(2)]
+    for regime, b, depth in cases:
+        rep = full_measure_report(regime, b, depth)
+        assert len(rep.profiles) == (7 if regime == "negb" else 1)
+        totals = [F(0)] * (depth + 1)
+        for prof in rep.profiles:
+            m, _ = return_map_for_edge(regime, b, prof.edge)
+            length = m.hi - m.lo
+            us = oracles.uncaptured_measures(m, depth)
+            assert prof.length == length
+            assert prof.entries == tuple((length - u, u) for u in us), (regime, b, prof.edge)
+            totals = [t + u for t, u in zip(totals, us)]
+        if regime == "negb":
+            g = graphs.build_gamma("negb", b)
+            assert rep.immediate == tuple((e, g.edge_segment(e).chart_length()) for e in ("plateau", "feeder"))
+        immediate = sum((length for _, length in rep.immediate), F(0))
+        totals[0] += immediate
+        assert rep.uncaptured_total == tuple(totals), (regime, b)
+        assert rep.total_length == sum((p.length for p in rep.profiles), immediate)
+
+
+def test_negb_report_builds_its_graph_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return graphs.build_gamma(*args)
+
+    monkeypatch.setattr(measure, "build_gamma", counted)
+    full_measure_report("negb", -3, 4)
+    assert calls == [("negb", F(-3))]
