@@ -18,6 +18,13 @@ rational d-window of a pattern, and the d <-> b changes of variables are
 exact Moebius maps.  The radius is classified by one exact comparison with
 1 (`markov.compare_radius`).  Every certificate is re-derived from scratch:
 periodicity, itinerary, radius.
+
+The hot loops run on integers: `window` holds its iterates as integer
+pairs and tests each inequality at its two bounds, and an endpoint's
+orbit walk, itinerary, periodicity check and Markov partition run on the
+numerators of the map's `IntegerFrame`.  Fractions are built only for the
+window ends and the two orbits a certificate returns; verification
+compares orbits with their numerators by cross-multiplying.
 """
 
 from __future__ import annotations
@@ -25,10 +32,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from pwldyn.markov import CoverDigraph, compare_radius
-from pwldyn.piecewise import Itinerary, Piece, PiecewiseAffine1D, iterate_point, markov_partition
+from pwldyn.piecewise import IntegerFrame, Itinerary, Piece, PiecewiseAffine1D
 from pwldyn.planemap import Params, Segment, point, restrict_iterate_to_segment
 from pwldyn.rationals import (
     common_decimal_prefix,
@@ -132,39 +140,55 @@ class TrapezoidFamily:
         """The d-window [lo, hi] within [0, 1] on which the orbit of 1 follows
         `pattern`, or None when it is empty.
 
-        Each iterate is affine in d and is held as the pair (c0, c1) of
-        c0 + c1*d.  Requiring it to lie in the closed span of its piece gives
-        two linear inequalities in d.  The pattern must end at the plateau C,
-        whose value 1 closes the orbit.
+        Each iterate is affine in d with integer coefficients, held as the
+        pair (c0, c1) of c0 + c1*d.  Requiring it to lie in the closed span
+        of its piece gives two affine inequalities in d, on integers once
+        the spans are scaled by `scale`.  Each bound n/m is held with
+        X = m*x(n/m), the current iterate there, which every step updates
+        in linear time; an inequality is tested at both bounds on those
+        integers.  One that holds at both is slack, one that fails at both
+        empties the window, and otherwise its root c/k is the new bound on
+        the failing side.  The pattern must end at the plateau C, whose
+        value 1 closes the orbit.
         """
         if pattern.symbols[-1] != "C":
             raise ValueError("pattern must end at the constancy piece")
         s, u2 = self.falling_slope, self.plateau_right
-        u1 = (F(1, 16), F(-1, 16))  # (1-d)/16
-        spans = {"L": ((F(0), F(0)), u1), "C": (u1, (u2, F(0))), "R": ((u2, F(0)), (F(1), F(0)))}
-        lo_d, hi_d = F(0), F(1)
-        c0, c1 = F(1), F(0)
+        scale = lcm(16, u2.denominator)
+        e, v2 = scale // 16, u2.numerator * (scale // u2.denominator)
+        # the spans scaled by `scale`, ends as (c0, c1); (1-d)/16 is (e, -e)
+        spans = {"L": ((0, 0), (e, -e)), "C": ((e, -e), (v2, 0)), "R": ((v2, 0), (scale, 0))}
+        lo, hi = (0, 1, 1), (1, 1, 1)  # (n, m, X) of the bounds 0 and 1, where x = 1
+        c0, c1 = 1, 0
         for sym in pattern.symbols:
             if sym not in spans:
                 raise ValueError(f"symbol {sym!r} is not a piece name")
-            (a0, a1), (b0, b1) = spans[sym]
-            # a <= x and x <= b, each as k*d <= c
-            for k, c in ((a1 - c1, c0 - a0), (c1 - b1, b0 - c0)):
-                if k > 0:
-                    hi_d = min(hi_d, c / k)
-                elif k < 0:
-                    lo_d = max(lo_d, c / k)
-                elif c < 0:
+            # a <= x and x <= b, each as sign*(scale*x - end) >= 0
+            for (e0, e1), sign in zip(spans[sym], (1, -1)):
+                ok = [sign * (scale * x - e0 * m - e1 * n) >= 0 for n, m, x in (lo, hi)]
+                if ok[0] and ok[1]:
+                    continue
+                if not (ok[0] or ok[1]):
                     return None
-                if lo_d > hi_d:
-                    return None
+                # the inequality is k*d <= c, nonconstant here
+                k, c = sign * (e1 - scale * c1), sign * (scale * c0 - e0)
+                if k < 0:
+                    k, c = -k, -c
+                bound = (c, k, k * c0 + c * c1)
+                if ok[0]:
+                    hi = bound
+                else:
+                    lo = bound
             if sym == "L":
                 c0, c1 = 16 * c0, 16 * c1 + 1
+                lo, hi = ((n, m, 16 * x + n) for n, m, x in (lo, hi))
             elif sym == "C":
-                c0, c1 = F(1), F(0)
+                c0, c1 = 1, 0
+                lo, hi = ((n, m, m) for n, m, _ in (lo, hi))
             else:
                 c0, c1 = s * (c0 - 1), s * c1
-        return lo_d, hi_d
+                lo, hi = ((n, m, s * (x - m)) for n, m, x in (lo, hi))
+        return Fraction(lo[0], lo[1]), Fraction(hi[0], hi[1])
 
     def d_to_b(self, d: Fraction) -> Fraction:
         return alpha_d_to_b(d) if self.tag == "alpha" else beta_d_to_b(d)
@@ -333,44 +357,89 @@ def orbit_digraph(m: PiecewiseAffine1D, orbit: Sequence[Fraction]) -> CoverDigra
 
     The domain is cut by `markov_partition` seeded with the orbit; constancy
     cells are dropped (they feed no itinerary growth), every remaining cell
-    is monotone, and an edge is exact covering.
+    is monotone, and an edge is exact covering.  The periodicity check and
+    the partition run on the numerators of `m.integer_frame(orbit)`.
     """
-    pts = set(map(Fraction, orbit))
-    full = iterate_point(m, orbit[0], len(pts))
+    return _orbit_digraph(*m.integer_frame(orbit))
+
+
+def _orbit_digraph(frame: IntegerFrame, orbit: Sequence[int]) -> CoverDigraph:
+    """`orbit_digraph` on the orbit's numerators over frame.q."""
+    pts = set(orbit)
+    full, _ = frame.walk(orbit[0], len(pts))
     if full[-1] != full[0] or set(full[:-1]) != pts:
         raise ValueError("orbit is not exactly periodic under the map")
-    cells = markov_partition(m, pts)
-    nodes = [i for i, (_, _, _, cover) in enumerate(cells) if cover is not None]
+    _, cells = frame.partition(pts)
+    nodes = [i for i, (_, cover) in enumerate(cells) if cover is not None]
     pos = {i: k for k, i in enumerate(nodes)}
-    succ = tuple(tuple(pos[j] for j in cells[i][3] if j in pos) for i in nodes)
+    succ = tuple(tuple(pos[j] for j in cells[i][1] if j in pos) for i in nodes)
     return CoverDigraph(tuple(f"I{k}" for k in range(len(nodes))), succ)
 
 
-def _endpoint_certificate(fam: TrapezoidFamily, d: Fraction, pattern: Itinerary) -> OrbitCertificate | None:
-    """Certificate of the orbit of 1 at parameter d, or None when that orbit
-    is not periodic with exactly `pattern` as its itinerary (a window end
-    where the pattern degenerates)."""
+@dataclass(frozen=True)
+class _Endpoint:
+    """An `OrbitCertificate` whose orbit is held as numerators over q."""
+
+    d: Fraction
+    b: Fraction
+    pattern: Itinerary
+    q: int
+    orbit: tuple[int, ...]
+    kind: str
+
+    def certificate(self) -> OrbitCertificate:
+        orbit = tuple(Fraction(x, self.q) for x in self.orbit)
+        return OrbitCertificate(self.d, self.b, self.pattern, orbit, self.kind)
+
+    def matches(self, cert: OrbitCertificate) -> bool:
+        """Whether `cert` states this endpoint: the same d, b, pattern and
+        kind, and each point x, in lowest terms, with x.denominator dividing
+        q and x.numerator * (q // x.denominator) its numerator.  The orbit
+        shares a few denominators, so each quotient is computed once."""
+        if (cert.d, cert.b, cert.pattern, cert.kind) != (self.d, self.b, self.pattern, self.kind):
+            return False
+        if len(cert.orbit) != len(self.orbit):
+            return False
+        scale: dict[int, int] = {}  # denominator -> q // denominator
+        for x, n in zip(cert.orbit, self.orbit):
+            k = scale.get(x.denominator)
+            if k is None:
+                k, r = divmod(self.q, x.denominator)
+                if r:
+                    return False
+                scale[x.denominator] = k
+            if x.numerator * k != n:
+                return False
+        return True
+
+
+def _endpoint(fam: TrapezoidFamily, d: Fraction, pattern: Itinerary) -> _Endpoint | None:
+    """The orbit of 1 at parameter d, or None when it is not periodic with
+    exactly `pattern` as its itinerary (a window end where the pattern
+    degenerates).  One walk on the numerators of the map's integer frame
+    gives both the orbit and its itinerary."""
     m = fam.at(d)
+    frame, (one,) = m.integer_frame((1,))
     period = len(pattern)
-    orbit = iterate_point(m, 1, period)
-    if orbit[period] != orbit[0] or len(set(orbit[:period])) != period:
+    xs, idx = frame.walk(one, period)
+    if xs[period] != xs[0] or len(set(xs[:period])) != period:
         return None
-    if Itinerary(tuple(m.symbol(m.piece_index_at(x)) for x in orbit[:period])) != pattern:
+    if Itinerary(tuple(m.symbol(i) for i in idx)) != pattern:
         return None
-    side = compare_radius(orbit_digraph(m, orbit[:period]).succ, 1)
+    side = compare_radius(_orbit_digraph(frame, xs[:period]).succ, 1)
     kind = ("radius_below_one", "radius_one", "radius_above_one")[side + 1]
-    return OrbitCertificate(d, fam.d_to_b(d), pattern, tuple(orbit[:period]), kind)
+    return _Endpoint(d, fam.d_to_b(d), pattern, frame.q, tuple(xs[:period]), kind)
 
 
-def _window_certificates(fam: TrapezoidFamily, pattern: Itinerary, kind: str) -> list[OrbitCertificate]:
-    """Certificates at the valid ends of the pattern's closing window, each of `kind`."""
+def _window_endpoints(fam: TrapezoidFamily, pattern: Itinerary, kind: str) -> list[_Endpoint]:
+    """Endpoints at the valid ends of the pattern's closing window, each of `kind`."""
     window = fam.window(pattern)
     if window is None:
         raise ValueError(f"pattern {pattern} admits no parameter window")
-    out = [c for c in (_endpoint_certificate(fam, d, pattern) for d in window) if c is not None]
+    out = [e for e in (_endpoint(fam, d, pattern) for d in window) if e is not None]
     if not out:
         raise AssertionError(f"no valid certificate at the window endpoints of {pattern}")
-    if any(c.kind != kind for c in out):
+    if any(e.kind != kind for e in out):
         raise AssertionError(f"expected {kind} at the window endpoints of {pattern}")
     return out
 
@@ -381,11 +450,12 @@ def certify(tag: str, upper_period: int, lower_period: int) -> CertifiedInterval
     The upper side uses the period 3*2^k pattern (positive entropy via the
     odd-times-power period); the lower side uses the 2^k cascade pattern
     (induced digraph of spectral radius exactly 1).  Among the valid window
-    endpoints the pair with the narrowest bracket is returned.
+    endpoints the pair with the narrowest bracket is returned; only its two
+    orbits are turned into Fractions.
     """
     fam = trapezoid_family(tag)
-    uppers = _window_certificates(fam, upper_pattern(upper_period), "radius_above_one")
-    lowers = _window_certificates(fam, lower_pattern(lower_period), "radius_one")
+    uppers = _window_endpoints(fam, upper_pattern(upper_period), "radius_above_one")
+    lowers = _window_endpoints(fam, lower_pattern(lower_period), "radius_one")
     best = None
     for up in uppers:
         for lo in lowers:
@@ -396,7 +466,7 @@ def certify(tag: str, upper_period: int, lower_period: int) -> CertifiedInterval
     if best is None:
         raise AssertionError("no endpoint pair brackets the transition")
     _, lo, up = best
-    return CertifiedInterval(tag, lo.b, up.b, lo, up, fam.return_power)
+    return CertifiedInterval(tag, lo.b, up.b, lo.certificate(), up.certificate(), fam.return_power)
 
 
 def verify_certificate(ci: CertifiedInterval) -> bool:
@@ -407,7 +477,8 @@ def verify_certificate(ci: CertifiedInterval) -> bool:
         sides = ((lo, lower_pattern(len(lo.pattern)), "radius_one"),
                  (hi, upper_pattern(len(hi.pattern)), "radius_above_one"))
         for cert, pattern, kind in sides:
-            if cert.kind != kind or cert != _endpoint_certificate(fam, cert.d, pattern):
+            end = _endpoint(fam, cert.d, pattern)
+            if cert.kind != kind or end is None or not end.matches(cert):
                 return False
     except ValueError:
         return False

@@ -7,10 +7,12 @@ computed exactly: a rome (a node set meeting every cycle) turns the
 characteristic polynomial into a small determinant over path-generating
 Laurent polynomials, whose relevant factor is then run through certified
 root isolation.  `compare_radius` decides rho <, = or > lam from the
-successor lists alone, in exact rational arithmetic: a positive solution
-of (lam*I - A) v = 1 shows rho < lam, a positive kernel vector of
-lam*I - A shows rho = lam.  It proves each enclosure again at both ends,
-and decides the transition certificates at lam = 1.  Only the oracles
+successor lists alone, in exact arithmetic: a positive solution of
+(lam*I - A) v = 1 shows rho < lam, a positive kernel vector of
+lam*I - A shows rho = lam.  With lam = p/q the elimination is
+fraction-free on the integer system [p*I - q*A | q].  It proves each
+enclosure again at both ends, and decides the transition certificates at
+lam = 1.  Only the oracles
 `direct_char_poly` and `_power_iteration_radius` (a float estimate that
 runs on no default path) work on the dense matrix.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from pwldyn.planemap import LineCover, Params, Segment, image_cover_relations
@@ -340,6 +343,9 @@ def _power_iteration_radius(adj: Sequence[Sequence[int]], steps: int = 10_000) -
 
     Runs on A+I per strongly connected component, where the iteration is
     primitive and converges geometrically; the +1 shift is removed at the end.
+    The state is a deterministic function of the one before, so once it
+    repeats bit for bit the run is periodic: the loop stops there and reads
+    the growth of the last of `steps` steps off that period.
     """
     rows = [[j for j, e in enumerate(row) if e] for row in adj]
     best = 0.0
@@ -348,13 +354,19 @@ def _power_iteration_radius(adj: Sequence[Sequence[int]], steps: int = 10_000) -
         # Rows in component order: skipping zero entries leaves every float sum unchanged.
         succ = [sorted((pos[j], adj[i][j]) for j in rows[i] if j in pos) for i in comp]
         v = [1.0] * len(comp)
-        growth = 1.0
-        for _ in range(steps):
+        # growths[t] comes from the state after t-1 steps; every entry stays
+        # positive, so equal tuples are equal bit for bit
+        seen, growths = {tuple(v): 0}, [1.0]
+        for t in range(1, steps + 1):
             w = [sum([a * v[k] for k, a in row]) + v[i] for i, row in enumerate(succ)]
             norm = sum(map(abs, w))
-            growth = norm / sum(map(abs, v))
+            growths.append(norm / sum(map(abs, v)))
             v = [c / norm for c in w]
-        best = max(best, growth - 1.0)
+            first = seen.setdefault(tuple(v), t)
+            if first != t:
+                growths.append(growths[first + (steps - 1 - first) % (t - first) + 1])
+                break
+        best = max(best, growths[-1] - 1.0)
     return best
 
 
@@ -434,54 +446,83 @@ def _same_root(a: RootInterval, b: RootInterval) -> bool:
 # positive v with A v = lam*v gives rho = lam by the same bound; an
 # irreducible A has one when rho = lam (Perron-Frobenius).  The radius of A
 # is the largest radius of its cyclic strongly connected components, so
-# each fact is tested per component.
+# each fact is tested per component.  Scaling the system by q > 0, for
+# lam = p/q, changes neither solution, so the elimination runs on integers
+# in the manner of Bareiss: rows are cross-multiplied, never divided by a
+# pivot, and each is kept primitive by dividing out its content.  Every
+# integer row is a nonzero multiple of the rational row it stands for, so
+# each sign is read as a product with the row's pivot entry.
 
 _RHS = -1  # key of the right-hand side in a sparse row
 
 
 def _reduce(succ: Sequence[Sequence[int]], comp: Sequence[int], lam: Fraction):
-    """Sparse Gauss-Jordan reduction of [lam*I - A_C | 1] over the rationals.
+    """Fraction-free sparse Gauss-Jordan reduction of [lam*I - A_C | 1].
 
-    Rows are dicts column -> nonzero entry.  Returns (pivots, free): pivots
-    maps each pivot column to its reduced row (pivot entry 1, right-hand
-    side under `_RHS`); free lists the columns without a pivot.  The
-    digraphs here have about 1.5 edges per node, so rows stay short.
+    With lam = p/q the rows are those of [p*I - q*A_C | q], dicts column ->
+    nonzero integer (right-hand side under `_RHS`).  Eliminating column k
+    from a row by the pivot row P cross-multiplies, row := P[k]*row -
+    row[k]*P, and divides the row by its content, so every row stays an
+    integer multiple of the matching row of the rational reduction.
+    Returns (pivots, free): pivots maps each pivot column k to its reduced
+    row, whose entries over its pivot entry row[k] are those of the reduced
+    rational row; free lists the columns without a pivot.  The pivot row
+    is the shortest pending row holding k, found through a column index of
+    the rows.  The digraphs here have about 1.5 edges per node, so rows
+    stay short.
     """
+    p, q = lam.numerator, lam.denominator
     pos = {v: k for k, v in enumerate(comp)}
-    pending = []
+    rows = []
     for v in comp:
-        row = {pos[w]: Fraction(-1) for w in succ[v] if w in pos}
-        diag = row.get(pos[v], 0) + lam
+        row = {pos[w]: -q for w in succ[v] if w in pos}
+        diag = row.get(pos[v], 0) + p
         if diag:
             row[pos[v]] = diag
         else:
             del row[pos[v]]
-        row[_RHS] = Fraction(1)
-        pending.append(row)
-    pivots: dict[int, dict[int, Fraction]] = {}
+        row[_RHS] = q
+        rows.append(row)
+    holding: list[set[int]] = [set() for _ in comp]  # column -> rows with an entry there
+    for i, row in enumerate(rows):
+        for c in row:
+            if c != _RHS:
+                holding[c].add(i)
+    pending = set(range(len(rows)))
+    pivots: dict[int, int] = {}  # pivot column -> row index
     free = []
     for k in range(len(comp)):
-        cands = [i for i, row in enumerate(pending) if k in row]
+        cands = holding[k] & pending
         if not cands:
             free.append(k)
             continue
-        prow = pending.pop(min(cands, key=lambda i: len(pending[i])))
-        inv = 1 / prow[k]
-        prow = {c: x * inv for c, x in prow.items()}
-        for row in itertools.chain(pending, pivots.values()):
-            f = row.pop(k, 0)
-            if not f:
-                continue
+        r = min(cands, key=lambda i: (len(rows[i]), i))
+        pending.discard(r)
+        prow = rows[r]
+        a = prow[k]
+        for i in holding[k] - {r}:
+            row = rows[i]
+            f = row.pop(k)
+            new = {c: a * x for c, x in row.items()}
             for c, x in prow.items():
                 if c == k:
                     continue
-                y = row.get(c, 0) - f * x
+                y = new.get(c, 0) - f * x
                 if y:
-                    row[c] = y
-                else:
-                    row.pop(c, None)
-        pivots[k] = prow
-    return pivots, free
+                    if c not in new and c != _RHS:
+                        holding[c].add(i)
+                    new[c] = y
+                elif c in new:
+                    del new[c]
+                    if c != _RHS:
+                        holding[c].discard(i)
+            g = gcd(*new.values())
+            if g > 1:
+                new = {c: x // g for c, x in new.items()}
+            rows[i] = new
+        holding[k] = {r}
+        pivots[k] = r
+    return {k: rows[r] for k, r in pivots.items()}, free
 
 
 def _compare_radius(succ: Sequence[Sequence[int]], comp: Sequence[int], lam: Fraction) -> int:
@@ -491,12 +532,13 @@ def _compare_radius(succ: Sequence[Sequence[int]], comp: Sequence[int], lam: Fra
     of lam*I - A_C to be one-dimensional and spanned by a positive vector.
     Perron-Frobenius gives A_C exactly that kernel when rho(A_C) == lam, so
     neither means rho(A_C) > lam (a singular matrix counts as having no
-    solution).  Requires lam > 0.
+    solution).  A reduced row's sign is read as a product with its pivot
+    entry.  Requires lam > 0.
     """
     pivots, free = _reduce(succ, comp, lam)
-    if not free and all(row.get(_RHS, 0) > 0 for row in pivots.values()):
+    if not free and all(row.get(_RHS, 0) * row[k] > 0 for k, row in pivots.items()):
         return -1
-    if len(free) == 1 and all(row.get(free[0], 0) < 0 for row in pivots.values()):
+    if len(free) == 1 and all(row.get(free[0], 0) * row[k] < 0 for k, row in pivots.items()):
         return 0
     return 1
 
@@ -508,7 +550,7 @@ def compare_radius(succ: Sequence[Sequence[int]], lam) -> int:
     a digraph without a cycle has radius 0 and gives -1.
     """
     lam = Fraction(lam)
-    if lam <= 0:
+    if lam.numerator <= 0:
         raise ValueError(f"lam must be > 0, got {lam}")
     return max((_compare_radius(succ, c, lam) for c in _cyclic_components(succ)), default=-1)
 

@@ -6,6 +6,11 @@ carry both the covering digraph of a periodic orbit (built in `certify`)
 and the exact transfer recursion for the measure of points not yet captured
 by a constancy piece.  A map here is concrete; the one family with a
 parameter, the trapezoid maps, lives in `certify`.
+
+A map with integer slopes sends (1/Q)Z into itself once Q clears its cuts
+and offsets.  `IntegerFrame` is that form: cut and offset numerators over
+one Q, and integer slopes.  Orbit walks and the partition closure run on
+those numerators, and Fractions are built only for returned values.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from pwldyn.rationals import rational_str
 
@@ -63,6 +69,7 @@ class PiecewiseAffine1D:
         self.pieces = list(pieces)
         self.chart = chart
         self._cuts = (self.lo, *self.breakpoints, self.hi)
+        self._constant = tuple(p.is_constant for p in self.pieces)
 
     def cut_points(self) -> list[Fraction]:
         return list(self._cuts)
@@ -75,8 +82,7 @@ class PiecewiseAffine1D:
         cuts = self._cuts
         if not cuts[0] <= x <= cuts[-1]:
             raise ValueError(f"{x} outside domain [{self.lo}, {self.hi}]")
-        hits = [i for i in range(len(self.pieces)) if cuts[i] <= x <= cuts[i + 1]]
-        return next((i for i in hits if self.pieces[i].is_constant), hits[0])
+        return _piece_at(self._constant, _pieces_holding(cuts, x))
 
     def __call__(self, x: Fraction) -> Fraction:
         return self.pieces[self.piece_index_at(x)].apply(Fraction(x))
@@ -84,6 +90,109 @@ class PiecewiseAffine1D:
     def symbol(self, i: int) -> str:
         """Itinerary symbol of piece i: its name, else its index."""
         return self.pieces[i].name or str(i)
+
+    @cached_property
+    def _frame(self) -> "IntegerFrame":
+        for p in self.pieces:
+            if p.slope.denominator != 1:
+                raise ValueError(f"slope {rational_str(p.slope)} is not an integer: no finite orbit closure")
+        q = lcm(*(c.denominator for c in self._cuts), *(p.offset.denominator for p in self.pieces))
+        return IntegerFrame(
+            q,
+            tuple(c.numerator * (q // c.denominator) for c in self._cuts),
+            tuple(p.slope.numerator for p in self.pieces),
+            tuple(p.offset.numerator * (q // p.offset.denominator) for p in self.pieces),
+        )
+
+    def integer_frame(self, points: Sequence = ()) -> tuple["IntegerFrame", list[int]]:
+        """The map's `IntegerFrame`, its q also clearing `points`, and their
+        numerators over that q.  Raises ValueError on a slope that is not an
+        integer."""
+        frame = self._frame
+        points = [Fraction(x) for x in points]
+        k = lcm(frame.q, *(x.denominator for x in points)) // frame.q
+        if k != 1:
+            frame = IntegerFrame(frame.q * k, tuple(c * k for c in frame.cuts), frame.slopes,
+                                 tuple(o * k for o in frame.offsets))
+        return frame, [x.numerator * (frame.q // x.denominator) for x in points]
+
+
+def _pieces_holding(cuts: Sequence, x) -> range:
+    """Indices i with cuts[i] <= x <= cuts[i+1], by bisection of the sorted cuts."""
+    return range(max(bisect_left(cuts, x) - 1, 0), min(bisect_right(cuts, x), len(cuts) - 1))
+
+
+def _piece_at(constant: Sequence[bool], hits: range) -> int:
+    """Tie rule among the pieces holding a point: a constancy piece wins,
+    otherwise the left one does."""
+    return next((i for i in hits if constant[i]), hits[0])
+
+
+@dataclass(frozen=True)
+class IntegerFrame:
+    """A map with integer slopes on the lattice (1/q)Z.
+
+    A point x is held as its numerator X = q*x.  Piece i covers
+    [cuts[i], cuts[i+1]] and sends X to slopes[i]*X + offsets[i], which is
+    again a numerator over q: every orbit and the partition closure stay on
+    the lattice.
+    """
+
+    q: int
+    cuts: tuple[int, ...]
+    slopes: tuple[int, ...]
+    offsets: tuple[int, ...]
+
+    def _escaped(self, x: int) -> ValueError:
+        lo, hi = (Fraction(c, self.q) for c in (self.cuts[0], self.cuts[-1]))
+        return ValueError(f"iterate {Fraction(x, self.q)} escaped domain [{lo}, {hi}]")
+
+    def walk(self, x: int, k: int) -> tuple[list[int], list[int]]:
+        """([x, f(x), ..., f^k(x)], the piece index of each of the first k),
+        with the tie rule of `PiecewiseAffine1D.piece_index_at`; errors if
+        an iterate escapes the domain."""
+        cuts, slopes, offsets = self.cuts, self.slopes, self.offsets
+        constant = tuple(s == 0 for s in slopes)
+        lo, hi = cuts[0], cuts[-1]
+        xs, idx = [x], []
+        for _ in range(k):
+            if not lo <= x <= hi:
+                raise self._escaped(x)
+            i = _piece_at(constant, _pieces_holding(cuts, x))
+            x = slopes[i] * x + offsets[i]
+            xs.append(x)
+            idx.append(i)
+        if not lo <= x <= hi:
+            raise self._escaped(x)
+        return xs, idx
+
+    def partition(self, seeds: Iterable[int] = ()) -> tuple[list[int], list[tuple[int, range | None]]]:
+        """(ends, cells): the numerators of `markov_partition`'s sorted cell
+        ends, and per cell (piece index, cover), cover None on a constancy
+        piece."""
+        cuts, slopes, offsets = self.cuts, self.slopes, self.offsets
+        lo, hi = cuts[0], cuts[-1]
+        ends = {*cuts, *seeds}
+        todo = [x for x in ends if lo <= x <= hi]
+        while todo:
+            x = todo.pop()
+            for i in _pieces_holding(cuts, x):
+                y = slopes[i] * x + offsets[i]
+                if y not in ends:
+                    ends.add(y)
+                    if lo <= y <= hi:
+                        todo.append(y)
+        ends = sorted(x for x in ends if lo <= x <= hi)
+        cells = []
+        for a, b in zip(ends, ends[1:]):
+            i = bisect_right(cuts, a) - 1
+            s, o = slopes[i], offsets[i]
+            cover = None
+            if s:
+                fa, fb = sorted((s * a + o, s * b + o))
+                cover = range(bisect_left(ends, max(fa, lo)), bisect_left(ends, min(fb, hi)))
+            cells.append((i, cover))
+        return ends, cells
 
 
 def _merge(pieces: list[Piece], bps: list[Fraction]) -> tuple[list[Piece], list[Fraction]]:
@@ -162,35 +271,14 @@ def markov_partition(m: PiecewiseAffine1D, seeds: Sequence[Fraction] = ()) -> li
     maps cell ends to cell ends.  Points mapped off [lo, hi] are not
     iterated.  So each non-constant cell maps onto the cells of index range
     `cover`, plus its part off the domain; `cover` is None on a constancy
-    piece.  Integer slopes make the closure finite: every denominator
-    divides the lcm of those of the cut points, seeds and offsets.
+    piece.  Integer slopes make the closure finite: it lies on the lattice
+    of `m.integer_frame(seeds)`, where it is computed; the cell ends become
+    Fractions only here.
     """
-    for p in m.pieces:
-        if p.slope.denominator != 1:
-            raise ValueError(f"slope {rational_str(p.slope)} is not an integer: no finite orbit closure")
-    lo, hi = m.lo, m.hi
-    cuts = m.cut_points()
-    ends = set(cuts) | {Fraction(x) for x in seeds}
-    todo = [x for x in ends if lo <= x <= hi]
-    while todo:
-        x = todo.pop()
-        for i, piece in enumerate(m.pieces):
-            if cuts[i] <= x <= cuts[i + 1]:
-                y = piece.apply(x)
-                if y not in ends:
-                    ends.add(y)
-                    if lo <= y <= hi:
-                        todo.append(y)
-    ends = sorted(x for x in ends if lo <= x <= hi)
-    cells = []
-    for a, b in zip(ends, ends[1:]):
-        piece = m.pieces[bisect_right(cuts, a) - 1]
-        cover = None
-        if not piece.is_constant:
-            fa, fb = sorted((piece.apply(a), piece.apply(b)))
-            cover = range(bisect_left(ends, max(fa, lo)), bisect_left(ends, min(fb, hi)))
-        cells.append((a, b, piece, cover))
-    return cells
+    frame, xs = m.integer_frame(seeds)
+    ends, cells = frame.partition(xs)
+    fr = [Fraction(x, frame.q) for x in ends]
+    return [(fr[k], fr[k + 1], m.pieces[i], cover) for k, (i, cover) in enumerate(cells)]
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +321,18 @@ def uncaptured_numerators(m: PiecewiseAffine1D, depth: int) -> tuple[list[int], 
     On the cells of `markov_partition(m)` this is the transfer recursion
     u_{n+1}[i] = sum(u_n[cover_i]) / |slope_i|, with u_0 the cell lengths
     and 0 on constancy cells.  It runs on integer numerators over q*s^n,
-    where q clears the cell ends and s is the lcm of the |slopes|; so
-    w[0] = (hi - lo)*q.
+    where q is that of `m.integer_frame()` and s the lcm of the |slopes|;
+    so w[0] = (hi - lo)*q.
     """
     if not any(p.is_constant for p in m.pieces):
         raise ValueError("map has no constancy piece")
-    cells = markov_partition(m)
-    q = lcm(*(x.denominator for a, b, _, _ in cells for x in (a, b)))
-    s = lcm(*(abs(p.slope.numerator) for _, _, p, cov in cells if cov is not None))
+    frame, _ = m.integer_frame()
+    ends, cells = frame.partition()
+    q = frame.q
+    s = lcm(*(abs(frame.slopes[i]) for i, cov in cells if cov is not None))
     # (cover, s/|slope|) per cell; None on a constancy cell
-    steps = [None if cov is None else (cov.start, cov.stop, s // abs(p.slope.numerator))
-             for _, _, p, cov in cells]
-    w = [b.numerator * (q // b.denominator) - a.numerator * (q // a.denominator) for a, b, _, _ in cells]
+    steps = [None if cov is None else (cov.start, cov.stop, s // abs(frame.slopes[i])) for i, cov in cells]
+    w = [b - a for a, b in zip(ends, ends[1:])]
     out = [sum(w)]
     for _ in range(depth):
         w = [0 if st is None else sum(w[st[0]:st[1]]) * st[2] for st in steps]

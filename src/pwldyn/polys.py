@@ -301,8 +301,14 @@ def _sign(q: int) -> int:
 
 
 def _sign_at(p: IntPoly, x: Fraction) -> int:
-    """Sign of p(x), read off `_homogeneous` without building p(x)."""
-    return _sign(_homogeneous(p._scaled_terms(x.denominator), x.numerator, 0))
+    """Sign of p(x), read off `_homogeneous` without building p(x).
+
+    The denominator is split as odd * 2^t, so only the odd part is raised
+    to powers; the power of two enters as shifts.
+    """
+    d = x.denominator
+    t = (d & -d).bit_length() - 1
+    return _sign(_homogeneous(p._scaled_terms(d >> t), x.numerator, t))
 
 
 def _sign_right_of(p: IntPoly, x: Fraction) -> int:

@@ -1,13 +1,16 @@
 """Reference implementations that only the tests use.
 
 Most are the earlier `fractions.Fraction` implementations of the integer
-engines of `planemap` and `piecewise`: the piece tracker that pushed a
-segment through F in the chart coordinate, the line cover keyed by
-rational line equations, the invariance check and covering relations built
-on them, the Fraction evaluation of the graph tables and of their orbit
-relations, the Fraction transfer recursion of `uncaptured_measures` and the
-interval preimages it replaced.  The parameter-affine map family and its
-closing window are the earlier generic form of `certify.TrapezoidFamily`.
+engines of `planemap`, `piecewise` and `markov`: the piece tracker that
+pushed a segment through F in the chart coordinate, the line cover keyed
+by rational line equations, the invariance check and covering relations
+built on them, the Fraction evaluation of the graph tables and of their
+orbit relations, the Fraction orbit-closure Markov partition, the Fraction
+transfer recursion of `uncaptured_measures` and the interval preimages it
+replaced, and the Gauss-Jordan radius comparison over the rationals.  The
+float power iteration without its early exit is kept too.  The
+parameter-affine map family and its closing window are the earlier
+generic form of `certify.TrapezoidFamily`.
 The rest are small checks of the map and of digraphs that back statements
 in the tests (quadrant pieces, the rescaling identity, simple cycles, the
 trapezoid shape and the inverse parameter changes).  No library code
@@ -16,18 +19,19 @@ imports this module.
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from pwldyn import graphs
-from pwldyn.markov import CoverDigraph
+from pwldyn.markov import CoverDigraph, _cyclic_components
 from pwldyn.piecewise import (
     Itinerary,
     Piece,
     PiecewiseAffine1D,
     interval_gaps,
     interval_union,
-    markov_partition,
     merged,
 )
 from pwldyn.planemap import Params, Point, Segment, apply_F
@@ -269,6 +273,110 @@ def orbit_marks(regime: str, b: Fraction) -> list[tuple[str, Point, str]]:
             raise AssertionError(f"orbit relation {src} -> {dst} fails at b = {b}")
         out.append((src, named[src], dst))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The Markov partition and the radius comparison in Fractions
+# ---------------------------------------------------------------------------
+
+
+def markov_partition(m: PiecewiseAffine1D, seeds=()) -> list[tuple]:
+    """`piecewise.markov_partition`, closed, sorted and cut on Fractions."""
+    for p in m.pieces:
+        if p.slope.denominator != 1:
+            raise ValueError(f"slope {p.slope} is not an integer: no finite orbit closure")
+    lo, hi = m.lo, m.hi
+    cuts = m.cut_points()
+    ends = set(cuts) | {Fraction(x) for x in seeds}
+    todo = [x for x in ends if lo <= x <= hi]
+    while todo:
+        x = todo.pop()
+        for i, piece in enumerate(m.pieces):
+            if cuts[i] <= x <= cuts[i + 1]:
+                y = piece.apply(x)
+                if y not in ends:
+                    ends.add(y)
+                    if lo <= y <= hi:
+                        todo.append(y)
+    ends = sorted(x for x in ends if lo <= x <= hi)
+    cells = []
+    for a, b in zip(ends, ends[1:]):
+        piece = m.pieces[bisect_right(cuts, a) - 1]
+        cover = None
+        if not piece.is_constant:
+            fa, fb = sorted((piece.apply(a), piece.apply(b)))
+            cover = range(bisect_left(ends, max(fa, lo)), bisect_left(ends, min(fb, hi)))
+        cells.append((a, b, piece, cover))
+    return cells
+
+
+def _reduce(succ, comp, lam: Fraction):
+    """Sparse Gauss-Jordan reduction of [lam*I - A_C | 1] over the rationals:
+    (pivots, free), each pivot row scaled to pivot entry 1 (right-hand side
+    under -1)."""
+    pos = {v: k for k, v in enumerate(comp)}
+    pending = []
+    for v in comp:
+        row = {pos[w]: Fraction(-1) for w in succ[v] if w in pos}
+        diag = row.get(pos[v], 0) + lam
+        if diag:
+            row[pos[v]] = diag
+        else:
+            del row[pos[v]]
+        row[-1] = Fraction(1)
+        pending.append(row)
+    pivots: dict = {}
+    free = []
+    for k in range(len(comp)):
+        cands = [i for i, row in enumerate(pending) if k in row]
+        if not cands:
+            free.append(k)
+            continue
+        prow = pending.pop(min(cands, key=lambda i: len(pending[i])))
+        inv = 1 / prow[k]
+        prow = {c: x * inv for c, x in prow.items()}
+        for row in itertools.chain(pending, pivots.values()):
+            f = row.pop(k, 0)
+            if not f:
+                continue
+            for c, x in prow.items():
+                if c == k:
+                    continue
+                y = row.get(c, 0) - f * x
+                if y:
+                    row[c] = y
+                else:
+                    row.pop(c, None)
+        pivots[k] = prow
+    return pivots, free
+
+
+def compare_radius_component(succ, comp, lam) -> int:
+    """`markov._compare_radius` on the Fraction reduction."""
+    pivots, free = _reduce(succ, comp, Fraction(lam))
+    if not free and all(row.get(-1, 0) > 0 for row in pivots.values()):
+        return -1
+    if len(free) == 1 and all(row.get(free[0], 0) < 0 for row in pivots.values()):
+        return 0
+    return 1
+
+
+def power_iteration_radius(adj, steps: int = 10_000) -> float:
+    """`markov._power_iteration_radius` without its early exit: all `steps` run."""
+    rows = [[j for j, e in enumerate(row) if e] for row in adj]
+    best = 0.0
+    for comp in _cyclic_components(rows):
+        pos = {v: k for k, v in enumerate(comp)}
+        succ = [sorted((pos[j], adj[i][j]) for j in rows[i] if j in pos) for i in comp]
+        v = [1.0] * len(comp)
+        growth = 1.0
+        for _ in range(steps):
+            w = [sum([a * v[k] for k, a in row]) + v[i] for i, row in enumerate(succ)]
+            norm = sum(map(abs, w))
+            growth = norm / sum(map(abs, v))
+            v = [c / norm for c in w]
+        best = max(best, growth - 1.0)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -276,3 +277,48 @@ def test_window_matches_param_affine_oracle(fam: TrapezoidFamily):
         for d in window:
             assert _map_data(fam.at(d)) == _map_data(oracle.at(d)), (pattern, d)
     assert 0 < empty < 300  # the random words give both empty and nonempty windows
+
+
+@pytest.mark.parametrize(
+    "tag, upper, lower, sha256",
+    [
+        ("alpha", 96, 128, "ced02035462413d18c0c2ca0de6e2a1047a08c8fd42161c4efcd8bb460ee8d64"),
+        ("beta", 96, 128, "7fa46050ec6bb41d8395aa375aeef79a861dc96212f28ad5ed16f1892379fe0e"),
+        ("alpha", 192, 256, "bc054a1e0a7e57861410641f3cb9425559207908ad1b1d32892029c92a2dbea4"),
+        ("beta", 192, 256, "20c2472938d38e69e9cd78beb00560ef18fc1e5aa6ff84bdf689bb5200406c37"),
+        ("alpha", 384, 512, "1fe7a854c91f9d9dd9125371b8e205ee4a0850402bd6ff999464cd91a1d56cdf"),
+        ("beta", 384, 512, "225cce4fa329fc5e3f27cdbf843f24cf257d41ae8e26f62bed5d443be8ad6359"),
+    ],
+    ids=lambda v: str(v)[:8],
+)
+def test_deep_certificates_are_pinned(tag, upper, lower, sha256):
+    ci = certify(tag, upper, lower)
+    assert verify_certificate(ci)
+    assert hashlib.sha256(ci.to_json_str().encode()).hexdigest() == sha256
+
+
+_FRACTION_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+    "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__", "__pow__", "__rpow__", "__neg__", "__abs__",
+    "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+)
+
+
+@pytest.mark.parametrize("tag", ["alpha", "beta"])
+def test_certificate_path_does_no_fraction_arithmetic(monkeypatch, tag):
+    fam = trapezoid_family(tag)
+    ci = certify(tag, 24, 32)
+    patterns = (upper_pattern(24), lower_pattern(32))
+    certs = (ci.hi_certificate, ci.lo_certificate)
+    maps = [fam.at(c.d) for c in certs]
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic on the certificate path")
+
+    with monkeypatch.context() as patch:
+        for op in _FRACTION_OPERATORS:
+            patch.setattr(F, op, forbidden)
+        windows = [fam.window(pattern) for pattern in patterns]
+        sides = [compare_radius(orbit_digraph(m, c.orbit).succ, 1) for m, c in zip(maps, certs)]
+    assert sides == [1, 0]
+    assert all(c.d in window for c, window in zip(certs, windows))

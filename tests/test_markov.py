@@ -406,3 +406,48 @@ def test_dot_and_json_export():
     js = sc.to_json()
     assert js["labels"][0] == "A"
     assert sum(sum(row) for row in js["adjacency"]) == 7
+
+
+def test_power_iteration_early_exit_matches_full_loop():
+    rng = random.Random(7007)
+    for _ in range(1000):
+        n = rng.randint(1, 8)
+        density = rng.choice((0.2, 0.3, 0.5))
+        adj = [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+        steps = rng.randint(1, 300)
+        assert _power_iteration_radius(adj, steps) == oracles.power_iteration_radius(adj, steps), (adj, steps)
+
+
+def _radius_comparison_cases():
+    """(succ, lam) pairs: exact radii and their 1e-9 neighbours on complete
+    digraphs, cycles and the feeding-components example, then seeded random
+    digraphs at 1, its neighbours and 10-digit rationals."""
+    eps = F(1, 10**9)
+    cases = []
+    for k in range(1, 7):
+        cases += [([list(range(k))] * k, lam) for lam in (F(k), k - eps, k + eps)]
+    for n in range(1, 9):
+        cycle = [[(i + 1) % n] for i in range(n)]
+        cases += [(cycle, lam) for lam in (F(1), 1 - eps, 1 + eps)]
+    feeding = [[0, 1], [0, 1, 2], [2, 3], [2, 3]]
+    cases += [(feeding, lam) for lam in (F(2), 2 - eps, 2 + eps)]
+    rng = random.Random(1016)
+    while len(cases) < 1200:
+        n = rng.randint(1, 8)
+        density = rng.choice((0.2, 0.3, 0.5))
+        succ = [[j for j in range(n) if rng.random() < density] for _ in range(n)]
+        den = rng.randrange(10**9, 10**10)
+        lam = rng.choice((F(1), 1 - eps, 1 + eps, F(rng.randrange(den // 4, 4 * den), den)))
+        cases.append((succ, lam))
+    return cases
+
+
+def test_compare_radius_matches_fraction_oracle():
+    sides = set()
+    for succ, lam in _radius_comparison_cases():
+        comps = markov._cyclic_components(succ) + [range(len(succ))]
+        for comp in comps:
+            got = _compare_radius(succ, comp, lam)
+            assert got == oracles.compare_radius_component(succ, comp, lam), (succ, comp, lam)
+            sides.add(got)
+    assert sides == {-1, 0, 1}

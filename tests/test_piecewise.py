@@ -3,9 +3,19 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from oracles import uncaptured_intervals
-from pwldyn.certify import certify, orbit_digraph, phi_family, trapezoid_family
+from pwldyn.certify import (
+    ALPHA_WINDOW,
+    BETA_WINDOW,
+    certify,
+    orbit_digraph,
+    phi_family,
+    psi_family,
+    trapezoid_family,
+)
 from pwldyn.markov import spectral_radius
+from pwldyn.measure import return_map_for_edge
 from pwldyn.piecewise import (
     Itinerary,
     Piece,
@@ -213,3 +223,30 @@ def test_restrict_then_measure_roundtrip():
     m = restrict_iterate_to_segment(Params.standard(-3), segment((1, -3), (1, -1)), 7)
     u = uncaptured_measures(m, 1)
     assert u[0] - u[1] == F(15, 8)
+
+
+def test_markov_partition_matches_fraction_oracle():
+    # trapezoid maps at seeded d, seeded by lattice points or by a certified
+    # orbit, and the return maps of the capture report at seeded b
+    rng = random.Random(1604)
+    cases = []
+    for fam in (phi_family(), psi_family()):
+        for _ in range(30):
+            d = F(rng.randint(0, 4096), 4096) if rng.random() < 0.5 else F(rng.randint(0, 997), 997)
+            seeds = [F(rng.randint(0, 64), 64) for _ in range(rng.randint(0, 3))]
+            cases.append((fam.at(d), seeds))
+    for tag in ("alpha", "beta"):
+        for upper, lower in ((3, 4), (12, 16), (48, 64)):
+            ci = certify(tag, upper, lower)
+            fam = trapezoid_family(tag)
+            cases += [(fam.at(c.d), c.orbit) for c in (ci.lo_certificate, ci.hi_certificate)]
+
+    def draw(lo, hi):
+        return lo + (hi - lo) * F(rng.randint(1, 9999), 10000)
+
+    for _ in range(5):
+        cases += [(return_map_for_edge("negb", draw(F(-11), F(-2)), e)[0], ()) for e in "ABCDEGH"]
+        cases.append((return_map_for_edge("alpha", draw(*ALPHA_WINDOW), "PI")[0], ()))
+        cases.append((return_map_for_edge("beta", draw(*BETA_WINDOW), "SIGMA")[0], ()))
+    for m, seeds in cases:
+        assert markov_partition(m, seeds) == oracles.markov_partition(m, seeds)

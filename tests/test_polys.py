@@ -13,6 +13,7 @@ from pwldyn.polys import (
     isolate_unique_positive_root,
     largest_positive_root,
     laurent_poly_det,
+    _sign_at,
 )
 
 
@@ -318,3 +319,21 @@ def test_refined_evaluation_count(monkeypatch):
         calls = 0
         isolate_unique_positive_root(p, digits)
         assert calls <= limit
+
+
+def test_sign_at_matches_fraction_evaluation():
+    # sparse polynomials up to degree 1210 at x = m / (odd * 2^t); every
+    # fifth one gets x as a root
+    rng = random.Random(1210)
+    for case in range(200):
+        deg = rng.randint(1, 1210)
+        terms = {deg: rng.choice((-1, 1)) * rng.randint(1, 10**6)}
+        for _ in range(rng.randint(0, 6)):
+            terms[rng.randint(0, deg - 1)] = rng.randint(-(10**6), 10**6)
+        p = IntPoly.from_terms(terms)
+        d = (2 * rng.randint(0, 500) + 1) << rng.randint(0, 40)
+        x = F(rng.randint(-3 * d, 3 * d), d)
+        if case % 5 == 0:
+            p = p * IntPoly([-x.numerator, x.denominator])
+        value = sum((c * x**k for k, c in enumerate(p.coeffs) if c), F(0))
+        assert _sign_at(p, x) == (value > 0) - (value < 0), (case, x)
