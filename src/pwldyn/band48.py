@@ -16,7 +16,7 @@ from fractions import Fraction
 from pwldyn.graphs import build_gamma
 from pwldyn.markov import CoverDigraph, build_cover_digraph_pair, spectral_radius
 from pwldyn.planemap import Params, Point, Segment
-from pwldyn.polys import IntPoly, RootInterval, isolate_unique_positive_root
+from pwldyn.polys import IntPoly, RootInterval, compare_roots, isolate_unique_positive_root
 from pwldyn.rationals import format_decimal, ln_enclosure, rational_str
 
 F = Fraction
@@ -73,7 +73,7 @@ def classify(b) -> LevelClass:
     """Unique level class containing b; endpoints respected exactly."""
     b = Fraction(b)
     if not 4 < b < 8:
-        raise ValueError(f"classification requires 4 < b < 8, got b = {b}")
+        raise ValueError(f"classification requires 4 < b < 8, got b = {rational_str(b)}")
     # The level is the least n with b <= p_n.  For b = u/v that reads
     # 4^(n+1) * (16v - 2u) >= 4v + u, i.e. 2^(2n+2) >= c below.
     u, v = b.numerator, b.denominator
@@ -204,48 +204,25 @@ def entropy_or_bounds(b, digits: int = 7) -> EntropyResult:
 # ---------------------------------------------------------------------------
 
 
-def _five_roots(n: int, digits: int) -> list[RootInterval]:
-    """Enclosures of the roots of the five level-n polynomials, ascending order."""
-    return [
-        isolate_unique_positive_root(p, digits)
-        for p in (poly_lower(n), poly_exact_v(n), poly_exact_t(n), poly_upper_u(n), poly_upper_s(n))
-    ]
+# The five class-root families, in ascending order of their roots at each level.
+_FAMILIES = (poly_lower, poly_exact_v, poly_exact_t, poly_upper_u, poly_upper_s)
 
 
-def verify_root_ordering(n_max: int, digits: int = 6) -> bool:
+def _ascending(polys: list[IntPoly]) -> bool:
+    """Whether the positive roots of `polys` strictly increase, decided by
+    `compare_roots` from 6-digit enclosures it refines where a pair needs."""
+    roots = [isolate_unique_positive_root(p, 6) for p in polys]
+    return all(compare_roots(r, s) < 0 for r, s in zip(roots, roots[1:]))
+
+
+def verify_root_ordering(n_max: int) -> bool:
     """Certified 1 < lower < V-root < T-root < U-root < S-upper for n <= n_max."""
-    for n in range(n_max + 1):
-        roots = _five_roots(n, digits)
-        d = digits
-        while True:
-            chain = [RootInterval(F(1), F(1), IntPoly([-1, 1])), *roots]
-            if all(a.hi < bq.lo for a, bq in zip(chain, chain[1:])):
-                break
-            d += 6
-            if d > digits + 60:
-                return False
-            roots = [r.refined(d) for r in roots]
-    return True
+    return all(_ascending([IntPoly([-1, 1]), *(fam(n) for fam in _FAMILIES)]) for n in range(n_max + 1))
 
 
-def roots_strictly_decreasing(n_max: int, digits: int = 6) -> bool:
-    """Each of the five root sequences strictly decreases up to level n_max.
-
-    Uses the sign of the level-(n+1) polynomial at the lower end of the
-    level-n enclosure: positivity there puts the next root strictly below.
-    """
-    families = (poly_lower, poly_exact_v, poly_exact_t, poly_upper_u, poly_upper_s)
-    for fam in families:
-        for n in range(n_max):
-            cur = isolate_unique_positive_root(fam(n), digits)
-            nxt_poly = fam(n + 1)
-            d = digits
-            while nxt_poly(cur.lo) <= 0:
-                d += 6
-                if d > digits + 60:
-                    return False
-                cur = cur.refined(d)
-    return True
+def roots_strictly_decreasing(n_max: int) -> bool:
+    """Each of the five root sequences strictly decreases up to level n_max."""
+    return all(_ascending([fam(n) for n in range(n_max, -1, -1)]) for fam in _FAMILIES)
 
 
 def continuity_level_bound(eps) -> int:

@@ -30,8 +30,11 @@ def _emit(text: str, out: str | None):
     if out:
         base = os.environ.get("PWLDYN_OUT_DIR")
         path = os.path.join(base, out) if base and not os.path.isabs(out) else out
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -30,6 +30,7 @@ from pwldyn.planemap import (
     _off_frame,
     image_gaps,
 )
+from pwldyn.rationals import _int_str, rational_str
 
 F = Fraction
 
@@ -60,7 +61,7 @@ def _regime_where(regime: str, b: Fraction) -> str:
     """`regime_interval_contains`, refusing a b outside the regime."""
     where = regime_interval_contains(regime, b)
     if where == "outside":
-        raise ValueError(f"b = {b} outside the {regime} regime")
+        raise ValueError(f"b = {rational_str(b)} outside the {regime} regime")
     return where
 
 
@@ -353,7 +354,7 @@ class PlanarGraph:
     def to_json(self) -> dict:
         return {
             "regime": self.regime,
-            "b": f"{self.b.numerator}/{self.b.denominator}",
+            "b": f"{_int_str(self.b.numerator)}/{_int_str(self.b.denominator)}",
             "boundary": self.boundary,
             "vertices": {n: p.to_json() for n, p in sorted(self.vertices.items())},
             "edges": [[e.name, e.a, e.b] for e in self.edges],
@@ -362,6 +363,9 @@ class PlanarGraph:
 
     def to_svg(self, size: int = 640) -> str:
         pts = list(self.vertices.values()) + [p for p, _ in self.marks.values()]
+        # Below 2^1020 in size, every float of the layout stays finite.
+        if any(abs(v) > 2**1020 for p in pts for v in p):
+            raise ValueError(f"b = {rational_str(self.b)}: coordinates beyond float range, no SVG export")
         xs = [float(p.x) for p in pts]
         ys = [float(p.y) for p in pts]
         x0, x1 = min(xs), max(xs)
@@ -378,7 +382,7 @@ class PlanarGraph:
         lines = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
             f'viewBox="0 0 {size} {size}">',
-            f'<!-- regime {self.regime}, b = {self.b} -->',
+            f'<!-- regime {self.regime}, b = {rational_str(self.b)} -->',
         ]
         for e in self.edges:
             pa, pb = self.vertices[e.a], self.vertices[e.b]

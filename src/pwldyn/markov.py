@@ -19,6 +19,7 @@ runs on no default path) work on the dense matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,10 +31,9 @@ from pwldyn.polys import (
     IntPoly,
     LaurentPoly,
     RootInterval,
-    count_roots_in,
+    compare_roots,
     laurent_poly_det,
     largest_positive_root,
-    poly_gcd,
 )
 
 
@@ -390,49 +390,12 @@ def spectral_radius(dg: CoverDigraph, digits: int = 12, check: bool = True) -> R
         if root is None:
             raise AssertionError("cyclic component without positive root")
         enclosures.append(root)
-    result = enclosures[0]
-    for cand in enclosures[1:]:
-        result = _max_enclosure(result, cand, digits)
+    result = max(enclosures, key=functools.cmp_to_key(compare_roots))
     if check and not _encloses_radius(dg.succ, result.lo, result.hi):
         raise AssertionError(
             f"exact radius check failed for [{result.lo}, {result.hi}] ({result.poly})"
         )
     return result
-
-
-def _max_enclosure(a: RootInterval, b: RootInterval, digits: int) -> RootInterval:
-    """Enclosure of max(root(a), root(b)), refining until one side dominates.
-
-    Equal roots are decided exactly first, so the refinement below only runs
-    on distinct roots and always ends.
-    """
-    if a.hi > b.lo and b.hi > a.lo and _same_root(a, b):
-        return a
-    while True:
-        if a.hi <= b.lo:
-            return b
-        if b.hi <= a.lo:
-            return a
-        digits += 10
-        a, b = a.refined(digits), b.refined(digits)
-
-
-def _same_root(a: RootInterval, b: RootInterval) -> bool:
-    """Whether two enclosures hold the same root.
-
-    An exact enclosure holds lo; any other holds the one root of its
-    polynomial in (lo, hi].  The roots agree iff gcd(a.poly, b.poly) has a
-    root where those two root sets meet.
-    """
-    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-    if lo > hi:
-        return False
-    g = poly_gcd(a.poly, b.poly)
-    if g.degree <= 0:
-        return False
-    if lo == hi:
-        return g(lo) == 0 and all(r.is_exact or r.lo < lo for r in (a, b))
-    return count_roots_in(g, lo, hi) > 0
 
 
 # ---------------------------------------------------------------------------

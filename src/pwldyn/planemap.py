@@ -111,23 +111,16 @@ def segment(p1, p2) -> Segment:
 # Quadrants and the map
 # ---------------------------------------------------------------------------
 
-# Closed quadrants: Q1 = {x>=0, y>=0}, Q2 = {x<=0, y>=0},
-# Q3 = {x<=0, y<=0}, Q4 = {x>=0, y<=0}.  Sign pairs (sx, sy) give
-# |x| = sx*x and |y| = sy*y on the quadrant.
-_QUADRANT_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}
-
-
 def quadrant_of(pt: Point) -> int:
-    """Lowest-index closed quadrant containing the point.
+    """Lowest-index closed quadrant containing the point: Q1 = {x>=0, y>=0},
+    Q2 = {x<=0, y>=0}, Q3 = {x<=0, y<=0}, Q4 = {x>=0, y<=0}.
 
     The tie-break on the axes is a pure bookkeeping convention: F is
     continuous, so the value of F never depends on the choice.
     """
-    for q in (1, 2, 3, 4):
-        sx, sy = _QUADRANT_SIGNS[q]
-        if sx * pt.x >= 0 and sy * pt.y >= 0:
-            return q
-    raise AssertionError("unreachable")
+    if pt.y >= 0:
+        return 1 if pt.x >= 0 else 2
+    return 3 if pt.x <= 0 else 4
 
 
 def apply_F(params: Params, pt: Point) -> Point:
@@ -438,42 +431,17 @@ class LineCover:
 def detect_plateaus(graph_or_segments) -> list[Segment]:
     """Maximal sub-segments that F collapses to a point.
 
-    These are exactly the pieces of slope +1 inside the closed first
-    quadrant and of slope -1 inside the closed third quadrant (there the
-    affine branch of F kills the segment direction).  Accepts a planar
-    graph or any iterable of segments.
+    These are the pieces of one F step whose image has direction 0: the
+    linear part of F does not depend on (a, b), so the step runs at
+    a = b = 0.  Accepts a planar graph or any iterable of segments.
     """
     segments = getattr(graph_or_segments, "all_segments", None)
-    segs: Iterable[Segment] = segments() if callable(segments) else graph_or_segments
-    found: list[Segment] = []
-    for seg in segs:
-        if seg.dx == 0:
-            continue
-        slope = seg.dy / seg.dx
-        if slope == 1:
-            clipped = _clip_to_quadrant(seg, 1)
-        elif slope == -1:
-            clipped = _clip_to_quadrant(seg, 3)
-        else:
-            continue
-        if clipped is not None:
-            found.append(clipped)
-    return LineCover(found).segments()
-
-
-def _clip_to_quadrant(seg: Segment, q: int) -> Segment | None:
-    sx, sy = _QUADRANT_SIGNS[q]
-    # Points p + lam*(q - p), lam in [0, 1]: require sx*x >= 0 and sy*y >= 0,
-    # both affine in lam.
-    lam0, lam1 = Fraction(0), Fraction(1)
-    for c0, v in ((sx * seg.p.x, sx * seg.dx), (sy * seg.p.y, sy * seg.dy)):
-        if v == 0:
-            if c0 < 0:
-                return None
-        elif v > 0:
-            lam0 = max(lam0, -c0 / v)
-        else:
-            lam1 = min(lam1, -c0 / v)
-    if lam0 >= lam1:
-        return None
-    return Segment(*(Point(seg.p.x + lam * seg.dx, seg.p.y + lam * seg.dy) for lam in (lam0, lam1)))
+    segs = list(segments() if callable(segments) else graph_or_segments)
+    lat = SegmentLattice(Params(Fraction(0), Fraction(0)), segs)
+    pieces = iterate_segment_pieces(lat, 1)  # may refine lat.frame
+    cover = LineCover(frame=lat.frame)
+    for i, s0, s1, _, vx, _, vy in pieces:
+        if not vx and not vy:
+            _, _, _, x, ux, y, uy = lat.starts[i]
+            cover._add(*_line_chart(x + ux * s0, y + uy * s0, x + ux * s1, y + uy * s1))
+    return cover.segments()

@@ -13,6 +13,9 @@ behind two bracket strategies:
   polynomial with one sign change to the first strategy and returns a
   largest root of exactly 1 as the exact interval [1, 1].
 
+`compare_roots` orders the roots of two enclosures exactly, refining
+them only while they overlap and hold distinct roots.
+
 Every polynomial, Sturm chain members included, is evaluated by one sparse
 integer kernel, `_homogeneous`: at x = m/d it returns d^deg * p(x), so a
 sign needs no Fraction.  `IntPoly.__call__` divides it by d^deg, and the
@@ -100,9 +103,6 @@ class IntPoly:
                 if b:
                     out[i + j] += a * b
         return IntPoly(out)
-
-    def scale(self, k: int) -> "IntPoly":
-        return IntPoly([k * c for c in self.coeffs])
 
     def __call__(self, x: Fraction) -> Fraction:
         if not self.coeffs:
@@ -471,6 +471,46 @@ def largest_positive_root(p: IntPoly, digits: int) -> RootInterval | None:
         else:
             hi = mid
     return RootInterval(lo, hi, sf).refined(digits)
+
+
+def compare_roots(a: RootInterval, b: RootInterval) -> int:
+    """-1, 0 or 1 as the root held by `a` is below, equal to or above that of `b`.
+
+    Exact, and never gives up: overlapping enclosures are first tested for
+    one common root (`_same_root`); distinct roots are refined, doubling the
+    digits each round, until their enclosures separate.
+    """
+    if a.hi > b.lo and b.hi > a.lo and _same_root(a, b):
+        return 0
+    w = max(a.width, b.width)  # digits = about -log10(w)
+    digits = max(w.denominator.bit_length() - w.numerator.bit_length(), 0) * 3 // 10
+    while True:
+        # A root lies in (lo, hi) or is lo = hi, so touching ends order the
+        # roots; a.lo == b.hi below means both are that one exact point.
+        if a.hi <= b.lo:
+            return 0 if a.lo == b.hi else -1
+        if b.hi <= a.lo:
+            return 1
+        digits = max(2 * digits, 1)
+        a, b = a.refined(digits), b.refined(digits)
+
+
+def _same_root(a: RootInterval, b: RootInterval) -> bool:
+    """Whether two enclosures hold the same root.
+
+    An exact enclosure holds lo; any other holds the one root of its
+    polynomial in (lo, hi].  The roots agree iff gcd(a.poly, b.poly) has a
+    root where those two root sets meet.
+    """
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if lo > hi:
+        return False
+    g = poly_gcd(a.poly, b.poly)
+    if g.degree <= 0:
+        return False
+    if lo == hi:
+        return g(lo) == 0 and all(r.is_exact or r.lo < lo for r in (a, b))
+    return count_roots_in(g, lo, hi) > 0
 
 
 # ---------------------------------------------------------------------------

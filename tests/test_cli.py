@@ -153,3 +153,41 @@ def test_entropy_past_the_int_str_limit(capsys):
     assert n == 0
     want = f"{digits[:-places]}.{digits[-places:]}"
     assert out.splitlines()[1] == f"entropy = ln(root(x^7 - x^4 - 2)) = {want}"
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_is_a_one_line_error(capsys, tmp_path, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    with pytest.raises(SystemExit) as exc:
+        main(["certify-alpha", "--upper", "3", "--lower", "4", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("pwldyn: error: ") and repr(str(out)) in err
+
+
+HUGE = "1" + "0" * 5000  # 10^5000: past CPython's 4300-digit int -> str limit
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_entropy_names_a_huge_b(capsys, sign):
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy", f"--b={sign}1e5000"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("pwldyn: error: ") and f"b = {sign}{HUGE}\n" in err
+
+
+def test_graph_at_a_huge_b(capsys):
+    code, out = run(capsys, "graph", "--regime", "negb", "--b=-1e5000", "--format", "json")
+    assert code == 0
+    js = json.loads(out)
+    assert js["b"] == f"-{HUGE}/1"
+    assert js["vertices"]["S"] == ["9" * 5000, "0"]  # S = (-1 - b, 0)
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "--regime", "negb", "--b=-1e5000", "--format", "svg"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"pwldyn: error: b = -{HUGE}: ") and "float range" in err

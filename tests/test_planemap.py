@@ -136,6 +136,17 @@ def test_detect_plateaus_merges_through_a_bridging_piece():
     assert detect_plateaus([a, c, b]) == [segment((0, 0), (3, 3))]
 
 
+def test_detect_plateaus_when_another_segment_refines_the_frame():
+    # The other segment crosses an axis between two lattice points of its
+    # walk, so the step refines the frame; the plateau must come back in
+    # the original units.
+    other = segment((F(-1, 2), F(-3, 2)), (F(1, 2), F(1, 2)))
+    assert detect_plateaus([segment((0, 0), (2, 2)), other]) == [segment((0, 0), (2, 2))]
+    assert detect_plateaus([segment((-1, -1), (1, 2)), segment((0, 0), (2, 2))]) == [
+        segment((0, 0), (2, 2))
+    ]
+
+
 def test_line_cover_merges_touching_segments():
     cover = LineCover([segment((0, 0), (1, 1)), segment((2, 2), (1, 1))])
     assert cover.segments() == [segment((0, 0), (2, 2))]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
@@ -8,6 +9,7 @@ from pwldyn.polys import (
     IntPoly,
     LaurentPoly,
     RootInterval,
+    compare_roots,
     count_roots_in,
     descartes_positive_sign_changes,
     isolate_unique_positive_root,
@@ -337,3 +339,79 @@ def test_sign_at_matches_fraction_evaluation():
             p = p * IntPoly([-x.numerator, x.denominator])
         value = sum((c * x**k for k, c in enumerate(p.coeffs) if c), F(0))
         assert _sign_at(p, x) == (value > 0) - (value < 0), (case, x)
+
+
+def _mp(mpmath, x: F):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _compare_roots_pool(mpmath, rng: random.Random) -> list[list[tuple[RootInterval, object]]]:
+    """Groups of (enclosure, 200-digit mpmath value of its root).
+
+    Each group holds roots chosen to be equal, to touch an enclosure end or
+    to lie closer than the enclosures' widths.
+    """
+
+    def value(p: IntPoly, ri: RootInterval):
+        f = lambda x: mpmath.polyval(list(reversed(p.coeffs)), x)
+        return mpmath.findroot(f, (_mp(mpmath, ri.lo), _mp(mpmath, ri.hi)), solver="illinois", maxsteps=2000)
+
+    groups = []
+    # band48 family roots at random levels, each also held by p times a
+    # factor without larger positive roots (one root, two polynomials).
+    extra = (poly(p1=1, p0=3), poly(p2=1, p0=1), poly(p1=5, p0=-4), poly(p2=1, p1=-1))
+    for _ in range(40):
+        fam = rng.choice(BAND48_FAMILIES)
+        p = fam(rng.randrange(0, 25))
+        ri = isolate_unique_positive_root(p, rng.randrange(0, 8))
+        root = value(p, ri)
+        q = p * rng.choice(extra)
+        shared = largest_positive_root(q, rng.randrange(0, 8))
+        assert shared.poly != ri.poly
+        groups.append([(ri, root), (shared, root)])
+    # Roots about 10^-k apart, k = 40..99: the enclosures separate only past k digits.
+    for _ in range(30):
+        c, k, s = rng.choice((2, 3, 5, 7)), rng.randrange(40, 100), rng.choice((1, -1))
+        near = IntPoly([-(c * 10**k + s), 0, 10**k])
+        groups.append([
+            (isolate_unique_positive_root(poly(p2=1, p0=-c), rng.randrange(0, 6)), mpmath.sqrt(c)),
+            (isolate_unique_positive_root(near, rng.randrange(0, 6)), mpmath.sqrt(c + mpmath.mpf(s) / 10**k)),
+        ])
+    # Exact rational roots at both ends of an enclosure of sqrt(c): lo = r
+    # is also a root of the enclosure's polynomial (a smaller one).
+    def exact(x: F, other: IntPoly = IntPoly([1])) -> tuple[RootInterval, object]:
+        return RootInterval(x, x, IntPoly([-x.numerator, x.denominator]) * other), _mp(mpmath, x)
+
+    for _ in range(30):
+        c, j = rng.choice((2, 3, 5, 7, 11)), rng.randrange(0, 12)
+        r, r2 = (F(isqrt(c * 100**j) + i, 10**j) for i in (0, 1))  # r < sqrt(c) < r2
+        square = poly(p2=1, p0=-c)
+        groups.append([
+            exact(r),
+            exact(r, poly(p1=1, p0=1)),
+            exact(r2),
+            (RootInterval(r, r2, exact(r)[0].poly * square), mpmath.sqrt(c)),
+            (RootInterval(r, r2, square), mpmath.sqrt(c)),
+        ])
+    return groups
+
+
+def test_compare_roots_matches_200_digit_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20_17)
+    with mpmath.workdps(220):
+        groups = _compare_roots_pool(mpmath, rng)
+        flat = [item for group in groups for item in group]
+        pairs = [(a, b) for group in groups for a in group for b in group]
+        pairs += [(rng.choice(flat), rng.choice(flat)) for _ in range(300)]
+        assert len(pairs) >= 500
+        signs = set()
+        for (a, ra), (b, rb) in pairs:
+            for ri, root in ((a, ra), (b, rb)):  # the oracle found the enclosed root
+                assert _mp(mpmath, ri.lo) <= root <= _mp(mpmath, ri.hi)
+            diff = ra - rb
+            want = 0 if abs(diff) < mpmath.mpf(10) ** -150 else (1 if diff > 0 else -1)
+            assert compare_roots(a, b) == want
+            assert compare_roots(b, a) == -want
+            signs.add(want)
+        assert signs == {-1, 0, 1}
