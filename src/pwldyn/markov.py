@@ -5,7 +5,7 @@ map; it is stored as successor lists, and every algorithm here reads them.
 Entropy comes from the spectral radius of its 0/1 adjacency matrix A,
 computed exactly: a rome (a node set meeting every cycle) turns the
 characteristic polynomial into a small determinant over path-generating
-Laurent polynomials, whose relevant factor is then run through certified
+polynomials in 1/lambda, whose relevant factor is then run through certified
 root isolation.  `compare_radius` decides rho <, = or > lam from the
 successor lists alone, in exact arithmetic: a positive solution of
 (lam*I - A) v = 1 shows rho < lam, a positive kernel vector of
@@ -29,11 +29,10 @@ from typing import Iterable, Sequence
 from pwldyn.planemap import LineCover, Params, Segment, image_cover_relations
 from pwldyn.polys import (
     IntPoly,
-    LaurentPoly,
     RootInterval,
     compare_roots,
-    laurent_poly_det,
     largest_positive_root,
+    poly_det,
 )
 
 
@@ -230,9 +229,10 @@ def _simple_path_lengths(dg: CoverDigraph, rome_idx: frozenset[int], start: int)
 def rome_char_poly_full(dg: CoverDigraph, rome: Rome) -> IntPoly:
     """Exact characteristic polynomial of the adjacency matrix via the rome.
 
-    Equals (+/-) lambda^n det(A_R(lambda) - E) where A_R collects
-    sum lambda^(-length) over simple paths between rome nodes; normalized to
-    a positive leading coefficient so it matches det(lambda*I - M).
+    With y = 1/lambda, A_R(y) collects sum y^length over simple paths
+    between rome nodes, and (+/-) lambda^n det(A_R(1/lambda) - E) is the
+    determinant's coefficients reversed and padded to degree n; normalized
+    to a positive leading coefficient so it matches det(lambda*I - M).
     """
     if not is_rome(dg, rome):
         raise ValueError("given node set is not a rome")
@@ -244,18 +244,12 @@ def rome_char_poly_full(dg: CoverDigraph, rome: Rome) -> IntPoly:
     matrix = []
     for i in order:
         paths = _simple_path_lengths(dg, rome_idx, i)
-        row = []
-        for j in order:
-            entry = LaurentPoly({-length: count for length, count in paths[j].items()})
-            if i == j:
-                entry = entry - LaurentPoly.constant(1)
-            row.append(entry)
-        matrix.append(row)
-    det = laurent_poly_det(matrix)
-    char = det.shifted(dg.n)
-    if char.min_exponent() < 0:
+        matrix.append([IntPoly.from_terms(paths[j]) - IntPoly([int(i == j)]) for j in order])
+    det = poly_det(matrix)
+    if det.degree > dg.n:
         raise ValueError("negative powers survived clearing; input was not a rome")
-    return char.to_int_poly().normalized_sign()
+    cs = det.coeffs + (0,) * (dg.n + 1 - len(det.coeffs))
+    return IntPoly(cs[::-1]).normalized_sign()
 
 
 def rome_char_poly(dg: CoverDigraph, rome: Rome) -> IntPoly:

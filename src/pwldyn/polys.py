@@ -16,6 +16,11 @@ behind two bracket strategies:
 `compare_roots` orders the roots of two enclosures exactly, refining
 them only while they overlap and hold distinct roots.
 
+`IntPoly` is the one polynomial type.  Sturm chain members, gcds and
+square-free parts are primitive integer pseudo-remainders and quotients
+(`_pseudo_divmod`), positive multiples of the rational ones, and the rome
+determinant of `markov` is `poly_det` over `IntPoly` entries.
+
 Every polynomial, Sturm chain members included, is evaluated by one sparse
 integer kernel, `_homogeneous`: at x = m/d it returns d^deg * p(x), so a
 sign needs no Fraction.  `IntPoly.__call__` divides it by d^deg, and the
@@ -24,15 +29,13 @@ Fractions only at return.  It returns the bisection's enclosure to the
 bit, but takes quadratic interval refinement steps on the bisection's own
 grid where the root is unique, so a simple root costs O(log digits)
 evaluations rather than one per bit.
-
-`LaurentPoly` supports the path-generating functions used by the rome
-method: entries are integer combinations of powers of 1/x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -43,7 +46,7 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        cs = [int(c) for c in coeffs]
+        cs = list(map(int, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
@@ -80,27 +83,22 @@ class IntPoly:
         return hash(self.coeffs)
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return IntPoly(a)
+        return IntPoly([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __neg__(self) -> "IntPoly":
         return IntPoly([-c for c in self.coeffs])
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
+        return IntPoly([a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         if self.is_zero() or other.is_zero():
             return IntPoly([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
+            if a:
+                for j, b in terms:
                     out[i + j] += a * b
         return IntPoly(out)
 
@@ -227,6 +225,8 @@ class RootInterval:
         come from `_homogeneous` on integer numerators; Fractions are built
         at return.
         """
+        if digits < 0:
+            raise ValueError(f"digits must be >= 0, got {digits}")
         lo, hi = self.lo, self.hi
         if lo == hi:
             return self
@@ -355,29 +355,27 @@ def isolate_unique_positive_root(p: IntPoly, digits: int) -> RootInterval:
 # ---------------------------------------------------------------------------
 
 
-def _frac_coeffs(p: IntPoly) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
+def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """Q, R with k*a = Q*b + R for some integer k > 0 and deg R < deg b.
 
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    """Quotient and remainder of a by b over the rationals (coefficients ascending)."""
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = a[:]
-    db = len(b) - 1
-    while len(r) - 1 >= db and any(r):
+    Each step scales the running remainder and quotient by |lc(b)| and
+    subtracts lc(r) * sign(lc(b)) * x^shift * b, so Q and R are positive
+    multiples of the rational quotient and remainder and keep their signs.
+    """
+    lb = b.coeffs[-1]
+    m, s, db = abs(lb), _sign(lb), b.degree
+    r = list(a.coeffs)
+    q = [0] * (len(r) - db)
+    while len(r) > db:
+        c, shift = r[-1] * s, len(r) - 1 - db
+        r, q = [m * x for x in r], [m * x for x in q]
+        q[shift] += c
+        for i, x in enumerate(b.coeffs):
+            r[shift + i] -= c * x
+        r.pop()  # m * lc(r) - c * lc(b) = 0
         while r and r[-1] == 0:
             r.pop()
-        if len(r) - 1 < db:
-            break
-        f = r[-1] / b[-1]
-        shift = len(r) - 1 - db
-        q[shift] = f
-        for i, c in enumerate(b):
-            r[shift + i] -= f * c
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
+    return IntPoly(q), IntPoly(r)
 
 
 def sturm_chain(p: IntPoly) -> list[IntPoly]:
@@ -387,8 +385,7 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
     nxt = p.derivative()
     while not nxt.is_zero():
         chain.append(nxt)
-        _, rem = _poly_divmod(_frac_coeffs(chain[-2]), _frac_coeffs(nxt))
-        nxt = _primitive([-c for c in rem])
+        nxt = _primitive(-_pseudo_divmod(chain[-2], nxt)[1])
     return chain
 
 
@@ -404,33 +401,28 @@ def count_roots_in(p: IntPoly, a: Fraction, b: Fraction, chain=None) -> int:
     return _sturm_variations(chain, a) - _sturm_variations(chain, b)
 
 
-def _primitive(coeffs: Sequence[Fraction]) -> IntPoly:
-    """The primitive integer polynomial that is a positive rational multiple
-    of `coeffs`."""
-    den = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return IntPoly([c // g for c in ints]) if g else IntPoly([])
+def _primitive(p: IntPoly) -> IntPoly:
+    """p divided by its content, the gcd of its coefficients."""
+    g = gcd(*p.coeffs)
+    return IntPoly([c // g for c in p.coeffs]) if g > 1 else p
 
 
 def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     """Greatest common divisor over Q, as a primitive integer polynomial
     with positive leading coefficient."""
-    a, b = _frac_coeffs(p), _frac_coeffs(q)
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return _primitive(a).normalized_sign()
+    while not q.is_zero():
+        p, q = q, _primitive(_pseudo_divmod(p, q)[1])
+    return _primitive(p).normalized_sign()
 
 
 def _squarefree_part(p: IntPoly) -> IntPoly:
-    """Primitive square-free part p / gcd(p, p') over the integers."""
+    """Primitive square-free part p / gcd(p, p') over the integers: the
+    primitive part of the pseudo-quotient, exact by Gauss's lemma."""
     g = poly_gcd(p, p.derivative())
     if g.degree <= 0:
         return p.normalized_sign()
-    q, rem = _poly_divmod(_frac_coeffs(p), _frac_coeffs(g))
-    assert not rem, "gcd division must be exact"
+    q, rem = _pseudo_divmod(p, g)
+    assert rem.is_zero(), "gcd division must be exact"
     return _primitive(q).normalized_sign()
 
 
@@ -514,94 +506,26 @@ def _same_root(a: RootInterval, b: RootInterval) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in 1/x for the rome path-generating functions
+# Determinants for the rome method of `markov`
 # ---------------------------------------------------------------------------
 
 
-class LaurentPoly:
-    """Integer Laurent polynomial; terms map exponent -> coefficient."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, int] | None = None):
-        self.terms = {int(p): int(c) for p, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def constant(cls, c: int) -> "LaurentPoly":
-        return cls({0: c})
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, 0) + c
-        return LaurentPoly(out)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, 0) - c
-        return LaurentPoly(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({p: -c for p, c in self.terms.items()})
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for p1, c1 in self.terms.items():
-            for p2, c2 in other.terms.items():
-                key = p1 + p2
-                out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by x^k."""
-        return LaurentPoly({p + k: c for p, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def min_exponent(self) -> int:
-        if not self.terms:
-            return 0
-        return min(self.terms)
-
-    def to_int_poly(self) -> IntPoly:
-        if self.terms and min(self.terms) < 0:
-            raise ValueError("Laurent polynomial has negative exponents")
-        return IntPoly.from_terms(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for p in sorted(self.terms, reverse=True):
-            c = self.terms[p]
-            if p == 0:
-                parts.append(f"{c}")
-            else:
-                parts.append(f"{c}*x^{p}" if c != 1 else f"x^{p}")
-        return " + ".join(parts)
-
-
-def laurent_poly_det(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant over the Laurent-polynomial ring, by cofactor expansion."""
+def poly_det(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
+    """Exact determinant over the integer-polynomial ring, by cofactor expansion."""
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix must be square")
     if n == 0:
-        return LaurentPoly.constant(1)
+        return IntPoly([1])
     if n == 1:
         return matrix[0][0]
-    total = LaurentPoly()
+    total = IntPoly([])
     for j in range(n):
         entry = matrix[0][j]
         if entry.is_zero():
             continue
         minor = [[row[k] for k in range(n) if k != j] for row in matrix[1:]]
-        cof = entry * laurent_poly_det(minor)
+        cof = entry * poly_det(minor)
         total = total + cof if j % 2 == 0 else total - cof
     return total

@@ -10,7 +10,9 @@ transfer recursion of `uncaptured_measures` and the interval preimages it
 replaced, and the Gauss-Jordan radius comparison over the rationals.  The
 float power iteration without its early exit is kept too.  The
 parameter-affine map family and its closing window are the earlier
-generic form of `certify.TrapezoidFamily`.
+generic form of `certify.TrapezoidFamily`.  The Sturm chain, gcd and
+square-free part by Fraction long division are the earlier form of the
+integer pseudo-division in `polys`.
 The rest are small checks of the map and of digraphs that back statements
 in the tests (quadrant pieces, the rescaling identity, simple cycles, the
 trapezoid shape and the inverse parameter changes).  No library code
@@ -23,6 +25,8 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from typing import Sequence
 
 from pwldyn import graphs
 from pwldyn.markov import CoverDigraph, _cyclic_components
@@ -35,6 +39,7 @@ from pwldyn.piecewise import (
     merged,
 )
 from pwldyn.planemap import Params, Point, Segment, apply_F
+from pwldyn.polys import IntPoly
 
 _QUADRANT_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}
 
@@ -534,6 +539,78 @@ def closing_window(
         piece = family.pieces[i]
         x = _as_param(piece.offset) + x.scaled(piece.slope)
     return lo_d, hi_d
+
+
+# ---------------------------------------------------------------------------
+# Sturm chains, gcds and square-free parts by Fraction long division
+# ---------------------------------------------------------------------------
+
+
+def _frac_coeffs(p: IntPoly) -> list[Fraction]:
+    return [Fraction(c) for c in p.coeffs]
+
+
+def _poly_divmod(a: list[Fraction], b: list[Fraction]):
+    """Quotient and remainder of a by b over the rationals (coefficients ascending)."""
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    r = a[:]
+    db = len(b) - 1
+    while len(r) - 1 >= db and any(r):
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) - 1 < db:
+            break
+        f = r[-1] / b[-1]
+        shift = len(r) - 1 - db
+        q[shift] = f
+        for i, c in enumerate(b):
+            r[shift + i] -= f * c
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
+def sturm_chain(p: IntPoly) -> list[IntPoly]:
+    """Sturm chain of p.  Each remainder is scaled by a positive constant to
+    a primitive integer polynomial, which keeps every sign of the chain."""
+    chain = [p]
+    nxt = p.derivative()
+    while not nxt.is_zero():
+        chain.append(nxt)
+        _, rem = _poly_divmod(_frac_coeffs(chain[-2]), _frac_coeffs(nxt))
+        nxt = _primitive([-c for c in rem])
+    return chain
+
+
+def _primitive(coeffs: Sequence[Fraction]) -> IntPoly:
+    """The primitive integer polynomial that is a positive rational multiple
+    of `coeffs`."""
+    den = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
+    ints = [int(c * den) for c in coeffs]
+    g = 0
+    for c in ints:
+        g = gcd(g, abs(c))
+    return IntPoly([c // g for c in ints]) if g else IntPoly([])
+
+
+def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
+    """Greatest common divisor over Q, as a primitive integer polynomial
+    with positive leading coefficient."""
+    a, b = _frac_coeffs(p), _frac_coeffs(q)
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return _primitive(a).normalized_sign()
+
+
+def squarefree_part(p: IntPoly) -> IntPoly:
+    """Primitive square-free part p / gcd(p, p') over the integers."""
+    g = poly_gcd(p, p.derivative())
+    if g.degree <= 0:
+        return p.normalized_sign()
+    q, rem = _poly_divmod(_frac_coeffs(p), _frac_coeffs(g))
+    assert not rem, "gcd division must be exact"
+    return _primitive(q).normalized_sign()
 
 
 # ---------------------------------------------------------------------------

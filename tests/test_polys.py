@@ -4,18 +4,24 @@ from math import isqrt
 
 import pytest
 
+import oracles
 from pwldyn.band48 import poly_exact_t, poly_exact_v, poly_lower, poly_upper_s, poly_upper_u
+from pwldyn.markov import digraph_from_edges, spectral_radius
 from pwldyn.polys import (
     IntPoly,
-    LaurentPoly,
     RootInterval,
     compare_roots,
     count_roots_in,
     descartes_positive_sign_changes,
     isolate_unique_positive_root,
     largest_positive_root,
-    laurent_poly_det,
+    poly_det,
+    poly_gcd,
+    sturm_chain,
+    _primitive,
+    _pseudo_divmod,
     _sign_at,
+    _squarefree_part,
 )
 
 
@@ -100,21 +106,95 @@ def test_sturm_counting_and_largest_root():
     assert ri.lo == ri.hi == 1
 
 
-def test_laurent_det_examples():
-    a = LaurentPoly({-3: 1, -7: 1})
-    assert laurent_poly_det([[a]]) == a
+def test_poly_det_examples():
+    a = poly(p3=1, p7=1)
+    assert poly_det([[a]]) == a
 
-    cleared = (a - LaurentPoly.constant(1)).shifted(7).to_int_poly()
-    assert cleared.normalized_sign() == X7_X4_1
-
-    one = LaurentPoly.constant(1)
-    zero_det = laurent_poly_det(
-        [[one - one, LaurentPoly()], [LaurentPoly(), one - one]]
-    )
+    one = IntPoly([1])
+    zero_det = poly_det([[one - one, IntPoly([])], [IntPoly([]), one - one]])
     assert zero_det.is_zero()
 
     with pytest.raises(ValueError):
-        laurent_poly_det([[one, one]])
+        poly_det([[one, one]])
+
+
+def _random_factor(rng: random.Random, deg: int) -> IntPoly:
+    cs = [rng.randint(-9, 9) for _ in range(deg)]
+    return IntPoly(cs + [rng.choice((-1, 1)) * rng.randint(1, 9)])
+
+
+def _division_cases(rng: random.Random, count: int):
+    """Seeded pairs (a, b) of nonzero polynomials with random leading signs:
+    shared factors, squared factors, constant and linear divisors, band48
+    family polynomials times a factor, and a product against its derivative.
+    Five in every four hundred reach degree 40 (one of them exactly), the
+    rest stay below 11, since the Fraction oracle's cost grows steeply with
+    the degree."""
+    for i in range(count):
+        top, kind = (40 if i % 400 < 5 else 10), i % 5
+        f = _random_factor(rng, rng.randint(1, 4))
+        if kind == 0:
+            a = f * _random_factor(rng, rng.randint(0, top - 4))
+            b = f * _random_factor(rng, rng.randint(0, 8))
+        elif kind == 1:
+            a, b = f * f * _random_factor(rng, rng.randint(0, top - 8)), f * _random_factor(rng, 3)
+        elif kind == 2:
+            a = _random_factor(rng, top if top == 40 else rng.randint(0, top))
+            b = _random_factor(rng, rng.randint(0, 1))
+        elif kind == 3:
+            fam = BAND48_FAMILIES[rng.randrange(5)](rng.randint(0, (top - 10) // 3))
+            a = fam * _random_factor(rng, rng.randint(0, top - fam.degree))
+            b = fam.derivative() if i % 2 else fam * _random_factor(rng, 2)
+        else:
+            a = _random_factor(rng, rng.randint(0, top // 2)) * _random_factor(rng, rng.randint(0, top // 2))
+            b = a.derivative() if a.degree > 0 else f
+        yield a, b
+
+
+def test_integer_division_matches_fraction_oracle():
+    rng = random.Random(2020)
+    degrees = set()
+    for a, b in _division_cases(rng, 2000):
+        degrees.add(a.degree)
+        q, r = _pseudo_divmod(a, b)
+        fq, fr = oracles._poly_divmod(oracles._frac_coeffs(a), oracles._frac_coeffs(b))
+        assert (_primitive(q), _primitive(r)) == (oracles._primitive(fq), oracles._primitive(fr))
+        assert sturm_chain(a) == oracles.sturm_chain(a)
+        assert poly_gcd(a, b) == oracles.poly_gcd(a, b)
+        assert _squarefree_part(a) == oracles.squarefree_part(a)
+    assert max(degrees) == 40
+
+
+_FRACTION_OPERATORS = (
+    "__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+    "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__", "__pow__", "__rpow__",
+    "__neg__", "__abs__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+)
+
+
+def test_sturm_gcd_and_squarefree_do_no_fraction_arithmetic(monkeypatch):
+    t, v = poly_exact_t(10), poly_exact_v(10)
+    p = t * t * v
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic in the polynomial division")
+
+    with monkeypatch.context() as patch:
+        for op in _FRACTION_OPERATORS:
+            patch.setattr(F, op, forbidden)
+        chain = sturm_chain(p)
+        g = poly_gcd(p, t * poly_lower(10))
+        sf = _squarefree_part(p)
+    assert _primitive(chain[-1]).normalized_sign() == g == t
+    assert sf == (t * v).normalized_sign()
+
+
+def test_negative_digits_are_refused():
+    with pytest.raises(ValueError, match="-2"):
+        isolate_unique_positive_root(X7_X4_1, -2)
+    golden = digraph_from_edges(["a", "b"], [("a", "a"), ("a", "b"), ("b", "a")])
+    with pytest.raises(ValueError, match="-1"):
+        spectral_radius(golden, -1)
 
 
 def test_five_families_enclosure_property():
