@@ -11,8 +11,9 @@ output labels of the summary table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
 from pwldyn.graphs import build_gamma
 from pwldyn.markov import CoverDigraph, build_cover_digraph_pair, spectral_radius
 from pwldyn.planemap import Params, Point, Segment
@@ -49,8 +50,7 @@ def level_left_end(n: int) -> Fraction:
     return F(4) if n == 0 else breakpoints(n - 1)[0]
 
 
-@dataclass(frozen=True)
-class LevelClass:
+class LevelClass(NamedTuple):
     n: int
     letter: str  # "S", "T", "U" or "V"
 
@@ -148,8 +148,7 @@ def level_polynomials(lc: LevelClass) -> tuple[IntPoly, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EntropyResult:
+class EntropyResult(NamedTuple):
     kind: str  # "exact" or "bounds"
     level: LevelClass
     lo_root: RootInterval

@@ -30,10 +30,9 @@ compares orbits with their numerators by cross-multiplying.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from pwldyn.markov import CoverDigraph, compare_radius
 from pwldyn.piecewise import IntegerFrame, Itinerary, Piece, PiecewiseAffine1D
@@ -113,8 +112,7 @@ def beta_d_to_b(d) -> Fraction:
     return (40 * d + 563) / den
 
 
-@dataclass(frozen=True)
-class TrapezoidFamily:
+class TrapezoidFamily(NamedTuple):
     """The maps 16x+d | 1 | s*x-s on [0, 1], one for each d in [0, 1].
 
     The rising branch L meets the plateau C at (1-d)/16; C ends at
@@ -297,8 +295,7 @@ def k1_from_return_map(b) -> PiecewiseAffine1D:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitCertificate:
+class OrbitCertificate(NamedTuple):
     d: Fraction
     b: Fraction
     pattern: Itinerary
@@ -306,8 +303,7 @@ class OrbitCertificate:
     kind: str  # "radius_one" or "radius_above_one"
 
 
-@dataclass(frozen=True)
-class CertifiedInterval:
+class CertifiedInterval(NamedTuple):
     tag: str
     lo: Fraction
     hi: Fraction
@@ -376,8 +372,7 @@ def _orbit_digraph(frame: IntegerFrame, orbit: Sequence[int]) -> CoverDigraph:
     return CoverDigraph(tuple(f"I{k}" for k in range(len(nodes))), succ)
 
 
-@dataclass(frozen=True)
-class _Endpoint:
+class _Endpoint(NamedTuple):
     """An `OrbitCertificate` whose orbit is held as numerators over q."""
 
     d: Fraction

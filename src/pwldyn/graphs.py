@@ -18,8 +18,8 @@ Regimes (all for a = -1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from pwldyn.planemap import (
     LineCover,
@@ -303,23 +303,39 @@ def _on_lattice(quarters: tuple[int, int, int, int], n: int, d: int) -> tuple[in
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     name: str
     a: str
     b: str
 
 
-@dataclass
 class PlanarGraph:
-    regime: str
-    b: Fraction
-    vertices: dict[str, Point]
-    edges: list[GraphEdge]
-    marks: dict[str, tuple[Point, str]] = field(default_factory=dict)
-    boundary: bool = False
-    _segments: tuple[Segment, ...] | None = field(default=None, init=False, repr=False, compare=False)
-    _cover: LineCover | None = field(default=None, init=False, repr=False, compare=False)
+    """The regime's graph at b: named vertices, edges between them, and
+    marked points.  Mutable and unhashable; equality compares the six
+    fields, not the segment and cover caches."""
+
+    def __init__(self, regime: str, b: Fraction, vertices: dict[str, Point], edges: list[GraphEdge],
+                 marks: dict[str, tuple[Point, str]] | None = None, boundary: bool = False):
+        self.regime = regime
+        self.b = b
+        self.vertices = vertices
+        self.edges = edges
+        self.marks = {} if marks is None else marks
+        self.boundary = boundary
+        self._segments: tuple[Segment, ...] | None = None
+        self._cover: LineCover | None = None
+
+    def _fields(self) -> tuple:
+        return self.regime, self.b, self.vertices, self.edges, self.marks, self.boundary
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (f"PlanarGraph(regime={self.regime!r}, b={self.b!r}, vertices={self.vertices!r}, "
+                f"edges={self.edges!r}, marks={self.marks!r}, boundary={self.boundary!r})")
 
     def edge_segment(self, name: str) -> Segment:
         for e in self.edges:
@@ -434,8 +450,7 @@ def build_gamma(regime: str, b) -> PlanarGraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     ok: bool
     uncovered_segments: tuple[Segment, ...]
     uncovered_points: tuple[Point, ...]

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from pwldyn.planemap import LineCover, Params, Segment, image_cover_relations
 from pwldyn.polys import (
@@ -36,8 +35,7 @@ from pwldyn.polys import (
 )
 
 
-@dataclass(frozen=True)
-class CoverDigraph:
+class CoverDigraph(NamedTuple):
     """0/1 digraph on named nodes: succ[i] is the sorted tuple of i's successors."""
 
     labels: tuple[str, ...]
@@ -170,8 +168,7 @@ def _acyclic_without(dg: CoverDigraph, removed: frozenset[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Rome:
+class Rome(NamedTuple):
     """Node set meeting every cycle: removing it leaves the digraph acyclic."""
 
     labels: tuple[str, ...]

@@ -13,12 +13,12 @@ of their denominators, one Fraction per depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from pwldyn.certify import pi_segment, sigma_segment
-from pwldyn.graphs import PlanarGraph, build_gamma
+from pwldyn.graphs import PlanarGraph, _regime_where, build_gamma
 from pwldyn.piecewise import PiecewiseAffine1D, conjugate_affine, uncaptured_numerators
 from pwldyn.planemap import Params, Segment, restrict_iterate_to_segment
 from pwldyn.rationals import rational_str
@@ -29,8 +29,7 @@ F = Fraction
 _NEGB_EDGES = ("A", "B", "C", "D", "E", "G", "H")
 
 
-@dataclass(frozen=True)
-class CaptureProfile:
+class CaptureProfile(NamedTuple):
     edge: str
     length: Fraction
     # entry i = (captured, uncaptured) after i return steps; sums to length
@@ -63,12 +62,25 @@ def return_map_for_edge(regime: str, b, edge: str) -> tuple[PiecewiseAffine1D, i
     if regime == "alpha":
         if edge != "PI":
             raise ValueError("regime alpha supports the invariant interval 'PI'")
-        return _return_map(regime, b, edge, pi_segment(b), 6)
+        return _return_map(regime, b, edge, _window_segment(regime, b, edge, pi_segment), 6)
     if regime == "beta":
         if edge != "SIGMA":
             raise ValueError("regime beta supports the invariant interval 'SIGMA'")
-        return _return_map(regime, b, edge, sigma_segment(b), 7)
+        return _return_map(regime, b, edge, _window_segment(regime, b, edge, sigma_segment), 7)
     raise ValueError(f"no return structure tabulated for regime {regime!r}")
+
+
+def _window_segment(regime: str, b: Fraction, edge: str, build) -> Segment:
+    """The transition window's invariant interval `build(b)`, for b in the
+    regime; at some b inside it the interval shrinks to a point."""
+    _regime_where(regime, b)
+    try:
+        return build(b)
+    except ValueError as exc:
+        raise ValueError(
+            f"regime {regime}, edge {edge}: the edge is a single point "
+            f"at b = {rational_str(b)} ({exc})"
+        ) from None
 
 
 def _negb_return_map(graph: PlanarGraph, edge: str) -> tuple[PiecewiseAffine1D, int]:
@@ -125,8 +137,7 @@ def _capture(m: PiecewiseAffine1D, edge: str, depth: int) -> tuple[CaptureProfil
     return CaptureProfile(edge, m.hi - m.lo, tuple(entries)), w, dens
 
 
-@dataclass(frozen=True)
-class FullMeasureReport:
+class FullMeasureReport(NamedTuple):
     regime: str
     b: Fraction
     depth: int

@@ -16,17 +16,15 @@ those numerators, and Fractions are built only for returned values.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from pwldyn.rationals import rational_str
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(NamedTuple):
     slope: Fraction
     offset: Fraction
     name: str | None = None
@@ -39,8 +37,7 @@ class Piece:
         return self.slope == 0
 
 
-@dataclass(frozen=True)
-class Itinerary:
+class Itinerary(NamedTuple):
     symbols: tuple[str, ...]
 
     def __str__(self) -> str:
@@ -128,8 +125,7 @@ def _piece_at(constant: Sequence[bool], hits: range) -> int:
     return next((i for i in hits if constant[i]), hits[0])
 
 
-@dataclass(frozen=True)
-class IntegerFrame:
+class IntegerFrame(NamedTuple):
     """A map with integer slopes on the lattice (1/q)Z.
 
     A point x is held as its numerator X = q*x.  Piece i covers

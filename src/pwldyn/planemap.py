@@ -22,7 +22,6 @@ one-dimensional map of F^k along a segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
@@ -44,8 +43,7 @@ def point(x, y) -> Point:
     return Point(Fraction(x), Fraction(y))
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(NamedTuple):
     a: Fraction
     b: Fraction
 
@@ -55,14 +53,25 @@ class Params:
         return cls(Fraction(-1), Fraction(b))
 
 
-@dataclass(frozen=True)
 class Segment:
-    p: Point
-    q: Point
+    """The segment from p to q, p != q; `dx` and `dy` are computed on first use."""
 
-    def __post_init__(self):
-        if self.p == self.q:
+    def __init__(self, p: Point, q: Point):
+        if p == q:
             raise ValueError("degenerate segment")
+        self.p = p
+        self.q = q
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
+
+    def __repr__(self) -> str:
+        return f"Segment(p={self.p!r}, q={self.q!r})"
 
     @cached_property
     def dx(self) -> Fraction:

@@ -33,7 +33,6 @@ evaluations rather than one per bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
@@ -168,32 +167,50 @@ def descartes_positive_sign_changes(p: IntPoly) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-@dataclass(frozen=True)
 class RootInterval:
     """Certified enclosure of a single real root of `poly`.
 
     Either lo == hi is an exact root, or the root is the one root of poly
     in the half-open (lo, hi]: hi is not a root, and poly changes sign
     between just right of lo and hi.  lo itself may be a root (a smaller
-    one, as `largest_positive_root` can leave it).
+    one, as `largest_positive_root` can leave it).  The constructor proves
+    this; `refined` builds its results with `_proven`, since its exact end
+    signs already prove them.
     """
 
-    lo: Fraction
-    hi: Fraction
-    poly: IntPoly
+    __slots__ = ("lo", "hi", "poly")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction, poly: IntPoly):
+        self.lo, self.hi, self.poly = lo, hi, poly
+        if lo > hi:
             raise ValueError("lo > hi")
-        if self.lo == self.hi:
-            if _sign_at(self.poly, self.lo) != 0:
+        if lo == hi:
+            if _sign_at(poly, lo) != 0:
                 raise ValueError("degenerate interval must hit the root exactly")
             return
-        shi = _sign_at(self.poly, self.hi)
+        shi = _sign_at(poly, hi)
         if shi == 0:
             raise ValueError("hi is a root: use the exact interval [hi, hi]")
-        if _sign_right_of(self.poly, self.lo) == shi:
+        if _sign_right_of(poly, lo) == shi:
             raise ValueError("polynomial does not change sign over (lo, hi]")
+
+    @classmethod
+    def _proven(cls, lo: Fraction, hi: Fraction, poly: IntPoly) -> "RootInterval":
+        """The enclosure [lo, hi] of poly, built without the constructor's proof."""
+        ri = object.__new__(cls)
+        ri.lo, ri.hi, ri.poly = lo, hi, poly
+        return ri
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi, self.poly) == (other.lo, other.hi, other.poly)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi, self.poly))
+
+    def __repr__(self) -> str:
+        return f"RootInterval(lo={self.lo!r}, hi={self.hi!r}, poly={self.poly!r})"
 
     @property
     def width(self) -> Fraction:
@@ -244,7 +261,7 @@ class RootInterval:
 
         def exact(m: int, depth_m: int) -> "RootInterval":
             x = Fraction(m, q << depth_m)
-            return RootInterval(x, x, self.poly)
+            return RootInterval._proven(x, x, self.poly)
 
         j = 1
         while k < depth:
@@ -281,7 +298,7 @@ class RootInterval:
                 a, b, fa, fb = 2 * a, mid, fa << deg, fm
             else:
                 a, b, fa, fb = mid, 2 * b, fm, fb << deg
-        return RootInterval(Fraction(a, q << k), Fraction(b, q << k), self.poly)
+        return RootInterval._proven(Fraction(a, q << k), Fraction(b, q << k), self.poly)
 
 
 def _homogeneous(terms: list[tuple[int, int, int]], m: int, k: int) -> int:

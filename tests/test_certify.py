@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 from fractions import Fraction as F
@@ -165,15 +164,15 @@ def test_verify_rejects_forged_certificates():
     assert verify_certificate(ci)
     lo, hi = ci.lo_certificate, ci.hi_certificate
     forged = [
-        dataclasses.replace(ci, lo=ci.lo - 1, hi=ci.hi + 1),  # bracket widened
-        dataclasses.replace(ci, hi_certificate=dataclasses.replace(hi, pattern=Itinerary.parse("LLLLLC"))),
+        ci._replace(lo=ci.lo - 1, hi=ci.hi + 1),  # bracket widened
+        ci._replace(hi_certificate=hi._replace(pattern=Itinerary.parse("LLLLLC"))),
         # the same 6-cycle, listed from its second point
-        dataclasses.replace(ci, hi_certificate=dataclasses.replace(hi, orbit=hi.orbit[1:] + hi.orbit[:1])),
-        dataclasses.replace(ci, lo_certificate=dataclasses.replace(lo, kind=hi.kind)),
-        dataclasses.replace(ci, hi_certificate=dataclasses.replace(hi, kind=lo.kind)),
-        dataclasses.replace(ci, lo_certificate=dataclasses.replace(lo, pattern=Itinerary.parse("RLRRRLR"))),
-        dataclasses.replace(ci, return_power=7),
-        dataclasses.replace(ci, tag="beta"),
+        ci._replace(hi_certificate=hi._replace(orbit=hi.orbit[1:] + hi.orbit[:1])),
+        ci._replace(lo_certificate=lo._replace(kind=hi.kind)),
+        ci._replace(hi_certificate=hi._replace(kind=lo.kind)),
+        ci._replace(lo_certificate=lo._replace(pattern=Itinerary.parse("RLRRRLR"))),
+        ci._replace(return_power=7),
+        ci._replace(tag="beta"),
     ]
     for bad in forged:
         assert verify_certificate(bad) is False

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +127,36 @@ def test_bad_input_is_a_one_line_error(capsys, argv, bad):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("pwldyn: error: ") and bad in err
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        # b = -1 is the open end of the alpha regime, where the interval PI is a point
+        (("measure", "--regime", "alpha", "--b=-1", "--depth", "0"), "b = -1 outside the alpha regime"),
+        # inside the beta regime, but the ends of SIGMA coincide
+        (("measure", "--regime", "beta", "--b", "20/29", "--depth", "1"),
+         "regime beta, edge SIGMA: the edge is a single point at b = 20/29 (degenerate segment)"),
+    ],
+    ids=["alpha-open-end", "beta-point-sigma"],
+)
+def test_measure_names_a_degenerate_interval(capsys, argv, line):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"pwldyn: error: {line}\n"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # A fresh interpreter: pytest itself has loaded dataclasses here.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import pwldyn.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_entropy_digits_on_a_rounding_boundary(capsys):

@@ -341,6 +341,33 @@ def test_refined_midpoint_on_the_root_is_exact():
         assert (ri.lo, ri.hi) == _fraction_bisection(RootInterval(lo, hi, p), 20)
 
 
+def test_refined_enclosures_pass_the_constructor(monkeypatch):
+    # `refined` builds its results without the constructor's proof; each
+    # one must be an enclosure the constructor accepts.  Levels 0-400 of
+    # every band48 family, and the exact roots a midpoint can hit.
+    from pwldyn import polys
+
+    starts = [(_band48_start(fam(n)), digits)
+              for fam in BAND48_FAMILIES for n in range(0, 401, 8) for digits in (3, 40)]
+    starts += [(RootInterval(F(23, 16), F(25, 16), poly(p1=2, p0=-3) * poly(p2=1, p0=-2)), 20),
+               (RootInterval(F(1), F(2), poly(p1=8, p0=-11) * poly(p2=1, p0=1)), 20)]
+    sign_at = polys._sign_at
+    proofs = 0
+
+    def counted(*args):
+        nonlocal proofs
+        proofs += 1
+        return sign_at(*args)
+
+    monkeypatch.setattr(polys, "_sign_at", counted)
+    got = [start.refined(digits) for start, digits in starts]
+    assert proofs == 0
+    assert sum(ri.is_exact for ri in got) == 2
+    for ri in got:
+        assert RootInterval(ri.lo, ri.hi, ri.poly) == ri
+    assert proofs > 0
+
+
 def _one_sign_change_poly(rng: random.Random) -> IntPoly:
     """Random sparse integer polynomial: negative coefficients below a cut
     degree, positive above, so exactly one positive root."""
