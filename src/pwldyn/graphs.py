@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from pwldyn.planemap import (
-    LineCover,
     Params,
     Point,
     Segment,
@@ -312,7 +311,7 @@ class GraphEdge(NamedTuple):
 class PlanarGraph:
     """The regime's graph at b: named vertices, edges between them, and
     marked points.  Mutable and unhashable; equality compares the six
-    fields, not the segment and cover caches."""
+    fields, not the segment cache."""
 
     def __init__(self, regime: str, b: Fraction, vertices: dict[str, Point], edges: list[GraphEdge],
                  marks: dict[str, tuple[Point, str]] | None = None, boundary: bool = False):
@@ -323,7 +322,6 @@ class PlanarGraph:
         self.marks = {} if marks is None else marks
         self.boundary = boundary
         self._segments: tuple[Segment, ...] | None = None
-        self._cover: LineCover | None = None
 
     def _fields(self) -> tuple:
         return self.regime, self.b, self.vertices, self.edges, self.marks, self.boundary
@@ -363,9 +361,7 @@ class PlanarGraph:
         raise KeyError(f"no point named {name!r}")
 
     def contains_point(self, pt: Point) -> bool:
-        if self._cover is None:
-            self._cover = LineCover(self.all_segments())
-        return self._cover.contains_point(pt)
+        return any(seg.contains_point(pt) for seg in self.all_segments())
 
     def to_json(self) -> dict:
         return {

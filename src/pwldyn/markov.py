@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
-from pwldyn.planemap import LineCover, Params, Segment, image_cover_relations
+from pwldyn.planemap import Params, Segment, image_cover_relations
 from pwldyn.polys import (
     IntPoly,
     RootInterval,
@@ -538,27 +538,16 @@ def build_cover_digraph_pair(
     upper:  edge iff the images overlap interval j with positive length
             (the "dashed" super-covering used for upper entropy bounds).
 
-    Both come from one set of checks and one pass over the partition's
-    images.  All containment tests are exact interval comparisons on the
-    carrying lines.  `graph` supplies context only: when given, partition
-    intervals must lie on it.  The partition is Markov where the two agree.
+    Both come from one pass over the partition's images, on the lattice
+    that also checks the partition.  All containment tests are exact
+    interval comparisons on the carrying lines.  No two intervals may
+    overlap with positive length.  `graph` supplies context only: when
+    given, each whole partition interval must lie on its edges, not only
+    its two ends.  The partition is Markov where the two digraphs agree.
     """
-    labels = [lab for lab, _ in partition]
+    labels = tuple(lab for lab, _ in partition)
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate partition labels")
-    _check_disjoint(partition)
-    if graph is not None:
-        for lab, seg in partition:
-            if not (graph.contains_point(seg.p) and graph.contains_point(seg.q)):
-                raise ValueError(f"partition interval {lab} is not on the graph")
-    lower, upper = image_cover_relations(params, [seg for _, seg in partition])
-    names = tuple(labels)
-    return tuple(CoverDigraph(names, tuple(tuple(sorted(row)) for row in rows)) for rows in (lower, upper))
-
-
-def _check_disjoint(partition: Sequence[tuple[str, Segment]]):
-    cover = LineCover()
-    for k, (lab, seg) in enumerate(partition):
-        if cover.add(seg):
-            other = next(o for o, oseg in partition[:k] if LineCover([oseg]).overlaps(seg))
-            raise ValueError(f"partition intervals {other} and {lab} overlap")
+    hosts = None if graph is None else graph.all_segments()
+    lower, upper = image_cover_relations(params, partition, hosts)
+    return tuple(CoverDigraph(labels, tuple(tuple(sorted(row)) for row in rows)) for rows in (lower, upper))

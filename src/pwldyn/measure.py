@@ -6,9 +6,10 @@ measure of the set still missing a constancy piece after n returns follows
 an exact transfer recursion on the map's orbit-closure Markov partition
 (`piecewise.uncaptured_numerators`); its decrease to zero is the computable
 content of the full-measure statements.  The recursion returns integer
-numerators w_n over q*s^n; each profile entry is built from them with two
-Fractions, and the report sums the edges' numerators per depth over the lcm
-of their denominators, one Fraction per depth.
+numerators w_n over q*s^n, and a profile keeps just those: its entries are
+built as Fractions on demand, when they are read or printed.  The report
+sums the edges' numerators per depth over the lcm of their denominators,
+one Fraction per depth.
 """
 
 from __future__ import annotations
@@ -32,11 +33,23 @@ _NEGB_EDGES = ("A", "B", "C", "D", "E", "G", "H")
 class CaptureProfile(NamedTuple):
     edge: str
     length: Fraction
-    # entry i = (captured, uncaptured) after i return steps; sums to length
-    entries: tuple[tuple[Fraction, Fraction], ...]
+    # the uncaptured measure after n return steps is w[n] / (q*s^n)
+    w: tuple[int, ...]
+    q: int
+    s: int
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """Entry n = (captured, uncaptured) after n return steps; sums to length."""
+        lq, q, out = self.w[0], self.q, []
+        for wn in self.w:
+            out.append((Fraction(lq - wn, q), Fraction(wn, q)))
+            lq *= self.s
+            q *= self.s
+        return tuple(out)
 
     def uncaptured(self, depth: int) -> Fraction:
-        return self.entries[depth][1]
+        return Fraction(self.w[depth], self.q * self.s**depth)
 
     def to_csv_rows(self) -> list[str]:
         return [
@@ -119,22 +132,7 @@ def _check_eventually_invariant(m: PiecewiseAffine1D, edge: str):
 def edge_capture_profile(regime: str, b, edge: str, depth: int) -> CaptureProfile:
     """(captured, uncaptured) exact measures per return depth on one edge."""
     m, _ = return_map_for_edge(regime, b, edge)
-    return _capture(m, edge, depth)[0]
-
-
-def _capture(m: PiecewiseAffine1D, edge: str, depth: int) -> tuple[CaptureProfile, list[int], list[int]]:
-    """The edge's profile, and its uncaptured measures as numerators w_n over q_n.
-
-    The entry at depth n is ((L*q_n - w_n)/q_n, w_n/q_n), L the length.
-    """
-    w, q, s = uncaptured_numerators(m, depth)
-    lq, dens, entries = w[0], [], []
-    for wn in w:
-        dens.append(q)
-        entries.append((Fraction(lq - wn, q), Fraction(wn, q)))
-        lq *= s
-        q *= s
-    return CaptureProfile(edge, m.hi - m.lo, tuple(entries)), w, dens
+    return CaptureProfile(edge, m.hi - m.lo, *uncaptured_numerators(m, depth))
 
 
 class FullMeasureReport(NamedTuple):
@@ -184,13 +182,14 @@ def full_measure_report(regime: str, b, depth: int) -> FullMeasureReport:
         immediate = ()
     else:
         raise ValueError(f"no full-measure structure for regime {regime!r}")
-    captures = [_capture(m, e, depth) for e, m in maps.items()]
-    profiles = tuple(p for p, _, _ in captures)
+    profiles = tuple(CaptureProfile(e, m.hi - m.lo, *uncaptured_numerators(m, depth)) for e, m in maps.items())
     immediate_length = sum((length for _, length in immediate), Fraction(0))
     total = sum((p.length for p in profiles), immediate_length)
     uncaptured = []
+    dens = [p.q for p in profiles]  # q*s^n per profile
     for n in range(depth + 1):
-        den = lcm(*(dens[n] for _, _, dens in captures))
-        uncaptured.append(Fraction(sum(w[n] * (den // dens[n]) for _, w, dens in captures), den))
+        den = lcm(*dens)
+        uncaptured.append(Fraction(sum(p.w[n] * (den // dn) for p, dn in zip(profiles, dens)), den))
+        dens = [dn * p.s for p, dn in zip(profiles, dens)]
     uncaptured[0] += immediate_length
     return FullMeasureReport(regime, b, depth, profiles, immediate, total, tuple(uncaptured))

@@ -57,14 +57,13 @@ class PiecewiseAffine1D:
     There is one more piece than breakpoints.
     """
 
-    def __init__(self, lo, hi, breakpoints, pieces: Sequence[Piece], chart: str | None = None):
+    def __init__(self, lo, hi, breakpoints, pieces: Sequence[Piece]):
         if len(pieces) != len(breakpoints) + 1:
             raise ValueError("piece count must be breakpoint count + 1")
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
         self.breakpoints = [Fraction(b) for b in breakpoints]
         self.pieces = list(pieces)
-        self.chart = chart
         self._cuts = (self.lo, *self.breakpoints, self.hi)
         self._constant = tuple(p.is_constant for p in self.pieces)
 
@@ -206,7 +205,7 @@ def _merge(pieces: list[Piece], bps: list[Fraction]) -> tuple[list[Piece], list[
 
 def merged(m: PiecewiseAffine1D) -> PiecewiseAffine1D:
     pieces, bps = _merge(m.pieces, list(m.breakpoints))
-    return PiecewiseAffine1D(m.lo, m.hi, bps, pieces, chart=m.chart)
+    return PiecewiseAffine1D(m.lo, m.hi, bps, pieces)
 
 
 def conjugate_affine(m: PiecewiseAffine1D, p: Fraction, q: Fraction) -> PiecewiseAffine1D:
@@ -218,7 +217,7 @@ def conjugate_affine(m: PiecewiseAffine1D, p: Fraction, q: Fraction) -> Piecewis
     if p < 0:
         cuts.reverse()
         pieces.reverse()
-    return PiecewiseAffine1D(cuts[0], cuts[-1], cuts[1:-1], pieces, chart=m.chart)
+    return PiecewiseAffine1D(cuts[0], cuts[-1], cuts[1:-1], pieces)
 
 
 def iterate_point(m: PiecewiseAffine1D, x0, k: int) -> list[Fraction]:
@@ -233,24 +232,6 @@ def iterate_point(m: PiecewiseAffine1D, x0, k: int) -> list[Fraction]:
     if not m.lo <= orbit[-1] <= m.hi:
         raise ValueError(f"iterate {orbit[-1]} escaped domain [{m.lo}, {m.hi}]")
     return orbit
-
-
-def itinerary_of(m: PiecewiseAffine1D, x0, k: int) -> Itinerary:
-    """Symbols of x0..f^(k)(x0) by containing piece (k+1 symbols).
-
-    Each symbol is read in the pass that maps its point; errors like
-    `iterate_point` if an iterate escapes.
-    """
-    x = Fraction(x0)
-    symbols = []
-    for step in range(k + 1):
-        if not m.lo <= x <= m.hi:
-            raise ValueError(f"iterate {x} escaped domain [{m.lo}, {m.hi}]")
-        i = m.piece_index_at(x)
-        symbols.append(m.symbol(i))
-        if step < k:
-            x = m.pieces[i].apply(x)
-    return Itinerary(tuple(symbols))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +290,7 @@ def interval_gaps(lo: Fraction, hi: Fraction, union) -> list[tuple[Fraction, Fra
     return gaps
 
 
-def uncaptured_numerators(m: PiecewiseAffine1D, depth: int) -> tuple[list[int], int, int]:
+def uncaptured_numerators(m: PiecewiseAffine1D, depth: int) -> tuple[tuple[int, ...], int, int]:
     """(w, q, s) with U_n = w[n] / (q*s^n) for n = 0..depth, U_n the measure
     of the points that avoid every constancy piece for n steps; points
     mapped off the domain are captured.
@@ -333,14 +314,4 @@ def uncaptured_numerators(m: PiecewiseAffine1D, depth: int) -> tuple[list[int], 
     for _ in range(depth):
         w = [0 if st is None else sum(w[st[0]:st[1]]) * st[2] for st in steps]
         out.append(sum(w))
-    return out, q, s
-
-
-def uncaptured_measures(m: PiecewiseAffine1D, depth: int) -> list[Fraction]:
-    """[U_0, ..., U_depth] of `uncaptured_numerators`, as Fractions."""
-    w, q, s = uncaptured_numerators(m, depth)
-    out = []
-    for wn in w:
-        out.append(Fraction(wn, q))
-        q *= s
-    return out
+    return tuple(out), q, s

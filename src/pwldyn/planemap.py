@@ -16,8 +16,8 @@ non-integer s multiplies D, and every integer held, by the smallest
 factor that makes it a lattice point; nothing is ever rounded.  Only this
 module knows D, and the engine builds `Fraction`s only for the values it
 returns.  It yields the invariance check of a union of segments, the
-covering relations between segments under F, and the induced
-one-dimensional map of F^k along a segment.
+covering relations between the intervals of a partition under F, and the
+induced one-dimensional map of F^k along a segment.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from pwldyn.piecewise import Piece, PiecewiseAffine1D, interval_gaps, interval_union, merged
 from pwldyn.rationals import rational_str
@@ -91,14 +91,6 @@ class Segment:
         else:
             a, b = self.p.y, self.q.y
         return (a, b) if a <= b else (b, a)
-
-    def point_at_chart(self, t: Fraction) -> Point:
-        axis = self.chart_axis()
-        if axis == "x":
-            s = (t - self.p.x) / self.dx
-        else:
-            s = (t - self.p.y) / self.dy
-        return Point(self.p.x + s * self.dx, self.p.y + s * self.dy)
 
     def contains_point(self, pt: Point) -> bool:
         d = lcm(*(v.denominator for v in (*self.p, *self.q, *pt)))
@@ -228,11 +220,13 @@ class SegmentLattice:
     """Segments and the offsets of F on the lattice (1/D)Z^2, D = `frame`.
 
     `starts[i]` is the identity piece of segment i, walked as in `_walk`:
-    s runs over [0, n] and the chart coordinate grows with s.
+    s runs over [0, n] and the chart coordinate grows with s.  The frame
+    also clears the denominators of `hosts`, segments that are charted on
+    the lattice but not stepped.
     """
 
-    def __init__(self, params: Params, segments: Sequence[Segment]):
-        pts = [pt for seg in segments for pt in (seg.p, seg.q)]
+    def __init__(self, params: Params, segments: Sequence[Segment], hosts: Sequence[Segment] = ()):
+        pts = [pt for seg in (*segments, *hosts) for pt in (seg.p, seg.q)]
         self.frame = d = lcm(params.a.denominator, params.b.denominator,
                              *(v.denominator for pt in pts for v in pt))
         self.a = params.a.numerator * (d // params.a.denominator)
@@ -247,6 +241,10 @@ class SegmentLattice:
         self.a *= f
         self.b *= f
         self.starts = _scaled(self.starts, f)
+
+    def chart(self, seg: Segment) -> tuple[tuple[int, int, int], int, int]:
+        """(key, lo, hi) of one of the lattice's segments or hosts, in the current frame."""
+        return _line_chart(*_on_frame(seg.p, self.frame), *_on_frame(seg.q, self.frame))
 
 
 def iterate_segment_pieces(lat: SegmentLattice, k: int) -> list[tuple[int, ...]]:
@@ -280,21 +278,21 @@ def restrict_iterate_to_segment(params: Params, seg: Segment, k: int) -> Piecewi
     pieces = iterate_segment_pieces(lat, k)
     _, _, n, px, ux, py, uy = lat.starts[0]
     d = lat.frame
-    axis = "x" if abs(ux) >= abs(uy) else "y"
+    on_x = abs(ux) >= abs(uy)
     # chart t = (tp + ut*s)/d, and ut > 0
-    tp, ut = (px, ux) if axis == "x" else (py, uy)
+    tp, ut = (px, ux) if on_x else (py, uy)
     out_pieces = []
     breakpoints = []
     for _, s0, s1, x0, vx, y0, vy in pieces:
         for s in (s0, s1):
             if ux * (y0 + vy * s - py) != uy * (x0 + vx * s - px):
                 raise ValueError("image of iterated segment left the carrying line")
-        c0, v = (x0, vx) if axis == "x" else (y0, vy)
+        c0, v = (x0, vx) if on_x else (y0, vy)
         out_pieces.append(Piece(Fraction(v, ut), Fraction(c0 * ut - v * tp, ut * d)))
         breakpoints.append(Fraction(tp + ut * s1, d))
     breakpoints.pop()  # last right endpoint is the domain end
     lo, hi = Fraction(tp, d), Fraction(tp + ut * n, d)
-    return merged(PiecewiseAffine1D(lo, hi, breakpoints, out_pieces, chart=axis))
+    return merged(PiecewiseAffine1D(lo, hi, breakpoints, out_pieces))
 
 
 def image_gaps(params: Params, segments: Sequence[Segment]) -> tuple[list[Segment], list[Point]]:
@@ -307,40 +305,59 @@ def image_gaps(params: Params, segments: Sequence[Segment]) -> tuple[list[Segmen
     """
     lat = SegmentLattice(params, segments)
     pieces = iterate_segment_pieces(lat, 1)
-    cover = LineCover(frame=lat.frame)
+    cover = LineCover(lat)
     for start in lat.starts:
-        cover._add(*_piece_chart(start))
+        cover.add(*_piece_chart(start))
     gaps: list[Segment] = []
     points: list[Point] = []
     for piece in pieces:
         _, _, _, x0, vx, y0, vy = piece
         if vx or vy:
             key, lo, hi = _piece_chart(piece)
-            gaps.extend(cover._segment(key, g0, g1) for g0, g1 in cover._gaps(key, lo, hi))
-        elif not cover._contains(x0, y0):
+            gaps.extend(cover.segment(key, g0, g1) for g0, g1 in cover.gaps(key, lo, hi))
+        elif not cover.contains(x0, y0):
             points.append(_off_frame(x0, y0, lat.frame))
     return gaps, points
 
 
-def image_cover_relations(params: Params, segments: Sequence[Segment]) -> tuple[list[list[int]], list[list[int]]]:
-    """(lower, upper): lower[i] lists the j with segment j inside F(segment i);
-    upper[i] lists the j that F(segment i) meets in a part of positive length."""
-    lat = SegmentLattice(params, segments)
+def image_cover_relations(params: Params, partition: Sequence[tuple[str, Segment]],
+                          hosts: Sequence[Segment] | None = None) -> tuple[list[list[int]], list[list[int]]]:
+    """(lower, upper) of the named partition intervals under F: lower[i]
+    lists the j with interval j inside F(interval i); upper[i] lists the j
+    that F(interval i) meets in a part of positive length.
+
+    The intervals are checked on the same lattice.  The first one, in
+    partition order, that overlaps an earlier one with positive length is
+    refused, naming the earliest such; and when `hosts` is given, so is
+    every interval not wholly inside their union.
+    """
+    segments = [seg for _, seg in partition]
+    lat = SegmentLattice(params, segments, hosts or ())
     pieces = iterate_segment_pieces(lat, 1)
+    charts = [_piece_chart(start) for start in lat.starts]
     targets: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-    for j, start in enumerate(lat.starts):
-        key, lo, hi = _piece_chart(start)
+    for j, (key, lo, hi) in enumerate(charts):
+        for i, ilo, ihi in targets.get(key, ()):
+            if max(lo, ilo) < min(hi, ihi):
+                raise ValueError(f"partition intervals {partition[i][0]} and {partition[j][0]} overlap")
         targets.setdefault(key, []).append((j, lo, hi))
-    images = [LineCover(frame=lat.frame) for _ in segments]
+    if hosts is not None:
+        cover = LineCover(lat)
+        for seg in hosts:
+            cover.add(*lat.chart(seg))
+        for (label, _), chart in zip(partition, charts):
+            if cover.gaps(*chart):
+                raise ValueError(f"partition interval {label} is not on the graph")
+    images = [LineCover(lat) for _ in segments]
     for piece in pieces:
         if piece[4] or piece[6]:
-            images[piece[0]]._add(*_piece_chart(piece))
+            images[piece[0]].add(*_piece_chart(piece))
     lower: list[list[int]] = [[] for _ in segments]
     upper: list[list[int]] = [[] for _ in segments]
     for i, image in enumerate(images):
         for key in image.lines:
             for j, lo, hi in targets.get(key, ()):
-                gaps = image._gaps(key, lo, hi)
+                gaps = image.gaps(key, lo, hi)
                 if not gaps:
                     lower[i].append(j)
                 if gaps != [(lo, hi)]:
@@ -354,43 +371,31 @@ def image_cover_relations(params: Params, segments: Sequence[Segment]) -> tuple[
 
 
 class LineCover:
-    """Union of segments, kept per carrying line as sorted disjoint chart intervals.
+    """Union of segments on a `SegmentLattice`, kept per carrying line as
+    sorted disjoint chart intervals.
 
-    Points live on the lattice (1/D)Z^2, D = `frame`, which is multiplied
-    up when a segment or point with a new denominator arrives.  Lines are
-    keyed as in `_line_chart`: all segments of one line share its chart,
-    whatever their orientation.  Segments that touch merge; contact at a
-    single point is no overlap.
+    The cover takes the lattice's frame when it is made and never rescales,
+    so it is built after the lattice's last step.  Lines are keyed as in
+    `_line_chart`, and `SegmentLattice.chart` gives a segment's (key, lo,
+    hi): all segments of one line share its chart, whatever their
+    orientation.  Segments that touch merge; contact at a single point is
+    no overlap.
     """
 
-    def __init__(self, segments: Iterable[Segment] = (), frame: int = 1):
-        self.frame = frame
+    def __init__(self, lat: SegmentLattice):
+        self.frame = lat.frame
         # line key -> sorted disjoint chart intervals, lines in order of first addition
         self.lines: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-        for seg in segments:
-            self.add(seg)
 
-    def _fit(self, *values: Fraction) -> None:
-        """Multiply the frame up until it clears the denominators of `values`."""
-        f = lcm(self.frame, *(v.denominator for v in values)) // self.frame
-        if f > 1:
-            self.frame *= f
-            self.lines = {
-                (ux, uy, c * f): [(lo * f, hi * f) for lo, hi in union]
-                for (ux, uy, c), union in self.lines.items()
-            }
-
-    def _chart(self, seg: Segment) -> tuple[tuple[int, int, int], int, int]:
-        self._fit(*seg.p, *seg.q)
-        return _line_chart(*_on_frame(seg.p, self.frame), *_on_frame(seg.q, self.frame))
-
-    def _add(self, key: tuple[int, int, int], lo: int, hi: int) -> None:
+    def add(self, key: tuple[int, int, int], lo: int, hi: int) -> None:
         self.lines[key] = interval_union([*self.lines.get(key, ()), (lo, hi)])
 
-    def _gaps(self, key: tuple[int, int, int], lo: int, hi: int) -> list[tuple[int, int]]:
+    def gaps(self, key: tuple[int, int, int], lo: int, hi: int) -> list[tuple[int, int]]:
+        """Maximal chart intervals of positive length in [lo, hi] outside the cover."""
         return interval_gaps(lo, hi, self.lines.get(key, ()))
 
-    def _contains(self, x: int, y: int) -> bool:
+    def contains(self, x: int, y: int) -> bool:
+        """Whether the lattice point (x, y) lies in the cover."""
         for (ux, uy, c), union in self.lines.items():
             if uy * x - ux * y == c:
                 t = x if abs(ux) >= abs(uy) else y
@@ -398,7 +403,8 @@ class LineCover:
                     return True
         return False
 
-    def _segment(self, key: tuple[int, int, int], lo: int, hi: int) -> Segment:
+    def segment(self, key: tuple[int, int, int], lo: int, hi: int) -> Segment:
+        """The segment of chart interval [lo, hi] on line `key`, off the lattice."""
         ux, uy, c = key
         if abs(ux) >= abs(uy):
             ends = ((lo, (uy * lo - c) // ux), (hi, (uy * hi - c) // ux))
@@ -406,30 +412,9 @@ class LineCover:
             ends = (((c + ux * lo) // uy, lo), ((c + ux * hi) // uy, hi))
         return Segment(*(_off_frame(x, y, self.frame) for x, y in ends))
 
-    def add(self, seg: Segment) -> bool:
-        """Add `seg`; whether it overlapped the cover before."""
-        key, lo, hi = self._chart(seg)
-        overlapped = self._gaps(key, lo, hi) != [(lo, hi)]
-        self._add(key, lo, hi)
-        return overlapped
-
-    def gaps(self, seg: Segment) -> list[Segment]:
-        """Maximal sub-segments of `seg` outside the cover."""
-        key, lo, hi = self._chart(seg)
-        return [self._segment(key, g0, g1) for g0, g1 in self._gaps(key, lo, hi)]
-
-    def overlaps(self, seg: Segment) -> bool:
-        """Whether `seg` shares a sub-segment of positive length with the cover."""
-        key, lo, hi = self._chart(seg)
-        return self._gaps(key, lo, hi) != [(lo, hi)]
-
-    def contains_point(self, pt: Point) -> bool:
-        self._fit(*pt)
-        return self._contains(*_on_frame(pt, self.frame))
-
     def segments(self) -> list[Segment]:
         """Maximal segments of the union, line by line in order of first addition."""
-        return [self._segment(key, lo, hi) for key, union in self.lines.items() for lo, hi in union]
+        return [self.segment(key, lo, hi) for key, union in self.lines.items() for lo, hi in union]
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +433,9 @@ def detect_plateaus(graph_or_segments) -> list[Segment]:
     segs = list(segments() if callable(segments) else graph_or_segments)
     lat = SegmentLattice(Params(Fraction(0), Fraction(0)), segs)
     pieces = iterate_segment_pieces(lat, 1)  # may refine lat.frame
-    cover = LineCover(frame=lat.frame)
+    cover = LineCover(lat)
     for i, s0, s1, _, vx, _, vy in pieces:
         if not vx and not vy:
             _, _, _, x, ux, y, uy = lat.starts[i]
-            cover._add(*_line_chart(x + ux * s0, y + uy * s0, x + ux * s1, y + uy * s1))
+            cover.add(*_line_chart(x + ux * s0, y + uy * s0, x + ux * s1, y + uy * s1))
     return cover.segments()

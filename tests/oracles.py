@@ -6,17 +6,19 @@ pushed a segment through F in the chart coordinate, the line cover keyed
 by rational line equations, the invariance check and covering relations
 built on them, the Fraction evaluation of the graph tables and of their
 orbit relations, the Fraction orbit-closure Markov partition, the Fraction
-transfer recursion of `uncaptured_measures` and the interval preimages it
-replaced, and the Gauss-Jordan radius comparison over the rationals.  The
-float power iteration without its early exit is kept too.  The
-parameter-affine map family and its closing window are the earlier
-generic form of `certify.TrapezoidFamily`.  The Sturm chain, gcd and
+transfer recursion (`fraction_uncaptured_measures`) and the interval
+preimages it replaced, and the Gauss-Jordan radius comparison over the
+rationals.  The float power iteration without its early exit is kept
+too.  The parameter-affine map family and its closing window are the
+earlier generic form of `certify.TrapezoidFamily`.  The Sturm chain, gcd and
 square-free part by Fraction long division are the earlier form of the
 integer pseudo-division in `polys`.
 The rest are small checks of the map and of digraphs that back statements
 in the tests (quadrant pieces, the rescaling identity, simple cycles, the
-trapezoid shape and the inverse parameter changes).  No library code
-imports this module.
+trapezoid shape and the inverse parameter changes), and three helpers that
+only tests read: a point by its chart coordinate, the itinerary of a
+point, and the uncaptured measures as Fractions.  No library code imports
+this module.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from pwldyn.piecewise import (
     interval_gaps,
     interval_union,
     merged,
+    uncaptured_numerators,
 )
 from pwldyn.planemap import Params, Point, Segment, apply_F
 from pwldyn.polys import IntPoly
@@ -60,6 +63,15 @@ def line_key(seg: Segment) -> tuple[Fraction, Fraction, Fraction]:
     if a != 0:
         return (Fraction(1), b / a, c / a)
     return (Fraction(0), Fraction(1), c / b)
+
+
+def point_at_chart(seg: Segment, t: Fraction) -> Point:
+    axis = seg.chart_axis()
+    if axis == "x":
+        s = (t - seg.p.x) / seg.dx
+    else:
+        s = (t - seg.p.y) / seg.dy
+    return Point(seg.p.x + s * seg.dx, seg.p.y + s * seg.dy)
 
 
 def contains_point(seg: Segment, pt: Point) -> bool:
@@ -166,7 +178,7 @@ def restrict_iterate_to_segment(params: Params, seg: Segment, k: int) -> Piecewi
         breakpoints.append(piece.t1)
     breakpoints.pop()
     lo, hi = seg.chart_interval()
-    return merged(PiecewiseAffine1D(lo, hi, breakpoints, out_pieces, chart=axis))
+    return merged(PiecewiseAffine1D(lo, hi, breakpoints, out_pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +207,7 @@ class FractionLineCover:
 
     def gaps(self, seg: Segment) -> list[Segment]:
         return [
-            Segment(seg.point_at_chart(lo), seg.point_at_chart(hi))
+            Segment(point_at_chart(seg, lo), point_at_chart(seg, hi))
             for lo, hi in self.chart_gaps(line_key(seg), *seg.chart_interval())
         ]
 
@@ -205,7 +217,7 @@ class FractionLineCover:
 
     def segments(self) -> list[Segment]:
         return [
-            Segment(anchor.point_at_chart(lo), anchor.point_at_chart(hi))
+            Segment(point_at_chart(anchor, lo), point_at_chart(anchor, hi))
             for anchor, union in self.lines.values()
             for lo, hi in union
         ]
@@ -389,7 +401,7 @@ def power_iteration_radius(adj, steps: int = 10_000) -> float:
 # ---------------------------------------------------------------------------
 
 
-def uncaptured_measures(m: PiecewiseAffine1D, depth: int) -> list[Fraction]:
+def fraction_uncaptured_measures(m: PiecewiseAffine1D, depth: int) -> list[Fraction]:
     cells = markov_partition(m)
     u = [b - a for a, b, _, _ in cells]
     out = [sum(u, Fraction(0))]
@@ -616,6 +628,34 @@ def squarefree_part(p: IntPoly) -> IntPoly:
 # ---------------------------------------------------------------------------
 # Small checks that only tests use
 # ---------------------------------------------------------------------------
+
+
+def itinerary_of(m: PiecewiseAffine1D, x0, k: int) -> Itinerary:
+    """Symbols of x0..f^(k)(x0) by containing piece (k+1 symbols).
+
+    Each symbol is read in the pass that maps its point; errors like
+    `iterate_point` if an iterate escapes.
+    """
+    x = Fraction(x0)
+    symbols = []
+    for step in range(k + 1):
+        if not m.lo <= x <= m.hi:
+            raise ValueError(f"iterate {x} escaped domain [{m.lo}, {m.hi}]")
+        i = m.piece_index_at(x)
+        symbols.append(m.symbol(i))
+        if step < k:
+            x = m.pieces[i].apply(x)
+    return Itinerary(tuple(symbols))
+
+
+def uncaptured_measures(m: PiecewiseAffine1D, depth: int) -> list[Fraction]:
+    """[U_0, ..., U_depth] of `uncaptured_numerators`, as Fractions."""
+    w, q, s = uncaptured_numerators(m, depth)
+    out = []
+    for wn in w:
+        out.append(Fraction(wn, q))
+        q *= s
+    return out
 
 
 @dataclass(frozen=True)

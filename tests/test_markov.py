@@ -89,11 +89,16 @@ def test_cover_digraphs_match_fraction_oracle():
         assert ([list(r) for r in lower.succ], [list(r) for r in upper.succ]) == want, b
 
 
+def p3_p9_chord(g):
+    return ("X", Segment(g.named_point("P3"), g.named_point("P9")))
+
+
 def test_segment_engine_does_no_fraction_arithmetic(monkeypatch):
     graphs = [build_gamma(regime, b) for regime, b in
               (("negb", -3), ("alpha", F(-163, 200)), ("beta", F(34497, 50000)), ("band48", 5))]
     params = [Params.standard(g.b) for g in graphs]
     part, _ = band48.band48_partition(5)
+    overlapping = [("a", Segment(point(0, 0), point(2, 0))), ("b", Segment(point(1, 0), point(3, 0)))]
 
     def forbidden(self, other):
         raise AssertionError("Fraction arithmetic in the segment engine")
@@ -104,6 +109,11 @@ def test_segment_engine_does_no_fraction_arithmetic(monkeypatch):
         assert verify_invariance(g, p).ok
     lower, upper = build_cover_digraph_pair(graphs[-1], part, params[-1])
     assert lower.succ == upper.succ and lower.n == 10
+    # Neither rejection path does Fraction arithmetic either.
+    with pytest.raises(ValueError, match="partition intervals a and b overlap"):
+        build_cover_digraph_pair(None, overlapping, params[-1])
+    with pytest.raises(ValueError, match="partition interval X is not on the graph"):
+        build_cover_digraph_pair(graphs[-1], [*part, p3_p9_chord(graphs[-1])], params[-1])
 
 
 def test_digraph_from_edges_collapses_repeats():
@@ -123,6 +133,18 @@ def test_build_cover_digraph_rejects_overlap():
     part = [("a", seg1), ("c", seg3), ("e", Segment(point(2, 0), point(3, 0))), ("d", seg4)]
     with pytest.raises(ValueError, match="partition intervals c and d overlap"):
         build_cover_digraph_pair(None, part, Params.standard(5))
+
+
+def test_build_cover_digraph_rejects_an_interval_off_the_graph():
+    # At b = 5 the chord from P3 = (-7, -1) to P9 = (9, 9) has both ends on
+    # the graph, but no edge carries it.
+    g = build_gamma("band48", 5)
+    part, _ = band48.band48_partition(5)
+    label, chord = p3_p9_chord(g)
+    assert (chord.p, chord.q) == (point(-7, -1), point(9, 9))
+    assert g.contains_point(chord.p) and g.contains_point(chord.q)
+    with pytest.raises(ValueError, match="partition interval X is not on the graph"):
+        build_cover_digraph_pair(g, [*part, (label, chord)], Params.standard(5))
 
 
 def test_find_rome_examples():

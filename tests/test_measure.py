@@ -99,8 +99,7 @@ def test_return_map_respects_general_b():
 
 
 def test_capture_recursion_matches_interval_oracle():
-    from oracles import uncaptured_intervals
-    from pwldyn.piecewise import uncaptured_measures
+    from oracles import uncaptured_intervals, uncaptured_measures
 
     rng = random.Random(6)
 
@@ -117,8 +116,6 @@ def test_capture_recursion_matches_interval_oracle():
 
 
 def test_uncaptured_measures_match_fraction_recursion():
-    from pwldyn.piecewise import uncaptured_measures
-
     rng = random.Random(2026)
     cases = [("negb", F(-3), e) for e in ("A", "B", "C", "D", "E", "G", "H")]
     for _ in range(4):
@@ -127,7 +124,24 @@ def test_uncaptured_measures_match_fraction_recursion():
             cases.append((regime, lo + (hi - lo) * F(rng.randint(1, 999), 1000), edge))
     for regime, b, edge in cases:
         m, _ = return_map_for_edge(regime, b, edge)
-        assert uncaptured_measures(m, 200) == oracles.uncaptured_measures(m, 200), (regime, b, edge)
+        assert oracles.uncaptured_measures(m, 200) == oracles.fraction_uncaptured_measures(m, 200), (regime, b, edge)
+
+
+def test_full_measure_report_builds_fewer_fractions_than_entries(monkeypatch):
+    made = 0
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    rep = full_measure_report("negb", -3, 60)
+    monkeypatch.undo()
+    # one Fraction per (captured, uncaptured) row would be 7 * 61
+    assert [len(prof.entries) for prof in rep.profiles] == [61] * 7
+    assert made < 7 * 61, made
 
 
 def test_full_measure_report_matches_fraction_oracle():
@@ -142,7 +156,7 @@ def test_full_measure_report_matches_fraction_oracle():
         for prof in rep.profiles:
             m, _ = return_map_for_edge(regime, b, prof.edge)
             length = m.hi - m.lo
-            us = oracles.uncaptured_measures(m, depth)
+            us = oracles.fraction_uncaptured_measures(m, depth)
             assert prof.length == length
             assert prof.entries == tuple((length - u, u) for u in us), (regime, b, prof.edge)
             totals = [t + u for t, u in zip(totals, us)]

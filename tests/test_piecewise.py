@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from oracles import uncaptured_intervals
+from oracles import itinerary_of, uncaptured_intervals, uncaptured_measures
 from pwldyn.certify import (
     ALPHA_WINDOW,
     BETA_WINDOW,
@@ -24,9 +24,7 @@ from pwldyn.piecewise import (
     interval_union,
     conjugate_affine,
     iterate_point,
-    itinerary_of,
     markov_partition,
-    uncaptured_measures,
 )
 from pwldyn.planemap import Params, restrict_iterate_to_segment, segment
 

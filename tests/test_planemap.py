@@ -76,7 +76,6 @@ def test_scale_conjugation():
 def test_restrict_f3_bottom_edge():
     # Along y = -1 between -b/2 and 0 the third iterate is a single branch.
     m = restrict_iterate_to_segment(Params.standard(5), segment((F(-5, 2), -1), (0, -1)), 3)
-    assert m.chart == "x"
     assert len(m.pieces) == 1
     assert (m.pieces[0].slope, m.pieces[0].offset) == (4, 3)
 
@@ -89,7 +88,6 @@ def test_restrict_identity_k0():
 
 def test_restrict_edge_A_return_map():
     m = restrict_iterate_to_segment(Params.standard(-3), segment((1, -3), (1, -1)), 7)
-    assert m.chart == "y"
     assert m.breakpoints == [F(-5, 4), F(-9, 8)]
     assert [(p.slope, p.offset) for p in m.pieces] == [(0, -3), (16, 17), (0, -1)]
 
@@ -101,7 +99,7 @@ def test_restrict_matches_pointwise_iteration():
     lo, hi = seg.chart_interval()
     for _ in range(1000):
         t = lo + (hi - lo) * F(RNG.randint(0, 10**6), 10**6)
-        pt = seg.point_at_chart(t)
+        pt = oracles.point_at_chart(seg, t)
         img = iterate_F(params, pt, 6)
         assert m(t) == img.x  # chart of the slope-one segment is x
 
@@ -147,45 +145,69 @@ def test_detect_plateaus_when_another_segment_refines_the_frame():
     ]
 
 
+def _line_cover(covered, queried):
+    """A line cover of `covered`, and the charts of `queried`, on one lattice."""
+    lat = SegmentLattice(Params(F(0), F(0)), [*covered, *queried])
+    cover = LineCover(lat)
+    for seg in covered:
+        cover.add(*lat.chart(seg))
+    return cover, [lat.chart(seg) for seg in queried]
+
+
+def _gap_segments(cover, chart):
+    return [cover.segment(chart[0], g0, g1) for g0, g1 in cover.gaps(*chart)]
+
+
 def test_line_cover_merges_touching_segments():
-    cover = LineCover([segment((0, 0), (1, 1)), segment((2, 2), (1, 1))])
+    inner = segment((F(1, 2), F(1, 2)), (F(3, 2), F(3, 2)))
+    cover, (chart,) = _line_cover([segment((0, 0), (1, 1)), segment((2, 2), (1, 1))], [inner])
     assert cover.segments() == [segment((0, 0), (2, 2))]
-    assert cover.gaps(segment((F(1, 2), F(1, 2)), (F(3, 2), F(3, 2)))) == []
+    assert len(cover.lines) == 1 and len(cover.lines[chart[0]]) == 1
+    assert cover.gaps(*chart) == []
 
 
 def test_line_cover_point_contact_is_no_overlap():
-    cover = LineCover([segment((0, 0), (2, 0))])
-    assert not cover.overlaps(segment((2, 0), (3, 0)))
-    assert not cover.overlaps(segment((2, 0), (2, 1)))  # another line through the end
-    assert not cover.overlaps(segment((0, 1), (2, 1)))  # a parallel line
-    assert cover.overlaps(segment((1, 0), (3, 0)))
-    assert cover.gaps(segment((1, 0), (3, 0))) == [segment((2, 0), (3, 0))]
-    assert cover.gaps(segment((2, 0), (0, 0))) == []
+    queried = [
+        segment((2, 0), (3, 0)),
+        segment((2, 0), (2, 1)),  # another line through the end
+        segment((0, 1), (2, 1)),  # a parallel line
+        segment((1, 0), (3, 0)),
+        segment((2, 0), (0, 0)),
+    ]
+    cover, charts = _line_cover([segment((0, 0), (2, 0))], queried)
+    for chart in charts[:3]:
+        assert cover.gaps(*chart) == [chart[1:]]
+    assert cover.gaps(*charts[3]) != [charts[3][1:]]
+    assert _gap_segments(cover, charts[3]) == [segment((2, 0), (3, 0))]
+    assert cover.gaps(*charts[4]) == []
+    assert cover.contains(2 * cover.frame, 0) and not cover.contains(3 * cover.frame, 0)
 
 
 def test_line_cover_gaps_on_a_steep_line():
     assert segment((0, 0), (-1, 3)).chart_axis() == "y"  # slope -3
-    cover = LineCover([segment((0, 0), (F(-1, 3), 1)), segment((-1, 3), (F(-2, 3), 2))])
-    assert cover.gaps(segment((1, -3), (-2, 6))) == [
+    covered = [segment((0, 0), (F(-1, 3), 1)), segment((-1, 3), (F(-2, 3), 2))]
+    cover, charts = _line_cover(covered, [segment((1, -3), (-2, 6)), covered[0]])
+    assert _gap_segments(cover, charts[0]) == [
         segment((1, -3), (0, 0)),
         segment((F(-1, 3), 1), (F(-2, 3), 2)),
         segment((-1, 3), (-2, 6)),
     ]
-    assert cover.gaps(segment((0, 0), (F(-1, 3), 1))) == []
+    assert cover.gaps(*charts[1]) == []
 
 
 def test_line_cover_collinear_segments_in_opposite_orientations():
     down = segment((0, 4), (2, 0))  # slope -2
     up = segment((3, -2), (2, 0))
     flat = segment((1, 1), (-1, 0))  # slope 1/2, a second line
-    cover = LineCover([down, flat, up])
+    queried = [segment((0, 4), (3, -2)), segment((-1, 6), (4, -4)), segment((3, 2), (-3, -1))]
+    cover, charts = _line_cover([down, flat, up], queried)
     assert cover.segments() == [segment((3, -2), (0, 4)), segment((-1, 0), (1, 1))]
-    assert cover.gaps(segment((0, 4), (3, -2))) == []
-    assert cover.gaps(segment((-1, 6), (4, -4))) == [
+    assert cover.gaps(*charts[0]) == []
+    assert _gap_segments(cover, charts[1]) == [
         segment((4, -4), (3, -2)),
         segment((0, 4), (-1, 6)),
     ]
-    assert cover.gaps(segment((3, 2), (-3, -1))) == [
+    assert _gap_segments(cover, charts[2]) == [
         segment((-3, -1), (-1, 0)),
         segment((1, 1), (3, 2)),
     ]
@@ -200,7 +222,7 @@ def test_detect_plateaus_band48_brute_force_oracle():
         for piece in oracles.iterate_segment_pieces(params, seg, 1):
             if piece.is_collapsed and piece.t0 != piece.t1:
                 brute.append(
-                    Segment(seg.point_at_chart(piece.t0), seg.point_at_chart(piece.t1))
+                    Segment(oracles.point_at_chart(seg, piece.t0), oracles.point_at_chart(seg, piece.t1))
                 )
 
     def key(s: Segment):
@@ -236,7 +258,7 @@ def test_segment_helpers():
     s = segment((0, 0), (4, 2))
     assert s.chart_axis() == "x"
     assert s.chart_interval() == (0, 4)
-    assert s.point_at_chart(F(2)) == point(2, 1)
+    assert oracles.point_at_chart(s, F(2)) == point(2, 1)
     assert s.contains_point(point(2, 1))
     assert not s.contains_point(point(2, 2))
     with pytest.raises(ValueError):
@@ -301,7 +323,7 @@ def _restricted(fn, params: Params, seg: Segment, k: int):
         m = fn(params, seg, k)
     except ValueError as exc:
         return str(exc)
-    return (m.lo, m.hi, m.breakpoints, [(p.slope, p.offset) for p in m.pieces], m.chart)
+    return (m.lo, m.hi, m.breakpoints, [(p.slope, p.offset) for p in m.pieces])
 
 
 def test_engine_matches_fraction_tracker():
