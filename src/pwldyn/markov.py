@@ -7,14 +7,14 @@ computed exactly: a rome (a node set meeting every cycle) turns the
 characteristic polynomial into a small determinant over path-generating
 polynomials in 1/lambda, whose relevant factor is then run through certified
 root isolation.  `compare_radius` decides rho <, = or > lam from the
-successor lists alone, in exact arithmetic: a positive solution of
-(lam*I - A) v = 1 shows rho < lam, a positive kernel vector of
-lam*I - A shows rho = lam.  With lam = p/q the elimination is
-fraction-free on the integer system [p*I - q*A | q].  It proves each
-enclosure again at both ends, and decides the transition certificates at
-lam = 1.  Only the oracles
-`direct_char_poly` and `_power_iteration_radius` (a float estimate that
-runs on no default path) work on the dense matrix.
+successor lists alone, in exact arithmetic: per strongly connected
+component, the signs of the leading principal minors of the Z-matrix
+lam*I - A decide (all positive: rho < lam; all but the last positive and
+det 0: rho = lam), read off the pivots of one fraction-free forward
+elimination of p*I - q*A for lam = p/q.  It proves each enclosure again at
+both ends, and decides the transition certificates at lam = 1.  Only the
+oracles `direct_char_poly` and `_power_iteration_radius` (a float estimate
+that runs on no default path) work on the dense matrix.
 """
 
 from __future__ import annotations
@@ -366,9 +366,9 @@ def spectral_radius(dg: CoverDigraph, digits: int = 12, check: bool = True) -> R
 
     Per strongly connected component the rome characteristic polynomial is
     isolated exactly; the global radius is the componentwise maximum.  With
-    `check` the enclosure is proven again from the adjacency matrix alone by
-    exact resolvent solves (`_encloses_radius`); a failed proof means a bug
-    and raises.
+    `check` the enclosure is proven again from the successor lists alone by
+    exact leading-minor tests at its ends (`_encloses_radius`); a failed
+    proof means a bug and raises.
     """
     comps = _cyclic_components(dg.succ)
     if not comps:
@@ -393,108 +393,70 @@ def spectral_radius(dg: CoverDigraph, digits: int = 12, check: bool = True) -> R
 # Exact radius proof
 # ---------------------------------------------------------------------------
 #
-# For a nonnegative matrix A and a rational lam > 0, (lam*I - A) v = 1 has a
-# solution v > 0 exactly when lam > rho(A).  If rho < lam, v = sum_k A^k 1 /
-# lam^(k+1) > 0.  If a positive v exists, A v = lam*v - 1 < lam*v, and the
-# Collatz-Wielandt bound rho <= max_i (A v)_i / v_i gives rho < lam.  A
-# positive v with A v = lam*v gives rho = lam by the same bound; an
-# irreducible A has one when rho = lam (Perron-Frobenius).  The radius of A
-# is the largest radius of its cyclic strongly connected components, so
-# each fact is tested per component.  Scaling the system by q > 0, for
-# lam = p/q, changes neither solution, so the elimination runs on integers
-# in the manner of Bareiss: rows are cross-multiplied, never divided by a
-# pivot, and each is kept primitive by dividing out its content.  Every
-# integer row is a nonzero multiple of the rational row it stands for, so
-# each sign is read as a product with the row's pivot entry.
+# Let A_C >= 0 be irreducible (a cyclic strongly connected component) and
+# lam = p/q > 0.  M = p*I - q*A_C is a Z-matrix (off-diagonal entries <= 0),
+# and a Z-matrix has all leading principal minors positive exactly when it is
+# a nonsingular M-matrix, that is when rho(A_C) < lam (Berman-Plemmons,
+# "Nonnegative Matrices in the Mathematical Sciences", ch. 6).  If a proper
+# leading minor is <= 0 while the ones before it are positive, the leading
+# principal submatrix of that size has radius >= lam; for an irreducible A_C
+# that radius lies strictly below rho(A_C), so rho(A_C) > lam.  If the first
+# n-1 minors are positive and det M = 0, the leading block is a nonsingular
+# M-matrix and its Schur complement s in M is 0; for eps > 0 the complement
+# in M + eps*I exceeds s, since the block's inverse is >= 0 and falls as eps
+# grows, so every leading minor of M + eps*I is positive: rho(A_C) < lam +
+# eps for all eps, and lam is an eigenvalue, so rho(A_C) = lam.  Otherwise
+# det M < 0 and rho(A_C) > lam.  The k-th pivot of an elimination without
+# row exchanges is the ratio of the k-th leading minor to the one before, so
+# the minors' signs are read off the pivots in order.  The elimination is
+# fraction-free: a row is cross-multiplied by the positive pivot, never
+# divided by it, and kept primitive by dividing out its content, so each
+# integer row is a positive multiple of its rational Schur-complement row.
 
-_RHS = -1  # key of the right-hand side in a sparse row
 
+def _compare_radius(succ: Sequence[Sequence[int]], comp: Sequence[int], lam: Fraction) -> int:
+    """-1, 0 or 1 as rho(A_C) <, = or > lam, for a strongly connected comp C.
 
-def _reduce(succ: Sequence[Sequence[int]], comp: Sequence[int], lam: Fraction):
-    """Fraction-free sparse Gauss-Jordan reduction of [lam*I - A_C | 1].
-
-    With lam = p/q the rows are those of [p*I - q*A_C | q], dicts column ->
-    nonzero integer (right-hand side under `_RHS`).  Eliminating column k
-    from a row by the pivot row P cross-multiplies, row := P[k]*row -
-    row[k]*P, and divides the row by its content, so every row stays an
-    integer multiple of the matching row of the rational reduction.
-    Returns (pivots, free): pivots maps each pivot column k to its reduced
-    row, whose entries over its pivot entry row[k] are those of the reduced
-    rational row; free lists the columns without a pivot.  The pivot row
-    is the shortest pending row holding k, found through a column index of
-    the rows.  The digraphs here have about 1.5 edges per node, so rows
-    stay short.
+    One forward elimination of p*I - q*A_C (lam = p/q), in the order of
+    `comp`, pivoting on the diagonal: it stops at the first pivot <= 0, which
+    gives 1 when it is not the last, and the last pivot's sign decides
+    between -1, 0 and 1.  Rows are dicts column -> integer, each holding its
+    diagonal; only the rows below a pivot that hold its column are updated,
+    found through a column index.  An off-diagonal entry is negative and
+    stays so, since each update subtracts from it a product of two negative
+    entries, so no entry leaves a row.  Requires lam > 0.
     """
     p, q = lam.numerator, lam.denominator
     pos = {v: k for k, v in enumerate(comp)}
     rows = []
     for v in comp:
         row = {pos[w]: -q for w in succ[v] if w in pos}
-        diag = row.get(pos[v], 0) + p
-        if diag:
-            row[pos[v]] = diag
-        else:
-            del row[pos[v]]
-        row[_RHS] = q
+        row[pos[v]] = row.get(pos[v], 0) + p
         rows.append(row)
-    holding: list[set[int]] = [set() for _ in comp]  # column -> rows with an entry there
+    below: list[set[int]] = [set() for _ in comp]  # column -> rows below it with an entry there
     for i, row in enumerate(rows):
         for c in row:
-            if c != _RHS:
-                holding[c].add(i)
-    pending = set(range(len(rows)))
-    pivots: dict[int, int] = {}  # pivot column -> row index
-    free = []
-    for k in range(len(comp)):
-        cands = holding[k] & pending
-        if not cands:
-            free.append(k)
-            continue
-        r = min(cands, key=lambda i: (len(rows[i]), i))
-        pending.discard(r)
-        prow = rows[r]
+            if c < i:
+                below[c].add(i)
+    last = len(rows) - 1
+    for k in range(last):
+        prow = rows[k]
         a = prow[k]
-        for i in holding[k] - {r}:
+        if a <= 0:
+            return 1
+        for i in below[k]:
             row = rows[i]
             f = row.pop(k)
             new = {c: a * x for c, x in row.items()}
             for c, x in prow.items():
-                if c == k:
-                    continue
-                y = new.get(c, 0) - f * x
-                if y:
-                    if c not in new and c != _RHS:
-                        holding[c].add(i)
-                    new[c] = y
-                elif c in new:
-                    del new[c]
-                    if c != _RHS:
-                        holding[c].discard(i)
+                if c != k:
+                    new[c] = new.get(c, 0) - f * x
+                    if c < i:
+                        below[c].add(i)
             g = gcd(*new.values())
-            if g > 1:
-                new = {c: x // g for c, x in new.items()}
-            rows[i] = new
-        holding[k] = {r}
-        pivots[k] = r
-    return {k: rows[r] for k, r in pivots.items()}, free
-
-
-def _compare_radius(succ: Sequence[Sequence[int]], comp: Sequence[int], lam: Fraction) -> int:
-    """-1, 0 or 1 as rho(A_C) <, = or > lam, for a strongly connected comp C.
-
-    -1 needs a positive solution of (lam*I - A_C) v = 1; 0 needs the kernel
-    of lam*I - A_C to be one-dimensional and spanned by a positive vector.
-    Perron-Frobenius gives A_C exactly that kernel when rho(A_C) == lam, so
-    neither means rho(A_C) > lam (a singular matrix counts as having no
-    solution).  A reduced row's sign is read as a product with its pivot
-    entry.  Requires lam > 0.
-    """
-    pivots, free = _reduce(succ, comp, lam)
-    if not free and all(row.get(_RHS, 0) * row[k] > 0 for k, row in pivots.items()):
-        return -1
-    if len(free) == 1 and all(row.get(free[0], 0) * row[k] < 0 for k, row in pivots.items()):
-        return 0
-    return 1
+            rows[i] = {c: x // g for c, x in new.items()} if g > 1 else new
+    a = rows[last][last]
+    return (a < 0) - (a > 0)
 
 
 def compare_radius(succ: Sequence[Sequence[int]], lam) -> int:
@@ -513,7 +475,8 @@ def _encloses_radius(succ: Sequence[Sequence[int]], lo: Fraction, hi: Fraction) 
     """Whether exact arithmetic proves lo <= rho <= hi for the digraph `succ`.
 
     lo < hi is proven by rho < hi and, for lo > 0, not rho < lo; lo == hi by
-    rho == hi.  A radius of 0 holds only for a digraph without a cycle.
+    rho == hi; each is one `compare_radius`, a leading-minor test per cyclic
+    component.  A radius of 0 holds only for a digraph without a cycle.
     """
     if hi <= 0:
         return lo <= hi == 0 and not _cyclic_components(succ)

@@ -207,3 +207,10 @@ def test_cross_check_representatives():
         for letter in "STUV":
             lo, hi, _, _ = LevelClass(n, letter).interval()
             assert cross_check_entropy((lo + hi) / 2)
+
+
+def test_cross_check_level_100():
+    # digraphs of about 300 nodes around one long cycle
+    for letter in "STUV":
+        lo, hi, _, _ = LevelClass(100, letter).interval()
+        assert cross_check_entropy((lo + hi) / 2)

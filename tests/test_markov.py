@@ -341,8 +341,9 @@ def test_compare_radius_trichotomy():
         assert compare_radius(succ, k) == 0
         assert compare_radius(succ, k - eps) == 1
         assert compare_radius(succ, k + eps) == -1
-    # two components of radius 2, the first feeding the second: the whole
-    # matrix has no positive kernel vector at 2, each component has one
+    # two components of radius 2, the first feeding the second: each
+    # component reads 0 at 2, while on the whole node set, which is not
+    # strongly connected, the second leading minor of 2I - A is already 0
     succ = [[0, 1], [0, 1, 2], [2, 3], [2, 3]]
     assert compare_radius(succ, 2) == 0
     assert _compare_radius(succ, range(4), F(2)) == 1
@@ -467,9 +468,15 @@ def _radius_comparison_cases():
 def test_compare_radius_matches_fraction_oracle():
     sides = set()
     for succ, lam in _radius_comparison_cases():
-        comps = markov._cyclic_components(succ) + [range(len(succ))]
-        for comp in comps:
+        for comp in markov._cyclic_components(succ):
             got = _compare_radius(succ, comp, lam)
             assert got == oracles.compare_radius_component(succ, comp, lam), (succ, comp, lam)
             sides.add(got)
+        # the whole node set need not be strongly connected: all leading
+        # minors positive still means rho < lam, and a singular last pivot
+        # after positive ones still means rho == lam
+        whole = range(len(succ))
+        got = _compare_radius(succ, whole, lam)
+        assert (got == -1) == (oracles.compare_radius_component(succ, whole, lam) == -1), (succ, lam)
+        assert got != 0 or compare_radius(succ, lam) == 0, (succ, lam)
     assert sides == {-1, 0, 1}
