@@ -18,7 +18,7 @@ from pwldyn.graphs import build_gamma
 from pwldyn.markov import CoverDigraph, build_cover_digraph_pair, spectral_radius
 from pwldyn.planemap import Params, Point, Segment
 from pwldyn.polys import IntPoly, RootInterval, compare_roots, isolate_unique_positive_root
-from pwldyn.rationals import format_decimal, ln_enclosure, rational_str
+from pwldyn.rationals import format_decimal, ln_bounds, ln_enclosure, rational_str
 
 F = Fraction
 
@@ -230,19 +230,28 @@ def continuity_level_bound(eps) -> int:
     Beyond that level the upper S-class root drops below 1+eps, which pins
     the entropy below ln(1+eps) for the rest of the parameter interval: the
     entropy tends to 0 at the right endpoint.
+
+    For g > 1, certified brackets of ln x and ln g are refined until they
+    prove 3(n-1) ln x < ln g < 3n ln x.  That ends: x^(3m) = g would make x a
+    rational root > 1 of x^(3m+7) - x^(3m+4) - x^3 - 2, and 2, the only
+    candidate, is not one.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     x = 1 + eps
     g = (x**3 + 2) / (x**4 * (x**3 - 1))
-    n = 0
-    growth = x**3
-    cur = Fraction(1)
-    while cur <= g:
-        cur *= growth
-        n += 1
-    return n
+    if g < 1:
+        return 0
+    bits = 32 + eps.denominator.bit_length()  # 2^-bits is far below ln x > 1/(den + 1)
+    while True:
+        err = F(1, 1 << bits)
+        x_lo, x_hi = ln_bounds(x, err)
+        g_lo, g_hi = ln_bounds(g, err)
+        n = g_lo // (3 * x_hi) + 1
+        if 3 * (n - 1) * x_hi < g_lo and g_hi < 3 * n * x_lo:
+            return n
+        bits *= 2
 
 
 def upper_root_below(n: int, eps) -> bool:
@@ -322,19 +331,18 @@ def cover_digraphs(b) -> tuple[CoverDigraph, CoverDigraph, LevelClass]:
 def cross_check_entropy(b, digits: int = 7) -> bool:
     """Closed-form class polynomials against digraphs built from the graph.
 
-    The spectral radii of the lower/upper digraphs must land inside the
-    certified enclosures of the class polynomial roots.
+    True iff the stripped characteristic factor of the lower (upper) digraph
+    is the first (last) class polynomial.  `spectral_radius` proves the radius
+    inside that polynomial's root enclosure by exact leading-minor tests, and
+    raises if the proof fails; T and V share one digraph, proven once.
     """
-    res = entropy_or_bounds(b, digits)
+    if digits < 0:
+        raise ValueError(f"digits must be >= 0, got {digits}")
+    lc = classify(b)
     lower, upper, _ = cover_digraphs(b)
-    r_lo = spectral_radius(lower, digits + 3)
-    r_hi = spectral_radius(upper, digits + 3)
-    for got, expected in ((r_lo, res.lo_root), (r_hi, res.hi_root)):
-        if got.poly != expected.poly:
-            return False
-        if got.hi < expected.lo or expected.hi < got.lo:
-            return False
-    return True
+    polys = level_polynomials(lc)
+    pairs = dict.fromkeys(((lower, polys[0]), (upper, polys[-1])))  # one pair for T and V
+    return all(spectral_radius(dg, digits + 3).poly == poly for dg, poly in pairs)
 
 
 # ---------------------------------------------------------------------------

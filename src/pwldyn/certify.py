@@ -356,16 +356,17 @@ def orbit_digraph(m: PiecewiseAffine1D, orbit: Sequence[Fraction]) -> CoverDigra
     is monotone, and an edge is exact covering.  The periodicity check and
     the partition run on the numerators of `m.integer_frame(orbit)`.
     """
-    return _orbit_digraph(*m.integer_frame(orbit))
+    frame, xs = m.integer_frame(orbit)
+    pts = set(xs)
+    full, _ = frame.walk(xs[0], len(pts))
+    if full[-1] != full[0] or set(full[:-1]) != pts:
+        raise ValueError("orbit is not exactly periodic under the map")
+    return _orbit_digraph(frame, xs)
 
 
 def _orbit_digraph(frame: IntegerFrame, orbit: Sequence[int]) -> CoverDigraph:
-    """`orbit_digraph` on the orbit's numerators over frame.q."""
-    pts = set(orbit)
-    full, _ = frame.walk(orbit[0], len(pts))
-    if full[-1] != full[0] or set(full[:-1]) != pts:
-        raise ValueError("orbit is not exactly periodic under the map")
-    _, cells = frame.partition(pts)
+    """`orbit_digraph` on the numerators over frame.q of a periodic orbit."""
+    _, cells = frame.partition(orbit)
     nodes = [i for i, (_, cover) in enumerate(cells) if cover is not None]
     pos = {i: k for k, i in enumerate(nodes)}
     succ = tuple(tuple(pos[j] for j in cells[i][1] if j in pos) for i in nodes)

@@ -229,15 +229,13 @@ def rome_char_poly_full(dg: CoverDigraph, rome: Rome) -> IntPoly:
     With y = 1/lambda, A_R(y) collects sum y^length over simple paths
     between rome nodes, and (+/-) lambda^n det(A_R(1/lambda) - E) is the
     determinant's coefficients reversed and padded to degree n; normalized
-    to a positive leading coefficient so it matches det(lambda*I - M).
+    to a positive leading coefficient so it matches det(lambda*I - M).  An
+    acyclic digraph has the empty rome, det 1 and so lambda^n.
     """
     if not is_rome(dg, rome):
         raise ValueError("given node set is not a rome")
     rome_idx = frozenset(dg.index(lab) for lab in rome.labels)
     order = sorted(rome_idx)
-    k = len(order)
-    if k == 0:
-        return IntPoly.monomial(1, dg.n)  # acyclic: char poly is lambda^n
     matrix = []
     for i in order:
         paths = _simple_path_lengths(dg, rome_idx, i)

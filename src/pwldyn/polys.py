@@ -55,10 +55,6 @@ class IntPoly:
         return cls([])
 
     @classmethod
-    def monomial(cls, coeff: int, power: int) -> "IntPoly":
-        return cls([0] * power + [coeff])
-
-    @classmethod
     def from_terms(cls, terms: dict[int, int]) -> "IntPoly":
         if not terms:
             return cls([])

@@ -63,18 +63,7 @@ def decimal_digits(q: Fraction, ndigits: int) -> str:
     """
     if ndigits < 0:
         raise ValueError("ndigits must be >= 0")
-    sign = "-" if q < 0 else ""
-    n, d = abs(q.numerator), q.denominator
-    int_part = n // d
-    rem = n % d
-    if ndigits == 0:
-        return f"{sign}{_int_str(int_part)}"
-    digits = []
-    for _ in range(ndigits):
-        rem *= 10
-        digits.append(str(rem // d))
-        rem %= d
-    return f"{sign}{_int_str(int_part)}." + "".join(digits)
+    return _fixed_point("-" if q < 0 else "", abs(q.numerator) * 10**ndigits // q.denominator, ndigits)
 
 
 def format_decimal(q: Fraction, places: int) -> str:
@@ -84,6 +73,11 @@ def format_decimal(q: Fraction, places: int) -> str:
     if 2 * (scaled - n) >= 1:
         n += 1
     sign = "-" if q < 0 and n != 0 else ""
+    return _fixed_point(sign, n, places)
+
+
+def _fixed_point(sign: str, n: int, places: int) -> str:
+    """sign followed by n / 10^places written out with `places` decimals."""
     whole, frac = divmod(n, 10**places)
     if places == 0:
         return f"{sign}{_int_str(whole)}"

@@ -12,7 +12,9 @@ rationals.  The float power iteration without its early exit is kept
 too.  The parameter-affine map family and its closing window are the
 earlier generic form of `certify.TrapezoidFamily`.  The Sturm chain, gcd and
 square-free part by Fraction long division are the earlier form of the
-integer pseudo-division in `polys`.
+integer pseudo-division in `polys`.  The band48 cross-check that also
+built the entropy brackets and compared two radius enclosures is kept as
+the earlier form of `band48.cross_check_entropy`.
 The rest are small checks of the map and of digraphs that back statements
 in the tests (quadrant pieces, the rescaling identity, simple cycles, the
 trapezoid shape and the inverse parameter changes), and three helpers that
@@ -30,8 +32,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from pwldyn import graphs
-from pwldyn.markov import CoverDigraph, _cyclic_components
+from pwldyn import band48, graphs
+from pwldyn.markov import CoverDigraph, _cyclic_components, spectral_radius
 from pwldyn.piecewise import (
     Itinerary,
     Piece,
@@ -376,6 +378,21 @@ def compare_radius_component(succ, comp, lam) -> int:
     if len(free) == 1 and all(row.get(free[0], 0) < 0 for row in pivots.values()):
         return 0
     return 1
+
+
+def cross_check_entropy(b, digits: int = 7) -> bool:
+    """The earlier `band48.cross_check_entropy`: each digraph's radius
+    enclosure against the class root enclosure of `entropy_or_bounds`."""
+    res = band48.entropy_or_bounds(b, digits)
+    lower, upper, _ = band48.cover_digraphs(b)
+    r_lo = spectral_radius(lower, digits + 3)
+    r_hi = spectral_radius(upper, digits + 3)
+    for got, expected in ((r_lo, res.lo_root), (r_hi, res.hi_root)):
+        if got.poly != expected.poly:
+            return False
+        if got.hi < expected.lo or expected.hi < got.lo:
+            return False
+    return True
 
 
 def power_iteration_radius(adj, steps: int = 10_000) -> float:

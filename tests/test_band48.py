@@ -1,8 +1,11 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
+import oracles
+from pwldyn import band48, markov
 from pwldyn.band48 import (
     LevelClass,
     breakpoints,
@@ -23,8 +26,9 @@ from pwldyn.band48 import (
     verify_root_ordering,
     x_orbit_point,
 )
-from pwldyn.polys import IntPoly, isolate_unique_positive_root
-from pwldyn.rationals import format_decimal
+from pwldyn.markov import spectral_radius
+from pwldyn.polys import IntPoly, RootInterval, isolate_unique_positive_root
+from pwldyn.rationals import format_decimal, ln_bounds
 
 
 def poly(**terms) -> IntPoly:
@@ -190,6 +194,44 @@ def test_continuity_level_bound():
         continuity_level_bound(0)
 
 
+def _continuity_level_loop(eps):
+    """The earlier `continuity_level_bound`: multiply x^3 up past g."""
+    x = 1 + eps
+    g = (x**3 + 2) / (x**4 * (x**3 - 1))
+    n, cur = 0, F(1)
+    while cur <= g:
+        cur *= x**3
+        n += 1
+    return n
+
+
+def test_continuity_level_bound_matches_the_power_loop():
+    for eps in (1, F(1, 3), F(1, 10), F(1, 100), F(1, 1000), F(7, 9999)):
+        assert continuity_level_bound(eps) == _continuity_level_loop(F(eps))
+    # the loop takes about half a minute at this eps; check x^(3(n-1)) < g < x^(3n) exactly
+    n = continuity_level_bound(F(1, 10**4))
+    assert n == 30702
+    x = 1 + F(1, 10**4)
+    g = (x**3 + 2) / (x**4 * (x**3 - 1))
+    a, b = x.numerator, x.denominator
+    u, v = a ** (3 * n - 3), b ** (3 * n - 3)
+    assert u * g.denominator < g.numerator * v  # x^(3(n-1)) < g
+    assert g.numerator * v * b**3 < u * a**3 * g.denominator  # g < x^(3n)
+
+
+def test_continuity_level_bound_refines_a_bracket_too_wide_to_decide(monkeypatch):
+    calls = []
+
+    def coarse_first(x, err):
+        lo, hi = ln_bounds(x, err)
+        calls.append(x)
+        return (lo - 1, hi + 1) if len(calls) <= 2 else (lo, hi)
+
+    monkeypatch.setattr(band48, "ln_bounds", coarse_first)
+    assert continuity_level_bound(F(1, 100)) == _continuity_level_loop(F(1, 100))
+    assert len(calls) == 4
+
+
 def test_table_rows_structure():
     rows = table_rows()
     assert len(rows) == 12
@@ -213,4 +255,80 @@ def test_cross_check_level_100():
     # digraphs of about 300 nodes around one long cycle
     for letter in "STUV":
         lo, hi, _, _ = LevelClass(100, letter).interval()
+        assert cross_check_entropy((lo + hi) / 2) is oracles.cross_check_entropy((lo + hi) / 2) is True
+
+
+def _outcome(check, b, digits):
+    try:
+        return check(b, digits)
+    except (AssertionError, ValueError) as e:
+        return type(e), str(e)
+
+
+def test_cross_check_matches_earlier_definition():
+    rng = random.Random(24)
+    cases = []
+    for n in range(6):
+        for letter in "TV":
+            lo, hi, _, _ = LevelClass(n, letter).interval()
+            cases += [(lo, 7), (hi, 7)]
+    for _ in range(400):
+        lo, hi, lo_closed, hi_closed = LevelClass(rng.randrange(6), rng.choice("STUV")).interval()
+        den = rng.randint(2, 1000)
+        k = rng.randint(0 if lo_closed else 1, den if hi_closed else den - 1)
+        cases.append((lo + (hi - lo) * F(k, den), rng.choice((0, 3, 7))))
+    for b, digits in cases:
+        got = _outcome(cross_check_entropy, b, digits)
+        assert got == _outcome(oracles.cross_check_entropy, b, digits) is True, (b, digits)
+
+
+def test_cross_check_refutes_a_wrong_polynomial(monkeypatch):
+    # (x + 1) * p has the root of p and the same sign pattern above 0, so
+    # the radius proof still passes and only the polynomial differs
+    rome_char_poly = markov.rome_char_poly
+    monkeypatch.setattr(markov, "rome_char_poly", lambda dg, rome: IntPoly([1, 1]) * rome_char_poly(dg, rome))
+    for b in (5, F(6), F(27, 4)):
+        assert cross_check_entropy(b) is oracles.cross_check_entropy(b) is False
+
+
+def test_cross_check_raises_on_a_wrong_enclosure(monkeypatch):
+    largest = markov.largest_positive_root
+
+    def shifted(p, digits):
+        r = largest(p, digits)
+        return RootInterval._proven(r.lo + 1, r.hi + 1, r.poly)
+
+    monkeypatch.setattr(markov, "largest_positive_root", shifted)
+    for b in (5, F(6)):
+        for check in (cross_check_entropy, oracles.cross_check_entropy):
+            with pytest.raises(AssertionError, match="exact radius check failed"):
+                check(b)
+
+
+def test_cross_check_builds_no_entropy_and_one_radius_per_pair(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("entropy bracket built by the cross-check")
+
+    for name in ("entropy_or_bounds", "ln_enclosure", "ln_bounds"):
+        monkeypatch.setattr(band48, name, forbidden)
+    calls = []
+
+    def counted(dg, digits):
+        calls.append(dg)
+        return spectral_radius(dg, digits)
+
+    monkeypatch.setattr(band48, "spectral_radius", counted)
+    assert cross_check_entropy(5)
+    for letter, radii in zip("STUV", (2, 1, 2, 1)):
+        lo, hi, _, _ = LevelClass(1, letter).interval()
+        calls.clear()
         assert cross_check_entropy((lo + hi) / 2)
+        assert len(calls) == radii
+
+
+def test_cross_check_refusals_match_earlier_definition():
+    for b, digits in ((3, 7), (4, 7), (8, 7), (5, -1), (3, -1)):
+        with pytest.raises(ValueError) as expected:
+            oracles.cross_check_entropy(b, digits)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            cross_check_entropy(b, digits)

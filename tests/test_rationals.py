@@ -39,6 +39,30 @@ def test_decimal_digits_truncates_toward_zero():
     assert decimal_digits(F(5), 0) == "5"
 
 
+def _long_division_digits(q, ndigits):
+    """`decimal_digits` one digit at a time, as it was first written."""
+    sign = "-" if q < 0 else ""
+    n, d = abs(q.numerator), q.denominator
+    out, rem = str(n // d), n % d
+    if ndigits:
+        out += "."
+    for _ in range(ndigits):
+        rem *= 10
+        out += str(rem // d)
+        rem %= d
+    return sign + out
+
+
+def test_decimal_digits_matches_long_division():
+    rng = random.Random(7)
+    for _ in range(300):
+        q = F(rng.randint(-10**30, 10**30), rng.randint(1, 10**rng.randint(1, 30)))
+        nd = rng.randint(0, 80)
+        assert decimal_digits(q, nd) == _long_division_digits(q, nd), (q, nd)
+    big = F(2**9000 + 1, 3**4000)  # whole part and fraction past the int -> str split
+    assert decimal_digits(big, 2500) == _long_division_digits(big, 2500)
+
+
 def test_format_decimal_rounds_half_away():
     assert format_decimal(F(2888762, 10**7), 5) == "0.28888"
     assert format_decimal(F(15, 1000), 2) == "0.02"
