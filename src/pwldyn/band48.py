@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from pwldyn.graphs import build_gamma
 from pwldyn.markov import CoverDigraph, build_cover_digraph_pair, spectral_radius
-from pwldyn.planemap import Params, Point, Segment
+from pwldyn.planemap import Point, Segment
 from pwldyn.polys import IntPoly, RootInterval, compare_roots, isolate_unique_positive_root
 from pwldyn.rationals import format_decimal, ln_bounds, ln_enclosure, rational_str
 
@@ -103,33 +103,29 @@ def x_orbit_point(b, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _sparse(terms: dict[int, int]) -> IntPoly:
-    return IntPoly.from_terms(terms)
-
-
 def poly_lower(n: int) -> IntPoly:
     """x^(7+3n) - x^(4+3n) - 1: solid digraph of classes S and U."""
-    return _sparse({7 + 3 * n: 1, 4 + 3 * n: -1, 0: -1})
+    return IntPoly.from_terms({7 + 3 * n: 1, 4 + 3 * n: -1, 0: -1})
 
 
 def poly_upper_s(n: int) -> IntPoly:
     """x^(7+3n) - x^(4+3n) - x^3 - 2: dashed digraph of class S."""
-    return _sparse({7 + 3 * n: 1, 4 + 3 * n: -1, 3: -1, 0: -2})
+    return IntPoly.from_terms({7 + 3 * n: 1, 4 + 3 * n: -1, 3: -1, 0: -2})
 
 
 def poly_exact_t(n: int) -> IntPoly:
     """x^(7+3n) - x^(4+3n) - 2: Markov digraph of class T."""
-    return _sparse({7 + 3 * n: 1, 4 + 3 * n: -1, 0: -2})
+    return IntPoly.from_terms({7 + 3 * n: 1, 4 + 3 * n: -1, 0: -2})
 
 
 def poly_upper_u(n: int) -> IntPoly:
     """x^(10+3n) - x^(7+3n) - 2x^3 - 1: dashed digraph of class U."""
-    return _sparse({10 + 3 * n: 1, 7 + 3 * n: -1, 3: -2, 0: -1})
+    return IntPoly.from_terms({10 + 3 * n: 1, 7 + 3 * n: -1, 3: -2, 0: -1})
 
 
 def poly_exact_v(n: int) -> IntPoly:
     """x^(10+3n) - x^(7+3n) - x^3 - 1: Markov digraph of class V."""
-    return _sparse({10 + 3 * n: 1, 7 + 3 * n: -1, 3: -1, 0: -1})
+    return IntPoly.from_terms({10 + 3 * n: 1, 7 + 3 * n: -1, 3: -1, 0: -1})
 
 
 def level_polynomials(lc: LevelClass) -> tuple[IntPoly, ...]:
@@ -324,7 +320,7 @@ def cover_digraphs(b) -> tuple[CoverDigraph, CoverDigraph, LevelClass]:
     b = Fraction(b)
     g = build_gamma("band48", b)
     part, lc = _partition(b, g)
-    lower, upper = build_cover_digraph_pair(g, part, Params.standard(b))
+    lower, upper = build_cover_digraph_pair(g, part)
     return lower, upper, lc
 
 
@@ -360,7 +356,7 @@ def table_rows(levels: int = 3, places: int = 5) -> list[dict[str, str]]:
             lc = LevelClass(n, letter)
             lo, hi, lo_closed, hi_closed = lc.interval()
             mid = (lo + hi) / 2
-            res = entropy_or_bounds(mid, places + 2)
+            res = entropy_or_bounds(mid, places)
             interval = "{}{}, {}{}".format(
                 "[" if lo_closed else "(",
                 rational_str(lo),

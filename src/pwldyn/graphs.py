@@ -308,32 +308,18 @@ class GraphEdge(NamedTuple):
     b: str
 
 
-class PlanarGraph:
+class PlanarGraph(NamedTuple):
     """The regime's graph at b: named vertices, edges between them, and
-    marked points.  Mutable and unhashable; equality compares the six
-    fields, not the segment cache."""
+    marked points (name -> (point, host edge)).  Equal to the tuple of its
+    fields, and unhashable, since it holds dicts; nothing is cached, so
+    every method reads the current vertices."""
 
-    def __init__(self, regime: str, b: Fraction, vertices: dict[str, Point], edges: list[GraphEdge],
-                 marks: dict[str, tuple[Point, str]] | None = None, boundary: bool = False):
-        self.regime = regime
-        self.b = b
-        self.vertices = vertices
-        self.edges = edges
-        self.marks = {} if marks is None else marks
-        self.boundary = boundary
-        self._segments: tuple[Segment, ...] | None = None
-
-    def _fields(self) -> tuple:
-        return self.regime, self.b, self.vertices, self.edges, self.marks, self.boundary
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return (f"PlanarGraph(regime={self.regime!r}, b={self.b!r}, vertices={self.vertices!r}, "
-                f"edges={self.edges!r}, marks={self.marks!r}, boundary={self.boundary!r})")
+    regime: str
+    b: Fraction
+    vertices: dict[str, Point]
+    edges: list[GraphEdge]
+    marks: dict[str, tuple[Point, str]]
+    boundary: bool
 
     def edge_segment(self, name: str) -> Segment:
         for e in self.edges:
@@ -342,16 +328,14 @@ class PlanarGraph:
         raise KeyError(f"no edge named {name!r}")
 
     def all_segments(self) -> tuple[Segment, ...]:
-        """Edge segments, built on first use.  An edge whose ends coincide
-        is skipped: at a regime boundary an edge can shrink to a point
-        (beta's B3 at b = 5/7), which is a vertex the graph keeps."""
-        if self._segments is None:
-            self._segments = tuple(
-                Segment(p, q)
-                for e in self.edges
-                if (p := self.vertices[e.a]) != (q := self.vertices[e.b])
-            )
-        return self._segments
+        """Edge segments.  An edge whose ends coincide is skipped: at a
+        regime boundary an edge can shrink to a point (beta's B3 at
+        b = 5/7), which is a vertex the graph keeps."""
+        return tuple(
+            Segment(p, q)
+            for e in self.edges
+            if (p := self.vertices[e.a]) != (q := self.vertices[e.b])
+        )
 
     def named_point(self, name: str) -> Point:
         if name in self.vertices:
@@ -432,13 +416,13 @@ def build_gamma(regime: str, b) -> PlanarGraph:
     vertices = {name: _off_frame(x, y, frame) for name, (x, y) in lattice.items()}
     edges = [GraphEdge(*t) for t in _EDGES[regime]]
     ends = {e.name: (lattice[e.a], lattice[e.b]) for e in edges}
-    graph = PlanarGraph(regime, b, vertices, edges, {}, boundary=(where == "boundary"))
+    marks = {}
     for name, q, host in _MARKS[regime]:
         x, y = _on_lattice(q, n, d)
         if not _lattice_segment_holds(*ends[host], (x, y)):
             raise AssertionError(f"mark {name} fell off edge {host} at b = {b}")
-        graph.marks[name] = (_off_frame(x, y, frame), host)
-    return graph
+        marks[name] = (_off_frame(x, y, frame), host)
+    return PlanarGraph(regime, b, vertices, edges, marks, where == "boundary")
 
 
 # ---------------------------------------------------------------------------

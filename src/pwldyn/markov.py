@@ -491,9 +491,9 @@ def _encloses_radius(succ: Sequence[Sequence[int]], lo: Fraction, hi: Fraction) 
 def build_cover_digraph_pair(
     graph,
     partition: Sequence[tuple[str, Segment]],
-    params: Params,
 ) -> tuple[CoverDigraph, CoverDigraph]:
-    """(lower, upper) 0/1 covering digraphs of the named partition intervals under F.
+    """(lower, upper) 0/1 covering digraphs of the named partition intervals
+    under F at the graph's parameter (a, b) = (-1, graph.b).
 
     lower:  edge i -> j iff interval j is contained in F(interval i);
     upper:  edge iff the images overlap interval j with positive length
@@ -501,14 +501,13 @@ def build_cover_digraph_pair(
 
     Both come from one pass over the partition's images, on the lattice
     that also checks the partition.  All containment tests are exact
-    interval comparisons on the carrying lines.  No two intervals may
-    overlap with positive length.  `graph` supplies context only: when
-    given, each whole partition interval must lie on its edges, not only
-    its two ends.  The partition is Markov where the two digraphs agree.
+    interval comparisons on the carrying lines.  Labels must be distinct,
+    no two intervals may overlap with positive length, and each whole
+    interval must lie on the graph's edges, not only its two ends.  The
+    partition is Markov where the two digraphs agree.
     """
     labels = tuple(lab for lab, _ in partition)
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate partition labels")
-    hosts = None if graph is None else graph.all_segments()
-    lower, upper = image_cover_relations(params, partition, hosts)
+    lower, upper = image_cover_relations(Params.standard(graph.b), partition, graph.all_segments())
     return tuple(CoverDigraph(labels, tuple(tuple(sorted(row)) for row in rows)) for rows in (lower, upper))

@@ -71,7 +71,10 @@ def return_map_for_edge(regime: str, b, edge: str) -> tuple[PiecewiseAffine1D, i
     if regime == "negb":
         if edge not in _NEGB_EDGES:
             raise ValueError(f"edge {edge!r} is not return-invariant in regime negb")
-        return _negb_return_map(build_gamma("negb", b), edge)
+        graph = build_gamma("negb", b)
+        if edge == "G":
+            return _e_to_g(_negb_return_map(graph, "E"), b), 7
+        return _negb_return_map(graph, edge), 7
     if regime == "alpha":
         if edge != "PI":
             raise ValueError("regime alpha supports the invariant interval 'PI'")
@@ -96,13 +99,15 @@ def _window_segment(regime: str, b: Fraction, edge: str, build) -> Segment:
         ) from None
 
 
-def _negb_return_map(graph: PlanarGraph, edge: str) -> tuple[PiecewiseAffine1D, int]:
-    """`return_map_for_edge` of a circle-regime edge, on the graph at its b."""
-    if edge == "G":
-        inner, power = _negb_return_map(graph, "E")
-        # F maps E onto G by (x, y) -> chart' = -y + (7 - b).
-        return conjugate_affine(inner, F(-1), 7 - graph.b), power
-    return _return_map("negb", graph.b, edge, graph.edge_segment(edge), 7)
+def _negb_return_map(graph: PlanarGraph, edge: str) -> PiecewiseAffine1D:
+    """F^7 return map of a circle-regime edge other than G, on the graph at its b."""
+    return _return_map("negb", graph.b, edge, graph.edge_segment(edge), 7)[0]
+
+
+def _e_to_g(e_map: PiecewiseAffine1D, b: Fraction) -> PiecewiseAffine1D:
+    """Edge G's return map from edge E's: F maps E onto G by (x, y) ->
+    chart' = -y + (7 - b), which conjugates the two."""
+    return conjugate_affine(e_map, F(-1), 7 - b)
 
 
 def _return_map(regime: str, b: Fraction, edge: str, seg: Segment, power: int) -> tuple[PiecewiseAffine1D, int]:
@@ -172,7 +177,9 @@ def full_measure_report(regime: str, b, depth: int) -> FullMeasureReport:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if regime == "negb":
         graph = build_gamma("negb", b)
-        maps = {e: _negb_return_map(graph, e)[0] for e in _NEGB_EDGES}
+        maps = {}
+        for e in _NEGB_EDGES:  # E comes before G
+            maps[e] = _e_to_g(maps["E"], b) if e == "G" else _negb_return_map(graph, e)
         immediate = tuple(
             (name, graph.edge_segment(name).chart_length()) for name in ("plateau", "feeder")
         )

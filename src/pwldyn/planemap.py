@@ -321,18 +321,18 @@ def image_gaps(params: Params, segments: Sequence[Segment]) -> tuple[list[Segmen
 
 
 def image_cover_relations(params: Params, partition: Sequence[tuple[str, Segment]],
-                          hosts: Sequence[Segment] | None = None) -> tuple[list[list[int]], list[list[int]]]:
+                          hosts: Sequence[Segment]) -> tuple[list[list[int]], list[list[int]]]:
     """(lower, upper) of the named partition intervals under F: lower[i]
     lists the j with interval j inside F(interval i); upper[i] lists the j
     that F(interval i) meets in a part of positive length.
 
     The intervals are checked on the same lattice.  The first one, in
     partition order, that overlaps an earlier one with positive length is
-    refused, naming the earliest such; and when `hosts` is given, so is
-    every interval not wholly inside their union.
+    refused, naming the earliest such; then so is the first interval not
+    wholly inside the union of `hosts`, the segments of its graph.
     """
     segments = [seg for _, seg in partition]
-    lat = SegmentLattice(params, segments, hosts or ())
+    lat = SegmentLattice(params, segments, hosts)
     pieces = iterate_segment_pieces(lat, 1)
     charts = [_piece_chart(start) for start in lat.starts]
     targets: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
@@ -341,13 +341,12 @@ def image_cover_relations(params: Params, partition: Sequence[tuple[str, Segment
             if max(lo, ilo) < min(hi, ihi):
                 raise ValueError(f"partition intervals {partition[i][0]} and {partition[j][0]} overlap")
         targets.setdefault(key, []).append((j, lo, hi))
-    if hosts is not None:
-        cover = LineCover(lat)
-        for seg in hosts:
-            cover.add(*lat.chart(seg))
-        for (label, _), chart in zip(partition, charts):
-            if cover.gaps(*chart):
-                raise ValueError(f"partition interval {label} is not on the graph")
+    cover = LineCover(lat)
+    for seg in hosts:
+        cover.add(*lat.chart(seg))
+    for (label, _), chart in zip(partition, charts):
+        if cover.gaps(*chart):
+            raise ValueError(f"partition interval {label} is not on the graph")
     images = [LineCover(lat) for _ in segments]
     for piece in pieces:
         if piece[4] or piece[6]:

@@ -244,6 +244,17 @@ def test_table_rows_structure():
     assert rows[7] == {"set": "V1", "interval": "[43/6, 84/11]", "entropy": "0.15051"}
 
 
+def test_table_rows_match_the_wider_computation():
+    # Rows were once computed at places + 2 digits; `decimal` refines where it needs.
+    for levels, places in [(3, p) for p in (0, 1, 2, 3, 5, 8, 12, 20)] + [(6, 5)]:
+        want = []
+        for n in range(levels):
+            for letter in "STUV":
+                lo, hi, _, _ = LevelClass(n, letter).interval()
+                want.append(entropy_or_bounds((lo + hi) / 2, places + 2).decimal(places))
+        assert [row["entropy"] for row in table_rows(levels, places)] == want, (levels, places)
+
+
 def test_cross_check_representatives():
     for n in range(3):
         for letter in "STUV":

@@ -14,7 +14,7 @@ from pwldyn.graphs import (
     regime_interval_contains,
     verify_invariance,
 )
-from pwldyn.planemap import Params, detect_plateaus, point
+from pwldyn.planemap import Params, Segment, detect_plateaus, point
 
 
 def random_b(regime: str, rng: random.Random) -> F:
@@ -74,7 +74,6 @@ def test_invariance_at_regime_boundaries():
         assert g.boundary
         assert verify_invariance(g, Params.standard(b)).ok, regime
         assert len(g.all_segments()) == len(g.edges) - (regime == "beta")
-        assert g.all_segments() is g.all_segments()
 
 
 def test_invariance_detects_corruption():
@@ -83,6 +82,15 @@ def test_invariance_detects_corruption():
     report = verify_invariance(g, Params.standard(-3))
     assert not report.ok
     assert report.uncovered_segments or report.uncovered_points
+
+
+def test_invariance_reads_the_current_vertices():
+    # Segments built before a vertex moves must not stand in for the moved graph.
+    g = build_gamma("negb", -3)
+    g.all_segments()
+    g.vertices["S"] = point(3, 0)
+    assert verify_invariance(g, Params.standard(-3)).ok is False
+    assert Segment(point(3, 0), g.vertices["P1"]) in g.all_segments()
 
 
 def test_invariance_matches_fraction_oracle():

@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -107,13 +108,13 @@ def test_segment_engine_does_no_fraction_arithmetic(monkeypatch):
         monkeypatch.setattr(F, op, forbidden)
     for g, p in zip(graphs, params):
         assert verify_invariance(g, p).ok
-    lower, upper = build_cover_digraph_pair(graphs[-1], part, params[-1])
+    lower, upper = build_cover_digraph_pair(graphs[-1], part)
     assert lower.succ == upper.succ and lower.n == 10
     # Neither rejection path does Fraction arithmetic either.
     with pytest.raises(ValueError, match="partition intervals a and b overlap"):
-        build_cover_digraph_pair(None, overlapping, params[-1])
+        build_cover_digraph_pair(graphs[-1], overlapping)
     with pytest.raises(ValueError, match="partition interval X is not on the graph"):
-        build_cover_digraph_pair(graphs[-1], [*part, p3_p9_chord(graphs[-1])], params[-1])
+        build_cover_digraph_pair(graphs[-1], [*part, p3_p9_chord(graphs[-1])])
 
 
 def test_digraph_from_edges_collapses_repeats():
@@ -126,13 +127,13 @@ def test_build_cover_digraph_rejects_overlap():
     seg1 = Segment(point(0, 0), point(2, 0))
     seg2 = Segment(point(1, 0), point(3, 0))
     with pytest.raises(ValueError, match="partition intervals a and b overlap"):
-        build_cover_digraph_pair(None, [("a", seg1), ("b", seg2)], Params.standard(5))
+        build_cover_digraph_pair(build_gamma("band48", 5), [("a", seg1), ("b", seg2)])
     # Contact at a point is allowed; the message names the interval overlapped.
     seg3 = Segment(point(5, 0), point(3, 0))
     seg4 = Segment(point(4, 0), point(6, 0))
     part = [("a", seg1), ("c", seg3), ("e", Segment(point(2, 0), point(3, 0))), ("d", seg4)]
     with pytest.raises(ValueError, match="partition intervals c and d overlap"):
-        build_cover_digraph_pair(None, part, Params.standard(5))
+        build_cover_digraph_pair(build_gamma("band48", 5), part)
 
 
 def test_build_cover_digraph_rejects_an_interval_off_the_graph():
@@ -144,7 +145,27 @@ def test_build_cover_digraph_rejects_an_interval_off_the_graph():
     assert (chord.p, chord.q) == (point(-7, -1), point(9, 9))
     assert g.contains_point(chord.p) and g.contains_point(chord.q)
     with pytest.raises(ValueError, match="partition interval X is not on the graph"):
-        build_cover_digraph_pair(g, [*part, (label, chord)], Params.standard(5))
+        build_cover_digraph_pair(g, [*part, (label, chord)])
+
+
+def test_build_cover_digraph_pair_refusals_keep_their_order():
+    # The graph fixes the map: (graph, partition) is the whole signature.
+    assert list(inspect.signature(build_cover_digraph_pair).parameters) == ["graph", "partition"]
+    g = build_gamma("band48", 5)
+    part, _ = band48.band48_partition(5)
+    with pytest.raises(ValueError, match="^duplicate partition labels$"):
+        build_cover_digraph_pair(g, [*part, part[0]])
+    # Overlapping intervals off the graph: the overlap is named first.
+    off = [("a", Segment(point(0, 0), point(2, 0))), ("b", Segment(point(1, 0), point(3, 0)))]
+    assert not g.contains_point(point(1, 0))
+    with pytest.raises(ValueError, match="^partition intervals a and b overlap$"):
+        build_cover_digraph_pair(g, off)
+    with pytest.raises(ValueError, match="^partition interval a is not on the graph$"):
+        build_cover_digraph_pair(g, off[:1])
+    with pytest.raises(ValueError, match="^partition interval X is not on the graph$"):
+        build_cover_digraph_pair(g, [*part, p3_p9_chord(g)])
+    lower, upper = build_cover_digraph_pair(g, part)
+    assert (lower, upper) == cover_digraphs(5)[:2]
 
 
 def test_find_rome_examples():

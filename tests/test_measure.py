@@ -179,3 +179,20 @@ def test_negb_report_builds_its_graph_once(monkeypatch):
     monkeypatch.setattr(measure, "build_gamma", counted)
     full_measure_report("negb", -3, 4)
     assert calls == [("negb", F(-3))]
+
+
+def test_negb_report_restricts_six_maps(monkeypatch):
+    # G's return map is conjugated from E's, which the report already holds.
+    calls = []
+    restrict = measure.restrict_iterate_to_segment
+
+    def counted(params, seg, power):
+        calls.append(seg)
+        return restrict(params, seg, power)
+
+    monkeypatch.setattr(measure, "restrict_iterate_to_segment", counted)
+    rep = full_measure_report("negb", -3, 60)
+    g = graphs.build_gamma("negb", -3)
+    assert calls == [g.edge_segment(e) for e in ("A", "B", "C", "D", "E", "H")]
+    assert [p.edge for p in rep.profiles] == ["A", "B", "C", "D", "E", "G", "H"]
+    assert rep.profiles[5] == edge_capture_profile("negb", -3, "G", 60)

@@ -1,5 +1,5 @@
 """The result records as callers see them: NamedTuples where they only hold
-fields, plain classes where they validate or cache."""
+fields, plain classes where they validate."""
 
 from fractions import Fraction as F
 
@@ -82,8 +82,13 @@ def test_records_holding_root_intervals_hash():
 
 def test_planar_graph_compares_fields_and_stays_unhashable():
     g = build_gamma("negb", -3)
+    assert g._fields == ("regime", "b", "vertices", "edges", "marks", "boundary")
     assert g == build_gamma("negb", -3) and g != build_gamma("negb", -4)
-    g.all_segments()  # the cache does not take part in equality
-    assert g == build_gamma("negb", -3)
+    assert g == tuple(g)  # a NamedTuple equals the plain tuple of its fields
+    assert repr(g) == (
+        f"PlanarGraph(regime='negb', b=Fraction(-3, 1), vertices={g.vertices!r}, "
+        f"edges={g.edges!r}, marks={g.marks!r}, boundary=False)"
+    )
+    assert repr(g).endswith("marks={'P7': (Point(x=Fraction(3, 1), y=Fraction(1, 1)), 'plateau')}, boundary=False)")
     with pytest.raises(TypeError):
         hash(g)
