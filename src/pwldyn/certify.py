@@ -14,8 +14,10 @@ point 1 decide the certificate:
 Patterns come from the doubling operator on itineraries.  The trapezoid
 family is the only map family with a parameter, and it owns it:
 `TrapezoidFamily.at(d)` is the concrete map, `window(pattern)` the exact
-rational d-window of a pattern, and the d <-> b changes of variables are
-exact Moebius maps.  The radius is classified by one exact comparison with
+rational d-window of a pattern, and `d_to_b(d)` the exact Moebius change
+to the planar parameter.  The family is also the one record of its
+transition window of F: the interval `segment(b)` and the power of F
+that returns it.  The radius is classified by one exact comparison with
 1 (`markov.compare_radius`).  Every certificate is re-derived from scratch:
 periodicity, itinerary, radius.
 
@@ -68,9 +70,9 @@ def star_product(s: Itinerary) -> Itinerary:
 def upper_pattern(period: int) -> Itinerary:
     """Pattern of period 3*2^k obtained by doubling the seed RLC."""
     pat = Itinerary.parse("RLC")
-    while len(pat) < period:
+    while len(pat.symbols) < period:
         pat = star_product(pat)
-    if len(pat) != period:
+    if len(pat.symbols) != period:
         raise ValueError(f"upper period must be 3*2^k, got {period}")
     return pat
 
@@ -78,38 +80,16 @@ def upper_pattern(period: int) -> Itinerary:
 def lower_pattern(period: int) -> Itinerary:
     """Cascade pattern of period 2^k (k >= 1) obtained by doubling RC."""
     pat = Itinerary.parse("RC")
-    while len(pat) < period:
+    while len(pat.symbols) < period:
         pat = star_product(pat)
-    if len(pat) != period or period < 2:
+    if len(pat.symbols) != period or period < 2:
         raise ValueError(f"lower period must be 2^k with k >= 1, got {period}")
     return pat
 
 
 # ---------------------------------------------------------------------------
-# The two trapezoid families and their parameter changes
+# The two trapezoid families and their transition windows
 # ---------------------------------------------------------------------------
-
-
-def alpha_d_to_b(d) -> Fraction:
-    d = Fraction(d)
-    den = 9 * d + 128
-    if den == 0:
-        raise ValueError("denominator vanishes")
-    return F(-8) * (d + 13) / den
-
-
-def beta_d_to_b(d) -> Fraction:
-    """Parameter change for the second transition window.
-
-    Derived from the affine chart sending the first-return domain
-    [300-435b, 29b-20] to [0, 1]; see `build_k1`.  Validated by the
-    roundtrip identity and by the self-verifying certificates.
-    """
-    d = Fraction(d)
-    den = 2 * (29 * d + 408)
-    if den == 0:
-        raise ValueError("denominator vanishes")
-    return (40 * d + 563) / den
 
 
 class TrapezoidFamily(NamedTuple):
@@ -117,13 +97,18 @@ class TrapezoidFamily(NamedTuple):
 
     The rising branch L meets the plateau C at (1-d)/16; C ends at
     `plateau_right`, where the falling branch R (slope s = `falling_slope`)
-    starts and falls to 0 at x = 1.
+    starts and falls to 0 at x = 1.  The family describes one transition
+    window of F: the map at d is conjugate to F^return_power on the
+    interval `edge` (`segment(b)`), where b = `d_to_b(d)`.
     """
 
     tag: str                      # "alpha" or "beta"
     falling_slope: int
     plateau_right: Fraction
-    return_power: int             # F-iterates per trapezoid step (6 or 7)
+    return_power: int             # F-iterates per trapezoid step
+    edge: str                     # the return-invariant interval of F
+    ends: tuple                   # its two ends, ((c0x, c1x), (c0y, c1y)) -> c0 + c1*b
+    moebius: tuple[int, int, int, int]  # b = (m0*d + m1) / (m2*d + m3)
 
     def at(self, d) -> PiecewiseAffine1D:
         """The concrete map at parameter d."""
@@ -188,26 +173,45 @@ class TrapezoidFamily(NamedTuple):
                 lo, hi = ((n, m, s * (x - m)) for n, m, x in (lo, hi))
         return Fraction(lo[0], lo[1]), Fraction(hi[0], hi[1])
 
-    def d_to_b(self, d: Fraction) -> Fraction:
-        return alpha_d_to_b(d) if self.tag == "alpha" else beta_d_to_b(d)
+    def d_to_b(self, d) -> Fraction:
+        """The planar parameter b of the map at d."""
+        m0, m1, m2, m3 = self.moebius
+        d = Fraction(d)
+        den = m2 * d + m3
+        if den == 0:
+            raise ValueError("denominator vanishes")
+        return (m0 * d + m1) / den
+
+    def segment(self, b) -> Segment:
+        """The interval `edge` at b, on which F^return_power is the trapezoid map."""
+        b = Fraction(b)
+        return Segment(*(point(x0 + x1 * b, y0 + y1 * b) for (x0, x1), (y0, y1) in self.ends))
+
+
+_FAMILIES = {
+    # 16x+d | 1 | -8x+8; F^6 on PI from (-9b-8, -8b-7) to (-b, 1); b = -8(d+13)/(9d+128)
+    "alpha": TrapezoidFamily(
+        "alpha", -8, F(7, 8), 6, "PI", (((-8, -9), (-7, -8)), ((0, -1), (1, 0))), (-8, -104, 9, 128)
+    ),
+    # 16x+d | 1 | -16x+16; F^7 on SIGMA from (300-435b, 2b-1) to (29b-20, 2b-1); b = (40d+563)/(2(29d+408))
+    "beta": TrapezoidFamily(
+        "beta", -16, F(15, 16), 7, "SIGMA", (((300, -435), (-1, 2)), ((-20, 29), (-1, 2))), (40, 563, 58, 816)
+    ),
+}
 
 
 def phi_family() -> TrapezoidFamily:
-    """16x+d | 1 | -8x+8 on [0,1]; plateau ends at 7/8."""
-    return TrapezoidFamily("alpha", -8, F(7, 8), 6)
+    return _FAMILIES["alpha"]
 
 
 def psi_family() -> TrapezoidFamily:
-    """16x+d | 1 | -16x+16 on [0,1]; plateau ends at 15/16."""
-    return TrapezoidFamily("beta", -16, F(15, 16), 7)
+    return _FAMILIES["beta"]
 
 
 def trapezoid_family(tag: str) -> TrapezoidFamily:
-    if tag == "alpha":
-        return phi_family()
-    if tag == "beta":
-        return psi_family()
-    raise ValueError(f"unknown transition tag {tag!r}")
+    if tag not in _FAMILIES:
+        raise ValueError(f"unknown transition tag {tag!r}")
+    return _FAMILIES[tag]
 
 
 # ---------------------------------------------------------------------------
@@ -271,23 +275,12 @@ def build_k1(b) -> PiecewiseAffine1D:
     )
 
 
-def sigma_segment(b) -> Segment:
-    """Invariant subinterval of the second window, on the line y = 2b-1."""
-    b = Fraction(b)
-    return Segment(point(300 - 435 * b, 2 * b - 1), point(29 * b - 20, 2 * b - 1))
-
-
-def pi_segment(b) -> Segment:
-    """Invariant subinterval of the first window, on the line y = x+b+1."""
-    b = Fraction(b)
-    return Segment(point(-9 * b - 8, -8 * b - 7), point(-b, 1))
-
-
 def k1_from_return_map(b) -> PiecewiseAffine1D:
     """Independent construction of build_k1 by exact 7-fold composition of F."""
     b = Fraction(b)
     _require_window(b, BETA_WINDOW, "k1_from_return_map")
-    return restrict_iterate_to_segment(Params.standard(b), sigma_segment(b), 7)
+    fam = psi_family()
+    return restrict_iterate_to_segment(Params.standard(b), fam.segment(b), fam.return_power)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +309,7 @@ class CertifiedInterval(NamedTuple):
         return self.hi - self.lo
 
     def bowen_franks_note(self) -> dict[str, str]:
-        p = len(self.hi_certificate.pattern)
+        p = len(self.hi_certificate.pattern.symbols)
         return {
             "trapezoid_entropy_gt": f"ln(2)/{p}",
             "planar_entropy_gt": f"ln(2)/{p * self.return_power}",
@@ -416,7 +409,7 @@ def _endpoint(fam: TrapezoidFamily, d: Fraction, pattern: Itinerary) -> _Endpoin
     gives both the orbit and its itinerary."""
     m = fam.at(d)
     frame, (one,) = m.integer_frame((1,))
-    period = len(pattern)
+    period = len(pattern.symbols)
     xs, idx = frame.walk(one, period)
     if xs[period] != xs[0] or len(set(xs[:period])) != period:
         return None
@@ -470,8 +463,8 @@ def verify_certificate(ci: CertifiedInterval) -> bool:
     fam = trapezoid_family(ci.tag)
     lo, hi = ci.lo_certificate, ci.hi_certificate
     try:  # a pattern length that no doubling gives, or an orbit that escapes, is no certificate
-        sides = ((lo, lower_pattern(len(lo.pattern)), "radius_one"),
-                 (hi, upper_pattern(len(hi.pattern)), "radius_above_one"))
+        sides = ((lo, lower_pattern(len(lo.pattern.symbols)), "radius_one"),
+                 (hi, upper_pattern(len(hi.pattern.symbols)), "radius_above_one"))
         for cert, pattern, kind in sides:
             end = _endpoint(fam, cert.d, pattern)
             if cert.kind != kind or end is None or not end.matches(cert):

@@ -33,27 +33,26 @@ from pwldyn.rationals import _int_str, rational_str
 
 F = Fraction
 
-REGIMES = ("negb", "alpha", "beta", "band48")
+# regime -> (lo, hi, closed_at_hi): the interval lo < b < hi, with b = hi
+# on its boundary when closed_at_hi; lo None is unbounded below
+_REGIME_INTERVALS = {
+    "negb": (None, F(-2), True),
+    "alpha": (F(-1), F(-3, 4), True),
+    "beta": (F(2, 3), F(5, 7), True),
+    "band48": (F(4), F(8), False),
+}
+REGIMES = tuple(_REGIME_INTERVALS)
 
 
 def regime_interval_contains(regime: str, b: Fraction) -> str:
     """"interior", "boundary", or "outside" for b against the regime's interval."""
     b = Fraction(b)
-    if regime == "negb":
-        if b < -2:
-            return "interior"
-        return "boundary" if b == -2 else "outside"
-    if regime == "alpha":
-        if F(-1) < b < F(-3, 4):
-            return "interior"
-        return "boundary" if b == F(-3, 4) else "outside"
-    if regime == "beta":
-        if F(2, 3) < b < F(5, 7):
-            return "interior"
-        return "boundary" if b == F(5, 7) else "outside"
-    if regime == "band48":
-        return "interior" if 4 < b < 8 else "outside"
-    raise ValueError(f"unknown regime {regime!r}")
+    if regime not in _REGIME_INTERVALS:
+        raise ValueError(f"unknown regime {regime!r}")
+    lo, hi, closed_at_hi = _REGIME_INTERVALS[regime]
+    if (lo is None or lo < b) and b < hi:
+        return "interior"
+    return "boundary" if closed_at_hi and b == hi else "outside"
 
 
 def _regime_where(regime: str, b: Fraction) -> str:
@@ -446,6 +445,8 @@ def verify_invariance(graph: PlanarGraph, params: Params) -> InvarianceReport:
     """
     if params.a != -1:
         raise ValueError("invariance tables assume a = -1")
+    if params.b != graph.b:
+        raise ValueError(f"params b = {rational_str(params.b)} differs from the graph's b = {rational_str(graph.b)}")
     gaps, points = image_gaps(params, graph.all_segments())
     return InvarianceReport(not gaps and not points, tuple(gaps), tuple(points))
 

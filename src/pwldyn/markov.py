@@ -173,9 +173,6 @@ class Rome(NamedTuple):
 
     labels: tuple[str, ...]
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
 
 def is_rome(dg: CoverDigraph, rome: Rome) -> bool:
     idx = frozenset(dg.index(lab) for lab in rome.labels)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from pwldyn.certify import pi_segment, sigma_segment
+from pwldyn.certify import TrapezoidFamily, trapezoid_family
 from pwldyn.graphs import PlanarGraph, _regime_where, build_gamma
 from pwldyn.piecewise import PiecewiseAffine1D, conjugate_affine, uncaptured_numerators
 from pwldyn.planemap import Params, Segment, restrict_iterate_to_segment
@@ -26,7 +26,7 @@ from pwldyn.rationals import rational_str
 
 F = Fraction
 
-# Return-invariant edges per regime, with the power of F that fixes them.
+# Return-invariant edges of the circle regime, each returned by F^7.
 _NEGB_EDGES = ("A", "B", "C", "D", "E", "G", "H")
 
 
@@ -58,14 +58,16 @@ class CaptureProfile(NamedTuple):
         ]
 
 
-def return_map_for_edge(regime: str, b, edge: str) -> tuple[PiecewiseAffine1D, int]:
+def return_map_for_edge(regime: str, b, edge: str) -> PiecewiseAffine1D:
     """Return map of the edge under the regime's return power.
 
     Pieces that exit the edge must do so entirely; on these graphs every
     exiting branch lands on a plateau or its feeder and is captured, so the
     exact capture computation treats it as such.  The one edge whose exiting
     branch leaves the carrying line (edge G of the circle regime) is handled
-    by the exact affine conjugation with the preceding edge.
+    by the exact affine conjugation with the preceding edge.  The two
+    transition windows read their edge, segment and power from their
+    trapezoid family.
     """
     b = Fraction(b)
     if regime == "negb":
@@ -73,35 +75,32 @@ def return_map_for_edge(regime: str, b, edge: str) -> tuple[PiecewiseAffine1D, i
             raise ValueError(f"edge {edge!r} is not return-invariant in regime negb")
         graph = build_gamma("negb", b)
         if edge == "G":
-            return _e_to_g(_negb_return_map(graph, "E"), b), 7
-        return _negb_return_map(graph, edge), 7
-    if regime == "alpha":
-        if edge != "PI":
-            raise ValueError("regime alpha supports the invariant interval 'PI'")
-        return _return_map(regime, b, edge, _window_segment(regime, b, edge, pi_segment), 6)
-    if regime == "beta":
-        if edge != "SIGMA":
-            raise ValueError("regime beta supports the invariant interval 'SIGMA'")
-        return _return_map(regime, b, edge, _window_segment(regime, b, edge, sigma_segment), 7)
+            return _e_to_g(_negb_return_map(graph, "E"), b)
+        return _negb_return_map(graph, edge)
+    if regime in ("alpha", "beta"):
+        fam = trapezoid_family(regime)
+        if edge != fam.edge:
+            raise ValueError(f"regime {regime} supports the invariant interval {fam.edge!r}")
+        return _return_map(regime, b, edge, _window_segment(regime, b, fam), fam.return_power)
     raise ValueError(f"no return structure tabulated for regime {regime!r}")
 
 
-def _window_segment(regime: str, b: Fraction, edge: str, build) -> Segment:
-    """The transition window's invariant interval `build(b)`, for b in the
-    regime; at some b inside it the interval shrinks to a point."""
+def _window_segment(regime: str, b: Fraction, fam: TrapezoidFamily) -> Segment:
+    """The transition window's invariant interval `fam.segment(b)`, for b in
+    the regime; at some b inside it the interval shrinks to a point."""
     _regime_where(regime, b)
     try:
-        return build(b)
+        return fam.segment(b)
     except ValueError as exc:
         raise ValueError(
-            f"regime {regime}, edge {edge}: the edge is a single point "
+            f"regime {regime}, edge {fam.edge}: the edge is a single point "
             f"at b = {rational_str(b)} ({exc})"
         ) from None
 
 
 def _negb_return_map(graph: PlanarGraph, edge: str) -> PiecewiseAffine1D:
     """F^7 return map of a circle-regime edge other than G, on the graph at its b."""
-    return _return_map("negb", graph.b, edge, graph.edge_segment(edge), 7)[0]
+    return _return_map("negb", graph.b, edge, graph.edge_segment(edge), 7)
 
 
 def _e_to_g(e_map: PiecewiseAffine1D, b: Fraction) -> PiecewiseAffine1D:
@@ -110,7 +109,7 @@ def _e_to_g(e_map: PiecewiseAffine1D, b: Fraction) -> PiecewiseAffine1D:
     return conjugate_affine(e_map, F(-1), 7 - b)
 
 
-def _return_map(regime: str, b: Fraction, edge: str, seg: Segment, power: int) -> tuple[PiecewiseAffine1D, int]:
+def _return_map(regime: str, b: Fraction, edge: str, seg: Segment, power: int) -> PiecewiseAffine1D:
     try:
         m = restrict_iterate_to_segment(Params.standard(b), seg, power)
     except ValueError as exc:
@@ -119,7 +118,7 @@ def _return_map(regime: str, b: Fraction, edge: str, seg: Segment, power: int) -
             f"at b = {rational_str(b)} ({exc})"
         ) from None
     _check_eventually_invariant(m, edge)
-    return m, power
+    return m
 
 
 def _check_eventually_invariant(m: PiecewiseAffine1D, edge: str):
@@ -136,7 +135,7 @@ def _check_eventually_invariant(m: PiecewiseAffine1D, edge: str):
 
 def edge_capture_profile(regime: str, b, edge: str, depth: int) -> CaptureProfile:
     """(captured, uncaptured) exact measures per return depth on one edge."""
-    m, _ = return_map_for_edge(regime, b, edge)
+    m = return_map_for_edge(regime, b, edge)
     return CaptureProfile(edge, m.hi - m.lo, *uncaptured_numerators(m, depth))
 
 
@@ -184,8 +183,8 @@ def full_measure_report(regime: str, b, depth: int) -> FullMeasureReport:
             (name, graph.edge_segment(name).chart_length()) for name in ("plateau", "feeder")
         )
     elif regime in ("alpha", "beta"):
-        edge = "PI" if regime == "alpha" else "SIGMA"
-        maps = {edge: return_map_for_edge(regime, b, edge)[0]}
+        edge = trapezoid_family(regime).edge
+        maps = {edge: return_map_for_edge(regime, b, edge)}
         immediate = ()
     else:
         raise ValueError(f"no full-measure structure for regime {regime!r}")

@@ -43,9 +43,6 @@ class Itinerary(NamedTuple):
     def __str__(self) -> str:
         return "".join(self.symbols)
 
-    def __len__(self) -> int:
-        return len(self.symbols)
-
     @classmethod
     def parse(cls, text: str) -> "Itinerary":
         return cls(tuple(text))

@@ -100,9 +100,6 @@ class Segment:
         lo, hi = self.chart_interval()
         return hi - lo
 
-    def to_json(self) -> dict:
-        return {"p": self.p.to_json(), "q": self.q.to_json()}
-
 
 def segment(p1, p2) -> Segment:
     return Segment(point(*p1), point(*p2))

@@ -51,10 +51,6 @@ class IntPoly:
         self.coeffs: tuple[int, ...] = tuple(cs)
 
     @classmethod
-    def zero(cls) -> "IntPoly":
-        return cls([])
-
-    @classmethod
     def from_terms(cls, terms: dict[int, int]) -> "IntPoly":
         if not terms:
             return cls([])

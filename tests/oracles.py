@@ -10,9 +10,10 @@ transfer recursion (`fraction_uncaptured_measures`) and the interval
 preimages it replaced, and the Gauss-Jordan radius comparison over the
 rationals.  The float power iteration without its early exit is kept
 too.  The parameter-affine map family and its closing window are the
-earlier generic form of `certify.TrapezoidFamily`.  The Sturm chain, gcd and
-square-free part by Fraction long division are the earlier form of the
-integer pseudo-division in `polys`.  The band48 cross-check that also
+earlier generic form of `certify.TrapezoidFamily`, and the per-window
+d -> b maps and invariant segments are the earlier hand-written form of
+its table.  The Sturm chain, gcd and square-free part by Fraction long
+division are the earlier form of the integer pseudo-division in `polys`.  The band48 cross-check that also
 built the entropy brackets and compared two radius enclosures is kept as
 the earlier form of `band48.cross_check_entropy`.
 The rest are small checks of the map and of digraphs that back statements
@@ -760,8 +761,42 @@ def normalized_plateau_width(m: PiecewiseAffine1D, extended: bool = False) -> Fr
     return (u2 - u1) / (hi - lo)
 
 
+def alpha_d_to_b(d) -> Fraction:
+    """The earlier `certify.alpha_d_to_b`, now `phi_family().d_to_b`."""
+    d = Fraction(d)
+    den = 9 * d + 128
+    if den == 0:
+        raise ValueError("denominator vanishes")
+    return Fraction(-8) * (d + 13) / den
+
+
+def beta_d_to_b(d) -> Fraction:
+    """The earlier `certify.beta_d_to_b`, now `psi_family().d_to_b`: the
+    affine chart sending the first-return domain [300-435b, 29b-20] to
+    [0, 1]."""
+    d = Fraction(d)
+    den = 2 * (29 * d + 408)
+    if den == 0:
+        raise ValueError("denominator vanishes")
+    return (40 * d + 563) / den
+
+
+def pi_segment(b) -> Segment:
+    """The earlier `certify.pi_segment`, now `phi_family().segment`: the
+    first window's invariant interval, on the line y = x+b+1."""
+    b = Fraction(b)
+    return Segment(Point(-9 * b - 8, -8 * b - 7), Point(-b, Fraction(1)))
+
+
+def sigma_segment(b) -> Segment:
+    """The earlier `certify.sigma_segment`, now `psi_family().segment`: the
+    second window's invariant interval, on the line y = 2b-1."""
+    b = Fraction(b)
+    return Segment(Point(300 - 435 * b, 2 * b - 1), Point(29 * b - 20, 2 * b - 1))
+
+
 def alpha_b_to_d(b) -> Fraction:
-    """Inverse of `certify.alpha_d_to_b`."""
+    """Inverse of `phi_family().d_to_b`."""
     b = Fraction(b)
     den = 9 * b + 8
     if den == 0:
@@ -770,7 +805,7 @@ def alpha_b_to_d(b) -> Fraction:
 
 
 def beta_b_to_d(b) -> Fraction:
-    """Inverse of `certify.beta_d_to_b`."""
+    """Inverse of `psi_family().d_to_b`."""
     b = Fraction(b)
     den = 2 * (29 * b - 20)
     if den == 0:

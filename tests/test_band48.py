@@ -269,9 +269,9 @@ def test_cross_check_level_100():
         assert cross_check_entropy((lo + hi) / 2) is oracles.cross_check_entropy((lo + hi) / 2) is True
 
 
-def _outcome(check, b, digits):
+def _outcome(check, *args):
     try:
-        return check(b, digits)
+        return check(*args)
     except (AssertionError, ValueError) as e:
         return type(e), str(e)
 
@@ -289,7 +289,7 @@ def test_cross_check_matches_earlier_definition():
         k = rng.randint(0 if lo_closed else 1, den if hi_closed else den - 1)
         cases.append((lo + (hi - lo) * F(k, den), rng.choice((0, 3, 7))))
     for b, digits in cases:
-        got = _outcome(cross_check_entropy, b, digits)
+        got = _outcome(cross_check_entropy, b)
         assert got == _outcome(oracles.cross_check_entropy, b, digits) is True, (b, digits)
 
 
@@ -338,8 +338,8 @@ def test_cross_check_builds_no_entropy_and_one_radius_per_pair(monkeypatch):
 
 
 def test_cross_check_refusals_match_earlier_definition():
-    for b, digits in ((3, 7), (4, 7), (8, 7), (5, -1), (3, -1)):
+    for b in (3, 4, 8):
         with pytest.raises(ValueError) as expected:
-            oracles.cross_check_entropy(b, digits)
+            oracles.cross_check_entropy(b)
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-            cross_check_entropy(b, digits)
+            cross_check_entropy(b)

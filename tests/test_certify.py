@@ -9,8 +9,6 @@ from oracles import alpha_b_to_d, beta_b_to_d, normalized_plateau_width
 from pwldyn.certify import (
     ALPHA_WINDOW,
     BETA_WINDOW,
-    alpha_d_to_b,
-    beta_d_to_b,
     build_g2,
     build_g3,
     build_k1,
@@ -22,7 +20,6 @@ from pwldyn.certify import (
     TrapezoidFamily,
     phi_family,
     psi_family,
-    sigma_segment,
     star_product,
     trapezoid_family,
     upper_pattern,
@@ -48,9 +45,9 @@ def test_star_product_lengths_and_counts():
     s = Itinerary.parse("RC")
     for _ in range(5):
         t = star_product(s)
-        assert len(t) == 2 * len(s)
+        assert len(t.symbols) == 2 * len(s.symbols)
         # every doubled symbol starts with R
-        assert all(t.symbols[2 * i] == "R" for i in range(len(s)))
+        assert all(t.symbols[2 * i] == "R" for i in range(len(s.symbols)))
         s = t
 
 
@@ -67,6 +64,7 @@ def test_pattern_builders():
 
 
 def test_alpha_parameter_maps():
+    alpha_d_to_b = phi_family().d_to_b
     assert alpha_d_to_b(F(7, 8)) == F(-888, 1087)
     assert alpha_d_to_b(F(1, 17)) == F(-1776, 2185)
     assert alpha_d_to_b(alpha_b_to_d(F(-13, 16))) == F(-13, 16)
@@ -74,6 +72,7 @@ def test_alpha_parameter_maps():
 
 
 def test_beta_parameter_maps():
+    beta_d_to_b = psi_family().d_to_b
     assert beta_d_to_b(beta_b_to_d(F(563, 816))) == F(563, 816)
     assert beta_b_to_d(F(603, 874)) == 1
     assert beta_b_to_d(F(563, 816)) == 0
@@ -247,10 +246,31 @@ def test_family_windows_match_maps():
 
 def test_sigma_segment_is_return_invariant():
     b = B_IN_BETA_WINDOW
-    seg = sigma_segment(b)
+    seg = psi_family().segment(b)
     k1 = build_k1(b)
     lo, hi = seg.chart_interval()
     assert (F(k1.lo), F(k1.hi)) == (lo, hi)
+
+
+@pytest.mark.parametrize(
+    "fam, d_to_b, segment, pole",
+    [(phi_family(), oracles.alpha_d_to_b, oracles.pi_segment, F(-128, 9)),
+     (psi_family(), oracles.beta_d_to_b, oracles.sigma_segment, F(-408, 29))],
+    ids=["phi", "psi"],
+)
+def test_family_window_matches_hand_written_maps(fam, d_to_b, segment, pole):
+    rng = random.Random(2027)
+    ds = [F(0), F(1)] + [F(rng.randint(-10**6, 2 * 10**6), rng.randint(1, 10**6)) for _ in range(250)]
+    for d in ds:
+        assert fam.d_to_b(d) == d_to_b(d), d
+    with pytest.raises(ValueError, match="^denominator vanishes$"):
+        fam.d_to_b(pole)
+    lo, hi = ALPHA_WINDOW if fam.tag == "alpha" else BETA_WINDOW
+    bs = [lo, hi] + [lo + (hi - lo) * F(rng.randint(0, 10**6), 10**6) for _ in range(100)]
+    bs += [F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(150)]
+    for b in bs:
+        seg, want = fam.segment(b), segment(b)
+        assert (seg.p, seg.q) == (want.p, want.q), b
 
 
 def _map_data(m):

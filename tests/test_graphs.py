@@ -57,6 +57,35 @@ def test_regime_validation():
     assert build_gamma("negb", -2).boundary
 
 
+def test_regime_interval_ends_and_neighbours():
+    eps = F(1, 10**9)
+    expected = {
+        "negb": {F(-10**9): "interior", F(-2) - eps: "interior", F(-2): "boundary", F(-2) + eps: "outside"},
+        "alpha": {
+            F(-1) - eps: "outside", F(-1): "outside", F(-1) + eps: "interior",
+            F(-3, 4) - eps: "interior", F(-3, 4): "boundary", F(-3, 4) + eps: "outside",
+        },
+        "beta": {
+            F(2, 3) - eps: "outside", F(2, 3): "outside", F(2, 3) + eps: "interior",
+            F(5, 7) - eps: "interior", F(5, 7): "boundary", F(5, 7) + eps: "outside",
+        },
+        "band48": {
+            F(4) - eps: "outside", F(4): "outside", F(4) + eps: "interior",
+            F(8) - eps: "interior", F(8): "outside", F(8) + eps: "outside",
+        },
+    }
+    assert tuple(expected) == REGIMES
+    for regime, cases in expected.items():
+        for b, where in cases.items():
+            assert regime_interval_contains(regime, b) == where, (regime, b)
+            assert regime_interval_contains(regime, str(b)) == where, (regime, b)
+    # b is parsed before the regime is looked up
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        regime_interval_contains("nowhere", "x")
+    with pytest.raises(ValueError, match="^unknown regime 'nowhere'$"):
+        regime_interval_contains("nowhere", 5)
+
+
 def test_invariance_all_regimes_random_b():
     rng = random.Random(90125)
     for regime in REGIMES:
@@ -123,6 +152,17 @@ def test_invariance_requires_standard_slice():
     g = build_gamma("negb", -3)
     with pytest.raises(ValueError):
         verify_invariance(g, Params(F(-2), F(-3)))
+
+
+def test_invariance_refuses_params_at_another_b():
+    g = build_gamma("negb", -3)
+    with pytest.raises(ValueError, match="^params b = -4 differs from the graph's b = -3$"):
+        verify_invariance(g, Params.standard(-4))
+    with pytest.raises(ValueError, match="^invariance tables assume a = -1$"):
+        verify_invariance(g, Params(F(-2), F(-4)))
+    g = build_gamma("beta", F(34497, 50000))
+    with pytest.raises(ValueError, match="^params b = 7/10 differs from the graph's b = 34497/50000$"):
+        verify_invariance(g, Params.standard(F(7, 10)))
 
 
 def test_orbit_marks_examples():

@@ -347,7 +347,7 @@ def test_engine_matches_fraction_tracker():
 
 def test_engine_matches_tracker_on_return_maps():
     # Capture and certificate return maps: the images stay on the line.
-    from pwldyn.certify import ALPHA_WINDOW, BETA_WINDOW, pi_segment, sigma_segment
+    from pwldyn.certify import ALPHA_WINDOW, BETA_WINDOW, phi_family, psi_family
 
     rng = random.Random(77)
     cases = []
@@ -355,9 +355,9 @@ def test_engine_matches_tracker_on_return_maps():
         b = -2 - 9 * F(rng.randint(1, 10**6 + 2), 10**6 + 3)
         edge = build_gamma("negb", b).edge_segment(rng.choice("ABCDEH"))
         cases.append((b, edge, 7))
-        for (lo, hi), seg_at, k in ((ALPHA_WINDOW, pi_segment, 6), (BETA_WINDOW, sigma_segment, 7)):
+        for (lo, hi), fam in ((ALPHA_WINDOW, phi_family()), (BETA_WINDOW, psi_family())):
             b = lo + (hi - lo) * F(rng.randint(1, 10**6 + 2), 10**6 + 3)
-            cases.append((b, seg_at(b), k))
+            cases.append((b, fam.segment(b), fam.return_power))
     for b, seg, k in cases:
         params = Params.standard(b)
         for j in range(k + 1):

@@ -38,7 +38,7 @@ def test_descartes_counts():
     assert descartes_positive_sign_changes(poly(p2=1, p0=1)) == 0
     assert descartes_positive_sign_changes(poly(p10=1, p7=-1, p3=-2, p0=-1)) == 1
     with pytest.raises(ValueError):
-        descartes_positive_sign_changes(IntPoly.zero())
+        descartes_positive_sign_changes(IntPoly([]))
 
 
 def _rounds_to(ri: RootInterval, text: str, places: int = 5) -> bool:

@@ -25,10 +25,13 @@ def test_repr_names_each_field():
     assert repr(ri) == "RootInterval(lo=Fraction(1, 1), hi=Fraction(2, 1), poly=x^2 - 2)"
 
 
-def test_len_counts_labels_and_symbols():
-    assert len(Rome(("a", "b", "c"))) == 3
-    assert len(Rome(())) == 0 and not Rome(())
-    assert len(Itinerary.parse("LLRC")) == 4
+def test_itinerary_and_rome_replace_and_count_fields():
+    # len() counts fields, as on every NamedTuple, so _replace works on both
+    rome, it = Rome(("a", "b", "c")), Itinerary.parse("LLRC")
+    assert len(rome) == len(it) == 1
+    assert len(rome.labels) == 3 and len(it.symbols) == 4
+    assert rome._replace(labels=("x", "y")) == Rome(("x", "y"))
+    assert it._replace(symbols=("R", "C")) == Itinerary.parse("RC")
     assert str(Itinerary.parse("LLRC")) == "LLRC"
 
 
