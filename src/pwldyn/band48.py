@@ -366,8 +366,8 @@ def table_rows(levels: int = 3, places: int = 5) -> list[dict[str, str]]:
     return rows
 
 
-def table_csv(levels: int = 3, places: int = 5) -> str:
+def table_csv(places: int = 5) -> str:
     lines = ["set,interval,entropy"]
-    for row in table_rows(levels, places):
+    for row in table_rows(places=places):
         lines.append('{},"{}","{}"'.format(row["set"], row["interval"], row["entropy"]))
     return "\n".join(lines) + "\n"

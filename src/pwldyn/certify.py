@@ -16,10 +16,10 @@ family is the only map family with a parameter, and it owns it:
 `TrapezoidFamily.at(d)` is the concrete map, `window(pattern)` the exact
 rational d-window of a pattern, and `d_to_b(d)` the exact Moebius change
 to the planar parameter.  The family is also the one record of its
-transition window of F: the interval `segment(b)` and the power of F
-that returns it.  The radius is classified by one exact comparison with
-1 (`markov.compare_radius`).  Every certificate is re-derived from scratch:
-periodicity, itinerary, radius.
+transition window of F: its range of b (`b_window`), the interval
+`segment(b)` and the power of F that returns it.  The radius is classified
+by one exact comparison with 1 (`markov.compare_radius`).  Every
+certificate is re-derived from scratch: periodicity, itinerary, radius.
 
 The hot loops run on integers: `window` holds its iterates as integer
 pairs and tests each inequality at its two bounds, and an endpoint's
@@ -182,6 +182,11 @@ class TrapezoidFamily(NamedTuple):
             raise ValueError("denominator vanishes")
         return (m0 * d + m1) / den
 
+    @property
+    def b_window(self) -> tuple[Fraction, Fraction]:
+        """The family's range of b, (d_to_b(1), d_to_b(0)): both families decrease in d."""
+        return self.d_to_b(1), self.d_to_b(0)
+
     def segment(self, b) -> Segment:
         """The interval `edge` at b, on which F^return_power is the trapezoid map."""
         b = Fraction(b)
@@ -218,19 +223,16 @@ def trapezoid_family(tag: str) -> TrapezoidFamily:
 # The concrete first-return maps behind the conjugacies
 # ---------------------------------------------------------------------------
 
-ALPHA_WINDOW = (F(-112, 137), F(-13, 16))
-BETA_WINDOW = (F(603, 874), F(563, 816))
-
-
-def _require_window(b: Fraction, window: tuple[Fraction, Fraction], what: str):
-    if not window[0] <= b <= window[1]:
-        raise ValueError(f"{what} requires b in [{window[0]}, {window[1]}]")
+def _require_window(b: Fraction, fam: TrapezoidFamily, what: str):
+    lo, hi = fam.b_window
+    if not lo <= b <= hi:
+        raise ValueError(f"{what} requires b in [{lo}, {hi}]")
 
 
 def build_g2(b) -> PiecewiseAffine1D:
     """Semiconjugate core of the 6-step return map on the first window."""
     b = Fraction(b)
-    _require_window(b, ALPHA_WINDOW, "build_g2")
+    _require_window(b, phi_family(), "build_g2")
     top = (9 * b + 8) / (8 * (b + 1))
     u1 = (137 * b + 112) / (128 * (b + 1))
     u2 = 7 * (9 * b + 8) / (64 * (b + 1))
@@ -247,7 +249,7 @@ def build_g2(b) -> PiecewiseAffine1D:
 def build_g3(b) -> PiecewiseAffine1D:
     """Trapezoidal extension of build_g2 between the rising fixed point and its preimage."""
     b = Fraction(b)
-    _require_window(b, ALPHA_WINDOW, "build_g3")
+    _require_window(b, phi_family(), "build_g3")
     g2 = build_g2(b)
     x1 = (16 * b + 13) / (15 * (b + 1))
     x2 = (119 * b + 107) / (120 * (b + 1))
@@ -262,7 +264,7 @@ def build_k1(b) -> PiecewiseAffine1D:
     no longer invariant, so construction is refused there.
     """
     b = Fraction(b)
-    _require_window(b, BETA_WINDOW, "build_k1")
+    _require_window(b, psi_family(), "build_k1")
     left = 300 - 435 * b
     right = 29 * b - 20
     return PiecewiseAffine1D(
@@ -278,8 +280,8 @@ def build_k1(b) -> PiecewiseAffine1D:
 def k1_from_return_map(b) -> PiecewiseAffine1D:
     """Independent construction of build_k1 by exact 7-fold composition of F."""
     b = Fraction(b)
-    _require_window(b, BETA_WINDOW, "k1_from_return_map")
     fam = psi_family()
+    _require_window(b, fam, "k1_from_return_map")
     return restrict_iterate_to_segment(Params.standard(b), fam.segment(b), fam.return_power)
 
 

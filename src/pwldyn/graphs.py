@@ -356,7 +356,8 @@ class PlanarGraph(NamedTuple):
             "marks": {n: [p.to_json(), host] for n, (p, host) in sorted(self.marks.items())},
         }
 
-    def to_svg(self, size: int = 640) -> str:
+    def to_svg(self) -> str:
+        size = 640
         pts = list(self.vertices.values()) + [p for p, _ in self.marks.values()]
         # Below 2^1020 in size, every float of the layout stays finite.
         if any(abs(v) > 2**1020 for p in pts for v in p):

@@ -65,9 +65,6 @@ class CoverDigraph(NamedTuple):
         lines.append("}")
         return "\n".join(lines)
 
-    def to_json(self) -> dict:
-        return {"labels": list(self.labels), "adjacency": [list(row) for row in self.adjacency]}
-
 
 def digraph_from_edges(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> CoverDigraph:
     idx = {lab: i for i, lab in enumerate(labels)}

@@ -256,35 +256,8 @@ def markov_partition(m: PiecewiseAffine1D, seeds: Sequence[Fraction] = ()) -> li
 
 
 # ---------------------------------------------------------------------------
-# Interval unions and the measure of uncaptured points
+# The measure of uncaptured points
 # ---------------------------------------------------------------------------
-
-
-def interval_union(intervals) -> list[tuple[Fraction, Fraction]]:
-    """Sorted disjoint union of closed intervals; touching intervals merge."""
-    out: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in sorted(intervals):
-        if out and lo <= out[-1][1]:
-            if hi > out[-1][1]:
-                out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def interval_gaps(lo: Fraction, hi: Fraction, union) -> list[tuple[Fraction, Fraction]]:
-    """Parts of positive length of [lo, hi] outside a sorted disjoint union."""
-    gaps = []
-    for clo, chi in union:
-        if clo >= hi:
-            break
-        if chi > lo:
-            if clo > lo:
-                gaps.append((lo, clo))
-            lo = chi
-    if lo < hi:
-        gaps.append((lo, hi))
-    return gaps
 
 
 def uncaptured_numerators(m: PiecewiseAffine1D, depth: int) -> tuple[tuple[int, ...], int, int]:

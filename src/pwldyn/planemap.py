@@ -15,8 +15,8 @@ engine holds is an integer in the current frame.  An axis crossing at a
 non-integer s multiplies D, and every integer held, by the smallest
 factor that makes it a lattice point; nothing is ever rounded.  Only this
 module knows D, and the engine builds `Fraction`s only for the values it
-returns.  It yields the invariance check of a union of segments, the
-covering relations between the intervals of a partition under F, and the
+returns.  It yields the invariance check of a union of segments and the
+covering relations of a partition under F, both on line covers, and the
 induced one-dimensional map of F^k along a segment.
 """
 
@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
-from pwldyn.piecewise import Piece, PiecewiseAffine1D, interval_gaps, interval_union, merged
+from pwldyn.piecewise import Piece, PiecewiseAffine1D, merged
 from pwldyn.rationals import rational_str
 
 
@@ -302,17 +302,16 @@ def image_gaps(params: Params, segments: Sequence[Segment]) -> tuple[list[Segmen
     """
     lat = SegmentLattice(params, segments)
     pieces = iterate_segment_pieces(lat, 1)
-    cover = LineCover(lat)
-    for start in lat.starts:
-        cover.add(*_piece_chart(start))
+    cover = _line_cover(_piece_chart(start) for start in lat.starts)
     gaps: list[Segment] = []
     points: list[Point] = []
     for piece in pieces:
         _, _, _, x0, vx, y0, vy = piece
         if vx or vy:
             key, lo, hi = _piece_chart(piece)
-            gaps.extend(cover.segment(key, g0, g1) for g0, g1 in cover.gaps(key, lo, hi))
-        elif not cover.contains(x0, y0):
+            union = cover.get(key, ())
+            gaps.extend(_chart_segment(key, g0, g1, lat.frame) for g0, g1 in interval_gaps(lo, hi, union))
+        elif not _cover_contains(cover, x0, y0):
             points.append(_off_frame(x0, y0, lat.frame))
     return gaps, points
 
@@ -338,22 +337,20 @@ def image_cover_relations(params: Params, partition: Sequence[tuple[str, Segment
             if max(lo, ilo) < min(hi, ihi):
                 raise ValueError(f"partition intervals {partition[i][0]} and {partition[j][0]} overlap")
         targets.setdefault(key, []).append((j, lo, hi))
-    cover = LineCover(lat)
-    for seg in hosts:
-        cover.add(*lat.chart(seg))
-    for (label, _), chart in zip(partition, charts):
-        if cover.gaps(*chart):
+    cover = _line_cover(lat.chart(seg) for seg in hosts)
+    for (label, _), (key, lo, hi) in zip(partition, charts):
+        if interval_gaps(lo, hi, cover.get(key, ())):
             raise ValueError(f"partition interval {label} is not on the graph")
-    images = [LineCover(lat) for _ in segments]
+    images: list[list[tuple]] = [[] for _ in segments]
     for piece in pieces:
         if piece[4] or piece[6]:
-            images[piece[0]].add(*_piece_chart(piece))
+            images[piece[0]].append(_piece_chart(piece))
     lower: list[list[int]] = [[] for _ in segments]
     upper: list[list[int]] = [[] for _ in segments]
     for i, image in enumerate(images):
-        for key in image.lines:
+        for key, union in _line_cover(image).items():
             for j, lo, hi in targets.get(key, ()):
-                gaps = image.gaps(key, lo, hi)
+                gaps = interval_gaps(lo, hi, union)
                 if not gaps:
                     lower[i].append(j)
                 if gaps != [(lo, hi)]:
@@ -362,55 +359,69 @@ def image_cover_relations(params: Params, partition: Sequence[tuple[str, Segment
 
 
 # ---------------------------------------------------------------------------
-# Unions of segments on carrying lines
+# Line covers: unions of segments on carrying lines
 # ---------------------------------------------------------------------------
+#
+# A line cover maps each line key of `_line_chart` to the line's sorted
+# disjoint chart intervals, lines in order of first appearance, all in the
+# frame of the lattice after its last rescaling.  Segments of one line share
+# its chart whatever their orientation; touching ones merge, and contact at
+# a single point is no overlap.
 
 
-class LineCover:
-    """Union of segments on a `SegmentLattice`, kept per carrying line as
-    sorted disjoint chart intervals.
-
-    The cover takes the lattice's frame when it is made and never rescales,
-    so it is built after the lattice's last step.  Lines are keyed as in
-    `_line_chart`, and `SegmentLattice.chart` gives a segment's (key, lo,
-    hi): all segments of one line share its chart, whatever their
-    orientation.  Segments that touch merge; contact at a single point is
-    no overlap.
-    """
-
-    def __init__(self, lat: SegmentLattice):
-        self.frame = lat.frame
-        # line key -> sorted disjoint chart intervals, lines in order of first addition
-        self.lines: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-
-    def add(self, key: tuple[int, int, int], lo: int, hi: int) -> None:
-        self.lines[key] = interval_union([*self.lines.get(key, ()), (lo, hi)])
-
-    def gaps(self, key: tuple[int, int, int], lo: int, hi: int) -> list[tuple[int, int]]:
-        """Maximal chart intervals of positive length in [lo, hi] outside the cover."""
-        return interval_gaps(lo, hi, self.lines.get(key, ()))
-
-    def contains(self, x: int, y: int) -> bool:
-        """Whether the lattice point (x, y) lies in the cover."""
-        for (ux, uy, c), union in self.lines.items():
-            if uy * x - ux * y == c:
-                t = x if abs(ux) >= abs(uy) else y
-                if any(lo <= t <= hi for lo, hi in union):
-                    return True
-        return False
-
-    def segment(self, key: tuple[int, int, int], lo: int, hi: int) -> Segment:
-        """The segment of chart interval [lo, hi] on line `key`, off the lattice."""
-        ux, uy, c = key
-        if abs(ux) >= abs(uy):
-            ends = ((lo, (uy * lo - c) // ux), (hi, (uy * hi - c) // ux))
+def interval_union(intervals) -> list[tuple]:
+    """Sorted disjoint union of closed intervals; touching intervals merge."""
+    out: list[tuple] = []
+    for lo, hi in sorted(intervals):
+        if out and lo <= out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
         else:
-            ends = (((c + ux * lo) // uy, lo), ((c + ux * hi) // uy, hi))
-        return Segment(*(_off_frame(x, y, self.frame) for x, y in ends))
+            out.append((lo, hi))
+    return out
 
-    def segments(self) -> list[Segment]:
-        """Maximal segments of the union, line by line in order of first addition."""
-        return [self.segment(key, lo, hi) for key, union in self.lines.items() for lo, hi in union]
+
+def interval_gaps(lo, hi, union) -> list[tuple]:
+    """Parts of positive length of [lo, hi] outside a sorted disjoint union."""
+    gaps = []
+    for clo, chi in union:
+        if clo >= hi:
+            break
+        if chi > lo:
+            if clo > lo:
+                gaps.append((lo, clo))
+            lo = chi
+    if lo < hi:
+        gaps.append((lo, hi))
+    return gaps
+
+
+def _line_cover(charts) -> dict[tuple[int, int, int], list[tuple[int, int]]]:
+    """The line cover of (key, lo, hi) charts: each line merged once."""
+    lines: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    for key, lo, hi in charts:
+        lines.setdefault(key, []).append((lo, hi))
+    return {key: interval_union(intervals) for key, intervals in lines.items()}
+
+
+def _cover_contains(cover: dict, x: int, y: int) -> bool:
+    """Whether the lattice point (x, y) lies in the line cover."""
+    for (ux, uy, c), union in cover.items():
+        if uy * x - ux * y == c:
+            t = x if abs(ux) >= abs(uy) else y
+            if any(lo <= t <= hi for lo, hi in union):
+                return True
+    return False
+
+
+def _chart_segment(key: tuple[int, int, int], lo: int, hi: int, frame: int) -> Segment:
+    """The segment of chart interval [lo, hi] on line `key`, off the lattice of `frame`."""
+    ux, uy, c = key
+    if abs(ux) >= abs(uy):
+        ends = ((lo, (uy * lo - c) // ux), (hi, (uy * hi - c) // ux))
+    else:
+        ends = (((c + ux * lo) // uy, lo), ((c + ux * hi) // uy, hi))
+    return Segment(*(_off_frame(x, y, frame) for x, y in ends))
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +440,10 @@ def detect_plateaus(graph_or_segments) -> list[Segment]:
     segs = list(segments() if callable(segments) else graph_or_segments)
     lat = SegmentLattice(Params(Fraction(0), Fraction(0)), segs)
     pieces = iterate_segment_pieces(lat, 1)  # may refine lat.frame
-    cover = LineCover(lat)
+    charts = []
     for i, s0, s1, _, vx, _, vy in pieces:
         if not vx and not vy:
             _, _, _, x, ux, y, uy = lat.starts[i]
-            cover.add(*_line_chart(x + ux * s0, y + uy * s0, x + ux * s1, y + uy * s1))
-    return cover.segments()
+            charts.append(_line_chart(x + ux * s0, y + uy * s0, x + ux * s1, y + uy * s1))
+    cover = _line_cover(charts)
+    return [_chart_segment(key, lo, hi, lat.frame) for key, union in cover.items() for lo, hi in union]

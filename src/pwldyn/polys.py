@@ -144,9 +144,6 @@ class IntPoly:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
 
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
 
 def descartes_positive_sign_changes(p: IntPoly) -> int:
     """Number of sign changes in the coefficient sequence (zeros skipped).

@@ -8,11 +8,12 @@ rounded up with an explicit tail bound, and returns dyadic endpoints.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "num/den", an integer, or a decimal string into an exact Fraction.
+    """Parse "num/den", an integer, or a decimal string of any length into an exact Fraction.
 
     Decimals are converted exactly ("0.69" -> 69/100), never through float.
     """
@@ -20,15 +21,31 @@ def parse_rational(text: str) -> Fraction:
     try:
         if "/" in s:
             num, den = s.split("/", 1)
-            return Fraction(int(num), int(den))
+            return Fraction(_parse_int(num), _parse_int(den))
         if "." in s or "e" in s or "E" in s:
-            return Fraction(s)  # Fraction parses decimal strings exactly
-        return Fraction(int(s))
+            m = len(s) > _STR_DIGITS and _DECIMAL.fullmatch(s)
+            if not m:
+                return Fraction(s)  # Fraction parses decimal strings exactly
+            sign, whole, frac, exp = m.groups(default="")
+            return Fraction(_parse_int(sign + whole + frac), 10 ** len(frac)) * Fraction(10) ** int(exp or 0)
+        return Fraction(_parse_int(s))
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"invalid rational {text!r}") from None
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        raise ValueError(f"invalid rational {shown}") from None
 
 
 _STR_BITS = 2000  # at most 603 digits: below every limit CPython accepts (640 or more)
+_STR_DIGITS = 600  # the same bound on a run of digits read at once
+_DECIMAL = re.compile(r"([-+]?)(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?")
+
+
+def _parse_int(s: str) -> int:
+    """int(s) at any length: a long run of digits is read in two parts split at a power of ten."""
+    s = s.strip()
+    if len(s) <= _STR_DIGITS or not s[1:].isdecimal():
+        return int(s)
+    k = len(s) // 2
+    return _parse_int(s[:-k]) * 10**k + (-1 if s[0] == "-" else 1) * _parse_int(s[-k:])
 
 
 def _int_str(n: int) -> str:

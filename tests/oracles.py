@@ -39,12 +39,10 @@ from pwldyn.piecewise import (
     Itinerary,
     Piece,
     PiecewiseAffine1D,
-    interval_gaps,
-    interval_union,
     merged,
     uncaptured_numerators,
 )
-from pwldyn.planemap import Params, Point, Segment, apply_F
+from pwldyn.planemap import Params, Point, Segment, apply_F, interval_gaps, interval_union
 from pwldyn.polys import IntPoly
 
 _QUADRANT_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}

@@ -7,8 +7,6 @@ import pytest
 import oracles
 from oracles import alpha_b_to_d, beta_b_to_d, normalized_plateau_width
 from pwldyn.certify import (
-    ALPHA_WINDOW,
-    BETA_WINDOW,
     build_g2,
     build_g3,
     build_k1,
@@ -236,9 +234,15 @@ def test_certificate_json_schema():
 
 def test_family_windows_match_maps():
     fam_a = trapezoid_family("alpha")
-    assert fam_a.d_to_b(F(1)) == ALPHA_WINDOW[0] and fam_a.d_to_b(F(0)) == F(-13, 16)
+    assert fam_a.b_window == (fam_a.d_to_b(F(1)), fam_a.d_to_b(F(0))) == (F(-112, 137), F(-13, 16))
     fam_b = trapezoid_family("beta")
-    assert fam_b.d_to_b(F(1)) == BETA_WINDOW[0] and fam_b.d_to_b(F(0)) == BETA_WINDOW[1]
+    assert fam_b.b_window == (fam_b.d_to_b(F(1)), fam_b.d_to_b(F(0))) == (F(603, 874), F(563, 816))
+    for build, b, window in ((build_g2, F(-1, 2), "-112/137, -13/16"), (build_g3, F(-4, 5), "-112/137, -13/16"),
+                             (build_k1, F(69, 100), "603/874, 563/816"),
+                             (k1_from_return_map, F(7, 10), "603/874, 563/816")):
+        with pytest.raises(ValueError) as exc:
+            build(b)
+        assert str(exc.value) == f"{build.__name__} requires b in [{window}]"
     assert str(phi_family().at(F(1, 2)).pieces[2].offset) == "8"
     with pytest.raises(ValueError):
         trapezoid_family("gamma")
@@ -265,7 +269,7 @@ def test_family_window_matches_hand_written_maps(fam, d_to_b, segment, pole):
         assert fam.d_to_b(d) == d_to_b(d), d
     with pytest.raises(ValueError, match="^denominator vanishes$"):
         fam.d_to_b(pole)
-    lo, hi = ALPHA_WINDOW if fam.tag == "alpha" else BETA_WINDOW
+    lo, hi = fam.b_window
     bs = [lo, hi] + [lo + (hi - lo) * F(rng.randint(0, 10**6), 10**6) for _ in range(100)]
     bs += [F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(150)]
     for b in bs:

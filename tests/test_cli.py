@@ -188,6 +188,16 @@ def test_entropy_past_the_int_str_limit(capsys):
     assert out.splitlines()[1] == f"entropy = ln(root(x^7 - x^4 - 2)) = {want}"
 
 
+def test_entropy_reads_a_b_past_the_int_str_limit(capsys):
+    zeros = "0" * 4400
+    assert run(capsys, "entropy", "--b", f"5{zeros}/1{zeros}") == run(capsys, "entropy", "--b", "5")
+    bad = "1" * 4999 + "x"
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy", "--b", bad])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"pwldyn: error: invalid rational {bad[:40]!r}... (5000 characters)\n"
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])
 def test_unwritable_out_is_a_one_line_error(capsys, tmp_path, where):
     out = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path

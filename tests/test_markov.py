@@ -443,13 +443,11 @@ def test_entropy_bounds_examples():
     assert format_decimal(ln_lo[0], 5) == "0.13699"
 
 
-def test_dot_and_json_export():
+def test_dot_export():
     sc = seven_cycle()
     dot = sc.to_dot()
     assert '"A" -> "B";' in dot
-    js = sc.to_json()
-    assert js["labels"][0] == "A"
-    assert sum(sum(row) for row in js["adjacency"]) == 7
+    assert dot.count(" -> ") == 7
 
 
 def test_power_iteration_early_exit_matches_full_loop():

@@ -6,7 +6,7 @@ import pytest
 import oracles
 
 from pwldyn import graphs, measure
-from pwldyn.certify import ALPHA_WINDOW, BETA_WINDOW, trapezoid_family
+from pwldyn.certify import phi_family, psi_family, trapezoid_family
 from pwldyn.measure import (
     edge_capture_profile,
     full_measure_report,
@@ -133,8 +133,8 @@ def test_capture_recursion_matches_interval_oracle():
         return lo + (hi - lo) * F(rng.randint(1, 9999), 10000)
 
     cases = [("negb", e, draw(F(-11), F(-2))) for _ in range(20) for e in ("A", "B", "C", "D", "E", "G", "H")]
-    cases += [("alpha", "PI", draw(*ALPHA_WINDOW)) for _ in range(20)]
-    cases += [("beta", "SIGMA", draw(*BETA_WINDOW)) for _ in range(20)]
+    cases += [("alpha", "PI", draw(*phi_family().b_window)) for _ in range(20)]
+    cases += [("beta", "SIGMA", draw(*psi_family().b_window)) for _ in range(20)]
     for regime, edge, b in cases:
         m = return_map_for_edge(regime, b, edge)
         oracle = [sum((hi - lo for lo, hi in uncaptured_intervals(m, n)), F(0)) for n in range(13)]
@@ -146,7 +146,8 @@ def test_uncaptured_measures_match_fraction_recursion():
     cases = [("negb", F(-3), e) for e in ("A", "B", "C", "D", "E", "G", "H")]
     for _ in range(4):
         cases.append(("negb", -2 - 9 * F(rng.randint(1, 10**6 + 2), 10**6 + 3), rng.choice("ABCDEGH")))
-        for regime, edge, (lo, hi) in (("alpha", "PI", ALPHA_WINDOW), ("beta", "SIGMA", BETA_WINDOW)):
+        for regime, edge, fam in (("alpha", "PI", phi_family()), ("beta", "SIGMA", psi_family())):
+            lo, hi = fam.b_window
             cases.append((regime, lo + (hi - lo) * F(rng.randint(1, 999), 1000), edge))
     for regime, b, edge in cases:
         m = return_map_for_edge(regime, b, edge)
@@ -173,7 +174,7 @@ def test_full_measure_report_builds_fewer_fractions_than_entries(monkeypatch):
 def test_full_measure_report_matches_fraction_oracle():
     rng = random.Random(1313)
     cases = [("negb", -2 - 9 * F(rng.randint(1, 10**6 + 2), 10**6 + 3), 80) for _ in range(2)]
-    for regime, (lo, hi) in (("alpha", ALPHA_WINDOW), ("beta", BETA_WINDOW)):
+    for regime, (lo, hi) in (("alpha", phi_family().b_window), ("beta", psi_family().b_window)):
         cases += [(regime, lo + (hi - lo) * F(rng.randint(1, 999), 1000), 40) for _ in range(2)]
     for regime, b, depth in cases:
         rep = full_measure_report(regime, b, depth)

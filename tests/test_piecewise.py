@@ -6,8 +6,6 @@ import pytest
 import oracles
 from oracles import itinerary_of, uncaptured_intervals, uncaptured_measures
 from pwldyn.certify import (
-    ALPHA_WINDOW,
-    BETA_WINDOW,
     certify,
     orbit_digraph,
     phi_family,
@@ -20,13 +18,11 @@ from pwldyn.piecewise import (
     Itinerary,
     Piece,
     PiecewiseAffine1D,
-    interval_gaps,
-    interval_union,
     conjugate_affine,
     iterate_point,
     markov_partition,
 )
-from pwldyn.planemap import Params, restrict_iterate_to_segment, segment
+from pwldyn.planemap import Params, interval_gaps, interval_union, restrict_iterate_to_segment, segment
 
 
 def edge_A_map() -> PiecewiseAffine1D:
@@ -245,7 +241,7 @@ def test_markov_partition_matches_fraction_oracle():
 
     for _ in range(5):
         cases += [(return_map_for_edge("negb", draw(F(-11), F(-2)), e), ()) for e in "ABCDEGH"]
-        cases.append((return_map_for_edge("alpha", draw(*ALPHA_WINDOW), "PI"), ()))
-        cases.append((return_map_for_edge("beta", draw(*BETA_WINDOW), "SIGMA"), ()))
+        cases.append((return_map_for_edge("alpha", draw(*phi_family().b_window), "PI"), ()))
+        cases.append((return_map_for_edge("beta", draw(*psi_family().b_window), "SIGMA"), ()))
     for m, seeds in cases:
         assert markov_partition(m, seeds) == oracles.markov_partition(m, seeds)

@@ -7,12 +7,17 @@ import oracles
 from oracles import iterate_F, quadrant_affine, scale_conjugate_check
 from pwldyn.graphs import build_gamma
 from pwldyn.planemap import (
-    LineCover,
     Params,
     Segment,
     SegmentLattice,
+    _chart_segment,
+    _cover_contains,
+    _lattice_segment_holds,
+    _line_chart,
+    _line_cover,
     apply_F,
     detect_plateaus,
+    interval_gaps,
     iterate_segment_pieces,
     point,
     quadrant_of,
@@ -145,25 +150,31 @@ def test_detect_plateaus_when_another_segment_refines_the_frame():
     ]
 
 
-def _line_cover(covered, queried):
-    """A line cover of `covered`, and the charts of `queried`, on one lattice."""
+def _cover_and_charts(covered, queried):
+    """The line cover of `covered`, its frame, and the charts of `queried`, on one lattice."""
     lat = SegmentLattice(Params(F(0), F(0)), [*covered, *queried])
-    cover = LineCover(lat)
-    for seg in covered:
-        cover.add(*lat.chart(seg))
-    return cover, [lat.chart(seg) for seg in queried]
+    return _line_cover(lat.chart(seg) for seg in covered), lat.frame, [lat.chart(seg) for seg in queried]
 
 
-def _gap_segments(cover, chart):
-    return [cover.segment(chart[0], g0, g1) for g0, g1 in cover.gaps(*chart)]
+def _gaps(cover, chart):
+    key, lo, hi = chart
+    return interval_gaps(lo, hi, cover.get(key, ()))
+
+
+def _gap_segments(cover, frame, chart):
+    return [_chart_segment(chart[0], g0, g1, frame) for g0, g1 in _gaps(cover, chart)]
+
+
+def _cover_segments(cover, frame):
+    return [_chart_segment(key, lo, hi, frame) for key, union in cover.items() for lo, hi in union]
 
 
 def test_line_cover_merges_touching_segments():
     inner = segment((F(1, 2), F(1, 2)), (F(3, 2), F(3, 2)))
-    cover, (chart,) = _line_cover([segment((0, 0), (1, 1)), segment((2, 2), (1, 1))], [inner])
-    assert cover.segments() == [segment((0, 0), (2, 2))]
-    assert len(cover.lines) == 1 and len(cover.lines[chart[0]]) == 1
-    assert cover.gaps(*chart) == []
+    cover, frame, (chart,) = _cover_and_charts([segment((0, 0), (1, 1)), segment((2, 2), (1, 1))], [inner])
+    assert _cover_segments(cover, frame) == [segment((0, 0), (2, 2))]
+    assert len(cover) == 1 and len(cover[chart[0]]) == 1
+    assert _gaps(cover, chart) == []
 
 
 def test_line_cover_point_contact_is_no_overlap():
@@ -174,25 +185,25 @@ def test_line_cover_point_contact_is_no_overlap():
         segment((1, 0), (3, 0)),
         segment((2, 0), (0, 0)),
     ]
-    cover, charts = _line_cover([segment((0, 0), (2, 0))], queried)
+    cover, frame, charts = _cover_and_charts([segment((0, 0), (2, 0))], queried)
     for chart in charts[:3]:
-        assert cover.gaps(*chart) == [chart[1:]]
-    assert cover.gaps(*charts[3]) != [charts[3][1:]]
-    assert _gap_segments(cover, charts[3]) == [segment((2, 0), (3, 0))]
-    assert cover.gaps(*charts[4]) == []
-    assert cover.contains(2 * cover.frame, 0) and not cover.contains(3 * cover.frame, 0)
+        assert _gaps(cover, chart) == [chart[1:]]
+    assert _gaps(cover, charts[3]) != [charts[3][1:]]
+    assert _gap_segments(cover, frame, charts[3]) == [segment((2, 0), (3, 0))]
+    assert _gaps(cover, charts[4]) == []
+    assert _cover_contains(cover, 2 * frame, 0) and not _cover_contains(cover, 3 * frame, 0)
 
 
 def test_line_cover_gaps_on_a_steep_line():
     assert segment((0, 0), (-1, 3)).chart_axis() == "y"  # slope -3
     covered = [segment((0, 0), (F(-1, 3), 1)), segment((-1, 3), (F(-2, 3), 2))]
-    cover, charts = _line_cover(covered, [segment((1, -3), (-2, 6)), covered[0]])
-    assert _gap_segments(cover, charts[0]) == [
+    cover, frame, charts = _cover_and_charts(covered, [segment((1, -3), (-2, 6)), covered[0]])
+    assert _gap_segments(cover, frame, charts[0]) == [
         segment((1, -3), (0, 0)),
         segment((F(-1, 3), 1), (F(-2, 3), 2)),
         segment((-1, 3), (-2, 6)),
     ]
-    assert cover.gaps(*charts[1]) == []
+    assert _gaps(cover, charts[1]) == []
 
 
 def test_line_cover_collinear_segments_in_opposite_orientations():
@@ -200,17 +211,90 @@ def test_line_cover_collinear_segments_in_opposite_orientations():
     up = segment((3, -2), (2, 0))
     flat = segment((1, 1), (-1, 0))  # slope 1/2, a second line
     queried = [segment((0, 4), (3, -2)), segment((-1, 6), (4, -4)), segment((3, 2), (-3, -1))]
-    cover, charts = _line_cover([down, flat, up], queried)
-    assert cover.segments() == [segment((3, -2), (0, 4)), segment((-1, 0), (1, 1))]
-    assert cover.gaps(*charts[0]) == []
-    assert _gap_segments(cover, charts[1]) == [
+    cover, frame, charts = _cover_and_charts([down, flat, up], queried)
+    assert _cover_segments(cover, frame) == [segment((3, -2), (0, 4)), segment((-1, 0), (1, 1))]
+    assert _gaps(cover, charts[0]) == []
+    assert _gap_segments(cover, frame, charts[1]) == [
         segment((4, -4), (3, -2)),
         segment((0, 4), (-1, 6)),
     ]
-    assert _gap_segments(cover, charts[2]) == [
+    assert _gap_segments(cover, frame, charts[2]) == [
         segment((-3, -1), (-1, 0)),
         segment((1, 1), (3, 2)),
     ]
+
+
+def _brute_covered(covered, p, q, t2):
+    """Whether the point of chart coordinate t2/2 on the line through p and q
+    lies in a covered segment, by cross products and end coordinates alone."""
+    (px, py), (qx, qy) = p, q
+    axis = 0 if abs(qx - px) >= abs(qy - py) else 1
+    for a, b in covered:
+        if all((qx - px) * (y - py) == (qy - py) * (x - px) for x, y in (a, b)):
+            lo, hi = sorted((a[axis], b[axis]))
+            if 2 * lo <= t2 <= 2 * hi:
+                return True
+    return False
+
+
+def test_line_cover_helpers_match_brute_force():
+    rng = random.Random(2028)
+    directions = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (1, -3), (3, 1), (-2, 5), (4, -1)]
+    seen = dict.fromkeys(("steep", "flat", "reversed", "touching", "point_contact"), 0)
+
+    def at(line, t):
+        (x, y), (ux, uy) = line
+        return x + t * ux, y + t * uy
+
+    for _ in range(300):
+        d = rng.choice((1, 2, 3, 7))
+        base = (rng.randint(-3, 3), rng.randint(-3, 3))
+        lines = [(rng.choice((base, (rng.randint(-3, 3), rng.randint(-3, 3)))), rng.choice(directions))
+                 for _ in range(rng.randint(1, 3))]
+        covered = [tuple(at(line, t) for t in rng.sample(range(-3, 4), 2)) for line in lines for _ in range(3)]
+        covered = covered[: rng.randint(1, len(covered))]
+        charts = [_line_chart(*a, *b) for a, b in covered]
+        cover = _line_cover(charts)
+        assert list(cover) == list(dict.fromkeys(key for key, _, _ in charts))
+        for union in cover.values():
+            assert all(lo < hi for lo, hi in union)
+            assert all(h < l2 for (_, h), (l2, _) in zip(union, union[1:]))
+        for (a, b), (key, lo, hi) in zip(covered, charts):
+            axis = 0 if abs(b[0] - a[0]) >= abs(b[1] - a[1]) else 1
+            seen["steep" if axis else "flat"] += 1
+            seen["reversed"] += a[axis] > b[axis]
+            seen["touching"] += any(k == key and (l2 == hi or h2 == lo) for k, l2, h2 in charts)
+            ends = sorted((a, b), key=lambda pt: pt[axis])
+            assert _chart_segment(key, lo, hi, d) == segment(*((F(x, d), F(y, d)) for x, y in ends))
+
+        queried = [(at(line, -6), at(line, 6))[:: rng.choice((1, -1))] for line in lines]
+        queried += [tuple(at(line, t) for t in rng.sample(range(-5, 6), 2)) for line in lines]
+        for a, _ in covered:  # through a covered end, along another direction
+            queried.append((a, at((a, rng.choice(directions)), rng.choice((1, 2, -1)))))
+        for p, q in queried:
+            key, lo, hi = _line_chart(*p, *q)
+            axis = 0 if abs(q[0] - p[0]) >= abs(q[1] - p[1]) else 1
+            assert (lo, hi) == tuple(sorted((p[axis], q[axis])))
+            gaps = interval_gaps(lo, hi, cover.get(key, ()))
+            assert all(lo <= g0 < g1 <= hi for g0, g1 in gaps)
+            assert all(g1 < g2 for (_, g1), (g2, _) in zip(gaps, gaps[1:]))
+            hits = []
+            for t2 in range(2 * lo, 2 * hi + 1):
+                hit = _brute_covered(covered, p, q, t2)
+                hits.append(hit)
+                inside = any(2 * g0 < t2 < 2 * g1 for g0, g1 in gaps)
+                on_gap = any(2 * g0 <= t2 <= 2 * g1 for g0, g1 in gaps)
+                # gap ends are integers: a covered point is inside no gap; an
+                # uncovered one lies on a gap, and inside it unless an integer
+                assert not inside if hit else on_gap and (inside or t2 % 2 == 0), (p, q, t2)
+            seen["point_contact"] += sum(hits) == 1
+
+        points = {at(line, t) for line in lines for t in range(-6, 7)}
+        points |= {(rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(20)}
+        for pt in points:
+            want = any(_lattice_segment_holds(a, b, pt) for a, b in covered)
+            assert _cover_contains(cover, *pt) == want, (covered, pt)
+    assert min(seen.values()) >= 50, seen
 
 
 def test_detect_plateaus_band48_brute_force_oracle():
@@ -347,7 +431,7 @@ def test_engine_matches_fraction_tracker():
 
 def test_engine_matches_tracker_on_return_maps():
     # Capture and certificate return maps: the images stay on the line.
-    from pwldyn.certify import ALPHA_WINDOW, BETA_WINDOW, phi_family, psi_family
+    from pwldyn.certify import phi_family, psi_family
 
     rng = random.Random(77)
     cases = []
@@ -355,7 +439,8 @@ def test_engine_matches_tracker_on_return_maps():
         b = -2 - 9 * F(rng.randint(1, 10**6 + 2), 10**6 + 3)
         edge = build_gamma("negb", b).edge_segment(rng.choice("ABCDEH"))
         cases.append((b, edge, 7))
-        for (lo, hi), fam in ((ALPHA_WINDOW, phi_family()), (BETA_WINDOW, psi_family())):
+        for fam in (phi_family(), psi_family()):
+            lo, hi = fam.b_window
             b = lo + (hi - lo) * F(rng.randint(1, 10**6 + 2), 10**6 + 3)
             cases.append((b, fam.segment(b), fam.return_power))
     for b, seg, k in cases:

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 from math import gcd
 
@@ -30,6 +31,26 @@ def test_parse_rational():
 def test_rational_str_roundtrip():
     for q in (F(-888, 1087), F(3), F(0), F(7, 8)):
         assert parse_rational(rational_str(q)) == q
+
+
+def test_parse_rational_reads_rational_str_past_the_int_str_limit():
+    rng = random.Random(4300)
+    digits = [1, 599, 600, 601, 1200, 4300, 4301, 9000, 10**5]
+    qs = []
+    for n, m in [(n, rng.choice(digits[:-1])) for n in digits] + [(600, 10**5)]:
+        num = rng.randrange(10 ** (n - 1), 10**n) * rng.choice((1, -1))
+        qs.append(F(num, rng.randrange(10 ** (m - 1), 10**m)))
+    texts = [rational_str(q) for q in qs]
+    decimals = [f"{t.split('/')[0]}.{'0' * 5}{rng.randrange(10**700)}e-{rng.randrange(4)}" for t in texts]
+    got = [parse_rational(t) for t in texts + decimals]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [F(*map(int, t.split("/"))) for t in texts] + [F(t) for t in decimals]
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert got[: len(qs)] == qs
+    assert got == want
 
 
 def test_decimal_digits_truncates_toward_zero():
