@@ -17,7 +17,7 @@ from typing import NamedTuple
 from pwldyn.graphs import build_gamma
 from pwldyn.markov import CoverDigraph, build_cover_digraph_pair, spectral_radius
 from pwldyn.planemap import Point, Segment
-from pwldyn.polys import IntPoly, RootInterval, compare_roots, isolate_unique_positive_root
+from pwldyn.polys import IntPoly, RootInterval, _sign_at, compare_roots, isolate_unique_positive_root
 from pwldyn.rationals import format_decimal, ln_bounds, ln_enclosure, rational_str
 
 F = Fraction
@@ -129,14 +129,16 @@ def poly_exact_v(n: int) -> IntPoly:
 
 
 def level_polynomials(lc: LevelClass) -> tuple[IntPoly, ...]:
-    """Characteristic polynomials whose roots give the entropy of the class."""
-    n = lc.n
-    return {
-        "S": (poly_lower(n), poly_upper_s(n)),
-        "T": (poly_exact_t(n),),
-        "U": (poly_lower(n), poly_upper_u(n)),
-        "V": (poly_exact_v(n),),
+    """Characteristic polynomials whose roots give the entropy of the class.
+    Only the class's own families are built: at level 400 each one is a
+    dense list of about 1,200 coefficients."""
+    families = {
+        "S": (poly_lower, poly_upper_s),
+        "T": (poly_exact_t,),
+        "U": (poly_lower, poly_upper_u),
+        "V": (poly_exact_v,),
     }[lc.letter]
+    return tuple(fam(lc.n) for fam in families)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +253,9 @@ def continuity_level_bound(eps) -> int:
 
 
 def upper_root_below(n: int, eps) -> bool:
-    """Certified check that the level-n S-upper root is below 1 + eps."""
-    x = 1 + Fraction(eps)
-    return poly_upper_s(n)(x) > 0
+    """Certified check that the level-n S-upper root is below 1 + eps: the
+    polynomial is positive there, read as an exact sign, not a value."""
+    return _sign_at(poly_upper_s(n), 1 + Fraction(eps)) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,22 @@ square-free parts are primitive integer pseudo-remainders and quotients
 (`_pseudo_divmod`), positive multiples of the rational ones, and the rome
 determinant of `markov` is `poly_det` over `IntPoly` entries.
 
-Every polynomial, Sturm chain members included, is evaluated by one sparse
-integer kernel, `_homogeneous`: at x = m/d it returns d^deg * p(x), so a
-sign needs no Fraction.  `IntPoly.__call__` divides it by d^deg, and the
-refinement keeps its endpoints as integers over q * 2^k and builds
-Fractions only at return.  It returns the bisection's enclosure to the
-bit, but takes quadratic interval refinement steps on the bisection's own
-grid where the root is unique, so a simple root costs O(log digits)
-evaluations rather than one per bit.
+Polynomials are evaluated over their nonzero terms, which `IntPoly` caches,
+at x = m/d as the integer d^deg * p(x), so a sign needs no Fraction.
+`_homogeneous` builds that integer exactly; `IntPoly.__call__` divides it
+by d^deg.  Every sign query (the refinement's probes, `_sign_at` in the
+constructor's proof, in Sturm counts and in `largest_positive_root`) goes
+through `_probe`.  Where the exact integer would be long, `_probe` first
+bounds it from below and above by `_bounded`, with every product cut to a
+few more bits than the point's depth (directed rounding, as in Rump's
+verification methods), and takes the sign those bounds prove; the exact
+kernel decides only when they cannot.  So every sign is exact, no float is
+used, and a deep probe costs about its depth in bits rather than degree
+times depth.  The refinement keeps its endpoints as integers over q * 2^k
+and builds Fractions only at return.  It returns the bisection's enclosure
+to the bit, but takes quadratic interval refinement steps on the
+bisection's own grid where the root is unique, so a simple root costs
+O(log digits) evaluations rather than one per bit.
 """
 
 from __future__ import annotations
@@ -42,7 +50,9 @@ from typing import Iterable, Sequence
 class IntPoly:
     """Integer-coefficient polynomial, coefficients ascending by degree."""
 
-    __slots__ = ("coeffs",)
+    # `_terms` caches the nonzero (power, coeff) pairs: set by `from_terms`,
+    # else built on first use.
+    __slots__ = ("coeffs", "_terms")
 
     def __init__(self, coeffs: Iterable[int]):
         cs = list(map(int, coeffs))
@@ -52,13 +62,15 @@ class IntPoly:
 
     @classmethod
     def from_terms(cls, terms: dict[int, int]) -> "IntPoly":
-        if not terms:
-            return cls([])
-        deg = max(terms)
-        cs = [0] * (deg + 1)
-        for p, c in terms.items():
-            cs[p] += c
-        return cls(cs)
+        """The sum of c x^p over {p: c}, with its nonzero terms cached at
+        once: a sparse polynomial of high degree is not scanned."""
+        nonzero = tuple(sorted((p, c) for p, c in terms.items() if c))
+        cs = [0] * (nonzero[-1][0] + 1 if nonzero else 0)
+        for p, c in nonzero:
+            cs[p] = c
+        poly = object.__new__(cls)
+        poly.coeffs, poly._terms = tuple(cs), nonzero
+        return poly
 
     @property
     def degree(self) -> int:
@@ -99,22 +111,28 @@ class IntPoly:
         d = x.denominator
         return Fraction(_homogeneous(self._scaled_terms(d), x.numerator, 0), d**self.degree)
 
+    def _nonzero(self) -> tuple[tuple[int, int], ...]:
+        """The (p, c_p) pairs with c_p != 0, ascending in p."""
+        try:
+            return self._terms
+        except AttributeError:
+            self._terms = tuple((p, c) for p, c in enumerate(self.coeffs) if c)
+            return self._terms
+
     def _scaled_terms(self, d: int) -> list[tuple[int, int, int]]:
         """(c_p * d^(deg-p), p, deg-p) for every nonzero c_p: the terms
         `_homogeneous` sums for points with denominator d * 2^k."""
         deg = self.degree
-        return [(c * d ** (deg - p), p, deg - p) for p, c in enumerate(self.coeffs) if c]
+        return [(c * d ** (deg - p), p, deg - p) for p, c in self._nonzero()]
 
     def derivative(self) -> "IntPoly":
         return IntPoly([p * c for p, c in enumerate(self.coeffs)][1:])
 
     def strip_power_factor(self) -> tuple["IntPoly", int]:
         """Remove the largest x^k dividing the polynomial; returns (quotient, k)."""
-        if self.is_zero():
+        if self.is_zero() or self.coeffs[0]:
             return self, 0
-        k = 0
-        while self.coeffs[k] == 0:
-            k += 1
+        k = self._nonzero()[0][0]
         return IntPoly(self.coeffs[k:]), k
 
     def normalized_sign(self) -> "IntPoly":
@@ -152,7 +170,7 @@ def descartes_positive_sign_changes(p: IntPoly) -> int:
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no sign-change count")
-    signs = [1 if c > 0 else -1 for c in p.coeffs if c != 0]
+    signs = [c > 0 for _, c in p._nonzero()]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -227,9 +245,14 @@ class RootInterval:
         halves and the plain step runs).  A kept sub-cell is the grid cell
         bisection would reach, and every probe is a grid point of depth at
         most K, so the enclosure is the bisection's to the bit, in
-        O(log digits) steps once the secant is close.  Signs and values
-        come from `_homogeneous` on integer numerators; Fractions are built
-        at return.
+        O(log digits) steps once the secant is close.
+
+        Each probe is read by `_probe`: its sign is exact, proven from
+        truncated bounds at about k + 2j bits when the exact value would be
+        long, and its magnitude |d^deg p(x)|, d the odd part of q, is kept
+        as (mantissa, exponent), so a cell end carried to a deeper grid
+        keeps its value.  The secant reads those magnitudes; the signs
+        alone decide which cell is kept.  Fractions are built at return.
         """
         if digits < 0:
             raise ValueError(f"digits must be >= 0, got {digits}")
@@ -238,56 +261,63 @@ class RootInterval:
             return self
         q = lcm(lo.denominator, hi.denominator)
         a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
-        terms, deg = self.poly._scaled_terms(q), self.poly.degree
-        fa, fb = _homogeneous(terms, a, 0), _homogeneous(terms, b, 0)
-        shi = _sign(fb)
-        # The cell is (a, b) / (q * 2^k) with b - a = gap throughout, and
-        # f(x) = (q * 2^k)^deg * p(x) at its ends.  K is the least k with
-        # gap * 10^digits < q * 2^k.
-        gap, k = b - a, 0
-        depth = (gap * 10**digits // q).bit_length()
-        qir = lo >= 0 and fa != 0 and descartes_positive_sign_changes(self.poly) == 1
+        # With q = d * 2^t, d odd, the cell is (a, b) / (d * 2^k) from
+        # k = t on, with b - a = gap throughout, and f(x) = (d * 2^k)^deg *
+        # p(x) at its ends, so only d is raised to powers.  K is the least
+        # k with gap * 10^digits < d * 2^k.
+        t = (q & -q).bit_length() - 1
+        d, gap, k = q >> t, b - a, t
+        depth = t + (gap * 10**digits // q).bit_length()
+        terms, deg = self.poly._scaled_terms(d), self.poly.degree
+        # Bits a sign at depth k needs: k plus the bits of d above the
+        # start gap (the cell's width below the scale), 2j for the secant's
+        # pick among 2^j sub-cells, and a margin for the rounding of about
+        # 2 log2(deg) truncated products.
+        margin = max(d.bit_length() - gap.bit_length(), 0) + deg.bit_length() + 64
 
         def exact(m: int, depth_m: int) -> "RootInterval":
-            x = Fraction(m, q << depth_m)
+            x = Fraction(m, d << depth_m)
             return RootInterval._proven(x, x, self.poly)
 
+        sa, fa = _probe(terms, a, k, margin)
+        shi, fb = _probe(terms, b, k, margin)
+        qir = lo >= 0 and sa != 0 and descartes_positive_sign_changes(self.poly) == 1
+        # With qir, the a end has sign -shi and the b end shi throughout.
         j = 1
         while k < depth:
             if qir:
                 j = min(j, depth - k)
-                n, s = 1 << j, abs(fa) + abs(fb)
-                i = min(max((2 * n * abs(fa) + s) // (2 * s), 1), n - 1)
+                n, i, extra = 1 << j, _secant(fa, fb, j), margin + 2 * j
                 p, kj = (a << j) + i * gap, k + j
-                fp = _homogeneous(terms, p, kj)
-                if fp == 0:
+                sp, fp = _probe(terms, p, kj, extra)
+                if sp == 0:
                     return exact(p, kj)
-                # Evaluate the neighbour on the root's side; a cell end's
-                # value is the old one scaled to depth k + j.
-                if _sign(fp) == shi:
+                # Evaluate the neighbour on the root's side, or reuse the
+                # cell end it is.
+                if sp == shi:
                     m = p - gap
-                    fm = fa << j * deg if i == 1 else _homogeneous(terms, m, kj)
+                    sm, fm = (-shi, fa) if i == 1 else _probe(terms, m, kj, extra)
                     cell = (m, p, fm, fp)
                 else:
                     m = p + gap
-                    fm = fb << j * deg if i == n - 1 else _homogeneous(terms, m, kj)
+                    sm, fm = (shi, fb) if i == n - 1 else _probe(terms, m, kj, extra)
                     cell = (p, m, fp, fm)
-                if fm == 0:
+                if sm == 0:
                     return exact(m, kj)
-                if _sign(fm) != _sign(fp):
+                if sm != sp:
                     a, b, fa, fb = cell
                     k, j = kj, 2 * j
                     continue
                 j = max(j // 2, 1)
             mid, k = a + b, k + 1
-            fm = _homogeneous(terms, mid, k)
-            if fm == 0:
+            sm, fm = _probe(terms, mid, k, margin + 2 * j)
+            if sm == 0:
                 return exact(mid, k)
-            if _sign(fm) == shi:
-                a, b, fa, fb = 2 * a, mid, fa << deg, fm
+            if sm == shi:
+                a, b, fb = 2 * a, mid, fm
             else:
-                a, b, fa, fb = mid, 2 * b, fm, fb << deg
-        return RootInterval._proven(Fraction(a, q << k), Fraction(b, q << k), self.poly)
+                a, b, fa = mid, 2 * b, fm
+        return RootInterval._proven(Fraction(a, d << k), Fraction(b, d << k), self.poly)
 
 
 def _homogeneous(terms: list[tuple[int, int, int]], m: int, k: int) -> int:
@@ -302,19 +332,114 @@ def _homogeneous(terms: list[tuple[int, int, int]], m: int, k: int) -> int:
     return total
 
 
+def _truncated(v: int, e: int, bits: int, up: bool) -> tuple[int, int]:
+    """(w, e') with w * 2^e' the value v * 2^e (v >= 0) cut to `bits` bits,
+    rounded down, or up when `up`."""
+    s = v.bit_length() - bits
+    if s <= 0:
+        return v, e
+    w = v >> s
+    return w + (up and w << s != v), e + s
+
+
+def _bounded(terms: list[tuple[int, int, int]], m: int, k: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2^e <= _homogeneous(terms, m, k) <= hi * 2^e,
+    for m >= 0.
+
+    Each term's magnitude |c| m^p 2^(ke) is bounded below and above: the
+    powers of m are formed by squaring, upward from the last one as in
+    `_homogeneous`, and |c|, m and every product are cut to `bits` bits,
+    rounded down for the lower bound and up for the upper.  The signed
+    bounds are summed on the grid 2^e, `bits` bits below the largest term,
+    again rounding each term down or up.
+    """
+    mags = []
+    for up in (False, True):
+        x = _truncated(m, 0, bits, up)
+        pw, prev, out = (1, 0), 0, []
+        for c, p, e in terms:
+            n, (xw, xe) = p - prev, x
+            while n:  # pw *= x^(p - prev) by squaring
+                if n & 1:
+                    pw = _truncated(pw[0] * xw, pw[1] + xe, bits, up)
+                n >>= 1
+                if n:
+                    xw, xe = _truncated(xw * xw, 2 * xe, bits, up)
+            prev = p
+            cw, ce = _truncated(abs(c), 0, bits, up)
+            w, ex = _truncated(cw * pw[0], ce + pw[1], bits, up)
+            out.append((w, ex + k * e))
+        mags.append(out)
+    base = max(ex + w.bit_length() for w, ex in mags[1]) - bits
+    lo = hi = 0
+    for (c, _, _), (wl, el), (wh, eh) in zip(terms, *mags):
+        if c < 0:
+            wl, el, wh, eh = -wh, eh, -wl, el
+        lo += wl << el - base if el >= base else wl >> base - el
+        hi += wh << eh - base if eh >= base else -(-wh >> base - eh)
+    return lo, hi, base
+
+
+# Degree times the bit length of the point above which a probe first tries
+# the bounds of `_bounded`: below it the exact integer is short enough that
+# building it costs less than the bounds (with a cutover at 4,000 bits the
+# roots of levels 0-4 at 100-150 digits took 1.1-1.3x as long).
+_EXACT_BITS = 12_000
+
+
+def _probe(terms: list[tuple[int, int, int]], m: int, k: int, margin: int) -> tuple[int, tuple[int, int]]:
+    """Sign of f = _homogeneous(terms, m, k) and the magnitude (w, e) of
+    f / 2^(k deg), the value d^deg p(x) at x = m / (d 2^k), with w * 2^e at
+    most that magnitude: equal when f is built exactly, a lower bound when
+    `_bounded` at k + margin bits proves the sign.  Long exact integers
+    are built only where the bounds cannot decide, or for m < 0."""
+    deg = terms[-1][1] if terms else 0
+    if m >= 0 and deg * m.bit_length() > _EXACT_BITS:
+        lo, hi, e = _bounded(terms, m, k, k + margin)
+        if lo > 0:
+            return 1, (lo, e - k * deg)
+        if hi < 0:
+            return -1, (-hi, e - k * deg)
+    f = _homogeneous(terms, m, k)
+    return (-1, (-f, -k * deg)) if f < 0 else (1 if f else 0, (f, -k * deg))
+
+
+def _secant(fa: tuple[int, int], fb: tuple[int, int], j: int) -> int:
+    """round(2^j |fa| / (|fa| + |fb|)) kept in [1, 2^j - 1]: the sub-cell
+    the secant through the cell ends picks, from their magnitudes (w, e).
+    Where one magnitude is below 2^-(j+1) of the other the rounding is
+    known; otherwise the two are aligned exactly, at a shift bounded by
+    j + 2 plus the mantissa lengths."""
+    (wa, ea), (wb, eb) = fa, fb
+    n, ta, tb = 1 << j, ea + wa.bit_length(), eb + wb.bit_length()
+    if ta + j + 2 < tb:
+        return 1
+    if tb + j + 2 < ta:
+        return n - 1
+    if ea > eb:
+        wa <<= ea - eb
+    else:
+        wb <<= eb - ea
+    s = wa + wb
+    i = (2 * n * wa + s) // (2 * s)
+    return 1 if i < 1 else n - 1 if i >= n else i
+
+
 def _sign(q: int) -> int:
     return (q > 0) - (q < 0)
 
 
 def _sign_at(p: IntPoly, x: Fraction) -> int:
-    """Sign of p(x), read off `_homogeneous` without building p(x).
+    """Sign of p(x), read by `_probe` without building p(x).
 
     The denominator is split as odd * 2^t, so only the odd part is raised
-    to powers; the power of two enters as shifts.
+    to powers; the power of two enters as shifts.  Bounds are tried at the
+    denominator's bit length plus the margin of `RootInterval.refined`.
     """
     d = x.denominator
     t = (d & -d).bit_length() - 1
-    return _sign(_homogeneous(p._scaled_terms(d >> t), x.numerator, t))
+    margin = (d >> t).bit_length() + p.degree.bit_length() + 64
+    return _probe(p._scaled_terms(d >> t), x.numerator, t, margin)[0]
 
 
 def _sign_right_of(p: IntPoly, x: Fraction) -> int:
@@ -327,7 +452,7 @@ def _sign_right_of(p: IntPoly, x: Fraction) -> int:
 
 def coefficient_bound(p: IntPoly) -> int:
     """Upper bound 1 + max|coeff| for all real roots of an integer polynomial."""
-    return 1 + max(abs(c) for c in p.coeffs)
+    return 1 + max(abs(c) for _, c in p._nonzero())
 
 
 def isolate_unique_positive_root(p: IntPoly, digits: int) -> RootInterval:

@@ -15,7 +15,9 @@ d -> b maps and invariant segments are the earlier hand-written form of
 its table.  The Sturm chain, gcd and square-free part by Fraction long
 division are the earlier form of the integer pseudo-division in `polys`.  The band48 cross-check that also
 built the entropy brackets and compared two radius enclosures is kept as
-the earlier form of `band48.cross_check_entropy`.
+the earlier form of `band48.cross_check_entropy`.  The refinement loop
+that built every probe's exact integer, with no sign bounds, is kept as
+the earlier form of `RootInterval.refined`.
 The rest are small checks of the map and of digraphs that back statements
 in the tests (quadrant pieces, the rescaling identity, simple cycles, the
 trapezoid shape and the inverse parameter changes), and three helpers that
@@ -43,7 +45,7 @@ from pwldyn.piecewise import (
     uncaptured_numerators,
 )
 from pwldyn.planemap import Params, Point, Segment, apply_F, interval_gaps, interval_union
-from pwldyn.polys import IntPoly
+from pwldyn.polys import IntPoly, RootInterval, _homogeneous, _sign, descartes_positive_sign_changes
 
 _QUADRANT_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}
 
@@ -567,6 +569,67 @@ def closing_window(
         piece = family.pieces[i]
         x = _as_param(piece.offset) + x.scaled(piece.slope)
     return lo_d, hi_d
+
+
+# ---------------------------------------------------------------------------
+# Root refinement with every probe evaluated exactly
+# ---------------------------------------------------------------------------
+
+
+def refined_exact(ri: RootInterval, digits: int) -> RootInterval:
+    """The earlier `RootInterval.refined`: the same bisection grid and
+    quadratic interval refinement, with each probe's value the exact
+    integer `_homogeneous` builds and the secant read from those."""
+    lo, hi = ri.lo, ri.hi
+    if lo == hi:
+        return ri
+    q = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+    terms, deg = ri.poly._scaled_terms(q), ri.poly.degree
+    fa, fb = _homogeneous(terms, a, 0), _homogeneous(terms, b, 0)
+    shi = _sign(fb)
+    gap, k = b - a, 0
+    depth = (gap * 10**digits // q).bit_length()
+    qir = lo >= 0 and fa != 0 and descartes_positive_sign_changes(ri.poly) == 1
+
+    def exact(m: int, depth_m: int) -> RootInterval:
+        x = Fraction(m, q << depth_m)
+        return RootInterval._proven(x, x, ri.poly)
+
+    j = 1
+    while k < depth:
+        if qir:
+            j = min(j, depth - k)
+            n, s = 1 << j, abs(fa) + abs(fb)
+            i = min(max((2 * n * abs(fa) + s) // (2 * s), 1), n - 1)
+            p, kj = (a << j) + i * gap, k + j
+            fp = _homogeneous(terms, p, kj)
+            if fp == 0:
+                return exact(p, kj)
+            if _sign(fp) == shi:
+                m = p - gap
+                fm = fa << j * deg if i == 1 else _homogeneous(terms, m, kj)
+                cell = (m, p, fm, fp)
+            else:
+                m = p + gap
+                fm = fb << j * deg if i == n - 1 else _homogeneous(terms, m, kj)
+                cell = (p, m, fp, fm)
+            if fm == 0:
+                return exact(m, kj)
+            if _sign(fm) != _sign(fp):
+                a, b, fa, fb = cell
+                k, j = kj, 2 * j
+                continue
+            j = max(j // 2, 1)
+        mid, k = a + b, k + 1
+        fm = _homogeneous(terms, mid, k)
+        if fm == 0:
+            return exact(mid, k)
+        if _sign(fm) == shi:
+            a, b, fa, fb = 2 * a, mid, fa << deg, fm
+        else:
+            a, b, fa, fb = mid, 2 * b, fm, fb << deg
+    return RootInterval._proven(Fraction(a, q << k), Fraction(b, q << k), ri.poly)
 
 
 # ---------------------------------------------------------------------------

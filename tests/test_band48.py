@@ -194,6 +194,49 @@ def test_continuity_level_bound():
         continuity_level_bound(0)
 
 
+def test_upper_root_below_reads_the_sign_of_the_value():
+    # The sign read by `_sign_at` against the Fraction value of the
+    # polynomial at 1 + eps: at criterion 6's levels n and n + 5, at n - 1
+    # and at level 0 (where the root is above 1 + eps), and at n for
+    # eps = 1/10^4 (n = 30,702, degree 92,113).
+    cases = []
+    for eps in (F(1, 10), F(1, 100), F(1, 1000)):
+        n = continuity_level_bound(eps)
+        cases += [(level, eps) for level in (0, n - 1, n, n + 5)]
+    cases.append((continuity_level_bound(F(1, 10**4)), F(1, 10**4)))
+    assert cases[-1][0] == 30_702
+    answers = set()
+    for level, eps in cases:
+        want = poly_upper_s(level)(1 + eps) > 0
+        assert upper_root_below(level, eps) == want, (level, eps)
+        answers.add(want)
+    assert answers == {False, True}
+
+
+def test_deep_entropy_decimal_matches_mpmath_roots():
+    mpmath = pytest.importorskip("mpmath")
+    places = 12
+    for n in (1000, 3000, 10_000):
+        for letter in "STUV":
+            lo, hi, _, _ = LevelClass(n, letter).interval()
+            b = (lo + hi) / 2
+            assert classify(b) == (n, letter)
+            got = entropy_or_bounds(b, places).decimal(places)
+            want = []
+            with mpmath.workdps(60):
+                for p in level_polynomials(LevelClass(n, letter)):
+                    terms = [(c, k) for k, c in enumerate(p.coeffs) if c]
+                    f = lambda x: mpmath.fsum(c * x**k for c, k in terms)
+                    df = lambda x: mpmath.fsum(c * k * x ** (k - 1) for c, k in terms)
+                    # f is convex right of 1 and positive at x0: Newton
+                    # descends monotonically to the one root above 1.
+                    x0 = 1 + mpmath.log(n) / n
+                    root = mpmath.findroot(f, x0, solver="newton", df=df, maxsteps=500)
+                    assert 1 < root < x0
+                    want.append(format_decimal(F(mpmath.nstr(mpmath.log(root), 40)), places))
+            assert got == (want[0] if len(want) == 1 else f"[{want[0]}, {want[1]}]"), (n, letter)
+
+
 def _continuity_level_loop(eps):
     """The earlier `continuity_level_bound`: multiply x^3 up past g."""
     x = 1 + eps

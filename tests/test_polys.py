@@ -10,6 +10,7 @@ from pwldyn.markov import digraph_from_edges, spectral_radius
 from pwldyn.polys import (
     IntPoly,
     RootInterval,
+    coefficient_bound,
     compare_roots,
     count_roots_in,
     descartes_positive_sign_changes,
@@ -18,6 +19,8 @@ from pwldyn.polys import (
     poly_det,
     poly_gcd,
     sturm_chain,
+    _bounded,
+    _homogeneous,
     _primitive,
     _pseudo_divmod,
     _sign_at,
@@ -396,6 +399,63 @@ def test_refined_matches_fraction_bisection_with_one_sign_change():
         checked += 1
 
 
+def _oracle_starts(rng: random.Random) -> list[tuple[RootInterval, int]]:
+    """Seeded (start, digits) for the exact-evaluation oracle: band48
+    brackets at levels 0-50 (0-150 digits), 400 and 1000 (0-150), 3000
+    (0-40) and 10,000 (0-10), levels 0-4 at 1000 and 3000 digits; sparse
+    polynomials with one sign change up to degree 2000, from a refined
+    dyadic cell and from a non-dyadic bracket around it; dyadic roots a
+    probe can hit exactly; and brackets with lo < 0 around one of several
+    roots."""
+    starts = []
+    for fam in BAND48_FAMILIES:
+        starts += [(_band48_start(fam(n)), rng.randint(0, 150)) for n in range(51)]
+        starts += [(_band48_start(fam(n)), rng.randint(0, 150)) for n in (400, 400, 1000, 1000)]
+        starts += [(_band48_start(fam(3000)), rng.randint(0, 40)), (_band48_start(fam(10_000)), rng.randint(0, 10))]
+        starts += [(_band48_start(fam(n)), digits) for n in range(5) for digits in (1000, 3000)]
+    for _ in range(100):
+        cut = rng.randint(1, 1999)
+        terms = {rng.randint(0, cut - 1): -rng.randint(1, 10**6) for _ in range(rng.randint(1, 3))}
+        terms.update({rng.randint(cut, 2000): rng.randint(1, 10**6) for _ in range(rng.randint(1, 3))})
+        cell = isolate_unique_positive_root(IntPoly.from_terms(terms), rng.randint(0, 3))
+        den = 2 * rng.randint(1, 500) + 1
+        wider = RootInterval(F(cell.lo * den // 1, den), F(-(-cell.hi * den // 1), den), cell.poly)
+        starts += [(cell, rng.randint(0, 40)), (wider, rng.randint(0, 40))]
+    for _ in range(30):
+        s, deg = rng.randint(1, 40), rng.choice((1, 10, 300, 1000))
+        root = F(rng.randint(2 ** s + 1, 2 ** (s + 1) - 1), 2**s)  # in (1, 2)
+        p = IntPoly([-root.numerator, root.denominator]) * IntPoly([1] * (deg + 1))
+        starts.append((RootInterval(F(1), F(3), p), rng.randint(13, 40)))
+    negative = 0
+    while negative < 25:
+        roots = rng.sample(range(-9, 10), rng.randint(2, 5))
+        p = IntPoly([1])
+        for r in roots:
+            p = p * IntPoly([-r, 1])
+        lo = F(rng.randint(-200, -1), rng.randint(1, 21))
+        hi = lo + F(rng.randint(1, 300), rng.randint(1, 21))
+        try:
+            starts.append((RootInterval(lo, hi, p), rng.randint(0, 40)))
+        except ValueError:
+            continue  # hi is a root, or no sign change over (lo, hi]
+        negative += 1
+    return starts
+
+
+def test_refined_matches_the_exact_evaluation_oracle():
+    # Truncated bounds only prove signs: the enclosure is the one the
+    # loop with every probe evaluated exactly returns, to the bit.
+    rng = random.Random(10_000)
+    starts = _oracle_starts(rng)
+    assert len(starts) >= 500
+    hits = 0
+    for start, digits in starts:
+        got, want = start.refined(digits), oracles.refined_exact(start, digits)
+        assert (got.lo, got.hi) == (want.lo, want.hi), (start, digits)
+        hits += got.is_exact
+    assert hits >= 10
+
+
 def test_refined_bisects_past_several_roots():
     def roots(*rs: int) -> IntPoly:
         out = IntPoly([1])
@@ -427,6 +487,74 @@ def test_refined_evaluation_count(monkeypatch):
         calls = 0
         isolate_unique_positive_root(p, digits)
         assert calls <= limit
+
+
+def test_deep_isolation_builds_few_exact_integers(monkeypatch):
+    # A work count, not a timing: the level-3000 T root to 23 digits is
+    # proven from truncated bounds, and the exact kernel runs only where
+    # the integer it builds is short.
+    from pwldyn import polys
+
+    p = poly_exact_t(3000)
+    bracket_end = _homogeneous(p._scaled_terms(1), coefficient_bound(p), 0).bit_length()
+    lengths = []
+
+    def counted(*args):
+        value = _homogeneous(*args)
+        lengths.append(value.bit_length())
+        return value
+
+    monkeypatch.setattr(polys, "_homogeneous", counted)
+    ri = isolate_unique_positive_root(p, 23)
+    assert ri.width < F(1, 10**23)
+    assert 0 < len(lengths) <= 6
+    assert max(lengths) <= bracket_end
+
+
+def _kernel_cases(rng: random.Random, count: int):
+    """Seeded (terms, m, k): sparse polynomials up to degree 30,000 with
+    coefficients up to 10^6 of either sign, scaled by an odd d (1 in a
+    third of the cases), at m = 0 or m up to 2^64 and k = 0 or up to 60."""
+    for case in range(count):
+        deg = 30_000 if case % 40 == 0 else rng.choice((1, 2, 7, 30, 300, 3000))
+        terms = {deg: rng.choice((-1, 1)) * rng.randint(1, 10**6)}
+        for _ in range(rng.randint(0, 5)):
+            terms[rng.randint(0, deg)] = rng.randint(-(10**6), 10**6)
+        d = 1 if case % 3 == 0 else 2 * rng.randint(1, 49) + 1
+        m = 0 if case % 10 == 1 else rng.randint(1, 1 << rng.randint(1, 64))
+        k = 0 if case % 7 == 2 else rng.randint(1, 60)
+        yield IntPoly.from_terms(terms)._scaled_terms(d), m, k
+
+
+def _bounds_miss(kernel, cases) -> int:
+    """Cases where the bounds (lo, hi, e) at `bits`, `bits` + 32 or
+    2 `bits` + 200 do not hold the exact value in [lo * 2^e, hi * 2^e], or
+    where the width (hi - lo) * 2^e grows with the bits."""
+    misses = 0
+    for terms, m, k, bits, exact in cases:
+        widths = []
+        for b in (bits, bits + 32, 2 * bits + 200):
+            lo, hi, e = kernel(terms, m, k, b)
+            if e >= 0:
+                misses += not lo << e <= exact <= hi << e
+            else:
+                misses += not lo <= exact << -e <= hi
+            widths.append(F(hi - lo) * F(2) ** e)
+        misses += not widths[0] >= widths[1] >= widths[2]
+    return misses
+
+
+def test_bounded_kernel_encloses_the_exact_value(monkeypatch):
+    from pwldyn import polys
+
+    rng = random.Random(30_000)
+    cases = [(terms, m, k, rng.randint(8, 64), _homogeneous(terms, m, k))
+             for terms, m, k in _kernel_cases(rng, 400)]
+    assert _bounds_miss(_bounded, cases) == 0
+    # A kernel whose upper mantissas round down must miss some case.
+    truncated = polys._truncated
+    monkeypatch.setattr(polys, "_truncated", lambda v, e, bits, up: truncated(v, e, bits, False))
+    assert _bounds_miss(polys._bounded, cases) > 0
 
 
 def test_sign_at_matches_fraction_evaluation():
