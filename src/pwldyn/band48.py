@@ -14,9 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from pwldyn.graphs import build_gamma
-from pwldyn.markov import CoverDigraph, build_cover_digraph_pair, spectral_radius
-from pwldyn.planemap import Point, Segment
+from pwldyn.graphs import _table_lattice
+from pwldyn.markov import CoverDigraph, _cover_digraph_pair, spectral_radius
+from pwldyn.planemap import LatticeSegment, Segment, _off_frame
 from pwldyn.polys import IntPoly, RootInterval, _sign_at, compare_roots, isolate_unique_positive_root
 from pwldyn.rationals import format_decimal, ln_bounds, ln_enclosure, rational_str
 
@@ -263,66 +263,84 @@ def upper_root_below(n: int, eps) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _orbit_points(b: Fraction, n: int) -> list[Fraction]:
-    return [x_orbit_point(b, i) for i in range(n + 1)]
-
-
 def band48_partition(b) -> tuple[list[tuple[str, Segment]], LevelClass]:
     """Named interval partition carrying the covering digraph at parameter b.
 
     Plateaus and their feeder intervals are deliberately absent: collapsed
-    intervals contribute no itineraries.
+    intervals contribute no itineraries.  The `Fraction` view of the
+    lattice partition that `cover_digraphs` uses.
     """
     b = Fraction(b)
-    return _partition(b, build_gamma("band48", b))
+    frame, named, _ = _graph_on_12d(b)
+    part, lc = _partition(b, named)
+    return [(label, Segment(_off_frame(x1, y1, frame), _off_frame(x2, y2, frame)))
+            for label, (x1, y1, x2, y2) in part], lc
 
 
-def _partition(b: Fraction, g) -> tuple[list[tuple[str, Segment]], LevelClass]:
-    """`band48_partition` at b on its invariant graph g."""
+def _graph_on_12d(b: Fraction) -> tuple[int, dict[str, tuple[int, int]], list[LatticeSegment]]:
+    """(12d, named points, edge ends) of the band48 graph at b = n/d, on the
+    lattice (1/12d)Z^2 where every partition end lies too."""
+    t = _table_lattice("band48", b)
+    named = {name: (3 * x, 3 * y) for name, (x, y) in t.named().items()}
+    return 3 * t.frame, named, [tuple(3 * v for v in ends) for ends in t.edge_ends()]
+
+
+def _partition(b: Fraction, named: dict[str, tuple[int, int]]) -> tuple[list[tuple[str, LatticeSegment]], LevelClass]:
+    """`band48_partition` at b = u/v as lattice ends on (1/12v)Z^2, the
+    named points of the graph given there.
+
+    The orbit points x_i = ((b-8)*4^(i+1) + 2 - b)/3 of the bottom edge and
+    their first two images are on that lattice: 12v*x_i is
+    4*((u - 8v)*4^(i+1) + 2v - u).
+    """
     lc = classify(b)
     n = lc.n
+    u, v = b.numerator, b.denominator
+    bq, one = 12 * u, 12 * v  # b and 1 on the lattice
 
-    def P(name: str) -> Point:
-        return g.named_point(name)
+    def P(name: str) -> tuple[int, int]:
+        return named[name]
 
-    xs = _orbit_points(b, n)  # x_0 > x_1 > ... > x_n on the bottom edge
-    bottom = [Point(x, F(-1)) for x in xs]
-    first_img = [Point(-x, x + b - 1) for x in xs]  # on the falling right edge
-    second_img = [Point(-2 * x - b, -2 * x + 1) for x in xs]  # on the rising left edge
+    # x_0 > x_1 > ... > x_n on the bottom edge
+    xs = [4 * ((u - 8 * v) * 4 ** (i + 1) + 2 * v - u) for i in range(n + 1)]
+    bottom = [(x, -one) for x in xs]
+    first_img = [(-x, x + bq - one) for x in xs]  # on the falling right edge
+    second_img = [(-2 * x - bq, -2 * x + one) for x in xs]  # on the rising left edge
 
-    part: list[tuple[str, Segment]] = [
-        ("A", Segment(P("P18"), P("P9"))),
-        ("B", Segment(P("P11"), P("P16"))),
-        ("D", Segment(P("P17"), P("P12"))),
-        ("E", Segment(P("P2"), P("P3"))),
-        ("H", Segment(P("Y6"), P("P6"))),
-        ("I", Segment(P("P7"), P("Y4"))),
-        ("G", Segment(bottom[0], P("P4"))),
-        ("F1", Segment(P("P3"), bottom[n])),
+    part = [
+        ("A", P("P18"), P("P9")),
+        ("B", P("P11"), P("P16")),
+        ("D", P("P17"), P("P12")),
+        ("E", P("P2"), P("P3")),
+        ("H", P("Y6"), P("P6")),
+        ("I", P("P7"), P("Y4")),
+        ("G", bottom[0], P("P4")),
+        ("F1", P("P3"), bottom[n]),
     ]
     if n == 0:
-        part.append(("C", Segment(P("P12"), P("P1"))))
-        part.append(("K", Segment(P("Y1"), P("Y2"))))
+        part.append(("C", P("P12"), P("P1")))
+        part.append(("K", P("Y1"), P("Y2")))
     else:
-        part.append(("K", Segment(P("Y1"), first_img[0])))
-        part.append(("C1", Segment(second_img[n - 1], P("P1"))))
+        part.append(("K", P("Y1"), first_img[0]))
+        part.append(("C1", second_img[n - 1], P("P1")))
         for j in range(2, n + 1):
-            part.append((f"C{j}", Segment(second_img[n - j], second_img[n - j + 1])))
-        part.append((f"C{n + 1}", Segment(P("P12"), second_img[0])))
-        part.append(("J2", Segment(first_img[n - 1], P("Y2"))))
+            part.append((f"C{j}", second_img[n - j], second_img[n - j + 1]))
+        part.append((f"C{n + 1}", P("P12"), second_img[0]))
+        part.append(("J2", first_img[n - 1], P("Y2")))
         for j in range(3, n + 2):
-            part.append((f"J{j}", Segment(first_img[n - j + 1], first_img[n - j + 2])))
+            part.append((f"J{j}", first_img[n - j + 1], first_img[n - j + 2]))
         for j in range(2, n + 2):
-            part.append((f"F{j}", Segment(bottom[n - j + 2], bottom[n - j + 1])))
-    return part, lc
+            part.append((f"F{j}", bottom[n - j + 2], bottom[n - j + 1]))
+    return [(label, (*p, *q)) for label, p, q in part], lc
 
 
 def cover_digraphs(b) -> tuple[CoverDigraph, CoverDigraph, LevelClass]:
-    """(lower, upper) covering digraphs at b, from the actual invariant graph."""
+    """(lower, upper) covering digraphs at b, from the actual invariant graph,
+    with the partition and the graph's edges on one lattice."""
     b = Fraction(b)
-    g = build_gamma("band48", b)
-    part, lc = _partition(b, g)
-    lower, upper = build_cover_digraph_pair(g, part)
+    frame, named, hosts = _graph_on_12d(b)
+    part, lc = _partition(b, named)
+    lower, upper = _cover_digraph_pair(frame, -frame, 12 * b.numerator, part, hosts)
     return lower, upper, lc
 
 

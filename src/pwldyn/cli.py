@@ -177,6 +177,24 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+# Options whose value is a rational, which may be negative.
+_RATIONAL_OPTIONS = ("--a", "--b")
+
+
+def _attach_rationals(argv: list[str]) -> list[str]:
+    """argv with a negative value of a rational option attached to it, as
+    in `--b=-163/200`.  argparse takes a separate word that starts with "-"
+    for an option unless it is a plain negative number such as -3 or
+    -0.815, so `--b -163/200` would read as a missing value."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and len(word) > 1 and word[0] == "-" and word[1] in "0123456789.":
+            out[-1] = f"{out[-1]}={word}"
+        else:
+            out.append(word)
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports every error, its subcommands' included, in one line without
     the usage text."""
@@ -225,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("verify", help="internal cross-check suite")
     p.set_defaults(fn=cmd_verify)
 
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_attach_rationals(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except ValueError as exc:

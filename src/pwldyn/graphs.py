@@ -288,12 +288,8 @@ def _quarters(coords) -> tuple[int, int, int, int]:
 # (X, Y) = (4c0x*d + 4c1x*n, 4c0y*d + 4c1y*n) over D = 4d.
 _VERTICES = {r: {name: _quarters(c) for name, c in t.items()} for r, t in _VERTEX_COORDS.items()}
 _MARKS = {r: [(name, _quarters(c), host) for name, c, host in t] for r, t in _MARK_COORDS.items()}
-
-
-def _on_lattice(quarters: tuple[int, int, int, int], n: int, d: int) -> tuple[int, int]:
-    """4d*(c0 + c1*b) per coordinate, for b = n/d."""
-    ax, bx, ay, by = quarters
-    return ax * d + bx * n, ay * d + by * n
+# host edge -> its two vertex names
+_EDGE_VERTICES = {r: {e: (a, b) for e, a, b in edges} for r, edges in _EDGES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -401,28 +397,58 @@ class PlanarGraph(NamedTuple):
         return "\n".join(lines)
 
 
+class _TableLattice(NamedTuple):
+    """A regime's tables at b = n/d on the lattice (1/4d)Z^2: each named
+    point is the integer pair 4d*(c0 + c1*b)."""
+
+    regime: str
+    where: str  # "interior" or "boundary", as `regime_interval_contains`
+    frame: int  # 4d
+    vertices: dict[str, tuple[int, int]]
+    marks: dict[str, tuple[tuple[int, int], str]]  # name -> (point, host edge)
+
+    def named(self) -> dict[str, tuple[int, int]]:
+        """Vertices and marks by name."""
+        return {**self.vertices, **{name: pt for name, (pt, _) in self.marks.items()}}
+
+    def edge_ends(self) -> list[tuple[int, int, int, int]]:
+        """(x1, y1, x2, y2) of each edge, skipping one whose ends coincide,
+        as `PlanarGraph.all_segments` does."""
+        v = self.vertices
+        return [(*v[a], *v[b]) for _, a, b in _EDGES[self.regime] if v[a] != v[b]]
+
+
+def _table_lattice(regime: str, b) -> _TableLattice:
+    """The regime's tables evaluated at b on the lattice (1/4d)Z^2, for b in
+    the regime.  Every mark is checked there to sit on its host edge, which
+    catches transcription slips before any point is used."""
+    b = Fraction(b)
+    where = _regime_where(regime, b)
+    n, d = b.numerator, b.denominator
+    vertices = {name: (ax * d + bx * n, ay * d + by * n) for name, (ax, bx, ay, by) in _VERTICES[regime].items()}
+    hosts = _EDGE_VERTICES[regime]
+    marks = {}
+    for name, (ax, bx, ay, by), host in _MARKS[regime]:
+        pt = (ax * d + bx * n, ay * d + by * n)
+        p, q = hosts[host]
+        if not _lattice_segment_holds(vertices[p], vertices[q], pt):
+            raise AssertionError(f"mark {name} fell off edge {host} at b = {b}")
+        marks[name] = (pt, host)
+    return _TableLattice(regime, where, 4 * d, vertices, marks)
+
+
 def build_gamma(regime: str, b) -> PlanarGraph:
     """Instantiate the invariant graph of the regime at parameter b.
 
     Vertices, edges and marks come from the per-regime tables, evaluated on
-    the lattice (1/4d)Z^2; every mark is checked there to sit on its host
-    edge, which catches transcription slips at construction time.
+    the lattice (1/4d)Z^2 by `_table_lattice`, mark checks included.
     """
     b = Fraction(b)
-    where = _regime_where(regime, b)
-    n, d = b.numerator, b.denominator
-    frame = 4 * d
-    lattice = {name: _on_lattice(q, n, d) for name, q in _VERTICES[regime].items()}
-    vertices = {name: _off_frame(x, y, frame) for name, (x, y) in lattice.items()}
-    edges = [GraphEdge(*t) for t in _EDGES[regime]]
-    ends = {e.name: (lattice[e.a], lattice[e.b]) for e in edges}
-    marks = {}
-    for name, q, host in _MARKS[regime]:
-        x, y = _on_lattice(q, n, d)
-        if not _lattice_segment_holds(*ends[host], (x, y)):
-            raise AssertionError(f"mark {name} fell off edge {host} at b = {b}")
-        marks[name] = (_off_frame(x, y, frame), host)
-    return PlanarGraph(regime, b, vertices, edges, marks, where == "boundary")
+    t = _table_lattice(regime, b)
+    vertices = {name: _off_frame(x, y, t.frame) for name, (x, y) in t.vertices.items()}
+    marks = {name: (_off_frame(x, y, t.frame), host) for name, ((x, y), host) in t.marks.items()}
+    edges = [GraphEdge(*e) for e in _EDGES[regime]]
+    return PlanarGraph(regime, b, vertices, edges, marks, t.where == "boundary")
 
 
 # ---------------------------------------------------------------------------
@@ -460,22 +486,19 @@ def verify_invariance(graph: PlanarGraph, params: Params) -> InvarianceReport:
 def orbit_marks(regime: str, b) -> list[tuple[str, Point, str]]:
     """Documented one-step relations F(named point) = named point, verified exactly.
 
-    The named points are the vertices and marks of the regime's tables at b,
-    on the lattice (1/4d)Z^2 of b = n/d, where F(X, Y) is
+    The named points are the vertices and marks of `_table_lattice` at
+    b = n/d, on the lattice (1/4d)Z^2, where F(X, Y) is
     (|X| - Y - 4d, X - |Y| + 4n); the graph itself is not built.  A failing
     relation raises: it means the coordinate tables disagree with the map,
     i.e. a transcription bug.
     """
     b = Fraction(b)
-    _regime_where(regime, b)
-    n, d = b.numerator, b.denominator
-    frame = 4 * d
-    named = {name: _on_lattice(q, n, d) for name, q in _VERTICES[regime].items()}
-    named.update((name, _on_lattice(q, n, d)) for name, q, _ in _MARKS[regime])
+    t = _table_lattice(regime, b)
+    frame, named = t.frame, t.named()
     out = []
     for src, dst in _ORBIT_RELATIONS[regime]:
         x, y = named[src]
-        image = (abs(x) - y - frame, x - abs(y) + 4 * n)
+        image = (abs(x) - y - frame, x - abs(y) + 4 * b.numerator)
         if image != named[dst]:
             raise AssertionError(
                 f"orbit relation {src} -> {dst} fails at b = {b}: "

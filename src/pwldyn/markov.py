@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
-from pwldyn.planemap import Params, Segment, image_cover_relations
+from pwldyn.planemap import LatticeSegment, Params, Segment, _lattice_frame, image_cover_relations
 from pwldyn.polys import (
     IntPoly,
     RootInterval,
@@ -493,15 +493,25 @@ def build_cover_digraph_pair(
     upper:  edge iff the images overlap interval j with positive length
             (the "dashed" super-covering used for upper entropy bounds).
 
-    Both come from one pass over the partition's images, on the lattice
-    that also checks the partition.  All containment tests are exact
+    The intervals and the graph's edges are put on one lattice once, and
+    `_cover_digraph_pair` runs there.  All containment tests are exact
     interval comparisons on the carrying lines.  Labels must be distinct,
     no two intervals may overlap with positive length, and each whole
     interval must lie on the graph's edges, not only its two ends.  The
     partition is Markov where the two digraphs agree.
     """
+    segments = [seg for _, seg in partition]
+    frame, a, b, ends = _lattice_frame(Params.standard(graph.b), [*segments, *graph.all_segments()])
+    k = len(segments)
+    return _cover_digraph_pair(frame, a, b, [(lab, e) for (lab, _), e in zip(partition, ends)], ends[k:])
+
+
+def _cover_digraph_pair(frame: int, a: int, b: int, partition: Sequence[tuple[str, LatticeSegment]],
+                        hosts: Sequence[LatticeSegment]) -> tuple[CoverDigraph, CoverDigraph]:
+    """`build_cover_digraph_pair` of a partition and host edges given as
+    lattice ends in `frame`, where F has the offsets (a, b)."""
     labels = tuple(lab for lab, _ in partition)
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate partition labels")
-    lower, upper = image_cover_relations(Params.standard(graph.b), partition, graph.all_segments())
+    lower, upper = image_cover_relations(frame, a, b, partition, hosts)
     return tuple(CoverDigraph(labels, tuple(tuple(sorted(row)) for row in rows)) for rows in (lower, upper))

@@ -4,12 +4,21 @@ On each regime's return-invariant intervals the first-return map is
 piecewise affine with constancy pieces (the plateau preimages).  The
 measure of the set still missing a constancy piece after n returns follows
 an exact transfer recursion on the map's orbit-closure Markov partition
-(`piecewise.uncaptured_numerators`); its decrease to zero is the computable
-content of the full-measure statements.  The recursion returns integer
-numerators w_n over q*s^n, and a profile keeps just those: its entries are
-built as Fractions on demand, when they are read or printed.  The report
-sums the edges' numerators per depth over the lcm of their denominators,
-one Fraction per depth.
+(`IntegerFrame.uncaptured`); its decrease to zero is the computable
+content of the full-measure statements, paper result 2.  The return maps
+stay on the lattice from the walk of F to the recursion: one walk of F^7
+restricts the circle regime's six edges A, B, C, D, E and H to
+`IntegerFrame`s, and edge G's frame is E's conjugated on the lattice.
+
+The recursion returns integer numerators w_n over q*s^n.  Its state is
+the vector of per-cell numerators, and each step is a fixed function of
+that vector, so it stops at the first vector it has seen before: from
+w_m = w_k on, the sequence repeats with period m - k, exactly.  On the
+circle regime every edge repeats after one step (w_2 = w_1: one slope-16
+cell maps onto itself), so a report at depth 80 runs two steps per edge.
+A profile keeps the numerators, and its entries are built as Fractions on
+demand, when they are read or printed.  The report sums the edges over one
+denominator Q*S^n, Q and S the lcm of their q and s, one Fraction per depth.
 """
 
 from __future__ import annotations
@@ -20,11 +29,10 @@ from typing import NamedTuple
 
 from pwldyn.certify import TrapezoidFamily, trapezoid_family
 from pwldyn.graphs import PlanarGraph, _regime_where, build_gamma
-from pwldyn.piecewise import PiecewiseAffine1D, conjugate_affine, uncaptured_numerators
-from pwldyn.planemap import Params, Segment, restrict_iterate_to_segment
+from pwldyn.piecewise import IntegerFrame, PiecewiseAffine1D
+from pwldyn.planemap import Params, Segment, _restricted_frames
 from pwldyn.rationals import rational_str
 
-F = Fraction
 
 # Return-invariant edges of the circle regime, each returned by F^7.
 _NEGB_EDGES = ("A", "B", "C", "D", "E", "G", "H")
@@ -67,21 +75,24 @@ def return_map_for_edge(regime: str, b, edge: str) -> PiecewiseAffine1D:
     branch leaves the carrying line (edge G of the circle regime) is handled
     by the exact affine conjugation with the preceding edge.  The two
     transition windows read their edge, segment and power from their
-    trapezoid family.
+    trapezoid family.  The `Fraction` view of the frame that
+    `edge_capture_profile` reads.
     """
-    b = Fraction(b)
+    return _edge_frame(regime, Fraction(b), edge).to_map()
+
+
+def _edge_frame(regime: str, b: Fraction, edge: str) -> IntegerFrame:
+    """The return map of one edge, as `return_map_for_edge` describes it."""
     if regime == "negb":
         if edge not in _NEGB_EDGES:
             raise ValueError(f"edge {edge!r} is not return-invariant in regime negb")
         graph = build_gamma("negb", b)
-        if edge == "G":
-            return _e_to_g(_negb_return_map(graph, "E"), b)
-        return _negb_return_map(graph, edge)
+        return _negb_frames(graph, (edge,))[edge]
     if regime in ("alpha", "beta"):
         fam = trapezoid_family(regime)
         if edge != fam.edge:
             raise ValueError(f"regime {regime} supports the invariant interval {fam.edge!r}")
-        return _return_map(regime, b, edge, _window_segment(regime, b, fam), fam.return_power)
+        return _return_frames(regime, b, {edge: _window_segment(regime, b, fam)}, fam.return_power)[edge]
     raise ValueError(f"no return structure tabulated for regime {regime!r}")
 
 
@@ -98,45 +109,53 @@ def _window_segment(regime: str, b: Fraction, fam: TrapezoidFamily) -> Segment:
         ) from None
 
 
-def _negb_return_map(graph: PlanarGraph, edge: str) -> PiecewiseAffine1D:
-    """F^7 return map of a circle-regime edge other than G, on the graph at its b."""
-    return _return_map("negb", graph.b, edge, graph.edge_segment(edge), 7)
+def _negb_frames(graph: PlanarGraph, edges: tuple[str, ...]) -> dict[str, IntegerFrame]:
+    """Return frames of the circle-regime `edges`, in that order, from one
+    F^7 walk on the graph at its b.
+
+    G is not walked: F maps E onto G by (x, y) -> chart' = -y + (7 - b),
+    which conjugates the two, so G's frame is E's conjugated by
+    x -> -x + (7 - b).
+    """
+    walked = dict.fromkeys("E" if e == "G" else e for e in edges)
+    frames = _return_frames("negb", graph.b, {e: graph.edge_segment(e) for e in walked}, 7)
+    if "G" in edges:
+        frames["G"] = frames["E"].conjugated(-1, 7 - graph.b)
+    return {e: frames[e] for e in edges}
 
 
-def _e_to_g(e_map: PiecewiseAffine1D, b: Fraction) -> PiecewiseAffine1D:
-    """Edge G's return map from edge E's: F maps E onto G by (x, y) ->
-    chart' = -y + (7 - b), which conjugates the two."""
-    return conjugate_affine(e_map, F(-1), 7 - b)
+def _return_frames(regime: str, b: Fraction, segments: dict[str, Segment], power: int) -> dict[str, IntegerFrame]:
+    """Frames of F^power on the named edges, in their order, from one walk.
 
-
-def _return_map(regime: str, b: Fraction, edge: str, seg: Segment, power: int) -> PiecewiseAffine1D:
-    try:
-        m = restrict_iterate_to_segment(Params.standard(b), seg, power)
-    except ValueError as exc:
-        raise ValueError(
-            f"regime {regime}, edge {edge}: F^{power} does not return the edge "
-            f"at b = {rational_str(b)} ({exc})"
-        ) from None
-    _check_eventually_invariant(m, edge)
-    return m
-
-
-def _check_eventually_invariant(m: PiecewiseAffine1D, edge: str):
-    """The return map must expose capture: at least one constancy piece.
-
-    A wrong edge/power pairing fails earlier, when the iterated image leaves
+    The return map must expose capture: at least one constancy piece.  A
+    wrong edge/power pairing fails earlier, when the iterated image leaves
     the carrying line.  Points mapped off the edge along the line are exact
     capture (they sit on a plateau feeder), which the capture recursion
     counts as captured.
     """
-    if not any(p.is_constant for p in m.pieces):
-        raise ValueError(f"edge {edge!r} has no capture under the return power")
+    frames = _restricted_frames(Params.standard(b), list(segments.values()), power)
+    out = {}
+    for edge in segments:
+        try:
+            frame = next(frames)
+        except ValueError as exc:
+            raise ValueError(
+                f"regime {regime}, edge {edge}: F^{power} does not return the edge "
+                f"at b = {rational_str(b)} ({exc})"
+            ) from None
+        if 0 not in frame.slopes:
+            raise ValueError(f"edge {edge!r} has no capture under the return power")
+        out[edge] = frame
+    return out
+
+
+def _profile(edge: str, frame: IntegerFrame, depth: int) -> CaptureProfile:
+    return CaptureProfile(edge, Fraction(frame.cuts[-1] - frame.cuts[0], frame.q), *frame.uncaptured(depth))
 
 
 def edge_capture_profile(regime: str, b, edge: str, depth: int) -> CaptureProfile:
     """(captured, uncaptured) exact measures per return depth on one edge."""
-    m = return_map_for_edge(regime, b, edge)
-    return CaptureProfile(edge, m.hi - m.lo, *uncaptured_numerators(m, depth))
+    return _profile(edge, _edge_frame(regime, Fraction(b), edge), depth)
 
 
 class FullMeasureReport(NamedTuple):
@@ -168,34 +187,41 @@ def full_measure_report(regime: str, b, depth: int) -> FullMeasureReport:
     For the circle regime this is all seven return edges plus the plateau
     and its feeder (both fully captured after one return).  For the two
     transition windows the return-invariant interval carries all asymptotic
-    dynamics and is reported alone.  The uncaptured total at each depth is
-    the sum of the edges' numerators over the lcm of their denominators.
+    dynamics and is reported alone.  The uncaptured total at depth n is the
+    sum of the edges' numerators over Q*S^n, with Q the lcm of their q and
+    S that of their s.
     """
     b = Fraction(b)
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if regime == "negb":
         graph = build_gamma("negb", b)
-        maps = {}
-        for e in _NEGB_EDGES:  # E comes before G
-            maps[e] = _e_to_g(maps["E"], b) if e == "G" else _negb_return_map(graph, e)
+        frames = _negb_frames(graph, _NEGB_EDGES)
         immediate = tuple(
             (name, graph.edge_segment(name).chart_length()) for name in ("plateau", "feeder")
         )
     elif regime in ("alpha", "beta"):
         edge = trapezoid_family(regime).edge
-        maps = {edge: return_map_for_edge(regime, b, edge)}
+        frames = {edge: _edge_frame(regime, b, edge)}
         immediate = ()
     else:
         raise ValueError(f"no full-measure structure for regime {regime!r}")
-    profiles = tuple(CaptureProfile(e, m.hi - m.lo, *uncaptured_numerators(m, depth)) for e, m in maps.items())
+    profiles = tuple(_profile(e, frame, depth) for e, frame in frames.items())
     immediate_length = sum((length for _, length in immediate), Fraction(0))
     total = sum((p.length for p in profiles), immediate_length)
-    uncaptured = []
-    dens = [p.q for p in profiles]  # q*s^n per profile
-    for n in range(depth + 1):
-        den = lcm(*dens)
-        uncaptured.append(Fraction(sum(p.w[n] * (den // dn) for p, dn in zip(profiles, dens)), den))
-        dens = [dn * p.s for p, dn in zip(profiles, dens)]
+    # profile i at depth n is w_i[n] / (q_i*s_i^n) = w_i[n]*(Q/q_i)*(S/s_i)^n / (Q*S^n)
+    big_q, big_s = lcm(*(p.q for p in profiles)), lcm(*(p.s for p in profiles))
+    columns = []
+    for p in profiles:
+        k, r = big_q // p.q, big_s // p.s
+        column = []
+        for wn in p.w:
+            column.append(wn * k)
+            k *= r
+        columns.append(column)
+    den, uncaptured = big_q, []
+    for num in map(sum, zip(*columns)):
+        uncaptured.append(Fraction(num, den))
+        den *= big_s
     uncaptured[0] += immediate_length
     return FullMeasureReport(regime, b, depth, profiles, immediate, total, tuple(uncaptured))

@@ -9,8 +9,18 @@ parameter, the trapezoid maps, lives in `certify`.
 
 A map with integer slopes sends (1/Q)Z into itself once Q clears its cuts
 and offsets.  `IntegerFrame` is that form: cut and offset numerators over
-one Q, and integer slopes.  Orbit walks and the partition closure run on
-those numerators, and Fractions are built only for returned values.
+one Q, and integer slopes.  Orbit walks, the partition closure and the
+capture recursion run on those numerators, and Fractions are built only
+for returned values.
+
+The capture recursion is the computable content of paper result 2 (almost
+every point of an invariant graph is captured by a plateau).  Its state
+after n steps is the vector w_n of per-cell numerators over q*s^n, and
+w_(n+1) is a fixed function of w_n alone.  So once some w_m equals an
+earlier w_k, w_(m+j) = w_(k+j) for every j: the recursion stops at the
+first repeated vector and fills the rest of the sequence from that cycle,
+exactly.  On the circle regime's return maps this happens at m = 2 (one
+slope-16 cell maps onto itself, so w_2 = w_1).
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from pwldyn.rationals import rational_str
@@ -187,34 +197,72 @@ class IntegerFrame(NamedTuple):
         return ends, cells
 
 
-def _merge(pieces: list[Piece], bps: list[Fraction]) -> tuple[list[Piece], list[Fraction]]:
-    """Merge adjacent pieces with identical affine data."""
-    out_p = [pieces[0]]
-    out_b: list[Fraction] = []
-    for b, p in zip(bps, pieces[1:]):
-        prev = out_p[-1]
-        if p.slope == prev.slope and p.offset == prev.offset:
-            continue
-        out_b.append(b)
-        out_p.append(p)
-    return out_p, out_b
+    def to_map(self) -> PiecewiseAffine1D:
+        """The same map on Fractions."""
+        q = self.q
+        return PiecewiseAffine1D(
+            Fraction(self.cuts[0], q), Fraction(self.cuts[-1], q),
+            [Fraction(c, q) for c in self.cuts[1:-1]],
+            [Piece(Fraction(s), Fraction(o, q)) for s, o in zip(self.slopes, self.offsets)],
+        )
+
+    def conjugated(self, p: int, c: Fraction) -> "IntegerFrame":
+        """h o f o h^-1 for h(x) = p*x + c, p a nonzero integer: the same
+        slopes, on the lattice that also clears c, over the least q."""
+        q = lcm(self.q, c.denominator)
+        k, cq = q // self.q, c.numerator * (q // c.denominator)
+        cuts = [p * k * x + cq for x in self.cuts]
+        offsets = [p * k * o + cq * (1 - s) for s, o in zip(self.slopes, self.offsets)]
+        slopes = list(self.slopes)
+        if p < 0:
+            cuts.reverse()
+            slopes.reverse()
+            offsets.reverse()
+        return _lowest_frame(q, cuts, slopes, offsets)
+
+    def uncaptured(self, depth: int) -> tuple[tuple[int, ...], int, int]:
+        """(w, q, s) of `uncaptured_numerators` for this map.
+
+        The state of the recursion is the vector of cell numerators, and
+        each step is a fixed function of that vector, so the loop stops at
+        the first vector it has seen before and fills the remaining totals
+        from the cycle it closes.
+        """
+        if 0 not in self.slopes:
+            raise ValueError("map has no constancy piece")
+        ends, cells = self.partition()
+        slopes = self.slopes
+        s = lcm(*(abs(slopes[i]) for i, cov in cells if cov is not None))
+        # (cover, s/|slope|) per cell; None on a constancy cell
+        steps = [None if cov is None else (cov.start, cov.stop, s // abs(slopes[i])) for i, cov in cells]
+        w = [b - a for a, b in zip(ends, ends[1:])]
+        totals = [sum(w)]
+        seen = {tuple(w): 0}
+        for n in range(1, depth + 1):
+            w = _transfer(steps, w)
+            k = seen.setdefault(tuple(w), n)
+            if k != n:  # w_n = w_k: the totals from n on repeat those of k..n-1
+                totals += [totals[k + (j - k) % (n - k)] for j in range(n, depth + 1)]
+                break
+            totals.append(sum(w))
+        return tuple(totals), self.q, s
 
 
-def merged(m: PiecewiseAffine1D) -> PiecewiseAffine1D:
-    pieces, bps = _merge(m.pieces, list(m.breakpoints))
-    return PiecewiseAffine1D(m.lo, m.hi, bps, pieces)
+def _lowest_frame(q: int, cuts, slopes, offsets) -> IntegerFrame:
+    """The `IntegerFrame` of these pieces (numerators over q), equal
+    neighbours merged, over the least denominator: q / gcd(q, cuts, offsets),
+    the lcm of the denominators of the Fraction cuts and offsets."""
+    keep = [0] + [i for i in range(1, len(slopes)) if (slopes[i], offsets[i]) != (slopes[i - 1], offsets[i - 1])]
+    cuts = [cuts[0], *(cuts[i] for i in keep[1:]), cuts[-1]]
+    offsets = [offsets[i] for i in keep]
+    g = gcd(q, *cuts, *offsets)
+    return IntegerFrame(q // g, tuple(c // g for c in cuts), tuple(slopes[i] for i in keep),
+                        tuple(o // g for o in offsets))
 
 
-def conjugate_affine(m: PiecewiseAffine1D, p: Fraction, q: Fraction) -> PiecewiseAffine1D:
-    """Conjugate by h(x) = p*x + q: returns h o m o h^-1 on the image chart."""
-    if p == 0:
-        raise ValueError("conjugating map must be invertible")
-    cuts = [p * c + q for c in m.cut_points()]
-    pieces = [Piece(pc.slope, p * Fraction(pc.offset) + q * (1 - pc.slope), pc.name) for pc in m.pieces]
-    if p < 0:
-        cuts.reverse()
-        pieces.reverse()
-    return PiecewiseAffine1D(cuts[0], cuts[-1], cuts[1:-1], pieces)
+def _transfer(steps, w: list[int]) -> list[int]:
+    """One step of the capture recursion on the cell numerators."""
+    return [0 if st is None else sum(w[st[0]:st[1]]) * st[2] for st in steps]
 
 
 def iterate_point(m: PiecewiseAffine1D, x0, k: int) -> list[Fraction]:
@@ -269,19 +317,7 @@ def uncaptured_numerators(m: PiecewiseAffine1D, depth: int) -> tuple[tuple[int, 
     u_{n+1}[i] = sum(u_n[cover_i]) / |slope_i|, with u_0 the cell lengths
     and 0 on constancy cells.  It runs on integer numerators over q*s^n,
     where q is that of `m.integer_frame()` and s the lcm of the |slopes|;
-    so w[0] = (hi - lo)*q.
+    so w[0] = (hi - lo)*q.  It stops at the first repeated numerator
+    vector, which fixes every later total (`IntegerFrame.uncaptured`).
     """
-    if not any(p.is_constant for p in m.pieces):
-        raise ValueError("map has no constancy piece")
-    frame, _ = m.integer_frame()
-    ends, cells = frame.partition()
-    q = frame.q
-    s = lcm(*(abs(frame.slopes[i]) for i, cov in cells if cov is not None))
-    # (cover, s/|slope|) per cell; None on a constancy cell
-    steps = [None if cov is None else (cov.start, cov.stop, s // abs(frame.slopes[i])) for i, cov in cells]
-    w = [b - a for a, b in zip(ends, ends[1:])]
-    out = [sum(w)]
-    for _ in range(depth):
-        w = [0 if st is None else sum(w[st[0]:st[1]]) * st[2] for st in steps]
-        out.append(sum(w))
-    return tuple(out), q, s
+    return m.integer_frame()[0].uncaptured(depth)

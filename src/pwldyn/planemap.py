@@ -13,21 +13,32 @@ integer s along its primitive direction.
 Frame invariant: every point, offset, piece end and chart interval the
 engine holds is an integer in the current frame.  An axis crossing at a
 non-integer s multiplies D, and every integer held, by the smallest
-factor that makes it a lattice point; nothing is ever rounded.  Only this
-module knows D, and the engine builds `Fraction`s only for the values it
-returns.  It yields the invariance check of a union of segments and the
-covering relations of a partition under F, both on line covers, and the
-induced one-dimensional map of F^k along a segment.
+factor that makes it a lattice point; nothing is ever rounded.  Callers
+that already hold lattice points (the band48 partition) hand them over
+as integers; the others convert their `Fraction` points once, and the
+engine builds `Fraction`s only for the values it returns.  It yields the
+invariance check of a union of segments and the covering relations of a
+partition under F, both on line covers, and the induced one-dimensional
+map of F^k along a segment.
+
+That induced map has integer slopes.  A piece of F^k is s -> P + s*v
+with v an integer vector (F's linear parts are integer matrices), and it
+stays on the segment's line only if v is parallel to the segment's
+primitive direction u; then v = lam*u with lam an integer, and lam is the
+piece's slope in the chart coordinate.  `_restricted_frames` checks both
+facts and returns each map as an `IntegerFrame`, ready for the orbit
+closure and the capture recursion with no `Fraction` round trip.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, lcm
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from pwldyn.piecewise import Piece, PiecewiseAffine1D, merged
+from pwldyn.piecewise import IntegerFrame, PiecewiseAffine1D, _lowest_frame
 from pwldyn.rationals import rational_str
 
 
@@ -213,24 +224,33 @@ def _step(pieces: list[tuple[int, ...]], a: int, b: int) -> list[tuple[int, ...]
     return out
 
 
+# A segment handed to the engine as lattice ends (x1, y1, x2, y2), p != q.
+LatticeSegment = tuple[int, int, int, int]
+
+
+def _lattice_frame(params: Params, segments: Sequence[Segment]) -> tuple[int, int, int, list[LatticeSegment]]:
+    """(D, a*D, b*D, ends): the frame D clearing a, b and every segment end,
+    and each segment's lattice ends in it."""
+    d = lcm(params.a.denominator, params.b.denominator,
+            *(v.denominator for seg in segments for pt in (seg.p, seg.q) for v in pt))
+    ends = [(*_on_frame(seg.p, d), *_on_frame(seg.q, d)) for seg in segments]
+    return d, params.a.numerator * (d // params.a.denominator), params.b.numerator * (d // params.b.denominator), ends
+
+
 class SegmentLattice:
     """Segments and the offsets of F on the lattice (1/D)Z^2, D = `frame`.
 
     `starts[i]` is the identity piece of segment i, walked as in `_walk`:
-    s runs over [0, n] and the chart coordinate grows with s.  The frame
-    also clears the denominators of `hosts`, segments that are charted on
-    the lattice but not stepped.
+    s runs over [0, n] and the chart coordinate grows with s.
     """
 
-    def __init__(self, params: Params, segments: Sequence[Segment], hosts: Sequence[Segment] = ()):
-        pts = [pt for seg in (*segments, *hosts) for pt in (seg.p, seg.q)]
-        self.frame = d = lcm(params.a.denominator, params.b.denominator,
-                             *(v.denominator for pt in pts for v in pt))
-        self.a = params.a.numerator * (d // params.a.denominator)
-        self.b = params.b.numerator * (d // params.b.denominator)
+    def __init__(self, frame: int, a: int, b: int, segments: Sequence[LatticeSegment]):
+        self.frame, self.a, self.b = frame, a, b
         self.starts = []
-        for i, seg in enumerate(segments):
-            x, y, ux, uy, n = _walk(*_on_frame(seg.p, d), *_on_frame(seg.q, d))
+        for i, (x1, y1, x2, y2) in enumerate(segments):
+            if (x1, y1) == (x2, y2):
+                raise ValueError("degenerate segment")
+            x, y, ux, uy, n = _walk(x1, y1, x2, y2)
             self.starts.append((i, 0, n, x, ux, y, uy))
 
     def rescale(self, f: int) -> None:
@@ -238,10 +258,6 @@ class SegmentLattice:
         self.a *= f
         self.b *= f
         self.starts = _scaled(self.starts, f)
-
-    def chart(self, seg: Segment) -> tuple[tuple[int, int, int], int, int]:
-        """(key, lo, hi) of one of the lattice's segments or hosts, in the current frame."""
-        return _line_chart(*_on_frame(seg.p, self.frame), *_on_frame(seg.q, self.frame))
 
 
 def iterate_segment_pieces(lat: SegmentLattice, k: int) -> list[tuple[int, ...]]:
@@ -262,34 +278,49 @@ def iterate_segment_pieces(lat: SegmentLattice, k: int) -> list[tuple[int, ...]]
     return pieces
 
 
+def _restricted_frames(params: Params, segments: Sequence[Segment], k: int) -> Iterator[IntegerFrame]:
+    """Induced 1D maps of F^k along each of `segments`, in segment order,
+    as `IntegerFrame`s in each segment's chart coordinate.
+
+    One lattice walks every segment.  The image of every piece must land on
+    its segment's own carrying line (exact cross-product test), and its
+    direction is then an integer multiple of the segment's primitive one,
+    the piece's slope; a failure of either raises ValueError when that
+    segment's frame is reached.  Equal neighbouring pieces are merged, and
+    each frame is over the least q, that of `PiecewiseAffine1D.integer_frame`.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    lat = SegmentLattice(*_lattice_frame(params, segments))
+    pieces = iterate_segment_pieces(lat, k)
+    for (_, _, _, px, ux, py, uy), (_, run) in zip(lat.starts, groupby(pieces, key=lambda p: p[0])):
+        on_x = abs(ux) >= abs(uy)
+        # chart t = (tp + ut*s)/D, and ut > 0
+        tp, ut = (px, ux) if on_x else (py, uy)
+        cuts, slopes, offsets = [tp], [], []
+        for _, s0, s1, x0, vx, y0, vy in run:
+            for s in (s0, s1):
+                if ux * (y0 + vy * s - py) != uy * (x0 + vx * s - px):
+                    raise ValueError("image of iterated segment left the carrying line")
+            c0, v = (x0, vx) if on_x else (y0, vy)
+            lam, rest = divmod(v, ut)
+            if rest:
+                raise ValueError("image direction is not an integer multiple of the segment's")
+            cuts.append(tp + ut * s1)
+            slopes.append(lam)
+            offsets.append(c0 - lam * tp)  # D*t' = lam*(D*t) + c0 - lam*tp
+        yield _lowest_frame(lat.frame, cuts, slopes, offsets)
+
+
 def restrict_iterate_to_segment(params: Params, seg: Segment, k: int) -> PiecewiseAffine1D:
-    """Induced 1D map of F^k along `seg`, in the segment's chart coordinate.
+    """Induced 1D map of F^k along `seg`, in the segment's chart coordinate:
+    the `Fraction` view of `_restricted_frames` on the one segment.
 
     The image of every piece must land on the segment's own carrying line
     (exact cross-product test); the returned map sends the chart coordinate
     of a point to the chart coordinate of its k-th image.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    lat = SegmentLattice(params, [seg])
-    pieces = iterate_segment_pieces(lat, k)
-    _, _, n, px, ux, py, uy = lat.starts[0]
-    d = lat.frame
-    on_x = abs(ux) >= abs(uy)
-    # chart t = (tp + ut*s)/d, and ut > 0
-    tp, ut = (px, ux) if on_x else (py, uy)
-    out_pieces = []
-    breakpoints = []
-    for _, s0, s1, x0, vx, y0, vy in pieces:
-        for s in (s0, s1):
-            if ux * (y0 + vy * s - py) != uy * (x0 + vx * s - px):
-                raise ValueError("image of iterated segment left the carrying line")
-        c0, v = (x0, vx) if on_x else (y0, vy)
-        out_pieces.append(Piece(Fraction(v, ut), Fraction(c0 * ut - v * tp, ut * d)))
-        breakpoints.append(Fraction(tp + ut * s1, d))
-    breakpoints.pop()  # last right endpoint is the domain end
-    lo, hi = Fraction(tp, d), Fraction(tp + ut * n, d)
-    return merged(PiecewiseAffine1D(lo, hi, breakpoints, out_pieces))
+    return next(_restricted_frames(params, [seg], k)).to_map()
 
 
 def image_gaps(params: Params, segments: Sequence[Segment]) -> tuple[list[Segment], list[Point]]:
@@ -300,7 +331,7 @@ def image_gaps(params: Params, segments: Sequence[Segment]) -> tuple[list[Segmen
     the union, piece by piece, each oriented by growing chart coordinate.
     The points are those off the union to which F collapses a piece.
     """
-    lat = SegmentLattice(params, segments)
+    lat = SegmentLattice(*_lattice_frame(params, segments))
     pieces = iterate_segment_pieces(lat, 1)
     cover = _line_cover(_piece_chart(start) for start in lat.starts)
     gaps: list[Segment] = []
@@ -316,19 +347,19 @@ def image_gaps(params: Params, segments: Sequence[Segment]) -> tuple[list[Segmen
     return gaps, points
 
 
-def image_cover_relations(params: Params, partition: Sequence[tuple[str, Segment]],
-                          hosts: Sequence[Segment]) -> tuple[list[list[int]], list[list[int]]]:
+def image_cover_relations(frame: int, a: int, b: int, partition: Sequence[tuple[str, LatticeSegment]],
+                          hosts: Sequence[LatticeSegment]) -> tuple[list[list[int]], list[list[int]]]:
     """(lower, upper) of the named partition intervals under F: lower[i]
     lists the j with interval j inside F(interval i); upper[i] lists the j
     that F(interval i) meets in a part of positive length.
 
-    The intervals are checked on the same lattice.  The first one, in
-    partition order, that overlaps an earlier one with positive length is
-    refused, naming the earliest such; then so is the first interval not
-    wholly inside the union of `hosts`, the segments of its graph.
+    Intervals and `hosts`, the segments of their graph, come as lattice
+    ends in `frame`, where F has the offsets (a, b).  The first interval,
+    in partition order, that overlaps an earlier one with positive length
+    is refused, naming the earliest such; then so is the first interval not
+    wholly inside the union of the hosts.
     """
-    segments = [seg for _, seg in partition]
-    lat = SegmentLattice(params, segments, hosts)
+    lat = SegmentLattice(frame, a, b, [ends for _, ends in partition])
     pieces = iterate_segment_pieces(lat, 1)
     charts = [_piece_chart(start) for start in lat.starts]
     targets: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
@@ -337,16 +368,17 @@ def image_cover_relations(params: Params, partition: Sequence[tuple[str, Segment
             if max(lo, ilo) < min(hi, ihi):
                 raise ValueError(f"partition intervals {partition[i][0]} and {partition[j][0]} overlap")
         targets.setdefault(key, []).append((j, lo, hi))
-    cover = _line_cover(lat.chart(seg) for seg in hosts)
+    f = lat.frame // frame  # the walk's refinement
+    cover = _line_cover(_line_chart(*(v * f for v in ends)) for ends in hosts)
     for (label, _), (key, lo, hi) in zip(partition, charts):
         if interval_gaps(lo, hi, cover.get(key, ())):
             raise ValueError(f"partition interval {label} is not on the graph")
-    images: list[list[tuple]] = [[] for _ in segments]
+    images: list[list[tuple]] = [[] for _ in partition]
     for piece in pieces:
         if piece[4] or piece[6]:
             images[piece[0]].append(_piece_chart(piece))
-    lower: list[list[int]] = [[] for _ in segments]
-    upper: list[list[int]] = [[] for _ in segments]
+    lower: list[list[int]] = [[] for _ in partition]
+    upper: list[list[int]] = [[] for _ in partition]
     for i, image in enumerate(images):
         for key, union in _line_cover(image).items():
             for j, lo, hi in targets.get(key, ()):
@@ -438,7 +470,7 @@ def detect_plateaus(graph_or_segments) -> list[Segment]:
     """
     segments = getattr(graph_or_segments, "all_segments", None)
     segs = list(segments() if callable(segments) else graph_or_segments)
-    lat = SegmentLattice(Params(Fraction(0), Fraction(0)), segs)
+    lat = SegmentLattice(*_lattice_frame(Params(Fraction(0), Fraction(0)), segs))
     pieces = iterate_segment_pieces(lat, 1)  # may refine lat.frame
     charts = []
     for i, s0, s1, _, vx, _, vy in pieces:

@@ -17,7 +17,12 @@ division are the earlier form of the integer pseudo-division in `polys`.  The ba
 built the entropy brackets and compared two radius enclosures is kept as
 the earlier form of `band48.cross_check_entropy`.  The refinement loop
 that built every probe's exact integer, with no sign bounds, is kept as
-the earlier form of `RootInterval.refined`.
+the earlier form of `RootInterval.refined`.  The merge of equal pieces
+and the affine conjugation of a map on Fractions are the earlier forms of
+their integer-frame versions, the capture recursion that runs every step
+(`capture_vectors`) is the earlier form of the one that stops at the first
+repeated vector, and the band48 partition read off the graph's Fraction
+points is the earlier form of the lattice partition.
 The rest are small checks of the map and of digraphs that back statements
 in the tests (quadrant pieces, the rescaling identity, simple cycles, the
 trapezoid shape and the inverse parameter changes), and three helpers that
@@ -41,7 +46,6 @@ from pwldyn.piecewise import (
     Itinerary,
     Piece,
     PiecewiseAffine1D,
-    merged,
     uncaptured_numerators,
 )
 from pwldyn.planemap import Params, Point, Segment, apply_F, interval_gaps, interval_union
@@ -158,6 +162,28 @@ def iterate_segment_pieces(params: Params, seg: Segment, k: int) -> list[Tracked
             nxt.extend(_step_piece(params, piece))
         pieces = nxt
     return pieces
+
+
+def merged(m: PiecewiseAffine1D) -> PiecewiseAffine1D:
+    """m with adjacent pieces of identical affine data merged, on Fractions."""
+    pieces, bps = [m.pieces[0]], []
+    for b, p in zip(m.breakpoints, m.pieces[1:]):
+        if (p.slope, p.offset) != (pieces[-1].slope, pieces[-1].offset):
+            bps.append(b)
+            pieces.append(p)
+    return PiecewiseAffine1D(m.lo, m.hi, bps, pieces)
+
+
+def conjugate_affine(m: PiecewiseAffine1D, p: Fraction, q: Fraction) -> PiecewiseAffine1D:
+    """Conjugate by h(x) = p*x + q: returns h o m o h^-1 on the image chart."""
+    if p == 0:
+        raise ValueError("conjugating map must be invertible")
+    cuts = [p * c + q for c in m.cut_points()]
+    pieces = [Piece(pc.slope, p * Fraction(pc.offset) + q * (1 - pc.slope), pc.name) for pc in m.pieces]
+    if p < 0:
+        cuts.reverse()
+        pieces.reverse()
+    return PiecewiseAffine1D(cuts[0], cuts[-1], cuts[1:-1], pieces)
 
 
 def restrict_iterate_to_segment(params: Params, seg: Segment, k: int) -> PiecewiseAffine1D:
@@ -381,6 +407,41 @@ def compare_radius_component(succ, comp, lam) -> int:
     return 1
 
 
+def band48_partition(b) -> tuple[list[tuple[str, Segment]], band48.LevelClass]:
+    """`band48.band48_partition`, with every end a Fraction point read off
+    the graph or the closed-form orbit points."""
+    b = Fraction(b)
+    g = graphs.build_gamma("band48", b)
+    lc = band48.classify(b)
+    n = lc.n
+    P = g.named_point
+    xs = [band48.x_orbit_point(b, i) for i in range(n + 1)]
+    bottom = [Point(x, Fraction(-1)) for x in xs]
+    first_img = [Point(-x, x + b - 1) for x in xs]
+    second_img = [Point(-2 * x - b, -2 * x + 1) for x in xs]
+    part = [
+        ("A", Segment(P("P18"), P("P9"))),
+        ("B", Segment(P("P11"), P("P16"))),
+        ("D", Segment(P("P17"), P("P12"))),
+        ("E", Segment(P("P2"), P("P3"))),
+        ("H", Segment(P("Y6"), P("P6"))),
+        ("I", Segment(P("P7"), P("Y4"))),
+        ("G", Segment(bottom[0], P("P4"))),
+        ("F1", Segment(P("P3"), bottom[n])),
+    ]
+    if n == 0:
+        part += [("C", Segment(P("P12"), P("P1"))), ("K", Segment(P("Y1"), P("Y2")))]
+    else:
+        part.append(("K", Segment(P("Y1"), first_img[0])))
+        part.append(("C1", Segment(second_img[n - 1], P("P1"))))
+        part += [(f"C{j}", Segment(second_img[n - j], second_img[n - j + 1])) for j in range(2, n + 1)]
+        part.append((f"C{n + 1}", Segment(P("P12"), second_img[0])))
+        part.append(("J2", Segment(first_img[n - 1], P("Y2"))))
+        part += [(f"J{j}", Segment(first_img[n - j + 1], first_img[n - j + 2])) for j in range(3, n + 2)]
+        part += [(f"F{j}", Segment(bottom[n - j + 2], bottom[n - j + 1])) for j in range(2, n + 2)]
+    return part, lc
+
+
 def cross_check_entropy(b, digits: int = 7) -> bool:
     """The earlier `band48.cross_check_entropy`: each digraph's radius
     enclosure against the class root enclosure of `entropy_or_bounds`."""
@@ -428,6 +489,30 @@ def fraction_uncaptured_measures(m: PiecewiseAffine1D, depth: int) -> list[Fract
              for _, _, p, cov in cells]
         out.append(sum(u, Fraction(0)))
     return out
+
+
+def capture_vectors(m: PiecewiseAffine1D, depth: int) -> tuple[list[list[int]], int, int]:
+    """([w_0, ..., w_depth], q, s): every per-cell numerator vector of the
+    capture recursion over q*s^n, each step run, with no cut-off at a
+    repeated vector."""
+    if not any(p.is_constant for p in m.pieces):
+        raise ValueError("map has no constancy piece")
+    frame, _ = m.integer_frame()
+    ends, cells = frame.partition()
+    s = lcm(*(abs(frame.slopes[i]) for i, cov in cells if cov is not None))
+    steps = [None if cov is None else (cov.start, cov.stop, s // abs(frame.slopes[i])) for i, cov in cells]
+    w = [b - a for a, b in zip(ends, ends[1:])]
+    out = [w]
+    for _ in range(depth):
+        w = [0 if st is None else sum(w[st[0]:st[1]]) * st[2] for st in steps]
+        out.append(w)
+    return out, frame.q, s
+
+
+def full_uncaptured_numerators(m: PiecewiseAffine1D, depth: int) -> tuple[tuple[int, ...], int, int]:
+    """`piecewise.uncaptured_numerators` with every step of the recursion run."""
+    vectors, q, s = capture_vectors(m, depth)
+    return tuple(sum(w) for w in vectors), q, s
 
 
 def uncaptured_intervals(m: PiecewiseAffine1D, depth: int) -> list[tuple[Fraction, Fraction]]:

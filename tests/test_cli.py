@@ -89,6 +89,62 @@ def test_measure_csv_is_pinned(capsys, regime, b, depth, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    "b, sha256",
+    [
+        ("13/3", "752b16bb69203a7b8b8d4fad8e60fad63c11efe749fcd3b671d916138126de19"),
+        ("119/24", "045692746cccd43231debd5e8895ed5f1c9be89855d7579cdfc3e592eca853bf"),
+        ("43/8", "b69d76e97d50daefba91cc8ac0b7f86848c1838e0d319fb13b02a34e895d3fd8"),
+        ("73/12", "0d492e57ca59f9c20d1d9c2c359f065229998a569db29d2310b85dd2615e24f8"),
+        ("101/15", "66051601dafec7202c1bd2a7d8a8de345ac5bfbb7404a9961b47e0475e501b20"),
+        ("833/120", "397bb4aba8cf8726d8960f94135928154f33ebdc15a33a787f8453fddb2c6d20"),
+        ("57/8", "8782f5b477aeab3659fb088078a082d0df28c3c70badd0abf3e4a856eaf10322"),
+        ("977/132", "86d62fd54b9850f4dadce673fb6877c266cdf07b396e8c102c219b9074b0e5ff"),
+        ("7489/979", "fee6c5d79a6f8654da60fe6e457b4f75fb109cd9a6600ef6b6f9abddb770d591"),
+        ("5487/712", "79a22fb3d2bbadae3554d4023524b9d04b54462b27173f900a9522763ba66237"),
+        ("683/88", "1b159e8caf315203fcd36d340aab506881266f914e6528176866da4020cb9430"),
+        ("14833/1892", "89eba40d5daaa4775407bfd98b6c4375e6fead164522c9acdfd9356fb9b194a7"),
+        ("7823/989", "c25fa9b204a31c88e09f1d8d30a266a0c1adfd312f3bfd712040d803cb20bfaf"),
+        ("62699/7912", "14c1e067785bad85b9e089d389904296a88137c7b50ceb233060e7c92e92f2a4"),
+        ("2731/344", "23092180e49ad0404544b664373c3691e4411ed34810dbc6f879ea3132e407b5"),
+        ("234097/29412", "f25340835f5633b726eb14550655c4309c08709f998d3702c8491db826363ec5"),
+        ("7.999", "d2967eac35b5e8634d4399d217d69b1c33e46bc7dfdfbe2d95ed60873189ff30"),
+    ],
+    ids=["S0", "T0", "U0", "V0", "S1", "T1", "U1", "V1", "S2", "T2", "U2", "V2", "S3", "T3", "U3", "V3", "7.999"],
+)
+def test_graph_dot_is_pinned(capsys, b, sha256):
+    # the lower cover digraph at one b per class of levels 0-3 (the class
+    # midpoint) and near the right end of the band
+    code, out = run(capsys, "graph", "--regime", "band48", "--b", b, "--format", "dot")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("measure", "--regime", "alpha", "--b", "-163/200", "--depth", "12"),
+        ("measure", "--regime", "negb", "--b", "-31/7", "--depth", "3"),
+        ("entropy", "--b", "12", "--a", "-5/2"),
+        ("entropy", "--a", "-5/2", "--b", "12", "--digits", "7"),
+    ],
+    ids=["measure-alpha", "measure-negb", "entropy-a", "entropy-a-first"],
+)
+def test_negative_rational_as_a_separate_word(capsys, argv):
+    # the same bytes as with the value attached by "="
+    attached = []
+    for word in argv:
+        if attached and attached[-1] in ("--a", "--b") and word.startswith("-"):
+            attached[-1] += "=" + word
+        else:
+            attached.append(word)
+    assert len(attached) == len(argv) - 1
+    code, out = run(capsys, *argv)
+    err = capsys.readouterr().err
+    assert code == 0
+    assert run(capsys, *attached) == (0, out) and capsys.readouterr().err == err
+
+
 def test_verify_command(capsys):
     code, out = run(capsys, "verify")
     assert code == 0

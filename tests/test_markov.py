@@ -75,18 +75,24 @@ def test_cover_digraphs_successor_lists():
 
 
 def test_cover_digraphs_match_fraction_oracle():
-    # class midpoints of levels 0-3, then seeded b across (4, 8) with large denominators
+    # class midpoints of levels 0-3, the closed class ends (T and V) of
+    # levels 0-5, then seeded b across (4, 8) with large denominators: the
+    # lattice partition against its Fraction form, and the lattice digraphs
+    # against the Fraction covering relations of that partition
     bs = []
-    for n in range(4):
+    for n in range(6):
         for letter in "STUV":
-            lo, hi, _, _ = band48.LevelClass(n, letter).interval()
-            bs.append((lo + hi) / 2)
+            lo, hi, lo_closed, hi_closed = band48.LevelClass(n, letter).interval()
+            bs += [(lo + hi) / 2] if n < 4 else []
+            bs += [end for end, closed in ((lo, lo_closed), (hi, hi_closed)) if closed]
     rng = random.Random(1018)
-    bs += [F(4) + 4 * F(rng.randrange(1, 10**6 + 3), 10**6 + 3) for _ in range(100)]
+    bs += [F(4) + 4 * F(rng.randrange(1, 10**6 + 3), 10**6 + 3) for _ in range(300)]
     for b in bs:
-        lower, upper, _ = cover_digraphs(b)
-        part, _ = band48.band48_partition(b)
-        want = oracles.image_cover_relations(Params.standard(b), [seg for _, seg in part])
+        lower, upper, lc = cover_digraphs(b)
+        part = oracles.band48_partition(b)
+        assert band48.band48_partition(b) == part, b
+        assert lc == part[1] and lower.labels == upper.labels == tuple(label for label, _ in part[0])
+        want = oracles.image_cover_relations(Params.standard(b), [seg for _, seg in part[0]])
         assert ([list(r) for r in lower.succ], [list(r) for r in upper.succ]) == want, b
 
 

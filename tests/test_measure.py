@@ -208,18 +208,59 @@ def test_negb_report_builds_its_graph_once(monkeypatch):
     assert calls == [("negb", F(-3))]
 
 
-def test_negb_report_restricts_six_maps(monkeypatch):
-    # G's return map is conjugated from E's, which the report already holds.
-    calls = []
-    restrict = measure.restrict_iterate_to_segment
+def test_negb_report_walks_once_and_cuts_the_recursion(monkeypatch):
+    # A count of work, not a timing: one lattice walk of F^7 over the six
+    # walked edges (G's return map is conjugated from E's), and at most two
+    # steps of the capture recursion per edge at depth 80, since every
+    # edge's numerator vector repeats after one step.
+    from pwldyn import piecewise, planemap
 
-    def counted(params, seg, power):
-        calls.append(seg)
-        return restrict(params, seg, power)
+    walks, frames_of, steps = [], [], []
+    walk, frames, transfer, profile = (planemap.iterate_segment_pieces, measure._restricted_frames,
+                                       piecewise._transfer, measure._profile)
 
-    monkeypatch.setattr(measure, "restrict_iterate_to_segment", counted)
-    rep = full_measure_report("negb", -3, 60)
-    g = graphs.build_gamma("negb", -3)
-    assert calls == [g.edge_segment(e) for e in ("A", "B", "C", "D", "E", "H")]
-    assert [p.edge for p in rep.profiles] == ["A", "B", "C", "D", "E", "G", "H"]
-    assert rep.profiles[5] == edge_capture_profile("negb", -3, "G", 60)
+    def counted_walk(lat, k):
+        walks.append((len(lat.starts), k))
+        return walk(lat, k)
+
+    def counted_frames(params, segments, k):
+        frames_of.append(list(segments))
+        return frames(params, segments, k)
+
+    def counted_transfer(cells, w):
+        steps[-1] += 1
+        return transfer(cells, w)
+
+    def counted_profile(edge, frame, depth):
+        steps.append(0)
+        return profile(edge, frame, depth)
+
+    monkeypatch.setattr(planemap, "iterate_segment_pieces", counted_walk)
+    monkeypatch.setattr(measure, "_restricted_frames", counted_frames)
+    monkeypatch.setattr(piecewise, "_transfer", counted_transfer)
+    monkeypatch.setattr(measure, "_profile", counted_profile)
+    rng = random.Random(32)
+    for b in (F(-3), -2 - 9 * F(rng.randint(1, 10**6 + 2), 10**6 + 3)):
+        walks.clear(), frames_of.clear(), steps.clear()
+        rep = full_measure_report("negb", b, 80)
+        g = graphs.build_gamma("negb", b)
+        assert walks == [(6, 7)], walks
+        assert frames_of == [[g.edge_segment(e) for e in ("A", "B", "C", "D", "E", "H")]]
+        assert len(steps) == 7 and max(steps) <= 2, steps
+        assert [p.edge for p in rep.profiles] == ["A", "B", "C", "D", "E", "G", "H"]
+        assert rep.profiles[5] == edge_capture_profile("negb", b, "G", 80)
+
+
+def test_reports_match_the_full_recursion():
+    # every profile of a report equals every step of the recursion run on
+    # its edge's Fraction return map, and each edge's own profile
+    rng = random.Random(3207)
+    cases = [("negb", -2 - 9 * F(rng.randint(1, 10**6 + 2), 10**6 + 3), rng.randint(60, 100)) for _ in range(4)]
+    for regime, fam in (("alpha", phi_family()), ("beta", psi_family())):
+        lo, hi = fam.b_window
+        cases += [(regime, lo + (hi - lo) * F(rng.randint(1, 999), 1000), rng.randint(12, 24)) for _ in range(3)]
+    for regime, b, depth in cases:
+        for prof in full_measure_report(regime, b, depth).profiles:
+            m = return_map_for_edge(regime, b, prof.edge)
+            assert prof[2:] == oracles.full_uncaptured_numerators(m, depth), (regime, b, prof.edge)
+            assert prof == edge_capture_profile(regime, b, prof.edge, depth)

@@ -15,12 +15,13 @@ from pwldyn.certify import (
 from pwldyn.markov import spectral_radius
 from pwldyn.measure import return_map_for_edge
 from pwldyn.piecewise import (
+    IntegerFrame,
     Itinerary,
     Piece,
     PiecewiseAffine1D,
-    conjugate_affine,
     iterate_point,
     markov_partition,
+    uncaptured_numerators,
 )
 from pwldyn.planemap import Params, interval_gaps, interval_union, restrict_iterate_to_segment, segment
 
@@ -186,11 +187,20 @@ def test_interval_union_and_gaps():
 
 def test_conjugate_affine():
     fA = edge_A_map()
-    g = conjugate_affine(fA, F(-1), F(4))  # h(x) = -x + 4 maps [-3,-1] to [5,7]
+    frame, _ = fA.integer_frame()
+    g = frame.conjugated(-1, F(4)).to_map()  # h(x) = -x + 4 maps [-3,-1] to [5,7]
     rng = random.Random(9)
     for _ in range(200):
         x = F(-3) + 2 * F(rng.randint(0, 10**6), 10**6)
         assert g(-x + 4) == -fA(x) + 4
+    # the lattice conjugation against the Fraction one, frame for frame
+    cases = [(fA, -1, F(4)), (fA, 3, F(-2, 7)), (fA, -2, F(5, 6)), (fA, 1, F(0))]
+    for _ in range(40):
+        cases.append((return_map_for_edge("negb", -2 - 9 * F(rng.randint(1, 10**4), 10**4 + 1), "E"),
+                      rng.choice((-3, -1, 1, 2)), F(rng.randint(-50, 50), rng.randint(1, 12))))
+    for m, p, c in cases:
+        want = oracles.conjugate_affine(m, F(p), c)
+        assert m.integer_frame()[0].conjugated(p, c) == want.integer_frame()[0], (m, p, c)
 
 
 def test_family_affinity_in_d():
@@ -245,3 +255,81 @@ def test_markov_partition_matches_fraction_oracle():
         cases.append((return_map_for_edge("beta", draw(*psi_family().b_window), "SIGMA"), ()))
     for m, seeds in cases:
         assert markov_partition(m, seeds) == oracles.markov_partition(m, seeds)
+
+
+def _random_capture_frame(rng) -> IntegerFrame:
+    """2-6 pieces of integer slope on [0, L], one at least constant, images
+    near the domain (parts off it are captured)."""
+    k = rng.randint(2, 6)
+    length = rng.randint(k + 1, 16)
+    cuts = [0, *sorted(rng.sample(range(1, length), k - 1)), length]
+    slopes = [rng.choice((0, 1, -1, 2, -2, 3, -3, 4)) for _ in range(k)]
+    if 0 not in slopes:
+        slopes[rng.randrange(k)] = 0
+    offsets = [rng.randint(-2, length - 1) - min(s * a, s * b) for s, a, b in zip(slopes, cuts, cuts[1:])]
+    return IntegerFrame(1, tuple(cuts), tuple(slopes), tuple(offsets))
+
+
+def _cycle_frame(rng, period: int) -> IntegerFrame:
+    """Cells X_0..X_(p-1) of distinct lengths, each mapped with slope +-2
+    onto X_(i+1) and a constancy cell K_i beside it, and each K_i sent to a
+    cut point: from step 1 on the vector of cell numerators rotates, with
+    exactly this period."""
+    unit = rng.randint(1, 3)
+    lengths = [unit * v for v in rng.sample((3, 4, 5), period)]
+    # block j holds X_j and K_(j-1), of total length 2*L_(j-1)
+    blocks = []
+    for j in range(period):
+        x, kept = ("X", j, lengths[j]), ("K", j - 1, 2 * lengths[j - 1] - lengths[j])
+        blocks.append([x, kept] if rng.random() < 0.5 else [kept, x])
+    cuts, cells, starts = [0], [], []
+    for block in blocks:
+        starts.append(cuts[-1])
+        for cell in block:
+            cells.append(cell)
+            cuts.append(cuts[-1] + cell[2])
+    slopes, offsets = [], []
+    for (kind, i, _), a, b in zip(cells, cuts, cuts[1:]):
+        if kind == "K":
+            slopes.append(0)
+            offsets.append(rng.choice(cuts))
+        else:  # onto block i+1, which has length 2*L_i = 2*(b - a), in either
+            # orientation, but not as its neighbour does: equal pieces merge
+            lo = starts[(i + 1) % period]
+            options = [(2, lo - 2 * a), (-2, lo + 2 * b)]
+            if slopes and (slopes[-1], offsets[-1]) in options:
+                options.remove((slopes[-1], offsets[-1]))
+            slope, offset = rng.choice(options)
+            slopes.append(slope)
+            offsets.append(offset)
+    return IntegerFrame(1, tuple(cuts), tuple(slopes), tuple(offsets))
+
+
+def _first_repeat_period(vectors) -> int | None:
+    seen = {}
+    for n, w in enumerate(vectors):
+        k = seen.setdefault(tuple(w), n)
+        if k != n:
+            return n - k
+    return None
+
+
+def test_capture_recursion_cut_off_matches_the_full_loop():
+    # (w, q, s) to depth 100 against every step of the recursion run, on
+    # seeded integer-slope maps with constancy pieces: random ones (which
+    # repeat after one step or never) and maps whose numerator vector cycles
+    # with period 2 or 3, each moved to a finer lattice by a seeded
+    # conjugation x -> +-x + c
+    rng = random.Random(3232)
+    frames = [_random_capture_frame(rng) for _ in range(160)]
+    frames += [_cycle_frame(rng, period) for period in (2, 3) for _ in range(80)]
+    periods = {}
+    for frame in frames:
+        m = frame.conjugated(rng.choice((1, -1)), F(rng.randint(-30, 30), rng.randint(1, 12))).to_map()
+        vectors, q, s = oracles.capture_vectors(m, 100)
+        assert uncaptured_numerators(m, 100) == oracles.full_uncaptured_numerators(m, 100), frame
+        for depth in (0, 1, 2, 3, 7):
+            assert uncaptured_numerators(m, depth) == oracles.full_uncaptured_numerators(m, depth), (frame, depth)
+        period = _first_repeat_period(vectors)
+        periods[period] = periods.get(period, 0) + 1
+    assert periods[2] >= 80 and periods[3] >= 80 and periods[1] >= 30 and periods[None] >= 30, periods

@@ -12,9 +12,11 @@ from pwldyn.planemap import (
     SegmentLattice,
     _chart_segment,
     _cover_contains,
+    _lattice_frame,
     _lattice_segment_holds,
     _line_chart,
     _line_cover,
+    _piece_chart,
     apply_F,
     detect_plateaus,
     interval_gaps,
@@ -152,8 +154,9 @@ def test_detect_plateaus_when_another_segment_refines_the_frame():
 
 def _cover_and_charts(covered, queried):
     """The line cover of `covered`, its frame, and the charts of `queried`, on one lattice."""
-    lat = SegmentLattice(Params(F(0), F(0)), [*covered, *queried])
-    return _line_cover(lat.chart(seg) for seg in covered), lat.frame, [lat.chart(seg) for seg in queried]
+    lat = SegmentLattice(*_lattice_frame(Params(F(0), F(0)), [*covered, *queried]))
+    charts = [_piece_chart(start) for start in lat.starts]
+    return _line_cover(charts[:len(covered)]), lat.frame, charts[len(covered):]
 
 
 def _gaps(cover, chart):
@@ -388,7 +391,7 @@ def _random_segment(rng: random.Random, kind: str) -> Segment:
 
 
 def _engine_pieces(params: Params, seg: Segment, k: int):
-    lat = SegmentLattice(params, [seg])
+    lat = SegmentLattice(*_lattice_frame(params, [seg]))
     frame = lat.frame
     pieces = iterate_segment_pieces(lat, k)
     _, _, _, px, ux, py, uy = lat.starts[0]
