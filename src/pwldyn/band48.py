@@ -70,22 +70,31 @@ class LevelClass(NamedTuple):
 
 
 def classify(b) -> LevelClass:
-    """Unique level class containing b; endpoints respected exactly."""
+    """Unique level class containing b; endpoints respected exactly.
+
+    With b = u/v, w = 16v - 2u and pw = 4^(n+1), each class end of level n
+    is one comparison of integers: b <= p_n iff w*pw >= 4v + u, b < s_n iff
+    2w*pw > 11u + 2v, b <= r_n iff w*pw >= 4u + v, and b < q_n iff
+    (8v - u)*pw > 2u - v.  pw is a power of two, so each is a shift.
+    """
     b = Fraction(b)
-    if not 4 < b < 8:
-        raise ValueError(f"classification requires 4 < b < 8, got b = {rational_str(b)}")
-    # The level is the least n with b <= p_n.  For b = u/v that reads
-    # 4^(n+1) * (16v - 2u) >= 4v + u, i.e. 2^(2n+2) >= c below.
     u, v = b.numerator, b.denominator
-    c = -(-(4 * v + u) // (16 * v - 2 * u))
-    n = max(0, ((c - 1).bit_length() - 1) // 2)
-    p, q, r, s = breakpoints(n)
-    assert b <= p and b > level_left_end(n)
-    if b < s:
+    if not 4 * v < u < 8 * v:
+        raise ValueError(f"classification requires 4 < b < 8, got b = {rational_str(b)}")
+    # The level is the least n with b <= p_n, i.e. w << 2n + 2 >= t.  As
+    # 2^(L-1) < t/w < 2^(L+1) for L the difference of the bit lengths,
+    # n is (L - 1) // 2 or one more.
+    w, t = 16 * v - 2 * u, 4 * v + u
+    n = max(0, (t.bit_length() - w.bit_length() - 1) // 2)
+    if w << 2 * n + 2 < t:
+        n += 1
+    e = 2 * n + 2
+    assert w << e >= t and (n == 0 or w << e - 2 < t)  # p_(n-1) < b <= p_n
+    if w << e + 1 > 11 * u + 2 * v:
         return LevelClass(n, "S")
-    if b <= r:
+    if w << e >= 4 * u + v:
         return LevelClass(n, "T")
-    if b < q:
+    if 8 * v - u << e > 2 * u - v:
         return LevelClass(n, "U")
     return LevelClass(n, "V")
 
@@ -129,9 +138,8 @@ def poly_exact_v(n: int) -> IntPoly:
 
 
 def level_polynomials(lc: LevelClass) -> tuple[IntPoly, ...]:
-    """Characteristic polynomials whose roots give the entropy of the class.
-    Only the class's own families are built: at level 400 each one is a
-    dense list of about 1,200 coefficients."""
+    """Characteristic polynomials whose roots give the entropy of the class:
+    the class's own families, each three or four terms at any level."""
     families = {
         "S": (poly_lower, poly_upper_s),
         "T": (poly_exact_t,),

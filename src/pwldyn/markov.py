@@ -222,7 +222,7 @@ def rome_char_poly_full(dg: CoverDigraph, rome: Rome) -> IntPoly:
 
     With y = 1/lambda, A_R(y) collects sum y^length over simple paths
     between rome nodes, and (+/-) lambda^n det(A_R(1/lambda) - E) is the
-    determinant's coefficients reversed and padded to degree n; normalized
+    determinant with each power y^p taken to lambda^(n - p); normalized
     to a positive leading coefficient so it matches det(lambda*I - M).  An
     acyclic digraph has the empty rome, det 1 and so lambda^n.
     """
@@ -237,8 +237,7 @@ def rome_char_poly_full(dg: CoverDigraph, rome: Rome) -> IntPoly:
     det = poly_det(matrix)
     if det.degree > dg.n:
         raise ValueError("negative powers survived clearing; input was not a rome")
-    cs = det.coeffs + (0,) * (dg.n + 1 - len(det.coeffs))
-    return IntPoly(cs[::-1]).normalized_sign()
+    return IntPoly.from_terms({dg.n - p: c for p, c in det.terms}).normalized_sign()
 
 
 def rome_char_poly(dg: CoverDigraph, rome: Rome) -> IntPoly:

@@ -16,151 +16,134 @@ behind two bracket strategies:
 `compare_roots` orders the roots of two enclosures exactly, refining
 them only while they overlap and hold distinct roots.
 
-`IntPoly` is the one polynomial type.  Sturm chain members, gcds and
-square-free parts are primitive integer pseudo-remainders and quotients
+`IntPoly` is the one polynomial type, and its nonzero (power, coeff) terms
+are its one representation; the dense coefficient tuple is a view that
+only the pseudo-division reads.  Sturm chain members, gcds and square-free
+parts are primitive integer pseudo-remainders and quotients
 (`_pseudo_divmod`), positive multiples of the rational ones, and the rome
 determinant of `markov` is `poly_det` over `IntPoly` entries.
 
-Polynomials are evaluated over their nonzero terms, which `IntPoly` caches,
-at x = m/d as the integer d^deg * p(x), so a sign needs no Fraction.
-`_homogeneous` builds that integer exactly; `IntPoly.__call__` divides it
-by d^deg.  Every sign query (the refinement's probes, `_sign_at` in the
-constructor's proof, in Sturm counts and in `largest_positive_root`) goes
-through `_probe`.  Where the exact integer would be long, `_probe` first
-bounds it from below and above by `_bounded`, with every product cut to a
-few more bits than the point's depth (directed rounding, as in Rump's
-verification methods), and takes the sign those bounds prove; the exact
-kernel decides only when they cannot.  So every sign is exact, no float is
-used, and a deep probe costs about its depth in bits rather than degree
-times depth.  The refinement keeps its endpoints as integers over q * 2^k
-and builds Fractions only at return.  It returns the bisection's enclosure
-to the bit, but takes quadratic interval refinement steps on the
-bisection's own grid where the root is unique, so a simple root costs
-O(log digits) evaluations rather than one per bit.
+The kernel reads those terms with the odd part d of a point's denominator:
+at x = m / (d * 2^k) it evaluates the integer (d * 2^k)^deg * p(x), so a
+sign needs no Fraction.  `_homogeneous` builds that integer exactly;
+`IntPoly.__call__` divides it out.  Every sign query (the refinement's probes,
+`_sign_at` in the constructor's proof, in Sturm counts and in
+`largest_positive_root`) goes through `_probe`.  Where the exact integer
+would be long, `_probe` first bounds it from below and above by
+`_bounded`, with the powers of m and of d formed by squaring and every
+product cut to a few more bits than the point's depth (directed rounding,
+as in Rump's verification methods), and takes the sign those bounds prove;
+the exact kernel decides only when they cannot.  So every sign is exact,
+no float is used, and a deep probe costs about its depth in bits rather
+than degree times depth.  The refinement keeps its endpoints as integers
+over q * 2^k and builds Fractions only at return.  It returns the
+bisection's enclosure to the bit, but takes quadratic interval refinement
+steps on the bisection's own grid where the root is unique, so a simple
+root costs O(log digits) evaluations rather than one per bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm
+from operator import index, itemgetter
 from typing import Iterable, Sequence
 
 
 class IntPoly:
-    """Integer-coefficient polynomial, coefficients ascending by degree."""
+    """Integer polynomial, held as its nonzero terms: the (power, coeff)
+    pairs, ascending in power.  Equality, hashing and the arithmetic read
+    those terms, and the sign kernel reads them with the odd part of the
+    point's denominator, so a polynomial costs its terms, not its degree.
+    `coeffs` is the dense view, ascending by degree.  A coefficient that is
+    not an integer (a Fraction, a float) is refused, not truncated."""
 
-    # `_terms` caches the nonzero (power, coeff) pairs: set by `from_terms`,
-    # else built on first use.
-    __slots__ = ("coeffs", "_terms")
+    __slots__ = ("terms",)
 
     def __init__(self, coeffs: Iterable[int]):
-        cs = list(map(int, coeffs))
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[int, ...] = tuple(cs)
+        self.terms = tuple(filter(itemgetter(1), enumerate(_integers(coeffs))))
 
     @classmethod
     def from_terms(cls, terms: dict[int, int]) -> "IntPoly":
-        """The sum of c x^p over {p: c}, with its nonzero terms cached at
-        once: a sparse polynomial of high degree is not scanned."""
-        nonzero = tuple(sorted((p, c) for p, c in terms.items() if c))
-        cs = [0] * (nonzero[-1][0] + 1 if nonzero else 0)
-        for p, c in nonzero:
-            cs[p] = c
+        """The sum of c x^p over {p: c}."""
         poly = object.__new__(cls)
-        poly.coeffs, poly._terms = tuple(cs), nonzero
+        poly.terms = tuple(sorted(filter(itemgetter(1), zip(terms, _integers(terms.values())))))
         return poly
 
     @property
+    def coeffs(self) -> tuple[int, ...]:
+        cs = [0] * (self.degree + 1)
+        for p, c in self.terms:
+            cs[p] = c
+        return tuple(cs)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return self.terms[-1][0] if self.terms else -1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
+        return isinstance(other, IntPoly) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash(self.terms)
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
-        return IntPoly([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
+        out = dict(self.terms)
+        for p, c in other.terms:
+            out[p] = out.get(p, 0) + c
+        return IntPoly.from_terms(out)
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly([-c for c in self.coeffs])
+        return IntPoly.from_terms({p: -c for p, c in self.terms})
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return IntPoly([a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
+        return self + -other
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if self.is_zero() or other.is_zero():
-            return IntPoly([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in terms:
-                    out[i + j] += a * b
-        return IntPoly(out)
+        out: dict[int, int] = {}
+        for i, a in self.terms:
+            for j, b in other.terms:
+                out[i + j] = out.get(i + j, 0) + a * b
+        return IntPoly.from_terms(out)
 
     def __call__(self, x: Fraction) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
         d = x.denominator
-        return Fraction(_homogeneous(self._scaled_terms(d), x.numerator, 0), d**self.degree)
-
-    def _nonzero(self) -> tuple[tuple[int, int], ...]:
-        """The (p, c_p) pairs with c_p != 0, ascending in p."""
-        try:
-            return self._terms
-        except AttributeError:
-            self._terms = tuple((p, c) for p, c in enumerate(self.coeffs) if c)
-            return self._terms
-
-    def _scaled_terms(self, d: int) -> list[tuple[int, int, int]]:
-        """(c_p * d^(deg-p), p, deg-p) for every nonzero c_p: the terms
-        `_homogeneous` sums for points with denominator d * 2^k."""
-        deg = self.degree
-        return [(c * d ** (deg - p), p, deg - p) for p, c in self._nonzero()]
+        return Fraction(_homogeneous(self.terms, d, x.numerator, 0), d ** max(self.degree, 0))
 
     def derivative(self) -> "IntPoly":
-        return IntPoly([p * c for p, c in enumerate(self.coeffs)][1:])
+        return IntPoly.from_terms({p - 1: p * c for p, c in self.terms if p})
 
     def strip_power_factor(self) -> tuple["IntPoly", int]:
         """Remove the largest x^k dividing the polynomial; returns (quotient, k)."""
-        if self.is_zero() or self.coeffs[0]:
-            return self, 0
-        k = self._nonzero()[0][0]
-        return IntPoly(self.coeffs[k:]), k
+        k = self.terms[0][0] if self.terms else 0
+        return (IntPoly.from_terms({p - k: c for p, c in self.terms}) if k else self), k
 
     def normalized_sign(self) -> "IntPoly":
         """Flip the sign so the leading coefficient is positive."""
-        if self.coeffs and self.coeffs[-1] < 0:
-            return -self
-        return self
+        return -self if self.terms and self.terms[-1][1] < 0 else self
 
     def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
         parts = []
-        for p in range(self.degree, -1, -1):
-            c = self.coeffs[p]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if p == 0:
-                term = str(mag)
-            elif p == 1:
-                term = "x" if mag == 1 else f"{mag}*x"
-            else:
-                term = f"x^{p}" if mag == 1 else f"{mag}*x^{p}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+        for p, c in reversed(self.terms):
+            x = "" if p == 0 else "x" if p == 1 else f"x^{p}"
+            term = x if abs(c) == 1 and p else f"{abs(c)}*{x}" if p else str(abs(c))
+            sign = ("- " if c < 0 else "+ ") if parts else "-" if c < 0 else ""
+            parts.append(sign + term)
+        return " ".join(parts) or "0"
+
+
+def _integers(values: Iterable) -> list[int]:
+    """The values as ints by `operator.index`, or a ValueError naming the
+    first one that is not an integer."""
+    values = list(values)
+    try:
+        return list(map(index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(type(v), "__index__"))
+        raise ValueError(f"polynomial coefficients must be integers, got {bad!r}") from None
 
 
 def descartes_positive_sign_changes(p: IntPoly) -> int:
@@ -170,7 +153,7 @@ def descartes_positive_sign_changes(p: IntPoly) -> int:
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no sign-change count")
-    signs = [c > 0 for _, c in p._nonzero()]
+    signs = [c > 0 for _, c in p.terms]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -268,19 +251,19 @@ class RootInterval:
         t = (q & -q).bit_length() - 1
         d, gap, k = q >> t, b - a, t
         depth = t + (gap * 10**digits // q).bit_length()
-        terms, deg = self.poly._scaled_terms(d), self.poly.degree
+        terms, deg = self.poly.terms, self.poly.degree
         # Bits a sign at depth k needs: k plus the bits of d above the
         # start gap (the cell's width below the scale), 2j for the secant's
         # pick among 2^j sub-cells, and a margin for the rounding of about
-        # 2 log2(deg) truncated products.
+        # 2 log2(deg) truncated products for each of the powers of m and d.
         margin = max(d.bit_length() - gap.bit_length(), 0) + deg.bit_length() + 64
 
         def exact(m: int, depth_m: int) -> "RootInterval":
             x = Fraction(m, d << depth_m)
             return RootInterval._proven(x, x, self.poly)
 
-        sa, fa = _probe(terms, a, k, margin)
-        shi, fb = _probe(terms, b, k, margin)
+        sa, fa = _probe(terms, d, a, k, margin)
+        shi, fb = _probe(terms, d, b, k, margin)
         qir = lo >= 0 and sa != 0 and descartes_positive_sign_changes(self.poly) == 1
         # With qir, the a end has sign -shi and the b end shi throughout.
         j = 1
@@ -289,18 +272,18 @@ class RootInterval:
                 j = min(j, depth - k)
                 n, i, extra = 1 << j, _secant(fa, fb, j), margin + 2 * j
                 p, kj = (a << j) + i * gap, k + j
-                sp, fp = _probe(terms, p, kj, extra)
+                sp, fp = _probe(terms, d, p, kj, extra)
                 if sp == 0:
                     return exact(p, kj)
                 # Evaluate the neighbour on the root's side, or reuse the
                 # cell end it is.
                 if sp == shi:
                     m = p - gap
-                    sm, fm = (-shi, fa) if i == 1 else _probe(terms, m, kj, extra)
+                    sm, fm = (-shi, fa) if i == 1 else _probe(terms, d, m, kj, extra)
                     cell = (m, p, fm, fp)
                 else:
                     m = p + gap
-                    sm, fm = (shi, fb) if i == n - 1 else _probe(terms, m, kj, extra)
+                    sm, fm = (shi, fb) if i == n - 1 else _probe(terms, d, m, kj, extra)
                     cell = (p, m, fp, fm)
                 if sm == 0:
                     return exact(m, kj)
@@ -310,7 +293,7 @@ class RootInterval:
                     continue
                 j = max(j // 2, 1)
             mid, k = a + b, k + 1
-            sm, fm = _probe(terms, mid, k, margin + 2 * j)
+            sm, fm = _probe(terms, d, mid, k, margin + 2 * j)
             if sm == 0:
                 return exact(mid, k)
             if sm == shi:
@@ -320,15 +303,15 @@ class RootInterval:
         return RootInterval._proven(Fraction(a, d << k), Fraction(b, d << k), self.poly)
 
 
-def _homogeneous(terms: list[tuple[int, int, int]], m: int, k: int) -> int:
-    """(d * 2^k)^deg * p(m / (d * 2^k)) for the `IntPoly._scaled_terms(d)`
-    of p: the exact integer sum of c_p d^(deg-p) m^p 2^(k(deg-p)).  The
-    powers of m are built upward, one gap in the exponents at a time."""
+def _homogeneous(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int) -> int:
+    """(d * 2^k)^deg * p(m / (d * 2^k)) for the nonzero terms (p, c_p) of p:
+    the exact sum of c_p m^p d^(deg-p) 2^(k(deg-p)), by Horner's rule over
+    the exponent gaps, scaling the partial sum by (d * 2^k)^gap."""
     total, mp, prev = 0, 1, 0
-    for c, p, e in terms:
-        mp *= m ** (p - prev)
-        prev = p
-        total += c * mp << k * e
+    for p, c in terms:
+        g, prev = p - prev, p
+        mp *= m**g
+        total = (total * d**g << k * g) + c * mp
     return total
 
 
@@ -342,37 +325,53 @@ def _truncated(v: int, e: int, bits: int, up: bool) -> tuple[int, int]:
     return w + (up and w << s != v), e + s
 
 
-def _bounded(terms: list[tuple[int, int, int]], m: int, k: int, bits: int) -> tuple[int, int, int]:
-    """(lo, hi, e) with lo * 2^e <= _homogeneous(terms, m, k) <= hi * 2^e,
+def _power_bounds(x: int, exponents: list[int], bits: int, up: bool) -> list[tuple[int, int]]:
+    """(w, e) with w * 2^e a bound on x^n for each n of the ascending
+    `exponents`, x >= 0: each power is the last one times x^(n - last), that
+    factor formed by squaring, with x and every product cut to `bits` bits,
+    rounded down, or up when `up`.  For x = 1 there is nothing to form."""
+    if x == 1:
+        return [(1, 0)] * len(exponents)
+    x = _truncated(x, 0, bits, up)
+    pw, prev, out = (1, 0), 0, []
+    for n in exponents:
+        g, (xw, xe), prev = n - prev, x, n
+        while g:
+            if g & 1:
+                pw = _truncated(pw[0] * xw, pw[1] + xe, bits, up)
+            g >>= 1
+            if g:
+                xw, xe = _truncated(xw * xw, 2 * xe, bits, up)
+        out.append(pw)
+    return out
+
+
+def _bounded(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo * 2^e <= _homogeneous(terms, d, m, k) <= hi * 2^e,
     for m >= 0.
 
-    Each term's magnitude |c| m^p 2^(ke) is bounded below and above: the
-    powers of m are formed by squaring, upward from the last one as in
-    `_homogeneous`, and |c|, m and every product are cut to `bits` bits,
-    rounded down for the lower bound and up for the upper.  The signed
-    bounds are summed on the grid 2^e, `bits` bits below the largest term,
-    again rounding each term down or up.
+    Each term's magnitude |c| m^p d^(deg-p) 2^(k(deg-p)) is bounded below
+    and above: the powers of m and of d come from `_power_bounds`, upward in
+    p for m and downward for d, and |c| and every product are cut to `bits`
+    bits, rounded down for the lower bound and up for the upper.  The
+    signed bounds are summed on the grid 2^e, `bits` bits below the largest
+    term, again rounding each term down or up.
     """
+    deg = terms[-1][0]
     mags = []
     for up in (False, True):
-        x = _truncated(m, 0, bits, up)
-        pw, prev, out = (1, 0), 0, []
-        for c, p, e in terms:
-            n, (xw, xe) = p - prev, x
-            while n:  # pw *= x^(p - prev) by squaring
-                if n & 1:
-                    pw = _truncated(pw[0] * xw, pw[1] + xe, bits, up)
-                n >>= 1
-                if n:
-                    xw, xe = _truncated(xw * xw, 2 * xe, bits, up)
-            prev = p
-            cw, ce = _truncated(abs(c), 0, bits, up)
-            w, ex = _truncated(cw * pw[0], ce + pw[1], bits, up)
-            out.append((w, ex + k * e))
+        mps = _power_bounds(m, [p for p, _ in terms], bits, up)
+        dps = _power_bounds(d, [deg - p for p, _ in reversed(terms)], bits, up)[::-1]
+        out = []
+        for (p, c), (mw, me), (dw, de) in zip(terms, mps, dps):
+            w, ex = _truncated(abs(c), 0, bits, up)
+            w, ex = _truncated(w * mw, ex + me, bits, up)
+            w, ex = _truncated(w * dw, ex + de, bits, up)
+            out.append((w, ex + k * (deg - p)))
         mags.append(out)
     base = max(ex + w.bit_length() for w, ex in mags[1]) - bits
     lo = hi = 0
-    for (c, _, _), (wl, el), (wh, eh) in zip(terms, *mags):
+    for (_, c), (wl, el), (wh, eh) in zip(terms, *mags):
         if c < 0:
             wl, el, wh, eh = -wh, eh, -wl, el
         lo += wl << el - base if el >= base else wl >> base - el
@@ -387,20 +386,20 @@ def _bounded(terms: list[tuple[int, int, int]], m: int, k: int, bits: int) -> tu
 _EXACT_BITS = 12_000
 
 
-def _probe(terms: list[tuple[int, int, int]], m: int, k: int, margin: int) -> tuple[int, tuple[int, int]]:
-    """Sign of f = _homogeneous(terms, m, k) and the magnitude (w, e) of
+def _probe(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int, margin: int) -> tuple[int, tuple[int, int]]:
+    """Sign of f = _homogeneous(terms, d, m, k) and the magnitude (w, e) of
     f / 2^(k deg), the value d^deg p(x) at x = m / (d 2^k), with w * 2^e at
     most that magnitude: equal when f is built exactly, a lower bound when
     `_bounded` at k + margin bits proves the sign.  Long exact integers
     are built only where the bounds cannot decide, or for m < 0."""
-    deg = terms[-1][1] if terms else 0
+    deg = terms[-1][0] if terms else 0
     if m >= 0 and deg * m.bit_length() > _EXACT_BITS:
-        lo, hi, e = _bounded(terms, m, k, k + margin)
+        lo, hi, e = _bounded(terms, d, m, k, k + margin)
         if lo > 0:
             return 1, (lo, e - k * deg)
         if hi < 0:
             return -1, (-hi, e - k * deg)
-    f = _homogeneous(terms, m, k)
+    f = _homogeneous(terms, d, m, k)
     return (-1, (-f, -k * deg)) if f < 0 else (1 if f else 0, (f, -k * deg))
 
 
@@ -432,14 +431,14 @@ def _sign(q: int) -> int:
 def _sign_at(p: IntPoly, x: Fraction) -> int:
     """Sign of p(x), read by `_probe` without building p(x).
 
-    The denominator is split as odd * 2^t, so only the odd part is raised
-    to powers; the power of two enters as shifts.  Bounds are tried at the
+    The denominator is split as d * 2^t, d odd, so only d is raised to
+    powers; the power of two enters as shifts.  Bounds are tried at the
     denominator's bit length plus the margin of `RootInterval.refined`.
     """
     d = x.denominator
     t = (d & -d).bit_length() - 1
     margin = (d >> t).bit_length() + p.degree.bit_length() + 64
-    return _probe(p._scaled_terms(d >> t), x.numerator, t, margin)[0]
+    return _probe(p.terms, d >> t, x.numerator, t, margin)[0]
 
 
 def _sign_right_of(p: IntPoly, x: Fraction) -> int:
@@ -452,7 +451,7 @@ def _sign_right_of(p: IntPoly, x: Fraction) -> int:
 
 def coefficient_bound(p: IntPoly) -> int:
     """Upper bound 1 + max|coeff| for all real roots of an integer polynomial."""
-    return 1 + max(abs(c) for _, c in p._nonzero())
+    return 1 + max(abs(c) for _, c in p.terms)
 
 
 def isolate_unique_positive_root(p: IntPoly, digits: int) -> RootInterval:
@@ -493,15 +492,15 @@ def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     subtracts lc(r) * sign(lc(b)) * x^shift * b, so Q and R are positive
     multiples of the rational quotient and remainder and keep their signs.
     """
-    lb = b.coeffs[-1]
-    m, s, db = abs(lb), _sign(lb), b.degree
+    db, lb = b.terms[-1]
+    m, s = abs(lb), _sign(lb)
     r = list(a.coeffs)
     q = [0] * (len(r) - db)
     while len(r) > db:
         c, shift = r[-1] * s, len(r) - 1 - db
         r, q = [m * x for x in r], [m * x for x in q]
         q[shift] += c
-        for i, x in enumerate(b.coeffs):
+        for i, x in b.terms:
             r[shift + i] -= c * x
         r.pop()  # m * lc(r) - c * lc(b) = 0
         while r and r[-1] == 0:
@@ -534,8 +533,8 @@ def count_roots_in(p: IntPoly, a: Fraction, b: Fraction, chain=None) -> int:
 
 def _primitive(p: IntPoly) -> IntPoly:
     """p divided by its content, the gcd of its coefficients."""
-    g = gcd(*p.coeffs)
-    return IntPoly([c // g for c in p.coeffs]) if g > 1 else p
+    g = gcd(*(c for _, c in p.terms))
+    return IntPoly.from_terms({i: c // g for i, c in p.terms}) if g > 1 else p
 
 
 def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:

@@ -17,8 +17,10 @@ division are the earlier form of the integer pseudo-division in `polys`.  The ba
 built the entropy brackets and compared two radius enclosures is kept as
 the earlier form of `band48.cross_check_entropy`.  The refinement loop
 that built every probe's exact integer, with no sign bounds, is kept as
-the earlier form of `RootInterval.refined`.  The merge of equal pieces
-and the affine conjugation of a map on Fractions are the earlier forms of
+the earlier form of `RootInterval.refined`, and `DensePoly`, the dense
+coefficient tuple with its arithmetic, is the earlier form of `IntPoly`.
+The merge of equal pieces and the affine conjugation of a map on
+Fractions are the earlier forms of
 their integer-frame versions, the capture recursion that runs every step
 (`capture_vectors`) is the earlier form of the one that stops at the first
 repeated vector, and the band48 partition read off the graph's Fraction
@@ -657,6 +659,91 @@ def closing_window(
 
 
 # ---------------------------------------------------------------------------
+# Dense integer polynomials
+# ---------------------------------------------------------------------------
+
+
+class DensePoly:
+    """The earlier `IntPoly`: the dense coefficient tuple, ascending by
+    degree, as its one field, with the arithmetic on that tuple."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        cs = list(map(int, coeffs))
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, DensePoly) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __add__(self, other: "DensePoly") -> "DensePoly":
+        return DensePoly([a + b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
+
+    def __neg__(self) -> "DensePoly":
+        return DensePoly([-c for c in self.coeffs])
+
+    def __sub__(self, other: "DensePoly") -> "DensePoly":
+        return DensePoly([a - b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
+
+    def __mul__(self, other: "DensePoly") -> "DensePoly":
+        if not self.coeffs or not other.coeffs:
+            return DensePoly([])
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in terms:
+                    out[i + j] += a * b
+        return DensePoly(out)
+
+    def derivative(self) -> "DensePoly":
+        return DensePoly([p * c for p, c in enumerate(self.coeffs)][1:])
+
+    def strip_power_factor(self) -> tuple["DensePoly", int]:
+        if not self.coeffs or self.coeffs[0]:
+            return self, 0
+        k = next(p for p, c in enumerate(self.coeffs) if c)
+        return DensePoly(self.coeffs[k:]), k
+
+    def normalized_sign(self) -> "DensePoly":
+        return -self if self.coeffs and self.coeffs[-1] < 0 else self
+
+    def primitive(self) -> "DensePoly":
+        g = gcd(*self.coeffs)
+        return DensePoly([c // g for c in self.coeffs]) if g > 1 else self
+
+    def __repr__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for p in range(self.degree, -1, -1):
+            c = self.coeffs[p]
+            if c == 0:
+                continue
+            mag = abs(c)
+            if p == 0:
+                term = str(mag)
+            elif p == 1:
+                term = "x" if mag == 1 else f"{mag}*x"
+            else:
+                term = f"x^{p}" if mag == 1 else f"{mag}*x^{p}"
+            if not parts:
+                parts.append(term if c > 0 else f"-{term}")
+            else:
+                parts.append(f"+ {term}" if c > 0 else f"- {term}")
+        return " ".join(parts)
+
+
+# ---------------------------------------------------------------------------
 # Root refinement with every probe evaluated exactly
 # ---------------------------------------------------------------------------
 
@@ -670,8 +757,8 @@ def refined_exact(ri: RootInterval, digits: int) -> RootInterval:
         return ri
     q = lcm(lo.denominator, hi.denominator)
     a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
-    terms, deg = ri.poly._scaled_terms(q), ri.poly.degree
-    fa, fb = _homogeneous(terms, a, 0), _homogeneous(terms, b, 0)
+    terms, deg = ri.poly.terms, ri.poly.degree
+    fa, fb = _homogeneous(terms, q, a, 0), _homogeneous(terms, q, b, 0)
     shi = _sign(fb)
     gap, k = b - a, 0
     depth = (gap * 10**digits // q).bit_length()
@@ -688,16 +775,16 @@ def refined_exact(ri: RootInterval, digits: int) -> RootInterval:
             n, s = 1 << j, abs(fa) + abs(fb)
             i = min(max((2 * n * abs(fa) + s) // (2 * s), 1), n - 1)
             p, kj = (a << j) + i * gap, k + j
-            fp = _homogeneous(terms, p, kj)
+            fp = _homogeneous(terms, q, p, kj)
             if fp == 0:
                 return exact(p, kj)
             if _sign(fp) == shi:
                 m = p - gap
-                fm = fa << j * deg if i == 1 else _homogeneous(terms, m, kj)
+                fm = fa << j * deg if i == 1 else _homogeneous(terms, q, m, kj)
                 cell = (m, p, fm, fp)
             else:
                 m = p + gap
-                fm = fb << j * deg if i == n - 1 else _homogeneous(terms, m, kj)
+                fm = fb << j * deg if i == n - 1 else _homogeneous(terms, q, m, kj)
                 cell = (p, m, fp, fm)
             if fm == 0:
                 return exact(m, kj)
@@ -707,7 +794,7 @@ def refined_exact(ri: RootInterval, digits: int) -> RootInterval:
                 continue
             j = max(j // 2, 1)
         mid, k = a + b, k + 1
-        fm = _homogeneous(terms, mid, k)
+        fm = _homogeneous(terms, q, mid, k)
         if fm == 0:
             return exact(mid, k)
         if _sign(fm) == shi:

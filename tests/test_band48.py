@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -65,8 +66,17 @@ def test_classify_examples():
         classify(8)
 
 
+def _holds(lc: LevelClass, b: F) -> bool:
+    lo, hi, lo_closed, hi_closed = lc.interval()
+    return (lo < b or lo_closed and lo == b) and (b < hi or hi_closed and b == hi)
+
+
 def test_classify_matches_level_walk():
-    levels = [breakpoints(n) for n in range(80)]
+    # Every closed class end of levels 0-60 (s and r close T, q and p close
+    # V) and its neighbours 10^-30 away, seeded b in levels 0-60 and
+    # 61-400, and seeded b of small denominator: the class is the walk's,
+    # and b lies in its `LevelClass.interval()`.
+    levels = [breakpoints(n) for n in range(401)]
 
     def walk(b: F) -> LevelClass:
         """Level by level: the first n with b <= p_n, then the class tests."""
@@ -83,9 +93,14 @@ def test_classify_matches_level_walk():
         n = rng.randint(0, 60)
         lo, hi = level_left_end(n), levels[n][0]
         cases.append(lo + (hi - lo) * F(rng.randint(1, 10**6 - 1), 10**6))
+    for _ in range(300):
+        n, den = rng.randint(61, 400), rng.randint(1, 10**4)
+        lo, hi = level_left_end(n), levels[n][0]
+        cases += [lo + (hi - lo) * F(rng.randint(1, 10**9 - 1), 10**9), F(rng.randint(4 * den + 1, 8 * den - 1), den)]
     for b in cases:
         if 4 < b < 8:
             assert classify(b) == walk(b)
+            assert _holds(classify(b), b)
 
 
 def test_level_polynomials():
@@ -213,6 +228,23 @@ def test_upper_root_below_reads_the_sign_of_the_value():
     assert answers == {False, True}
 
 
+def _mpmath_entropy(mpmath, lc: LevelClass, places: int) -> str:
+    """The entropy of class lc, or its bounds, to `places` decimals, from
+    60-digit mpmath roots of the class polynomials."""
+    n, want = lc.n, []
+    with mpmath.workdps(60):
+        for p in level_polynomials(lc):
+            f = lambda x: mpmath.fsum(c * x**k for k, c in p.terms)
+            df = lambda x: mpmath.fsum(c * k * x ** (k - 1) for k, c in p.terms)
+            # f is convex right of 1 and positive at x0: Newton
+            # descends monotonically to the one root above 1.
+            x0 = 1 + mpmath.log(n) / n
+            root = mpmath.findroot(f, x0, solver="newton", df=df, maxsteps=500)
+            assert 1 < root < x0
+            want.append(format_decimal(F(mpmath.nstr(mpmath.log(root), 40)), places))
+    return want[0] if len(want) == 1 else f"[{want[0]}, {want[1]}]"
+
+
 def test_deep_entropy_decimal_matches_mpmath_roots():
     mpmath = pytest.importorskip("mpmath")
     places = 12
@@ -222,19 +254,58 @@ def test_deep_entropy_decimal_matches_mpmath_roots():
             b = (lo + hi) / 2
             assert classify(b) == (n, letter)
             got = entropy_or_bounds(b, places).decimal(places)
-            want = []
-            with mpmath.workdps(60):
-                for p in level_polynomials(LevelClass(n, letter)):
-                    terms = [(c, k) for k, c in enumerate(p.coeffs) if c]
-                    f = lambda x: mpmath.fsum(c * x**k for c, k in terms)
-                    df = lambda x: mpmath.fsum(c * k * x ** (k - 1) for c, k in terms)
-                    # f is convex right of 1 and positive at x0: Newton
-                    # descends monotonically to the one root above 1.
-                    x0 = 1 + mpmath.log(n) / n
-                    root = mpmath.findroot(f, x0, solver="newton", df=df, maxsteps=500)
-                    assert 1 < root < x0
-                    want.append(format_decimal(F(mpmath.nstr(mpmath.log(root), 40)), places))
-            assert got == (want[0] if len(want) == 1 else f"[{want[0]}, {want[1]}]"), (n, letter)
+            assert got == _mpmath_entropy(mpmath, LevelClass(n, letter), places), (n, letter)
+
+
+def test_level_one_million_entropy_matches_mpmath():
+    # b = 8 - 20/4^(n+1) lies in T_n (T_n is about [8 - 22.5/4^(n+1),
+    # 8 - 16.5/4^(n+1)]); b has 2,000,006 bits.
+    mpmath = pytest.importorskip("mpmath")
+    n = 10**6
+    pw = 4 ** (n + 1)
+    b = F(8 * pw - 20, pw)
+    res = entropy_or_bounds(b, 10)
+    assert res.level == (n, "T")
+    assert res.decimal(10) == _mpmath_entropy(mpmath, res.level, 10) == "0.0000040073"
+
+
+# The continuity levels of paper result 1 at eps = 1/10^5 and 1/10^6, with
+# the S-upper polynomial's value at 1 + eps at that level and one below
+# (60-digit mpmath values).
+_DEEP_CONTINUITY = ((F(1, 10**5), 383_765, 2.0911e-5, -6.9088e-5),
+                    (F(1, 10**6), 4_605_172, 7.6029e-6, -1.3972e-6))
+
+
+def test_continuity_at_depth():
+    for eps, n, _, _ in _DEEP_CONTINUITY:
+        assert continuity_level_bound(eps) == n
+        assert upper_root_below(n, eps)
+        assert not upper_root_below(n - 1, eps)
+
+
+def test_continuity_at_depth_matches_mpmath_values():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        for eps, n, at_n, below in _DEEP_CONTINUITY:
+            x = 1 + mpmath.mpf(eps.numerator) / eps.denominator
+            for level, value in ((n, at_n), (n - 1, below)):
+                got = x ** (7 + 3 * level) - x ** (4 + 3 * level) - x**3 - 2
+                assert abs(got - value) < 1e-4 * abs(value)
+                assert upper_root_below(level, eps) == (got > 0)
+
+
+def test_continuity_at_one_millionth_stays_small():
+    # A memory guard: the level bound, the degree-13.8M polynomial and its
+    # signs at n and n - 1 together allocate under 1 MB.
+    eps = F(1, 10**6)
+    tracemalloc.start()
+    try:
+        n = continuity_level_bound(eps)
+        assert upper_root_below(n, eps) and not upper_root_below(n - 1, eps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _continuity_level_loop(eps):

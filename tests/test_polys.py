@@ -217,6 +217,78 @@ def test_poly_arithmetic_and_repr():
     assert repr(X7_X4_1) == "x^7 - x^4 - 1"
 
 
+def test_dense_coefficients_must_be_integers():
+    with pytest.raises(ValueError, match=r"Fraction\(1, 2\)"):
+        IntPoly([F(1, 2), 1.9])
+    with pytest.raises(ValueError, match="1.9"):
+        IntPoly([3, 1.9])
+    assert IntPoly([True, 0, -2]).terms == ((0, 1), (2, -2))
+
+
+def test_term_coefficients_must_be_integers():
+    with pytest.raises(ValueError, match=r"Fraction\(1, 2\)"):
+        IntPoly.from_terms({2: F(1, 2)})
+    with pytest.raises(ValueError, match="1.0"):
+        IntPoly.from_terms({0: 1, 5: 1.0})
+    assert IntPoly.from_terms({3: True, 1: 0}).terms == ((3, 1),)
+
+
+def _dense_pool(rng: random.Random) -> list[list[int]]:
+    """Seeded dense coefficient lists: the zero polynomial with and without
+    zeros, trailing zeros, x^k factors, negative leading coefficients, a
+    common content, and sparse polynomials up to degree 30,000."""
+    pool = [[], [0], [0, 0, 0], [5], [-7, 0, 0], [0, 0, 0, -3], [0, 1], [-1, 1], [4, -6, 0, 8, 0]]
+    while len(pool) < 520:
+        kind = len(pool) % 4
+        if kind == 3:
+            deg = rng.choice((100, 3000, 30_000))
+            cs = [0] * (deg + 1)
+            for _ in range(rng.randint(1, 4)):
+                cs[rng.randint(0, deg)] = rng.randint(-(10**6), 10**6)
+            cs[deg] = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+        else:
+            cs = [rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-(10**20), 10**20)))
+                  for _ in range(rng.randint(0, 12))]
+            if kind == 1 and cs:
+                cs = [0] * rng.randint(1, 5) + [c * rng.choice((2, 6)) for c in cs]
+        pool.append(cs + [0] * rng.choice((0, 0, 1, 3)))
+    return pool
+
+
+def test_terms_match_the_dense_reference():
+    # `IntPoly` against the earlier dense tuple arithmetic (`DensePoly`):
+    # equal values, and equal polynomials hash alike whichever constructor
+    # built them.
+    rng = random.Random(33)
+    pool = _dense_pool(rng)
+    polys = [(IntPoly(cs), oracles.DensePoly(cs)) for cs in pool]
+    for cs, (p, d) in zip(pool, polys):
+        q = IntPoly.from_terms(dict(enumerate(cs)))
+        assert p == q and hash(p) == hash(q)
+        assert (p.coeffs, p.degree, repr(p)) == (d.coeffs, d.degree, repr(d))
+        assert p.terms == tuple((k, c) for k, c in enumerate(d.coeffs) if c)
+        assert (-p).coeffs == (-d).coeffs
+        assert p.derivative().coeffs == d.derivative().coeffs
+        (ps, k), (ds, dk) = p.strip_power_factor(), d.strip_power_factor()
+        assert (ps.coeffs, k) == (ds.coeffs, dk)
+        assert p.normalized_sign().coeffs == d.normalized_sign().coeffs
+        assert _primitive(p).coeffs == d.primitive().coeffs
+    pairs = [(rng.randrange(len(pool)), rng.randrange(len(pool))) for _ in range(600)]
+    pairs += [(i, i) for i in range(len(pool))] + [(0, 1), (0, 2), (3, 3)]
+    equal = 0
+    for i, j in pairs:
+        (p, d), (q, e) = polys[i], polys[j]
+        assert (p == q) == (d == e)
+        if d == e:
+            equal += 1
+            assert hash(p) == hash(q)
+        assert (p + q).coeffs == (d + e).coeffs
+        assert (p - q).coeffs == (d - e).coeffs
+        if min(p.degree, q.degree) < 3000:
+            assert (p * q).coeffs == (d * e).coeffs
+    assert equal > len(pool)
+
+
 def test_random_eval_consistency():
     rng = random.Random(7)
     for _ in range(200):
@@ -232,7 +304,7 @@ def test_random_eval_consistency():
 def _sign(p: IntPoly, x: F) -> int:
     """Sign of p(x) from the plain integer sum sum c_i n^i d^(deg-i) at x = n/d."""
     n, d, deg = x.numerator, x.denominator, p.degree
-    v = sum(c * n**i * d ** (deg - i) for i, c in enumerate(p.coeffs) if c)
+    v = sum(c * n**i * d ** (deg - i) for i, c in p.terms)
     return (v > 0) - (v < 0)
 
 
@@ -496,7 +568,7 @@ def test_deep_isolation_builds_few_exact_integers(monkeypatch):
     from pwldyn import polys
 
     p = poly_exact_t(3000)
-    bracket_end = _homogeneous(p._scaled_terms(1), coefficient_bound(p), 0).bit_length()
+    bracket_end = _homogeneous(p.terms, 1, coefficient_bound(p), 0).bit_length()
     lengths = []
 
     def counted(*args):
@@ -512,18 +584,21 @@ def test_deep_isolation_builds_few_exact_integers(monkeypatch):
 
 
 def _kernel_cases(rng: random.Random, count: int):
-    """Seeded (terms, m, k): sparse polynomials up to degree 30,000 with
-    coefficients up to 10^6 of either sign, scaled by an odd d (1 in a
-    third of the cases), at m = 0 or m up to 2^64 and k = 0 or up to 60."""
+    """Seeded (terms, d, m, k): sparse polynomials up to degree 30,000 with
+    coefficients up to 10^6 of either sign, an odd d (1 in a third of the
+    cases, a 20th power of up to 133 bits in some others below degree
+    30,000), at m = 0 or m up to 2^64 and k = 0 or up to 60."""
     for case in range(count):
         deg = 30_000 if case % 40 == 0 else rng.choice((1, 2, 7, 30, 300, 3000))
         terms = {deg: rng.choice((-1, 1)) * rng.randint(1, 10**6)}
         for _ in range(rng.randint(0, 5)):
             terms[rng.randint(0, deg)] = rng.randint(-(10**6), 10**6)
         d = 1 if case % 3 == 0 else 2 * rng.randint(1, 49) + 1
+        if case % 11 == 5 and deg < 30_000:
+            d **= 20
         m = 0 if case % 10 == 1 else rng.randint(1, 1 << rng.randint(1, 64))
         k = 0 if case % 7 == 2 else rng.randint(1, 60)
-        yield IntPoly.from_terms(terms)._scaled_terms(d), m, k
+        yield IntPoly.from_terms(terms).terms, d, m, k
 
 
 def _bounds_miss(kernel, cases) -> int:
@@ -531,10 +606,10 @@ def _bounds_miss(kernel, cases) -> int:
     2 `bits` + 200 do not hold the exact value in [lo * 2^e, hi * 2^e], or
     where the width (hi - lo) * 2^e grows with the bits."""
     misses = 0
-    for terms, m, k, bits, exact in cases:
+    for terms, d, m, k, bits, exact in cases:
         widths = []
         for b in (bits, bits + 32, 2 * bits + 200):
-            lo, hi, e = kernel(terms, m, k, b)
+            lo, hi, e = kernel(terms, d, m, k, b)
             if e >= 0:
                 misses += not lo << e <= exact <= hi << e
             else:
@@ -548,8 +623,8 @@ def test_bounded_kernel_encloses_the_exact_value(monkeypatch):
     from pwldyn import polys
 
     rng = random.Random(30_000)
-    cases = [(terms, m, k, rng.randint(8, 64), _homogeneous(terms, m, k))
-             for terms, m, k in _kernel_cases(rng, 400)]
+    cases = [(terms, d, m, k, rng.randint(8, 64), _homogeneous(terms, d, m, k))
+             for terms, d, m, k in _kernel_cases(rng, 400)]
     assert _bounds_miss(_bounded, cases) == 0
     # A kernel whose upper mantissas round down must miss some case.
     truncated = polys._truncated
