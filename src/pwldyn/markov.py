@@ -2,19 +2,21 @@
 
 A covering digraph records which partition intervals cover which under the
 map; it is stored as successor lists, and every algorithm here reads them.
-Entropy comes from the spectral radius of its 0/1 adjacency matrix A,
-computed exactly: a rome (a node set meeting every cycle) turns the
-characteristic polynomial into a small determinant over path-generating
-polynomials in 1/lambda, whose relevant factor is then run through certified
-root isolation.  `compare_radius` decides rho <, = or > lam from the
-successor lists alone, in exact arithmetic: per strongly connected
-component, the signs of the leading principal minors of the Z-matrix
-lam*I - A decide (all positive: rho < lam; all but the last positive and
-det 0: rho = lam), read off the pivots of one fraction-free forward
-elimination of p*I - q*A for lam = p/q.  It proves each enclosure again at
-both ends, and decides the transition certificates at lam = 1.  Only the
-oracles `direct_char_poly` and `_power_iteration_radius` (a float estimate
-that runs on no default path) work on the dense matrix.
+Entropy comes from the spectral radius of its 0/1 adjacency matrix A, computed
+exactly: a rome (a node set meeting every cycle) turns the characteristic
+polynomial into a small determinant over path-generating polynomials in
+1/lambda, whose relevant factor is then run through certified root isolation.
+One topological order of the nodes off the rome (Kahn's algorithm) both proves
+the set a rome and carries the path counts by length, so paths are counted,
+never enumerated.  `compare_radius` decides rho <, = or > lam from the
+successor lists alone, in exact arithmetic: per strongly connected component,
+the signs of the leading principal minors of the Z-matrix lam*I - A decide
+(all positive: rho < lam; all but the last positive and det 0: rho = lam),
+read off the pivots of one fraction-free forward elimination of p*I - q*A for
+lam = p/q.  It proves each enclosure again at both ends, and decides the
+transition certificates at lam = 1.  Only the oracles `direct_char_poly` and
+`_power_iteration_radius` (a float estimate that runs on no default path) work
+on the dense matrix.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ class CoverDigraph(NamedTuple):
         return tuple(tuple(int(j in row) for j in range(self.n)) for row in self.succ)
 
     def index(self, label: str) -> int:
+        if label not in self.labels:
+            raise ValueError(f"unknown node label {label!r}")
         return self.labels.index(label)
 
     def edges(self) -> list[tuple[str, str]]:
@@ -68,8 +72,13 @@ class CoverDigraph(NamedTuple):
 
 def digraph_from_edges(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> CoverDigraph:
     idx = {lab: i for i, lab in enumerate(labels)}
+    if len(idx) < len(labels):
+        repeated = next(lab for i, lab in enumerate(labels) if idx[lab] != i)
+        raise ValueError(f"repeated node label {repeated!r}")
     succ: list[set[int]] = [set() for _ in labels]
     for a, b in edges:
+        if a not in idx or b not in idx:
+            raise ValueError(f"unknown node label {(b if a in idx else a)!r}")
         succ[idx[a]].add(idx[b])
     return CoverDigraph(tuple(labels), tuple(tuple(sorted(row)) for row in succ))
 
@@ -138,31 +147,21 @@ def _cyclic_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
     ]
 
 
-def _acyclic_without(dg: CoverDigraph, removed: frozenset[int]) -> bool:
-    n = dg.n
-    color = [0] * n  # 0 unvisited, 1 active, 2 done
-    for start in range(n):
-        if start in removed or color[start] != 0:
-            continue
-        stack = [(start, iter(dg.succ[start]))]
-        color[start] = 1
-        while stack:
-            v, it = stack[-1]
-            found = False
-            for w in it:
-                if w in removed:
-                    continue
-                if color[w] == 1:
-                    return False
-                if color[w] == 0:
-                    color[w] = 1
-                    stack.append((w, iter(dg.succ[w])))
-                    found = True
-                    break
-            if not found:
-                color[v] = 2
-                stack.pop()
-    return True
+def _topological_order(succ: Sequence[Sequence[int]], removed: frozenset[int]) -> list[int] | None:
+    """Kahn's algorithm: the nodes outside `removed` in topological order, or None on a cycle."""
+    indegree = [0] * len(succ)
+    for v, row in enumerate(succ):
+        if v not in removed:
+            for w in row:
+                indegree[w] += 1
+    order = [v for v in range(len(succ)) if v not in removed and not indegree[v]]
+    for v in order:  # grows while it is read
+        for w in succ[v]:
+            if w not in removed:
+                indegree[w] -= 1
+                if not indegree[w]:
+                    order.append(w)
+    return order if len(order) + len(removed) == len(succ) else None
 
 
 class Rome(NamedTuple):
@@ -172,22 +171,19 @@ class Rome(NamedTuple):
 
 
 def is_rome(dg: CoverDigraph, rome: Rome) -> bool:
-    idx = frozenset(dg.index(lab) for lab in rome.labels)
-    return _acyclic_without(dg, idx)
+    return _topological_order(dg.succ, frozenset(map(dg.index, rome.labels))) is not None
 
 
 def find_rome(dg: CoverDigraph) -> Rome:
     """Minimum-cardinality rome, brute force over cycle nodes by size.
 
-    The candidate pool is restricted to nodes lying on cycles, which keeps
-    the search tiny for the graphs arising here.
+    Candidates are the nodes on cycles; each set, the empty one first, is
+    tested by the Kahn pass (`_topological_order`) that orders the paths.
     """
     candidates = sorted(v for comp in _cyclic_components(dg.succ) for v in comp)
-    if not candidates:
-        return Rome(())
-    for size in range(1, len(candidates) + 1):
+    for size in range(len(candidates) + 1):
         for combo in itertools.combinations(candidates, size):
-            if _acyclic_without(dg, frozenset(combo)):
+            if _topological_order(dg.succ, frozenset(combo)) is not None:
                 return Rome(tuple(dg.labels[i] for i in combo))
     raise AssertionError("unreachable: full candidate set is always a rome")
 
@@ -197,23 +193,24 @@ def find_rome(dg: CoverDigraph) -> Rome:
 # ---------------------------------------------------------------------------
 
 
-def _simple_path_lengths(dg: CoverDigraph, rome_idx: frozenset[int], start: int) -> dict[int, dict[int, int]]:
+def _simple_path_lengths(succ: Sequence[Sequence[int]], rome_idx: frozenset[int], start: int,
+                         order: Sequence[int]) -> dict[int, dict[int, int]]:
     """For each rome node t: {path length: count} over simple paths start->t.
 
-    Paths leave `start`, keep their interior disjoint from the rome, and stop
-    on first return to a rome node.  Interior nodes are acyclic outside the
-    rome, so a depth-first count over (node, length) terminates.
+    The interior of a path avoids the rome, where the digraph is acyclic and
+    `order` is topological, so each node's counts are complete before it
+    passes them on, one longer: paths are counted, not enumerated.
     """
     out: dict[int, dict[int, int]] = {t: {} for t in rome_idx}
-    stack = [(start, 0)]
-    while stack:
-        v, length = stack.pop()
-        for w in dg.succ[v]:
-            if w in rome_idx:
-                d = out[w]
-                d[length + 1] = d.get(length + 1, 0) + 1
-            else:
-                stack.append((w, length + 1))
+    reach: dict[int, dict[int, int]] = {start: {0: 1}}
+    for v in itertools.chain((start,), order):
+        paths = reach.pop(v, None)
+        if paths is None:
+            continue
+        for w in succ[v]:
+            d = out[w] if w in rome_idx else reach.setdefault(w, {})
+            for length, count in paths.items():
+                d[length + 1] = d.get(length + 1, 0) + count
     return out
 
 
@@ -226,15 +223,14 @@ def rome_char_poly_full(dg: CoverDigraph, rome: Rome) -> IntPoly:
     to a positive leading coefficient so it matches det(lambda*I - M).  An
     acyclic digraph has the empty rome, det 1 and so lambda^n.
     """
-    if not is_rome(dg, rome):
-        raise ValueError("given node set is not a rome")
     rome_idx = frozenset(dg.index(lab) for lab in rome.labels)
-    order = sorted(rome_idx)
-    matrix = []
-    for i in order:
-        paths = _simple_path_lengths(dg, rome_idx, i)
-        matrix.append([IntPoly.from_terms(paths[j]) - IntPoly([int(i == j)]) for j in order])
-    det = poly_det(matrix)
+    order = _topological_order(dg.succ, rome_idx)
+    if order is None:
+        raise ValueError("given node set is not a rome")
+    rome_order = sorted(rome_idx)
+    paths = {i: _simple_path_lengths(dg.succ, rome_idx, i, order) for i in rome_order}
+    det = poly_det([[IntPoly.from_terms(paths[i][j]) - IntPoly([int(i == j)]) for j in rome_order]
+                    for i in rome_order])
     if det.degree > dg.n:
         raise ValueError("negative powers survived clearing; input was not a rome")
     return IntPoly.from_terms({dg.n - p: c for p, c in det.terms}).normalized_sign()
@@ -466,14 +462,17 @@ def _encloses_radius(succ: Sequence[Sequence[int]], lo: Fraction, hi: Fraction) 
     """Whether exact arithmetic proves lo <= rho <= hi for the digraph `succ`.
 
     lo < hi is proven by rho < hi and, for lo > 0, not rho < lo; lo == hi by
-    rho == hi; each is one `compare_radius`, a leading-minor test per cyclic
-    component.  A radius of 0 holds only for a digraph without a cycle.
+    rho == hi; each is a leading-minor test per cyclic component, on the
+    components found once.  A radius of 0 holds only for an acyclic digraph.
     """
+    comps = _cyclic_components(succ)
     if hi <= 0:
-        return lo <= hi == 0 and not _cyclic_components(succ)
+        return lo <= hi == 0 and not comps
+    # the answer of `compare_radius` at hi, then at lo, each computed when asked
+    signs = (max((_compare_radius(succ, c, lam) for c in comps), default=-1) for lam in (hi, lo))
     if lo < hi:
-        return compare_radius(succ, hi) < 0 and (lo <= 0 or compare_radius(succ, lo) >= 0)
-    return lo == hi and compare_radius(succ, hi) == 0
+        return next(signs) < 0 and (lo <= 0 or next(signs) >= 0)
+    return lo == hi and next(signs) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,8 @@ class FullMeasureReport(NamedTuple):
             lines.extend(prof.to_csv_rows())
         for name, length in self.immediate:
             lines.append(f"{name},0,0,{length}")
-            lines.append(f"{name},1,{length},0")
+            if self.depth >= 1:
+                lines.append(f"{name},1,{length},0")
         return "\n".join(lines) + "\n"
 
 

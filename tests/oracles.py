@@ -8,23 +8,26 @@ built on them, the Fraction evaluation of the graph tables and of their
 orbit relations, the Fraction orbit-closure Markov partition, the Fraction
 transfer recursion (`fraction_uncaptured_measures`) and the interval
 preimages it replaced, and the Gauss-Jordan radius comparison over the
-rationals.  The float power iteration without its early exit is kept
-too.  The parameter-affine map family and its closing window are the
-earlier generic form of `certify.TrapezoidFamily`, and the per-window
-d -> b maps and invariant segments are the earlier hand-written form of
-its table.  The Sturm chain, gcd and square-free part by Fraction long
-division are the earlier form of the integer pseudo-division in `polys`.  The band48 cross-check that also
+rationals.  The colour depth-first search for a cycle off a node set and
+the path stack that listed every rome-to-rome path are the earlier forms
+of the Kahn pass and the path count of `markov`.  The float power
+iteration without its early exit is kept too.  The parameter-affine map
+family and its closing window are the earlier generic form of
+`certify.TrapezoidFamily`, and the per-window d -> b maps and invariant
+segments are the earlier hand-written form of its table.  The Sturm chain,
+gcd and square-free part by Fraction long division are the earlier form of
+the integer pseudo-division in `polys`.  The band48 cross-check that also
 built the entropy brackets and compared two radius enclosures is kept as
 the earlier form of `band48.cross_check_entropy`.  The refinement loop
 that built every probe's exact integer, with no sign bounds, is kept as
 the earlier form of `RootInterval.refined`, and `DensePoly`, the dense
 coefficient tuple with its arithmetic, is the earlier form of `IntPoly`.
-The merge of equal pieces and the affine conjugation of a map on
-Fractions are the earlier forms of
-their integer-frame versions, the capture recursion that runs every step
-(`capture_vectors`) is the earlier form of the one that stops at the first
-repeated vector, and the band48 partition read off the graph's Fraction
-points is the earlier form of the lattice partition.
+The merge of equal pieces and the affine conjugation of a map on Fractions
+are the earlier forms of their integer-frame versions, the capture
+recursion that runs every step (`capture_vectors`) is the earlier form of
+the one that stops at the first repeated vector, and the band48 partition
+read off the graph's Fraction points is the earlier form of the lattice
+partition.
 The rest are small checks of the map and of digraphs that back statements
 in the tests (quadrant pieces, the rescaling identity, simple cycles, the
 trapezoid shape and the inverse parameter changes), and three helpers that
@@ -968,6 +971,51 @@ def simple_cycle_lengths(dg: CoverDigraph) -> list[int]:
     for s in range(n):
         dfs(s, s, {s}, 0)
     return sorted(lengths)
+
+
+def acyclic_without(dg: CoverDigraph, removed: frozenset[int]) -> bool:
+    """Whether no cycle avoids `removed`: a colour depth-first search that
+    stops at the first edge back to an active node."""
+    n = dg.n
+    color = [0] * n  # 0 unvisited, 1 active, 2 done
+    for start in range(n):
+        if start in removed or color[start] != 0:
+            continue
+        stack = [(start, iter(dg.succ[start]))]
+        color[start] = 1
+        while stack:
+            v, it = stack[-1]
+            found = False
+            for w in it:
+                if w in removed:
+                    continue
+                if color[w] == 1:
+                    return False
+                if color[w] == 0:
+                    color[w] = 1
+                    stack.append((w, iter(dg.succ[w])))
+                    found = True
+                    break
+            if not found:
+                color[v] = 2
+                stack.pop()
+    return True
+
+
+def simple_path_lengths(dg: CoverDigraph, rome_idx: frozenset[int], start: int) -> dict[int, dict[int, int]]:
+    """For each rome node t: {path length: count} over simple paths start->t
+    whose interior avoids the rome, found by pushing every path on a stack."""
+    out: dict[int, dict[int, int]] = {t: {} for t in rome_idx}
+    stack = [(start, 0)]
+    while stack:
+        v, length = stack.pop()
+        for w in dg.succ[v]:
+            if w in rome_idx:
+                d = out[w]
+                d[length + 1] = d.get(length + 1, 0) + 1
+            else:
+                stack.append((w, length + 1))
+    return out
 
 
 def normalized_plateau_width(m: PiecewiseAffine1D, extended: bool = False) -> Fraction:

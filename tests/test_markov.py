@@ -26,6 +26,8 @@ from pwldyn.markov import (
     _compare_radius,
     _encloses_radius,
     _power_iteration_radius,
+    _simple_path_lengths,
+    _topological_order,
 )
 from pwldyn.planemap import Params, Segment, point
 from pwldyn.polys import IntPoly
@@ -129,6 +131,26 @@ def test_digraph_from_edges_collapses_repeats():
     assert dg.edges() == [("a", "b"), ("b", "a"), ("b", "b")]
 
 
+def test_digraph_from_edges_rejects_a_repeated_label():
+    with pytest.raises(ValueError, match="^repeated node label 'a'$"):
+        digraph_from_edges(["a", "a", "b"], [("a", "b"), ("b", "a")])
+
+
+def test_digraph_from_edges_rejects_an_unknown_label():
+    with pytest.raises(ValueError, match="^unknown node label 'c'$"):
+        digraph_from_edges(["a", "b"], [("a", "c")])
+    with pytest.raises(ValueError, match="^unknown node label 'c'$"):
+        digraph_from_edges(["a", "b"], [("a", "b"), ("c", "a")])
+
+
+def test_rome_with_an_unknown_label_is_refused():
+    dg = digraph_from_edges(["a", "b"], [("a", "b"), ("b", "a")])
+    with pytest.raises(ValueError, match="^unknown node label 'z'$"):
+        is_rome(dg, Rome(("z",)))
+    with pytest.raises(ValueError, match="^unknown node label 'z'$"):
+        rome_char_poly_full(dg, Rome(("a", "z")))
+
+
 def test_build_cover_digraph_rejects_overlap():
     seg1 = Segment(point(0, 0), point(2, 0))
     seg2 = Segment(point(1, 0), point(3, 0))
@@ -216,6 +238,57 @@ def test_rome_full_matches_direct_random():
         edges = [(labels[i], labels[j]) for i in range(n) for j in range(n) if rng.random() < 0.3]
         dg = digraph_from_edges(labels, edges)
         assert rome_char_poly_full(dg, find_rome(dg)) == direct_char_poly(dg)
+
+
+def _random_digraphs(seed: int, count: int, max_nodes: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_nodes)
+        labels = [f"v{i}" for i in range(n)]
+        p = rng.choice([0.1, 0.2, 0.3, 0.45])
+        edges = [(labels[i], labels[j]) for i in range(n) for j in range(n) if rng.random() < p]
+        yield rng, digraph_from_edges(labels, edges)
+
+
+def test_topological_order_matches_the_colour_search():
+    cyclic = 0
+    for rng, dg in _random_digraphs(34, 1200, 12):
+        removed = frozenset(v for v in range(dg.n) if rng.random() < 0.3)
+        order = _topological_order(dg.succ, removed)
+        assert (order is None) == (not oracles.acyclic_without(dg, removed))
+        if order is None:
+            cyclic += 1
+            continue
+        assert sorted(order) == [v for v in range(dg.n) if v not in removed]
+        pos = {v: k for k, v in enumerate(order)}
+        assert all(pos[v] < pos[w] for v in order for w in dg.succ[v] if w not in removed)
+    assert 200 < cyclic < 1000  # both answers are tested often
+
+
+def test_path_counts_match_the_path_enumeration():
+    for _, dg in _random_digraphs(35, 1200, 12):
+        rome_idx = frozenset(map(dg.index, find_rome(dg).labels))
+        order = _topological_order(dg.succ, rome_idx)
+        for start in rome_idx:
+            assert _simple_path_lengths(dg.succ, rome_idx, start, order) == (
+                oracles.simple_path_lengths(dg, rome_idx, start)
+            )
+
+
+def layered_digraph(layers: int) -> CoverDigraph:
+    """Rome r, then `layers` layers of two nodes, each complete to the next,
+    the last back to r: 2^layers paths from r to r, each of length layers + 1."""
+    names = [[f"l{k}{side}" for side in "ab"] for k in range(layers)]
+    edges = [("r", v) for v in names[0]] + [(v, "r") for v in names[-1]]
+    edges += [(v, w) for here, there in zip(names, names[1:]) for v in here for w in there]
+    return digraph_from_edges(["r", *(v for layer in names for v in layer)], edges)
+
+
+def test_rome_paths_are_counted_not_enumerated():
+    dg = layered_digraph(40)  # 2^40 rome-to-rome paths
+    assert find_rome(dg) == Rome(("r",))
+    assert rome_char_poly_full(dg, Rome(("r",))) == poly(p81=1, p40=-(2**40))
+    assert spectral_radius(dg, 10).poly == poly(p41=1, p0=-(2**40))
 
 
 def test_spectral_radius_examples():

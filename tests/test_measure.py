@@ -84,6 +84,13 @@ def test_full_measure_report_negb():
 def test_full_measure_report_depth0():
     rep = full_measure_report("negb", -3, 0)
     assert rep.uncaptured_total[0] == rep.total_length
+    # plateau and feeder are captured at depth 1, a row a depth-0 report leaves out
+    rows0 = rep.to_csv().splitlines()
+    assert [row.split(",")[1] for row in rows0[1:]] == ["0"] * 9
+    assert rows0[-2:] == ["plateau,0,0,8", "feeder,0,0,7"]
+    rows1 = full_measure_report("negb", -3, 1).to_csv().splitlines()
+    assert rows1[-4:] == ["plateau,0,0,8", "plateau,1,8,0", "feeder,0,0,7", "feeder,1,7,0"]
+    assert {row.split(",")[1] for row in rows1[1:]} == {"0", "1"}
 
 
 def test_full_measure_alpha_window():
