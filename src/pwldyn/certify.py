@@ -356,16 +356,16 @@ def orbit_digraph(m: PiecewiseAffine1D, orbit: Sequence[Fraction]) -> CoverDigra
     full, _ = frame.walk(xs[0], len(pts))
     if full[-1] != full[0] or set(full[:-1]) != pts:
         raise ValueError("orbit is not exactly periodic under the map")
-    return _orbit_digraph(frame, xs)
+    succ = _orbit_succ(frame, xs)
+    return CoverDigraph(tuple(f"I{k}" for k in range(len(succ))), succ)
 
 
-def _orbit_digraph(frame: IntegerFrame, orbit: Sequence[int]) -> CoverDigraph:
-    """`orbit_digraph` on the numerators over frame.q of a periodic orbit."""
+def _orbit_succ(frame: IntegerFrame, orbit: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """`orbit_digraph`'s successor lists, on the numerators over frame.q of a periodic orbit."""
     _, cells = frame.partition(orbit)
     nodes = [i for i, (_, cover) in enumerate(cells) if cover is not None]
     pos = {i: k for k, i in enumerate(nodes)}
-    succ = tuple(tuple(pos[j] for j in cells[i][1] if j in pos) for i in nodes)
-    return CoverDigraph(tuple(f"I{k}" for k in range(len(nodes))), succ)
+    return tuple(tuple(pos[j] for j in cells[i][1] if j in pos) for i in nodes)
 
 
 class _Endpoint(NamedTuple):
@@ -417,7 +417,7 @@ def _endpoint(fam: TrapezoidFamily, d: Fraction, pattern: Itinerary) -> _Endpoin
         return None
     if Itinerary(tuple(m.symbol(i) for i in idx)) != pattern:
         return None
-    side = compare_radius(_orbit_digraph(frame, xs[:period]).succ, 1)
+    side = compare_radius(_orbit_succ(frame, xs[:period]), 1)
     kind = ("radius_below_one", "radius_one", "radius_above_one")[side + 1]
     return _Endpoint(d, fam.d_to_b(d), pattern, frame.q, tuple(xs[:period]), kind)
 

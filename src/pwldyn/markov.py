@@ -3,20 +3,22 @@
 A covering digraph records which partition intervals cover which under the
 map; it is stored as successor lists, and every algorithm here reads them.
 Entropy comes from the spectral radius of its 0/1 adjacency matrix A, computed
-exactly: a rome (a node set meeting every cycle) turns the characteristic
-polynomial into a small determinant over path-generating polynomials in
-1/lambda, whose relevant factor is then run through certified root isolation.
-One topological order of the nodes off the rome (Kahn's algorithm) both proves
-the set a rome and carries the path counts by length, so paths are counted,
-never enumerated.  `compare_radius` decides rho <, = or > lam from the
-successor lists alone, in exact arithmetic: per strongly connected component,
-the signs of the leading principal minors of the Z-matrix lam*I - A decide
-(all positive: rho < lam; all but the last positive and det 0: rho = lam),
-read off the pivots of one fraction-free forward elimination of p*I - q*A for
-lam = p/q.  It proves each enclosure again at both ends, and decides the
-transition certificates at lam = 1.  Only the oracles `direct_char_poly` and
-`_power_iteration_radius` (a float estimate that runs on no default path) work
-on the dense matrix.
+exactly.  The cyclic strongly connected components are found once, each
+renumbered as successor lists; in each, a rome (a node set meeting every
+cycle) turns the characteristic polynomial into a small determinant over
+path-generating polynomials in 1/lambda, whose relevant factor is then run
+through certified root isolation.  The rome search returns the topological
+order of the nodes off the rome (Kahn's algorithm) that proved it a rome,
+and the path counts by length are carried along that order: paths are
+counted, never enumerated.  `compare_radius` decides rho <, = or > lam from
+the successor lists alone, in exact arithmetic: per component, the signs of
+the leading principal minors of the Z-matrix lam*I - A decide (all positive:
+rho < lam; all but the last positive and det 0: rho = lam), read off the
+pivots of one fraction-free forward elimination of p*I - q*A for lam = p/q.
+It proves each enclosure again at both ends on the same components, and
+decides the transition certificates at lam = 1.  Only the oracles
+`direct_char_poly` and `_power_iteration_radius` (a float estimate that runs
+on no default path) work on the dense matrix.
 """
 
 from __future__ import annotations
@@ -70,11 +72,17 @@ class CoverDigraph(NamedTuple):
         return "\n".join(lines)
 
 
-def digraph_from_edges(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> CoverDigraph:
+def _label_index(labels: Sequence[str]) -> dict[str, int]:
+    """{label: position}, refusing the first label that is repeated."""
     idx = {lab: i for i, lab in enumerate(labels)}
     if len(idx) < len(labels):
         repeated = next(lab for i, lab in enumerate(labels) if idx[lab] != i)
         raise ValueError(f"repeated node label {repeated!r}")
+    return idx
+
+
+def digraph_from_edges(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> CoverDigraph:
+    idx = _label_index(labels)
     succ: list[set[int]] = [set() for _ in labels]
     for a, b in edges:
         if a not in idx or b not in idx:
@@ -88,8 +96,9 @@ def digraph_from_edges(labels: Sequence[str], edges: Iterable[tuple[str, str]]) 
 # ---------------------------------------------------------------------------
 
 
-def strongly_connected_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative, on successor lists."""
+def _cyclic_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The strongly connected components that carry a cycle: Tarjan's
+    algorithm, iterative, on successor lists."""
     n = len(succ)
     index = [-1] * n
     low = [0] * n
@@ -134,17 +143,9 @@ def strongly_connected_components(succ: Sequence[Sequence[int]]) -> list[list[in
                     comp.append(w)
                     if w == v:
                         break
-                out.append(comp)
+                if len(comp) > 1 or v in succ[v]:
+                    out.append(comp)
     return out
-
-
-def _cyclic_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Strongly connected components that carry a cycle."""
-    return [
-        comp
-        for comp in strongly_connected_components(succ)
-        if len(comp) > 1 or comp[0] in succ[comp[0]]
-    ]
 
 
 def _topological_order(succ: Sequence[Sequence[int]], removed: frozenset[int]) -> list[int] | None:
@@ -174,18 +175,25 @@ def is_rome(dg: CoverDigraph, rome: Rome) -> bool:
     return _topological_order(dg.succ, frozenset(map(dg.index, rome.labels))) is not None
 
 
-def find_rome(dg: CoverDigraph) -> Rome:
-    """Minimum-cardinality rome, brute force over cycle nodes by size.
-
-    Candidates are the nodes on cycles; each set, the empty one first, is
-    tested by the Kahn pass (`_topological_order`) that orders the paths.
-    """
-    candidates = sorted(v for comp in _cyclic_components(dg.succ) for v in comp)
-    for size in range(len(candidates) + 1):
+def _rome_order(succ: Sequence[Sequence[int]], candidates: Sequence[int]) -> tuple[frozenset[int], list[int]]:
+    """Least rome drawn from the sorted `candidates` by brute force over size,
+    with the Kahn order (`_topological_order`) of the nodes off it that proved
+    it one.  `candidates` holds every node on a cycle: the empty set is tried
+    only when there is none."""
+    for size in range(bool(candidates), len(candidates) + 1):
         for combo in itertools.combinations(candidates, size):
-            if _topological_order(dg.succ, frozenset(combo)) is not None:
-                return Rome(tuple(dg.labels[i] for i in combo))
+            rome = frozenset(combo)
+            order = _topological_order(succ, rome)
+            if order is not None:
+                return rome, order
     raise AssertionError("unreachable: full candidate set is always a rome")
+
+
+def find_rome(dg: CoverDigraph) -> Rome:
+    """Minimum-cardinality rome over the nodes on cycles (`_rome_order`);
+    the empty set is tried only on an acyclic digraph."""
+    rome, _ = _rome_order(dg.succ, sorted(v for comp in _cyclic_components(dg.succ) for v in comp))
+    return Rome(tuple(dg.labels[i] for i in sorted(rome)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,36 +222,32 @@ def _simple_path_lengths(succ: Sequence[Sequence[int]], rome_idx: frozenset[int]
     return out
 
 
-def rome_char_poly_full(dg: CoverDigraph, rome: Rome) -> IntPoly:
-    """Exact characteristic polynomial of the adjacency matrix via the rome.
+def _char_poly(succ: Sequence[Sequence[int]], rome: frozenset[int], order: Sequence[int]) -> IntPoly:
+    """Exact characteristic polynomial of the adjacency matrix via the rome,
+    given `order`, a topological order of the nodes off it.
 
-    With y = 1/lambda, A_R(y) collects sum y^length over simple paths
-    between rome nodes, and (+/-) lambda^n det(A_R(1/lambda) - E) is the
-    determinant with each power y^p taken to lambda^(n - p); normalized
-    to a positive leading coefficient so it matches det(lambda*I - M).  An
-    acyclic digraph has the empty rome, det 1 and so lambda^n.
+    With y = 1/lambda, A_R(y) collects sum y^length over simple paths between
+    rome nodes, and (+/-) lambda^n det(A_R(1/lambda) - E) is the determinant
+    with each power y^p taken to lambda^(n - p); normalized to a positive
+    leading coefficient so it matches det(lambda*I - M).  An acyclic digraph
+    has the empty rome, det 1 and so lambda^n.
     """
-    rome_idx = frozenset(dg.index(lab) for lab in rome.labels)
+    n = len(succ)
+    rome_order = sorted(rome)
+    paths = {i: _simple_path_lengths(succ, rome, i, order) for i in rome_order}
+    det = poly_det([[IntPoly.from_terms(paths[i][j]) - IntPoly([int(i == j)]) for j in rome_order]
+                    for i in rome_order])
+    return IntPoly.from_terms({n - p: c for p, c in det.terms}).normalized_sign()
+
+
+def rome_char_poly_full(dg: CoverDigraph, rome: Rome) -> IntPoly:
+    """Exact characteristic polynomial of the adjacency matrix via the rome
+    (`_char_poly`), after one Kahn pass proves the given labels a rome."""
+    rome_idx = frozenset(map(dg.index, rome.labels))
     order = _topological_order(dg.succ, rome_idx)
     if order is None:
         raise ValueError("given node set is not a rome")
-    rome_order = sorted(rome_idx)
-    paths = {i: _simple_path_lengths(dg.succ, rome_idx, i, order) for i in rome_order}
-    det = poly_det([[IntPoly.from_terms(paths[i][j]) - IntPoly([int(i == j)]) for j in rome_order]
-                    for i in rome_order])
-    if det.degree > dg.n:
-        raise ValueError("negative powers survived clearing; input was not a rome")
-    return IntPoly.from_terms({dg.n - p: c for p, c in det.terms}).normalized_sign()
-
-
-def rome_char_poly(dg: CoverDigraph, rome: Rome) -> IntPoly:
-    """Relevant factor of the characteristic polynomial: lambda^k stripped.
-
-    The stripped power factor only records transient nodes; the remaining
-    factor carries the spectral radius.
-    """
-    core, _ = rome_char_poly_full(dg, rome).strip_power_factor()
-    return core.normalized_sign()
+    return _char_poly(dg.succ, rome_idx, order)
 
 
 def _det_int(matrix: list[list[int]]) -> int:
@@ -309,13 +313,6 @@ def direct_char_poly(dg: CoverDigraph) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 
-def _sub_digraph(dg: CoverDigraph, nodes: list[int]) -> CoverDigraph:
-    """Induced subdigraph on the sorted node list `nodes`, renumbered 0..k-1."""
-    pos = {v: k for k, v in enumerate(nodes)}
-    succ = tuple(tuple(pos[w] for w in dg.succ[v] if w in pos) for v in nodes)
-    return CoverDigraph(tuple(dg.labels[v] for v in nodes), succ)
-
-
 def _power_iteration_radius(adj: Sequence[Sequence[int]], steps: int = 10_000) -> float:
     """Float growth-rate estimate of the spectral radius (advisory only).
 
@@ -351,25 +348,27 @@ def _power_iteration_radius(adj: Sequence[Sequence[int]], steps: int = 10_000) -
 def spectral_radius(dg: CoverDigraph, digits: int = 12, check: bool = True) -> RootInterval:
     """Certified enclosure of the adjacency spectral radius.
 
-    Per strongly connected component the rome characteristic polynomial is
-    isolated exactly; the global radius is the componentwise maximum.  With
-    `check` the enclosure is proven again from the successor lists alone by
-    exact leading-minor tests at its ends (`_encloses_radius`); a failed
-    proof means a bug and raises.
+    Per cyclic strongly connected component, renumbered as successor lists,
+    the rome characteristic polynomial is isolated exactly; the global
+    radius is the componentwise maximum.  With `check` the enclosure is
+    proven again on the same components by exact leading-minor tests at its
+    ends (`_encloses_radius`); a failed proof means a bug and raises.
     """
     comps = _cyclic_components(dg.succ)
     if not comps:
         return RootInterval(Fraction(0), Fraction(0), IntPoly([0, 1]))
     enclosures = []
     for comp in comps:
-        sub = _sub_digraph(dg, sorted(comp))
-        poly = rome_char_poly(sub, find_rome(sub))
+        pos = {v: k for k, v in enumerate(sorted(comp))}
+        sub = [[pos[w] for w in dg.succ[v] if w in pos] for v in pos]
+        # a factor x^k adds only zero eigenvalues; the rest carries the radius
+        poly, _ = _char_poly(sub, *_rome_order(sub, range(len(sub)))).strip_power_factor()
         root = largest_positive_root(poly, digits)
         if root is None:
             raise AssertionError("cyclic component without positive root")
         enclosures.append(root)
     result = max(enclosures, key=functools.cmp_to_key(compare_roots))
-    if check and not _encloses_radius(dg.succ, result.lo, result.hi):
+    if check and not _encloses_radius(dg.succ, comps, result.lo, result.hi):
         raise AssertionError(
             f"exact radius check failed for [{result.lo}, {result.hi}] ({result.poly})"
         )
@@ -446,30 +445,31 @@ def _compare_radius(succ: Sequence[Sequence[int]], comp: Sequence[int], lam: Fra
     return (a < 0) - (a > 0)
 
 
-def compare_radius(succ: Sequence[Sequence[int]], lam) -> int:
-    """-1, 0 or 1 as the spectral radius of the digraph `succ` is <, = or > lam > 0.
+def _radius_sign(succ: Sequence[Sequence[int]], comps: Iterable[Sequence[int]], lam: Fraction) -> int:
+    """-1, 0 or 1 as the largest radius of the components `comps` is <, = or > lam."""
+    return max((_compare_radius(succ, c, lam) for c in comps), default=-1)
 
-    The answer is the largest over the cyclic strongly connected components;
-    a digraph without a cycle has radius 0 and gives -1.
-    """
+
+def compare_radius(succ: Sequence[Sequence[int]], lam) -> int:
+    """-1, 0 or 1 as the spectral radius of the digraph `succ` is <, = or > lam > 0:
+    the largest answer over its cyclic components, and -1 without a cycle."""
     lam = Fraction(lam)
     if lam.numerator <= 0:
         raise ValueError(f"lam must be > 0, got {lam}")
-    return max((_compare_radius(succ, c, lam) for c in _cyclic_components(succ)), default=-1)
+    return _radius_sign(succ, _cyclic_components(succ), lam)
 
 
-def _encloses_radius(succ: Sequence[Sequence[int]], lo: Fraction, hi: Fraction) -> bool:
-    """Whether exact arithmetic proves lo <= rho <= hi for the digraph `succ`.
+def _encloses_radius(succ: Sequence[Sequence[int]], comps: list[list[int]], lo: Fraction, hi: Fraction) -> bool:
+    """Whether exact arithmetic proves lo <= rho <= hi for the digraph `succ`
+    whose cyclic components are `comps`.
 
     lo < hi is proven by rho < hi and, for lo > 0, not rho < lo; lo == hi by
-    rho == hi; each is a leading-minor test per cyclic component, on the
-    components found once.  A radius of 0 holds only for an acyclic digraph.
+    rho == hi; each is a leading-minor test per component.  A radius of 0
+    holds only for an acyclic digraph.
     """
-    comps = _cyclic_components(succ)
     if hi <= 0:
         return lo <= hi == 0 and not comps
-    # the answer of `compare_radius` at hi, then at lo, each computed when asked
-    signs = (max((_compare_radius(succ, c, lam) for c in comps), default=-1) for lam in (hi, lo))
+    signs = (_radius_sign(succ, comps, lam) for lam in (hi, lo))  # each computed when asked
     if lo < hi:
         return next(signs) < 0 and (lo <= 0 or next(signs) >= 0)
     return lo == hi and next(signs) == 0
@@ -509,7 +509,6 @@ def _cover_digraph_pair(frame: int, a: int, b: int, partition: Sequence[tuple[st
     """`build_cover_digraph_pair` of a partition and host edges given as
     lattice ends in `frame`, where F has the offsets (a, b)."""
     labels = tuple(lab for lab, _ in partition)
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate partition labels")
+    _label_index(labels)
     lower, upper = image_cover_relations(frame, a, b, partition, hosts)
     return tuple(CoverDigraph(labels, tuple(tuple(sorted(row)) for row in rows)) for rows in (lower, upper))

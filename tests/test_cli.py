@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,13 @@ def test_verify_command(capsys):
     assert all(ln.startswith("PASS") for ln in lines)
 
 
+def test_verify_leaves_the_global_random_state_alone(capsys):
+    random.seed(7)
+    state = random.getstate()
+    assert run(capsys, "verify")[0] == 0
+    assert random.getstate() == state
+
+
 @pytest.mark.parametrize(
     "argv, bad",
     [
@@ -168,12 +176,13 @@ def test_verify_command(capsys):
         (("measure", "--regime", "gamma", "--b", "-3"), "'gamma'"),
         (("entropy",), "--b"),
         (("table1", "--digits", "-1"), "got -1"),
+        (("entropy", "--b", "5", "--a", ""), "''"),
     ],
     ids=[
         "b-at-band-end", "zero-denominator", "negative-digits", "bad-period", "negative-depth",
         "alpha-b-off-return-map", "beta-b-off-return-map",
         "non-integer-depth", "non-integer-digits", "unknown-regime", "missing-b",
-        "table1-negative-digits",
+        "table1-negative-digits", "empty-a",
     ],
 )
 def test_bad_input_is_a_one_line_error(capsys, argv, bad):

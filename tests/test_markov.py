@@ -20,7 +20,6 @@ from pwldyn.markov import (
     direct_char_poly,
     find_rome,
     is_rome,
-    rome_char_poly,
     rome_char_poly_full,
     spectral_radius,
     _compare_radius,
@@ -36,6 +35,10 @@ from pwldyn.rationals import format_decimal, ln_enclosure
 
 def poly(**terms) -> IntPoly:
     return IntPoly.from_terms({int(k[1:]): v for k, v in terms.items()})
+
+
+def encloses(succ, lo, hi) -> bool:
+    return _encloses_radius(succ, markov._cyclic_components(succ), lo, hi)
 
 
 def seven_cycle():
@@ -181,7 +184,7 @@ def test_build_cover_digraph_pair_refusals_keep_their_order():
     assert list(inspect.signature(build_cover_digraph_pair).parameters) == ["graph", "partition"]
     g = build_gamma("band48", 5)
     part, _ = band48.band48_partition(5)
-    with pytest.raises(ValueError, match="^duplicate partition labels$"):
+    with pytest.raises(ValueError, match="^repeated node label 'A'$"):
         build_cover_digraph_pair(g, [*part, part[0]])
     # Overlapping intervals off the graph: the overlap is named first.
     off = [("a", Segment(point(0, 0), point(2, 0))), ("b", Segment(point(1, 0), point(3, 0)))]
@@ -209,17 +212,19 @@ def test_find_rome_examples():
 
 def test_rome_char_poly_examples():
     lower, upper, _ = cover_digraphs(F(9, 2))
-    assert rome_char_poly(lower, find_rome(lower)) == poly(p7=1, p4=-1, p0=-1)
+    assert rome_char_poly_full(lower, find_rome(lower)).strip_power_factor()[0] == poly(p7=1, p4=-1, p0=-1)
 
     _, upper_u0, _ = cover_digraphs(F(21, 4) + F(1, 50))
-    assert rome_char_poly(upper_u0, find_rome(upper_u0)) == poly(p10=1, p7=-1, p3=-2, p0=-1)
+    assert rome_char_poly_full(upper_u0, find_rome(upper_u0)).strip_power_factor()[0] == (
+        poly(p10=1, p7=-1, p3=-2, p0=-1)
+    )
 
     sc = seven_cycle()
-    assert rome_char_poly(sc, find_rome(sc)) == poly(p7=1, p0=-1)
+    assert rome_char_poly_full(sc, find_rome(sc)).strip_power_factor()[0] == poly(p7=1, p0=-1)
     assert rome_char_poly_full(sc, find_rome(sc)) == poly(p7=1, p0=-1)
 
     with pytest.raises(ValueError):
-        rome_char_poly(sc, Rome(()))  # empty set misses the 7-cycle
+        rome_char_poly_full(sc, Rome(()))  # empty set misses the 7-cycle
 
 
 def test_rome_full_matches_direct_on_tabulated_digraphs():
@@ -291,6 +296,44 @@ def test_rome_paths_are_counted_not_enumerated():
     assert spectral_radius(dg, 10).poly == poly(p41=1, p0=-(2**40))
 
 
+def test_checked_radius_finds_components_once_and_repeats_no_kahn_pass(monkeypatch):
+    # A work count, not a timing: a checked `spectral_radius` finds the
+    # cyclic components once and proves its enclosure on them, and in each
+    # component makes one Kahn pass per rome candidate it tries: never the
+    # empty set, no set twice, and only the last pass accepts.
+    cyclic_components, topological_order = markov._cyclic_components, markov._topological_order
+    component_passes, kahn = [], []
+
+    def counted_components(succ):
+        component_passes.append(succ)
+        return cyclic_components(succ)
+
+    def counted_order(succ, removed):
+        order = topological_order(succ, removed)
+        kahn.append((succ, removed, order is not None))  # holding succ keeps its id unique
+        return order
+
+    monkeypatch.setattr(markov, "_cyclic_components", counted_components)
+    monkeypatch.setattr(markov, "_topological_order", counted_order)
+    digraphs = [layered_digraph(20)]
+    for n in range(4):
+        for letter in "STUV":
+            lo, hi, _, _ = band48.LevelClass(n, letter).interval()
+            digraphs += cover_digraphs((lo + hi) / 2)[:2]
+    for dg in digraphs:
+        component_passes.clear()
+        kahn.clear()
+        spectral_radius(dg, 12, check=True)
+        assert len(component_passes) == 1
+        assert all(removed for _, removed, _ in kahn)
+        assert len({(id(succ), removed) for succ, removed, _ in kahn}) == len(kahn)
+        accepted: dict[int, list[bool]] = {}
+        for succ, _, ok in kahn:
+            accepted.setdefault(id(succ), []).append(ok)
+        assert len(accepted) == len(cyclic_components(dg.succ))
+        assert all(oks[-1] and not any(oks[:-1]) for oks in accepted.values())
+
+
 def test_spectral_radius_examples():
     lower5, _, _ = cover_digraphs(F(5))
     r = spectral_radius(lower5, 7)
@@ -358,27 +401,27 @@ def test_exact_check_rejects_wrong_enclosures():
     lower, _, lc = cover_digraphs(F(5))
     assert str(lc) == "T0"
     r = spectral_radius(lower, 12)
-    assert _encloses_radius(lower.succ, r.lo, r.hi)
+    assert encloses(lower.succ, r.lo, r.hi)
     shift = F(1, 10**6)
-    assert not _encloses_radius(lower.succ, r.lo - shift, r.hi - shift)  # hi below rho
-    assert not _encloses_radius(lower.succ, r.lo + shift, r.hi + shift)  # lo above rho
-    assert not _encloses_radius(lower.succ, F(1), F(1))  # rho > 1 is not exactly 1
+    assert not encloses(lower.succ, r.lo - shift, r.hi - shift)  # hi below rho
+    assert not encloses(lower.succ, r.lo + shift, r.hi + shift)  # lo above rho
+    assert not encloses(lower.succ, F(1), F(1))  # rho > 1 is not exactly 1
     # the radius of the neighbouring class S0 (about 1.158) is no enclosure at T0
     s0_lower, _, lc_s0 = cover_digraphs(F(9, 2))
     assert str(lc_s0) == "S0"
     r_s0 = spectral_radius(s0_lower, 12)
-    assert not _encloses_radius(lower.succ, r_s0.lo, r_s0.hi)
+    assert not encloses(lower.succ, r_s0.lo, r_s0.hi)
     # a wrong exact radius on a cycle, and a radius above 0 on a DAG
-    assert _encloses_radius(seven_cycle().succ, F(1), F(1))
-    assert not _encloses_radius(seven_cycle().succ, F(2), F(2))
-    assert not _encloses_radius(seven_cycle().succ, F(1, 2), F(1, 2))
+    assert encloses(seven_cycle().succ, F(1), F(1))
+    assert not encloses(seven_cycle().succ, F(2), F(2))
+    assert not encloses(seven_cycle().succ, F(1, 2), F(1, 2))
     # 1 is an eigenvalue here (char poly x^5 - x^4 - 2x^3 + 2, rho ~ 1.899)
     # with a one-dimensional kernel, but no positive eigenvector
     non_perron = [[1, 3], [1, 4], [0], [0, 2, 4], [1, 2]]
-    assert not _encloses_radius(non_perron, F(1), F(1))
+    assert not encloses(non_perron, F(1), F(1))
     dag = digraph_from_edges(["a", "b"], [("a", "b")]).succ
-    assert _encloses_radius(dag, F(0), F(0))
-    assert not _encloses_radius(dag, F(1), F(1))
+    assert encloses(dag, F(0), F(0))
+    assert not encloses(dag, F(1), F(1))
 
 
 def test_spectral_radius_raises_on_wrong_enclosure(monkeypatch):
@@ -457,7 +500,7 @@ def test_certificates_compute_no_enclosure(monkeypatch):
         raise AssertionError("radius enclosure computed for a certificate")
 
     monkeypatch.setattr(markov, "largest_positive_root", forbidden)
-    monkeypatch.setattr(markov, "find_rome", forbidden)
+    monkeypatch.setattr(markov, "_rome_order", forbidden)
     for tag in ("alpha", "beta"):
         ci = certify.certify(tag, 6, 8)
         assert certify.verify_certificate(ci)
@@ -472,7 +515,7 @@ def test_exact_check_accepts_random_digraphs():
         edges = [(labs[i], labs[j]) for i in range(size) for j in range(size) if rng.random() < 0.3]
         dg = digraph_from_edges(labs, edges)
         r = spectral_radius(dg, 12, check=False)
-        assert _encloses_radius(dg.succ, r.lo, r.hi)
+        assert encloses(dg.succ, r.lo, r.hi)
 
 
 def test_default_paths_use_no_float(monkeypatch):
