@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from pwldyn.graphs import _table_lattice
 from pwldyn.markov import CoverDigraph, _cover_digraph_pair, spectral_radius
-from pwldyn.planemap import LatticeSegment, Segment, _off_frame
+from pwldyn.planemap import LatticeSegment
 from pwldyn.polys import IntPoly, RootInterval, _sign_at, compare_roots, isolate_unique_positive_root
 from pwldyn.rationals import format_decimal, ln_bounds, ln_enclosure, rational_str
 
@@ -97,14 +97,6 @@ def classify(b) -> LevelClass:
     if 8 * v - u << e > 2 * u - v:
         return LevelClass(n, "U")
     return LevelClass(n, "V")
-
-
-def x_orbit_point(b, n: int) -> Fraction:
-    """Closed form of the n-th return x_n = ((b-8)*4^(n+1) + 2 - b) / 3."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    b = Fraction(b)
-    return ((b - 8) * 4 ** (n + 1) + 2 - b) / 3
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +263,6 @@ def upper_root_below(n: int, eps) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def band48_partition(b) -> tuple[list[tuple[str, Segment]], LevelClass]:
-    """Named interval partition carrying the covering digraph at parameter b.
-
-    Plateaus and their feeder intervals are deliberately absent: collapsed
-    intervals contribute no itineraries.  The `Fraction` view of the
-    lattice partition that `cover_digraphs` uses.
-    """
-    b = Fraction(b)
-    frame, named, _ = _graph_on_12d(b)
-    part, lc = _partition(b, named)
-    return [(label, Segment(_off_frame(x1, y1, frame), _off_frame(x2, y2, frame)))
-            for label, (x1, y1, x2, y2) in part], lc
-
-
 def _graph_on_12d(b: Fraction) -> tuple[int, dict[str, tuple[int, int]], list[LatticeSegment]]:
     """(12d, named points, edge ends) of the band48 graph at b = n/d, on the
     lattice (1/12d)Z^2 where every partition end lies too."""
@@ -294,8 +272,9 @@ def _graph_on_12d(b: Fraction) -> tuple[int, dict[str, tuple[int, int]], list[La
 
 
 def _partition(b: Fraction, named: dict[str, tuple[int, int]]) -> tuple[list[tuple[str, LatticeSegment]], LevelClass]:
-    """`band48_partition` at b = u/v as lattice ends on (1/12v)Z^2, the
-    named points of the graph given there.
+    """Partition carrying the covering digraphs at b = u/v, as lattice ends
+    on (1/12v)Z^2, the named points of the graph given there; plateaus and
+    their feeders are absent (collapsed intervals carry no itineraries).
 
     The orbit points x_i = ((b-8)*4^(i+1) + 2 - b)/3 of the bottom edge and
     their first two images are on that lattice: 12v*x_i is

@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Sequence
 
-from pwldyn.markov import CoverDigraph, compare_radius
+from pwldyn.markov import compare_radius
 from pwldyn.piecewise import IntegerFrame, Itinerary, Piece, PiecewiseAffine1D
 from pwldyn.planemap import Params, Segment, point, restrict_iterate_to_segment
 from pwldyn.rationals import (
@@ -229,33 +229,6 @@ def _require_window(b: Fraction, fam: TrapezoidFamily, what: str):
         raise ValueError(f"{what} requires b in [{lo}, {hi}]")
 
 
-def build_g2(b) -> PiecewiseAffine1D:
-    """Semiconjugate core of the 6-step return map on the first window."""
-    b = Fraction(b)
-    _require_window(b, phi_family(), "build_g2")
-    top = (9 * b + 8) / (8 * (b + 1))
-    u1 = (137 * b + 112) / (128 * (b + 1))
-    u2 = 7 * (9 * b + 8) / (64 * (b + 1))
-    return PiecewiseAffine1D(
-        F(0), top, [u1, u2],
-        [
-            Piece(F(16), -(16 * b + 13) / (b + 1), "L"),
-            Piece(F(0), top, "C"),
-            Piece(F(-8), (9 * b + 8) / (b + 1), "R"),
-        ],
-    )
-
-
-def build_g3(b) -> PiecewiseAffine1D:
-    """Trapezoidal extension of build_g2 between the rising fixed point and its preimage."""
-    b = Fraction(b)
-    _require_window(b, phi_family(), "build_g3")
-    g2 = build_g2(b)
-    x1 = (16 * b + 13) / (15 * (b + 1))
-    x2 = (119 * b + 107) / (120 * (b + 1))
-    return PiecewiseAffine1D(x1, x2, list(g2.breakpoints), list(g2.pieces))
-
-
 def build_k1(b) -> PiecewiseAffine1D:
     """The 7-step return map on the second window's invariant interval.
 
@@ -343,25 +316,10 @@ class CertifiedInterval(NamedTuple):
         return json.dumps(self.to_json(), indent=2) + "\n"
 
 
-def orbit_digraph(m: PiecewiseAffine1D, orbit: Sequence[Fraction]) -> CoverDigraph:
-    """Covering digraph of the Markov partition cut at an exact periodic orbit.
-
-    The domain is cut by `markov_partition` seeded with the orbit; constancy
-    cells are dropped (they feed no itinerary growth), every remaining cell
-    is monotone, and an edge is exact covering.  The periodicity check and
-    the partition run on the numerators of `m.integer_frame(orbit)`.
-    """
-    frame, xs = m.integer_frame(orbit)
-    pts = set(xs)
-    full, _ = frame.walk(xs[0], len(pts))
-    if full[-1] != full[0] or set(full[:-1]) != pts:
-        raise ValueError("orbit is not exactly periodic under the map")
-    succ = _orbit_succ(frame, xs)
-    return CoverDigraph(tuple(f"I{k}" for k in range(len(succ))), succ)
-
-
 def _orbit_succ(frame: IntegerFrame, orbit: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """`orbit_digraph`'s successor lists, on the numerators over frame.q of a periodic orbit."""
+    """Successor lists of the covering digraph of `frame.partition` cut at a
+    periodic orbit (numerators over frame.q), constancy cells dropped: every
+    kept cell is monotone and each edge is exact covering."""
     _, cells = frame.partition(orbit)
     nodes = [i for i, (_, cover) in enumerate(cells) if cover is not None]
     pos = {i: k for k, i in enumerate(nodes)}

@@ -78,7 +78,8 @@ def _cmd_certify(tag: str, args) -> int:
 
 
 def cmd_graph(args) -> int:
-    g = graphs.build_gamma(args.regime, parse_rational(args.b))
+    b = parse_rational(args.b)
+    g = graphs.build_gamma(args.regime, b)
     if args.format == "json":
         import json
 
@@ -88,7 +89,7 @@ def cmd_graph(args) -> int:
     elif args.format == "dot":
         if args.regime != "band48":
             raise ValueError("digraph export is available for the band48 regime only")
-        lower, _, _ = band48.cover_digraphs(parse_rational(args.b))
+        lower, _, _ = band48.cover_digraphs(b)
         _emit(lower.to_dot() + "\n", args.out)
     return 0
 

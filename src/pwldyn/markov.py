@@ -171,10 +171,6 @@ class Rome(NamedTuple):
     labels: tuple[str, ...]
 
 
-def is_rome(dg: CoverDigraph, rome: Rome) -> bool:
-    return _topological_order(dg.succ, frozenset(map(dg.index, rome.labels))) is not None
-
-
 def _rome_order(succ: Sequence[Sequence[int]], candidates: Sequence[int]) -> tuple[frozenset[int], list[int]]:
     """Least rome drawn from the sorted `candidates` by brute force over size,
     with the Kahn order (`_topological_order`) of the nodes off it that proved

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from pwldyn.certify import TrapezoidFamily, trapezoid_family
 from pwldyn.graphs import PlanarGraph, _regime_where, build_gamma
-from pwldyn.piecewise import IntegerFrame, PiecewiseAffine1D
+from pwldyn.piecewise import IntegerFrame
 from pwldyn.planemap import Params, Segment, _restricted_frames
 from pwldyn.rationals import rational_str
 
@@ -66,23 +66,10 @@ class CaptureProfile(NamedTuple):
         ]
 
 
-def return_map_for_edge(regime: str, b, edge: str) -> PiecewiseAffine1D:
-    """Return map of the edge under the regime's return power.
-
-    Pieces that exit the edge must do so entirely; on these graphs every
-    exiting branch lands on a plateau or its feeder and is captured, so the
-    exact capture computation treats it as such.  The one edge whose exiting
-    branch leaves the carrying line (edge G of the circle regime) is handled
-    by the exact affine conjugation with the preceding edge.  The two
-    transition windows read their edge, segment and power from their
-    trapezoid family.  The `Fraction` view of the frame that
-    `edge_capture_profile` reads.
-    """
-    return _edge_frame(regime, Fraction(b), edge).to_map()
-
-
 def _edge_frame(regime: str, b: Fraction, edge: str) -> IntegerFrame:
-    """The return map of one edge, as `return_map_for_edge` describes it."""
+    """Return map of the edge under the regime's return power.  An exiting
+    piece must leave the edge entirely (onto a plateau or its feeder, so it
+    is captured); G's frame is E's conjugate (`_negb_frames`)."""
     if regime == "negb":
         if edge not in _NEGB_EDGES:
             raise ValueError(f"edge {edge!r} is not return-invariant in regime negb")

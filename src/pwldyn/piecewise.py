@@ -1,11 +1,11 @@
 """One-dimensional piecewise-affine maps with rational breakpoints.
 
 Supports exact iteration, itineraries, and the orbit-closure Markov
-partition: the cut points and chosen seeds closed under the map.  Its cells
-carry both the covering digraph of a periodic orbit (built in `certify`)
-and the exact transfer recursion for the measure of points not yet captured
-by a constancy piece.  A map here is concrete; the one family with a
-parameter, the trapezoid maps, lives in `certify`.
+partition (`IntegerFrame.partition`): the cuts and chosen seeds closed
+under the map.  Its cells carry both the covering digraph of a periodic
+orbit (built in `certify`) and the exact transfer recursion for the measure
+of points not yet captured by a constancy piece.  A map here is concrete;
+the one family with a parameter, the trapezoid maps, lives in `certify`.
 
 A map with integer slopes sends (1/Q)Z into itself once Q clears its cuts
 and offsets.  `IntegerFrame` is that form: cut and offset numerators over
@@ -169,9 +169,12 @@ class IntegerFrame(NamedTuple):
         return xs, idx
 
     def partition(self, seeds: Iterable[int] = ()) -> tuple[list[int], list[tuple[int, range | None]]]:
-        """(ends, cells): the numerators of `markov_partition`'s sorted cell
-        ends, and per cell (piece index, cover), cover None on a constancy
-        piece."""
+        """(ends, cells) of the orbit-closure Markov partition: the sorted
+        numerators of the cuts and `seeds` closed under the map (at a cut,
+        under every piece holding it, so a jump still maps ends to ends; a
+        point off the domain is not iterated), and per cell (piece index,
+        cover), `cover` the index range of the cells it maps onto, None on a
+        constancy piece."""
         cuts, slopes, offsets = self.cuts, self.slopes, self.offsets
         lo, hi = cuts[0], cuts[-1]
         ends = {*cuts, *seeds}
@@ -221,13 +224,13 @@ class IntegerFrame(NamedTuple):
         return _lowest_frame(q, cuts, slopes, offsets)
 
     def uncaptured(self, depth: int) -> tuple[tuple[int, ...], int, int]:
-        """(w, q, s) of `uncaptured_numerators` for this map.
-
-        The state of the recursion is the vector of cell numerators, and
-        each step is a fixed function of that vector, so the loop stops at
-        the first vector it has seen before and fills the remaining totals
-        from the cycle it closes.
-        """
+        """(w, q, s) with U_n = w[n] / (q*s^n), n = 0..depth, the measure of
+        the points that avoid every constancy piece for n steps (a point
+        mapped off the domain is captured); s is the lcm of the nonzero
+        |slopes|.  On the cells of `partition()` this is the recursion
+        u_(n+1)[i] = sum(u_n[cover_i]) / |slope_i|, u_0 the cell lengths, 0
+        on constancy cells, cut off at the first repeated vector of cell
+        numerators (exact: see the module docstring)."""
         if 0 not in self.slopes:
             raise ValueError("map has no constancy piece")
         ends, cells = self.partition()
@@ -277,47 +280,3 @@ def iterate_point(m: PiecewiseAffine1D, x0, k: int) -> list[Fraction]:
     if not m.lo <= orbit[-1] <= m.hi:
         raise ValueError(f"iterate {orbit[-1]} escaped domain [{m.lo}, {m.hi}]")
     return orbit
-
-
-# ---------------------------------------------------------------------------
-# Orbit-closure Markov partition
-# ---------------------------------------------------------------------------
-
-
-def markov_partition(m: PiecewiseAffine1D, seeds: Sequence[Fraction] = ()) -> list[tuple]:
-    """Sorted cells (a, b, piece, cover) cut at the forward closure of the
-    cut points and `seeds` under m.
-
-    At a point where two pieces meet, the value of every piece whose closed
-    span holds the point joins the closure, so a jump at a breakpoint still
-    maps cell ends to cell ends.  Points mapped off [lo, hi] are not
-    iterated.  So each non-constant cell maps onto the cells of index range
-    `cover`, plus its part off the domain; `cover` is None on a constancy
-    piece.  Integer slopes make the closure finite: it lies on the lattice
-    of `m.integer_frame(seeds)`, where it is computed; the cell ends become
-    Fractions only here.
-    """
-    frame, xs = m.integer_frame(seeds)
-    ends, cells = frame.partition(xs)
-    fr = [Fraction(x, frame.q) for x in ends]
-    return [(fr[k], fr[k + 1], m.pieces[i], cover) for k, (i, cover) in enumerate(cells)]
-
-
-# ---------------------------------------------------------------------------
-# The measure of uncaptured points
-# ---------------------------------------------------------------------------
-
-
-def uncaptured_numerators(m: PiecewiseAffine1D, depth: int) -> tuple[tuple[int, ...], int, int]:
-    """(w, q, s) with U_n = w[n] / (q*s^n) for n = 0..depth, U_n the measure
-    of the points that avoid every constancy piece for n steps; points
-    mapped off the domain are captured.
-
-    On the cells of `markov_partition(m)` this is the transfer recursion
-    u_{n+1}[i] = sum(u_n[cover_i]) / |slope_i|, with u_0 the cell lengths
-    and 0 on constancy cells.  It runs on integer numerators over q*s^n,
-    where q is that of `m.integer_frame()` and s the lcm of the |slopes|;
-    so w[0] = (hi - lo)*q.  It stops at the first repeated numerator
-    vector, which fixes every later total (`IntegerFrame.uncaptured`).
-    """
-    return m.integer_frame()[0].uncaptured(depth)

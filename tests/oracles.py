@@ -28,6 +28,11 @@ recursion that runs every step (`capture_vectors`) is the earlier form of
 the one that stops at the first repeated vector, and the band48 partition
 read off the graph's Fraction points is the earlier form of the lattice
 partition.
+The Fraction views of four integer engines (the orbit-closure partition,
+the covering digraph of a periodic orbit, the band48 lattice partition and
+an edge's return map), the closed-form band48 orbit point and the return
+map cores `build_g2` and `build_g3` of the first transition window left the
+library when only tests read them.
 The rest are small checks of the map and of digraphs that back statements
 in the tests (quadrant pieces, the rescaling identity, simple cycles, the
 trapezoid shape and the inverse parameter changes), and three helpers that
@@ -45,15 +50,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from pwldyn import band48, graphs
+from pwldyn import band48, certify, graphs, measure
 from pwldyn.markov import CoverDigraph, _cyclic_components, spectral_radius
-from pwldyn.piecewise import (
-    Itinerary,
-    Piece,
-    PiecewiseAffine1D,
-    uncaptured_numerators,
-)
-from pwldyn.planemap import Params, Point, Segment, apply_F, interval_gaps, interval_union
+from pwldyn.piecewise import Itinerary, Piece, PiecewiseAffine1D
+from pwldyn.planemap import Params, Point, Segment, _off_frame, apply_F, interval_gaps, interval_union
 from pwldyn.polys import IntPoly, RootInterval, _homogeneous, _sign, descartes_positive_sign_changes
 
 _QUADRANT_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}
@@ -332,7 +332,7 @@ def orbit_marks(regime: str, b: Fraction) -> list[tuple[str, Point, str]]:
 
 
 def markov_partition(m: PiecewiseAffine1D, seeds=()) -> list[tuple]:
-    """`piecewise.markov_partition`, closed, sorted and cut on Fractions."""
+    """`frame_partition`, closed, sorted and cut on Fractions."""
     for p in m.pieces:
         if p.slope.denominator != 1:
             raise ValueError(f"slope {p.slope} is not an integer: no finite orbit closure")
@@ -412,15 +412,23 @@ def compare_radius_component(succ, comp, lam) -> int:
     return 1
 
 
+def x_orbit_point(b, n: int) -> Fraction:
+    """Closed form of the n-th return x_n = ((b-8)*4^(n+1) + 2 - b) / 3."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    b = Fraction(b)
+    return ((b - 8) * 4 ** (n + 1) + 2 - b) / 3
+
+
 def band48_partition(b) -> tuple[list[tuple[str, Segment]], band48.LevelClass]:
-    """`band48.band48_partition`, with every end a Fraction point read off
+    """`lattice_band48_partition`, with every end a Fraction point read off
     the graph or the closed-form orbit points."""
     b = Fraction(b)
     g = graphs.build_gamma("band48", b)
     lc = band48.classify(b)
     n = lc.n
     P = g.named_point
-    xs = [band48.x_orbit_point(b, i) for i in range(n + 1)]
+    xs = [x_orbit_point(b, i) for i in range(n + 1)]
     bottom = [Point(x, Fraction(-1)) for x in xs]
     first_img = [Point(-x, x + b - 1) for x in xs]
     second_img = [Point(-2 * x - b, -2 * x + 1) for x in xs]
@@ -481,6 +489,47 @@ def power_iteration_radius(adj, steps: int = 10_000) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Fraction views of the integer engines
+# ---------------------------------------------------------------------------
+
+
+def frame_partition(m: PiecewiseAffine1D, seeds=()) -> list[tuple]:
+    """Sorted cells (a, b, piece, cover) of `IntegerFrame.partition` on the
+    lattice of `m.integer_frame(seeds)`, with Fraction ends."""
+    frame, xs = m.integer_frame(seeds)
+    ends, cells = frame.partition(xs)
+    fr = [Fraction(x, frame.q) for x in ends]
+    return [(fr[k], fr[k + 1], m.pieces[i], cover) for k, (i, cover) in enumerate(cells)]
+
+
+def orbit_digraph(m: PiecewiseAffine1D, orbit) -> CoverDigraph:
+    """`certify._orbit_succ` at an exact periodic orbit of m, its nodes
+    labelled I0..Ik; the periodicity check runs on the numerators too."""
+    frame, xs = m.integer_frame(orbit)
+    pts = set(xs)
+    full, _ = frame.walk(xs[0], len(pts))
+    if full[-1] != full[0] or set(full[:-1]) != pts:
+        raise ValueError("orbit is not exactly periodic under the map")
+    succ = certify._orbit_succ(frame, xs)
+    return CoverDigraph(tuple(f"I{k}" for k in range(len(succ))), succ)
+
+
+def lattice_band48_partition(b) -> tuple[list[tuple[str, Segment]], band48.LevelClass]:
+    """`band48._partition`, the partition `cover_digraphs` uses, with
+    Fraction ends."""
+    b = Fraction(b)
+    frame, named, _ = band48._graph_on_12d(b)
+    part, lc = band48._partition(b, named)
+    return [(label, Segment(_off_frame(x1, y1, frame), _off_frame(x2, y2, frame)))
+            for label, (x1, y1, x2, y2) in part], lc
+
+
+def return_map(regime: str, b, edge: str) -> PiecewiseAffine1D:
+    """The frame `edge_capture_profile` reads (`measure._edge_frame`), on Fractions."""
+    return measure._edge_frame(regime, Fraction(b), edge).to_map()
+
+
+# ---------------------------------------------------------------------------
 # The capture recursion
 # ---------------------------------------------------------------------------
 
@@ -515,7 +564,7 @@ def capture_vectors(m: PiecewiseAffine1D, depth: int) -> tuple[list[list[int]], 
 
 
 def full_uncaptured_numerators(m: PiecewiseAffine1D, depth: int) -> tuple[tuple[int, ...], int, int]:
-    """`piecewise.uncaptured_numerators` with every step of the recursion run."""
+    """`IntegerFrame.uncaptured` with every step of the recursion run."""
     vectors, q, s = capture_vectors(m, depth)
     return tuple(sum(w) for w in vectors), q, s
 
@@ -903,8 +952,8 @@ def itinerary_of(m: PiecewiseAffine1D, x0, k: int) -> Itinerary:
 
 
 def uncaptured_measures(m: PiecewiseAffine1D, depth: int) -> list[Fraction]:
-    """[U_0, ..., U_depth] of `uncaptured_numerators`, as Fractions."""
-    w, q, s = uncaptured_numerators(m, depth)
+    """[U_0, ..., U_depth] of `IntegerFrame.uncaptured`, as Fractions."""
+    w, q, s = m.integer_frame()[0].uncaptured(depth)
     out = []
     for wn in w:
         out.append(Fraction(wn, q))
@@ -1040,6 +1089,33 @@ def normalized_plateau_width(m: PiecewiseAffine1D, extended: bool = False) -> Fr
     else:
         lo, hi = m.lo, m.hi
     return (u2 - u1) / (hi - lo)
+
+
+def build_g2(b) -> PiecewiseAffine1D:
+    """Semiconjugate core of the 6-step return map on the first window."""
+    b = Fraction(b)
+    certify._require_window(b, certify.phi_family(), "build_g2")
+    top = (9 * b + 8) / (8 * (b + 1))
+    u1 = (137 * b + 112) / (128 * (b + 1))
+    u2 = 7 * (9 * b + 8) / (64 * (b + 1))
+    return PiecewiseAffine1D(
+        Fraction(0), top, [u1, u2],
+        [
+            Piece(Fraction(16), -(16 * b + 13) / (b + 1), "L"),
+            Piece(Fraction(0), top, "C"),
+            Piece(Fraction(-8), (9 * b + 8) / (b + 1), "R"),
+        ],
+    )
+
+
+def build_g3(b) -> PiecewiseAffine1D:
+    """Trapezoidal extension of build_g2 between the rising fixed point and its preimage."""
+    b = Fraction(b)
+    certify._require_window(b, certify.phi_family(), "build_g3")
+    g2 = build_g2(b)
+    x1 = (16 * b + 13) / (15 * (b + 1))
+    x2 = (119 * b + 107) / (120 * (b + 1))
+    return PiecewiseAffine1D(x1, x2, list(g2.breakpoints), list(g2.pieces))
 
 
 def alpha_d_to_b(d) -> Fraction:

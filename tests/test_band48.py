@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from oracles import x_orbit_point
 from pwldyn import band48, markov
 from pwldyn.band48 import (
     LevelClass,
@@ -25,7 +26,6 @@ from pwldyn.band48 import (
     table_rows,
     upper_root_below,
     verify_root_ordering,
-    x_orbit_point,
 )
 from pwldyn.markov import spectral_radius
 from pwldyn.polys import IntPoly, RootInterval, isolate_unique_positive_root

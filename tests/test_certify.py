@@ -5,16 +5,13 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from oracles import alpha_b_to_d, beta_b_to_d, normalized_plateau_width
+from oracles import alpha_b_to_d, beta_b_to_d, build_g2, build_g3, normalized_plateau_width, orbit_digraph
 from pwldyn.certify import (
-    build_g2,
-    build_g3,
     build_k1,
     certify,
     digits_report,
     k1_from_return_map,
     lower_pattern,
-    orbit_digraph,
     TrapezoidFamily,
     phi_family,
     psi_family,

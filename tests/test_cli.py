@@ -122,6 +122,31 @@ def test_graph_dot_is_pinned(capsys, b, sha256):
 
 
 @pytest.mark.parametrize(
+    "regime, b, fmt, sha256",
+    [
+        ("negb", "-3", "json", "1995ac346393ff878c63783d3e4818f27a8df87fe47eb29cb19de170edc9b6cd"),
+        ("negb", "-3", "svg", "cbf1405af9235cce1df694630223a2d42c73d43971c164fdce7b2e997ed6fe6a"),
+        ("alpha", "-163/200", "json", "2d113f6dddfa6a27a65d70d1dda37d394f987a00057be26cf35b5b94d6ec37a7"),
+        ("alpha", "-163/200", "svg", "5a02c5aa562aae31f7b412e190155ec744a051b60756ab8c0a12973d49fd60de"),
+        ("beta", "34497/50000", "json", "a0b87a927888a0c929f3bf7361c7fe2bd9b80cb51a6d8f9ac42a988c22d07357"),
+        ("beta", "34497/50000", "svg", "b66716bf0c608106d31294812f96ba7be4fa3e3c6ae178a9aba1297c97dac5a9"),
+        ("beta", "5/7", "json", "9e8908e18b2006b1964ba8101b191f02e51132f72100a696a2774477869260f0"),
+        ("beta", "5/7", "svg", "e9dd9dc3a5e183e177e9ae743e9da79a1fbdf449fe3ef3ce0477b89e9014af15"),
+        ("band48", "5", "json", "4d103e5ac80829072aeb5b6248b13ebfc0b12d12092259f410fadafd50abd5f1"),
+        ("band48", "5", "svg", "9c3290c6a960819ef5d3807c7c69b0d1693b3c1ac5e1f84c075f441ec711947f"),
+    ],
+    ids=["negb-json", "negb-svg", "alpha-json", "alpha-svg", "beta-json", "beta-svg",
+         "beta-boundary-json", "beta-boundary-svg", "band48-json", "band48-svg"],
+)
+def test_graph_json_and_svg_are_pinned(capsys, regime, b, fmt, sha256):
+    # one b per regime, and beta at the boundary b = 5/7, where edge B3
+    # shrinks to a point
+    code, out = run(capsys, "graph", "--regime", regime, f"--b={b}", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("measure", "--regime", "alpha", "--b", "-163/200", "--depth", "12"),

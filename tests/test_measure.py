@@ -4,14 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from oracles import return_map
 
 from pwldyn import graphs, measure
 from pwldyn.certify import phi_family, psi_family, trapezoid_family
-from pwldyn.measure import (
-    edge_capture_profile,
-    full_measure_report,
-    return_map_for_edge,
-)
+from pwldyn.measure import edge_capture_profile, full_measure_report
 from pwldyn.planemap import Params, restrict_iterate_to_segment
 
 
@@ -47,24 +44,24 @@ def test_unknown_edge_errors():
 
 def test_return_map_for_edge_refusals():
     with pytest.raises(ValueError, match="^edge 'PI' is not return-invariant in regime negb$"):
-        return_map_for_edge("negb", -3, "PI")
+        edge_capture_profile("negb", -3, "PI", 0)
     with pytest.raises(ValueError, match="^regime alpha supports the invariant interval 'PI'$"):
-        return_map_for_edge("alpha", F(-163, 200), "SIGMA")
+        edge_capture_profile("alpha", F(-163, 200), "SIGMA", 0)
     with pytest.raises(ValueError, match="^regime beta supports the invariant interval 'SIGMA'$"):
-        return_map_for_edge("beta", F(34497, 50000), "PI")
+        edge_capture_profile("beta", F(34497, 50000), "PI", 0)
     with pytest.raises(ValueError, match="^no return structure tabulated for regime 'band48'$"):
-        return_map_for_edge("band48", 5, "A")
+        edge_capture_profile("band48", 5, "A", 0)
     single = r"^regime beta, edge SIGMA: the edge is a single point at b = 20/29 \(degenerate segment\)$"
     with pytest.raises(ValueError, match=single):
-        return_map_for_edge("beta", F(20, 29), "SIGMA")
+        edge_capture_profile("beta", F(20, 29), "SIGMA", 0)
     with pytest.raises(ValueError, match=r"^regime alpha, edge PI: F\^6 does not return the edge at b = -3/4 "):
-        return_map_for_edge("alpha", F(-3, 4), "PI")
+        edge_capture_profile("alpha", F(-3, 4), "PI", 0)
 
 
 def test_transition_return_maps_read_their_family():
     for regime, b in (("alpha", F(-163, 200)), ("beta", F(34497, 50000))):
         fam = trapezoid_family(regime)
-        m = return_map_for_edge(regime, b, fam.edge)
+        m = return_map(regime, b, fam.edge)
         want = restrict_iterate_to_segment(Params.standard(b), fam.segment(b), fam.return_power)
         assert (m.lo, m.hi, m.breakpoints, m.pieces) == (want.lo, want.hi, want.breakpoints, want.pieces)
         assert [p.edge for p in full_measure_report(regime, b, 0).profiles] == [fam.edge]
@@ -110,7 +107,7 @@ def test_full_measure_beta_window():
 def test_uncaptured_nests_to_repelling_fixed_point():
     from oracles import uncaptured_intervals
 
-    m = return_map_for_edge("negb", -3, "A")
+    m = return_map("negb", -3, "A")
     fixed = F(-17, 15)
     assert m(fixed) == fixed
     prev_width = None
@@ -143,7 +140,7 @@ def test_capture_recursion_matches_interval_oracle():
     cases += [("alpha", "PI", draw(*phi_family().b_window)) for _ in range(20)]
     cases += [("beta", "SIGMA", draw(*psi_family().b_window)) for _ in range(20)]
     for regime, edge, b in cases:
-        m = return_map_for_edge(regime, b, edge)
+        m = return_map(regime, b, edge)
         oracle = [sum((hi - lo for lo, hi in uncaptured_intervals(m, n)), F(0)) for n in range(13)]
         assert uncaptured_measures(m, 12) == oracle, (regime, edge, b)
 
@@ -157,7 +154,7 @@ def test_uncaptured_measures_match_fraction_recursion():
             lo, hi = fam.b_window
             cases.append((regime, lo + (hi - lo) * F(rng.randint(1, 999), 1000), edge))
     for regime, b, edge in cases:
-        m = return_map_for_edge(regime, b, edge)
+        m = return_map(regime, b, edge)
         assert oracles.uncaptured_measures(m, 200) == oracles.fraction_uncaptured_measures(m, 200), (regime, b, edge)
 
 
@@ -188,7 +185,7 @@ def test_full_measure_report_matches_fraction_oracle():
         assert len(rep.profiles) == (7 if regime == "negb" else 1)
         totals = [F(0)] * (depth + 1)
         for prof in rep.profiles:
-            m = return_map_for_edge(regime, b, prof.edge)
+            m = return_map(regime, b, prof.edge)
             length = m.hi - m.lo
             us = oracles.fraction_uncaptured_measures(m, depth)
             assert prof.length == length
@@ -268,6 +265,6 @@ def test_reports_match_the_full_recursion():
         cases += [(regime, lo + (hi - lo) * F(rng.randint(1, 999), 1000), rng.randint(12, 24)) for _ in range(3)]
     for regime, b, depth in cases:
         for prof in full_measure_report(regime, b, depth).profiles:
-            m = return_map_for_edge(regime, b, prof.edge)
+            m = return_map(regime, b, prof.edge)
             assert prof[2:] == oracles.full_uncaptured_numerators(m, depth), (regime, b, prof.edge)
             assert prof == edge_capture_profile(regime, b, prof.edge, depth)

@@ -4,24 +4,20 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from oracles import itinerary_of, uncaptured_intervals, uncaptured_measures
+from oracles import frame_partition, itinerary_of, orbit_digraph, return_map, uncaptured_intervals, uncaptured_measures
 from pwldyn.certify import (
     certify,
-    orbit_digraph,
     phi_family,
     psi_family,
     trapezoid_family,
 )
 from pwldyn.markov import spectral_radius
-from pwldyn.measure import return_map_for_edge
 from pwldyn.piecewise import (
     IntegerFrame,
     Itinerary,
     Piece,
     PiecewiseAffine1D,
     iterate_point,
-    markov_partition,
-    uncaptured_numerators,
 )
 from pwldyn.planemap import Params, interval_gaps, interval_union, restrict_iterate_to_segment, segment
 
@@ -144,7 +140,7 @@ def jump_map() -> PiecewiseAffine1D:
 
 def test_markov_partition_closes_jumps():
     m = jump_map()
-    cells = markov_partition(m)
+    cells = frame_partition(m)
     assert [c[:2] for c in cells] == [(0, F(1, 4)), (F(1, 4), F(1, 2)), (F(1, 2), F(3, 4)), (F(3, 4), 1)]
     assert [c[3] for c in cells] == [None, range(0, 2), range(1, 3), range(0, 1)]
     assert uncaptured_measures(m, 8) == [
@@ -155,7 +151,7 @@ def test_markov_partition_closes_jumps():
 def test_markov_partition_needs_integer_slopes():
     half = PiecewiseAffine1D(F(0), F(1), [F(1, 2)], [Piece(F(1, 2), F(0)), Piece(F(0), F(1))])
     with pytest.raises(ValueError, match="slope 1/2 "):
-        markov_partition(half)
+        frame_partition(half)
     with pytest.raises(ValueError, match="slope 1/2 "):
         uncaptured_measures(half, 1)
 
@@ -166,7 +162,7 @@ def test_markov_partition_of_certified_orbits_adds_no_points():
     for cert in (ci.lo_certificate, ci.hi_certificate):
         m = fam.at(cert.d)
         ends = sorted(set(cert.orbit) | set(m.cut_points()))
-        assert [c[:2] for c in markov_partition(m, cert.orbit)] == list(zip(ends, ends[1:]))
+        assert [c[:2] for c in frame_partition(m, cert.orbit)] == list(zip(ends, ends[1:]))
 
 
 def test_uncaptured_geometric_decay():
@@ -196,7 +192,7 @@ def test_conjugate_affine():
     # the lattice conjugation against the Fraction one, frame for frame
     cases = [(fA, -1, F(4)), (fA, 3, F(-2, 7)), (fA, -2, F(5, 6)), (fA, 1, F(0))]
     for _ in range(40):
-        cases.append((return_map_for_edge("negb", -2 - 9 * F(rng.randint(1, 10**4), 10**4 + 1), "E"),
+        cases.append((return_map("negb", -2 - 9 * F(rng.randint(1, 10**4), 10**4 + 1), "E"),
                       rng.choice((-3, -1, 1, 2)), F(rng.randint(-50, 50), rng.randint(1, 12))))
     for m, p, c in cases:
         want = oracles.conjugate_affine(m, F(p), c)
@@ -250,11 +246,11 @@ def test_markov_partition_matches_fraction_oracle():
         return lo + (hi - lo) * F(rng.randint(1, 9999), 10000)
 
     for _ in range(5):
-        cases += [(return_map_for_edge("negb", draw(F(-11), F(-2)), e), ()) for e in "ABCDEGH"]
-        cases.append((return_map_for_edge("alpha", draw(*phi_family().b_window), "PI"), ()))
-        cases.append((return_map_for_edge("beta", draw(*psi_family().b_window), "SIGMA"), ()))
+        cases += [(return_map("negb", draw(F(-11), F(-2)), e), ()) for e in "ABCDEGH"]
+        cases.append((return_map("alpha", draw(*phi_family().b_window), "PI"), ()))
+        cases.append((return_map("beta", draw(*psi_family().b_window), "SIGMA"), ()))
     for m, seeds in cases:
-        assert markov_partition(m, seeds) == oracles.markov_partition(m, seeds)
+        assert frame_partition(m, seeds) == oracles.markov_partition(m, seeds)
 
 
 def _random_capture_frame(rng) -> IntegerFrame:
@@ -327,9 +323,10 @@ def test_capture_recursion_cut_off_matches_the_full_loop():
     for frame in frames:
         m = frame.conjugated(rng.choice((1, -1)), F(rng.randint(-30, 30), rng.randint(1, 12))).to_map()
         vectors, q, s = oracles.capture_vectors(m, 100)
-        assert uncaptured_numerators(m, 100) == oracles.full_uncaptured_numerators(m, 100), frame
+        engine = m.integer_frame()[0]
+        assert engine.uncaptured(100) == oracles.full_uncaptured_numerators(m, 100), frame
         for depth in (0, 1, 2, 3, 7):
-            assert uncaptured_numerators(m, depth) == oracles.full_uncaptured_numerators(m, depth), (frame, depth)
+            assert engine.uncaptured(depth) == oracles.full_uncaptured_numerators(m, depth), (frame, depth)
         period = _first_repeat_period(vectors)
         periods[period] = periods.get(period, 0) + 1
     assert periods[2] >= 80 and periods[3] >= 80 and periods[1] >= 30 and periods[None] >= 30, periods
