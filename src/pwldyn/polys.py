@@ -5,7 +5,7 @@ behind two bracket strategies:
 
 - `isolate_unique_positive_root` takes a polynomial with exactly one
   positive coefficient sign change (so one positive root) and brackets it
-  by [1, 1+max|coeff|] or [0, 1];
+  by [1, 1+max|coeff|] or [0, 1], from one exact sign at 1;
 - `largest_positive_root` takes any integer polynomial and bisects its
   square-free part with Sturm counts until the largest positive root is
   alone in (lo, hi].  That is what the spectral-radius code needs for
@@ -26,26 +26,31 @@ determinant of `markov` is `poly_det` over `IntPoly` entries.
 The kernel reads those terms with the odd part d of a point's denominator:
 at x = m / (d * 2^k) it evaluates the integer (d * 2^k)^deg * p(x), so a
 sign needs no Fraction.  `_homogeneous` builds that integer exactly;
-`IntPoly.__call__` divides it out.  Every sign query (the refinement's probes,
-`_sign_at` in the constructor's proof, in Sturm counts and in
-`largest_positive_root`) goes through `_probe`.  Where the exact integer
-would be long, `_probe` first bounds it from below and above by
-`_bounded`, with the powers of m and of d formed by squaring and every
-product cut to a few more bits than the point's depth (directed rounding,
-as in Rump's verification methods), and takes the sign those bounds prove;
-the exact kernel decides only when they cannot.  So every sign is exact,
-no float is used, and a deep probe costs about its depth in bits rather
-than degree times depth.  The refinement keeps its endpoints as integers
-over q * 2^k and builds Fractions only at return.  It returns the
-bisection's enclosure to the bit, but takes quadratic interval refinement
-steps on the bisection's own grid where the root is unique, so a simple
-root costs O(log digits) evaluations rather than one per bit.
+`IntPoly.__call__` divides it out.  Every exact sign (the two that prove a
+refinement's answer, the plain bisection's midpoints, `_sign_at` in the
+constructor's proof, in Sturm counts and in `largest_positive_root`) goes
+through `_probe`.  Where the exact integer would be long, `_probe` first
+bounds it from below and above by `_bounded`, with the powers of m and of
+d formed by squaring and every product cut to a few more bits than the
+point's depth (directed rounding, as in Rump's verification methods), and
+takes the sign those bounds prove; the exact kernel decides only when they
+cannot.  So every sign is exact, no float is used, and a deep probe costs
+about its depth in bits rather than degree times depth.
+
+The refinement returns the bisection's enclosure to the bit.  Where the
+root is the only positive one (one coefficient sign change, lo >= 0 not a
+root) that enclosure is known in advance, the depth-K grid cell that holds
+the root or the root itself on that grid, so the refinement predicts it
+and proves it, after Rump: a Newton search on fixed-point approximations
+(`_approximate`, `_predicted_point`) finds the cell in O(log K) steps, and
+two exact signs at its ends prove it.  A failed proof, and every other
+root, takes the plain bisection (`_bisected`), one exact sign per bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import index, itemgetter
 from typing import Iterable, Sequence
 
@@ -221,86 +226,225 @@ class RootInterval:
         kept is the one in (lo, hi].
 
         When that root is the only one right of lo >= 0 (one coefficient
-        sign change) and lo is not a root, the loop first tries Abbott's
-        quadratic interval refinement on the same grid: split the cell
-        into 2^j sub-cells, evaluate the one the secant picks, and keep it
-        if its exact end signs bracket the root (then j doubles; else j
-        halves and the plain step runs).  A kept sub-cell is the grid cell
-        bisection would reach, and every probe is a grid point of depth at
-        most K, so the enclosure is the bisection's to the bit, in
-        O(log digits) steps once the secant is close.
+        sign change) and lo is not a root, the bisection's answer is known
+        in advance: the depth-K cell holding the root, or the root itself
+        where it is a point of that grid.  The loop then predicts it and
+        proves it: a Newton search on fixed-point values finds a grid
+        point next to the root (`_predicted_point`), and two exact signs,
+        there and at the neighbour on the root's side, prove the cell (or
+        hit the root).  Only a failed proof runs the plain steps, from the
+        start.  So the enclosure is the bisection's to the bit, in two
+        exact probes and O(log K) approximate evaluations.
 
-        Each probe is read by `_probe`: its sign is exact, proven from
-        truncated bounds at about k + 2j bits when the exact value would be
-        long, and its magnitude |d^deg p(x)|, d the odd part of q, is kept
-        as (mantissa, exponent), so a cell end carried to a deeper grid
-        keeps its value.  The secant reads those magnitudes; the signs
-        alone decide which cell is kept.  Fractions are built at return.
+        Each exact sign is read by `_probe`, proven from truncated bounds
+        at about K bits when the exact value would be long.  Fractions are
+        built at return.
         """
         if digits < 0:
             raise ValueError(f"digits must be >= 0, got {digits}")
-        lo, hi = self.lo, self.hi
-        if lo == hi:
-            return self
-        q = lcm(lo.denominator, hi.denominator)
-        a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
-        # With q = d * 2^t, d odd, the cell is (a, b) / (d * 2^k) from
-        # k = t on, with b - a = gap throughout, and f(x) = (d * 2^k)^deg *
-        # p(x) at its ends, so only d is raised to powers.  K is the least
-        # k with gap * 10^digits < d * 2^k.
-        t = (q & -q).bit_length() - 1
-        d, gap, k = q >> t, b - a, t
-        depth = t + (gap * 10**digits // q).bit_length()
-        terms, deg = self.poly.terms, self.poly.degree
-        # Bits a sign at depth k needs: k plus the bits of d above the
-        # start gap (the cell's width below the scale), 2j for the secant's
-        # pick among 2^j sub-cells, and a margin for the rounding of about
-        # 2 log2(deg) truncated products for each of the powers of m and d.
-        margin = max(d.bit_length() - gap.bit_length(), 0) + deg.bit_length() + 64
+        return _refine(self, digits, None)
 
-        def exact(m: int, depth_m: int) -> "RootInterval":
-            x = Fraction(m, d << depth_m)
-            return RootInterval._proven(x, x, self.poly)
 
-        sa, fa = _probe(terms, d, a, k, margin)
-        shi, fb = _probe(terms, d, b, k, margin)
-        qir = lo >= 0 and sa != 0 and descartes_positive_sign_changes(self.poly) == 1
-        # With qir, the a end has sign -shi and the b end shi throughout.
-        j = 1
-        while k < depth:
-            if qir:
-                j = min(j, depth - k)
-                n, i, extra = 1 << j, _secant(fa, fb, j), margin + 2 * j
-                p, kj = (a << j) + i * gap, k + j
-                sp, fp = _probe(terms, d, p, kj, extra)
-                if sp == 0:
-                    return exact(p, kj)
-                # Evaluate the neighbour on the root's side, or reuse the
-                # cell end it is.
-                if sp == shi:
-                    m = p - gap
-                    sm, fm = (-shi, fa) if i == 1 else _probe(terms, d, m, kj, extra)
-                    cell = (m, p, fm, fp)
-                else:
-                    m = p + gap
-                    sm, fm = (shi, fb) if i == n - 1 else _probe(terms, d, m, kj, extra)
-                    cell = (p, m, fp, fm)
-                if sm == 0:
-                    return exact(m, kj)
-                if sm != sp:
-                    a, b, fa, fb = cell
-                    k, j = kj, 2 * j
-                    continue
-                j = max(j // 2, 1)
-            mid, k = a + b, k + 1
-            sm, fm = _probe(terms, d, mid, k, margin + 2 * j)
-            if sm == 0:
-                return exact(mid, k)
-            if sm == shi:
-                a, b, fb = 2 * a, mid, fm
+def _refine(ri: RootInterval, digits: int, ends: tuple[int, int] | None) -> RootInterval:
+    """`ri.refined(digits)`, digits >= 0, with the signs of ri.poly at lo
+    and hi given as `ends` where the caller knows them, so that no probe
+    is repeated, or probed here when `ends` is None."""
+    lo, hi, poly = ri.lo, ri.hi, ri.poly
+    if lo == hi:
+        return ri
+    q = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+    # With q = d * 2^t, d odd, the cell is (a, b) / (d * 2^k) from
+    # k = t on, with b - a = gap throughout, and f(x) = (d * 2^k)^deg *
+    # p(x) at its ends, so only d is raised to powers.  K is the least
+    # k with gap * 10^digits < d * 2^k.
+    t = (q & -q).bit_length() - 1
+    d, gap = q >> t, b - a
+    depth = t + (gap * 10**digits // q).bit_length()
+    if depth == t:
+        return ri
+    terms, deg = poly.terms, poly.degree
+    # Bits a sign at depth k needs: k plus the bits of d above the start
+    # gap (the cell's width below the scale), and a margin for the
+    # rounding of about 2 log2(deg) truncated products for each of the
+    # powers of m and d.
+    margin = max(d.bit_length() - gap.bit_length(), 0) + deg.bit_length() + 64
+    sa, shi = ends or (_probe(terms, d, a, t, margin), _probe(terms, d, b, t, margin))
+    if lo >= 0 and sa != 0 and descartes_positive_sign_changes(poly) == 1:
+        # The root is the one positive root, so the bisection ends on the
+        # depth-K cell whose exact end signs are -shi and shi, or on a
+        # root that is a point of that grid: predict it, then prove it.
+        n, scale = 1 << depth - t, d << depth
+        start = a << depth - t
+
+        def sign(j: int) -> int:
+            return -shi if j == 0 else shi if j == n else _probe(terms, d, start + j * gap, depth, margin)
+
+        # The grid point j nearest the root, then its neighbour on the
+        # root's side: a zero is the root, opposite signs the cell.
+        j = _predicted_point(terms, d, start, gap, depth, n, shi, depth + margin)
+        s = sign(j)
+        if s:
+            j2 = j - 1 if s == shi else j + 1
+            s2 = sign(j2)
+            if s2 == -s:
+                j, j2 = sorted((j, j2))
+                return RootInterval._proven(Fraction(start + j * gap, scale), Fraction(start + j2 * gap, scale), poly)
+            j, s = j2, s2
+        if s == 0:
+            x = Fraction(start + j * gap, scale)
+            return RootInterval._proven(x, x, poly)
+    return _bisected(poly, d, a, b, t, depth, shi, margin)
+
+
+def _bisected(poly: IntPoly, d: int, a: int, b: int, k: int, depth: int, shi: int, margin: int) -> RootInterval:
+    """The plain bisection of the cell (a, b) / (d * 2^k), in which poly
+    has the sign shi at the right end, down to depth `depth`: the loop for
+    a root that need not be the only one right of lo, and the fallback
+    where a predicted cell fails its proof."""
+    terms = poly.terms
+    while k < depth:
+        mid, k = a + b, k + 1
+        s = _probe(terms, d, mid, k, margin)
+        if s == 0:
+            x = Fraction(mid, d << k)
+            return RootInterval._proven(x, x, poly)
+        if s == shi:
+            a, b = 2 * a, mid
+        else:
+            a, b = mid, 2 * b
+    return RootInterval._proven(Fraction(a, d << k), Fraction(b, d << k), poly)
+
+
+def _predicted_point(terms: tuple[tuple[int, int], ...], d: int, a: int, gap: int, k: int, n: int, shi: int, bits: int) -> int:
+    """A point j in [0, n] of the grid (a + j gap) / (d * 2^k) next to the
+    root, found from approximate values: the point 0 has the sign -shi,
+    the point n the sign shi, and the root between is the one positive
+    root of a polynomial with one coefficient sign change.
+
+    The values come from `_approximate`; they only steer, and the caller
+    proves a cell at j with two exact signs.  The search runs on the
+    distance u from the end the root hugs, which the point n/2 tells.  It
+    takes Newton steps on ln(P/N), P and N the terms of the sign of shi
+    and of the other sign, each to the far end of the cell of its target,
+    in the bracket (near, far) of the root that the values' signs keep.
+    A step that leaves the bracket, or moves more than 3/4 of the step
+    before, gives way to a safeguard: a gallop towards the hugged end
+    (far / 2^2, far / 2^4, far / 2^8, ...) while near is 0, a geometric
+    midpoint while far > 4 near, else the midpoint.  The search ends at
+    a bracket one cell wide, or at a Newton target within a small
+    fraction of a cell of the root.
+
+    A value is taken at the bits that resolve 2^-16 of the point's
+    expected distance from the root in cells, times the 2^-64 that `bits`
+    keeps below a cell: for a safeguard point its distance from the
+    bracket's near end, for a Newton point the square of the move that
+    led to it over n.  Where its error bound could flip its sign, it is
+    taken again at `bits`.
+    """
+    deg, nbits = terms[-1][0], n.bit_length()
+    # Newton's move scales t by m / gap < (a + n gap) / gap: t to 2^-64 of
+    # a cell needs the values to these bits.
+    keep = ((a + n * gap) // gap).bit_length() + 64
+    # The error of P - N at B bits, in units of 2^-B, is at most slack
+    # times the sum of |c_p| max(1, x^p): x's rounding moves x^p by
+    # p x^(p-1), each cut product by a unit times the powers after it.
+    slack = 4 * (deg + len(terms) * deg.bit_length())
+    coeffs = sum(abs(c) for _, c in terms)
+
+    def value(i: int, r: int) -> tuple[bool, tuple[int, ...], bool]:
+        """Whether the point i is right of the root (a zero counts as
+        right), by its values at bits - r bits, the values (P, N, P1, N1,
+        P2, N2) with P of the sign of shi, cut to `keep` bits for Newton's
+        step, and whether they resolve 2^-16 of a cell."""
+        while True:
+            pos, neg, pos1, neg1, pos2, neg2 = _approximate(terms, d, a + i * gap, k, bits - r)
+            if shi < 0:
+                pos, neg, pos1, neg1, pos2, neg2 = neg, pos, neg1, pos1, neg2, pos2
+            if not r or abs(pos - neg) > slack * ((pos + neg >> bits - r) + coeffs):
+                break
+            r = 0
+        cut = max((pos + neg).bit_length() - keep, 0)
+        values = pos >> cut, neg >> cut, pos1 >> cut, neg1 >> cut, pos2 >> cut, neg2 >> cut
+        return pos >= neg, values, r <= 48
+
+    i = n >> 1
+    right, values, fine = value(i, nbits - 17)
+    hug_left = right
+    near, far, shift = 0, n >> 1, 1
+    last = 0  # the last Newton move, in 2^-8 of a cell; 0 after a safeguard
+    while far - near > 1:
+        step, slow = None, False
+        m = a + i * gap
+        target = _newton_target(i, m, gap, values)
+        if target is not None:
+            move = target - (i << 8)
+            if fine and _newton_settled(m, gap, deg, move, values):
+                return min(max(target + 128 >> 8, 0), n)
+            slow, last, c = 4 * abs(move) > 3 * abs(last) > 0, move, target >> 8
+            step = c if right else c + 1
+            if not hug_left:
+                step = n - step
+        if step is not None and near < step < far and not slow:
+            r = max(2 * abs(last).bit_length() - 32 - nbits, 0)  # move^2 / n, in cells
+        else:
+            if not near:
+                shift *= 2
+                step = max(far >> shift, 1)
+            elif far > 4 * near:
+                step = isqrt(near * far)
             else:
-                a, b, fa = mid, 2 * b, fm
-        return RootInterval._proven(Fraction(a, d << k), Fraction(b, d << k), self.poly)
+                step = near + far >> 1
+            last, r = 0, max((step - near).bit_length() - 16, 0)
+        i = step if hug_left else n - step
+        right, values, fine = value(i, r)
+        if right == hug_left:
+            far = step
+        else:
+            near = step
+    return near if hug_left else n - near
+
+
+def _newton_target(i: int, m: int, gap: int, values: tuple[int, ...]) -> int | None:
+    """The Newton target from the point i, at m / (d 2^k), in 2^-8 of a
+    cell gap / (d 2^k), from `_approximate`'s values there, or None where
+    they do not give one.
+
+    Newton on h = ln(P/N) in y = ln x: y moves by w = -t / h', with t =
+    2 (P - N) / (P + N), h to third order, and h' = eP - eN, eP = P1 / P
+    above eN = N1 / N (every term of P has a higher power than any of N),
+    where the values show it.  x moves to x e^w, read as x (2 + w) /
+    (2 - w) (e^w to third order), for w > -2.
+    """
+    pos, neg, dpos, dneg = values[:4]
+    slope = dpos * neg - dneg * pos  # P N h'
+    if not pos or slope <= 0:
+        return None
+    v = 2 * (pos - neg) * pos * neg  # -w (P + N) slope
+    q = 2 * (pos + neg) * slope + v  # (2 - w) (P + N) slope
+    if q <= 0:
+        return None
+    return (i << 8) - (2 * m * v << 8) // (gap * q)
+
+
+def _newton_settled(m: int, gap: int, deg: int, move: int, values: tuple[int, ...]) -> bool:
+    """Whether the Newton target `move` (2^-8 cells) from the point at
+    m / (d 2^k) is within 2^-6 of a cell of the root, by Taylor's rule.
+
+    With w the move of y = ln x, about move gap / (256 m), the step leaves
+    h'' w^2 / 2 of h, so its target is about h'' w^2 / (2 h') from the
+    root, with h'' = (P2 P - P1^2) / P^2 - (N2 N - N1^2) / N^2.  That holds
+    where the next term is small: h''' is at most about deg h'', so
+    deg |w| < 1/16.  Reading h as t = 2 tanh(h/2) shortens the move by
+    about t^2 / 12 of it, under 2^-8 of a cell where |move| t^2 < 12.
+    """
+    pos, neg, dpos, dneg, ddpos, ddneg = values
+    f, s = pos - neg, pos + neg
+    if abs(move) * f * f >= 3 * s * s or 16 * deg * abs(move) * gap >= m << 8:
+        return False
+    curve = abs((ddpos * pos - dpos * dpos) * neg * neg - (ddneg * neg - dneg * dneg) * pos * pos)  # h'' (P N)^2
+    slope = dpos * neg - dneg * pos  # h' P N
+    return curve * move * move * gap < slope * pos * neg * m << 11
 
 
 def _homogeneous(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int) -> int:
@@ -346,29 +490,31 @@ def _power_bounds(x: int, exponents: list[int], bits: int, up: bool) -> list[tup
     return out
 
 
+def _term_bounds(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int, bits: int, up: bool) -> list[tuple[int, int]]:
+    """(w, e) for each term (p, c_p), with w * 2^e a bound on its magnitude
+    |c_p| m^p d^(deg-p) 2^(k(deg-p)) in `_homogeneous`, m >= 0, from below,
+    or from above when `up`: the powers of m and of d come from
+    `_power_bounds`, upward in p for m and downward for d, and |c_p| and
+    every product are cut to `bits` bits in the same direction."""
+    deg = terms[-1][0]
+    mps = _power_bounds(m, [p for p, _ in terms], bits, up)
+    dps = _power_bounds(d, [deg - p for p, _ in reversed(terms)], bits, up)[::-1]
+    out = []
+    for (p, c), (mw, me), (dw, de) in zip(terms, mps, dps):
+        w, ex = _truncated(abs(c), 0, bits, up)
+        w, ex = _truncated(w * mw, ex + me, bits, up)
+        w, ex = _truncated(w * dw, ex + de, bits, up)
+        out.append((w, ex + k * (deg - p)))
+    return out
+
+
 def _bounded(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int, bits: int) -> tuple[int, int, int]:
     """(lo, hi, e) with lo * 2^e <= _homogeneous(terms, d, m, k) <= hi * 2^e,
-    for m >= 0.
-
-    Each term's magnitude |c| m^p d^(deg-p) 2^(k(deg-p)) is bounded below
-    and above: the powers of m and of d come from `_power_bounds`, upward in
-    p for m and downward for d, and |c| and every product are cut to `bits`
-    bits, rounded down for the lower bound and up for the upper.  The
-    signed bounds are summed on the grid 2^e, `bits` bits below the largest
-    term, again rounding each term down or up.
+    for m >= 0: the terms bounded below and above by `_term_bounds`, and
+    the signed bounds summed on the grid 2^e, `bits` bits below the
+    largest term, again rounding each term down or up.
     """
-    deg = terms[-1][0]
-    mags = []
-    for up in (False, True):
-        mps = _power_bounds(m, [p for p, _ in terms], bits, up)
-        dps = _power_bounds(d, [deg - p for p, _ in reversed(terms)], bits, up)[::-1]
-        out = []
-        for (p, c), (mw, me), (dw, de) in zip(terms, mps, dps):
-            w, ex = _truncated(abs(c), 0, bits, up)
-            w, ex = _truncated(w * mw, ex + me, bits, up)
-            w, ex = _truncated(w * dw, ex + de, bits, up)
-            out.append((w, ex + k * (deg - p)))
-        mags.append(out)
+    mags = [_term_bounds(terms, d, m, k, bits, up) for up in (False, True)]
     base = max(ex + w.bit_length() for w, ex in mags[1]) - bits
     lo = hi = 0
     for (_, c), (wl, el), (wh, eh) in zip(terms, *mags):
@@ -379,6 +525,35 @@ def _bounded(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int, bits: i
     return lo, hi, base
 
 
+def _approximate(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int, bits: int) -> tuple[int, ...]:
+    """(P, N, P1, N1, P2, N2) at x = m / (d * 2^k), each about 2^bits times
+    its value: P is the sum of the terms c x^p with c > 0, N minus the sum
+    of the others, so that p = P - N, and P1, P2 (N1, N2) weigh each term
+    by p and p^2, so that P1 = x P' and P2 = x (x P')'.  Fixed point with
+    `bits` fractional bits: x is rounded down to that grid once, and each
+    power of it is formed by squaring with every product cut back to the
+    grid.  An approximation that only steers `_predicted_point`; it
+    proves nothing."""
+    x = (m << bits) // (d << k)
+    pos = neg = pos1 = neg1 = pos2 = neg2 = prev = 0
+    power = 1 << bits
+    for p, c in terms:
+        e, sq, prev = p - prev, x, p
+        while e:
+            if e & 1:
+                power = power * sq >> bits
+            e >>= 1
+            if e:
+                sq = sq * sq >> bits
+        term = c * power
+        weighed = p * term
+        if c > 0:
+            pos, pos1, pos2 = pos + term, pos1 + weighed, pos2 + p * weighed
+        else:
+            neg, neg1, neg2 = neg - term, neg1 - weighed, neg2 - p * weighed
+    return pos, neg, pos1, neg1, pos2, neg2
+
+
 # Degree times the bit length of the point above which a probe first tries
 # the bounds of `_bounded`: below it the exact integer is short enough that
 # building it costs less than the bounds (with a cutover at 4,000 bits the
@@ -386,42 +561,19 @@ def _bounded(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int, bits: i
 _EXACT_BITS = 12_000
 
 
-def _probe(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int, margin: int) -> tuple[int, tuple[int, int]]:
-    """Sign of f = _homogeneous(terms, d, m, k) and the magnitude (w, e) of
-    f / 2^(k deg), the value d^deg p(x) at x = m / (d 2^k), with w * 2^e at
-    most that magnitude: equal when f is built exactly, a lower bound when
-    `_bounded` at k + margin bits proves the sign.  Long exact integers
-    are built only where the bounds cannot decide, or for m < 0."""
+def _probe(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int, margin: int) -> int:
+    """Sign of _homogeneous(terms, d, m, k), that of p at x = m / (d 2^k):
+    the sign `_bounded` at k + margin bits proves, or where it cannot, or
+    where the exact integer is short, or for m < 0, that of the exact
+    integer."""
     deg = terms[-1][0] if terms else 0
     if m >= 0 and deg * m.bit_length() > _EXACT_BITS:
-        lo, hi, e = _bounded(terms, d, m, k, k + margin)
+        lo, hi, _ = _bounded(terms, d, m, k, k + margin)
         if lo > 0:
-            return 1, (lo, e - k * deg)
+            return 1
         if hi < 0:
-            return -1, (-hi, e - k * deg)
-    f = _homogeneous(terms, d, m, k)
-    return (-1, (-f, -k * deg)) if f < 0 else (1 if f else 0, (f, -k * deg))
-
-
-def _secant(fa: tuple[int, int], fb: tuple[int, int], j: int) -> int:
-    """round(2^j |fa| / (|fa| + |fb|)) kept in [1, 2^j - 1]: the sub-cell
-    the secant through the cell ends picks, from their magnitudes (w, e).
-    Where one magnitude is below 2^-(j+1) of the other the rounding is
-    known; otherwise the two are aligned exactly, at a shift bounded by
-    j + 2 plus the mantissa lengths."""
-    (wa, ea), (wb, eb) = fa, fb
-    n, ta, tb = 1 << j, ea + wa.bit_length(), eb + wb.bit_length()
-    if ta + j + 2 < tb:
-        return 1
-    if tb + j + 2 < ta:
-        return n - 1
-    if ea > eb:
-        wa <<= ea - eb
-    else:
-        wb <<= eb - ea
-    s = wa + wb
-    i = (2 * n * wa + s) // (2 * s)
-    return 1 if i < 1 else n - 1 if i >= n else i
+            return -1
+    return _sign(_homogeneous(terms, d, m, k))
 
 
 def _sign(q: int) -> int:
@@ -438,7 +590,7 @@ def _sign_at(p: IntPoly, x: Fraction) -> int:
     d = x.denominator
     t = (d & -d).bit_length() - 1
     margin = (d >> t).bit_length() + p.degree.bit_length() + 64
-    return _probe(p.terms, d >> t, x.numerator, t, margin)[0]
+    return _probe(p.terms, d >> t, x.numerator, t, margin)
 
 
 def _sign_right_of(p: IntPoly, x: Fraction) -> int:
@@ -457,10 +609,17 @@ def coefficient_bound(p: IntPoly) -> int:
 def isolate_unique_positive_root(p: IntPoly, digits: int) -> RootInterval:
     """Enclosure of width < 10^-digits for the unique positive root of `p`.
 
-    Requires exactly one coefficient sign change.  The bracket is
-    [1, 1+max|coeff|], falling back to [0, 1] when the root lies below 1;
-    `RootInterval.refined` narrows it by quadratic interval refinement.
+    Requires exactly one coefficient sign change.  The core (p without its
+    power of x, leading coefficient positive) has a negative constant term
+    and a positive leading one, so one exact sign, at 1, brackets the
+    root: by [1, 1+max|coeff|] when it is negative (by Cauchy's bound the
+    end has the leading sign), by [0, 1] when it is positive.  The bracket
+    goes to the refinement with those end signs, so no sign is probed
+    twice, and `RootInterval.refined` narrows it by predicting the
+    bisection's last cell and proving it with two exact signs.
     """
+    if digits < 0:
+        raise ValueError(f"digits must be >= 0, got {digits}")
     if p.is_zero():
         raise ValueError("zero polynomial")
     core, _ = p.strip_power_factor()
@@ -469,14 +628,9 @@ def isolate_unique_positive_root(p: IntPoly, digits: int) -> RootInterval:
     core = core.normalized_sign()
     one = _sign_at(core, Fraction(1))
     if one == 0:
-        return RootInterval(Fraction(1), Fraction(1), core)
-    if one < 0:
-        lo, hi = Fraction(1), Fraction(coefficient_bound(core))
-    else:
-        # p(0) and p(1) share no sign with the (positive) leading behaviour,
-        # so the lone root sits in (0, 1).
-        lo, hi = Fraction(0), Fraction(1)
-    return RootInterval(lo, hi, core).refined(digits)
+        return RootInterval._proven(Fraction(1), Fraction(1), core)
+    lo, hi = (Fraction(1), Fraction(coefficient_bound(core))) if one < 0 else (Fraction(0), Fraction(1))
+    return _refine(RootInterval._proven(lo, hi, core), digits, (-1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 All functions work on `fractions.Fraction` and never round through binary
 floats, so their outputs are usable inside certificates.  `ln_bounds` sums
 its atanh series in fixed-point integers, once rounded down and once
-rounded up with an explicit tail bound, and returns dyadic endpoints.
+rounded up with an explicit tail bound, and returns dyadic endpoints;
+`ln_enclosure` sums, at each end of an interval, only the pass that end
+keeps.  `format_decimal` rounds in integers.
 """
 
 from __future__ import annotations
@@ -84,13 +86,15 @@ def decimal_digits(q: Fraction, ndigits: int) -> str:
 
 
 def format_decimal(q: Fraction, places: int) -> str:
-    """Round half away from zero to `places` decimal places."""
-    scaled = abs(q) * 10**places
-    n = scaled.numerator // scaled.denominator
-    if 2 * (scaled - n) >= 1:
-        n += 1
-    sign = "-" if q < 0 and n != 0 else ""
-    return _fixed_point(sign, n, places)
+    """Round half away from zero to `places` decimal places.
+
+    The rounded magnitude is floor(|q| 10^places + 1/2), formed in
+    integers as (2 |num| 10^places + den) // (2 den)."""
+    if places < 0:
+        raise ValueError(f"places must be >= 0, got {places}")
+    num, den = q.numerator, q.denominator
+    n = (2 * abs(num) * 10**places + den) // (2 * den)
+    return _fixed_point("-" if num < 0 and n else "", n, places)
 
 
 def _fixed_point(sign: str, n: int, places: int) -> str:
@@ -153,15 +157,23 @@ def ln_bounds(x: Fraction, err: Fraction) -> tuple[Fraction, Fraction]:
 
     Writes x = 2^k * m with m in [1, 2) and ln(x) = 2*atanh(z) + k*ln(2),
     where z = (m-1)/(m+1) <= 1/3 and ln(2) = 2*atanh(1/3).  Each atanh is
-    summed in integers scaled by 2^prec (see `_atanh_fixed`), so the
+    summed in integers scaled by 2^prec (see `_atanh_bound`), so the
     endpoints are dyadic rationals.
     """
+    return _ln_bound(x, err, False), _ln_bound(x, err, True)
+
+
+def _ln_bound(x: Fraction, err: Fraction, up: bool) -> Fraction:
+    """The lower end of `ln_bounds(x, err)`, or the upper end when `up`,
+    from the series passes that end needs alone: the atanh of z rounded
+    the same way, and ln(2) rounded that way for k > 0, the other way for
+    k < 0, not at all for k = 0."""
     if x <= 0:
         raise ValueError("ln_bounds requires x > 0")
     if err <= 0:
         raise ValueError("err must be positive")
     if x == 1:
-        return Fraction(0), Fraction(0)
+        return Fraction(0)
     n, d = x.numerator, x.denominator
     k = n.bit_length() - d.bit_length()
     n, d = n << max(-k, 0), d << max(k, 0)  # n/d = x/2^k in (1/2, 2)
@@ -172,51 +184,38 @@ def ln_bounds(x: Fraction, err: Fraction) -> tuple[Fraction, Fraction]:
     # spans at most 6*(1 + |k|)*prec ulps: below 2^-e with these guard bits.
     e = max(0, err.denominator.bit_length() - err.numerator.bit_length() + 1)
     prec = e + e.bit_length() + abs(k).bit_length() + 16
-    lo, hi = _atanh_fixed(n - d, n + d, prec)
-    lo, hi = 2 * lo, 2 * hi
+    total = 2 * _atanh_bound(n - d, n + d, prec, up)
     if k:
-        ln2_lo, ln2_hi = _atanh_fixed(1, 3, prec)
-        if k < 0:
-            ln2_lo, ln2_hi = ln2_hi, ln2_lo
-        lo, hi = lo + 2 * k * ln2_lo, hi + 2 * k * ln2_hi
-    one = 1 << prec
-    return Fraction(lo, one), Fraction(hi, one)
+        total += 2 * k * _atanh_bound(1, 3, prec, up == (k > 0))
+    return Fraction(total, 1 << prec)
 
 
-def _atanh_fixed(a: int, b: int, prec: int) -> tuple[int, int]:
-    """Integers lo <= 2^prec * atanh(a/b) <= hi for 0 <= a/b <= 1/3.
+def _atanh_bound(a: int, b: int, prec: int, up: bool) -> int:
+    """An integer at most 2^prec * atanh(a/b), or at least it when `up`,
+    for 0 <= a/b <= 1/3.
 
-    The series sum_j z^(2j+1)/(2j+1) runs twice in fixed point, once with
-    z, z^2, every term and every quotient rounded down and once with all
-    of them rounded up.  The upper sum stops at the first term t <= 1 ulp
-    and adds the tail bound 9t/8 + 1 ulp: the true terms from there on are
-    at most t, shrinking by z^2 <= 1/9 each, so they sum to at most 9t/8.
+    The series sum_j z^(2j+1)/(2j+1) runs in fixed point with z, z^2,
+    every term and every quotient rounded down, or all of them rounded
+    up: a quotient of n >= 0 by d rounds up as (n + d - 1) // d, a shift
+    by prec as (n + 2^prec - 1) >> prec.  The upper sum stops at the first
+    term t <= 1 ulp and adds the tail bound 9t/8 + 1 ulp: the true terms
+    from there on are at most t, shrinking by z^2 <= 1/9 each, so they sum
+    to at most 9t/8.
     """
-    sums = []
-    for up in (False, True):
-        z = _div(a << prec, b, up)
-        z2 = _shr(z * z, prec, up)
-        term, total, j = z, 0, 1
-        while term > 1:
-            total += _div(term, j, up)
-            term = _shr(term * z2, prec, up)
-            j += 2
-        sums.append(total)
-    return sums[0], sums[1] + _div(9 * term, 8, True) + 1
-
-
-def _div(n: int, d: int, up: bool) -> int:
-    """n/d rounded down, or up when `up`."""
-    return -(-n // d) if up else n // d
-
-
-def _shr(n: int, s: int, up: bool) -> int:
-    """n/2^s rounded down, or up when `up`."""
-    return -(-n >> s) if up else n >> s
+    lift = (1 << prec) - 1 if up else 0
+    z = ((a << prec) + (b - 1 if up else 0)) // b
+    z2 = (z * z + lift) >> prec
+    term, total, j = z, 0, 1
+    while term > 1:
+        total += (term + j - 1) // j if up else term // j
+        term = (term * z2 + lift) >> prec
+        j += 2
+    return total + (9 * term + 7) // 8 + 1 if up else total
 
 
 def ln_enclosure(lo: Fraction, hi: Fraction, err: Fraction) -> tuple[Fraction, Fraction]:
-    """Bracket of ln over the rational interval [lo, hi] (outward rounded)."""
-    a, _ = ln_bounds(lo, err)
-    _, b = ln_bounds(hi, err)
-    return a, b
+    """Bracket of ln over the rational interval [lo, hi] (outward rounded):
+    the lower end of `ln_bounds(lo, err)` and the upper end of
+    `ln_bounds(hi, err)`, each from the one series pass it needs (two when
+    that end's power of two k is not 0, for ln 2)."""
+    return _ln_bound(lo, err, False), _ln_bound(hi, err, True)

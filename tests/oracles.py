@@ -22,6 +22,9 @@ the earlier form of `band48.cross_check_entropy`.  The refinement loop
 that built every probe's exact integer, with no sign bounds, is kept as
 the earlier form of `RootInterval.refined`, and `DensePoly`, the dense
 coefficient tuple with its arithmetic, is the earlier form of `IntPoly`.
+The ln bracket that summed every atanh series rounded both ways, where
+`rationals` now sums the one way each end keeps, is kept as the earlier
+form of `ln_bounds`.
 The merge of equal pieces and the affine conjugation of a map on Fractions
 are the earlier forms of their integer-frame versions, the capture
 recursion that runs every step (`capture_vectors`) is the earlier form of
@@ -854,6 +857,55 @@ def refined_exact(ri: RootInterval, digits: int) -> RootInterval:
         else:
             a, b, fa, fb = mid, 2 * b, fm, fb << deg
     return RootInterval._proven(Fraction(a, q << k), Fraction(b, q << k), ri.poly)
+
+
+# ---------------------------------------------------------------------------
+# ln brackets that sum every series both ways
+# ---------------------------------------------------------------------------
+
+
+def ln_bounds_both_ways(x: Fraction, err: Fraction) -> tuple[Fraction, Fraction]:
+    """The earlier `rationals.ln_bounds`: x = 2^k m, m in [1, 2), and each
+    atanh series (of (m - 1)/(m + 1), and of 1/3 for ln 2) summed once
+    rounded down and once rounded up, at the same precision."""
+    if x == 1:
+        return Fraction(0), Fraction(0)
+    n, d = x.numerator, x.denominator
+    k = n.bit_length() - d.bit_length()
+    n, d = n << max(-k, 0), d << max(k, 0)
+    if n < d:
+        n, k = 2 * n, k - 1
+    e = max(0, err.denominator.bit_length() - err.numerator.bit_length() + 1)
+    prec = e + e.bit_length() + abs(k).bit_length() + 16
+    lo, hi = _atanh_both_ways(n - d, n + d, prec)
+    lo, hi = 2 * lo, 2 * hi
+    if k:
+        ln2_lo, ln2_hi = _atanh_both_ways(1, 3, prec)
+        if k < 0:
+            ln2_lo, ln2_hi = ln2_hi, ln2_lo
+        lo, hi = lo + 2 * k * ln2_lo, hi + 2 * k * ln2_hi
+    return Fraction(lo, 1 << prec), Fraction(hi, 1 << prec)
+
+
+def _atanh_both_ways(a: int, b: int, prec: int) -> tuple[int, int]:
+    """Integers lo <= 2^prec atanh(a/b) <= hi, 0 <= a/b <= 1/3: the series
+    with every value floored, and with every value ceiled plus the tail
+    bound 9t/8 + 1 at the first term t <= 1."""
+
+    def div(n: int, d: int, up: bool) -> int:
+        return -(-n // d) if up else n // d
+
+    sums = []
+    for up in (False, True):
+        z = div(a << prec, b, up)
+        z2 = div(z * z, 1 << prec, up)
+        term, total, j = z, 0, 1
+        while term > 1:
+            total += div(term, j, up)
+            term = div(term * z2, 1 << prec, up)
+            j += 2
+        sums.append(total)
+    return sums[0], sums[1] + div(9 * term, 8, True) + 1
 
 
 # ---------------------------------------------------------------------------

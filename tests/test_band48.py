@@ -136,6 +136,11 @@ def test_decimal_refines_a_bracket_on_a_rounding_boundary():
     assert res.decimal(63) == "0.150507039588169513887448472673565893859728027605332147493951223"
 
 
+def test_decimal_refuses_negative_places():
+    with pytest.raises(ValueError, match=r"places must be >= 0, got -1"):
+        entropy_or_bounds(5, 5).decimal(-1)
+
+
 def test_x_orbit_point():
     assert x_orbit_point(F(7), 0) == 7 - 10
     for n in range(5):

@@ -561,6 +561,125 @@ def test_refined_evaluation_count(monkeypatch):
         assert calls <= limit
 
 
+def _counted(monkeypatch, *names: str) -> dict[str, int]:
+    """Calls to the named functions of `polys`, counted from now on."""
+    from pwldyn import polys
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _f=getattr(polys, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(polys, name, counted)
+    return calls
+
+
+def test_isolation_proves_its_cell_with_few_exact_signs(monkeypatch):
+    # A work count, not a timing.  A root costs at most 4 exact signs (the
+    # sign at 1 and the two ends of the predicted cell), never the plain
+    # bisection, and approximate values that grow with log K, K the depth
+    # of the bisection's last grid (about the bit length of 1 / width).
+    calls = _counted(monkeypatch, "_probe", "_approximate", "_bisected")
+    for fam in BAND48_FAMILIES:
+        for n in (0, 10, 100, 400, 1000):
+            for digits in (5, 30, 150):
+                for name in calls:
+                    calls[name] = 0
+                ri = isolate_unique_positive_root(fam(n), digits)
+                depth = ri.width.denominator.bit_length()
+                assert calls["_probe"] <= 4, (fam, n, digits)
+                assert calls["_bisected"] == 0, (fam, n, digits)
+                assert calls["_approximate"] <= 2 * depth.bit_length() + 4, (fam, n, digits, calls)
+
+
+def _one_root_poly(root: F, deg: int) -> IntPoly:
+    """(den x - num)(1 + x + ... + x^deg) for root = num / den: root is its
+    one positive root, and its coefficients change sign once, as
+    -num, den - num (deg times), den."""
+    return IntPoly([-root.numerator, root.denominator]) * IntPoly([1] * (deg + 1))
+
+
+def _grid_depth(width: F, digits: int) -> int:
+    """Bisection steps from a bracket of `width` to its last grid (cells
+    below 10^-digits)."""
+    cell, steps = width, 0
+    while cell >= F(1, 10**digits):
+        cell, steps = cell / 2, steps + 1
+    return steps
+
+
+def _adversarial_starts() -> list[tuple[RootInterval, int]]:
+    """Brackets for predict-then-prove: roots on the last grid and on
+    shallower ones (the bisection ends on them exactly), roots within
+    2^-(K+8) of a point of the last grid on either side, lo = 0, and
+    non-dyadic brackets."""
+    starts = []
+    for digits in (3, 12, 40):
+        for deg in (1, 10, 100):
+            for lo, hi in ((F(1), F(3)), (F(1), F(2)), (F(2, 3), F(11, 7))):
+                start = lambda root: RootInterval(lo, hi, _one_root_poly(root, deg))
+                steps = _grid_depth(hi - lo, digits)
+                cell = (hi - lo) / 2**steps
+                for j, s in ((5, steps), (3, steps - 2), (1, 1), (2**steps // 3, steps)):
+                    point = lo + cell * 2 ** (steps - s) * j  # on the depth-s grid
+                    starts.append((start(point), digits))
+                    for near in (F(1, 3), F(-1, 5), F(1, 2**20)):
+                        starts.append((start(point + cell * near / 2**8), digits))
+    for digits in (5, 30):
+        for root in (F(1, 7), F(1, 2), F(3, 4) + F(1, 10**40), F(999, 1000)):
+            # isolate's bracket [0, 1] for a root below 1
+            starts.append((RootInterval(F(0), F(1), _one_root_poly(root, 12)), digits))
+    return starts
+
+
+def test_predicted_cells_on_and_near_grid_points(monkeypatch):
+    # Exact hits, near misses, lo = 0 and non-dyadic grids: the enclosure
+    # is the one plain bisection returns, and no prediction falls back.
+    calls = _counted(monkeypatch, "_bisected")
+    starts = _adversarial_starts()
+    assert len(starts) >= 400
+    hits = 0
+    for start, digits in starts:
+        got = start.refined(digits)
+        assert _bisection_cell(start, digits, got), (start, digits)
+        if start.poly.degree <= 11 or digits == 3:
+            assert (got.lo, got.hi) == _fraction_bisection(start, digits), (start, digits)
+        hits += got.is_exact
+    assert hits >= 80
+    assert calls["_bisected"] == 0
+
+
+def test_level_ten_thousand_cell_at_ten_digits():
+    for fam in BAND48_FAMILIES:
+        start = _band48_start(fam(10_000))
+        assert _bisection_cell(start, 10, start.refined(10))
+    start = _band48_start(poly_exact_t(10_000))
+    assert start.refined(10) == oracles.refined_exact(start, 10)
+
+
+def test_flipped_approximation_still_returns_the_bisection_cell(monkeypatch):
+    # A mutation: approximate values of -p steer the search wrong, the
+    # proof refuses its answer, and the plain bisection gives the cell.
+    from pwldyn import polys
+
+    approximate = polys._approximate
+
+    def flipped(*args):
+        pos, neg, pos1, neg1, pos2, neg2 = approximate(*args)
+        return neg, pos, neg1, pos1, neg2, pos2
+
+    monkeypatch.setattr(polys, "_approximate", flipped)
+    calls = _counted(monkeypatch, "_bisected")
+    starts = [(_band48_start(fam(n)), digits) for fam in BAND48_FAMILIES for n in (0, 3, 40) for digits in (5, 20)]
+    starts += [(start, digits) for start, digits in _adversarial_starts()[::7] if start.poly.degree <= 11]
+    for start, digits in starts:
+        before = calls["_bisected"]
+        got = start.refined(digits)
+        assert (got.lo, got.hi) == _fraction_bisection(start, digits), (start, digits)
+        assert calls["_bisected"] == before + 1, (start, digits)
+
+
 def test_deep_isolation_builds_few_exact_integers(monkeypatch):
     # A work count, not a timing: the level-3000 T root to 23 digits is
     # proven from truncated bounds, and the exact kernel runs only where

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+import oracles
 from pwldyn.rationals import (
     common_decimal_prefix,
     decimal_above,
@@ -13,6 +14,7 @@ from pwldyn.rationals import (
     first_digit_place,
     format_decimal,
     ln_bounds,
+    ln_enclosure,
     parse_rational,
     rational_str,
 )
@@ -88,6 +90,32 @@ def test_format_decimal_rounds_half_away():
     assert format_decimal(F(2888762, 10**7), 5) == "0.28888"
     assert format_decimal(F(15, 1000), 2) == "0.02"
     assert format_decimal(F(-25, 1000), 2) == "-0.03"
+
+
+def test_format_decimal_refuses_negative_places():
+    with pytest.raises(ValueError, match=r"places must be >= 0, got -2"):
+        format_decimal(F(1, 3), -2)
+
+
+def test_format_decimal_matches_fraction_rounding():
+    # The integer rounding against the Fraction one it replaced: round half
+    # away from zero, on exact halves too.
+    def fraction_rounding(q, places):
+        scaled = abs(q) * 10**places
+        n = scaled.numerator // scaled.denominator
+        n += 2 * (scaled - n) >= 1
+        whole, frac = divmod(n, 10**places)
+        sign = "-" if q < 0 and n else ""
+        return f"{sign}{whole}.{frac:0{places}d}" if places else f"{sign}{whole}"
+
+    rng = random.Random(86)
+    for case in range(3000):
+        places = rng.randint(0, 60)
+        if case % 4 == 0:  # an exact half at the last place
+            q = F(2 * rng.randint(-(10**places), 10**places) + 1, 2 * 10**places)
+        else:
+            q = F(rng.randint(-(10 ** rng.randint(1, 70)), 10 ** rng.randint(1, 70)), rng.randint(1, 10 ** rng.randint(1, 70)))
+        assert format_decimal(q, places) == fraction_rounding(q, places), (q, places)
 
 
 def test_decimal_above_rounds_up_at_the_last_digit():
@@ -166,3 +194,41 @@ def test_ln_bounds_contain_mpmath_log():
             value = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
             assert mpmath.mpf(lo.numerator) / lo.denominator <= value, x
             assert value <= mpmath.mpf(hi.numerator) / hi.denominator, x
+
+
+def test_ln_brackets_match_the_both_ways_oracle():
+    # Each end comes from the series passes it keeps, and equals the end
+    # that summing every series both ways gives, powers of two of either
+    # sign included.
+    rng = random.Random(3000)
+    for case in range(3000):
+        lo = F(rng.getrandbits(rng.randint(1, 200)) | 1, rng.getrandbits(rng.randint(1, 200)) | 1)
+        hi = lo if case % 10 == 0 else lo * (1 + F(rng.randint(1, 10**6), 10 ** rng.randint(1, 40)))
+        err = F(1, 10 ** rng.randint(0, 160))
+        want_lo, want_hi = oracles.ln_bounds_both_ways(lo, err)[0], oracles.ln_bounds_both_ways(hi, err)[1]
+        assert ln_enclosure(lo, hi, err) == (want_lo, want_hi), (lo, hi, err)
+        assert ln_bounds(lo, err) == oracles.ln_bounds_both_ways(lo, err), (lo, err)
+    assert ln_enclosure(F(1), F(1), F(1, 10)) == (0, 0)
+    with pytest.raises(ValueError):
+        ln_enclosure(F(0), F(1), F(1, 10))
+
+
+def test_ln_enclosure_sums_one_series_pass_per_end(monkeypatch):
+    # A work count: with x in [1, 2) at both ends (k = 0) the lower end
+    # sums the series rounded down and the upper end the one rounded up,
+    # once each; past a power of two each end adds one pass for ln 2.
+    from pwldyn import rationals
+
+    passes = []
+    atanh_bound = rationals._atanh_bound
+
+    def counted(a, b, prec, up):
+        passes.append(up)
+        return atanh_bound(a, b, prec, up)
+
+    monkeypatch.setattr(rationals, "_atanh_bound", counted)
+    ln_enclosure(F(1157855, 1000000), F(1157856, 1000000), F(1, 10**150))
+    assert passes == [False, True]
+    passes.clear()
+    ln_enclosure(F(1, 3), F(17, 3), F(1, 10**30))  # k = -2 and k = 2
+    assert passes == [False, True, True, True]
