@@ -41,9 +41,9 @@ The refinement returns the bisection's enclosure to the bit.  Where the
 root is the only positive one (one coefficient sign change, lo >= 0 not a
 root) that enclosure is known in advance, the depth-K grid cell that holds
 the root or the root itself on that grid, so the refinement predicts it
-and proves it, after Rump: a Newton search on fixed-point approximations
-(`_approximate`, `_predicted_point`) finds the cell in O(log K) steps, and
-two exact signs at its ends prove it.  A failed proof, and every other
+and proves it, after Rump: a Newton-type search on fixed-point
+approximations (`_approximate`, `_predicted_point`) finds the cell in
+O(log K) steps, and two exact signs at its ends prove it.  A failed proof, and every other
 root, takes the plain bisection (`_bisected`), one exact sign per bit.
 """
 
@@ -229,7 +229,7 @@ class RootInterval:
         sign change) and lo is not a root, the bisection's answer is known
         in advance: the depth-K cell holding the root, or the root itself
         where it is a point of that grid.  The loop then predicts it and
-        proves it: a Newton search on fixed-point values finds a grid
+        proves it: a Newton-type search on fixed-point values finds a grid
         point next to the root (`_predicted_point`), and two exact signs,
         there and at the neighbour on the root's side, prove the cell (or
         hit the root).  Only a failed proof runs the plain steps, from the
@@ -325,25 +325,27 @@ def _predicted_point(terms: tuple[tuple[int, int], ...], d: int, a: int, gap: in
     The values come from `_approximate`; they only steer, and the caller
     proves a cell at j with two exact signs.  The search runs on the
     distance u from the end the root hugs, which the point n/2 tells.  It
-    takes Newton steps on ln(P/N), P and N the terms of the sign of shi
-    and of the other sign, each to the far end of the cell of its target,
-    in the bracket (near, far) of the root that the values' signs keep.
-    A step that leaves the bracket, or moves more than 3/4 of the step
-    before, gives way to a safeguard: a gallop towards the hugged end
-    (far / 2^2, far / 2^4, far / 2^8, ...) while near is 0, a geometric
-    midpoint while far > 4 near, else the midpoint.  The search ends at
-    a bracket one cell wide, or at a Newton target within a small
-    fraction of a cell of the root.
+    takes Halley steps (`_halley_step`: Newton's, corrected by the second
+    derivative) on ln(P/N), P and N the terms of the sign of shi and of
+    the other sign, each to the far end of the cell of its target, in the
+    bracket (near, far) of the root that the values' signs keep.  A step
+    that leaves the bracket, or moves more than 3/4 of the step before,
+    gives way to a safeguard: a gallop towards the hugged end (far / 2^2,
+    far / 2^4, far / 2^8, ...) while near is 0, a geometric midpoint while
+    far > 4 near, else the midpoint.  The search ends at a bracket one
+    cell wide, or at a target within a small fraction of a cell of the
+    root.
 
     A value is taken at the bits that resolve 2^-16 of the point's
     expected distance from the root in cells, times the 2^-64 that `bits`
     keeps below a cell: for a safeguard point its distance from the
-    bracket's near end, for a Newton point the square of the move that
-    led to it over n.  Where its error bound could flip its sign, it is
-    taken again at `bits`.
+    bracket's near end, for a step's target the cube of the move over
+    n^2 (Halley's error, on a function tame on the bracket's scale).
+    Where its error bound could flip its sign, it is taken again at
+    `bits`.
     """
     deg, nbits = terms[-1][0], n.bit_length()
-    # Newton's move scales t by m / gap < (a + n gap) / gap: t to 2^-64 of
+    # A step's move scales t by m / gap < (a + n gap) / gap: t to 2^-64 of
     # a cell needs the values to these bits.
     keep = ((a + n * gap) // gap).bit_length() + 64
     # The error of P - N at B bits, in units of 2^-B, is at most slack
@@ -355,7 +357,7 @@ def _predicted_point(terms: tuple[tuple[int, int], ...], d: int, a: int, gap: in
     def value(i: int, r: int) -> tuple[bool, tuple[int, ...], bool]:
         """Whether the point i is right of the root (a zero counts as
         right), by its values at bits - r bits, the values (P, N, P1, N1,
-        P2, N2) with P of the sign of shi, cut to `keep` bits for Newton's
+        P2, N2) with P of the sign of shi, cut to `keep` bits for the
         step, and whether they resolve 2^-16 of a cell."""
         while True:
             pos, neg, pos1, neg1, pos2, neg2 = _approximate(terms, d, a + i * gap, k, bits - r)
@@ -364,29 +366,30 @@ def _predicted_point(terms: tuple[tuple[int, int], ...], d: int, a: int, gap: in
             if not r or abs(pos - neg) > slack * ((pos + neg >> bits - r) + coeffs):
                 break
             r = 0
-        cut = max((pos + neg).bit_length() - keep, 0)
-        values = pos >> cut, neg >> cut, pos1 >> cut, neg1 >> cut, pos2 >> cut, neg2 >> cut
+        values = pos, neg, pos1, neg1, pos2, neg2
+        if (cut := (pos + neg).bit_length() - keep) > 0:
+            values = pos >> cut, neg >> cut, pos1 >> cut, neg1 >> cut, pos2 >> cut, neg2 >> cut
         return pos >= neg, values, r <= 48
 
     i = n >> 1
     right, values, fine = value(i, nbits - 17)
     hug_left = right
     near, far, shift = 0, n >> 1, 1
-    last = 0  # the last Newton move, in 2^-8 of a cell; 0 after a safeguard
+    last = 0  # the last step's move, in 2^-8 of a cell; 0 after a safeguard
     while far - near > 1:
         step, slow = None, False
-        m = a + i * gap
-        target = _newton_target(i, m, gap, values)
-        if target is not None:
-            move = target - (i << 8)
-            if fine and _newton_settled(m, gap, deg, move, values):
+        step_to = _halley_step(i, a + i * gap, gap, deg, values, fine)
+        if step_to is not None:
+            target, settled = step_to
+            if settled:
                 return min(max(target + 128 >> 8, 0), n)
+            move = target - (i << 8)
             slow, last, c = 4 * abs(move) > 3 * abs(last) > 0, move, target >> 8
             step = c if right else c + 1
             if not hug_left:
                 step = n - step
         if step is not None and near < step < far and not slow:
-            r = max(2 * abs(last).bit_length() - 32 - nbits, 0)  # move^2 / n, in cells
+            r = max(3 * abs(last).bit_length() - 40 - 2 * nbits, 0)  # move^3 / n^2, in cells
         else:
             if not near:
                 shift *= 2
@@ -405,46 +408,59 @@ def _predicted_point(terms: tuple[tuple[int, int], ...], d: int, a: int, gap: in
     return near if hug_left else n - near
 
 
-def _newton_target(i: int, m: int, gap: int, values: tuple[int, ...]) -> int | None:
-    """The Newton target from the point i, at m / (d 2^k), in 2^-8 of a
-    cell gap / (d 2^k), from `_approximate`'s values there, or None where
-    they do not give one.
+def _halley_step(i: int, m: int, gap: int, deg: int, values: tuple[int, ...], fine: bool) -> tuple[int, bool] | None:
+    """Halley's target from the point i, at m / (d 2^k), in 2^-8 of a cell
+    gap / (d 2^k), from `_approximate`'s values there, and whether it is
+    within 2^-6 of a cell of the root by Taylor's rule, which is asked
+    only of `fine` values (to 2^-16 of a cell); None where the values give
+    no step.
 
-    Newton on h = ln(P/N) in y = ln x: y moves by w = -t / h', with t =
-    2 (P - N) / (P + N), h to third order, and h' = eP - eN, eP = P1 / P
-    above eN = N1 / N (every term of P has a higher power than any of N),
-    where the values show it.  x moves to x e^w, read as x (2 + w) /
-    (2 - w) (e^w to third order), for w > -2.
+    The step is on h = ln(P/N) in y = ln x, where P and N are near power
+    laws.  h is read as t = 2 (P - N) / (P + N), h to third order, with
+    h' = P1 / P - N1 / N > 0 (every term of P has a higher power than any
+    of N) where the values show it, and h'' = (P2 P - P1^2) / P^2 -
+    (N2 N - N1^2) / N^2.  Newton's move w = -t / h' is divided by
+    1 - c, c = t h'' / (2 h'^2), where c < 1/2 (Halley's), and x moves to
+    x e^w, read as x (2 + w) / (2 - w) (e^w to third order).  h'' and c
+    come from 64-bit views of the values, and c again to 2^-24 of a cell
+    of the move where the target would end the search.
+
+    Newton's step leaves about h'' w^2 / 2 of h, so misses by h'' w^2 /
+    (2 h'), and Halley's by at most that times |w| (|h''| / (2 h') +
+    deg / 3), where h''' is at most about deg h'', which holds while
+    deg |w| < 1/16; reading h as t shortens the move by about t^2 / 12 of
+    it, for |t| < 1.
     """
-    pos, neg, dpos, dneg = values[:4]
+    pos, neg, dpos, dneg, ddpos, ddneg = values
     slope = dpos * neg - dneg * pos  # P N h'
     if not pos or slope <= 0:
         return None
-    v = 2 * (pos - neg) * pos * neg  # -w (P + N) slope
-    q = 2 * (pos + neg) * slope + v  # (2 - w) (P + N) slope
-    if q <= 0:
-        return None
-    return (i << 8) - (2 * m * v << 8) // (gap * q)
-
-
-def _newton_settled(m: int, gap: int, deg: int, move: int, values: tuple[int, ...]) -> bool:
-    """Whether the Newton target `move` (2^-8 cells) from the point at
-    m / (d 2^k) is within 2^-6 of a cell of the root, by Taylor's rule.
-
-    With w the move of y = ln x, about move gap / (256 m), the step leaves
-    h'' w^2 / 2 of h, so its target is about h'' w^2 / (2 h') from the
-    root, with h'' = (P2 P - P1^2) / P^2 - (N2 N - N1^2) / N^2.  That holds
-    where the next term is small: h''' is at most about deg h'', so
-    deg |w| < 1/16.  Reading h as t = 2 tanh(h/2) shortens the move by
-    about t^2 / 12 of it, under 2^-8 of a cell where |move| t^2 < 12.
-    """
-    pos, neg, dpos, dneg, ddpos, ddneg = values
     f, s = pos - neg, pos + neg
-    if abs(move) * f * f >= 3 * s * s or 16 * deg * abs(move) * gap >= m << 8:
-        return False
-    curve = abs((ddpos * pos - dpos * dpos) * neg * neg - (ddneg * neg - dneg * dneg) * pos * pos)  # h'' (P N)^2
-    slope = dpos * neg - dneg * pos  # h' P N
-    return curve * move * move * gap < slope * pos * neg * m << 11
+    bits = 64
+    while True:
+        cut = max(s.bit_length() - bits, 0)
+        p0, n0, p1, n1 = pos >> cut, neg >> cut, dpos >> cut, dneg >> cut
+        slope_ = p1 * n0 - n1 * p0
+        curve = ((ddpos >> cut) * p0 - p1 * p1) * n0 * n0 - ((ddneg >> cut) * n0 - n1 * n1) * p0 * p0  # (P N)^2 h''
+        c = ((p0 - n0) * curve << bits) // ((p0 + n0) * slope_ * slope_) if slope_ > 0 else 0
+        if 2 * c >= 1 << bits:
+            c = 0
+        v = 2 * f * pos * neg << bits  # -w (P + N) slope (2^bits - c)
+        q = s * slope * ((1 << bits) - c)
+        if 2 * q + v <= 0:
+            return None
+        target = (i << 8) - (2 * m * v << 8) // (gap * (2 * q + v))
+        move = abs(target - (i << 8))
+        if not fine or slope_ <= 0 or 2 * abs(f) >= s or 16 * deg * move * gap >= m << 8:
+            return target, False
+        pn = p0 * n0 * slope_
+        miss = abs(curve) * move * move * gap // (pn * m << 9)  # Newton's, in 2^-8 of a cell
+        if c:
+            miss = miss * move * gap * (3 * abs(curve) + 2 * deg * pn) // (1536 * m * pn)
+        miss += move * (p0 - n0) ** 2 // (3 * (p0 + n0) ** 2) + 1
+        if miss >= 4 or move.bit_length() + 16 <= bits:
+            return target, miss < 4
+        bits = move.bit_length() + 16
 
 
 def _homogeneous(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int) -> int:
