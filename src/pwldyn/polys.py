@@ -408,7 +408,7 @@ def _predicted_point(terms: tuple[tuple[int, int], ...], d: int, a: int, gap: in
     return near if hug_left else n - near
 
 
-def _halley_step(i: int, m: int, gap: int, deg: int, values: tuple[int, ...], fine: bool) -> tuple[int, bool] | None:
+def _halley_step(i: int, m: int, gap: int, deg: int, values: tuple[int, ...], fine: bool, bits: int = 64) -> tuple[int, bool] | None:
     """Halley's target from the point i, at m / (d 2^k), in 2^-8 of a cell
     gap / (d 2^k), from `_approximate`'s values there, and whether it is
     within 2^-6 of a cell of the root by Taylor's rule, which is asked
@@ -422,8 +422,8 @@ def _halley_step(i: int, m: int, gap: int, deg: int, values: tuple[int, ...], fi
     (N2 N - N1^2) / N^2.  Newton's move w = -t / h' is divided by
     1 - c, c = t h'' / (2 h'^2), where c < 1/2 (Halley's), and x moves to
     x e^w, read as x (2 + w) / (2 - w) (e^w to third order).  h'' and c
-    come from 64-bit views of the values, and c again to 2^-24 of a cell
-    of the move where the target would end the search.
+    come from `bits`-bit views of the values, taken again to 2^-24 of a
+    cell of the move where the target would end the search.
 
     Newton's step leaves about h'' w^2 / 2 of h, so misses by h'' w^2 /
     (2 h'), and Halley's by at most that times |w| (|h''| / (2 h') +
@@ -435,32 +435,32 @@ def _halley_step(i: int, m: int, gap: int, deg: int, values: tuple[int, ...], fi
     slope = dpos * neg - dneg * pos  # P N h'
     if not pos or slope <= 0:
         return None
-    f, s = pos - neg, pos + neg
-    bits = 64
-    while True:
-        cut = max(s.bit_length() - bits, 0)
-        p0, n0, p1, n1 = pos >> cut, neg >> cut, dpos >> cut, dneg >> cut
-        slope_ = p1 * n0 - n1 * p0
-        curve = ((ddpos >> cut) * p0 - p1 * p1) * n0 * n0 - ((ddneg >> cut) * n0 - n1 * n1) * p0 * p0  # (P N)^2 h''
-        c = ((p0 - n0) * curve << bits) // ((p0 + n0) * slope_ * slope_) if slope_ > 0 else 0
-        if 2 * c >= 1 << bits:
-            c = 0
-        v = 2 * f * pos * neg << bits  # -w (P + N) slope (2^bits - c)
-        q = s * slope * ((1 << bits) - c)
-        if 2 * q + v <= 0:
-            return None
-        target = (i << 8) - (2 * m * v << 8) // (gap * (2 * q + v))
-        move = abs(target - (i << 8))
-        if not fine or slope_ <= 0 or 2 * abs(f) >= s or 16 * deg * move * gap >= m << 8:
-            return target, False
-        pn = p0 * n0 * slope_
-        miss = abs(curve) * move * move * gap // (pn * m << 9)  # Newton's, in 2^-8 of a cell
-        if c:
-            miss = miss * move * gap * (3 * abs(curve) + 2 * deg * pn) // (1536 * m * pn)
-        miss += move * (p0 - n0) ** 2 // (3 * (p0 + n0) ** 2) + 1
-        if miss >= 4 or move.bit_length() + 16 <= bits:
-            return target, miss < 4
-        bits = move.bit_length() + 16
+    cut = max((pos + neg).bit_length() - bits, 0)
+    p0, n0, p1, n1 = pos >> cut, neg >> cut, dpos >> cut, dneg >> cut
+    f0, s0, slope0 = p0 - n0, p0 + n0, p1 * n0 - n1 * p0
+    curve = ((ddpos >> cut) * p0 - p1 * p1) * n0 * n0 - ((ddneg >> cut) * n0 - n1 * n1) * p0 * p0  # (P N)^2 h''
+    c = (f0 * curve << bits) // (s0 * slope0 * slope0) if slope0 > 0 else 0
+    if 2 * c >= 1 << bits:
+        c = 0
+    # With w = -v / q, x moves by -2 v / (2 q + v) of x.
+    v = (pos - neg) * pos * neg << bits + 1
+    q = (pos + neg) * slope * ((1 << bits) - c)
+    if 2 * q + v <= 0:
+        return None
+    target = (i << 8) - (m * v << 9) // (gap * (2 * q + v))
+    if not fine:
+        return target, False
+    move = abs(target - (i << 8))
+    if slope0 <= 0 or 2 * abs(f0) >= s0 or 16 * deg * move * gap >= m << 8:
+        return target, False
+    pn = p0 * n0 * slope0
+    miss = abs(curve) * move * move * gap // (pn * m << 9)  # Newton's, in 2^-8 of a cell
+    if c:
+        miss = miss * move * gap * (3 * abs(curve) + 2 * deg * pn) // (1536 * m * pn)
+    miss += move * f0 * f0 // (3 * s0 * s0) + 1
+    if miss < 4 and move.bit_length() + 16 > bits:
+        return _halley_step(i, m, gap, deg, values, fine, move.bit_length() + 16)
+    return target, miss < 4
 
 
 def _homogeneous(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int) -> int:
