@@ -43,8 +43,9 @@ root) that enclosure is known in advance, the depth-K grid cell that holds
 the root or the root itself on that grid, so the refinement predicts it
 and proves it, after Rump: a Newton-type search on fixed-point
 approximations (`_approximate`, `_predicted_point`) finds the cell in
-O(log K) steps, and two exact signs at its ends prove it.  A failed proof, and every other
-root, takes the plain bisection (`_bisected`), one exact sign per bit.
+O(log K) steps, and two exact signs at its ends prove it.  A failed
+proof, and every other root, takes the plain bisection (`_bisected`), one
+exact sign per bit.
 """
 
 from __future__ import annotations
@@ -280,7 +281,7 @@ def _refine(ri: RootInterval, digits: int, ends: tuple[int, int] | None) -> Root
         def sign(j: int) -> int:
             return -shi if j == 0 else shi if j == n else _probe(terms, d, start + j * gap, depth, margin)
 
-        # The grid point j nearest the root, then its neighbour on the
+        # A grid point j next to the root, then its neighbour on the
         # root's side: a zero is the root, opposite signs the cell.
         j = _predicted_point(terms, d, start, gap, depth, n, shi, depth + margin)
         s = sign(j)
@@ -506,31 +507,29 @@ def _power_bounds(x: int, exponents: list[int], bits: int, up: bool) -> list[tup
     return out
 
 
-def _term_bounds(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int, bits: int, up: bool) -> list[tuple[int, int]]:
-    """(w, e) for each term (p, c_p), with w * 2^e a bound on its magnitude
-    |c_p| m^p d^(deg-p) 2^(k(deg-p)) in `_homogeneous`, m >= 0, from below,
-    or from above when `up`: the powers of m and of d come from
-    `_power_bounds`, upward in p for m and downward for d, and |c_p| and
-    every product are cut to `bits` bits in the same direction."""
-    deg = terms[-1][0]
-    mps = _power_bounds(m, [p for p, _ in terms], bits, up)
-    dps = _power_bounds(d, [deg - p for p, _ in reversed(terms)], bits, up)[::-1]
-    out = []
-    for (p, c), (mw, me), (dw, de) in zip(terms, mps, dps):
-        w, ex = _truncated(abs(c), 0, bits, up)
-        w, ex = _truncated(w * mw, ex + me, bits, up)
-        w, ex = _truncated(w * dw, ex + de, bits, up)
-        out.append((w, ex + k * (deg - p)))
-    return out
-
-
 def _bounded(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int, bits: int) -> tuple[int, int, int]:
     """(lo, hi, e) with lo * 2^e <= _homogeneous(terms, d, m, k) <= hi * 2^e,
-    for m >= 0: the terms bounded below and above by `_term_bounds`, and
-    the signed bounds summed on the grid 2^e, `bits` bits below the
-    largest term, again rounding each term down or up.
+    for m >= 0.
+
+    Each term's magnitude |c| m^p d^(deg-p) 2^(k(deg-p)) is bounded below
+    and above: the powers of m and of d come from `_power_bounds`, upward in
+    p for m and downward for d, and |c| and every product are cut to `bits`
+    bits, rounded down for the lower bound and up for the upper.  The
+    signed bounds are summed on the grid 2^e, `bits` bits below the largest
+    term, again rounding each term down or up.
     """
-    mags = [_term_bounds(terms, d, m, k, bits, up) for up in (False, True)]
+    deg = terms[-1][0]
+    mags = []
+    for up in (False, True):
+        mps = _power_bounds(m, [p for p, _ in terms], bits, up)
+        dps = _power_bounds(d, [deg - p for p, _ in reversed(terms)], bits, up)[::-1]
+        out = []
+        for (p, c), (mw, me), (dw, de) in zip(terms, mps, dps):
+            w, ex = _truncated(abs(c), 0, bits, up)
+            w, ex = _truncated(w * mw, ex + me, bits, up)
+            w, ex = _truncated(w * dw, ex + de, bits, up)
+            out.append((w, ex + k * (deg - p)))
+        mags.append(out)
     base = max(ex + w.bit_length() for w, ex in mags[1]) - bits
     lo = hi = 0
     for (_, c), (wl, el), (wh, eh) in zip(terms, *mags):
