@@ -325,8 +325,10 @@ def _predicted_point(terms: tuple[tuple[int, int], ...], d: int, a: int, gap: in
 
     The values come from `_approximate`; they only steer, and the caller
     proves a cell at j with two exact signs.  The search runs on the
-    distance u from the end the root hugs, which the point n/2 tells.  It
-    takes Halley steps (`_halley_step`: Newton's, corrected by the second
+    distance u from the end the root hugs: the point 0 where it is not x =
+    0 (its values steer the first step; a root bound's bracket holds its
+    root near there), else the end that the sign at n/2 tells.  It takes
+    Halley steps (`_halley_step`: Newton's, corrected by the second
     derivative) on ln(P/N), P and N the terms of the sign of shi and of
     the other sign, each to the far end of the cell of its target, in the
     bracket (near, far) of the root that the values' signs keep.  A step
@@ -372,10 +374,10 @@ def _predicted_point(terms: tuple[tuple[int, int], ...], d: int, a: int, gap: in
             values = pos >> cut, neg >> cut, pos1 >> cut, neg1 >> cut, pos2 >> cut, neg2 >> cut
         return pos >= neg, values, r <= 48
 
-    i = n >> 1
+    i = n >> 1 if a == 0 else 0
     right, values, fine = value(i, nbits - 17)
-    hug_left = right
-    near, far, shift = 0, n >> 1, 1
+    hug_left = right or i == 0
+    near, far, shift = 0, i or n, 1
     last = 0  # the last step's move, in 2^-8 of a cell; 0 after a safeguard
     while far - near > 1:
         step, slow = None, False
@@ -409,6 +411,9 @@ def _predicted_point(terms: tuple[tuple[int, int], ...], d: int, a: int, gap: in
     return near if hug_left else n - near
 
 
+_LN2 = 12786308645202655659  # 2^64 ln 2, rounded down
+
+
 def _halley_step(i: int, m: int, gap: int, deg: int, values: tuple[int, ...], fine: bool, bits: int = 64) -> tuple[int, bool] | None:
     """Halley's target from the point i, at m / (d 2^k), in 2^-8 of a cell
     gap / (d 2^k), from `_approximate`'s values there, and whether it is
@@ -424,7 +429,10 @@ def _halley_step(i: int, m: int, gap: int, deg: int, values: tuple[int, ...], fi
     1 - c, c = t h'' / (2 h'^2), where c < 1/2 (Halley's), and x moves to
     x e^w, read as x (2 + w) / (2 - w) (e^w to third order).  h'' and c
     come from `bits`-bit views of the values, taken again to 2^-24 of a
-    cell of the move where the target would end the search.
+    cell of the move where the target would end the search.  Where P/N
+    is beyond 7 or 1/7 (|t| >= 3/2), t falls far short of h: the step is
+    Newton's, with h from the bit lengths of P and N and t of their
+    mantissas.
 
     Newton's step leaves about h'' w^2 / 2 of h, so misses by h'' w^2 /
     (2 h'), and Halley's by at most that times |w| (|h''| / (2 h') +
@@ -444,7 +452,13 @@ def _halley_step(i: int, m: int, gap: int, deg: int, values: tuple[int, ...], fi
     if 2 * c >= 1 << bits:
         c = 0
     # With w = -v / q, x moves by -2 v / (2 q + v) of x.
-    v = (pos - neg) * pos * neg << bits + 1
+    if 4 * abs(f0) < 3 * s0:
+        v = (pos - neg) * pos * neg << bits + 1
+    else:
+        c, db = 0, pos.bit_length() - neg.bit_length()
+        pa, na = (pos, neg << db) if db >= 0 else (pos << -db, neg)
+        h = db * _LN2 + ((pa - na) << 65) // (pa + na)  # 2^64 ln(P/N)
+        v = h * (pos + neg) * pos * neg << bits - 64
     q = (pos + neg) * slope * ((1 << bits) - c)
     if 2 * q + v <= 0:
         return None
