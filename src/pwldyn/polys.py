@@ -332,10 +332,11 @@ def _predicted_point(terms: tuple[tuple[int, int], ...], d: int, a: int, gap: in
     derivative) on ln(P/N), P and N the terms of the sign of shi and of
     the other sign, each to the far end of the cell of its target, in the
     bracket (near, far) of the root that the values' signs keep.  A step
-    that leaves the bracket, or moves more than 3/4 of the step before,
-    gives way to a safeguard: a gallop towards the hugged end (far / 2^2,
-    far / 2^4, far / 2^8, ...) while near is 0, a geometric midpoint while
-    far > 4 near, else the midpoint.  The search ends at a bracket one
+    that moves on more than 3/4 of the step before, the same way, goes
+    twice as far (the steps are crawling); one that leaves the bracket,
+    or turns back that far, gives way to a safeguard: a gallop towards
+    the hugged end (far / 2^2, far / 2^4, far / 2^8, ...) while near is 0,
+    a geometric midpoint while far > 4 near, else the midpoint.  The search ends at a bracket one
     cell wide, or at a target within a small fraction of a cell of the
     root.
 
@@ -387,7 +388,10 @@ def _predicted_point(terms: tuple[tuple[int, int], ...], d: int, a: int, gap: in
             if settled:
                 return min(max(target + 128 >> 8, 0), n)
             move = target - (i << 8)
-            slow, last, c = 4 * abs(move) > 3 * abs(last) > 0, move, target >> 8
+            slow = 4 * abs(move) > 3 * abs(last) > 0
+            if slow and move * last > 0:
+                target, slow = target + move, False
+            last, c = move, target >> 8
             step = c if right else c + 1
             if not hug_left:
                 step = n - step
