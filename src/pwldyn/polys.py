@@ -26,26 +26,28 @@ determinant of `markov` is `poly_det` over `IntPoly` entries.
 The kernel reads those terms with the odd part d of a point's denominator:
 at x = m / (d * 2^k) it evaluates the integer (d * 2^k)^deg * p(x), so a
 sign needs no Fraction.  `_homogeneous` builds that integer exactly;
-`IntPoly.__call__` divides it out.  Every exact sign (the two that prove a
-refinement's answer, the plain bisection's midpoints, `_sign_at` in the
-constructor's proof, in Sturm counts and in `largest_positive_root`) goes
-through `_probe`.  Where the exact integer would be long, `_probe` first
-bounds it from below and above by `_bounded`, with the powers of m and of
-d formed by squaring and every product cut to a few more bits than the
-point's depth (directed rounding, as in Rump's verification methods), and
-takes the sign those bounds prove; the exact kernel decides only when they
-cannot.  So every sign is exact, no float is used, and a deep probe costs
-about its depth in bits rather than degree times depth.
+`IntPoly.__call__` divides it out.  The one other evaluator is the
+fixed-point `_approximate`, which rounds x (or 1/x, where x > 2) and every
+product of its powers all down or all up.  Every exact sign (the two that
+prove a refinement's answer, the plain bisection's midpoints, `_sign_at`
+in the constructor's proof, in Sturm counts and in
+`largest_positive_root`) goes through `_probe`.  Where the exact integer
+would be long, `_probe` first takes the sign that a pass rounded down and
+one rounded up prove, at a few more bits than the point's depth
+(directed rounding, as in Rump's verification methods); the exact kernel
+decides only when they cannot.  So every sign is exact, no float is
+used, and a deep probe costs about its depth in bits rather than degree
+times depth.
 
 The refinement returns the bisection's enclosure to the bit.  Where the
 root is the only positive one (one coefficient sign change, lo >= 0 not a
 root) that enclosure is known in advance, the depth-K grid cell that holds
 the root or the root itself on that grid, so the refinement predicts it
-and proves it, after Rump: a Newton-type search on fixed-point
-approximations (`_approximate`, `_predicted_point`) finds the cell in
-O(log K) steps, and two exact signs at its ends prove it.  A failed
-proof, and every other root, takes the plain bisection (`_bisected`), one
-exact sign per bit.
+and proves it, after Rump: a Newton-type search on the same kernel's
+values, rounded down (`_predicted_point`), finds the cell in O(log K)
+steps, and two exact signs at its ends prove it.  A failed proof, and
+every other root, takes the plain bisection (`_bisected`), one exact
+sign per bit.
 """
 
 from __future__ import annotations
@@ -178,6 +180,8 @@ class RootInterval:
 
     def __init__(self, lo: Fraction, hi: Fraction, poly: IntPoly):
         self.lo, self.hi, self.poly = lo, hi, poly
+        if poly.is_zero():
+            raise ValueError("zero polynomial")
         if lo > hi:
             raise ValueError("lo > hi")
         if lo == hi:
@@ -237,7 +241,7 @@ class RootInterval:
         start.  So the enclosure is the bisection's to the bit, in two
         exact probes and O(log K) approximate evaluations.
 
-        Each exact sign is read by `_probe`, proven from truncated bounds
+        Each exact sign is read by `_probe`, proven from fixed-point bounds
         at about K bits when the exact value would be long.  Fractions are
         built at return.
         """
@@ -267,8 +271,8 @@ def _refine(ri: RootInterval, digits: int, ends: tuple[int, int] | None) -> Root
     terms, deg = poly.terms, poly.degree
     # Bits a sign at depth k needs: k plus the bits of d above the start
     # gap (the cell's width below the scale), and a margin for the
-    # rounding of about 2 log2(deg) truncated products for each of the
-    # powers of m and d.
+    # rounding of x and of the about 2 log2(deg) products that form each
+    # of its powers.
     margin = max(d.bit_length() - gap.bit_length(), 0) + deg.bit_length() + 64
     sa, shi = ends or (_probe(terms, d, a, t, margin), _probe(terms, d, b, t, margin))
     if lo >= 0 and sa != 0 and descartes_positive_sign_changes(poly) == 1:
@@ -323,22 +327,22 @@ def _predicted_point(terms: tuple[tuple[int, int], ...], d: int, a: int, gap: in
     the point n the sign shi, and the root between is the one positive
     root of a polynomial with one coefficient sign change.
 
-    The values come from `_approximate`; they only steer, and the caller
-    proves a cell at j with two exact signs.  The search runs on the
-    distance u from the end the root hugs: the point 0 where it is not x =
-    0 (its values steer the first step; a root bound's bracket holds its
-    root near there), else the end that the sign at n/2 tells.  It takes
-    Halley steps (`_halley_step`: Newton's, corrected by the second
-    derivative) on ln(P/N), P and N the terms of the sign of shi and of
-    the other sign, each to the far end of the cell of its target, in the
-    bracket (near, far) of the root that the values' signs keep.  A step
-    that moves on more than 3/4 of the step before, the same way, goes
-    twice as far (the steps are crawling); one that leaves the bracket,
-    or turns back that far, gives way to a safeguard: a gallop towards
-    the hugged end (far / 2^2, far / 2^4, far / 2^8, ...) while near is 0,
-    a geometric midpoint while far > 4 near, else the midpoint.  The search ends at a bracket one
-    cell wide, or at a target within a small fraction of a cell of the
-    root.
+    The values come from `_approximate`, rounded down; they only steer,
+    and the caller proves a cell at j with two exact signs.  The search
+    runs on the distance u from the end the root hugs: the point 0 where
+    it is not x = 0 (its values steer the first step; a root bound's
+    bracket holds its root near there), else the end that the sign at n/2
+    tells.  It takes Halley steps (`_halley_step`: Newton's, corrected by
+    the second derivative) on ln(P/N), P and N the terms of the sign of
+    shi and of the other sign, each to the far end of the cell of its
+    target, in the bracket (near, far) of the root that the values' signs
+    keep.  A step that moves on more than 3/4 of the step before, the same
+    way, goes twice as far (the steps are crawling); one that leaves the
+    bracket, or turns back that far, gives way to a safeguard: a gallop
+    towards the hugged end (far / 2^2, far / 2^4, far / 2^8, ...) while
+    near is 0, a geometric midpoint while far > 4 near, else the midpoint.
+    The search ends at a bracket one cell wide, or at a target within a
+    small fraction of a cell of the root.
 
     A value is taken at the bits that resolve 2^-16 of the point's
     expected distance from the root in cells, times the 2^-64 that `bits`
@@ -494,90 +498,36 @@ def _homogeneous(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int) -> 
     return total
 
 
-def _truncated(v: int, e: int, bits: int, up: bool) -> tuple[int, int]:
-    """(w, e') with w * 2^e' the value v * 2^e (v >= 0) cut to `bits` bits,
-    rounded down, or up when `up`."""
-    s = v.bit_length() - bits
-    if s <= 0:
-        return v, e
-    w = v >> s
-    return w + (up and w << s != v), e + s
+def _approximate(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int, bits: int, up: bool = False) -> tuple[int, ...]:
+    """(P, N, P1, N1, P2, N2) at x = m / (d * 2^k), m >= 0, each 2^bits
+    times its value, rounded down, or up when `up`: P is the sum of the
+    terms c x^p with c > 0, N minus the sum of the others, so that p = P -
+    N, and P1, P2 (N1, N2) weigh each term by p and p^2, so that P1 = x P'
+    and P2 = x (x P')'.  Fixed point with `bits` fractional bits: x is
+    rounded to that grid once, and each power of it is formed by squaring
+    with every product rounded back to the grid, all down or all up, so a
+    pass rounded down and one rounded up bound each value.
 
-
-def _power_bounds(x: int, exponents: list[int], bits: int, up: bool) -> list[tuple[int, int]]:
-    """(w, e) with w * 2^e a bound on x^n for each n of the ascending
-    `exponents`, x >= 0: each power is the last one times x^(n - last), that
-    factor formed by squaring, with x and every product cut to `bits` bits,
-    rounded down, or up when `up`.  For x = 1 there is nothing to form."""
-    if x == 1:
-        return [(1, 0)] * len(exponents)
-    x = _truncated(x, 0, bits, up)
-    pw, prev, out = (1, 0), 0, []
-    for n in exponents:
-        g, (xw, xe), prev = n - prev, x, n
-        while g:
-            if g & 1:
-                pw = _truncated(pw[0] * xw, pw[1] + xe, bits, up)
-            g >>= 1
-            if g:
-                xw, xe = _truncated(xw * xw, 2 * xe, bits, up)
-        out.append(pw)
-    return out
-
-
-def _bounded(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int, bits: int) -> tuple[int, int, int]:
-    """(lo, hi, e) with lo * 2^e <= _homogeneous(terms, d, m, k) <= hi * 2^e,
-    for m >= 0.
-
-    Each term's magnitude |c| m^p d^(deg-p) 2^(k(deg-p)) is bounded below
-    and above: the powers of m and of d come from `_power_bounds`, upward in
-    p for m and downward for d, and |c| and every product are cut to `bits`
-    bits, rounded down for the lower bound and up for the upper.  The
-    signed bounds are summed on the grid 2^e, `bits` bits below the largest
-    term, again rounding each term down or up.
-    """
-    deg = terms[-1][0]
-    mags = []
-    for up in (False, True):
-        mps = _power_bounds(m, [p for p, _ in terms], bits, up)
-        dps = _power_bounds(d, [deg - p for p, _ in reversed(terms)], bits, up)[::-1]
-        out = []
-        for (p, c), (mw, me), (dw, de) in zip(terms, mps, dps):
-            w, ex = _truncated(abs(c), 0, bits, up)
-            w, ex = _truncated(w * mw, ex + me, bits, up)
-            w, ex = _truncated(w * dw, ex + de, bits, up)
-            out.append((w, ex + k * (deg - p)))
-        mags.append(out)
-    base = max(ex + w.bit_length() for w, ex in mags[1]) - bits
-    lo = hi = 0
-    for (_, c), (wl, el), (wh, eh) in zip(terms, *mags):
-        if c < 0:
-            wl, el, wh, eh = -wh, eh, -wl, el
-        lo += wl << el - base if el >= base else wl >> base - el
-        hi += wh << eh - base if eh >= base else -(-wh >> base - eh)
-    return lo, hi, base
-
-
-def _approximate(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int, bits: int) -> tuple[int, ...]:
-    """(P, N, P1, N1, P2, N2) at x = m / (d * 2^k), each about 2^bits times
-    its value: P is the sum of the terms c x^p with c > 0, N minus the sum
-    of the others, so that p = P - N, and P1, P2 (N1, N2) weigh each term
-    by p and p^2, so that P1 = x P' and P2 = x (x P')'.  Fixed point with
-    `bits` fractional bits: x is rounded down to that grid once, and each
-    power of it is formed by squaring with every product cut back to the
-    grid.  An approximation that only steers `_predicted_point`; it
-    proves nothing."""
-    x = (m << bits) // (d << k)
+    Where x > 2 the loop runs on y = 1/x and reads c x^p as c y^(deg-p):
+    every value is then y^deg times the one named, which keeps each ratio
+    and sign, and no power exceeds 1 (x^p up to 2^deg otherwise), so a
+    probe at a large x stays short."""
+    deg, den, flip = terms[-1][0], d << k, 0
+    if m > den << 1:
+        m, den, flip, terms = den, m, deg, terms[::-1]
+    carry = (1 << bits) - 1 if up else 0
+    x = ((m << bits) + (den - 1 if up else 0)) // den
     pos = neg = pos1 = neg1 = pos2 = neg2 = prev = 0
     power = 1 << bits
     for p, c in terms:
-        e, sq, prev = p - prev, x, p
-        while e:
-            if e & 1:
-                power = power * sq >> bits
-            e >>= 1
-            if e:
-                sq = sq * sq >> bits
+        e = abs(p - flip)  # the power of x, or of y = 1/x where flipped
+        g, sq, prev = e - prev, x, e
+        while g:
+            if g & 1:
+                power = power * sq + carry >> bits
+            g >>= 1
+            if g:
+                sq = sq * sq + carry >> bits
         term = c * power
         weighed = p * term
         if c > 0:
@@ -588,23 +538,32 @@ def _approximate(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int, bit
 
 
 # Degree times the bit length of the point above which a probe first tries
-# the bounds of `_bounded`: below it the exact integer is short enough that
-# building it costs less than the bounds (with a cutover at 4,000 bits the
-# roots of levels 0-4 at 100-150 digits took 1.1-1.3x as long).
-_EXACT_BITS = 12_000
+# the two passes of `_approximate`: below it the exact integer is short
+# enough that building it costs less.  One probe of a band48 polynomial of
+# degree 7-307 at 20-500 bits breaks even between 3,500 and 5,800; the
+# roots of the seed-1 entropy benchmark take the same time with cutovers
+# of 4,000 to 10,000 and about 5% longer with 12,000.  The top of that
+# range keeps exact the first sign of an isolation, at x = 1, up to degree
+# 10,000: there the integer is a few bits long, and at degree 9,007 it
+# takes 1 us against 9 us for the passes.
+_EXACT_BITS = 10_000
 
 
 def _probe(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int, margin: int) -> int:
-    """Sign of _homogeneous(terms, d, m, k), that of p at x = m / (d 2^k):
-    the sign `_bounded` at k + margin bits proves, or where it cannot, or
-    where the exact integer is short, or for m < 0, that of the exact
-    integer."""
+    """Sign of _homogeneous(terms, d, m, k), that of p at x = m / (d 2^k).
+
+    Where the exact integer would be long and m >= 0, two passes of
+    `_approximate` at k + margin bits, one rounded down and one up, bound
+    P and N: P rounded down above N rounded up proves +1, P rounded up
+    below N rounded down proves -1.  Where they prove neither, where the
+    integer is short, and for m < 0, the sign is that of the exact integer."""
     deg = terms[-1][0] if terms else 0
     if m >= 0 and deg * m.bit_length() > _EXACT_BITS:
-        lo, hi, _ = _bounded(terms, d, m, k, k + margin)
-        if lo > 0:
+        pos, neg = _approximate(terms, d, m, k, k + margin)[:2]
+        pos_up, neg_up = _approximate(terms, d, m, k, k + margin, True)[:2]
+        if pos > neg_up:
             return 1
-        if hi < 0:
+        if pos_up < neg:
             return -1
     return _sign(_homogeneous(terms, d, m, k))
 
@@ -617,8 +576,8 @@ def _sign_at(p: IntPoly, x: Fraction) -> int:
     """Sign of p(x), read by `_probe` without building p(x).
 
     The denominator is split as d * 2^t, d odd, so only d is raised to
-    powers; the power of two enters as shifts.  Bounds are tried at the
-    denominator's bit length plus the margin of `RootInterval.refined`.
+    powers; the power of two enters as shifts.  The bound passes run at
+    the denominator's bit length plus the margin of `RootInterval.refined`.
     """
     d = x.denominator
     t = (d & -d).bit_length() - 1
@@ -713,6 +672,8 @@ def _sturm_variations(chain: list[IntPoly], x: Fraction) -> int:
 
 def count_roots_in(p: IntPoly, a: Fraction, b: Fraction, chain=None) -> int:
     """Number of distinct real roots of p in the half-open interval (a, b]."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
     if chain is None:
         chain = sturm_chain(p)
     return _sturm_variations(chain, a) - _sturm_variations(chain, b)
@@ -789,6 +750,8 @@ def compare_roots(a: RootInterval, b: RootInterval) -> int:
     one common root (`_same_root`); distinct roots are refined, doubling the
     digits each round, until their enclosures separate.
     """
+    if a.poly.is_zero() or b.poly.is_zero():
+        raise ValueError("zero polynomial")
     if a.hi > b.lo and b.hi > a.lo and _same_root(a, b):
         return 0
     w = max(a.width, b.width)  # digits = about -log10(w)

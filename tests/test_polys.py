@@ -19,7 +19,7 @@ from pwldyn.polys import (
     poly_det,
     poly_gcd,
     sturm_chain,
-    _bounded,
+    _approximate,
     _homogeneous,
     _primitive,
     _pseudo_divmod,
@@ -91,6 +91,26 @@ def test_root_interval_invariants():
         RootInterval(F(1), F(3, 2), p)  # no root in (1, 3/2]
     with pytest.raises(ValueError):
         RootInterval(F(0), F(1), p)  # hi is a root
+
+
+def test_root_interval_refuses_the_zero_polynomial():
+    # every point is a root of 0, so no enclosure holds one root of it
+    for lo, hi in ((F(1), F(1)), (F(1), F(2))):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            RootInterval(lo, hi, IntPoly([]))
+
+
+def test_compare_roots_refuses_the_zero_polynomial():
+    zero = RootInterval._proven(F(1), F(1), IntPoly([]))
+    root = RootInterval(F(2), F(2), poly(p1=1, p0=-2))
+    for a, b in ((zero, root), (root, zero)):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            compare_roots(a, b)
+
+
+def test_count_roots_in_refuses_the_zero_polynomial():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        count_roots_in(IntPoly([]), F(0), F(1))
 
 
 def test_sturm_counting_and_largest_root():
@@ -575,22 +595,54 @@ def _counted(monkeypatch, *names: str) -> dict[str, int]:
     return calls
 
 
+def _steering(monkeypatch, wrap=None) -> dict[str, int]:
+    """Calls to `_probe`, and to `_approximate` by the search apart from the
+    two passes inside each probe, counted from now on; `wrap`, where given,
+    rewrites the values the search reads and leaves the probes' alone."""
+    from pwldyn import polys
+
+    calls = {"_probe": 0, "search": 0}
+    probe, approximate = polys._probe, polys._approximate
+    proving = False
+
+    def counted_probe(*args):
+        nonlocal proving
+        calls["_probe"] += 1
+        proving = True
+        try:
+            return probe(*args)
+        finally:
+            proving = False
+
+    def steering(*args):
+        if proving:
+            return approximate(*args)
+        calls["search"] += 1
+        values = approximate(*args)
+        return wrap(values) if wrap else values
+
+    monkeypatch.setattr(polys, "_probe", counted_probe)
+    monkeypatch.setattr(polys, "_approximate", steering)
+    return calls
+
+
 def test_isolation_proves_its_cell_with_few_exact_signs(monkeypatch):
     # A work count, not a timing.  A root costs at most 4 exact signs (the
     # sign at 1 and the two ends of the predicted cell), never the plain
-    # bisection, and approximate values that grow with log K, K the depth
-    # of the bisection's last grid (about the bit length of 1 / width).
-    calls = _counted(monkeypatch, "_probe", "_approximate", "_bisected")
+    # bisection, and search values that grow with log K, K the depth of
+    # the bisection's last grid (about the bit length of 1 / width); the
+    # bound passes inside a probe are not search values.
+    calls = _steering(monkeypatch)
+    bisected = _counted(monkeypatch, "_bisected")
     for fam in BAND48_FAMILIES:
         for n in (0, 10, 100, 400, 1000):
             for digits in (5, 30, 150):
-                for name in calls:
-                    calls[name] = 0
+                calls["_probe"] = calls["search"] = 0
                 ri = isolate_unique_positive_root(fam(n), digits)
                 depth = ri.width.denominator.bit_length()
                 assert calls["_probe"] <= 4, (fam, n, digits)
-                assert calls["_bisected"] == 0, (fam, n, digits)
-                assert calls["_approximate"] <= 2 * depth.bit_length() + 4, (fam, n, digits, calls)
+                assert bisected["_bisected"] == 0, (fam, n, digits)
+                assert calls["search"] <= 2 * depth.bit_length() + 4, (fam, n, digits, calls)
 
 
 def _one_root_poly(root: F, deg: int) -> IntPoly:
@@ -659,17 +711,10 @@ def test_level_ten_thousand_cell_at_ten_digits():
 
 
 def test_flipped_approximation_still_returns_the_bisection_cell(monkeypatch):
-    # A mutation: approximate values of -p steer the search wrong, the
-    # proof refuses its answer, and the plain bisection gives the cell.
-    from pwldyn import polys
-
-    approximate = polys._approximate
-
-    def flipped(*args):
-        pos, neg, pos1, neg1, pos2, neg2 = approximate(*args)
-        return neg, pos, neg1, pos1, neg2, pos2
-
-    monkeypatch.setattr(polys, "_approximate", flipped)
+    # A mutation of the steering alone: the search reads the values of -p
+    # and steers wrong, the probes' own passes stay right, the proof
+    # refuses the search's answer, and the plain bisection gives the cell.
+    _steering(monkeypatch, lambda v: (v[1], v[0], v[3], v[2], v[5], v[4]))
     calls = _counted(monkeypatch, "_bisected")
     starts = [(_band48_start(fam(n)), digits) for fam in BAND48_FAMILIES for n in (0, 3, 40) for digits in (5, 20)]
     starts += [(start, digits) for start, digits in _adversarial_starts()[::7] if start.poly.degree <= 11]
@@ -682,7 +727,7 @@ def test_flipped_approximation_still_returns_the_bisection_cell(monkeypatch):
 
 def test_deep_isolation_builds_few_exact_integers(monkeypatch):
     # A work count, not a timing: the level-3000 T root to 23 digits is
-    # proven from truncated bounds, and the exact kernel runs only where
+    # proven from the bound passes, and the exact kernel runs only where
     # the integer it builds is short.
     from pwldyn import polys
 
@@ -720,21 +765,33 @@ def _kernel_cases(rng: random.Random, count: int):
         yield IntPoly.from_terms(terms).terms, d, m, k
 
 
+def _pass_case(terms, d: int, m: int, k: int, bits: int) -> tuple:
+    """A kernel case at `bits` with the exact P, N, P1, N1, P2, N2 at x =
+    m / (d 2^k), times (d 2^k)^deg, and the scale the passes' values times
+    2^-bits are to be multiplied by to give those: (d 2^k)^deg, or m^deg
+    where x > 2 and the passes run on 1/x."""
+    deg, exact = terms[-1][0], [0] * 6
+    for p, c in terms:
+        value = abs(c) * m**p * d ** (deg - p) << k * (deg - p)
+        for i, weight in enumerate((1, p, p * p)):
+            exact[2 * i + (c < 0)] += weight * value
+    scale = m**deg if m > 2 * (d << k) else (d << k) ** deg
+    return terms, d, m, k, bits, exact, scale
+
+
 def _bounds_miss(kernel, cases) -> int:
-    """Cases where the bounds (lo, hi, e) at `bits`, `bits` + 32 or
-    2 `bits` + 200 do not hold the exact value in [lo * 2^e, hi * 2^e], or
-    where the width (hi - lo) * 2^e grows with the bits."""
+    """Cases where the passes of `kernel` rounded down and up, at `bits`,
+    `bits` + 32 or 2 `bits` + 200, times the case's scale, do not hold
+    2^bits times each of its exact values, or where the total width of
+    those six enclosures grows with the bits."""
     misses = 0
-    for terms, d, m, k, bits, exact in cases:
+    for terms, d, m, k, bits, exact, scale in cases:
         widths = []
         for b in (bits, bits + 32, 2 * bits + 200):
-            lo, hi, e = kernel(terms, d, m, k, b)
-            if e >= 0:
-                misses += not lo << e <= exact <= hi << e
-            else:
-                misses += not lo <= exact << -e <= hi
-            widths.append(F(hi - lo) * F(2) ** e)
-        misses += not widths[0] >= widths[1] >= widths[2]
+            lows, highs = kernel(terms, d, m, k, b), kernel(terms, d, m, k, b, True)
+            misses += not all(lo * scale <= v << b <= hi * scale for lo, hi, v in zip(lows, highs, exact))
+            widths.append((sum(highs) - sum(lows), b))  # the width is scale * w / 2^b
+        misses += any(w << b2 - b < w2 for (w, b), (w2, b2) in zip(widths, widths[1:]))
     return misses
 
 
@@ -742,31 +799,59 @@ def test_bounded_kernel_encloses_the_exact_value(monkeypatch):
     from pwldyn import polys
 
     rng = random.Random(30_000)
-    cases = [(terms, d, m, k, rng.randint(8, 64), _homogeneous(terms, d, m, k))
-             for terms, d, m, k in _kernel_cases(rng, 400)]
-    assert _bounds_miss(_bounded, cases) == 0
-    # A kernel whose upper mantissas round down must miss some case.
-    truncated = polys._truncated
-    monkeypatch.setattr(polys, "_truncated", lambda v, e, bits, up: truncated(v, e, bits, False))
-    assert _bounds_miss(polys._bounded, cases) > 0
+    cases = [_pass_case(terms, d, m, k, rng.randint(8, 64)) for terms, d, m, k in _kernel_cases(rng, 400)]
+    assert sum(m > 2 * (d << k) for _, d, m, k, *_ in cases) >= 100  # the reciprocal branch
+    assert _bounds_miss(_approximate, cases) == 0
+    # A kernel whose up pass rounds down must miss some case.
+    approximate = polys._approximate
+    monkeypatch.setattr(polys, "_approximate", lambda terms, d, m, k, bits, up=False: approximate(terms, d, m, k, bits))
+    assert _bounds_miss(polys._approximate, cases) > 0
 
 
 def test_sign_at_matches_fraction_evaluation():
-    # sparse polynomials up to degree 1210 at x = m / (odd * 2^t); every
-    # fifth one gets x as a root
+    # sparse polynomials up to degree 1210 at x = m / (odd * 2^t), in
+    # [-3, 3] and in [0, 10^6] (above 2 the bound passes run on 1/x);
+    # every fifth one gets x as a root
     rng = random.Random(1210)
-    for case in range(200):
-        deg = rng.randint(1, 1210)
-        terms = {deg: rng.choice((-1, 1)) * rng.randint(1, 10**6)}
-        for _ in range(rng.randint(0, 6)):
-            terms[rng.randint(0, deg - 1)] = rng.randint(-(10**6), 10**6)
-        p = IntPoly.from_terms(terms)
-        d = (2 * rng.randint(0, 500) + 1) << rng.randint(0, 40)
-        x = F(rng.randint(-3 * d, 3 * d), d)
-        if case % 5 == 0:
-            p = p * IntPoly([-x.numerator, x.denominator])
-        value = sum((c * x**k for k, c in enumerate(p.coeffs) if c), F(0))
-        assert _sign_at(p, x) == (value > 0) - (value < 0), (case, x)
+    for lo, hi in ((-3, 3), (0, 10**6)):
+        for case in range(200):
+            deg = rng.randint(1, 1210)
+            terms = {deg: rng.choice((-1, 1)) * rng.randint(1, 10**6)}
+            for _ in range(rng.randint(0, 6)):
+                terms[rng.randint(0, deg - 1)] = rng.randint(-(10**6), 10**6)
+            p = IntPoly.from_terms(terms)
+            d = (2 * rng.randint(0, 500) + 1) << rng.randint(0, 40)
+            x = F(rng.randint(lo * d, hi * d), d)
+            if case % 5 == 0:
+                p = p * IntPoly([-x.numerator, x.denominator])
+            value = sum((c * x**k for k, c in enumerate(p.coeffs) if c), F(0))
+            assert _sign_at(p, x) == (value > 0) - (value < 0), (case, x)
+
+
+def test_large_x_signs_stay_short(monkeypatch):
+    # A work count, not a timing: at x in [10^5, 10^6] the bound passes
+    # run on 1/x, so the signs of x^3000 - 7 x^1500 - 3 need no exact
+    # integer, and no P or N of the passes is longer than the bits plus
+    # the coefficients' bits plus 8 (forming x^3000 takes about 57,000).
+    from pwldyn import polys
+
+    p = poly(p3000=1, p1500=-7, p0=-3)
+    rng = random.Random(3000)
+    approximate, excess = polys._approximate, []
+
+    def measured(terms, d, m, k, bits, up=False):
+        values = approximate(terms, d, m, k, bits, up)
+        excess.append(max(v.bit_length() for v in values[:2]) - bits - 3)
+        return values
+
+    monkeypatch.setattr(polys, "_approximate", measured)
+    calls = _counted(monkeypatch, "_homogeneous")
+    for _ in range(20):
+        q = (2 * rng.randint(0, 500) + 1) << rng.randint(0, 40)
+        x = F(rng.randint(10**5 * q, 10**6 * q), q)
+        assert _sign_at(p, x) == _sign(p, x) == 1, x
+    assert calls["_homogeneous"] == 0
+    assert len(excess) == 40 and max(excess) <= 8
 
 
 def _mp(mpmath, x: F):
