@@ -775,6 +775,7 @@ def _pass_case(terms, d: int, m: int, k: int, bits: int) -> tuple:
         value = abs(c) * m**p * d ** (deg - p) << k * (deg - p)
         for i, weight in enumerate((1, p, p * p)):
             exact[2 * i + (c < 0)] += weight * value
+    assert exact[0] - exact[1] == _homogeneous(terms, d, m, k)
     scale = m**deg if m > 2 * (d << k) else (d << k) ** deg
     return terms, d, m, k, bits, exact, scale
 
@@ -836,12 +837,13 @@ def test_large_x_signs_stay_short(monkeypatch):
     from pwldyn import polys
 
     p = poly(p3000=1, p1500=-7, p0=-3)
+    coefficient_bits = max(abs(c) for _, c in p.terms).bit_length()
     rng = random.Random(3000)
     approximate, excess = polys._approximate, []
 
     def measured(terms, d, m, k, bits, up=False):
         values = approximate(terms, d, m, k, bits, up)
-        excess.append(max(v.bit_length() for v in values[:2]) - bits - 3)
+        excess.append(max(v.bit_length() for v in values[:2]) - bits - coefficient_bits)
         return values
 
     monkeypatch.setattr(polys, "_approximate", measured)
