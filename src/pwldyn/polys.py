@@ -327,22 +327,22 @@ def _predicted_point(terms: tuple[tuple[int, int], ...], d: int, a: int, gap: in
     the point n the sign shi, and the root between is the one positive
     root of a polynomial with one coefficient sign change.
 
-    The values come from `_approximate`, rounded down; they only steer,
-    and the caller proves a cell at j with two exact signs.  The search
-    runs on the distance u from the end the root hugs: the point 0 where
-    it is not x = 0 (its values steer the first step; a root bound's
-    bracket holds its root near there), else the end that the sign at n/2
-    tells.  It takes Halley steps (`_halley_step`: Newton's, corrected by
-    the second derivative) on ln(P/N), P and N the terms of the sign of
-    shi and of the other sign, each to the far end of the cell of its
-    target, in the bracket (near, far) of the root that the values' signs
-    keep.  A step that moves on more than 3/4 of the step before, the same
-    way, goes twice as far (the steps are crawling); one that leaves the
-    bracket, or turns back that far, gives way to a safeguard: a gallop
-    towards the hugged end (far / 2^2, far / 2^4, far / 2^8, ...) while
-    near is 0, a geometric midpoint while far > 4 near, else the midpoint.
-    The search ends at a bracket one cell wide, or at a target within a
-    small fraction of a cell of the root.
+    The values come from `_approximate`; they only steer, and the caller
+    proves a cell at j with two exact signs.  The search runs on the
+    distance u from the end the root hugs: the point 0 where it is not x =
+    0 (its values steer the first step; a root bound's bracket holds its
+    root near there), else the end that the sign at n/2 tells.  It takes
+    Halley steps (`_halley_step`: Newton's, corrected by the second
+    derivative) on ln(P/N), P and N the terms of the sign of shi and of
+    the other sign, each to the far end of the cell of its target, in the
+    bracket (near, far) of the root that the values' signs keep.  A step
+    that moves on more than 3/4 of the step before, the same way, goes
+    twice as far (the steps are crawling); one that leaves the bracket,
+    or turns back that far, gives way to a safeguard: a gallop towards
+    the hugged end (far / 2^2, far / 2^4, far / 2^8, ...) while near is 0,
+    a geometric midpoint while far > 4 near, else the midpoint.  The
+    search ends at a bracket one cell wide, or at a target within a small
+    fraction of a cell of the root.
 
     A value is taken at the bits that resolve 2^-16 of the point's
     expected distance from the root in cells, times the 2^-64 that `bits`
