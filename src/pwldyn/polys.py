@@ -539,10 +539,11 @@ def _approximate(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int, bit
 
 # Degree times the bit length of the point above which a probe first tries
 # the two passes of `_approximate`: below it the exact integer is short
-# enough that building it costs less.  One probe of a band48 polynomial of
-# degree 7-307 at 20-500 bits breaks even between 3,500 and 5,800; the
-# roots of the seed-1 entropy benchmark take the same time with cutovers
-# of 4,000 to 10,000 and about 5% longer with 12,000.  The top of that
+# enough that building it costs less.  On a shared 2-core machine with
+# Python 3.11, one probe of a band48 polynomial of degree 7-307 at 20-500
+# bits breaks even between 3,500 and 5,800; the roots of the seed-1
+# entropy benchmark take times within 2% of each other with cutovers of
+# 4,000 to 10,000 and about 5% longer with 12,000.  The top of that
 # range keeps exact the first sign of an isolation, at x = 1, up to degree
 # 10,000: there the integer is a few bits long, and at degree 9,007 it
 # takes 1 us against 9 us for the passes.
