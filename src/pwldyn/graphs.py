@@ -7,7 +7,9 @@ F(graph) subset-of graph exactly, which is the arbiter for the tables.
 Every named point is c0 + c1*b with c0, c1 in (1/4)Z, so the tables are
 held as integers 4*c0, 4*c1 and evaluated at b = n/d on the lattice
 (1/4d)Z^2: the mark checks and the orbit relations run on integers, and
-Fractions are built only for the points returned.
+the points returned get one Fraction per distinct coordinate.  The
+invariance check reads the graph's current vertices, each put on a
+lattice once, and runs on integers too.
 
 Regimes (all for a = -1):
   negb    b <= -2          topological circle with one plateau
@@ -19,7 +21,9 @@ Regimes (all for a = -1):
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import chain, repeat
+from math import lcm
+from typing import Iterable, NamedTuple
 
 from pwldyn.planemap import (
     Params,
@@ -27,6 +31,7 @@ from pwldyn.planemap import (
     Segment,
     _lattice_segment_holds,
     _off_frame,
+    _on_frame,
     image_gaps,
 )
 from pwldyn.rationals import _int_str, rational_str
@@ -292,6 +297,15 @@ _MARKS = {r: [(name, _quarters(c), host) for name, c, host in t] for r, t in _MA
 _EDGE_VERTICES = {r: {e: (a, b) for e, a, b in edges} for r, edges in _EDGES.items()}
 
 
+def _off_lattice(points: Iterable[tuple[int, int]], frame: int) -> list[Point]:
+    """The lattice points as `Point`s (x, y)/frame, with one Fraction for
+    each distinct coordinate."""
+    points = list(points)
+    values = set(chain.from_iterable(points))
+    coords = dict(zip(values, map(Fraction, values, repeat(frame))))
+    return [Point(coords[x], coords[y]) for x, y in points]
+
+
 # ---------------------------------------------------------------------------
 # Planar graph object
 # ---------------------------------------------------------------------------
@@ -301,6 +315,9 @@ class GraphEdge(NamedTuple):
     name: str
     a: str
     b: str
+
+
+_GRAPH_EDGES = {r: tuple(GraphEdge(*e) for e in edges) for r, edges in _EDGES.items()}
 
 
 class PlanarGraph(NamedTuple):
@@ -445,10 +462,11 @@ def build_gamma(regime: str, b) -> PlanarGraph:
     """
     b = Fraction(b)
     t = _table_lattice(regime, b)
-    vertices = {name: _off_frame(x, y, t.frame) for name, (x, y) in t.vertices.items()}
-    marks = {name: (_off_frame(x, y, t.frame), host) for name, ((x, y), host) in t.marks.items()}
-    edges = [GraphEdge(*e) for e in _EDGES[regime]]
-    return PlanarGraph(regime, b, vertices, edges, marks, t.where == "boundary")
+    named = t.named()
+    points = dict(zip(named, _off_lattice(named.values(), t.frame)))
+    vertices = {name: points[name] for name in t.vertices}
+    marks = {name: (points[name], host) for name, (_, host) in t.marks.items()}
+    return PlanarGraph(regime, b, vertices, list(_GRAPH_EDGES[regime]), marks, t.where == "boundary")
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +486,20 @@ def verify_invariance(graph: PlanarGraph, params: Params) -> InvarianceReport:
     Each edge is split at the axes, every affine piece is pushed through F,
     and the image is subtracted from the union of collinear graph edges;
     whatever remains, and every point off the graph that a piece collapses
-    to, is reported, not raised (`planemap.image_gaps`).
+    to, is reported, not raised (`planemap.image_gaps`).  The graph's
+    current vertices are read once each, on the lattice of the lcm d of
+    their denominators and b's, where F has the offsets (-d, d*b); an edge
+    whose ends coincide is skipped, as in `PlanarGraph.all_segments`.
     """
     if params.a != -1:
         raise ValueError("invariance tables assume a = -1")
-    if params.b != graph.b:
-        raise ValueError(f"params b = {rational_str(params.b)} differs from the graph's b = {rational_str(graph.b)}")
-    gaps, points = image_gaps(params, graph.all_segments())
+    b = params.b
+    if b != graph.b:
+        raise ValueError(f"params b = {rational_str(b)} differs from the graph's b = {rational_str(graph.b)}")
+    d = lcm(b.denominator, *(v.denominator for pt in graph.vertices.values() for v in pt))
+    lattice = {name: _on_frame(pt, d) for name, pt in graph.vertices.items()}
+    ends = [(*lattice[e.a], *lattice[e.b]) for e in graph.edges if lattice[e.a] != lattice[e.b]]
+    gaps, points = image_gaps(d, -d, b.numerator * (d // b.denominator), ends)
     return InvarianceReport(not gaps and not points, tuple(gaps), tuple(points))
 
 
@@ -494,15 +519,15 @@ def orbit_marks(regime: str, b) -> list[tuple[str, Point, str]]:
     """
     b = Fraction(b)
     t = _table_lattice(regime, b)
-    frame, named = t.frame, t.named()
-    out = []
-    for src, dst in _ORBIT_RELATIONS[regime]:
+    frame, bq, named = t.frame, 4 * b.numerator, t.named()
+    relations = _ORBIT_RELATIONS[regime]
+    for src, dst in relations:
         x, y = named[src]
-        image = (abs(x) - y - frame, x - abs(y) + 4 * b.numerator)
+        image = (abs(x) - y - frame, x - abs(y) + bq)
         if image != named[dst]:
             raise AssertionError(
                 f"orbit relation {src} -> {dst} fails at b = {b}: "
                 f"F({src}) = {_off_frame(*image, frame)}, expected {_off_frame(*named[dst], frame)}"
             )
-        out.append((src, _off_frame(x, y, frame), dst))
-    return out
+    points = _off_lattice((named[src] for src, _ in relations), frame)
+    return [(src, pt, dst) for (src, dst), pt in zip(relations, points)]

@@ -14,12 +14,12 @@ Frame invariant: every point, offset, piece end and chart interval the
 engine holds is an integer in the current frame.  An axis crossing at a
 non-integer s multiplies D, and every integer held, by the smallest
 factor that makes it a lattice point; nothing is ever rounded.  Callers
-that already hold lattice points (the band48 partition) hand them over
-as integers; the others convert their `Fraction` points once, and the
-engine builds `Fraction`s only for the values it returns.  It yields the
-invariance check of a union of segments and the covering relations of a
-partition under F, both on line covers, and the induced one-dimensional
-map of F^k along a segment.
+that already hold lattice points (the band48 partition, the invariance
+check of `graphs`) hand them over as integers; the others convert their
+`Fraction` points once, and the engine builds `Fraction`s only for the
+values it returns.  It yields what F adds to a union of segments and the
+covering relations of a partition under F, both on line covers, and the
+induced one-dimensional map of F^k along a segment.
 
 That induced map has integer slopes.  A piece of F^k is s -> P + s*v
 with v an integer vector (F's linear parts are integer matrices), and it
@@ -169,11 +169,14 @@ def _lattice_segment_holds(p: tuple[int, int], q: tuple[int, int], pt: tuple[int
 def _walk(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int, int, int]:
     """(x, y, ux, uy, n): the lattice segment between two distinct points as
     n steps of its primitive direction u from (x, y), its end of lower chart
-    coordinate (the chart is x when |ux| >= |uy|, else y)."""
+    coordinate (the chart is x when |ux| >= |uy|, else y).  Equal points
+    raise ValueError."""
     dx, dy = x2 - x1, y2 - y1
     if (dx if abs(dx) >= abs(dy) else dy) < 0:
         x1, y1, dx, dy = x2, y2, -dx, -dy
     n = gcd(dx, dy)
+    if not n:
+        raise ValueError("degenerate segment")
     return x1, y1, dx // n, dy // n, n
 
 
@@ -185,14 +188,28 @@ def _line_chart(x1: int, y1: int, x2: int, y2: int) -> tuple[tuple[int, int, int
     chart interval.
     """
     x, y, ux, uy, n = _walk(x1, y1, x2, y2)
-    t, ut = (x, ux) if abs(ux) >= abs(uy) else (y, uy)
-    return (ux, uy, uy * x - ux * y), t, t + n * ut
+    return _start_chart((0, 0, n, x, ux, y, uy))
 
 
 def _piece_chart(piece: tuple[int, ...]) -> tuple[tuple[int, int, int], int, int]:
-    """(key, lo, hi) of the image of a piece that F has not collapsed."""
+    """(key, lo, hi) of the image of a piece that F has not collapsed, as
+    `_line_chart` gives it: its direction v divided by +-gcd(v), so that
+    the chart coordinate grows along it, and c read at s = 0."""
     _, s0, s1, x0, vx, y0, vy = piece
-    return _line_chart(x0 + vx * s0, y0 + vy * s0, x0 + vx * s1, y0 + vy * s1)
+    t, v = (x0, vx) if abs(vx) >= abs(vy) else (y0, vy)
+    g = gcd(vx, vy)
+    if v < 0:
+        g, s0, s1 = -g, s1, s0
+    ux, uy = vx // g, vy // g
+    return (ux, uy, uy * x0 - ux * y0), t + v * s0, t + v * s1
+
+
+def _start_chart(start: tuple[int, ...]) -> tuple[tuple[int, int, int], int, int]:
+    """(key, lo, hi) of a piece of a segment's own walk, whose direction
+    `_walk` already made primitive with a growing chart coordinate."""
+    _, s0, s1, x, ux, y, uy = start
+    t, ut = (x, ux) if abs(ux) >= abs(uy) else (y, uy)
+    return (ux, uy, uy * x - ux * y), t + ut * s0, t + ut * s1
 
 
 def _scaled(pieces: list[tuple[int, ...]], f: int) -> list[tuple[int, ...]]:
@@ -214,6 +231,13 @@ def _step(pieces: list[tuple[int, ...]], a: int, b: int) -> list[tuple[int, ...]
     """Cut every piece at its axis crossings (integers) and apply F's quadrant branch."""
     out = []
     for i, s0, s1, x0, vx, y0, vy in pieces:
+        xa, xb, ya, yb = x0 + vx * s0, x0 + vx * s1, y0 + vy * s0, y0 + vy * s1
+        if not (xa < 0 < xb or xb < 0 < xa or ya < 0 < yb or yb < 0 < ya):
+            # no crossing inside: one branch, that of the ends' midpoint
+            sx = -1 if xa + xb < 0 else 1
+            sy = -1 if ya + yb < 0 else 1
+            out.append((i, s0, s1, sx * x0 - y0 + a, sx * vx - vy, x0 - sy * y0 + b, vx - sy * vy))
+            continue
         cuts = {-c // v for c, v in ((x0, vx), (y0, vy)) if v and not c % v and s0 < -c // v < s1}
         ends = [s0, *sorted(cuts), s1]
         for lo, hi in zip(ends, ends[1:]):
@@ -247,10 +271,8 @@ class SegmentLattice:
     def __init__(self, frame: int, a: int, b: int, segments: Sequence[LatticeSegment]):
         self.frame, self.a, self.b = frame, a, b
         self.starts = []
-        for i, (x1, y1, x2, y2) in enumerate(segments):
-            if (x1, y1) == (x2, y2):
-                raise ValueError("degenerate segment")
-            x, y, ux, uy, n = _walk(x1, y1, x2, y2)
+        for i, ends in enumerate(segments):
+            x, y, ux, uy, n = _walk(*ends)
             self.starts.append((i, 0, n, x, ux, y, uy))
 
     def rescale(self, f: int) -> None:
@@ -323,27 +345,27 @@ def restrict_iterate_to_segment(params: Params, seg: Segment, k: int) -> Piecewi
     return next(_restricted_frames(params, [seg], k)).to_map()
 
 
-def image_gaps(params: Params, segments: Sequence[Segment]) -> tuple[list[Segment], list[Point]]:
+def image_gaps(frame: int, a: int, b: int, segments: Sequence[LatticeSegment]) -> tuple[list[Segment], list[Point]]:
     """What F adds to the union of `segments`: (sub-segments, points).
 
-    Each segment is split at the axes and every affine piece is pushed
+    The segments come as lattice ends in `frame`, where F has the offsets
+    (a, b).  Each is split at the axes and every affine piece is pushed
     through F.  The sub-segments are the maximal parts of the images outside
     the union, piece by piece, each oriented by growing chart coordinate.
     The points are those off the union to which F collapses a piece.
     """
-    lat = SegmentLattice(*_lattice_frame(params, segments))
+    lat = SegmentLattice(frame, a, b, segments)
     pieces = iterate_segment_pieces(lat, 1)
-    cover = _line_cover(_piece_chart(start) for start in lat.starts)
+    cover = _line_cover(_start_chart(start) for start in lat.starts)
     gaps: list[Segment] = []
     points: list[Point] = []
     for piece in pieces:
-        _, _, _, x0, vx, y0, vy = piece
-        if vx or vy:
+        if piece[4] or piece[6]:
             key, lo, hi = _piece_chart(piece)
-            union = cover.get(key, ())
-            gaps.extend(_chart_segment(key, g0, g1, lat.frame) for g0, g1 in interval_gaps(lo, hi, union))
-        elif not _cover_contains(cover, x0, y0):
-            points.append(_off_frame(x0, y0, lat.frame))
+            for g0, g1 in interval_gaps(lo, hi, cover.get(key, ())):
+                gaps.append(_chart_segment(key, g0, g1, lat.frame))
+        elif not _cover_contains(cover, piece[3], piece[5]):
+            points.append(_off_frame(piece[3], piece[5], lat.frame))
     return gaps, points
 
 
@@ -361,32 +383,34 @@ def image_cover_relations(frame: int, a: int, b: int, partition: Sequence[tuple[
     """
     lat = SegmentLattice(frame, a, b, [ends for _, ends in partition])
     pieces = iterate_segment_pieces(lat, 1)
-    charts = [_piece_chart(start) for start in lat.starts]
+    charts = [_start_chart(start) for start in lat.starts]
     targets: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
     for j, (key, lo, hi) in enumerate(charts):
         for i, ilo, ihi in targets.get(key, ()):
-            if max(lo, ilo) < min(hi, ihi):
+            if lo < ihi and ilo < hi:
                 raise ValueError(f"partition intervals {partition[i][0]} and {partition[j][0]} overlap")
         targets.setdefault(key, []).append((j, lo, hi))
     f = lat.frame // frame  # the walk's refinement
-    cover = _line_cover(_line_chart(*(v * f for v in ends)) for ends in hosts)
+    cover = _line_cover(_line_chart(x1 * f, y1 * f, x2 * f, y2 * f) for x1, y1, x2, y2 in hosts)
     for (label, _), (key, lo, hi) in zip(partition, charts):
         if interval_gaps(lo, hi, cover.get(key, ())):
             raise ValueError(f"partition interval {label} is not on the graph")
-    images: list[list[tuple]] = [[] for _ in partition]
+    # the image of interval i on each line, keyed (i, line) in piece order
+    images: dict[tuple, list[tuple[int, int]]] = {}
     for piece in pieces:
         if piece[4] or piece[6]:
-            images[piece[0]].append(_piece_chart(piece))
+            key, lo, hi = _piece_chart(piece)
+            images.setdefault((piece[0], key), []).append((lo, hi))
     lower: list[list[int]] = [[] for _ in partition]
     upper: list[list[int]] = [[] for _ in partition]
-    for i, image in enumerate(images):
-        for key, union in _line_cover(image).items():
-            for j, lo, hi in targets.get(key, ()):
-                gaps = interval_gaps(lo, hi, union)
-                if not gaps:
-                    lower[i].append(j)
-                if gaps != [(lo, hi)]:
-                    upper[i].append(j)
+    for (i, key), intervals in images.items():
+        union = interval_union(intervals)
+        for j, lo, hi in targets.get(key, ()):
+            gaps = interval_gaps(lo, hi, union)
+            if not gaps:
+                lower[i].append(j)
+            if gaps != [(lo, hi)]:
+                upper[i].append(j)
     return lower, upper
 
 
@@ -433,7 +457,7 @@ def _line_cover(charts) -> dict[tuple[int, int, int], list[tuple[int, int]]]:
     lines: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     for key, lo, hi in charts:
         lines.setdefault(key, []).append((lo, hi))
-    return {key: interval_union(intervals) for key, intervals in lines.items()}
+    return {key: interval_union(intervals) if len(intervals) > 1 else intervals for key, intervals in lines.items()}
 
 
 def _cover_contains(cover: dict, x: int, y: int) -> bool:
@@ -472,10 +496,6 @@ def detect_plateaus(graph_or_segments) -> list[Segment]:
     segs = list(segments() if callable(segments) else graph_or_segments)
     lat = SegmentLattice(*_lattice_frame(Params(Fraction(0), Fraction(0)), segs))
     pieces = iterate_segment_pieces(lat, 1)  # may refine lat.frame
-    charts = []
-    for i, s0, s1, _, vx, _, vy in pieces:
-        if not vx and not vy:
-            _, _, _, x, ux, y, uy = lat.starts[i]
-            charts.append(_line_chart(x + ux * s0, y + uy * s0, x + ux * s1, y + uy * s1))
-    cover = _line_cover(charts)
+    cover = _line_cover(_start_chart((i, s0, s1, *lat.starts[i][3:]))
+                        for i, s0, s1, _, vx, _, vy in pieces if not vx and not vy)
     return [_chart_segment(key, lo, hi, lat.frame) for key, union in cover.items() for lo, hi in union]

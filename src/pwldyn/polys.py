@@ -537,16 +537,16 @@ def _approximate(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int, bit
     return pos, neg, pos1, neg1, pos2, neg2
 
 
-# Degree times the bit length of the point above which a probe first tries
-# the two passes of `_approximate`: below it the exact integer is short
-# enough that building it costs less.  On a shared 2-core machine with
-# Python 3.11, one probe of a band48 polynomial of degree 7-307 at 20-500
-# bits breaks even between 3,500 and 5,800; the roots of the seed-1
-# entropy benchmark take times within 2% of each other with cutovers of
-# 4,000 to 10,000 and about 5% longer with 12,000.  The top of that
-# range keeps exact the first sign of an isolation, at x = 1, up to degree
-# 10,000: there the integer is a few bits long, and at degree 9,007 it
-# takes 1 us against 9 us for the passes.
+# Length in bits of the exact integer, deg * log2 max(m, d 2^k) for a point
+# m / (d 2^k), above which a probe first tries the two passes of
+# `_approximate`: below it the integer is short enough that building it
+# costs less.  On a shared 2-core machine with Python 3.11, one probe of a
+# band48 polynomial of degree 7-307 at 20-500 bits breaks even between
+# 3,500 and 5,800; the roots of the seed-1 entropy benchmark take times
+# within 2% of each other with cutovers of 4,000 to 10,000 and about 5%
+# longer with 12,000.  At x = 1, the first sign of an isolation, the
+# length is 0 and the sign exact at every degree: at degree 9,007 the
+# exact sign takes 1 us against 9 us for the passes.
 _EXACT_BITS = 10_000
 
 
@@ -559,7 +559,7 @@ def _probe(terms: tuple[tuple[int, int], ...], d: int, m: int, k: int, margin: i
     below N rounded down proves -1.  Where they prove neither, where the
     integer is short, and for m < 0, the sign is that of the exact integer."""
     deg = terms[-1][0] if terms else 0
-    if m >= 0 and deg * m.bit_length() > _EXACT_BITS:
+    if m >= 0 and deg * (max(m, d << k).bit_length() - 1) > _EXACT_BITS:
         pos, neg = _approximate(terms, d, m, k, k + margin)[:2]
         pos_up, neg_up = _approximate(terms, d, m, k, k + margin, True)[:2]
         if pos > neg_up:

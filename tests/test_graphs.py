@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from pwldyn import graphs
+from pwldyn import graphs, planemap
 from pwldyn.graphs import (
     REGIMES,
     InvarianceReport,
@@ -122,6 +122,15 @@ def test_invariance_reads_the_current_vertices():
     assert Segment(point(3, 0), g.vertices["P1"]) in g.all_segments()
 
 
+def _oracle_report(g, b) -> InvarianceReport:
+    """`verify_invariance`'s report, checked against the Fraction oracle on `g.all_segments()`."""
+    params = Params.standard(b)
+    report = verify_invariance(g, params)
+    gaps, points = oracles.image_gaps(params, g.all_segments())
+    assert report == InvarianceReport(not gaps and not points, tuple(gaps), tuple(points)), (g.regime, b)
+    return report
+
+
 def test_invariance_matches_fraction_oracle():
     # Seeded corruptions (one vertex moved) of all four graphs, and the graphs themselves.
     rng = random.Random(1118)
@@ -135,17 +144,69 @@ def test_invariance_matches_fraction_oracle():
                 v = g.vertices[name]
                 dx, dy = (F(rng.randint(-4, 4), rng.choice((1, 2, 3, 1000, 10**6 + 3))) for _ in "xy")
                 g.vertices[name] = point(v.x + dx, v.y + dy)
-            params = Params.standard(b)
-            report = verify_invariance(g, params)
-            gaps, points = oracles.image_gaps(params, g.all_segments())
-            assert report == InvarianceReport(not gaps and not points, tuple(gaps), tuple(points))
+            report = _oracle_report(g, b)
             failed += not report.ok
-            off_points += bool(points)
+            off_points += bool(report.uncovered_points)
             for _ in range(20):
                 seg = rng.choice(g.all_segments())
                 pt = oracles.point_at_chart(seg, rng.choice(seg.chart_interval()) + F(rng.randint(-2, 2), 7))
                 assert g.contains_point(pt) == any(oracles.contains_point(s, pt) for s in g.all_segments())
     assert failed >= 40 and off_points >= 5, (failed, off_points)
+    # A vertex moved onto a neighbour shrinks their edge to a point, which
+    # is skipped; and the regime boundaries, where beta's B3 is one point.
+    skipped = failed = 0
+    for regime in REGIMES:
+        for trial, b in enumerate([*_BOUNDARIES[regime] * 3, *(random_b(regime, rng) for _ in range(6))]):
+            g = build_gamma(regime, b)
+            if trial % 3:
+                e = rng.choice(g.edges)
+                g.vertices[e.a] = g.vertices[e.b]
+            skipped += len(g.all_segments()) < len(g.edges)
+            failed += not _oracle_report(g, b).ok
+    assert skipped >= 20 and failed >= 15, (skipped, failed)
+
+
+def test_graph_op_converts_each_vertex_and_coordinate_once(monkeypatch):
+    # Work counts on an intact graph of each regime: the invariance check
+    # puts each vertex on the lattice once and builds no Segment, and
+    # build_gamma and orbit_marks build one Fraction(x, 4d) per distinct
+    # lattice coordinate of the points they return.
+    on_frame, segments, fractions = [], [], []
+
+    def counted_on_frame(pt, d, _f=planemap._on_frame):
+        on_frame.append(pt)
+        return _f(pt, d)
+
+    def counted_init(self, p, q, _f=Segment.__init__):
+        segments.append((p, q))
+        _f(self, p, q)
+
+    def counted_new(cls, *args, _f=F.__new__, **kwargs):
+        if len(args) == 2:
+            fractions.append(args)
+        return _f(cls, *args, **kwargs)
+
+    for module in (planemap, graphs):
+        if hasattr(module, "_on_frame"):
+            monkeypatch.setattr(module, "_on_frame", counted_on_frame)
+    monkeypatch.setattr(Segment, "__init__", counted_init)
+    monkeypatch.setattr(F, "__new__", counted_new)
+    rng = random.Random(4040)
+    for regime in REGIMES:
+        b = random_b(regime, rng)
+        params = Params.standard(b)
+        named = graphs._table_lattice(regime, b).named()
+        sources = [named[src] for src, _ in graphs._ORBIT_RELATIONS[regime]]
+        fractions.clear()
+        g = build_gamma(regime, b)
+        assert len(fractions) == len({v for pt in named.values() for v in pt}), regime
+        fractions.clear()
+        orbit_marks(regime, b)
+        assert len(fractions) == len({v for pt in sources for v in pt}), regime
+        on_frame.clear()
+        segments.clear()
+        assert verify_invariance(g, params).ok
+        assert len(on_frame) == len(g.vertices) and not segments, regime
 
 
 def test_invariance_requires_standard_slice():

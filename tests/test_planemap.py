@@ -172,6 +172,22 @@ def _cover_segments(cover, frame):
     return [_chart_segment(key, lo, hi, frame) for key, union in cover.items() for lo, hi in union]
 
 
+def test_piece_chart_matches_the_chart_of_its_ends():
+    # `_piece_chart` reads the image's line from its direction with one
+    # gcd; it must give what `_line_chart` walks from the image's ends.
+    rng = random.Random(1940)
+    for _ in range(2000):
+        s0 = rng.randint(-50, 50)
+        s1 = s0 + rng.randint(1, 50)
+        x0, y0 = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+        vx, vy = rng.choice((0, rng.randint(-12, 12))), rng.randint(-12, 12)
+        if not vx and not vy:
+            continue
+        piece = (0, s0, s1, x0, vx, y0, vy)
+        ends = (x0 + vx * s0, y0 + vy * s0, x0 + vx * s1, y0 + vy * s1)
+        assert _piece_chart(piece) == _line_chart(*ends), piece
+
+
 def test_line_cover_merges_touching_segments():
     inner = segment((F(1, 2), F(1, 2)), (F(3, 2), F(3, 2)))
     cover, frame, (chart,) = _cover_and_charts([segment((0, 0), (1, 1)), segment((2, 2), (1, 1))], [inner])

@@ -747,6 +747,17 @@ def test_deep_isolation_builds_few_exact_integers(monkeypatch):
     assert max(lengths) <= bracket_end
 
 
+def test_sign_at_one_is_exact_above_the_cutover(monkeypatch):
+    # A work count: at x = 1 the exact integer is the sum of the
+    # coefficients, so the first sign of the level-3333 T root's isolation
+    # (degree 10,006, above the cutover's 10,000) takes no bound pass.
+    core = poly_exact_t(3333).strip_power_factor()[0].normalized_sign()
+    assert core.degree > 10_000
+    calls = _counted(monkeypatch, "_approximate", "_homogeneous")
+    assert _sign_at(core, F(1)) == _sign(core, F(1))
+    assert calls == {"_approximate": 0, "_homogeneous": 1}
+
+
 def _kernel_cases(rng: random.Random, count: int):
     """Seeded (terms, d, m, k): sparse polynomials up to degree 30,000 with
     coefficients up to 10^6 of either sign, an odd d (1 in a third of the
