@@ -11,7 +11,7 @@ integer polynomial; floating point is used only for advisory cross-checks.
 """
 
 from pwldyn.rationals import parse_rational
-from pwldyn.planemap import Params, Point, Segment, apply_F, quadrant_of
+from pwldyn.planemap import Params, Point, Segment, apply_F
 
 __all__ = [
     "parse_rational",
@@ -19,5 +19,4 @@ __all__ = [
     "Point",
     "Segment",
     "apply_F",
-    "quadrant_of",
 ]

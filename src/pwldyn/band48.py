@@ -18,7 +18,7 @@ from pwldyn.graphs import _table_lattice
 from pwldyn.markov import CoverDigraph, _cover_digraph_pair, spectral_radius
 from pwldyn.planemap import LatticeSegment
 from pwldyn.polys import IntPoly, RootInterval, _sign_at, compare_roots, isolate_unique_positive_root
-from pwldyn.rationals import format_decimal, ln_bounds, ln_enclosure, rational_str
+from pwldyn.rationals import format_decimal, ln_enclosure, rational_str
 
 F = Fraction
 
@@ -244,8 +244,8 @@ def continuity_level_bound(eps) -> int:
     bits = 32 + eps.denominator.bit_length()  # 2^-bits is far below ln x > 1/(den + 1)
     while True:
         err = F(1, 1 << bits)
-        x_lo, x_hi = ln_bounds(x, err)
-        g_lo, g_hi = ln_bounds(g, err)
+        x_lo, x_hi = ln_enclosure(x, x, err)
+        g_lo, g_hi = ln_enclosure(g, g, err)
         n = g_lo // (3 * x_hi) + 1
         if 3 * (n - 1) * x_hi < g_lo and g_hi < 3 * n * x_lo:
             return n

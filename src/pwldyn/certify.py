@@ -439,8 +439,10 @@ def digits_report(ci: CertifiedInterval, limit: int | None = None) -> str:
 
     Ends that share m fractional digits lie within 10^-m of each other, so
     comparing up to the first significant place of the width finds every
-    shared digit.
+    shared digit.  `limit` keeps at most that many of them.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     if ci.lo == ci.hi:
         prefix = decimal_digits(ci.lo, limit if limit is not None else 60)
     else:
@@ -448,5 +450,5 @@ def digits_report(ci: CertifiedInterval, limit: int | None = None) -> str:
         prefix = common_decimal_prefix(ci.lo, ci.hi, max_digits=places)
     if limit is not None:
         head, _, tail = prefix.partition(".")
-        prefix = head + "." + tail[:limit] if tail else head
+        prefix = f"{head}.{tail[:limit]}" if tail and limit else head
     return prefix

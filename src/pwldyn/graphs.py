@@ -349,16 +349,6 @@ class PlanarGraph(NamedTuple):
             if (p := self.vertices[e.a]) != (q := self.vertices[e.b])
         )
 
-    def named_point(self, name: str) -> Point:
-        if name in self.vertices:
-            return self.vertices[name]
-        if name in self.marks:
-            return self.marks[name][0]
-        raise KeyError(f"no point named {name!r}")
-
-    def contains_point(self, pt: Point) -> bool:
-        return any(seg.contains_point(pt) for seg in self.all_segments())
-
     def to_json(self) -> dict:
         return {
             "regime": self.regime,

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
-from pwldyn.planemap import LatticeSegment, Params, Segment, _lattice_frame, image_cover_relations
+from pwldyn.planemap import LatticeSegment, image_cover_relations
 from pwldyn.polys import (
     IntPoly,
     RootInterval,
@@ -476,34 +476,13 @@ def _encloses_radius(succ: Sequence[Sequence[int]], comps: list[list[int]], lo: 
 # ---------------------------------------------------------------------------
 
 
-def build_cover_digraph_pair(
-    graph,
-    partition: Sequence[tuple[str, Segment]],
-) -> tuple[CoverDigraph, CoverDigraph]:
-    """(lower, upper) 0/1 covering digraphs of the named partition intervals
-    under F at the graph's parameter (a, b) = (-1, graph.b).
-
-    lower:  edge i -> j iff interval j is contained in F(interval i);
-    upper:  edge iff the images overlap interval j with positive length
-            (the "dashed" super-covering used for upper entropy bounds).
-
-    The intervals and the graph's edges are put on one lattice once, and
-    `_cover_digraph_pair` runs there.  All containment tests are exact
-    interval comparisons on the carrying lines.  Labels must be distinct,
-    no two intervals may overlap with positive length, and each whole
-    interval must lie on the graph's edges, not only its two ends.  The
-    partition is Markov where the two digraphs agree.
-    """
-    segments = [seg for _, seg in partition]
-    frame, a, b, ends = _lattice_frame(Params.standard(graph.b), [*segments, *graph.all_segments()])
-    k = len(segments)
-    return _cover_digraph_pair(frame, a, b, [(lab, e) for (lab, _), e in zip(partition, ends)], ends[k:])
-
-
 def _cover_digraph_pair(frame: int, a: int, b: int, partition: Sequence[tuple[str, LatticeSegment]],
                         hosts: Sequence[LatticeSegment]) -> tuple[CoverDigraph, CoverDigraph]:
-    """`build_cover_digraph_pair` of a partition and host edges given as
-    lattice ends in `frame`, where F has the offsets (a, b)."""
+    """(lower, upper) 0/1 covering digraphs under F of the named partition
+    intervals, on host edges, all as lattice ends in `frame`, where F has
+    the offsets (a, b).  Labels must be distinct; the relations and the
+    other refusals are `image_cover_relations`'s.  The partition is Markov
+    where the two digraphs agree."""
     labels = tuple(lab for lab, _ in partition)
     _label_index(labels)
     lower, upper = image_cover_relations(frame, a, b, partition, hosts)

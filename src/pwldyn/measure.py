@@ -57,6 +57,7 @@ class CaptureProfile(NamedTuple):
         return tuple(out)
 
     def uncaptured(self, depth: int) -> Fraction:
+        _check_depth(depth, len(self.w) - 1)
         return Fraction(self.w[depth], self.q * self.s**depth)
 
     def to_csv_rows(self) -> list[str]:
@@ -64,6 +65,12 @@ class CaptureProfile(NamedTuple):
             f"{self.edge},{i},{cap},{unc}"
             for i, (cap, unc) in enumerate(self.entries)
         ]
+
+
+def _check_depth(depth: int, top: int) -> None:
+    """Refuse a depth outside 0..top, the depths a profile or report holds."""
+    if not 0 <= depth <= top:
+        raise ValueError(f"depth {depth} outside 0..{top}")
 
 
 def _edge_frame(regime: str, b: Fraction, edge: str) -> IntegerFrame:
@@ -142,6 +149,8 @@ def _profile(edge: str, frame: IntegerFrame, depth: int) -> CaptureProfile:
 
 def edge_capture_profile(regime: str, b, edge: str, depth: int) -> CaptureProfile:
     """(captured, uncaptured) exact measures per return depth on one edge."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     return _profile(edge, _edge_frame(regime, Fraction(b), edge), depth)
 
 
@@ -156,6 +165,7 @@ class FullMeasureReport(NamedTuple):
     uncaptured_total: tuple[Fraction, ...]  # per depth
 
     def uncaptured_fraction(self, depth: int) -> Fraction:
+        _check_depth(depth, self.depth)
         return self.uncaptured_total[depth] / self.total_length
 
     def to_csv(self) -> str:
@@ -185,9 +195,9 @@ def full_measure_report(regime: str, b, depth: int) -> FullMeasureReport:
     if regime == "negb":
         graph = build_gamma("negb", b)
         frames = _negb_frames(graph, _NEGB_EDGES)
-        immediate = tuple(
-            (name, graph.edge_segment(name).chart_length()) for name in ("plateau", "feeder")
-        )
+        segs = {name: graph.edge_segment(name) for name in ("plateau", "feeder")}
+        # each edge's chart length, max(|dx|, |dy|)
+        immediate = tuple((name, max(abs(s.q.x - s.p.x), abs(s.q.y - s.p.y))) for name, s in segs.items())
     elif regime in ("alpha", "beta"):
         edge = trapezoid_family(regime).edge
         frames = {edge: _edge_frame(regime, b, edge)}

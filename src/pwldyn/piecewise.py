@@ -74,9 +74,6 @@ class PiecewiseAffine1D:
         self._cuts = (self.lo, *self.breakpoints, self.hi)
         self._constant = tuple(p.is_constant for p in self.pieces)
 
-    def cut_points(self) -> list[Fraction]:
-        return list(self._cuts)
-
     def piece_index_at(self, x: Fraction) -> int:
         """Index of the piece containing x.
 

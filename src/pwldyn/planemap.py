@@ -19,7 +19,9 @@ check of `graphs`) hand them over as integers; the others convert their
 `Fraction` points once, and the engine builds `Fraction`s only for the
 values it returns.  It yields what F adds to a union of segments and the
 covering relations of a partition under F, both on line covers, and the
-induced one-dimensional map of F^k along a segment.
+induced one-dimensional map of F^k along a segment.  `Point` and `Segment`
+are records of Fraction ends; the chart, line key and containment test
+are the engine's alone.
 
 That induced map has integer slopes.  A piece of F^k is s -> P + s*v
 with v an integer vector (F's linear parts are integer matrices), and it
@@ -32,7 +34,6 @@ closure and the capture recursion with no `Fraction` round trip.
 
 from __future__ import annotations
 
-from functools import cached_property
 from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
@@ -65,7 +66,7 @@ class Params(NamedTuple):
 
 
 class Segment:
-    """The segment from p to q, p != q; `dx` and `dy` are computed on first use."""
+    """The segment from p to q, p != q: a record of its two validated ends."""
 
     def __init__(self, p: Point, q: Point):
         if p == q:
@@ -84,52 +85,14 @@ class Segment:
     def __repr__(self) -> str:
         return f"Segment(p={self.p!r}, q={self.q!r})"
 
-    @cached_property
-    def dx(self) -> Fraction:
-        return self.q.x - self.p.x
-
-    @cached_property
-    def dy(self) -> Fraction:
-        return self.q.y - self.p.y
-
-    def chart_axis(self) -> str:
-        """Coordinate used as the 1D chart: the one with larger span (ties -> x)."""
-        return "x" if abs(self.dx) >= abs(self.dy) else "y"
-
-    def chart_interval(self) -> tuple[Fraction, Fraction]:
-        if self.chart_axis() == "x":
-            a, b = self.p.x, self.q.x
-        else:
-            a, b = self.p.y, self.q.y
-        return (a, b) if a <= b else (b, a)
-
-    def contains_point(self, pt: Point) -> bool:
-        d = lcm(*(v.denominator for v in (*self.p, *self.q, *pt)))
-        return _lattice_segment_holds(*(_on_frame(v, d) for v in (self.p, self.q, pt)))
-
-    def chart_length(self) -> Fraction:
-        lo, hi = self.chart_interval()
-        return hi - lo
-
 
 def segment(p1, p2) -> Segment:
     return Segment(point(*p1), point(*p2))
 
 
 # ---------------------------------------------------------------------------
-# Quadrants and the map
+# The map
 # ---------------------------------------------------------------------------
-
-def quadrant_of(pt: Point) -> int:
-    """Lowest-index closed quadrant containing the point: Q1 = {x>=0, y>=0},
-    Q2 = {x<=0, y>=0}, Q3 = {x<=0, y<=0}, Q4 = {x>=0, y<=0}.
-
-    The tie-break on the axes is a pure bookkeeping convention: F is
-    continuous, so the value of F never depends on the choice.
-    """
-    if pt.y >= 0:
-        return 1 if pt.x >= 0 else 2
-    return 3 if pt.x <= 0 else 4
 
 
 def apply_F(params: Params, pt: Point) -> Point:

@@ -1,11 +1,11 @@
 """Exact rational helpers: parsing, decimal rendering, certified logarithms.
 
 All functions work on `fractions.Fraction` and never round through binary
-floats, so their outputs are usable inside certificates.  `ln_bounds` sums
-its atanh series in fixed-point integers, once rounded down and once
-rounded up with an explicit tail bound, and returns dyadic endpoints;
-`ln_enclosure` sums, at each end of an interval, only the pass that end
-keeps.  `format_decimal` rounds in integers.
+floats, so their outputs are usable inside certificates.  `ln_enclosure`
+sums its atanh series in fixed-point integers, at each end of an interval
+only the pass that end keeps (down at the lower end, up with an explicit
+tail bound at the upper), and returns dyadic ends.  `format_decimal`
+rounds in integers.
 """
 
 from __future__ import annotations
@@ -152,24 +152,13 @@ def common_decimal_prefix(a: Fraction, b: Fraction, max_digits: int = 80) -> str
     return prefix
 
 
-def ln_bounds(x: Fraction, err: Fraction) -> tuple[Fraction, Fraction]:
-    """Certified rational bracket [lo, hi] with lo <= ln(x) <= hi, hi-lo <= err.
-
-    Writes x = 2^k * m with m in [1, 2) and ln(x) = 2*atanh(z) + k*ln(2),
-    where z = (m-1)/(m+1) <= 1/3 and ln(2) = 2*atanh(1/3).  Each atanh is
-    summed in integers scaled by 2^prec (see `_atanh_bound`), so the
-    endpoints are dyadic rationals.
-    """
-    return _ln_bound(x, err, False), _ln_bound(x, err, True)
-
-
 def _ln_bound(x: Fraction, err: Fraction, up: bool) -> Fraction:
-    """The lower end of `ln_bounds(x, err)`, or the upper end when `up`,
-    from the series passes that end needs alone: the atanh of z rounded
-    the same way, and ln(2) rounded that way for k > 0, the other way for
-    k < 0, not at all for k = 0."""
+    """A dyadic lower bound of ln(x) within err of it, or an upper one when
+    `up`: with x = 2^k * m, m in [1, 2), ln(x) = 2*atanh(z) + k*ln(2) where
+    z = (m-1)/(m+1) <= 1/3 and ln(2) = 2*atanh(1/3); the atanh of z rounded
+    the same way, ln(2) that way for k > 0, the other way for k < 0."""
     if x <= 0:
-        raise ValueError("ln_bounds requires x > 0")
+        raise ValueError("ln_enclosure requires x > 0")
     if err <= 0:
         raise ValueError("err must be positive")
     if x == 1:
@@ -214,8 +203,8 @@ def _atanh_bound(a: int, b: int, prec: int, up: bool) -> int:
 
 
 def ln_enclosure(lo: Fraction, hi: Fraction, err: Fraction) -> tuple[Fraction, Fraction]:
-    """Bracket of ln over the rational interval [lo, hi] (outward rounded):
-    the lower end of `ln_bounds(lo, err)` and the upper end of
-    `ln_bounds(hi, err)`, each from the one series pass it needs (two when
-    that end's power of two k is not 0, for ln 2)."""
+    """Certified bracket of ln over the rational interval [lo, hi]
+    (outward rounded), each end within err of ln there, so a bracket of
+    ln(x) no wider than err for lo = hi = x.  Each end is dyadic, from the
+    one series pass it needs (two when its power of two k is not 0)."""
     return _ln_bound(lo, err, False), _ln_bound(hi, err, True)

@@ -24,7 +24,7 @@ the earlier form of `RootInterval.refined`, and `DensePoly`, the dense
 coefficient tuple with its arithmetic, is the earlier form of `IntPoly`.
 The ln bracket that summed every atanh series rounded both ways, where
 `rationals` now sums the one way each end keeps, is kept as the earlier
-form of `ln_bounds`.
+form of `ln_enclosure(x, x, err)`.
 The merge of equal pieces and the affine conjugation of a map on Fractions
 are the earlier forms of their integer-frame versions, the capture
 recursion that runs every step (`capture_vectors`) is the earlier form of
@@ -38,10 +38,13 @@ map cores `build_g2` and `build_g3` of the first transition window left the
 library when only tests read them.
 The rest are small checks of the map and of digraphs that back statements
 in the tests (quadrant pieces, the rescaling identity, simple cycles, the
-trapezoid shape and the inverse parameter changes), and three helpers that
-only tests read: a point by its chart coordinate, the itinerary of a
-point, and the uncaptured measures as Fractions.  No library code imports
-this module.
+trapezoid shape and the inverse parameter changes), and helpers that only
+tests read: the itinerary of a point, the uncaptured measures as
+Fractions, and the Fraction geometry of a segment (its chart axis and
+interval, a point by its chart coordinate, point-on-segment and
+point-on-graph tests, a graph's point by name).  `Segment` is a record of
+its two ends, so these oracles keep their own chart rule rather than
+borrow the lattice engine's.  No library code imports this module.
 """
 
 from __future__ import annotations
@@ -70,10 +73,27 @@ def quadrant_of(pt: Point) -> int:
     raise AssertionError("unreachable")
 
 
+def deltas(seg: Segment) -> tuple[Fraction, Fraction]:
+    """(dx, dy) = q - p."""
+    return seg.q.x - seg.p.x, seg.q.y - seg.p.y
+
+
+def chart_axis(seg: Segment) -> str:
+    """Coordinate used as the 1D chart: the one with larger span (ties -> x)."""
+    dx, dy = deltas(seg)
+    return "x" if abs(dx) >= abs(dy) else "y"
+
+
+def chart_interval(seg: Segment) -> tuple[Fraction, Fraction]:
+    """The segment's chart coordinates, in increasing order."""
+    a, b = (seg.p.x, seg.q.x) if chart_axis(seg) == "x" else (seg.p.y, seg.q.y)
+    return (a, b) if a <= b else (b, a)
+
+
 def line_key(seg: Segment) -> tuple[Fraction, Fraction, Fraction]:
     """Canonical (A, B, C) with A*x + B*y = C describing the carrying line."""
-    a = seg.dy
-    b = -seg.dx
+    dx, dy = deltas(seg)
+    a, b = dy, -dx
     c = a * seg.p.x + b * seg.p.y
     if a != 0:
         return (Fraction(1), b / a, c / a)
@@ -81,20 +101,27 @@ def line_key(seg: Segment) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def point_at_chart(seg: Segment, t: Fraction) -> Point:
-    axis = seg.chart_axis()
-    if axis == "x":
-        s = (t - seg.p.x) / seg.dx
-    else:
-        s = (t - seg.p.y) / seg.dy
-    return Point(seg.p.x + s * seg.dx, seg.p.y + s * seg.dy)
+    dx, dy = deltas(seg)
+    s = (t - seg.p.x) / dx if chart_axis(seg) == "x" else (t - seg.p.y) / dy
+    return Point(seg.p.x + s * dx, seg.p.y + s * dy)
 
 
 def contains_point(seg: Segment, pt: Point) -> bool:
-    cross = seg.dx * (pt.y - seg.p.y) - seg.dy * (pt.x - seg.p.x)
-    if cross != 0:
+    dx, dy = deltas(seg)
+    if dx * (pt.y - seg.p.y) != dy * (pt.x - seg.p.x):
         return False
-    t = seg.dx * (pt.x - seg.p.x) + seg.dy * (pt.y - seg.p.y)
-    return 0 <= t <= seg.dx * seg.dx + seg.dy * seg.dy
+    t = dx * (pt.x - seg.p.x) + dy * (pt.y - seg.p.y)
+    return 0 <= t <= dx * dx + dy * dy
+
+
+def graph_contains(g: graphs.PlanarGraph, pt: Point) -> bool:
+    """Whether the point lies on an edge of the graph."""
+    return any(contains_point(seg, pt) for seg in g.all_segments())
+
+
+def named_point(g: graphs.PlanarGraph, name: str) -> Point:
+    """The graph's vertex or mark of that name."""
+    return g.vertices[name] if name in g.vertices else g.marks[name][0]
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +149,16 @@ class TrackedPiece:
 
 
 def _initial_piece(seg: Segment) -> TrackedPiece:
-    t0, t1 = seg.chart_interval()
-    if seg.chart_axis() == "x":
+    t0, t1 = chart_interval(seg)
+    dx, dy = deltas(seg)
+    if chart_axis(seg) == "x":
         vx = Fraction(1)
-        vy = seg.dy / seg.dx
+        vy = dy / dx
         x0 = Fraction(0)
         y0 = seg.p.y - vy * seg.p.x
     else:
         vy = Fraction(1)
-        vx = seg.dx / seg.dy
+        vx = dx / dy
         y0 = Fraction(0)
         x0 = seg.p.x - vx * seg.p.y
     return TrackedPiece(t0, t1, x0, vx, y0, vy)
@@ -186,7 +214,7 @@ def conjugate_affine(m: PiecewiseAffine1D, p: Fraction, q: Fraction) -> Piecewis
     """Conjugate by h(x) = p*x + q: returns h o m o h^-1 on the image chart."""
     if p == 0:
         raise ValueError("conjugating map must be invertible")
-    cuts = [p * c + q for c in m.cut_points()]
+    cuts = [p * c + q for c in (m.lo, *m.breakpoints, m.hi)]
     pieces = [Piece(pc.slope, p * Fraction(pc.offset) + q * (1 - pc.slope), pc.name) for pc in m.pieces]
     if p < 0:
         cuts.reverse()
@@ -199,7 +227,7 @@ def restrict_iterate_to_segment(params: Params, seg: Segment, k: int) -> Piecewi
         raise ValueError("k must be >= 0")
     pieces = iterate_segment_pieces(params, seg, k)
     A, B, C = line_key(seg)
-    axis = seg.chart_axis()
+    axis = chart_axis(seg)
     out_pieces = []
     breakpoints = []
     for piece in pieces:
@@ -214,7 +242,7 @@ def restrict_iterate_to_segment(params: Params, seg: Segment, k: int) -> Piecewi
         out_pieces.append(Piece(slope, offset))
         breakpoints.append(piece.t1)
     breakpoints.pop()
-    lo, hi = seg.chart_interval()
+    lo, hi = chart_interval(seg)
     return merged(PiecewiseAffine1D(lo, hi, breakpoints, out_pieces))
 
 
@@ -233,7 +261,7 @@ class FractionLineCover:
 
     def add(self, seg: Segment) -> bool:
         key = line_key(seg)
-        lo, hi = seg.chart_interval()
+        lo, hi = chart_interval(seg)
         anchor, union = self.lines.get(key, (seg, []))
         self.lines[key] = (anchor, interval_union([*union, (lo, hi)]))
         return interval_gaps(lo, hi, union) != [(lo, hi)]
@@ -245,11 +273,11 @@ class FractionLineCover:
     def gaps(self, seg: Segment) -> list[Segment]:
         return [
             Segment(point_at_chart(seg, lo), point_at_chart(seg, hi))
-            for lo, hi in self.chart_gaps(line_key(seg), *seg.chart_interval())
+            for lo, hi in self.chart_gaps(line_key(seg), *chart_interval(seg))
         ]
 
     def overlaps(self, seg: Segment) -> bool:
-        lo, hi = seg.chart_interval()
+        lo, hi = chart_interval(seg)
         return self.chart_gaps(line_key(seg), lo, hi) != [(lo, hi)]
 
     def segments(self) -> list[Segment]:
@@ -276,10 +304,10 @@ def image_gaps(params: Params, segments) -> tuple[list[Segment], list[Point]]:
 
 
 def image_cover_relations(params: Params, segments) -> tuple[list[list[int]], list[list[int]]]:
-    """Sorted (lower, upper) successor lists, as `build_cover_digraph_pair` had them."""
+    """Sorted (lower, upper) successor lists, as `markov._cover_digraph_pair` sorts them."""
     targets: dict = {}
     for j, seg in enumerate(segments):
-        targets.setdefault(line_key(seg), []).append((j, *seg.chart_interval()))
+        targets.setdefault(line_key(seg), []).append((j, *chart_interval(seg)))
     lower: list[list[int]] = [[] for _ in segments]
     upper: list[list[int]] = [[] for _ in segments]
     for i, seg in enumerate(segments):
@@ -340,7 +368,7 @@ def markov_partition(m: PiecewiseAffine1D, seeds=()) -> list[tuple]:
         if p.slope.denominator != 1:
             raise ValueError(f"slope {p.slope} is not an integer: no finite orbit closure")
     lo, hi = m.lo, m.hi
-    cuts = m.cut_points()
+    cuts = [m.lo, *m.breakpoints, m.hi]
     ends = set(cuts) | {Fraction(x) for x in seeds}
     todo = [x for x in ends if lo <= x <= hi]
     while todo:
@@ -430,7 +458,10 @@ def band48_partition(b) -> tuple[list[tuple[str, Segment]], band48.LevelClass]:
     g = graphs.build_gamma("band48", b)
     lc = band48.classify(b)
     n = lc.n
-    P = g.named_point
+
+    def P(name: str) -> Point:
+        return named_point(g, name)
+
     xs = [x_orbit_point(b, i) for i in range(n + 1)]
     bottom = [Point(x, Fraction(-1)) for x in xs]
     first_img = [Point(-x, x + b - 1) for x in xs]
@@ -579,7 +610,7 @@ def uncaptured_intervals(m: PiecewiseAffine1D, depth: int) -> list[tuple[Fractio
     preimage of U_n.  All preimages are exact interval unions.
     """
     current = [(m.lo, m.hi)]
-    cuts = m.cut_points()
+    cuts = [m.lo, *m.breakpoints, m.hi]
     for _ in range(depth):
         nxt: list[tuple[Fraction, Fraction]] = []
         for i, piece in enumerate(m.pieces):
@@ -865,9 +896,10 @@ def refined_exact(ri: RootInterval, digits: int) -> RootInterval:
 
 
 def ln_bounds_both_ways(x: Fraction, err: Fraction) -> tuple[Fraction, Fraction]:
-    """The earlier `rationals.ln_bounds`: x = 2^k m, m in [1, 2), and each
-    atanh series (of (m - 1)/(m + 1), and of 1/3 for ln 2) summed once
-    rounded down and once rounded up, at the same precision."""
+    """The earlier `rationals.ln_bounds(x, err)`, now `ln_enclosure(x, x,
+    err)`: x = 2^k m, m in [1, 2), and each atanh series (of (m - 1)/(m + 1),
+    and of 1/3 for ln 2) summed once rounded down and once rounded up, at
+    the same precision."""
     if x == 1:
         return Fraction(0), Fraction(0)
     n, d = x.numerator, x.denominator
@@ -1130,7 +1162,7 @@ def normalized_plateau_width(m: PiecewiseAffine1D, extended: bool = False) -> Fr
     if len(consts) != 1:
         raise ValueError("map must have exactly one constancy piece")
     i = consts[0]
-    cuts = m.cut_points()
+    cuts = [m.lo, *m.breakpoints, m.hi]
     u1, u2 = cuts[i], cuts[i + 1]
     if extended:
         rise = m.pieces[0]

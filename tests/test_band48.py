@@ -29,7 +29,7 @@ from pwldyn.band48 import (
 )
 from pwldyn.markov import spectral_radius
 from pwldyn.polys import IntPoly, RootInterval, isolate_unique_positive_root
-from pwldyn.rationals import format_decimal, ln_bounds
+from pwldyn.rationals import format_decimal, ln_enclosure
 
 
 def poly(**terms) -> IntPoly:
@@ -341,12 +341,13 @@ def test_continuity_level_bound_matches_the_power_loop():
 def test_continuity_level_bound_refines_a_bracket_too_wide_to_decide(monkeypatch):
     calls = []
 
-    def coarse_first(x, err):
-        lo, hi = ln_bounds(x, err)
+    def coarse_first(x, y, err):
+        assert x == y
+        lo, hi = ln_enclosure(x, y, err)
         calls.append(x)
         return (lo - 1, hi + 1) if len(calls) <= 2 else (lo, hi)
 
-    monkeypatch.setattr(band48, "ln_bounds", coarse_first)
+    monkeypatch.setattr(band48, "ln_enclosure", coarse_first)
     assert continuity_level_bound(F(1, 100)) == _continuity_level_loop(F(1, 100))
     assert len(calls) == 4
 
@@ -439,7 +440,7 @@ def test_cross_check_builds_no_entropy_and_one_radius_per_pair(monkeypatch):
     def forbidden(*args):
         raise AssertionError("entropy bracket built by the cross-check")
 
-    for name in ("entropy_or_bounds", "ln_enclosure", "ln_bounds"):
+    for name in ("entropy_or_bounds", "ln_enclosure"):
         monkeypatch.setattr(band48, name, forbidden)
     calls = []
 

@@ -202,6 +202,19 @@ def test_digits_report_limits_and_degenerate():
     assert digits_report(degenerate, limit=6) == "0.125000"
 
 
+def test_digits_report_refuses_a_negative_limit_and_drops_a_bare_point():
+    from types import SimpleNamespace
+
+    ci = certify("alpha", 6, 8)
+    assert [digits_report(ci, limit) for limit in (None, 0, 1, 7, 41)] == [
+        "-0.8170016", "-0", "-0.8", "-0.8170016", "-0.8170016"]
+    exact = SimpleNamespace(lo=F(-1, 8), hi=F(-1, 8))
+    assert [digits_report(exact, limit) for limit in (0, 2)] == ["-0", "-0.12"]
+    for bracket in (ci, exact):
+        with pytest.raises(ValueError, match=r"^limit must be >= 0, got -1$"):
+            digits_report(bracket, limit=-1)
+
+
 def test_width_bound_and_digits_are_honest():
     for upper, lower, shared in ((6, 8, 7), (96, 128, 159)):
         ci = certify("alpha", upper, lower)
@@ -249,7 +262,7 @@ def test_sigma_segment_is_return_invariant():
     b = B_IN_BETA_WINDOW
     seg = psi_family().segment(b)
     k1 = build_k1(b)
-    lo, hi = seg.chart_interval()
+    lo, hi = oracles.chart_interval(seg)
     assert (F(k1.lo), F(k1.hi)) == (lo, hi)
 
 

@@ -43,7 +43,7 @@ def test_vertex_examples():
     assert g.marks["R1"][0] == point(F(-1, 5), 0)
     p7, host = g.marks["P7"]
     assert host == "A"
-    assert g.edge_segment("A").contains_point(p7)
+    assert oracles.contains_point(g.edge_segment("A"), p7)
 
 
 def test_regime_validation():
@@ -122,6 +122,14 @@ def test_invariance_reads_the_current_vertices():
     assert Segment(point(3, 0), g.vertices["P1"]) in g.all_segments()
 
 
+def _lattice_holds(g, pt) -> bool:
+    """Whether pt lies on an edge of g, by the lattice test on one frame."""
+    segs = g.all_segments()
+    d = math.lcm(*(v.denominator for seg in segs for p in (seg.p, seg.q, pt) for v in p))
+    on = planemap._on_frame
+    return any(planemap._lattice_segment_holds(on(seg.p, d), on(seg.q, d), on(pt, d)) for seg in segs)
+
+
 def _oracle_report(g, b) -> InvarianceReport:
     """`verify_invariance`'s report, checked against the Fraction oracle on `g.all_segments()`."""
     params = Params.standard(b)
@@ -149,8 +157,8 @@ def test_invariance_matches_fraction_oracle():
             off_points += bool(report.uncovered_points)
             for _ in range(20):
                 seg = rng.choice(g.all_segments())
-                pt = oracles.point_at_chart(seg, rng.choice(seg.chart_interval()) + F(rng.randint(-2, 2), 7))
-                assert g.contains_point(pt) == any(oracles.contains_point(s, pt) for s in g.all_segments())
+                pt = oracles.point_at_chart(seg, rng.choice(oracles.chart_interval(seg)) + F(rng.randint(-2, 2), 7))
+                assert _lattice_holds(g, pt) == oracles.graph_contains(g, pt)
     assert failed >= 40 and off_points >= 5, (failed, off_points)
     # A vertex moved onto a neighbour shrinks their edge to a point, which
     # is skipped; and the regime boundaries, where beta's B3 is one point.
@@ -249,7 +257,7 @@ def test_orbit_marks_points_match_the_graph():
     for regime, b in (("negb", F(-3)), ("alpha", F(-4, 5)), ("beta", F(34497, 50000)), ("band48", F(5))):
         g = build_gamma(regime, b)
         for src, pt, _ in orbit_marks(regime, b):
-            assert pt == g.named_point(src), (regime, src)
+            assert pt == oracles.named_point(g, src), (regime, src)
 
 
 def test_orbit_marks_names_a_failing_relation(monkeypatch):
@@ -286,7 +294,7 @@ def test_integer_tables_match_fraction_oracle(regime):
         assert g.vertices == {n: named[n] for n in graphs._VERTEX_COORDS[regime]}, b
         assert g.marks == {n: (named[n], host) for n, _, host in graphs._MARK_COORDS[regime]}, b
         for pt, host in g.marks.values():
-            assert g.edge_segment(host).contains_point(pt), (b, host)
+            assert oracles.contains_point(g.edge_segment(host), pt), (b, host)
         assert orbit_marks(regime, b) == oracles.orbit_marks(regime, b), b
 
 

@@ -67,3 +67,66 @@ def test_the_guard_sees_a_foreign_import():
                      'from pwldyn.polys import IntPoly\nfrom . import markov\n\n'
                      'def f():\n    import mpmath.libmp\n    from numpy import array\n')
     assert _foreign_imports(tree) == ["mpmath", "numpy"]
+
+
+ROOT = SRC.parents[1]
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    """The public functions and classes a module defines at its top level,
+    and the public methods of its classes, as "name" or "Class.method"."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for node in tree.body:
+        if isinstance(node, defs):
+            if not node.name.startswith("_"):
+                out.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                out += [f"{node.name}.{item.name}" for item in node.body
+                        if isinstance(item, defs[:2]) and not item.name.startswith("_")]
+    return out
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name, attribute, imported name and identifier string in `tree`;
+    a string counts since `getattr` reaches a method by one."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            refs.add(node.value)
+    return refs
+
+
+def _unreferenced(defined: list[str], refs: set[str]) -> list[str]:
+    return sorted(name for name in defined if name.rsplit(".", 1)[-1] not in refs)
+
+
+def test_public_names_are_used_by_the_product():
+    """Every public function, class and method of `pwldyn` is reached from
+    the package itself (not counting `__init__.py`'s re-exports), from the
+    benchmark harness or from the acceptance suite: nothing public serves
+    the unit tests alone."""
+    users = [*(p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"),
+             *sorted((ROOT / "perfbench").rglob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    assert len(users) >= 15
+    refs = set().union(*(_references(ast.parse(p.read_text(), str(p))) for p in users))
+    defined = [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
+               for name in _public_definitions(ast.parse(p.read_text(), str(p)))]
+    assert len(defined) >= 100
+    assert _unreferenced(defined, refs) == []
+
+
+def test_the_guard_sees_an_unreferenced_public_name():
+    module = ast.parse('class C:\n    def used(self): ...\n    def unused(self): ...\n    def by_name(self): ...\n'
+                       '    def _private(self): ...\n\nclass _Hidden:\n    def orphan(self): ...\n\n'
+                       'def f(): ...\ndef g(): ...\ndef _h(): ...\n')
+    user = ast.parse('from m import f\nimport m.C\nC().used()\ngetattr(C(), "by_name")\n"not an identifier"\n')
+    defined = _public_definitions(module)
+    assert defined == ["C", "C.used", "C.unused", "C.by_name", "_Hidden.orphan", "f", "g"]
+    assert _unreferenced(defined, _references(user)) == ["C.unused", "_Hidden.orphan", "g"]

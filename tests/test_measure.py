@@ -33,6 +33,30 @@ def test_all_circle_edges_decay():
             assert prof.uncaptured(n) == prof.length * F(16) ** (-n)
 
 
+def test_capture_depths_outside_a_profile_are_refused(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("graph or window built for a negative depth")
+
+    with monkeypatch.context() as m:
+        m.setattr(measure, "build_gamma", forbidden)
+        m.setattr(measure, "trapezoid_family", forbidden)
+        for regime, b, edge in (("negb", -3, "A"), ("alpha", F(-163, 200), "PI")):
+            with pytest.raises(ValueError, match=r"^depth must be >= 0, got -2$"):
+                edge_capture_profile(regime, b, edge, -2)
+            with pytest.raises(ValueError, match=r"^depth must be >= 0, got -2$"):
+                full_measure_report(regime, b, -2)
+    rep = full_measure_report("negb", -3, 4)
+    prof = edge_capture_profile("negb", -3, "A", 4)
+    assert rep.uncaptured_fraction(4) == F(1, 131072) and prof.uncaptured(4) == F(1, 32768)
+    for depth in (-1, 5):
+        with pytest.raises(ValueError, match=rf"^depth {depth} outside 0\.\.4$"):
+            rep.uncaptured_fraction(depth)
+        with pytest.raises(ValueError, match=rf"^depth {depth} outside 0\.\.4$"):
+            prof.uncaptured(depth)
+        with pytest.raises(ValueError, match=rf"^depth {depth} outside 0\.\.4$"):
+            rep.profiles[0].uncaptured(depth)
+
+
 def test_unknown_edge_errors():
     with pytest.raises(ValueError):
         edge_capture_profile("negb", -3, "plateau", 2)
@@ -193,7 +217,8 @@ def test_full_measure_report_matches_fraction_oracle():
             totals = [t + u for t, u in zip(totals, us)]
         if regime == "negb":
             g = graphs.build_gamma("negb", b)
-            assert rep.immediate == tuple((e, g.edge_segment(e).chart_length()) for e in ("plateau", "feeder"))
+            charts = {e: oracles.chart_interval(g.edge_segment(e)) for e in ("plateau", "feeder")}
+            assert rep.immediate == tuple((e, hi - lo) for e, (lo, hi) in charts.items())
         immediate = sum((length for _, length in rep.immediate), F(0))
         totals[0] += immediate
         assert rep.uncaptured_total == tuple(totals), (regime, b)

@@ -161,7 +161,7 @@ def test_markov_partition_of_certified_orbits_adds_no_points():
     ci = certify("alpha", 24, 32)
     for cert in (ci.lo_certificate, ci.hi_certificate):
         m = fam.at(cert.d)
-        ends = sorted(set(cert.orbit) | set(m.cut_points()))
+        ends = sorted(set(cert.orbit) | {m.lo, *m.breakpoints, m.hi})
         assert [c[:2] for c in frame_partition(m, cert.orbit)] == list(zip(ends, ends[1:]))
 
 

@@ -22,7 +22,6 @@ from pwldyn.planemap import (
     interval_gaps,
     iterate_segment_pieces,
     point,
-    quadrant_of,
     restrict_iterate_to_segment,
     segment,
 )
@@ -40,18 +39,11 @@ def test_apply_F_examples():
     assert apply_F(Params.standard(F(-4, 5)), point(0, F(1, 5))) == point(F(-6, 5), -1)
 
 
-def test_quadrant_of_examples_and_tie_break():
-    assert quadrant_of(point(1, 1)) == 1
-    assert quadrant_of(point(0, 0)) == 1
-    assert quadrant_of(point(-3, -1)) == 3
-    assert quadrant_of(point(0, -1)) == 3  # lowest containing index
-
-
 def test_apply_F_equals_quadrant_affine():
     params = Params.standard(F(11, 3))
     for _ in range(300):
         pt = point(rand_q(), rand_q())
-        q = quadrant_of(pt)
+        q = oracles.quadrant_of(pt)
         assert quadrant_affine(params, q).apply(pt) == apply_F(params, pt)
 
 
@@ -103,7 +95,7 @@ def test_restrict_matches_pointwise_iteration():
     params = Params.standard(F(-163, 200))
     seg = segment((F(-9) * F(-163, 200) - 8, F(-8) * F(-163, 200) - 7), (F(163, 200), 1))
     m = restrict_iterate_to_segment(params, seg, 6)
-    lo, hi = seg.chart_interval()
+    lo, hi = oracles.chart_interval(seg)
     for _ in range(1000):
         t = lo + (hi - lo) * F(RNG.randint(0, 10**6), 10**6)
         pt = oracles.point_at_chart(seg, t)
@@ -214,7 +206,7 @@ def test_line_cover_point_contact_is_no_overlap():
 
 
 def test_line_cover_gaps_on_a_steep_line():
-    assert segment((0, 0), (-1, 3)).chart_axis() == "y"  # slope -3
+    assert _line_chart(0, 0, -1, 3)[1:] == (0, 3)  # slope -3: the chart is y
     covered = [segment((0, 0), (F(-1, 3), 1)), segment((-1, 3), (F(-2, 3), 2))]
     cover, frame, charts = _cover_and_charts(covered, [segment((1, -3), (-2, 6)), covered[0]])
     assert _gap_segments(cover, frame, charts[0]) == [
@@ -329,7 +321,7 @@ def test_detect_plateaus_band48_brute_force_oracle():
                 )
 
     def key(s: Segment):
-        lo, hi = s.chart_interval()
+        lo, hi = oracles.chart_interval(s)
         return (oracles.line_key(s), lo, hi)
 
     assert sorted(map(key, detect_plateaus(g))) == sorted(map(key, brute))
@@ -354,16 +346,15 @@ def test_fifth_iterate_lands_on_graph():
         params = Params.standard(b)
         for _ in range(40):
             pt = point(rand_q(-40, 40), rand_q(-40, 40))
-            assert g.contains_point(iterate_F(params, pt, 5))
+            assert oracles.graph_contains(g, iterate_F(params, pt, 5))
 
 
 def test_segment_helpers():
     s = segment((0, 0), (4, 2))
-    assert s.chart_axis() == "x"
-    assert s.chart_interval() == (0, 4)
+    assert _line_chart(0, 0, 4, 2) == ((2, 1, 0), 0, 4)  # the chart is x
     assert oracles.point_at_chart(s, F(2)) == point(2, 1)
-    assert s.contains_point(point(2, 1))
-    assert not s.contains_point(point(2, 2))
+    assert _lattice_segment_holds((0, 0), (4, 2), (2, 1))
+    assert not _lattice_segment_holds((0, 0), (4, 2), (2, 2))
     with pytest.raises(ValueError):
         Segment(point(1, 1), point(1, 1))
 

@@ -13,7 +13,6 @@ from pwldyn.rationals import (
     decimal_digits,
     first_digit_place,
     format_decimal,
-    ln_bounds,
     ln_enclosure,
     parse_rational,
     rational_str,
@@ -142,13 +141,13 @@ def test_common_decimal_prefix():
 def test_ln_bounds_certified_against_float():
     for num, den in ((5, 4), (1157855, 1000000), (133493, 100000), (999, 1000), (3, 1)):
         x = F(num, den)
-        lo, hi = ln_bounds(x, F(1, 10**15))
+        lo, hi = ln_enclosure(x, x, F(1, 10**15))
         assert lo <= hi
         assert hi - lo <= F(1, 10**15)
         assert abs(float(lo) - math.log(num / den)) < 1e-12
-    assert ln_bounds(F(1), F(1, 10)) == (0, 0)
-    with pytest.raises(ValueError):
-        ln_bounds(F(0), F(1, 10))
+    assert ln_enclosure(F(1), F(1), F(1, 10)) == (0, 0)
+    with pytest.raises(ValueError, match="^ln_enclosure requires x > 0$"):
+        ln_enclosure(F(0), F(0), F(1, 10))
 
 
 def test_exact_addition_independent_normalization():
@@ -187,7 +186,7 @@ def test_ln_bounds_contain_mpmath_log():
         # err from 10^-3 to 10^-1000, log-uniform, both ends included.
         places = (3, 1000)[i] if i < 2 else round(10 ** rng.uniform(0.5, 3))
         err = F(rng.randint(1, 9), 10**places)
-        lo, hi = ln_bounds(x, err)
+        lo, hi = ln_enclosure(x, x, err)
         assert lo <= hi and hi - lo <= err, x
         # Enough digits to hold x exactly and to see past err.
         with mpmath.workdps(places + 30 + len(str(max(x.numerator, x.denominator)))):
@@ -207,7 +206,7 @@ def test_ln_brackets_match_the_both_ways_oracle():
         err = F(1, 10 ** rng.randint(0, 160))
         want_lo, want_hi = oracles.ln_bounds_both_ways(lo, err)[0], oracles.ln_bounds_both_ways(hi, err)[1]
         assert ln_enclosure(lo, hi, err) == (want_lo, want_hi), (lo, hi, err)
-        assert ln_bounds(lo, err) == oracles.ln_bounds_both_ways(lo, err), (lo, err)
+        assert ln_enclosure(lo, lo, err) == oracles.ln_bounds_both_ways(lo, err), (lo, err)
     assert ln_enclosure(F(1), F(1), F(1, 10)) == (0, 0)
     with pytest.raises(ValueError):
         ln_enclosure(F(0), F(1), F(1, 10))
