@@ -268,7 +268,7 @@ def _graph_on_12d(b: Fraction) -> tuple[int, dict[str, tuple[int, int]], list[La
     lattice (1/12d)Z^2 where every partition end lies too."""
     t = _table_lattice("band48", b)
     named = {name: (3 * x, 3 * y) for name, (x, y) in t.named().items()}
-    return 3 * t.frame, named, [(3 * x1, 3 * y1, 3 * x2, 3 * y2) for x1, y1, x2, y2 in t.edge_ends()]
+    return 3 * t.frame, named, [(3 * x1, 3 * y1, 3 * x2, 3 * y2) for x1, y1, x2, y2 in t.edge_ends().values()]
 
 
 def _partition(b: Fraction, named: dict[str, tuple[int, int]]) -> tuple[list[tuple[str, LatticeSegment]], LevelClass]:

@@ -333,12 +333,6 @@ class PlanarGraph(NamedTuple):
     marks: dict[str, tuple[Point, str]]
     boundary: bool
 
-    def edge_segment(self, name: str) -> Segment:
-        for e in self.edges:
-            if e.name == name:
-                return Segment(self.vertices[e.a], self.vertices[e.b])
-        raise KeyError(f"no edge named {name!r}")
-
     def all_segments(self) -> tuple[Segment, ...]:
         """Edge segments.  An edge whose ends coincide is skipped: at a
         regime boundary an edge can shrink to a point (beta's B3 at
@@ -418,11 +412,11 @@ class _TableLattice(NamedTuple):
         """Vertices and marks by name."""
         return {**self.vertices, **{name: pt for name, (pt, _) in self.marks.items()}}
 
-    def edge_ends(self) -> list[tuple[int, int, int, int]]:
-        """(x1, y1, x2, y2) of each edge, skipping one whose ends coincide,
-        as `PlanarGraph.all_segments` does."""
+    def edge_ends(self) -> dict[str, tuple[int, int, int, int]]:
+        """Edge name -> (x1, y1, x2, y2), skipping an edge whose ends
+        coincide, as `PlanarGraph.all_segments` does."""
         v = self.vertices
-        return [(*v[a], *v[b]) for _, a, b in _EDGES[self.regime] if v[a] != v[b]]
+        return {e: (*v[a], *v[b]) for e, a, b in _EDGES[self.regime] if v[a] != v[b]}
 
 
 def _table_lattice(regime: str, b) -> _TableLattice:

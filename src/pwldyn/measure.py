@@ -6,8 +6,9 @@ measure of the set still missing a constancy piece after n returns follows
 an exact transfer recursion on the map's orbit-closure Markov partition
 (`IntegerFrame.uncaptured`); its decrease to zero is the computable
 content of the full-measure statements, paper result 2.  The return maps
-stay on the lattice from the walk of F to the recursion: one walk of F^7
-restricts the circle regime's six edges A, B, C, D, E and H to
+stay on integers from the tables to the recursion: the return edges are
+read as lattice ends off the integer tables, with no graph built; one walk
+of F^7 restricts the circle regime's six edges A, B, C, D, E and H to
 `IntegerFrame`s, and edge G's frame is E's conjugated on the lattice.
 
 The recursion returns integer numerators w_n over q*s^n.  Its state is
@@ -27,10 +28,10 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from pwldyn.certify import TrapezoidFamily, trapezoid_family
-from pwldyn.graphs import PlanarGraph, _regime_where, build_gamma
+from pwldyn.certify import trapezoid_family
+from pwldyn.graphs import _regime_where, _table_lattice
 from pwldyn.piecewise import IntegerFrame
-from pwldyn.planemap import Params, Segment, _restricted_frames
+from pwldyn.planemap import LatticeSegment, _restricted_frames
 from pwldyn.rationals import rational_str
 
 
@@ -73,74 +74,48 @@ def _check_depth(depth: int, top: int) -> None:
         raise ValueError(f"depth {depth} outside 0..{top}")
 
 
-def _edge_frame(regime: str, b: Fraction, edge: str) -> IntegerFrame:
-    """Return map of the edge under the regime's return power.  An exiting
-    piece must leave the edge entirely (onto a plateau or its feeder, so it
-    is captured); G's frame is E's conjugate (`_negb_frames`)."""
+def _return_lattice(regime: str, b: Fraction) -> tuple[int, int, int, dict[str, LatticeSegment], int]:
+    """(frame, a, b, ends, power): the regime's edges at b as lattice ends by
+    name, in a frame where F has the offsets (a, b), and F's return power.
+    negb reads its graph tables on (1/4d)Z^2, b = n/d, plateau and feeder
+    included; alpha and beta read the family's interval on (1/d)Z^2, each
+    coordinate c0 + c1*b as c0*d + c1*n, and refuse it where it is a point."""
     if regime == "negb":
-        if edge not in _NEGB_EDGES:
-            raise ValueError(f"edge {edge!r} is not return-invariant in regime negb")
-        graph = build_gamma("negb", b)
-        return _negb_frames(graph, (edge,))[edge]
-    if regime in ("alpha", "beta"):
-        fam = trapezoid_family(regime)
-        if edge != fam.edge:
-            raise ValueError(f"regime {regime} supports the invariant interval {fam.edge!r}")
-        return _return_frames(regime, b, {edge: _window_segment(regime, b, fam)}, fam.return_power)[edge]
-    raise ValueError(f"no return structure tabulated for regime {regime!r}")
-
-
-def _window_segment(regime: str, b: Fraction, fam: TrapezoidFamily) -> Segment:
-    """The transition window's invariant interval `fam.segment(b)`, for b in
-    the regime; at some b inside it the interval shrinks to a point."""
+        t = _table_lattice("negb", b)
+        return t.frame, -t.frame, 4 * b.numerator, t.edge_ends(), 7
+    fam = trapezoid_family(regime)
     _regime_where(regime, b)
-    try:
-        return fam.segment(b)
-    except ValueError as exc:
-        raise ValueError(
-            f"regime {regime}, edge {fam.edge}: the edge is a single point "
-            f"at b = {rational_str(b)} ({exc})"
-        ) from None
+    n, d = b.numerator, b.denominator
+    ends = tuple(c0 * d + c1 * n for pt in fam.ends for c0, c1 in pt)
+    if ends[:2] == ends[2:]:
+        raise ValueError(f"regime {regime}, edge {fam.edge}: the edge is a single point "
+                         f"at b = {rational_str(b)} (degenerate segment)")
+    return d, -d, n, {fam.edge: ends}, fam.return_power
 
 
-def _negb_frames(graph: PlanarGraph, edges: tuple[str, ...]) -> dict[str, IntegerFrame]:
-    """Return frames of the circle-regime `edges`, in that order, from one
-    F^7 walk on the graph at its b.
-
-    G is not walked: F maps E onto G by (x, y) -> chart' = -y + (7 - b),
-    which conjugates the two, so G's frame is E's conjugated by
-    x -> -x + (7 - b).
-    """
+def _return_frames(regime: str, b: Fraction, lattice: tuple, edges: tuple[str, ...]) -> dict[str, IntegerFrame]:
+    """Frames of F^power on the named `edges` of a `_return_lattice`, in
+    their order, from one walk.  Each must expose capture: a constancy
+    piece.  A wrong edge/power pairing fails earlier, when the image leaves
+    the carrying line; points mapped off the edge along it sit on a plateau
+    feeder, and the capture recursion counts them as captured.  G is not
+    walked: F maps E onto G by (x, y) -> chart' = -y + (7 - b), so G's frame
+    is E's conjugated by x -> -x + (7 - b)."""
+    frame, a, bq, ends, power = lattice
     walked = dict.fromkeys("E" if e == "G" else e for e in edges)
-    frames = _return_frames("negb", graph.b, {e: graph.edge_segment(e) for e in walked}, 7)
-    if "G" in edges:
-        frames["G"] = frames["E"].conjugated(-1, 7 - graph.b)
-    return {e: frames[e] for e in edges}
-
-
-def _return_frames(regime: str, b: Fraction, segments: dict[str, Segment], power: int) -> dict[str, IntegerFrame]:
-    """Frames of F^power on the named edges, in their order, from one walk.
-
-    The return map must expose capture: at least one constancy piece.  A
-    wrong edge/power pairing fails earlier, when the iterated image leaves
-    the carrying line.  Points mapped off the edge along the line are exact
-    capture (they sit on a plateau feeder), which the capture recursion
-    counts as captured.
-    """
-    frames = _restricted_frames(Params.standard(b), list(segments.values()), power)
+    frames = _restricted_frames(frame, a, bq, [ends[e] for e in walked], power)
     out = {}
-    for edge in segments:
+    for edge in walked:
         try:
-            frame = next(frames)
+            out[edge] = next(frames)
         except ValueError as exc:
-            raise ValueError(
-                f"regime {regime}, edge {edge}: F^{power} does not return the edge "
-                f"at b = {rational_str(b)} ({exc})"
-            ) from None
-        if 0 not in frame.slopes:
+            raise ValueError(f"regime {regime}, edge {edge}: F^{power} does not return the edge "
+                             f"at b = {rational_str(b)} ({exc})") from None
+        if 0 not in out[edge].slopes:
             raise ValueError(f"edge {edge!r} has no capture under the return power")
-        out[edge] = frame
-    return out
+    if "G" in edges:
+        out["G"] = out["E"].conjugated(-1, 7 - b)
+    return {e: out[e] for e in edges}
 
 
 def _profile(edge: str, frame: IntegerFrame, depth: int) -> CaptureProfile:
@@ -151,7 +126,16 @@ def edge_capture_profile(regime: str, b, edge: str, depth: int) -> CaptureProfil
     """(captured, uncaptured) exact measures per return depth on one edge."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    return _profile(edge, _edge_frame(regime, Fraction(b), edge), depth)
+    b = Fraction(b)
+    if regime == "negb":
+        if edge not in _NEGB_EDGES:
+            raise ValueError(f"edge {edge!r} is not return-invariant in regime negb")
+    elif regime in ("alpha", "beta"):
+        if edge != (fam_edge := trapezoid_family(regime).edge):
+            raise ValueError(f"regime {regime} supports the invariant interval {fam_edge!r}")
+    else:
+        raise ValueError(f"no return structure tabulated for regime {regime!r}")
+    return _profile(edge, _return_frames(regime, b, _return_lattice(regime, b), (edge,))[edge], depth)
 
 
 class FullMeasureReport(NamedTuple):
@@ -193,18 +177,17 @@ def full_measure_report(regime: str, b, depth: int) -> FullMeasureReport:
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if regime == "negb":
-        graph = build_gamma("negb", b)
-        frames = _negb_frames(graph, _NEGB_EDGES)
-        segs = {name: graph.edge_segment(name) for name in ("plateau", "feeder")}
-        # each edge's chart length, max(|dx|, |dy|)
-        immediate = tuple((name, max(abs(s.q.x - s.p.x), abs(s.q.y - s.p.y))) for name, s in segs.items())
+        edges, captured = _NEGB_EDGES, ("plateau", "feeder")
     elif regime in ("alpha", "beta"):
-        edge = trapezoid_family(regime).edge
-        frames = {edge: _edge_frame(regime, b, edge)}
-        immediate = ()
+        edges, captured = (trapezoid_family(regime).edge,), ()
     else:
         raise ValueError(f"no full-measure structure for regime {regime!r}")
-    profiles = tuple(_profile(e, frame, depth) for e, frame in frames.items())
+    frame, _, _, ends, _ = lattice = _return_lattice(regime, b)
+    frames = _return_frames(regime, b, lattice, edges)
+    # each fully captured edge's chart length, max(|dx|, |dy|)
+    immediate = tuple((e, Fraction(max(abs(x2 - x1), abs(y2 - y1)), frame))
+                      for e in captured for x1, y1, x2, y2 in [ends[e]])
+    profiles = tuple(_profile(e, f, depth) for e, f in frames.items())
     immediate_length = sum((length for _, length in immediate), Fraction(0))
     total = sum((p.length for p in profiles), immediate_length)
     # profile i at depth n is w_i[n] / (q_i*s_i^n) = w_i[n]*(Q/q_i)*(S/s_i)^n / (Q*S^n)

@@ -3,9 +3,8 @@
 On each closed quadrant F is affine with an integer linear part, so the
 image of a segment is computed exactly by splitting at the axes and
 applying the quadrant matrices.  The segment engine (`SegmentLattice`,
-`iterate_segment_pieces`) does this on integers.  It picks one frame D,
-the lcm of the denominators of a, b and the input points, and holds each
-point p as the integer pair D*p.  That is the rescaling
+`iterate_segment_pieces`) does this on integers.  It holds each point p
+in one frame D as the integer pair D*p.  That is the rescaling
 lam*F_{a,b}(p/lam) = F_{lam*a, lam*b}(p) at lam = D: F gets the integer
 offsets (a*D, b*D) and maps Z^2 into Z^2.  A segment is walked by an
 integer s along its primitive direction.
@@ -13,15 +12,18 @@ integer s along its primitive direction.
 Frame invariant: every point, offset, piece end and chart interval the
 engine holds is an integer in the current frame.  An axis crossing at a
 non-integer s multiplies D, and every integer held, by the smallest
-factor that makes it a lattice point; nothing is ever rounded.  Callers
-that already hold lattice points (the band48 partition, the invariance
-check of `graphs`) hand them over as integers; the others convert their
-`Fraction` points once, and the engine builds `Fraction`s only for the
-values it returns.  It yields what F adds to a union of segments and the
-covering relations of a partition under F, both on line covers, and the
-induced one-dimensional map of F^k along a segment.  `Point` and `Segment`
-are records of Fraction ends; the chart, line key and containment test
-are the engine's alone.
+factor that makes it a lattice point; nothing is ever rounded.  Every
+engine entry (`image_gaps`, `image_cover_relations`, `_restricted_frames`)
+takes lattice ends and F's offsets in one frame, which its callers read
+off integer tables (`graphs`, `band48`, `measure`).  Only the two public
+wrappers that take `Segment`s, `restrict_iterate_to_segment` and
+`detect_plateaus`, convert Fractions: to the least frame that clears
+them and a, b (`_lattice_frame`).  The engine builds `Fraction`s only for
+the values it returns.  It yields what F adds to a union of segments and
+the covering relations of a partition under F, both on line covers, and
+the induced one-dimensional map of F^k along a segment.  `Point` and
+`Segment` are records of Fraction ends; the chart, line key and
+containment test are the engine's alone.
 
 That induced map has integer slopes.  A piece of F^k is s -> P + s*v
 with v an integer vector (F's linear parts are integer matrices), and it
@@ -263,20 +265,21 @@ def iterate_segment_pieces(lat: SegmentLattice, k: int) -> list[tuple[int, ...]]
     return pieces
 
 
-def _restricted_frames(params: Params, segments: Sequence[Segment], k: int) -> Iterator[IntegerFrame]:
+def _restricted_frames(frame: int, a: int, b: int, segments: Sequence[LatticeSegment], k: int) -> Iterator[IntegerFrame]:
     """Induced 1D maps of F^k along each of `segments`, in segment order,
     as `IntegerFrame`s in each segment's chart coordinate.
 
-    One lattice walks every segment.  The image of every piece must land on
-    its segment's own carrying line (exact cross-product test), and its
-    direction is then an integer multiple of the segment's primitive one,
-    the piece's slope; a failure of either raises ValueError when that
+    The segments come as lattice ends in `frame`, where F has the offsets
+    (a, b), and one lattice walks them all.  The image of every piece must
+    land on its segment's own carrying line (exact cross-product test), and
+    its direction is then an integer multiple of the segment's primitive
+    one, the piece's slope; a failure of either raises ValueError when that
     segment's frame is reached.  Equal neighbouring pieces are merged, and
     each frame is over the least q, that of `PiecewiseAffine1D.integer_frame`.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    lat = SegmentLattice(*_lattice_frame(params, segments))
+    lat = SegmentLattice(frame, a, b, segments)
     pieces = iterate_segment_pieces(lat, k)
     for (_, _, _, px, ux, py, uy), (_, run) in zip(lat.starts, groupby(pieces, key=lambda p: p[0])):
         on_x = abs(ux) >= abs(uy)
@@ -305,7 +308,7 @@ def restrict_iterate_to_segment(params: Params, seg: Segment, k: int) -> Piecewi
     (exact cross-product test); the returned map sends the chart coordinate
     of a point to the chart coordinate of its k-th image.
     """
-    return next(_restricted_frames(params, [seg], k)).to_map()
+    return next(_restricted_frames(*_lattice_frame(params, [seg]), k)).to_map()
 
 
 def image_gaps(frame: int, a: int, b: int, segments: Sequence[LatticeSegment]) -> tuple[list[Segment], list[Point]]:

@@ -21,7 +21,8 @@ are its one representation; the dense coefficient tuple is a view that
 only the pseudo-division reads.  Sturm chain members, gcds and square-free
 parts are primitive integer pseudo-remainders and quotients
 (`_pseudo_divmod`), positive multiples of the rational ones, and the rome
-determinant of `markov` is `poly_det` over `IntPoly` entries.
+determinant of `markov` is `poly_det`, fraction-free elimination over
+`IntPoly` entries.
 
 The kernel reads those terms with the odd part d of a point's denominator:
 at x = m / (d * 2^k) it evaluates the integer (d * 2^k)^deg * p(x), so a
@@ -791,22 +792,44 @@ def _same_root(a: RootInterval, b: RootInterval) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _exact_quotient(a: IntPoly, b: IntPoly) -> IntPoly:
+    """a / b in Z[y], b nonzero; a nonzero remainder is refused."""
+    db, lb = b.terms[-1]
+    r, q = dict(a.terms), {}
+    while r and (top := max(r)) >= db:
+        c, rest = divmod(r[top], lb)
+        if rest:
+            break
+        q[top - db] = c
+        for i, x in b.terms:
+            if v := r.pop(top - db + i, 0) - c * x:
+                r[top - db + i] = v
+    if r:
+        raise ValueError("polynomial division is not exact")
+    return IntPoly.from_terms(q)
+
+
 def poly_det(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
-    """Exact determinant over the integer-polynomial ring, by cofactor expansion."""
+    """Exact determinant over the integer-polynomial ring, by fraction-free
+    (Bareiss) elimination: each step's division by the previous pivot is
+    exact in Z[y], and a zero pivot swaps in a lower row of the column."""
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix must be square")
     if n == 0:
         return IntPoly([1])
-    if n == 1:
-        return matrix[0][0]
-    total = IntPoly([])
-    for j in range(n):
-        entry = matrix[0][j]
-        if entry.is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in matrix[1:]]
-        cof = entry * poly_det(minor)
-        total = total + cof if j % 2 == 0 else total - cof
-    return total
+    m = [list(row) for row in matrix]
+    sign, prev = 1, IntPoly([1])
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            swap = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
+            if swap is None:
+                return IntPoly([])
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = _exact_quotient(m[i][j] * pivot - m[i][k] * m[k][j], prev)
+        prev = pivot
+    return m[-1][-1] if sign > 0 else -m[-1][-1]

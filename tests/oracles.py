@@ -24,27 +24,29 @@ the earlier form of `RootInterval.refined`, and `DensePoly`, the dense
 coefficient tuple with its arithmetic, is the earlier form of `IntPoly`.
 The ln bracket that summed every atanh series rounded both ways, where
 `rationals` now sums the one way each end keeps, is kept as the earlier
-form of `ln_enclosure(x, x, err)`.
+form of `ln_enclosure(x, x, err)`, and the cofactor expansion as the
+earlier form of the fraction-free determinant `polys.poly_det`.
 The merge of equal pieces and the affine conjugation of a map on Fractions
 are the earlier forms of their integer-frame versions, the capture
 recursion that runs every step (`capture_vectors`) is the earlier form of
 the one that stops at the first repeated vector, and the band48 partition
 read off the graph's Fraction points is the earlier form of the lattice
 partition.
-The Fraction views of four integer engines (the orbit-closure partition,
-the covering digraph of a periodic orbit, the band48 lattice partition and
-an edge's return map), the closed-form band48 orbit point and the return
-map cores `build_g2` and `build_g3` of the first transition window left the
-library when only tests read them.
+The Fraction views of three integer engines (the orbit-closure partition,
+the covering digraph of a periodic orbit and the band48 lattice
+partition), the closed-form band48 orbit point and the return map cores
+`build_g2` and `build_g3` of the first transition window left the library
+when only tests read them.  An edge's return map is built by the piece
+tracker on Fractions, apart from the lattice engine that `measure` calls.
 The rest are small checks of the map and of digraphs that back statements
 in the tests (quadrant pieces, the rescaling identity, simple cycles, the
 trapezoid shape and the inverse parameter changes), and helpers that only
 tests read: the itinerary of a point, the uncaptured measures as
 Fractions, and the Fraction geometry of a segment (its chart axis and
 interval, a point by its chart coordinate, point-on-segment and
-point-on-graph tests, a graph's point by name).  `Segment` is a record of
-its two ends, so these oracles keep their own chart rule rather than
-borrow the lattice engine's.  No library code imports this module.
+point-on-graph tests, a graph's point and edge by name).  `Segment` is a
+record of its two ends, so these oracles keep their own chart rule rather
+than borrow the lattice engine's.  No library code imports this module.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from pwldyn import band48, certify, graphs, measure
+from pwldyn import band48, certify, graphs
 from pwldyn.markov import CoverDigraph, _cyclic_components, spectral_radius
 from pwldyn.piecewise import Itinerary, Piece, PiecewiseAffine1D
 from pwldyn.planemap import Params, Point, Segment, _off_frame, apply_F, interval_gaps, interval_union
@@ -122,6 +124,12 @@ def graph_contains(g: graphs.PlanarGraph, pt: Point) -> bool:
 def named_point(g: graphs.PlanarGraph, name: str) -> Point:
     """The graph's vertex or mark of that name."""
     return g.vertices[name] if name in g.vertices else g.marks[name][0]
+
+
+def edge_segment(g: graphs.PlanarGraph, name: str) -> Segment:
+    """The graph's edge of that name, from its first vertex to its second."""
+    (e,) = (e for e in g.edges if e.name == name)
+    return Segment(g.vertices[e.a], g.vertices[e.b])
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +567,18 @@ def lattice_band48_partition(b) -> tuple[list[tuple[str, Segment]], band48.Level
 
 
 def return_map(regime: str, b, edge: str) -> PiecewiseAffine1D:
-    """The frame `edge_capture_profile` reads (`measure._edge_frame`), on Fractions."""
-    return measure._edge_frame(regime, Fraction(b), edge).to_map()
+    """The return map of a regime's return edge on Fractions, by the piece
+    tracker of `restrict_iterate_to_segment`, not by the lattice engine that
+    `measure` calls: F^7 on the circle-regime graph's edge, G's map being
+    E's conjugated by x -> -x + (7 - b), or F^return_power on a transition
+    family's interval `segment(b)`."""
+    b = Fraction(b)
+    if regime == "negb":
+        if edge == "G":
+            return conjugate_affine(return_map("negb", b, "E"), Fraction(-1), 7 - b)
+        return restrict_iterate_to_segment(Params.standard(b), edge_segment(graphs.build_gamma("negb", b), edge), 7)
+    fam = certify.trapezoid_family(regime)
+    return restrict_iterate_to_segment(Params.standard(b), fam.segment(b), fam.return_power)
 
 
 # ---------------------------------------------------------------------------
@@ -1010,6 +1028,32 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     q, rem = _poly_divmod(_frac_coeffs(p), _frac_coeffs(g))
     assert not rem, "gcd division must be exact"
     return _primitive(q).normalized_sign()
+
+
+# ---------------------------------------------------------------------------
+# The rome determinant by cofactor expansion
+# ---------------------------------------------------------------------------
+
+
+def poly_det(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
+    """Exact determinant over the integer-polynomial ring, by cofactor expansion."""
+    n = len(matrix)
+    for row in matrix:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+    if n == 0:
+        return IntPoly([1])
+    if n == 1:
+        return matrix[0][0]
+    total = IntPoly([])
+    for j in range(n):
+        entry = matrix[0][j]
+        if entry.is_zero():
+            continue
+        minor = [[row[k] for k in range(n) if k != j] for row in matrix[1:]]
+        cof = entry * poly_det(minor)
+        total = total + cof if j % 2 == 0 else total - cof
+    return total
 
 
 # ---------------------------------------------------------------------------

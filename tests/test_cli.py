@@ -3,11 +3,14 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from pwldyn.cli import main
+from pwldyn.measure import full_measure_report
+from pwldyn.rationals import parse_rational
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -169,6 +172,42 @@ def test_negative_rational_as_a_separate_word(capsys, argv):
     err = capsys.readouterr().err
     assert code == 0
     assert run(capsys, *attached) == (0, out) and capsys.readouterr().err == err
+
+
+def test_measure_contract_on_generated_input(capsys):
+    # Seeded draws of b near every regime end and window end, malformed
+    # numbers, and depths from -1 to 80, each run through `main` in-process:
+    # the command exits 0 with the report's CSV or 2 with one error line,
+    # and never raises.
+    rng = random.Random(4217)
+    ends = {"negb": [F(-2)], "alpha": [F(-1), F(-3, 4), F(-112, 137), F(-13, 16)],
+            "beta": [F(2, 3), F(5, 7), F(603, 874), F(563, 816)]}
+    odd = ["1/0", "", " ", "\u0661\u0662", "1_0", "nan", "0x10", "7" * 700, "-" + "7" * 700]
+    cases = []
+    for _ in range(330):
+        regime = rng.choice(list(ends))
+        if rng.random() < 0.15:
+            b = rng.choice(odd)
+        else:
+            # mostly an end of the regime drawn, else one of another regime
+            end = rng.choice(ends[regime] if rng.random() < 0.8 else ends[rng.choice(list(ends))])
+            b = str(end + rng.choice((-1, 0, 1)) * F(1, 10 ** rng.randint(1, 15)))
+        cases.append((regime, b, rng.choice((-1, 0, 1, 16, 80))))
+    codes = []
+    for regime, b, depth in cases:
+        try:
+            code = main(["measure", "--regime", regime, f"--b={b}", "--depth", str(depth)])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        codes.append(code)
+        if code == 2:
+            assert out == "" and err.startswith("pwldyn: error: ") and err.count("\n") == 1, (regime, b, depth, err)
+        else:
+            assert code == 0, (regime, b, depth)
+            assert out == full_measure_report(regime, parse_rational(b), depth).to_csv(), (regime, b, depth)
+            assert err.startswith(f"uncaptured fraction at depth {depth}: ") and err.count("\n") == 1
+    assert codes.count(0) >= 50 and codes.count(2) >= 50, (codes.count(0), codes.count(2))
 
 
 def test_verify_command(capsys):

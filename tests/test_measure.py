@@ -38,7 +38,7 @@ def test_capture_depths_outside_a_profile_are_refused(monkeypatch):
         raise AssertionError("graph or window built for a negative depth")
 
     with monkeypatch.context() as m:
-        m.setattr(measure, "build_gamma", forbidden)
+        m.setattr(measure, "_table_lattice", forbidden)
         m.setattr(measure, "trapezoid_family", forbidden)
         for regime, b, edge in (("negb", -3, "A"), ("alpha", F(-163, 200), "PI")):
             with pytest.raises(ValueError, match=r"^depth must be >= 0, got -2$"):
@@ -83,11 +83,13 @@ def test_return_map_for_edge_refusals():
 
 
 def test_transition_return_maps_read_their_family():
+    # measure's frame against the Fraction piece tracker and the public wrapper
     for regime, b in (("alpha", F(-163, 200)), ("beta", F(34497, 50000))):
         fam = trapezoid_family(regime)
-        m = return_map(regime, b, fam.edge)
-        want = restrict_iterate_to_segment(Params.standard(b), fam.segment(b), fam.return_power)
-        assert (m.lo, m.hi, m.breakpoints, m.pieces) == (want.lo, want.hi, want.breakpoints, want.pieces)
+        m = measure._return_frames(regime, b, measure._return_lattice(regime, b), (fam.edge,))[fam.edge].to_map()
+        for want in (return_map(regime, b, fam.edge),
+                     restrict_iterate_to_segment(Params.standard(b), fam.segment(b), fam.return_power)):
+            assert (m.lo, m.hi, m.breakpoints, m.pieces) == (want.lo, want.hi, want.breakpoints, want.pieces)
         assert [p.edge for p in full_measure_report(regime, b, 0).profiles] == [fam.edge]
 
 
@@ -132,6 +134,7 @@ def test_uncaptured_nests_to_repelling_fixed_point():
     from oracles import uncaptured_intervals
 
     m = return_map("negb", -3, "A")
+    prof = edge_capture_profile("negb", -3, "A", 8)
     fixed = F(-17, 15)
     assert m(fixed) == fixed
     prev_width = None
@@ -139,7 +142,7 @@ def test_uncaptured_nests_to_repelling_fixed_point():
         ivs = uncaptured_intervals(m, n)
         assert len(ivs) == 1
         lo, hi = ivs[0]
-        assert lo < fixed < hi
+        assert lo < fixed < hi and hi - lo == prof.uncaptured(n)
         if prev_width is not None:
             assert hi - lo < prev_width
         prev_width = hi - lo
@@ -167,6 +170,8 @@ def test_capture_recursion_matches_interval_oracle():
         m = return_map(regime, b, edge)
         oracle = [sum((hi - lo for lo, hi in uncaptured_intervals(m, n)), F(0)) for n in range(13)]
         assert uncaptured_measures(m, 12) == oracle, (regime, edge, b)
+        prof = edge_capture_profile(regime, b, edge, 12)
+        assert [prof.uncaptured(n) for n in range(13)] == oracle, (regime, edge, b)
 
 
 def test_uncaptured_measures_match_fraction_recursion():
@@ -179,7 +184,10 @@ def test_uncaptured_measures_match_fraction_recursion():
             cases.append((regime, lo + (hi - lo) * F(rng.randint(1, 999), 1000), edge))
     for regime, b, edge in cases:
         m = return_map(regime, b, edge)
-        assert oracles.uncaptured_measures(m, 200) == oracles.fraction_uncaptured_measures(m, 200), (regime, b, edge)
+        want = oracles.fraction_uncaptured_measures(m, 200)
+        assert oracles.uncaptured_measures(m, 200) == want, (regime, b, edge)
+        prof = edge_capture_profile(regime, b, edge, 200)
+        assert [prof.uncaptured(n) for n in range(201)] == want, (regime, b, edge)
 
 
 def test_full_measure_report_builds_fewer_fractions_than_entries(monkeypatch):
@@ -217,7 +225,7 @@ def test_full_measure_report_matches_fraction_oracle():
             totals = [t + u for t, u in zip(totals, us)]
         if regime == "negb":
             g = graphs.build_gamma("negb", b)
-            charts = {e: oracles.chart_interval(g.edge_segment(e)) for e in ("plateau", "feeder")}
+            charts = {e: oracles.chart_interval(oracles.edge_segment(g, e)) for e in ("plateau", "feeder")}
             assert rep.immediate == tuple((e, hi - lo) for e, (lo, hi) in charts.items())
         immediate = sum((length for _, length in rep.immediate), F(0))
         totals[0] += immediate
@@ -225,16 +233,23 @@ def test_full_measure_report_matches_fraction_oracle():
         assert rep.total_length == sum((p.length for p in rep.profiles), immediate)
 
 
-def test_negb_report_builds_its_graph_once(monkeypatch):
+def test_negb_report_reads_its_table_once_and_builds_no_graph(monkeypatch):
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return graphs.build_gamma(*args)
+        return graphs._table_lattice(*args)
 
-    monkeypatch.setattr(measure, "build_gamma", counted)
+    def forbidden(*args):
+        raise AssertionError("graph built for a capture")
+
+    monkeypatch.setattr(measure, "_table_lattice", counted)
+    monkeypatch.setattr(graphs, "build_gamma", forbidden)
     full_measure_report("negb", -3, 4)
     assert calls == [("negb", F(-3))]
+    calls.clear()
+    edge_capture_profile("negb", F(-7, 2), "G", 4)
+    assert calls == [("negb", F(-7, 2))]
 
 
 def test_negb_report_walks_once_and_cuts_the_recursion(monkeypatch):
@@ -252,9 +267,9 @@ def test_negb_report_walks_once_and_cuts_the_recursion(monkeypatch):
         walks.append((len(lat.starts), k))
         return walk(lat, k)
 
-    def counted_frames(params, segments, k):
+    def counted_frames(frame, a, b, segments, k):
         frames_of.append(list(segments))
-        return frames(params, segments, k)
+        return frames(frame, a, b, segments, k)
 
     def counted_transfer(cells, w):
         steps[-1] += 1
@@ -272,9 +287,9 @@ def test_negb_report_walks_once_and_cuts_the_recursion(monkeypatch):
     for b in (F(-3), -2 - 9 * F(rng.randint(1, 10**6 + 2), 10**6 + 3)):
         walks.clear(), frames_of.clear(), steps.clear()
         rep = full_measure_report("negb", b, 80)
-        g = graphs.build_gamma("negb", b)
+        ends = graphs._table_lattice("negb", b).edge_ends()
         assert walks == [(6, 7)], walks
-        assert frames_of == [[g.edge_segment(e) for e in ("A", "B", "C", "D", "E", "H")]]
+        assert frames_of == [[ends[e] for e in ("A", "B", "C", "D", "E", "H")]]
         assert len(steps) == 7 and max(steps) <= 2, steps
         assert [p.edge for p in rep.profiles] == ["A", "B", "C", "D", "E", "G", "H"]
         assert rep.profiles[5] == edge_capture_profile("negb", b, "G", 80)
@@ -288,6 +303,11 @@ def test_reports_match_the_full_recursion():
     for regime, fam in (("alpha", phi_family()), ("beta", psi_family())):
         lo, hi = fam.b_window
         cases += [(regime, lo + (hi - lo) * F(rng.randint(1, 999), 1000), rng.randint(12, 24)) for _ in range(3)]
+    # the closed end of the circle regime and the four window ends
+    assert (phi_family().b_window, psi_family().b_window) == ((F(-112, 137), F(-13, 16)), (F(603, 874), F(563, 816)))
+    cases.append(("negb", F(-2), rng.randint(60, 100)))
+    cases += [(regime, b, rng.randint(12, 24)) for regime, b in
+              (("alpha", F(-112, 137)), ("alpha", F(-13, 16)), ("beta", F(603, 874)), ("beta", F(563, 816)))]
     for regime, b, depth in cases:
         for prof in full_measure_report(regime, b, depth).profiles:
             m = return_map(regime, b, prof.edge)

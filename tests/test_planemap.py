@@ -447,7 +447,7 @@ def test_engine_matches_tracker_on_return_maps():
     cases = []
     for _ in range(8):
         b = -2 - 9 * F(rng.randint(1, 10**6 + 2), 10**6 + 3)
-        edge = build_gamma("negb", b).edge_segment(rng.choice("ABCDEH"))
+        edge = oracles.edge_segment(build_gamma("negb", b), rng.choice("ABCDEH"))
         cases.append((b, edge, 7))
         for fam in (phi_family(), psi_family()):
             lo, hi = fam.b_window

@@ -20,6 +20,7 @@ from pwldyn.polys import (
     poly_gcd,
     sturm_chain,
     _approximate,
+    _exact_quotient,
     _homogeneous,
     _primitive,
     _pseudo_divmod,
@@ -139,6 +140,59 @@ def test_poly_det_examples():
 
     with pytest.raises(ValueError):
         poly_det([[one, one]])
+
+
+def _random_poly_matrix(rng: random.Random, n: int) -> list[list[IntPoly]]:
+    """An n x n matrix of small IntPolys, of one of several shapes: dense,
+    sparse, with zero pivots (a zero corner, a permutation pattern), with a
+    zero row or column, or rank-deficient (a row a combination of two
+    others)."""
+    kind = rng.choice(("dense", "sparse", "zero-corner", "permutation", "zero-row", "zero-column", "deficient"))
+
+    def entry(p_zero: float) -> IntPoly:
+        if rng.random() < p_zero:
+            return IntPoly([])
+        return IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))])
+
+    m = [[entry(0.6 if kind == "sparse" else 0.1) for _ in range(n)] for _ in range(n)]
+    if kind == "permutation":
+        perm = rng.sample(range(n), n)
+        m = [[m[i][j] if j == perm[i] or rng.random() < 0.2 else IntPoly([]) for j in range(n)] for i in range(n)]
+    elif n and kind == "zero-corner":
+        m[0][0] = IntPoly([])
+    elif n and kind == "zero-row":
+        m[rng.randrange(n)] = [IntPoly([])] * n
+    elif n and kind == "zero-column":
+        j = rng.randrange(n)
+        for row in m:
+            row[j] = IntPoly([])
+    elif n >= 3 and kind == "deficient":
+        i, j, k = rng.sample(range(n), 3)
+        u, v = entry(0), entry(0)
+        m[i] = [u * a + v * b for a, b in zip(m[j], m[k])]
+    return m
+
+
+def test_poly_det_matches_the_cofactor_oracle():
+    rng = random.Random(1968)
+    sizes = [0, 1, 2, 3, 4, 5, 6, 7]
+    cases = [_random_poly_matrix(rng, rng.choices(sizes, weights=(1, 2, 4, 4, 4, 3, 2, 1))[0]) for _ in range(600)]
+    assert sum(len(m) == 7 for m in cases) >= 20
+    deficient = 0
+    for m in cases:
+        det = poly_det(m)
+        assert det == oracles.poly_det(m), m
+        deficient += len(m) > 1 and det.is_zero()
+    assert deficient >= 100
+
+
+def test_poly_det_refuses_an_inexact_division():
+    y = IntPoly([0, 1])
+    assert _exact_quotient(y * y - IntPoly([1]), y + IntPoly([1])) == y - IntPoly([1])
+    assert _exact_quotient(IntPoly([]), y) == IntPoly([])
+    for a, b in ((y * y, y + IntPoly([1])), (IntPoly([3]), IntPoly([2])), (y, y * y)):
+        with pytest.raises(ValueError, match="^polynomial division is not exact$"):
+            _exact_quotient(a, b)
 
 
 def _random_factor(rng: random.Random, deg: int) -> IntPoly:
