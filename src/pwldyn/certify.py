@@ -31,7 +31,6 @@ compares orbits with their numerators by cross-multiplying.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Sequence
@@ -69,21 +68,21 @@ def star_product(s: Itinerary) -> Itinerary:
 
 def upper_pattern(period: int) -> Itinerary:
     """Pattern of period 3*2^k obtained by doubling the seed RLC."""
+    if period < 3 or period % 3 or (period // 3) & (period // 3 - 1):
+        raise ValueError(f"upper period must be 3*2^k, got {period}")
     pat = Itinerary.parse("RLC")
     while len(pat.symbols) < period:
         pat = star_product(pat)
-    if len(pat.symbols) != period:
-        raise ValueError(f"upper period must be 3*2^k, got {period}")
     return pat
 
 
 def lower_pattern(period: int) -> Itinerary:
     """Cascade pattern of period 2^k (k >= 1) obtained by doubling RC."""
+    if period < 2 or period & (period - 1):
+        raise ValueError(f"lower period must be 2^k with k >= 1, got {period}")
     pat = Itinerary.parse("RC")
     while len(pat.symbols) < period:
         pat = star_product(pat)
-    if len(pat.symbols) != period or period < 2:
-        raise ValueError(f"lower period must be 2^k with k >= 1, got {period}")
     return pat
 
 
@@ -313,6 +312,8 @@ class CertifiedInterval(NamedTuple):
         }
 
     def to_json_str(self) -> str:
+        import json  # only where JSON is written, as in `cli.cmd_graph`
+
         return json.dumps(self.to_json(), indent=2) + "\n"
 
 

@@ -21,16 +21,15 @@ Regimes (all for a = -1):
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
 from math import lcm
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from pwldyn.planemap import (
     Params,
     Point,
     Segment,
     _lattice_segment_holds,
-    _off_frame,
+    _off_lattice,
     _on_frame,
     image_gaps,
 )
@@ -297,15 +296,6 @@ _MARKS = {r: [(name, _quarters(c), host) for name, c, host in t] for r, t in _MA
 _EDGE_VERTICES = {r: {e: (a, b) for e, a, b in edges} for r, edges in _EDGES.items()}
 
 
-def _off_lattice(points: Iterable[tuple[int, int]], frame: int) -> list[Point]:
-    """The lattice points as `Point`s (x, y)/frame, with one Fraction for
-    each distinct coordinate."""
-    points = list(points)
-    values = set(chain.from_iterable(points))
-    coords = dict(zip(values, map(Fraction, values, repeat(frame))))
-    return [Point(coords[x], coords[y]) for x, y in points]
-
-
 # ---------------------------------------------------------------------------
 # Planar graph object
 # ---------------------------------------------------------------------------
@@ -509,9 +499,7 @@ def orbit_marks(regime: str, b) -> list[tuple[str, Point, str]]:
         x, y = named[src]
         image = (abs(x) - y - frame, x - abs(y) + bq)
         if image != named[dst]:
-            raise AssertionError(
-                f"orbit relation {src} -> {dst} fails at b = {b}: "
-                f"F({src}) = {_off_frame(*image, frame)}, expected {_off_frame(*named[dst], frame)}"
-            )
+            got, expected = _off_lattice((image, named[dst]), frame)
+            raise AssertionError(f"orbit relation {src} -> {dst} fails at b = {b}: F({src}) = {got}, expected {expected}")
     points = _off_lattice((named[src] for src, _ in relations), frame)
     return [(src, pt, dst) for (src, dst), pt in zip(relations, points)]

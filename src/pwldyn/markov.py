@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
@@ -172,10 +173,11 @@ class Rome(NamedTuple):
 
 
 def _rome_order(succ: Sequence[Sequence[int]], candidates: Sequence[int]) -> tuple[frozenset[int], list[int]]:
-    """Least rome drawn from the sorted `candidates` by brute force over size,
-    with the Kahn order (`_topological_order`) of the nodes off it that proved
-    it one.  `candidates` holds every node on a cycle: the empty set is tried
-    only when there is none."""
+    """Least rome drawn from `candidates` by brute force over size, each
+    size's sets tried in the candidates' order, with the Kahn order
+    (`_topological_order`) of the nodes off it that proved it one.
+    `candidates` holds every node on a cycle: the empty set is tried only
+    when there is none."""
     for size in range(bool(candidates), len(candidates) + 1):
         for combo in itertools.combinations(candidates, size):
             rome = frozenset(combo)
@@ -345,7 +347,8 @@ def spectral_radius(dg: CoverDigraph, digits: int = 12, check: bool = True) -> R
     """Certified enclosure of the adjacency spectral radius.
 
     Per cyclic strongly connected component, renumbered as successor lists,
-    the rome characteristic polynomial is isolated exactly; the global
+    the rome characteristic polynomial is isolated exactly, its least rome
+    sought from the nodes of highest in-degree x out-degree down; the global
     radius is the componentwise maximum.  With `check` the enclosure is
     proven again on the same components by exact leading-minor tests at its
     ends (`_encloses_radius`); a failed proof means a bug and raises.
@@ -357,8 +360,11 @@ def spectral_radius(dg: CoverDigraph, digits: int = 12, check: bool = True) -> R
     for comp in comps:
         pos = {v: k for k, v in enumerate(sorted(comp))}
         sub = [[pos[w] for w in dg.succ[v] if w in pos] for v in pos]
+        indegree = Counter(itertools.chain.from_iterable(sub))
+        # likely rome nodes first, so that few Kahn passes fail
+        candidates = sorted(range(len(sub)), key=lambda v: -indegree[v] * len(sub[v]))
         # a factor x^k adds only zero eigenvalues; the rest carries the radius
-        poly, _ = _char_poly(sub, *_rome_order(sub, range(len(sub)))).strip_power_factor()
+        poly, _ = _char_poly(sub, *_rome_order(sub, candidates)).strip_power_factor()
         root = largest_positive_root(poly, digits)
         if root is None:
             raise AssertionError("cyclic component without positive root")

@@ -19,11 +19,11 @@ off integer tables (`graphs`, `band48`, `measure`).  Only the two public
 wrappers that take `Segment`s, `restrict_iterate_to_segment` and
 `detect_plateaus`, convert Fractions: to the least frame that clears
 them and a, b (`_lattice_frame`).  The engine builds `Fraction`s only for
-the values it returns.  It yields what F adds to a union of segments and
-the covering relations of a partition under F, both on line covers, and
-the induced one-dimensional map of F^k along a segment.  `Point` and
-`Segment` are records of Fraction ends; the chart, line key and
-containment test are the engine's alone.
+the values it returns, one per distinct coordinate (`_off_lattice`).  It
+yields what F adds to a union of segments and the covering relations of a
+partition under F, both on line covers, and the induced one-dimensional
+map of F^k along a segment.  `Point` and `Segment` are records of Fraction
+ends; the chart, line key and containment test are the engine's alone.
 
 That induced map has integer slopes.  A piece of F^k is s -> P + s*v
 with v an integer vector (F's linear parts are integer matrices), and it
@@ -37,9 +37,9 @@ closure and the capture recursion with no `Fraction` round trip.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from math import gcd, lcm
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from pwldyn.piecewise import IntegerFrame, PiecewiseAffine1D, _lowest_frame
 from pwldyn.rationals import rational_str
@@ -116,9 +116,13 @@ def _on_frame(pt: Point, d: int) -> tuple[int, int]:
     return (pt.x.numerator * (d // pt.x.denominator), pt.y.numerator * (d // pt.y.denominator))
 
 
-def _off_frame(x: int, y: int, d: int) -> Point:
-    """The point (x, y)/d."""
-    return Point(Fraction(x, d), Fraction(y, d))
+def _off_lattice(points: Iterable[tuple[int, int]], d: int) -> list[Point]:
+    """The lattice points as `Point`s (x, y)/d, with one Fraction for each
+    distinct coordinate."""
+    points = list(points)
+    values = set(chain.from_iterable(points))
+    coords = dict(zip(values, map(Fraction, values, repeat(d))))
+    return [Point(coords[x], coords[y]) for x, y in points]
 
 
 def _lattice_segment_holds(p: tuple[int, int], q: tuple[int, int], pt: tuple[int, int]) -> bool:
@@ -324,15 +328,15 @@ def image_gaps(frame: int, a: int, b: int, segments: Sequence[LatticeSegment]) -
     pieces = iterate_segment_pieces(lat, 1)
     cover = _line_cover(_start_chart(start) for start in lat.starts)
     gaps: list[Segment] = []
-    points: list[Point] = []
+    points: list[tuple[int, int]] = []
     for piece in pieces:
         if piece[4] or piece[6]:
             key, lo, hi = _piece_chart(piece)
             for g0, g1 in interval_gaps(lo, hi, cover.get(key, ())):
                 gaps.append(_chart_segment(key, g0, g1, lat.frame))
         elif not _cover_contains(cover, piece[3], piece[5]):
-            points.append(_off_frame(piece[3], piece[5], lat.frame))
-    return gaps, points
+            points.append((piece[3], piece[5]))
+    return gaps, _off_lattice(points, lat.frame)
 
 
 def image_cover_relations(frame: int, a: int, b: int, partition: Sequence[tuple[str, LatticeSegment]],
@@ -443,7 +447,7 @@ def _chart_segment(key: tuple[int, int, int], lo: int, hi: int, frame: int) -> S
         ends = ((lo, (uy * lo - c) // ux), (hi, (uy * hi - c) // ux))
     else:
         ends = (((c + ux * lo) // uy, lo), ((c + ux * hi) // uy, hi))
-    return Segment(*(_off_frame(x, y, frame) for x, y in ends))
+    return Segment(*_off_lattice(ends, frame))
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,12 @@ them only while they overlap and hold distinct roots.
 
 `IntPoly` is the one polynomial type, and its nonzero (power, coeff) terms
 are its one representation; the dense coefficient tuple is a view that
-only the pseudo-division reads.  Sturm chain members, gcds and square-free
-parts are primitive integer pseudo-remainders and quotients
-(`_pseudo_divmod`), positive multiples of the rational ones, and the rome
-determinant of `markov` is `poly_det`, fraction-free elimination over
-`IntPoly` entries.
+only the pseudo-division reads.  That one long division, `_pseudo_divmod`,
+scales by the divisor's leading coefficient only where a step is not
+exact in Z[y].  Sturm chain members, gcds and square-free parts are its
+primitive remainders and quotients, positive multiples of the rational
+ones, and the rome determinant of `markov`, `poly_det` (fraction-free
+elimination over `IntPoly` entries), takes each exact division from it.
 
 The kernel reads those terms with the odd part d of a point's denominator:
 at x = m / (d * 2^k) it evaluates the integer (d * 2^k)^deg * p(x), so a
@@ -633,27 +634,31 @@ def isolate_unique_positive_root(p: IntPoly, digits: int) -> RootInterval:
 # ---------------------------------------------------------------------------
 
 
-def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Q, R with k*a = Q*b + R for some integer k > 0 and deg R < deg b.
+def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[int, IntPoly, IntPoly]:
+    """(k, Q, R) with k*a = Q*b + R, an integer k > 0 and deg R < deg b.
 
-    Each step scales the running remainder and quotient by |lc(b)| and
-    subtracts lc(r) * sign(lc(b)) * x^shift * b, so Q and R are positive
-    multiples of the rational quotient and remainder and keep their signs.
+    A step whose top coefficient lc(b) does not divide first scales the
+    running remainder, quotient and k by |lc(b)|.  So Q and R are positive
+    multiples of the rational quotient and remainder, and k == 1 with R == 0
+    exactly when b divides a in Z[y] (each step's term is then Q's).
     """
     db, lb = b.terms[-1]
-    m, s = abs(lb), _sign(lb)
+    m, s, k = abs(lb), _sign(lb), 1
     r = list(a.coeffs)
     q = [0] * (len(r) - db)
     while len(r) > db:
-        c, shift = r[-1] * s, len(r) - 1 - db
-        r, q = [m * x for x in r], [m * x for x in q]
+        c, rest = divmod(r[-1], lb)
+        if rest:
+            c, k = r[-1] * s, k * m
+            r, q = [m * x for x in r], [m * x for x in q]
+        shift = len(r) - 1 - db
         q[shift] += c
         for i, x in b.terms:
             r[shift + i] -= c * x
-        r.pop()  # m * lc(r) - c * lc(b) = 0
+        r.pop()  # lc(r) - c * lc(b) = 0
         while r and r[-1] == 0:
             r.pop()
-    return IntPoly(q), IntPoly(r)
+    return k, IntPoly(q), IntPoly(r)
 
 
 def sturm_chain(p: IntPoly) -> list[IntPoly]:
@@ -663,7 +668,7 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
     nxt = p.derivative()
     while not nxt.is_zero():
         chain.append(nxt)
-        nxt = _primitive(-_pseudo_divmod(chain[-2], nxt)[1])
+        nxt = _primitive(-_pseudo_divmod(chain[-2], nxt)[2])
     return chain
 
 
@@ -691,7 +696,7 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     """Greatest common divisor over Q, as a primitive integer polynomial
     with positive leading coefficient."""
     while not q.is_zero():
-        p, q = q, _primitive(_pseudo_divmod(p, q)[1])
+        p, q = q, _primitive(_pseudo_divmod(p, q)[2])
     return _primitive(p).normalized_sign()
 
 
@@ -701,7 +706,7 @@ def _squarefree_part(p: IntPoly) -> IntPoly:
     g = poly_gcd(p, p.derivative())
     if g.degree <= 0:
         return p.normalized_sign()
-    q, rem = _pseudo_divmod(p, g)
+    _, q, rem = _pseudo_divmod(p, g)
     assert rem.is_zero(), "gcd division must be exact"
     return _primitive(q).normalized_sign()
 
@@ -792,23 +797,6 @@ def _same_root(a: RootInterval, b: RootInterval) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _exact_quotient(a: IntPoly, b: IntPoly) -> IntPoly:
-    """a / b in Z[y], b nonzero; a nonzero remainder is refused."""
-    db, lb = b.terms[-1]
-    r, q = dict(a.terms), {}
-    while r and (top := max(r)) >= db:
-        c, rest = divmod(r[top], lb)
-        if rest:
-            break
-        q[top - db] = c
-        for i, x in b.terms:
-            if v := r.pop(top - db + i, 0) - c * x:
-                r[top - db + i] = v
-    if r:
-        raise ValueError("polynomial division is not exact")
-    return IntPoly.from_terms(q)
-
-
 def poly_det(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
     """Exact determinant over the integer-polynomial ring, by fraction-free
     (Bareiss) elimination: each step's division by the previous pivot is
@@ -830,6 +818,8 @@ def poly_det(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
         pivot = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = _exact_quotient(m[i][j] * pivot - m[i][k] * m[k][j], prev)
+                scale, m[i][j], rem = _pseudo_divmod(m[i][j] * pivot - m[i][k] * m[k][j], prev)
+                if scale != 1 or not rem.is_zero():
+                    raise ValueError("polynomial division is not exact")
         prev = pivot
     return m[-1][-1] if sign > 0 else -m[-1][-1]

@@ -32,6 +32,9 @@ recursion that runs every step (`capture_vectors`) is the earlier form of
 the one that stops at the first repeated vector, and the band48 partition
 read off the graph's Fraction points is the earlier form of the lattice
 partition.
+The union and gaps of closed intervals on a line are read off counts over
+the cells between their ends, apart from the sorted sweeps of `planemap`
+that the engine uses.
 The Fraction views of three integer engines (the orbit-closure partition,
 the covering digraph of a periodic orbit and the band48 lattice
 partition), the closed-form band48 orbit point and the return map cores
@@ -61,7 +64,7 @@ from typing import Sequence
 from pwldyn import band48, certify, graphs
 from pwldyn.markov import CoverDigraph, _cyclic_components, spectral_radius
 from pwldyn.piecewise import Itinerary, Piece, PiecewiseAffine1D
-from pwldyn.planemap import Params, Point, Segment, _off_frame, apply_F, interval_gaps, interval_union
+from pwldyn.planemap import Params, Point, Segment, _off_lattice, apply_F
 from pwldyn.polys import IntPoly, RootInterval, _homogeneous, _sign, descartes_positive_sign_changes
 
 _QUADRANT_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}
@@ -252,6 +255,59 @@ def restrict_iterate_to_segment(params: Params, seg: Segment, k: int) -> Piecewi
     breakpoints.pop()
     lo, hi = chart_interval(seg)
     return merged(PiecewiseAffine1D(lo, hi, breakpoints, out_pieces))
+
+
+# ---------------------------------------------------------------------------
+# Interval algebra on a line, from the elementary cells of the cut points
+# ---------------------------------------------------------------------------
+
+
+def _coverage(intervals) -> tuple[list, list[int], list[int]]:
+    """The sorted distinct ends of the closed `intervals`, and how many of
+    the intervals hold each end and each open cell between consecutive
+    ends."""
+    values = [v for iv in intervals for v in iv]
+    cuts: list = []
+    at = [0] * len(values)
+    for k in sorted(range(len(values)), key=values.__getitem__):
+        if not cuts or cuts[-1] != values[k]:
+            cuts.append(values[k])
+        at[k] = len(cuts) - 1
+    points, cells = [0] * (len(cuts) + 1), [0] * len(cuts)
+    for i, j in zip(at[::2], at[1::2]):
+        points[i] += 1
+        points[j + 1] -= 1
+        cells[i] += 1
+        cells[j] -= 1
+    return cuts, list(itertools.accumulate(points))[:-1], list(itertools.accumulate(cells))[:-1]
+
+
+def _components(cuts, points, cells) -> list[tuple]:
+    """Closures of the connected components of a set on the line that
+    changes only at the sorted distinct `cuts`: points[i] says whether it
+    holds cuts[i], and cells[i] whether it holds the open cell (cuts[i],
+    cuts[i + 1])."""
+    items = [(c, c, held) for c, held in zip(cuts[:1], points)]
+    for i in range(1, len(cuts)):
+        items += [(cuts[i - 1], cuts[i], cells[i - 1]), (cuts[i], cuts[i], points[i])]
+    runs = (list(run) for held, run in itertools.groupby(items, key=lambda item: item[2]) if held)
+    return [(run[0][0], run[-1][1]) for run in runs]
+
+
+def interval_union(intervals) -> list[tuple]:
+    """The components of a union of closed intervals, as closed intervals
+    in increasing order."""
+    cuts, points, cells = _coverage(list(intervals))
+    return _components(cuts, [n > 0 for n in points], [n > 0 for n in cells])
+
+
+def interval_gaps(lo, hi, union) -> list[tuple]:
+    """The closures of the components of positive length of [lo, hi] minus
+    the closed intervals of `union`: what [lo, hi] alone holds."""
+    clipped = [(max(a, lo), min(b, hi)) for a, b in union if a <= hi and lo <= b]
+    cuts, points, cells = _coverage([(lo, hi), *clipped])
+    parts = _components(cuts, [n == 1 for n in points], [n == 1 for n in cells])
+    return [(s, t) for s, t in parts if s < t]
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +618,7 @@ def lattice_band48_partition(b) -> tuple[list[tuple[str, Segment]], band48.Level
     b = Fraction(b)
     frame, named, _ = band48._graph_on_12d(b)
     part, lc = band48._partition(b, named)
-    return [(label, Segment(_off_frame(x1, y1, frame), _off_frame(x2, y2, frame)))
+    return [(label, Segment(*_off_lattice(((x1, y1), (x2, y2)), frame)))
             for label, (x1, y1, x2, y2) in part], lc
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -8,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from pwldyn import band48, certify, graphs
 from pwldyn.cli import main
 from pwldyn.measure import full_measure_report
-from pwldyn.rationals import parse_rational
+from pwldyn.rationals import parse_rational, rational_str
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -210,6 +212,110 @@ def test_measure_contract_on_generated_input(capsys):
     assert codes.count(0) >= 50 and codes.count(2) >= 50, (codes.count(0), codes.count(2))
 
 
+_ODD_WORDS = ["1/0", "", " ", "\u0661\u0662", "1_0", "nan", "inf", "0x10", "1e400", "5/", "/5", ".", "7" * 700, "-" + "7" * 700]
+
+
+def _rational_word(rng: random.Random, ends) -> str:
+    """An end of `ends` moved by 0 or +-10^-k, as "n/d", as an exponent or
+    as a decimal with or without a sign; now and then a malformed word."""
+    if rng.random() < 0.12:
+        return rng.choice(_ODD_WORDS)
+    k = rng.randint(1, 15)
+    v = rng.choice(ends) + rng.choice((-1, 0, 1)) * F(1, 10**k)
+    form, scaled = rng.randrange(4), v * 10 ** (k + 6)
+    if form == 0 or scaled.denominator != 1:
+        return str(v)
+    n, places = scaled.numerator, k + 6
+    if form == 1:
+        return f"{n}e-{places}"
+    digits = str(abs(n)).rjust(places + 1, "0")
+    sign = "-" if n < 0 else "+" if form == 3 else ""
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
+def _entropy_stdout(b: F, digits: int) -> str:
+    res = band48.entropy_or_bounds(b, digits)
+    lines = [f"b = {rational_str(b)}  class {res.level}"]
+    if res.kind == "exact":
+        lines.append(f"entropy = ln(root({res.lo_root.poly})) = {res.decimal(digits)}")
+    else:
+        lines += [f"entropy in {res.decimal(digits)}", f"  lower root poly: {res.lo_root.poly}",
+                  f"  upper root poly: {res.hi_root.poly}"]
+    return "\n".join(lines) + "\n"
+
+
+def _graph_stdout(regime: str, b: F, fmt: str) -> str:
+    if fmt == "dot":
+        return band48.cover_digraphs(b)[0].to_dot() + "\n"
+    g = graphs.build_gamma(regime, b)
+    return (json.dumps(g.to_json(), indent=2) if fmt == "json" else g.to_svg()) + "\n"
+
+
+def test_cli_contract_on_generated_input(capsys):
+    # Seeded `entropy`, `graph`, `table1` and `certify-*` commands, run through
+    # `main` in-process: b at class and regime ends +- 10^-k in several forms,
+    # a few values of a, digits valid, negative or malformed, and periods
+    # valid, negative, huge or malformed.  Each exits 2 with one error line,
+    # or 0 with the stdout of the library call it reports.  Positive digits
+    # stay small: the bracket width 10^-(digits + 3) is built exactly.
+    rng = random.Random(4545)
+    class_ends = sorted({end for n in range(6) for letter in "STUV"
+                         for end in band48.LevelClass(n, letter).interval()[:2]})
+    regime_ends = {"negb": [F(-2), F(-3), F(-50)], "alpha": [F(-1), F(-4, 5), F(-3, 4)],
+                   "beta": [F(2, 3), F(7, 10), F(5, 7)], "band48": [F(4), F(6), F(8), *class_ends[:6]]}
+    all_ends = [end for ends in regime_ends.values() for end in ends]
+
+    def pick(valid, invalid):
+        return rng.choice(valid if rng.random() < 0.7 else invalid)
+
+    digits_invalid = ["-1", "x", "", "3.0", "1e3", str(-(10**30))]
+    digits_valid = ["0", "1", "5", "12", "30", "\u0663", "1_2", " 8 ", "-0", "+4"]
+    cases = []
+    for _ in range(550):
+        scale = rng.choice((1, 1, 1, 2, F(1, 2)))  # (a, b) = (-scale, scale*b)
+        b = _rational_word(rng, [scale * e for e in (class_ends if rng.random() < 0.9 else all_ends)])
+        a = pick([None, None, str(-scale), str(float(-scale))] if scale == 1 else [str(-scale), str(float(-scale))],
+                 ["0", "1", "", "x", "-1/0"])
+        digits = pick(digits_valid, digits_invalid)
+        argv = ["entropy", f"--b={b}", "--digits", digits] + ([] if a is None else [f"--a={a}"])
+        cases.append((argv, lambda b=b, a=a, digits=digits: _entropy_stdout(
+            parse_rational(b) / (1 if a is None else -parse_rational(a)), int(digits))))
+    for _ in range(500):
+        regime = pick(graphs.REGIMES, ["gamma", ""])
+        fmt = pick(["json", "svg"] if regime != "band48" else ["json", "svg", "dot"], ["png", "dot"])
+        b = _rational_word(rng, regime_ends.get(regime, all_ends) if rng.random() < 0.85 else all_ends)
+        cases.append((["graph", "--regime", regime, f"--b={b}", "--format", fmt],
+                      lambda regime=regime, b=b, fmt=fmt: _graph_stdout(regime, parse_rational(b), fmt)))
+    table = functools.lru_cache(band48.table_csv)
+    for _ in range(150):
+        digits = pick(digits_valid, digits_invalid)
+        cases.append((["table1", "--digits", digits], lambda digits=digits: table(int(digits))))
+    periods_invalid = ["9", "1", "0", "-3", "x", "", "3.0", str(10**30), str(3 * 2**200 + 3), str(-(10**30))]
+    certificate = functools.lru_cache(lambda *key: certify.certify(*key).to_json_str())
+    for _ in range(400):
+        tag = rng.choice(("alpha", "beta"))
+        upper = pick(["3", "6", "12", "24", "48", "+6", " 12"], periods_invalid)
+        lower = pick(["2", "4", "8", "16", "32", "64", "1_6"], [*periods_invalid, "6", str(2**200 + 2)])
+        cases.append(([f"certify-{tag}", "--upper", upper, "--lower", lower],
+                      lambda tag=tag, upper=upper, lower=lower: certificate(tag, int(upper), int(lower))))
+    codes: dict[tuple, int] = {}
+    for argv, library in cases:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert out == "" and err.startswith("pwldyn: error: ") and err.count("\n") == 1, (argv, err)
+        else:
+            assert code == 0, (argv, code, err)
+            assert err == "" and out == library(), argv
+        codes[argv[0], code] = codes.get((argv[0], code), 0) + 1
+    assert len(cases) >= 1500
+    commands = ("entropy", "graph", "table1", "certify-alpha", "certify-beta")
+    assert min(codes.get((cmd, code), 0) for cmd in commands for code in (0, 2)) >= 40, codes
+
+
 def test_verify_command(capsys):
     code, out = run(capsys, "verify")
     assert code == 0
@@ -277,11 +383,12 @@ def test_measure_names_a_degenerate_interval(capsys, argv, line):
 
 
 def test_cli_import_loads_no_dataclasses():
-    # A fresh interpreter: pytest itself has loaded dataclasses here.
+    # A fresh interpreter: pytest itself has loaded dataclasses here.  `json`
+    # is imported only where JSON is written.
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import pwldyn.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); import pwldyn.cli; "
+        "print(sorted({'json', 'dataclasses', 'inspect', 'ast'} & (set(sys.modules) - before)))"
     )
     proc = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
                           capture_output=True, text=True, timeout=60, check=True)

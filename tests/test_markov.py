@@ -306,7 +306,9 @@ def test_checked_radius_finds_components_once_and_repeats_no_kahn_pass(monkeypat
     # A work count, not a timing: a checked `spectral_radius` finds the
     # cyclic components once and proves its enclosure on them, and in each
     # component makes one Kahn pass per rome candidate it tries: never the
-    # empty set, no set twice, and only the last pass accepts.
+    # empty set, no set twice, and only the last pass accepts.  Candidates of
+    # high in-degree x out-degree go first, so over the 32 band48 digraphs
+    # at most 7 of 39 passes fail.
     cyclic_components, topological_order = markov._cyclic_components, markov._topological_order
     component_passes, kahn = [], []
 
@@ -326,10 +328,13 @@ def test_checked_radius_finds_components_once_and_repeats_no_kahn_pass(monkeypat
         for letter in "STUV":
             lo, hi, _, _ = band48.LevelClass(n, letter).interval()
             digraphs += cover_digraphs((lo + hi) / 2)[:2]
+    band48_passes = []
     for dg in digraphs:
         component_passes.clear()
         kahn.clear()
         spectral_radius(dg, 12, check=True)
+        if dg is not digraphs[0]:
+            band48_passes += [ok for _, _, ok in kahn]
         assert len(component_passes) == 1
         assert all(removed for _, removed, _ in kahn)
         assert len({(id(succ), removed) for succ, removed, _ in kahn}) == len(kahn)
@@ -338,6 +343,7 @@ def test_checked_radius_finds_components_once_and_repeats_no_kahn_pass(monkeypat
             accepted.setdefault(id(succ), []).append(ok)
         assert len(accepted) == len(cyclic_components(dg.succ))
         assert all(oks[-1] and not any(oks[:-1]) for oks in accepted.values())
+    assert len(band48_passes) <= 39 and band48_passes.count(False) <= 7, band48_passes
 
 
 def test_spectral_radius_examples():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -20,6 +21,7 @@ from pwldyn.planemap import (
     apply_F,
     detect_plateaus,
     interval_gaps,
+    interval_union,
     iterate_segment_pieces,
     point,
     restrict_iterate_to_segment,
@@ -306,6 +308,49 @@ def test_line_cover_helpers_match_brute_force():
             want = any(_lattice_segment_holds(a, b, pt) for a, b in covered)
             assert _cover_contains(cover, *pt) == want, (covered, pt)
     assert min(seen.values()) >= 50, seen
+
+
+def test_interval_union_and_gaps_match_the_cell_oracle():
+    # The engine's sweeps against the oracles' cell counts, and both against
+    # the sets themselves, read at every end and between consecutive ends
+    # (where neither set can change).
+    rng = random.Random(4545)
+    seen = dict.fromkeys(("fraction", "empty", "point", "touching", "nested", "no_gap", "split"), 0)
+    for _ in range(2000):
+        den = rng.choice((1, 1, 2, 3))
+        end = (lambda: rng.randint(-8, 8)) if den == 1 else (lambda: F(rng.randint(-8, 8), den))
+        intervals = []
+        for _ in range(rng.choice((0, 1, 2, 3, 4, 6))):
+            a = end()
+            b = a if rng.random() < 0.15 else end()
+            if intervals and rng.random() < 0.3:  # an end of an earlier interval
+                a = rng.choice(rng.choice(intervals))
+            intervals.append((min(a, b), max(a, b)))
+        lo, hi = sorted((end(), end()))
+        union = interval_union(intervals)
+        assert union == oracles.interval_union(intervals), intervals
+        gaps = interval_gaps(lo, hi, union)
+        assert gaps == oracles.interval_gaps(lo, hi, union), (lo, hi, union)
+
+        ends = sorted({v for iv in intervals for v in iv} | {lo, hi})
+        samples = [*ends, *(F(u + v, 2) for u, v in zip(ends, ends[1:])), ends[0] - 1, ends[-1] + 1]
+        for x in samples:
+            held = any(a <= x <= b for a, b in intervals)
+            assert held == any(a <= x <= b for a, b in union), (intervals, x)
+            if lo < hi and lo <= x <= hi:
+                assert (not held) <= any(g0 <= x <= g1 for g0, g1 in gaps), (lo, hi, intervals, x)
+                assert not (held and any(g0 < x < g1 for g0, g1 in gaps)), (lo, hi, intervals, x)
+        assert all(h < l2 for (_, h), (l2, _) in zip(union, union[1:]))
+        assert all(g1 <= g2 for (_, g1), (g2, _) in zip(gaps, gaps[1:]))  # a point of the union splits
+        assert all(lo <= g0 < g1 <= hi for g0, g1 in gaps)
+        seen["fraction"] += den > 1
+        seen["empty"] += not intervals
+        seen["point"] += any(a == b for a, b in intervals) or lo == hi
+        seen["touching"] += any(b1 == a2 for (_, b1), (a2, _) in itertools.permutations(intervals, 2))
+        seen["nested"] += any(a1 <= a2 and b2 <= b1 for (a1, b1), (a2, b2) in itertools.permutations(intervals, 2))
+        seen["no_gap"] += lo < hi and not gaps
+        seen["split"] += len(gaps) > 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_detect_plateaus_band48_brute_force_oracle():

@@ -5,6 +5,7 @@ from math import isqrt
 import pytest
 
 import oracles
+from pwldyn import polys
 from pwldyn.band48 import poly_exact_t, poly_exact_v, poly_lower, poly_upper_s, poly_upper_u
 from pwldyn.markov import digraph_from_edges, spectral_radius
 from pwldyn.polys import (
@@ -20,7 +21,6 @@ from pwldyn.polys import (
     poly_gcd,
     sturm_chain,
     _approximate,
-    _exact_quotient,
     _homogeneous,
     _primitive,
     _pseudo_divmod,
@@ -186,13 +186,21 @@ def test_poly_det_matches_the_cofactor_oracle():
     assert deficient >= 100
 
 
-def test_poly_det_refuses_an_inexact_division():
-    y = IntPoly([0, 1])
-    assert _exact_quotient(y * y - IntPoly([1]), y + IntPoly([1])) == y - IntPoly([1])
-    assert _exact_quotient(IntPoly([]), y) == IntPoly([])
-    for a, b in ((y * y, y + IntPoly([1])), (IntPoly([3]), IntPoly([2])), (y, y * y)):
+def test_poly_det_refuses_an_inexact_division(monkeypatch):
+    # An exact division scales nothing (k == 1) and leaves no remainder; each
+    # inexact one shows a scale or a remainder, which `poly_det` refuses.
+    y, one = IntPoly([0, 1]), IntPoly([1])
+    assert _pseudo_divmod(y * y - one, y + one) == (1, y - one, IntPoly([]))
+    assert _pseudo_divmod(IntPoly([]), y) == (1, IntPoly([]), IntPoly([]))
+    assert _pseudo_divmod(y * y, y + one) == (1, y - one, one)
+    assert _pseudo_divmod(IntPoly([3]), IntPoly([2])) == (2, IntPoly([3]), IntPoly([]))
+    assert _pseudo_divmod(y, y * y) == (1, IntPoly([]), y)
+    m = [[y + one, y], [y, y - one]]
+    assert poly_det(m) == oracles.poly_det(m)
+    for bad in ((2, y, IntPoly([])), (1, y, one)):
+        monkeypatch.setattr(polys, "_pseudo_divmod", lambda a, b, bad=bad: bad)
         with pytest.raises(ValueError, match="^polynomial division is not exact$"):
-            _exact_quotient(a, b)
+            poly_det([[y, one, one], [one, y, one], [one, one, y]])
 
 
 def _random_factor(rng: random.Random, deg: int) -> IntPoly:
@@ -233,9 +241,12 @@ def test_integer_division_matches_fraction_oracle():
     degrees = set()
     for a, b in _division_cases(rng, 2000):
         degrees.add(a.degree)
-        q, r = _pseudo_divmod(a, b)
+        k, q, r = _pseudo_divmod(a, b)
+        assert k > 0 and IntPoly([k]) * a == q * b + r and r.degree < b.degree
         fq, fr = oracles._poly_divmod(oracles._frac_coeffs(a), oracles._frac_coeffs(b))
         assert (_primitive(q), _primitive(r)) == (oracles._primitive(fq), oracles._primitive(fr))
+        exact = all(c.denominator == 1 for c in fq) and not any(fr)
+        assert (k == 1 and r.is_zero()) == exact
         assert sturm_chain(a) == oracles.sturm_chain(a)
         assert poly_gcd(a, b) == oracles.poly_gcd(a, b)
         assert _squarefree_part(a) == oracles.squarefree_part(a)
