@@ -162,6 +162,7 @@ class EntropyResult(NamedTuple):
         That ends: ln of an algebraic number other than 1 is transcendental,
         so it is never a rounding boundary.
         """
+        _refuse_above_ceiling(places)
         lo = _rounded(self.lo_root, self.ln_lo, places)
         if self.kind == "exact":
             return lo
@@ -177,10 +178,24 @@ def _rounded(root: RootInterval, ln: tuple[Fraction, Fraction], places: int) -> 
     return text
 
 
+# The most digits `entropy_or_bounds` and `EntropyResult.decimal` take.
+# Past about 1000 digits an entropy's time is its logarithm's, which grows
+# about as digits^2.6: 0.10 s at 3000, 2.48 s at 10,000 and 44.6 s at
+# 30,000 (Python 3.11, a shared 2-core machine), so about 10 minutes near
+# 80,000.  Above it a request is refused before any power of ten is built.
+_MAX_DIGITS = 80_000
+
+
+def _refuse_above_ceiling(digits: int) -> None:
+    if digits > _MAX_DIGITS:
+        raise ValueError(f"digits must be <= {_MAX_DIGITS}, got {digits}")
+
+
 def entropy_or_bounds(b, digits: int = 7) -> EntropyResult:
     """Exact entropy (classes T, V) or certified bounds (classes S, U)."""
     if digits < 0:
         raise ValueError(f"digits must be >= 0, got {digits}")
+    _refuse_above_ceiling(digits)
     lc = classify(b)
     polys = level_polynomials(lc)
     err = F(1, 10 ** (digits + 3))

@@ -1,29 +1,28 @@
 """Integer polynomials, sign-change counting, and certified root isolation.
 
 Root enclosures come from one exact refinement loop, `RootInterval.refined`,
-behind two bracket strategies:
+behind two bracket strategies that count roots by one rule, Descartes'
+(the coefficient sign changes, `_sign_changes`):
 
 - `isolate_unique_positive_root` takes a polynomial with exactly one
   positive coefficient sign change (so one positive root) and brackets it
   by [1, 1+max|coeff|] or [0, 1], from one exact sign at 1;
-- `largest_positive_root` takes any integer polynomial and bisects its
-  square-free part with Sturm counts until the largest positive root is
-  alone in (lo, hi].  That is what the spectral-radius code needs for
-  characteristic polynomials with repeated or clustered roots.  It routes a
-  polynomial with one sign change to the first strategy and returns a
-  largest root of exactly 1 as the exact interval [1, 1].
+- `largest_positive_root` takes any integer polynomial and isolates the
+  largest positive root of its square-free part in a dyadic cell of its
+  root bound, by the sign changes on each cell.  That is what the
+  spectral-radius code needs for characteristic polynomials with repeated
+  or clustered roots.  It routes a polynomial with one sign change to the
+  first strategy and returns a largest root of exactly 1 as the exact
+  interval [1, 1].
 
 `compare_roots` orders the roots of two enclosures exactly, refining
 them only while they overlap and hold distinct roots.
 
-`IntPoly` is the one polynomial type, and its nonzero (power, coeff) terms
-are its one representation; the dense coefficient tuple is a view that
-only the pseudo-division reads.  That one long division, `_pseudo_divmod`,
-scales by the divisor's leading coefficient only where a step is not
-exact in Z[y].  Sturm chain members, gcds and square-free parts are its
-primitive remainders and quotients, positive multiples of the rational
-ones, and the rome determinant of `markov`, `poly_det` (fraction-free
-elimination over `IntPoly` entries), takes each exact division from it.
+`IntPoly` is the one polynomial type.  Its one long division,
+`_pseudo_divmod`, scales by the divisor's leading coefficient only where a
+step is not exact in Z[y]: gcds and square-free parts are its primitive
+remainders and quotients, and `poly_det`, the rome determinant of `markov`
+by fraction-free elimination, takes each exact division from it.
 
 The kernel reads those terms with the odd part d of a point's denominator:
 at x = m / (d * 2^k) it evaluates the integer (d * 2^k)^deg * p(x), so a
@@ -32,24 +31,14 @@ sign needs no Fraction.  `_homogeneous` builds that integer exactly;
 fixed-point `_approximate`, which rounds x (or 1/x, where x > 2) and every
 product of its powers all down or all up.  Every exact sign (the two that
 prove a refinement's answer, the plain bisection's midpoints, `_sign_at`
-in the constructor's proof, in Sturm counts and in
-`largest_positive_root`) goes through `_probe`.  Where the exact integer
-would be long, `_probe` first takes the sign that a pass rounded down and
-one rounded up prove, at a few more bits than the point's depth
-(directed rounding, as in Rump's verification methods); the exact kernel
-decides only when they cannot.  So every sign is exact, no float is
-used, and a deep probe costs about its depth in bits rather than degree
-times depth.
-
-The refinement returns the bisection's enclosure to the bit.  Where the
-root is the only positive one (one coefficient sign change, lo >= 0 not a
-root) that enclosure is known in advance, the depth-K grid cell that holds
-the root or the root itself on that grid, so the refinement predicts it
-and proves it, after Rump: a Newton-type search on the same kernel's
-values, rounded down (`_predicted_point`), finds the cell in O(log K)
-steps, and two exact signs at its ends prove it.  A failed proof, and
-every other root, takes the plain bisection (`_bisected`), one exact
-sign per bit.
+in the constructor's proof and in `_same_root`) goes through `_probe`.
+Where the exact integer would be long, `_probe` first takes the sign that
+a pass rounded down and one rounded up prove, at a few more bits than the
+point's depth (directed rounding, as in Rump's verification methods); the
+exact kernel decides only when they cannot.  So every sign is exact, no
+float is used, and a deep probe costs about its depth in bits rather than
+degree times depth.  How the refinement predicts and proves its answer
+is told at `RootInterval.refined`.
 """
 
 from __future__ import annotations
@@ -157,13 +146,15 @@ def _integers(values: Iterable) -> list[int]:
 
 
 def descartes_positive_sign_changes(p: IntPoly) -> int:
-    """Number of sign changes in the coefficient sequence (zeros skipped).
-
-    One sign change certifies exactly one positive real root.
-    """
+    """Sign changes of the coefficients: one certifies exactly one positive root."""
     if p.is_zero():
         raise ValueError("zero polynomial has no sign-change count")
-    signs = [c > 0 for _, c in p.terms]
+    return _sign_changes(c for _, c in p.terms)
+
+
+def _sign_changes(values: Iterable[int]) -> int:
+    """Sign changes along a sequence of integers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -241,11 +232,7 @@ class RootInterval:
         there and at the neighbour on the root's side, prove the cell (or
         hit the root).  Only a failed proof runs the plain steps, from the
         start.  So the enclosure is the bisection's to the bit, in two
-        exact probes and O(log K) approximate evaluations.
-
-        Each exact sign is read by `_probe`, proven from fixed-point bounds
-        at about K bits when the exact value would be long.  Fractions are
-        built at return.
+        exact probes (`_probe`) and O(log K) approximate evaluations.
         """
         if digits < 0:
             raise ValueError(f"digits must be >= 0, got {digits}")
@@ -629,8 +616,7 @@ def isolate_unique_positive_root(p: IntPoly, digits: int) -> RootInterval:
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains (needed for characteristic polynomials of arbitrary digraphs,
-# whose positive roots need not be simple or unique)
+# Division, gcds, and the roots of characteristic polynomials of digraphs
 # ---------------------------------------------------------------------------
 
 
@@ -661,31 +647,6 @@ def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[int, IntPoly, IntPoly]:
     return k, IntPoly(q), IntPoly(r)
 
 
-def sturm_chain(p: IntPoly) -> list[IntPoly]:
-    """Sturm chain of p.  Each remainder is scaled by a positive constant to
-    a primitive integer polynomial, which keeps every sign of the chain."""
-    chain = [p]
-    nxt = p.derivative()
-    while not nxt.is_zero():
-        chain.append(nxt)
-        nxt = _primitive(-_pseudo_divmod(chain[-2], nxt)[2])
-    return chain
-
-
-def _sturm_variations(chain: list[IntPoly], x: Fraction) -> int:
-    signs = [s for s in (_sign_at(q, x) for q in chain) if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots_in(p: IntPoly, a: Fraction, b: Fraction, chain=None) -> int:
-    """Number of distinct real roots of p in the half-open interval (a, b]."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    if chain is None:
-        chain = sturm_chain(p)
-    return _sturm_variations(chain, a) - _sturm_variations(chain, b)
-
-
 def _primitive(p: IntPoly) -> IntPoly:
     """p divided by its content, the gcd of its coefficients."""
     g = gcd(*(c for _, c in p.terms))
@@ -714,12 +675,11 @@ def _squarefree_part(p: IntPoly) -> IntPoly:
 def largest_positive_root(p: IntPoly, digits: int) -> RootInterval | None:
     """Certified enclosure of the largest positive real root, or None.
 
-    Works for any nonzero integer polynomial.  With one coefficient sign
-    change the root is unique and `isolate_unique_positive_root` brackets
-    it.  Otherwise the square-free part is bisected with Sturm counts until
-    the largest root is alone in (lo, hi], so repeated roots and several
-    positive roots are all handled; a largest root of exactly 1 (a pure
-    cycle's radius) is returned as the exact interval [1, 1].
+    For any nonzero integer polynomial: `isolate_unique_positive_root`
+    where one coefficient sign change makes the root unique, else the
+    bisection of the coarsest dyadic cell of (0, 1 + max|coeff|] that holds
+    the square-free part's largest root alone (`_root_cells`), or [1, 1]
+    where that root is 1 (a pure cycle's radius).
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -729,25 +689,60 @@ def largest_positive_root(p: IntPoly, digits: int) -> RootInterval | None:
     if descartes_positive_sign_changes(core) == 1:
         return isolate_unique_positive_root(core, digits)
     sf = _squarefree_part(core)
-    chain = sturm_chain(sf)
-    lo, hi = Fraction(0), Fraction(coefficient_bound(sf))
-    # Invariant: the largest positive root lies in (lo, hi], with n roots there.
-    n = count_roots_in(sf, lo, hi, chain)
-    if n == 0:
+    bound = coefficient_bound(sf)
+    cells = _root_cells(sf, bound)
+    k, c, at_end = next(cells, (0, None, False))
+    if c is None:
         return None
-    one = Fraction(1)
-    if _sign_at(sf, one) == 0 and count_roots_in(sf, one, hi, chain) == 0:
-        return RootInterval(one, one, sf)
-    while n > 1:
-        mid = (lo + hi) / 2
-        above = count_roots_in(sf, mid, hi, chain)
-        if above:
-            lo, n = mid, above
-        elif _sign_at(sf, mid) == 0:
-            return RootInterval(mid, mid, sf)
-        else:
-            hi = mid
+    top = (bound * 10**digits).bit_length()  # the level of refined(digits)'s cells
+    if k > top:
+        # Isolated deeper (complex roots nearby kept the count up): the
+        # bisection stops at `top`, or where the root parts from the next.
+        y, d, _ = next(cells, (0, -1, False))  # (0, -1): no second root
+        m = min(k, y)
+        level = max(m + 1 - ((c >> k - m) ^ (d >> y - m)).bit_length(), top)
+        if k > level:
+            c, k, at_end = c >> k - level, level, False
+    lo, hi = Fraction(bound * c, 1 << k), Fraction(bound * (c + 1), 1 << k)
+    if at_end:
+        return RootInterval(hi, hi, sf)
+    if lo < 1 < hi and not sum(a for _, a in sf.terms):
+        return RootInterval(Fraction(1), Fraction(1), sf)
     return RootInterval(lo, hi, sf).refined(digits)
+
+
+def _root_cells(sf: IntPoly, bound: int):
+    """sf's positive roots right to left, sf square-free, as dyadic cells
+    (k, c, at_end) of (0, bound]: (c, c + 1] * bound / 2^k has the root at
+    its right end where at_end, else exactly one root, inside.
+
+    A depth-first search, right half first, after Collins and Akritas.  A
+    cell carries q(x) = 2^(kn) sf(bound (c + x) / 2^k), n = deg sf: q(1) = 0
+    is a root at its right end, and the sign changes of (1 + x)^n q(1 / (1 +
+    x)) bound the roots inside with their parity (Descartes' rule).  0 drops
+    the cell, 1 isolates a root, more split it into 2^n q(x / 2) and that
+    shifted by 1.  Narrow cells count 0 or 1, so the search ends.
+    """
+    stack = [(0, 0, [a * bound**i for i, a in enumerate(sf.coeffs)])]
+    while stack:
+        k, c, q = stack.pop()
+        if not sum(q):
+            yield k, c, True
+        count = _sign_changes(_taylor_shift(q[::-1]))
+        if count == 1:
+            yield k, c, False
+        elif count > 1:
+            left = [a << len(q) - 1 - i for i, a in enumerate(q)]
+            stack += (k + 1, 2 * c, left), (k + 1, 2 * c + 1, _taylor_shift(left))
+
+
+def _taylor_shift(q: list[int]) -> list[int]:
+    """The ascending coefficients of q(x + 1), by synthetic division."""
+    q = list(q)
+    for i in range(len(q) - 1):
+        for j in range(len(q) - 2, i - 1, -1):
+            q[j] += q[j + 1]
+    return q
 
 
 def compare_roots(a: RootInterval, b: RootInterval) -> int:
@@ -778,8 +773,10 @@ def _same_root(a: RootInterval, b: RootInterval) -> bool:
     """Whether two enclosures hold the same root.
 
     An exact enclosure holds lo; any other holds the one root of its
-    polynomial in (lo, hi].  The roots agree iff gcd(a.poly, b.poly) has a
-    root where those two root sets meet.
+    polynomial in (lo, hi], a sign change, so not hi and of odd multiplicity.
+    The roots agree iff g = gcd(a.poly, b.poly) has a root where those root
+    sets meet.  For two proper enclosures that is the overlap (lo, hi], where
+    g has at most one root, of odd multiplicity: so iff g changes sign there.
     """
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo > hi:
@@ -789,7 +786,7 @@ def _same_root(a: RootInterval, b: RootInterval) -> bool:
         return False
     if lo == hi:
         return g(lo) == 0 and all(r.is_exact or r.lo < lo for r in (a, b))
-    return count_roots_in(g, lo, hi) > 0
+    return _sign_right_of(g, lo) != _sign_at(g, hi)
 
 
 # ---------------------------------------------------------------------------

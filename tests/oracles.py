@@ -16,7 +16,10 @@ family and its closing window are the earlier generic form of
 `certify.TrapezoidFamily`, and the per-window d -> b maps and invariant
 segments are the earlier hand-written form of its table.  The Sturm chain,
 gcd and square-free part by Fraction long division are the earlier form of
-the integer pseudo-division in `polys`.  The band48 cross-check that also
+the integer pseudo-division in `polys`; the Sturm root count, the Sturm
+bisection of a largest positive root and the gcd-and-count test of a shared
+root are the earlier forms of its Descartes cell search and `_same_root`,
+and a cell's Descartes count from Fraction coefficients checks that search.  The band48 cross-check that also
 built the entropy brackets and compared two radius enclosures is kept as
 the earlier form of `band48.cross_check_entropy`.  The refinement loop
 that built every probe's exact integer, with no sign bounds, is kept as
@@ -54,6 +57,7 @@ than borrow the lattice engine's.  No library code imports this module.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -1015,7 +1019,8 @@ def _atanh_both_ways(a: int, b: int, prec: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains, gcds and square-free parts by Fraction long division
+# Sturm chains, gcds and square-free parts by Fraction long division, and
+# the root counts and searches that read them
 # ---------------------------------------------------------------------------
 
 
@@ -1084,6 +1089,88 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     q, rem = _poly_divmod(_frac_coeffs(p), _frac_coeffs(g))
     assert not rem, "gcd division must be exact"
     return _primitive(q).normalized_sign()
+
+
+def _sign_of_value(p: IntPoly, x: Fraction) -> int:
+    """Sign of p(x), read off the numerator of the Fraction p(x) * d^deg
+    for x = n / d: the sum of c_k n^k d^(deg - k)."""
+    n, d, deg = x.numerator, x.denominator, p.degree
+    value = sum(c * n**k * d ** (deg - k) for k, c in enumerate(p.coeffs) if c)
+    return (value > 0) - (value < 0)
+
+
+def _sturm_variations(chain: list[IntPoly], x: Fraction) -> int:
+    signs = [s for s in (_sign_of_value(q, x) for q in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def count_roots_in(p: IntPoly, a: Fraction, b: Fraction) -> int:
+    """Number of distinct real roots of p in the half-open interval (a, b],
+    by Sturm's theorem."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    chain = sturm_chain(p)
+    return _sturm_variations(chain, a) - _sturm_variations(chain, b)
+
+
+def largest_positive_root(p: IntPoly, digits: int) -> RootInterval | None:
+    """The earlier general route of `polys.largest_positive_root`, for a
+    polynomial with other than one coefficient sign change: its square-free
+    part is bisected from (0, 1 + max|coeff|] with Sturm counts until the
+    largest positive root is alone in (lo, hi], which is then refined; a
+    largest root of exactly 1, or a midpoint that is the largest root, is
+    returned exactly."""
+    core, _ = p.strip_power_factor()
+    if core.degree <= 0 or descartes_positive_sign_changes(core) == 1:
+        raise ValueError("not a polynomial of the general route")
+    sf = squarefree_part(core)
+    chain = sturm_chain(sf)
+    variations = functools.lru_cache(maxsize=None)(lambda x: _sturm_variations(chain, x))
+    lo, hi = Fraction(0), Fraction(1 + max(abs(c) for c in sf.coeffs))
+    n = variations(lo) - variations(hi)
+    if n == 0:
+        return None
+    one = Fraction(1)
+    if _sign_of_value(sf, one) == 0 and variations(one) == variations(hi):
+        return RootInterval(one, one, sf)
+    while n > 1:
+        mid = (lo + hi) / 2
+        above = variations(mid) - variations(hi)
+        if above:
+            lo, n = mid, above
+        elif _sign_of_value(sf, mid) == 0:
+            return RootInterval(mid, mid, sf)
+        else:
+            hi = mid
+    return RootInterval(lo, hi, sf).refined(digits)
+
+
+def same_root(a: RootInterval, b: RootInterval) -> bool:
+    """The earlier `polys._same_root`: whether the gcd of the two
+    polynomials has a root where the enclosures' root sets meet, counted by
+    Sturm's theorem on the overlap (lo, hi]."""
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if lo > hi:
+        return False
+    g = poly_gcd(a.poly, b.poly)
+    if g.degree <= 0:
+        return False
+    if lo == hi:
+        return _sign_of_value(g, lo) == 0 and all(r.is_exact or r.lo < lo for r in (a, b))
+    return count_roots_in(g, lo, hi) > 0
+
+
+def descartes_cell_count(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
+    """Sign changes of the Fraction coefficients of (1 + y)^n p((lo + hi y)
+    / (1 + y)), n = deg p: Descartes' bound on the roots of p in (lo, hi)."""
+    n, total = p.degree, [Fraction(0)] * (p.degree + 1)
+    for i, c in enumerate(p.coeffs):
+        term = [Fraction(c)]
+        for factor in [(lo, hi)] * i + [(1, 1)] * (n - i):
+            term = [a * factor[0] + b * factor[1] for a, b in zip(term + [0], [0] + term)]
+        total = [t + u for t, u in zip(total, term)]
+    signs = [t > 0 for t in total if t]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 # ---------------------------------------------------------------------------

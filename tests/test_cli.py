@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -251,13 +252,17 @@ def _graph_stdout(regime: str, b: F, fmt: str) -> str:
     return (json.dumps(g.to_json(), indent=2) if fmt == "json" else g.to_svg()) + "\n"
 
 
-def test_cli_contract_on_generated_input(capsys):
+def test_cli_contract_on_generated_input(capsys, monkeypatch):
     # Seeded `entropy`, `graph`, `table1` and `certify-*` commands, run through
     # `main` in-process: b at class and regime ends +- 10^-k in several forms,
-    # a few values of a, digits valid, negative or malformed, and periods
-    # valid, negative, huge or malformed.  Each exits 2 with one error line,
-    # or 0 with the stdout of the library call it reports.  Positive digits
-    # stay small: the bracket width 10^-(digits + 3) is built exactly.
+    # a few values of a, digits valid, negative, malformed, at the ceiling,
+    # above it or huge, and periods valid, negative, huge or malformed.  Each
+    # returns within 1 s and exits 2 with one error line, or 0 with the
+    # stdout of the library call it reports.  The digits ceiling is lowered
+    # to 40 here, so that a case at it runs in that time (the real ceiling's
+    # refusals are `test_digits_above_the_ceiling_are_refused_up_front`).
+    ceiling = 40
+    monkeypatch.setattr(band48, "_MAX_DIGITS", ceiling)
     rng = random.Random(4545)
     class_ends = sorted({end for n in range(6) for letter in "STUV"
                          for end in band48.LevelClass(n, letter).interval()[:2]})
@@ -268,8 +273,8 @@ def test_cli_contract_on_generated_input(capsys):
     def pick(valid, invalid):
         return rng.choice(valid if rng.random() < 0.7 else invalid)
 
-    digits_invalid = ["-1", "x", "", "3.0", "1e3", str(-(10**30))]
-    digits_valid = ["0", "1", "5", "12", "30", "\u0663", "1_2", " 8 ", "-0", "+4"]
+    digits_invalid = ["-1", "x", "", "3.0", "1e3", str(-(10**30)), str(ceiling + 1), str(10**30)]
+    digits_valid = ["0", "1", "5", "12", "30", "\u0663", "1_2", " 8 ", "-0", "+4", str(ceiling)]
     cases = []
     for _ in range(550):
         scale = rng.choice((1, 1, 1, 2, F(1, 2)))  # (a, b) = (-scale, scale*b)
@@ -300,10 +305,12 @@ def test_cli_contract_on_generated_input(capsys):
                       lambda tag=tag, upper=upper, lower=lower: certificate(tag, int(upper), int(lower))))
     codes: dict[tuple, int] = {}
     for argv, library in cases:
+        start = time.perf_counter()
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+        assert time.perf_counter() - start < 1, argv
         out, err = capsys.readouterr()
         if code == 2:
             assert out == "" and err.startswith("pwldyn: error: ") and err.count("\n") == 1, (argv, err)
@@ -314,6 +321,25 @@ def test_cli_contract_on_generated_input(capsys):
     assert len(cases) >= 1500
     commands = ("entropy", "graph", "table1", "certify-alpha", "certify-beta")
     assert min(codes.get((cmd, code), 0) for cmd in commands for code in (0, 2)) >= 40, codes
+
+
+@pytest.mark.parametrize("command", ["entropy", "table1"])
+def test_digits_above_the_ceiling_are_refused_up_front(capsys, command):
+    ceiling = band48._MAX_DIGITS
+    for digits in (ceiling + 1, 10**30):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--digits", str(digits)] + (["--b", "5"] if command == "entropy" else []))
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"pwldyn: error: digits must be <= {ceiling}, got {digits}\n"
+    # the ceiling itself passes the digits check: here b is what is refused
+    with pytest.raises(SystemExit):
+        main(["entropy", "--b", "9", "--digits", str(ceiling)])
+    assert "b = 9" in capsys.readouterr().err
+    result = band48.entropy_or_bounds(5, 3)
+    with pytest.raises(ValueError, match=f"^digits must be <= {ceiling}, got {ceiling + 1}$"):
+        result.decimal(ceiling + 1)
 
 
 def test_verify_command(capsys):

@@ -13,13 +13,11 @@ from pwldyn.polys import (
     RootInterval,
     coefficient_bound,
     compare_roots,
-    count_roots_in,
     descartes_positive_sign_changes,
     isolate_unique_positive_root,
     largest_positive_root,
     poly_det,
     poly_gcd,
-    sturm_chain,
     _approximate,
     _homogeneous,
     _primitive,
@@ -111,12 +109,14 @@ def test_compare_roots_refuses_the_zero_polynomial():
 
 def test_count_roots_in_refuses_the_zero_polynomial():
     with pytest.raises(ValueError, match="zero polynomial"):
-        count_roots_in(IntPoly([]), F(0), F(1))
+        oracles.count_roots_in(IntPoly([]), F(0), F(1))
+    with pytest.raises(ValueError, match="zero polynomial"):  # the engine's root search too
+        largest_positive_root(IntPoly([]), 5)
 
 
 def test_sturm_counting_and_largest_root():
     p = poly(p2=1, p0=-2) * poly(p1=1, p0=-3)  # roots +-sqrt(2), 3
-    assert count_roots_in(p, F(0), F(10)) == 2
+    assert oracles.count_roots_in(p, F(0), F(10)) == 2
     ri = largest_positive_root(p, 12)
     assert ri.lo <= 3 <= ri.hi
     # squared factor: distinct-root semantics
@@ -247,7 +247,6 @@ def test_integer_division_matches_fraction_oracle():
         assert (_primitive(q), _primitive(r)) == (oracles._primitive(fq), oracles._primitive(fr))
         exact = all(c.denominator == 1 for c in fq) and not any(fr)
         assert (k == 1 and r.is_zero()) == exact
-        assert sturm_chain(a) == oracles.sturm_chain(a)
         assert poly_gcd(a, b) == oracles.poly_gcd(a, b)
         assert _squarefree_part(a) == oracles.squarefree_part(a)
     assert max(degrees) == 40
@@ -270,11 +269,162 @@ def test_sturm_gcd_and_squarefree_do_no_fraction_arithmetic(monkeypatch):
     with monkeypatch.context() as patch:
         for op in _FRACTION_OPERATORS:
             patch.setattr(F, op, forbidden)
-        chain = sturm_chain(p)
         g = poly_gcd(p, t * poly_lower(10))
         sf = _squarefree_part(p)
-    assert _primitive(chain[-1]).normalized_sign() == g == t
+        cells = list(polys._root_cells(sf, coefficient_bound(sf)))
+    assert g == t
     assert sf == (t * v).normalized_sign()
+    assert len(cells) == 2  # the largest roots of t and v, each alone in a cell
+
+
+def _factor(rng: random.Random) -> IntPoly:
+    """A small factor: a rational or dyadic root, the root 1, two real roots
+    c +- sqrt(e) / s (clustered for large s), a complex pair (s x - a)^2 + e
+    next to the real point a / s, or random coefficients."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return poly(p1=rng.randint(1, 8), p0=-rng.randint(-20, 40))
+    if kind == 1:
+        return poly(p1=1 << rng.randint(0, 6), p0=-rng.randint(1, 60))
+    if kind == 2:
+        return poly(p1=1, p0=-1)
+    s = 10 ** rng.randint(1, 3)
+    if kind == 3:
+        c, e = rng.randint(1, 9), rng.randint(1, 3)
+        return poly(p2=s * s, p1=-2 * c * s * s, p0=c * c * s * s - e)
+    if kind == 4:
+        a, e = rng.randint(1, 30 * s), rng.randint(1, s)
+        return poly(p2=s * s, p1=-2 * a * s, p0=a * a + e)
+    return _random_factor(rng, rng.randint(1, 4))
+
+
+def _general_route_pool(monkeypatch, rng: random.Random, digraphs: int, products: int) -> list[IntPoly]:
+    """Seeded polynomials of `largest_positive_root`'s general route (other
+    than one coefficient sign change): those `spectral_radius` isolates on
+    random digraphs of 1-12 nodes, products of `_factor`s, some squared,
+    and last two whose largest root is a point of the search's grid below
+    the cells of `refined(0)`, one with a complex pair next to it and one
+    with a second real root."""
+    from pwldyn import markov
+
+    seen = []
+    monkeypatch.setattr(markov, "largest_positive_root", lambda p, digits: seen.append(p) or largest_positive_root(p, digits))
+    for _ in range(digraphs):
+        n = rng.randint(1, 12)
+        labels = [f"v{i}" for i in range(n)]
+        density = rng.choice((0.1, 0.2, 0.3, 0.45))
+        spectral_radius(digraph_from_edges(labels, [(a, b) for a in labels for b in labels if rng.random() < density]), 12, check=False)
+    monkeypatch.undo()
+    for _ in range(products):
+        p = IntPoly([1])
+        for _ in range(rng.randint(1, 3)):
+            f = _factor(rng)
+            p = p * f * (f if rng.random() < 0.3 else IntPoly([1]))
+        seen.append(p)
+    seen += [  # 1 + max|coeff| = 2^15 and 2^23; the root 5/4 is at depth 17 and 25
+        poly(p1=4, p0=-5) * poly(p2=8, p1=-20, p0=13) * poly(p1=1, p0=216),
+        poly(p1=4, p0=-5) * poly(p1=8, p0=-9) * poly(p1=1, p0=110377),
+    ]
+    general = []
+    for p in seen:
+        core = p.strip_power_factor()[0]
+        if core.degree > 0 and descartes_positive_sign_changes(core) != 1:
+            general.append(p)
+    return general
+
+
+def test_largest_positive_root_matches_the_sturm_route(monkeypatch):
+    # The cell search returns the Sturm bisection's enclosure to the bit,
+    # also where it isolates the root below the cells of `refined(digits)`.
+    rng = random.Random(4646)
+    pool = _general_route_pool(monkeypatch, rng, 900, 2000)
+    assert len(pool) >= 2000
+    kinds = dict.fromkeys(("repeated", "none", "exact", "one", "deep", "deep exact"), 0)
+    cases = [(p, rng.choice((0, 0, 1, 2, 3, 5, 8, 12))) for p in pool] + [(p, 0) for p in pool[-2:]]
+    for p, digits in cases:
+        ri = largest_positive_root(p, digits)
+        assert ri == oracles.largest_positive_root(p, digits), (p, digits)
+        kinds["none"] += ri is None
+        if ri is None:
+            continue
+        sf = ri.poly  # the square-free part
+        kinds["repeated"] += sf.degree < p.strip_power_factor()[0].degree
+        kinds["exact"] += ri.is_exact and ri.lo != 1
+        kinds["one"] += ri.is_exact and ri.lo == 1
+        if digits <= 3:  # where the search isolates below `refined`'s cells
+            bound = coefficient_bound(sf)
+            k, _, at_end = next(polys._root_cells(sf, bound))
+            deep = k > (bound * 10**digits).bit_length()
+            kinds["deep"] += deep
+            kinds["deep exact"] += deep and at_end
+    assert min(kinds.values()) >= 2 and kinds["deep"] >= 100, kinds
+
+
+def test_cell_counts_match_the_descartes_oracle():
+    # The search's cell polynomial, reached by its halvings and Taylor shifts,
+    # is 2^(kn) p(B (c + x) / 2^k), and the engine's count on it equals
+    # Descartes' count on (1 + y)^n p((lo + hi y) / (1 + y)) from Fractions.
+    rng = random.Random(4747)
+    at_root = 0
+    for case in range(600):
+        p = IntPoly([1])
+        for _ in range(rng.randint(1, 3)):
+            p = p * _factor(rng)
+        bound = coefficient_bound(p) if case % 3 else rng.randint(1, 200)
+        k = rng.randint(0, 12)
+        c = rng.randrange(1 << k)
+        lo, hi = F(bound * c, 1 << k), F(bound * (c + 1), 1 << k)
+        if case % 4 == 0:  # a root at an end of the cell
+            end = rng.choice((lo, hi)) if lo else hi
+            p = p * IntPoly([-end.numerator, end.denominator])
+        q = [a * bound**i for i, a in enumerate(p.coeffs)]
+        for bit in reversed(range(k)):
+            q = [a << len(q) - 1 - i for i, a in enumerate(q)]
+            if c >> bit & 1:
+                q = polys._taylor_shift(q)
+        n = p.degree
+        # q(x) = 2^(kn) p(B (c + x) / 2^k) at the n + 1 points x = 0..n
+        assert [sum(a * x**i for i, a in enumerate(q)) for x in range(n + 1)] == [
+            sum(a * (bound * (c + x)) ** i << k * (n - i) for i, a in enumerate(p.coeffs)) for x in range(n + 1)]
+        at_root += not oracles._sign_of_value(p, lo) * oracles._sign_of_value(p, hi)
+        assert polys._sign_changes(polys._taylor_shift(q[::-1])) == oracles.descartes_cell_count(p, lo, hi), (p, lo, hi)
+    assert at_root >= 150
+
+
+def test_same_root_matches_gcd_and_sturm():
+    # Pairs of enclosures built to hold one root through two polynomials, to
+    # touch at their ends, or to be exact; `_same_root` decides each by a
+    # sign change where the oracle counts the gcd's roots with Sturm chains.
+    rng = random.Random(4848)
+    extra = (IntPoly([1]), poly(p1=1, p0=3), poly(p2=1, p0=1), poly(p2=1, p1=-1, p0=1))
+    groups = []
+    while len(groups) < 70:
+        p = IntPoly([1])
+        for _ in range(rng.randint(1, 3)):
+            p = p * _factor(rng)
+        group = [largest_positive_root(p * rng.choice(extra), rng.randrange(0, 8)) for _ in range(3)]
+        if group[0] is not None:
+            groups.append(group + [group[0].refined(rng.randrange(0, 12))])
+    for _ in range(20):  # r < sqrt(c) < r2: exact ends, and lo a root of the enclosure's polynomial
+        c, j = rng.choice((2, 3, 5, 7, 11)), rng.randrange(0, 12)
+        r, r2 = (F(isqrt(c * 100**j) + i, 10**j) for i in (0, 1))
+        at = {x: IntPoly([-x.numerator, x.denominator]) for x in (r, r2)}
+        square, near = poly(p2=1, p0=-c), IntPoly([-(c * 100 ** (j + 2) + 1), 0, 100 ** (j + 2)])  # sqrt(c + tiny)
+        groups.append([
+            RootInterval(r, r, at[r]), RootInterval(r, r, at[r] * poly(p1=1, p0=1)), RootInterval(r2, r2, at[r2]),
+            RootInterval(r, r2, at[r] * square), RootInterval(r, r2, square), RootInterval(r, r2, at[r] * near),
+            RootInterval(r, r2, square * square * square * at[r]).refined(2),
+        ])
+    flat = [ri for group in groups for ri in group]
+    pairs = [(a, b) for group in groups for a in group for b in group]
+    pairs += [(rng.choice(flat), rng.choice(flat)) for _ in range(200)]
+    assert len(pairs) >= 1000
+    seen = set()
+    for a, b in pairs:
+        same = polys._same_root(a, b)
+        assert same == oracles.same_root(a, b), (a, b)
+        seen.add((same, max(a.lo, b.lo) == min(a.hi, b.hi), a.hi == b.lo and not a.is_exact))
+    assert {(True, False, False), (False, False, False), (True, True, False), (False, True, False), (False, True, True)} <= seen, seen
 
 
 def test_negative_digits_are_refused():
