@@ -278,33 +278,29 @@ def upper_root_below(n: int, eps) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _graph_on_12d(b: Fraction) -> tuple[int, dict[str, tuple[int, int]], list[LatticeSegment]]:
-    """(12d, named points, edge ends) of the band48 graph at b = n/d, on the
-    lattice (1/12d)Z^2 where every partition end lies too."""
-    t = _table_lattice("band48", b)
-    named = {name: (3 * x, 3 * y) for name, (x, y) in t.named().items()}
-    return 3 * t.frame, named, [(3 * x1, 3 * y1, 3 * x2, 3 * y2) for x1, y1, x2, y2 in t.edge_ends().values()]
-
-
 def _partition(b: Fraction, named: dict[str, tuple[int, int]]) -> tuple[list[tuple[str, LatticeSegment]], LevelClass]:
     """Partition carrying the covering digraphs at b = u/v, as lattice ends
-    on (1/12v)Z^2, the named points of the graph given there; plateaus and
-    their feeders are absent (collapsed intervals carry no itineraries).
+    on the tables' (1/4v)Z^2, the named points of the graph given there;
+    plateaus and their feeders are absent (collapsed intervals carry no
+    itineraries).
 
-    The orbit points x_i = ((b-8)*4^(i+1) + 2 - b)/3 of the bottom edge and
-    their first two images are on that lattice: 12v*x_i is
-    4*((u - 8v)*4^(i+1) + 2v - u).
+    The orbit points of the bottom edge, x_0 = b - 10 and
+    x_(i+1) = 4x_i + b - 2, are each c0 + c1*b with integers c0 and c1, so
+    they and their first two images lie on that lattice too: 4v*x_i is
+    X_0 = 4u - 40v, then X_(i+1) = 4X_i + 4u - 8v.
     """
     lc = classify(b)
     n = lc.n
     u, v = b.numerator, b.denominator
-    bq, one = 12 * u, 12 * v  # b and 1 on the lattice
+    bq, one = 4 * u, 4 * v  # b and 1 on the lattice
 
     def P(name: str) -> tuple[int, int]:
         return named[name]
 
     # x_0 > x_1 > ... > x_n on the bottom edge
-    xs = [4 * ((u - 8 * v) * 4 ** (i + 1) + 2 * v - u) for i in range(n + 1)]
+    xs = [bq - 10 * one]
+    for _ in range(n):
+        xs.append(4 * xs[-1] + bq - 2 * one)
     bottom = [(x, -one) for x in xs]
     first_img = [(-x, x + bq - one) for x in xs]  # on the falling right edge
     second_img = [(-2 * x - bq, -2 * x + one) for x in xs]  # on the rising left edge
@@ -340,9 +336,9 @@ def cover_digraphs(b) -> tuple[CoverDigraph, CoverDigraph, LevelClass]:
     """(lower, upper) covering digraphs at b, from the actual invariant graph,
     with the partition and the graph's edges on one lattice."""
     b = Fraction(b)
-    frame, named, hosts = _graph_on_12d(b)
-    part, lc = _partition(b, named)
-    lower, upper = _cover_digraph_pair(frame, -frame, 12 * b.numerator, part, hosts)
+    t = _table_lattice("band48", b)
+    part, lc = _partition(b, t.named())
+    lower, upper = _cover_digraph_pair(t.frame, -t.frame, 4 * b.numerator, part, list(t.edge_ends().values()))
     return lower, upper, lc
 
 

@@ -66,24 +66,37 @@ def star_product(s: Itinerary) -> Itinerary:
     return Itinerary(tuple(out))
 
 
+# The longest periods `upper_pattern` and `lower_pattern` take.  Peak RSS
+# grows about 4x per doubling of a certificate's depth: 214 MB for
+# `certify-beta --upper 3072 --lower 4096` and 801 MB for certify, verify
+# and JSON at (6144, 8192) in one process (Python 3.11), so the next
+# doubling would pass 3 GB.  Above them a period is refused before any
+# doubling.
+_MAX_UPPER_PERIOD = 6144
+_MAX_LOWER_PERIOD = 8192
+
+
+def _doubled(seed: str, period: int, side: str, ceiling: int) -> Itinerary:
+    if period > ceiling:
+        raise ValueError(f"{side} period must be <= {ceiling}, got {period}")
+    pat = Itinerary.parse(seed)
+    while len(pat.symbols) < period:
+        pat = star_product(pat)
+    return pat
+
+
 def upper_pattern(period: int) -> Itinerary:
     """Pattern of period 3*2^k obtained by doubling the seed RLC."""
     if period < 3 or period % 3 or (period // 3) & (period // 3 - 1):
         raise ValueError(f"upper period must be 3*2^k, got {period}")
-    pat = Itinerary.parse("RLC")
-    while len(pat.symbols) < period:
-        pat = star_product(pat)
-    return pat
+    return _doubled("RLC", period, "upper", _MAX_UPPER_PERIOD)
 
 
 def lower_pattern(period: int) -> Itinerary:
     """Cascade pattern of period 2^k (k >= 1) obtained by doubling RC."""
     if period < 2 or period & (period - 1):
         raise ValueError(f"lower period must be 2^k with k >= 1, got {period}")
-    pat = Itinerary.parse("RC")
-    while len(pat.symbols) < period:
-        pat = star_product(pat)
-    return pat
+    return _doubled("RC", period, "lower", _MAX_LOWER_PERIOD)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +417,9 @@ def certify(tag: str, upper_period: int, lower_period: int) -> CertifiedInterval
     orbits are turned into Fractions.
     """
     fam = trapezoid_family(tag)
-    uppers = _window_endpoints(fam, upper_pattern(upper_period), "radius_above_one")
-    lowers = _window_endpoints(fam, lower_pattern(lower_period), "radius_one")
+    upper, lower = upper_pattern(upper_period), lower_pattern(lower_period)  # both refused before any window
+    uppers = _window_endpoints(fam, upper, "radius_above_one")
+    lowers = _window_endpoints(fam, lower, "radius_one")
     best = None
     for up in uppers:
         for lo in lowers:

@@ -74,6 +74,21 @@ def _check_depth(depth: int, top: int) -> None:
         raise ValueError(f"depth {depth} outside 0..{top}")
 
 
+# The deepest capture `edge_capture_profile` and `full_measure_report` take.
+# A report holds about depth^2 digits: `pwldyn measure --regime negb --b -3`
+# took 0.3 s / 53 MB at depth 1000, 1.8 s / 166 MB at 2000 and 3.3 s /
+# 251 MB at 2500 (Python 3.11, a shared 2-core machine), so about 1 GB
+# near 5000.  Above it a request is refused before any return map is built.
+_MAX_DEPTH = 5_000
+
+
+def _require_depth(depth: int) -> None:
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    if depth > _MAX_DEPTH:
+        raise ValueError(f"depth must be <= {_MAX_DEPTH}, got {depth}")
+
+
 def _return_lattice(regime: str, b: Fraction) -> tuple[int, int, int, dict[str, LatticeSegment], int]:
     """(frame, a, b, ends, power): the regime's edges at b as lattice ends by
     name, in a frame where F has the offsets (a, b), and F's return power.
@@ -124,8 +139,7 @@ def _profile(edge: str, frame: IntegerFrame, depth: int) -> CaptureProfile:
 
 def edge_capture_profile(regime: str, b, edge: str, depth: int) -> CaptureProfile:
     """(captured, uncaptured) exact measures per return depth on one edge."""
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    _require_depth(depth)
     b = Fraction(b)
     if regime == "negb":
         if edge not in _NEGB_EDGES:
@@ -174,8 +188,7 @@ def full_measure_report(regime: str, b, depth: int) -> FullMeasureReport:
     S that of their s.
     """
     b = Fraction(b)
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    _require_depth(depth)
     if regime == "negb":
         edges, captured = _NEGB_EDGES, ("plateau", "feeder")
     elif regime in ("alpha", "beta"):

@@ -157,13 +157,15 @@ def _line_chart(x1: int, y1: int, x2: int, y2: int) -> tuple[tuple[int, int, int
     chart interval.
     """
     x, y, ux, uy, n = _walk(x1, y1, x2, y2)
-    return _start_chart((0, 0, n, x, ux, y, uy))
+    return _piece_chart((0, 0, n, x, ux, y, uy))
 
 
 def _piece_chart(piece: tuple[int, ...]) -> tuple[tuple[int, int, int], int, int]:
     """(key, lo, hi) of the image of a piece that F has not collapsed, as
     `_line_chart` gives it: its direction v divided by +-gcd(v), so that
-    the chart coordinate grows along it, and c read at s = 0."""
+    the chart coordinate grows along it, and c read at s = 0.  A piece of a
+    segment's own walk already has a primitive direction with a growing
+    chart coordinate, so its key is that direction's."""
     _, s0, s1, x0, vx, y0, vy = piece
     t, v = (x0, vx) if abs(vx) >= abs(vy) else (y0, vy)
     g = gcd(vx, vy)
@@ -171,14 +173,6 @@ def _piece_chart(piece: tuple[int, ...]) -> tuple[tuple[int, int, int], int, int
         g, s0, s1 = -g, s1, s0
     ux, uy = vx // g, vy // g
     return (ux, uy, uy * x0 - ux * y0), t + v * s0, t + v * s1
-
-
-def _start_chart(start: tuple[int, ...]) -> tuple[tuple[int, int, int], int, int]:
-    """(key, lo, hi) of a piece of a segment's own walk, whose direction
-    `_walk` already made primitive with a growing chart coordinate."""
-    _, s0, s1, x, ux, y, uy = start
-    t, ut = (x, ux) if abs(ux) >= abs(uy) else (y, uy)
-    return (ux, uy, uy * x - ux * y), t + ut * s0, t + ut * s1
 
 
 def _scaled(pieces: list[tuple[int, ...]], f: int) -> list[tuple[int, ...]]:
@@ -326,7 +320,7 @@ def image_gaps(frame: int, a: int, b: int, segments: Sequence[LatticeSegment]) -
     """
     lat = SegmentLattice(frame, a, b, segments)
     pieces = iterate_segment_pieces(lat, 1)
-    cover = _line_cover(_start_chart(start) for start in lat.starts)
+    cover = _line_cover(_piece_chart(start) for start in lat.starts)
     gaps: list[Segment] = []
     points: list[tuple[int, int]] = []
     for piece in pieces:
@@ -353,7 +347,7 @@ def image_cover_relations(frame: int, a: int, b: int, partition: Sequence[tuple[
     """
     lat = SegmentLattice(frame, a, b, [ends for _, ends in partition])
     pieces = iterate_segment_pieces(lat, 1)
-    charts = [_start_chart(start) for start in lat.starts]
+    charts = [_piece_chart(start) for start in lat.starts]
     targets: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
     for j, (key, lo, hi) in enumerate(charts):
         for i, ilo, ihi in targets.get(key, ()):
@@ -466,6 +460,6 @@ def detect_plateaus(graph_or_segments) -> list[Segment]:
     segs = list(segments() if callable(segments) else graph_or_segments)
     lat = SegmentLattice(*_lattice_frame(Params(Fraction(0), Fraction(0)), segs))
     pieces = iterate_segment_pieces(lat, 1)  # may refine lat.frame
-    cover = _line_cover(_start_chart((i, s0, s1, *lat.starts[i][3:]))
+    cover = _line_cover(_piece_chart((i, s0, s1, *lat.starts[i][3:]))
                         for i, s0, s1, _, vx, _, vy in pieces if not vx and not vy)
     return [_chart_segment(key, lo, hi, lat.frame) for key, union in cover.items() for lo, hi in union]

@@ -620,9 +620,9 @@ def lattice_band48_partition(b) -> tuple[list[tuple[str, Segment]], band48.Level
     """`band48._partition`, the partition `cover_digraphs` uses, with
     Fraction ends."""
     b = Fraction(b)
-    frame, named, _ = band48._graph_on_12d(b)
-    part, lc = band48._partition(b, named)
-    return [(label, Segment(*_off_lattice(((x1, y1), (x2, y2)), frame)))
+    t = graphs._table_lattice("band48", b)
+    part, lc = band48._partition(b, t.named())
+    return [(label, Segment(*_off_lattice(((x1, y1), (x2, y2)), t.frame)))
             for label, (x1, y1, x2, y2) in part], lc
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pwldyn import band48, certify, graphs
+from pwldyn import band48, certify, graphs, measure
 from pwldyn.cli import main
 from pwldyn.measure import full_measure_report
 from pwldyn.rationals import parse_rational, rational_str
@@ -177,11 +177,16 @@ def test_negative_rational_as_a_separate_word(capsys, argv):
     assert run(capsys, *attached) == (0, out) and capsys.readouterr().err == err
 
 
-def test_measure_contract_on_generated_input(capsys):
+def test_measure_contract_on_generated_input(capsys, monkeypatch):
     # Seeded draws of b near every regime end and window end, malformed
-    # numbers, and depths from -1 to 80, each run through `main` in-process:
-    # the command exits 0 with the report's CSV or 2 with one error line,
-    # and never raises.
+    # numbers, and depths from -1 to 80, then the depth ceiling, one above it
+    # and 10^30, each run through `main` in-process: the command returns
+    # within 1 s and exits 0 with the report's CSV or 2 with one error line,
+    # and never raises.  The depth ceiling is lowered to 80 here, so that a
+    # case at it runs in that time (the real ceiling's refusals are
+    # `test_sizes_above_their_ceilings_are_refused_up_front`).
+    ceiling = 80
+    monkeypatch.setattr(measure, "_MAX_DEPTH", ceiling)
     rng = random.Random(4217)
     ends = {"negb": [F(-2)], "alpha": [F(-1), F(-3, 4), F(-112, 137), F(-13, 16)],
             "beta": [F(2, 3), F(5, 7), F(603, 874), F(563, 816)]}
@@ -196,12 +201,15 @@ def test_measure_contract_on_generated_input(capsys):
             end = rng.choice(ends[regime] if rng.random() < 0.8 else ends[rng.choice(list(ends))])
             b = str(end + rng.choice((-1, 0, 1)) * F(1, 10 ** rng.randint(1, 15)))
         cases.append((regime, b, rng.choice((-1, 0, 1, 16, 80))))
+    cases += [(regime, b, rng.choice((ceiling, ceiling + 1, 10**30))) for regime, b, _ in cases[:90]]
     codes = []
     for regime, b, depth in cases:
+        start = time.perf_counter()
         try:
             code = main(["measure", "--regime", regime, f"--b={b}", "--depth", str(depth)])
         except SystemExit as exc:
             code = exc.code
+        assert time.perf_counter() - start < 1, (regime, b, depth)
         out, err = capsys.readouterr()
         codes.append(code)
         if code == 2:
@@ -256,13 +264,18 @@ def test_cli_contract_on_generated_input(capsys, monkeypatch):
     # Seeded `entropy`, `graph`, `table1` and `certify-*` commands, run through
     # `main` in-process: b at class and regime ends +- 10^-k in several forms,
     # a few values of a, digits valid, negative, malformed, at the ceiling,
-    # above it or huge, and periods valid, negative, huge or malformed.  Each
-    # returns within 1 s and exits 2 with one error line, or 0 with the
-    # stdout of the library call it reports.  The digits ceiling is lowered
-    # to 40 here, so that a case at it runs in that time (the real ceiling's
-    # refusals are `test_digits_above_the_ceiling_are_refused_up_front`).
-    ceiling = 40
+    # above it or huge, and periods valid, negative, huge or malformed, then
+    # at their ceilings, just above them, at the next period of the right
+    # shape above them or huge.  Each returns within 1 s and exits 2 with one
+    # error line, or 0 with the stdout of the library call it reports.  The
+    # digits ceiling is lowered to 40 and the period ceilings to 48 and 64
+    # here, so that a case at one runs in that time (the real ceilings'
+    # refusals are `test_digits_above_the_ceiling_are_refused_up_front` and
+    # `test_sizes_above_their_ceilings_are_refused_up_front`).
+    ceiling, upper_ceiling, lower_ceiling = 40, 48, 64
     monkeypatch.setattr(band48, "_MAX_DIGITS", ceiling)
+    monkeypatch.setattr(certify, "_MAX_UPPER_PERIOD", upper_ceiling)
+    monkeypatch.setattr(certify, "_MAX_LOWER_PERIOD", lower_ceiling)
     rng = random.Random(4545)
     class_ends = sorted({end for n in range(6) for letter in "STUV"
                          for end in band48.LevelClass(n, letter).interval()[:2]})
@@ -303,6 +316,14 @@ def test_cli_contract_on_generated_input(capsys, monkeypatch):
         lower = pick(["2", "4", "8", "16", "32", "64", "1_6"], [*periods_invalid, "6", str(2**200 + 2)])
         cases.append(([f"certify-{tag}", "--upper", upper, "--lower", lower],
                       lambda tag=tag, upper=upper, lower=lower: certificate(tag, int(upper), int(lower))))
+    for _ in range(100):
+        tag = rng.choice(("alpha", "beta"))
+        upper = pick([str(upper_ceiling), "24"], [str(upper_ceiling + 1), str(2 * upper_ceiling), str(10**30),
+                                                  str(3 * 2**200)])
+        lower = pick([str(lower_ceiling), "32"], [str(lower_ceiling + 1), str(2 * lower_ceiling), str(10**30),
+                                                  str(2**200)])
+        cases.append(([f"certify-{tag}", "--upper", upper, "--lower", lower],
+                      lambda tag=tag, upper=upper, lower=lower: certificate(tag, int(upper), int(lower))))
     codes: dict[tuple, int] = {}
     for argv, library in cases:
         start = time.perf_counter()
@@ -340,6 +361,39 @@ def test_digits_above_the_ceiling_are_refused_up_front(capsys, command):
     result = band48.entropy_or_bounds(5, 3)
     with pytest.raises(ValueError, match=f"^digits must be <= {ceiling}, got {ceiling + 1}$"):
         result.decimal(ceiling + 1)
+
+
+def test_sizes_above_their_ceilings_are_refused_up_front(capsys):
+    # Each size option's real ceiling: a value above it is refused within
+    # 1 s with one line naming the value and the ceiling, and the ceiling
+    # itself passes the check (some other argument is what is refused).
+    def refusal(*argv):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert time.perf_counter() - start < 1, argv
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    depth, upper, lower = measure._MAX_DEPTH, certify._MAX_UPPER_PERIOD, certify._MAX_LOWER_PERIOD
+    assert (depth, upper, lower) == (5000, 6144, 8192)
+    for d in (depth + 1, 10**30):
+        err = refusal("measure", "--regime", "negb", "--b", "-3", "--depth", str(d))
+        assert err == f"pwldyn: error: depth must be <= {depth}, got {d}\n"
+        with pytest.raises(ValueError, match=f"^depth must be <= {depth}, got {d}$"):
+            measure.edge_capture_profile("negb", -3, "A", d)
+    assert "b = 5" in refusal("measure", "--regime", "alpha", "--b", "5", "--depth", str(depth))
+    with pytest.raises(ValueError, match="^edge 'Z' is not return-invariant"):
+        measure.edge_capture_profile("negb", -3, "Z", depth)
+    for period in (2 * upper, 3 * 2**100):
+        err = refusal("certify-alpha", "--upper", str(period), "--lower", "4")
+        assert err == f"pwldyn: error: upper period must be <= {upper}, got {period}\n"
+    for period in (2 * lower, 2**100):
+        # the upper ceiling passes; the lower period is refused before any window is built
+        err = refusal("certify-beta", "--upper", str(upper), "--lower", str(period))
+        assert err == f"pwldyn: error: lower period must be <= {lower}, got {period}\n"
+    assert len(certify.upper_pattern(upper).symbols) == upper
+    assert len(certify.lower_pattern(lower).symbols) == lower
 
 
 def test_verify_command(capsys):

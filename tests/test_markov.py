@@ -78,15 +78,16 @@ def test_cover_digraphs_successor_lists():
 
 
 def test_cover_digraphs_match_fraction_oracle():
-    # class midpoints of levels 0-3, the closed class ends (T and V) of
-    # levels 0-5, then seeded b across (4, 8) with large denominators: the
-    # lattice partition against its Fraction form, and the lattice digraphs
-    # against the Fraction covering relations of that partition
+    # class midpoints of levels 0-3, 10, 20 and 40, the closed class ends
+    # (T and V) of levels 0-5 and of those deep levels, then seeded b across
+    # (4, 8) with large denominators: the lattice partition against its
+    # Fraction form, and the lattice digraphs against the Fraction covering
+    # relations of that partition
     bs = []
-    for n in range(6):
+    for n in (*range(6), 10, 20, 40):
         for letter in "STUV":
             lo, hi, lo_closed, hi_closed = band48.LevelClass(n, letter).interval()
-            bs += [(lo + hi) / 2] if n < 4 else []
+            bs += [(lo + hi) / 2] if n < 4 or n >= 10 else []
             bs += [end for end, closed in ((lo, lo_closed), (hi, hi_closed)) if closed]
     rng = random.Random(1018)
     bs += [F(4) + 4 * F(rng.randrange(1, 10**6 + 3), 10**6 + 3) for _ in range(300)]

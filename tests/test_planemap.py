@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -180,6 +181,32 @@ def test_piece_chart_matches_the_chart_of_its_ends():
         piece = (0, s0, s1, x0, vx, y0, vy)
         ends = (x0 + vx * s0, y0 + vy * s0, x0 + vx * s1, y0 + vy * s1)
         assert _piece_chart(piece) == _line_chart(*ends), piece
+        _assert_chart_of_segment(_piece_chart(piece), segment(ends[:2], ends[2:]), 1)
+    # A walk start (k = 0) is read by the same rule: its chart is that of
+    # its segment, at whatever frame the lattice chose.
+    segs = []
+    while len(segs) < 500:
+        p, q = [(F(rng.randint(-1000, 1000), rng.randint(1, 100)), F(rng.randint(-1000, 1000), rng.randint(1, 100)))
+                for _ in range(2)]
+        if rng.random() < 0.2:  # axis-parallel and diagonal lines too
+            q = rng.choice(((q[0], p[1]), (p[0], q[1]), (q[0], p[1] + q[0] - p[0])))
+        if p != q:
+            segs.append(segment(p, q))
+    lat = SegmentLattice(*_lattice_frame(Params(F(0), F(0)), segs))
+    for start, seg in zip(lat.starts, segs):
+        _assert_chart_of_segment(_piece_chart(start), seg, lat.frame)
+
+
+def _assert_chart_of_segment(chart, seg, frame):
+    """The chart (key, lo, hi) names seg's carrying line by a primitive
+    direction whose chart coordinate grows, and [lo, hi] is seg's chart
+    interval in frame units, both against the Fraction oracles."""
+    (ux, uy, c), lo, hi = chart
+    assert gcd(ux, uy) == 1 and (ux if abs(ux) >= abs(uy) else uy) > 0, chart
+    a, b = F(uy), F(-ux)
+    want = (F(1), b / a, F(c, frame) / a) if a else (F(0), F(1), F(c, frame) / b)
+    assert oracles.line_key(seg) == want, (chart, seg)
+    assert oracles.chart_interval(seg) == (F(lo, frame), F(hi, frame)), (chart, seg)
 
 
 def test_line_cover_merges_touching_segments():
