@@ -59,6 +59,7 @@ class LevelClass(NamedTuple):
 
     def interval(self) -> tuple[Fraction, Fraction, bool, bool]:
         """(lo, hi, lo_closed, hi_closed) of the parameter class."""
+        _require_letter(self.letter)
         p, q, r, s = breakpoints(self.n)
         prev = level_left_end(self.n)
         return {
@@ -67,6 +68,11 @@ class LevelClass(NamedTuple):
             "U": (r, q, False, False),
             "V": (q, p, True, True),
         }[self.letter]
+
+
+def _require_letter(letter: str) -> None:
+    if letter not in ("S", "T", "U", "V"):
+        raise ValueError(f"class letter must be S, T, U or V, got {letter!r}")
 
 
 def classify(b) -> LevelClass:
@@ -104,34 +110,45 @@ def classify(b) -> LevelClass:
 # ---------------------------------------------------------------------------
 
 
+def _require_level(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+
+
 def poly_lower(n: int) -> IntPoly:
     """x^(7+3n) - x^(4+3n) - 1: solid digraph of classes S and U."""
+    _require_level(n)
     return IntPoly.from_terms({7 + 3 * n: 1, 4 + 3 * n: -1, 0: -1})
 
 
 def poly_upper_s(n: int) -> IntPoly:
     """x^(7+3n) - x^(4+3n) - x^3 - 2: dashed digraph of class S."""
+    _require_level(n)
     return IntPoly.from_terms({7 + 3 * n: 1, 4 + 3 * n: -1, 3: -1, 0: -2})
 
 
 def poly_exact_t(n: int) -> IntPoly:
     """x^(7+3n) - x^(4+3n) - 2: Markov digraph of class T."""
+    _require_level(n)
     return IntPoly.from_terms({7 + 3 * n: 1, 4 + 3 * n: -1, 0: -2})
 
 
 def poly_upper_u(n: int) -> IntPoly:
     """x^(10+3n) - x^(7+3n) - 2x^3 - 1: dashed digraph of class U."""
+    _require_level(n)
     return IntPoly.from_terms({10 + 3 * n: 1, 7 + 3 * n: -1, 3: -2, 0: -1})
 
 
 def poly_exact_v(n: int) -> IntPoly:
     """x^(10+3n) - x^(7+3n) - x^3 - 1: Markov digraph of class V."""
+    _require_level(n)
     return IntPoly.from_terms({10 + 3 * n: 1, 7 + 3 * n: -1, 3: -1, 0: -1})
 
 
 def level_polynomials(lc: LevelClass) -> tuple[IntPoly, ...]:
     """Characteristic polynomials whose roots give the entropy of the class:
     the class's own families, each three or four terms at any level."""
+    _require_letter(lc.letter)
     families = {
         "S": (poly_lower, poly_upper_s),
         "T": (poly_exact_t,),

@@ -18,14 +18,13 @@ w_m = w_k on, the sequence repeats with period m - k, exactly.  On the
 circle regime every edge repeats after one step (w_2 = w_1: one slope-16
 cell maps onto itself), so a report at depth 80 runs two steps per edge.
 A profile keeps the numerators, and its entries are built as Fractions on
-demand, when they are read or printed.  The report sums the edges over one
-denominator Q*S^n, Q and S the lcm of their q and s, one Fraction per depth.
+demand, when they are read or printed.  So does the report: its total at a
+depth sums the edges' Fractions at that depth only when it is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from pwldyn.certify import trapezoid_family
@@ -160,11 +159,20 @@ class FullMeasureReport(NamedTuple):
     # edges whose whole length feeds a plateau within two steps
     immediate: tuple[tuple[str, Fraction], ...]
     total_length: Fraction
-    uncaptured_total: tuple[Fraction, ...]  # per depth
+
+    def _uncaptured(self, n: int) -> Fraction:
+        # the fully captured edges are uncaptured at depth 0 only
+        start = sum((length for _, length in self.immediate), Fraction(0)) if n == 0 else Fraction(0)
+        return sum((p.uncaptured(n) for p in self.profiles), start)
+
+    @property
+    def uncaptured_total(self) -> tuple[Fraction, ...]:
+        """The uncaptured measure at each depth 0..depth."""
+        return tuple(map(self._uncaptured, range(self.depth + 1)))
 
     def uncaptured_fraction(self, depth: int) -> Fraction:
         _check_depth(depth, self.depth)
-        return self.uncaptured_total[depth] / self.total_length
+        return self._uncaptured(depth) / self.total_length
 
     def to_csv(self) -> str:
         lines = ["edge,depth,captured,uncaptured"]
@@ -183,9 +191,8 @@ def full_measure_report(regime: str, b, depth: int) -> FullMeasureReport:
     For the circle regime this is all seven return edges plus the plateau
     and its feeder (both fully captured after one return).  For the two
     transition windows the return-invariant interval carries all asymptotic
-    dynamics and is reported alone.  The uncaptured total at depth n is the
-    sum of the edges' numerators over Q*S^n, with Q the lcm of their q and
-    S that of their s.
+    dynamics and is reported alone.  The uncaptured totals are summed when
+    read (`FullMeasureReport.uncaptured_total`).
     """
     b = Fraction(b)
     _require_depth(depth)
@@ -201,21 +208,5 @@ def full_measure_report(regime: str, b, depth: int) -> FullMeasureReport:
     immediate = tuple((e, Fraction(max(abs(x2 - x1), abs(y2 - y1)), frame))
                       for e in captured for x1, y1, x2, y2 in [ends[e]])
     profiles = tuple(_profile(e, f, depth) for e, f in frames.items())
-    immediate_length = sum((length for _, length in immediate), Fraction(0))
-    total = sum((p.length for p in profiles), immediate_length)
-    # profile i at depth n is w_i[n] / (q_i*s_i^n) = w_i[n]*(Q/q_i)*(S/s_i)^n / (Q*S^n)
-    big_q, big_s = lcm(*(p.q for p in profiles)), lcm(*(p.s for p in profiles))
-    columns = []
-    for p in profiles:
-        k, r = big_q // p.q, big_s // p.s
-        column = []
-        for wn in p.w:
-            column.append(wn * k)
-            k *= r
-        columns.append(column)
-    den, uncaptured = big_q, []
-    for num in map(sum, zip(*columns)):
-        uncaptured.append(Fraction(num, den))
-        den *= big_s
-    uncaptured[0] += immediate_length
-    return FullMeasureReport(regime, b, depth, profiles, immediate, total, tuple(uncaptured))
+    total = sum((p.length for p in profiles), sum((length for _, length in immediate), Fraction(0)))
+    return FullMeasureReport(regime, b, depth, profiles, immediate, total)

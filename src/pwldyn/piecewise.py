@@ -39,13 +39,6 @@ class Piece(NamedTuple):
     offset: Fraction
     name: str | None = None
 
-    def apply(self, x: Fraction) -> Fraction:
-        return self.slope * x + self.offset
-
-    @property
-    def is_constant(self) -> bool:
-        return self.slope == 0
-
 
 class Itinerary(NamedTuple):
     symbols: tuple[str, ...]
@@ -61,7 +54,8 @@ class Itinerary(NamedTuple):
 class PiecewiseAffine1D:
     """Map of [lo, hi] given by `pieces[i]` on [breakpoints[i-1], breakpoints[i]].
 
-    There is one more piece than breakpoints.
+    There is one more piece than breakpoints.  The map is a record: its
+    orbits, partition and capture run on `integer_frame()`.
     """
 
     def __init__(self, lo, hi, breakpoints, pieces: Sequence[Piece]):
@@ -71,21 +65,6 @@ class PiecewiseAffine1D:
         self.hi = Fraction(hi)
         self.breakpoints = [Fraction(b) for b in breakpoints]
         self.pieces = list(pieces)
-        self._cuts = (self.lo, *self.breakpoints, self.hi)
-        self._constant = tuple(p.is_constant for p in self.pieces)
-
-    def piece_index_at(self, x: Fraction) -> int:
-        """Index of the piece containing x.
-
-        At a boundary a constancy piece wins; otherwise the left piece does.
-        """
-        cuts = self._cuts
-        if not cuts[0] <= x <= cuts[-1]:
-            raise ValueError(f"{x} outside domain [{self.lo}, {self.hi}]")
-        return _piece_at(self._constant, _pieces_holding(cuts, x))
-
-    def __call__(self, x: Fraction) -> Fraction:
-        return self.pieces[self.piece_index_at(x)].apply(Fraction(x))
 
     def symbol(self, i: int) -> str:
         """Itinerary symbol of piece i: its name, else its index."""
@@ -96,10 +75,11 @@ class PiecewiseAffine1D:
         for p in self.pieces:
             if p.slope.denominator != 1:
                 raise ValueError(f"slope {rational_str(p.slope)} is not an integer: no finite orbit closure")
-        q = lcm(*(c.denominator for c in self._cuts), *(p.offset.denominator for p in self.pieces))
+        cuts = (self.lo, *self.breakpoints, self.hi)
+        q = lcm(*(c.denominator for c in cuts), *(p.offset.denominator for p in self.pieces))
         return IntegerFrame(
             q,
-            tuple(c.numerator * (q // c.denominator) for c in self._cuts),
+            tuple(c.numerator * (q // c.denominator) for c in cuts),
             tuple(p.slope.numerator for p in self.pieces),
             tuple(p.offset.numerator * (q // p.offset.denominator) for p in self.pieces),
         )
@@ -122,12 +102,6 @@ def _pieces_holding(cuts: Sequence, x) -> range:
     return range(max(bisect_left(cuts, x) - 1, 0), min(bisect_right(cuts, x), len(cuts) - 1))
 
 
-def _piece_at(constant: Sequence[bool], hits: range) -> int:
-    """Tie rule among the pieces holding a point: a constancy piece wins,
-    otherwise the left one does."""
-    return next((i for i in hits if constant[i]), hits[0])
-
-
 class IntegerFrame(NamedTuple):
     """A map with integer slopes on the lattice (1/q)Z.
 
@@ -147,17 +121,18 @@ class IntegerFrame(NamedTuple):
         return ValueError(f"iterate {Fraction(x, self.q)} escaped domain [{lo}, {hi}]")
 
     def walk(self, x: int, k: int) -> tuple[list[int], list[int]]:
-        """([x, f(x), ..., f^k(x)], the piece index of each of the first k),
-        with the tie rule of `PiecewiseAffine1D.piece_index_at`; errors if
-        an iterate escapes the domain."""
+        """([x, f(x), ..., f^k(x)], the piece index of each of the first k);
+        errors if an iterate escapes the domain.  The package's one tie rule:
+        at a cut held by two pieces a constancy piece wins, otherwise the
+        left one does."""
         cuts, slopes, offsets = self.cuts, self.slopes, self.offsets
-        constant = tuple(s == 0 for s in slopes)
         lo, hi = cuts[0], cuts[-1]
         xs, idx = [x], []
         for _ in range(k):
             if not lo <= x <= hi:
                 raise self._escaped(x)
-            i = _piece_at(constant, _pieces_holding(cuts, x))
+            hits = _pieces_holding(cuts, x)
+            i = next((j for j in hits if not slopes[j]), hits[0])
             x = slopes[i] * x + offsets[i]
             xs.append(x)
             idx.append(i)
@@ -266,14 +241,8 @@ def _transfer(steps, w: list[int]) -> list[int]:
 
 
 def iterate_point(m: PiecewiseAffine1D, x0, k: int) -> list[Fraction]:
-    """Exact orbit [x0, f(x0), ..., f^k(x0)]; errors if an iterate escapes."""
-    x = Fraction(x0)
-    orbit = [x]
-    for _ in range(k):
-        if not m.lo <= x <= m.hi:
-            raise ValueError(f"iterate {x} escaped domain [{m.lo}, {m.hi}]")
-        x = m(x)
-        orbit.append(x)
-    if not m.lo <= orbit[-1] <= m.hi:
-        raise ValueError(f"iterate {orbit[-1]} escaped domain [{m.lo}, {m.hi}]")
-    return orbit
+    """Exact orbit [x0, f(x0), ..., f^k(x0)], walked on the numerators of
+    `m.integer_frame`; errors if an iterate escapes or a slope is not an
+    integer."""
+    frame, (x,) = m.integer_frame((x0,))
+    return [Fraction(y, frame.q) for y in frame.walk(x, k)[0]]

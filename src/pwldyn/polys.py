@@ -64,9 +64,11 @@ class IntPoly:
 
     @classmethod
     def from_terms(cls, terms: dict[int, int]) -> "IntPoly":
-        """The sum of c x^p over {p: c}."""
+        """The sum of c x^p over {p: c}, every power p >= 0."""
         poly = object.__new__(cls)
         poly.terms = tuple(sorted(filter(itemgetter(1), zip(terms, _integers(terms.values())))))
+        if poly.terms and poly.terms[0][0] < 0:
+            raise ValueError(f"polynomial powers must be >= 0, got {poly.terms[0][0]}")
         return poly
 
     @property
@@ -165,8 +167,11 @@ class RootInterval:
     in the half-open (lo, hi]: hi is not a root, and poly changes sign
     between just right of lo and hi.  lo itself may be a root (a smaller
     one, as `largest_positive_root` can leave it).  The constructor proves
-    this; `refined` builds its results with `_proven`, since its exact end
-    signs already prove them.
+    this: the sign change, and where lo < 0 or poly has more than one
+    coefficient sign change (else Descartes' rule leaves one root right of
+    lo >= 0), no second distinct root in (lo, hi) (`_second_root`).
+    `refined` and `largest_positive_root` build their results with
+    `_proven`, since their signs and cells already prove them.
     """
 
     __slots__ = ("lo", "hi", "poly")
@@ -186,6 +191,8 @@ class RootInterval:
             raise ValueError("hi is a root: use the exact interval [hi, hi]")
         if _sign_right_of(poly, lo) == shi:
             raise ValueError("polynomial does not change sign over (lo, hi]")
+        if (lo < 0 or descartes_positive_sign_changes(poly) > 1) and _second_root(poly, lo, hi):
+            raise ValueError("polynomial has more than one root in (lo, hi]")
 
     @classmethod
     def _proven(cls, lo: Fraction, hi: Fraction, poly: IntPoly) -> "RootInterval":
@@ -705,10 +712,10 @@ def largest_positive_root(p: IntPoly, digits: int) -> RootInterval | None:
             c, k, at_end = c >> k - level, level, False
     lo, hi = Fraction(bound * c, 1 << k), Fraction(bound * (c + 1), 1 << k)
     if at_end:
-        return RootInterval(hi, hi, sf)
+        return RootInterval._proven(hi, hi, sf)
     if lo < 1 < hi and not sum(a for _, a in sf.terms):
-        return RootInterval(Fraction(1), Fraction(1), sf)
-    return RootInterval(lo, hi, sf).refined(digits)
+        return RootInterval._proven(Fraction(1), Fraction(1), sf)
+    return RootInterval._proven(lo, hi, sf).refined(digits)
 
 
 def _root_cells(sf: IntPoly, bound: int):
@@ -734,6 +741,23 @@ def _root_cells(sf: IntPoly, bound: int):
         elif count > 1:
             left = [a << len(q) - 1 - i for i, a in enumerate(q)]
             stack += (k + 1, 2 * c, left), (k + 1, 2 * c + 1, _taylor_shift(left))
+
+
+def _second_root(p: IntPoly, lo: Fraction, hi: Fraction) -> bool:
+    """Whether p has two distinct roots in the open (lo, hi): p's
+    square-free part sf, of degree n, moved to (0, 1) as D^n sf(lo + (hi -
+    lo) x) by Horner's rule, D the common denominator of lo and hi, and
+    searched by `_root_cells`."""
+    sf = _squarefree_part(p)
+    d = lcm(lo.denominator, hi.denominator)
+    a, b = (x.numerator * (d // x.denominator) for x in (lo, hi))
+    q, scale = [], 1
+    for c in reversed(sf.coeffs):  # q <- q * (a + (b - a) x) + c * d^(n - i)
+        q = [a * u + (b - a) * v for u, v in zip(q + [0], [0] + q)]
+        q[0] += c * scale
+        scale *= d
+    cells = _root_cells(IntPoly(q), 1)
+    return next(cells, None) is not None and next(cells, None) is not None
 
 
 def _taylor_shift(q: list[int]) -> list[int]:

@@ -207,4 +207,6 @@ def ln_enclosure(lo: Fraction, hi: Fraction, err: Fraction) -> tuple[Fraction, F
     (outward rounded), each end within err of ln there, so a bracket of
     ln(x) no wider than err for lo = hi = x.  Each end is dyadic, from the
     one series pass it needs (two when its power of two k is not 0)."""
+    if lo > hi:
+        raise ValueError(f"ln_enclosure requires lo <= hi, got lo = {rational_str(lo)} and hi = {rational_str(hi)}")
     return _ln_bound(lo, err, False), _ln_bound(hi, err, True)

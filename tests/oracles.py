@@ -47,7 +47,10 @@ tracker on Fractions, apart from the lattice engine that `measure` calls.
 The rest are small checks of the map and of digraphs that back statements
 in the tests (quadrant pieces, the rescaling identity, simple cycles, the
 trapezoid shape and the inverse parameter changes), and helpers that only
-tests read: the itinerary of a point, the uncaptured measures as
+tests read: the Fraction evaluation of a 1D map (`piece_index`, `apply`
+and `fraction_orbit`, the earlier forms of the orbit walk on the integer
+frame, with their own scan of the cuts and tie rule, so that they call no
+engine code), the itinerary of a point, the uncaptured measures as
 Fractions, and the Fraction geometry of a segment (its chart axis and
 interval, a point by its chart coordinate, point-on-segment and
 point-on-graph tests, a graph's point and edge by name).  `Segment` is a
@@ -443,7 +446,7 @@ def markov_partition(m: PiecewiseAffine1D, seeds=()) -> list[tuple]:
         x = todo.pop()
         for i, piece in enumerate(m.pieces):
             if cuts[i] <= x <= cuts[i + 1]:
-                y = piece.apply(x)
+                y = value(piece, x)
                 if y not in ends:
                     ends.add(y)
                     if lo <= y <= hi:
@@ -453,8 +456,8 @@ def markov_partition(m: PiecewiseAffine1D, seeds=()) -> list[tuple]:
     for a, b in zip(ends, ends[1:]):
         piece = m.pieces[bisect_right(cuts, a) - 1]
         cover = None
-        if not piece.is_constant:
-            fa, fb = sorted((piece.apply(a), piece.apply(b)))
+        if piece.slope:
+            fa, fb = sorted((value(piece, a), value(piece, b)))
             cover = range(bisect_left(ends, max(fa, lo)), bisect_left(ends, min(fb, hi)))
         cells.append((a, b, piece, cover))
     return cells
@@ -661,7 +664,7 @@ def capture_vectors(m: PiecewiseAffine1D, depth: int) -> tuple[list[list[int]], 
     """([w_0, ..., w_depth], q, s): every per-cell numerator vector of the
     capture recursion over q*s^n, each step run, with no cut-off at a
     repeated vector."""
-    if not any(p.is_constant for p in m.pieces):
+    if all(p.slope for p in m.pieces):
         raise ValueError("map has no constancy piece")
     frame, _ = m.integer_frame()
     ends, cells = frame.partition()
@@ -692,7 +695,7 @@ def uncaptured_intervals(m: PiecewiseAffine1D, depth: int) -> list[tuple[Fractio
     for _ in range(depth):
         nxt: list[tuple[Fraction, Fraction]] = []
         for i, piece in enumerate(m.pieces):
-            if piece.is_constant:
+            if not piece.slope:
                 continue
             a, b = cuts[i], cuts[i + 1]
             for lo, hi in current:
@@ -790,7 +793,7 @@ def closing_window(
     end at the constancy symbol, whose image closes the orbit at x0.
     """
     by_name = {p.name: i for i, p in enumerate(family.pieces)}
-    plateaus = [p.name for p in family.pieces if p.is_constant]
+    plateaus = [p.name for p in family.pieces if not p.slope]
     if len(plateaus) != 1:
         raise ValueError("family must have exactly one constancy piece")
     if pattern.symbols[-1] != plateaus[0]:
@@ -1204,22 +1207,51 @@ def poly_det(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 
-def itinerary_of(m: PiecewiseAffine1D, x0, k: int) -> Itinerary:
-    """Symbols of x0..f^(k)(x0) by containing piece (k+1 symbols).
+def value(piece: Piece, x: Fraction) -> Fraction:
+    """slope*x + offset on Fractions."""
+    return piece.slope * x + piece.offset
 
-    Each symbol is read in the pass that maps its point; errors like
-    `iterate_point` if an iterate escapes.
-    """
+
+def piece_index(m: PiecewiseAffine1D, x) -> int:
+    """Index of the piece of m holding x, by a scan of the Fraction cuts:
+    at a cut held by two pieces a constancy piece wins, otherwise the left
+    one does.  The earlier Fraction form of the tie rule of
+    `IntegerFrame.walk`."""
+    cuts = [m.lo, *m.breakpoints, m.hi]
+    if not cuts[0] <= x <= cuts[-1]:
+        raise ValueError(f"{x} outside domain [{m.lo}, {m.hi}]")
+    hits = [i for i in range(len(m.pieces)) if cuts[i] <= x <= cuts[i + 1]]
+    return next((i for i in hits if not m.pieces[i].slope), hits[0])
+
+
+def apply(m: PiecewiseAffine1D, x) -> Fraction:
+    """m(x) on Fractions, the piece read by `piece_index`."""
+    x = Fraction(x)
+    return value(m.pieces[piece_index(m, x)], x)
+
+
+def fraction_orbit(m: PiecewiseAffine1D, x0, k: int) -> tuple[list[Fraction], list[int]]:
+    """([x0, f(x0), ..., f^k(x0)], the piece index of each of the first k)
+    on Fractions, with the escape error of `iterate_point`: the earlier form
+    of the orbit walk on the integer frame."""
     x = Fraction(x0)
-    symbols = []
-    for step in range(k + 1):
+    orbit, idx = [x], []
+    for _ in range(k):
         if not m.lo <= x <= m.hi:
             raise ValueError(f"iterate {x} escaped domain [{m.lo}, {m.hi}]")
-        i = m.piece_index_at(x)
-        symbols.append(m.symbol(i))
-        if step < k:
-            x = m.pieces[i].apply(x)
-    return Itinerary(tuple(symbols))
+        idx.append(piece_index(m, x))
+        x = value(m.pieces[idx[-1]], x)
+        orbit.append(x)
+    if not m.lo <= x <= m.hi:
+        raise ValueError(f"iterate {x} escaped domain [{m.lo}, {m.hi}]")
+    return orbit, idx
+
+
+def itinerary_of(m: PiecewiseAffine1D, x0, k: int) -> Itinerary:
+    """Symbols of x0..f^(k)(x0) by containing piece (k+1 symbols), on
+    Fractions; errors like `iterate_point` if an iterate escapes."""
+    orbit, idx = fraction_orbit(m, x0, k)
+    return Itinerary(tuple(m.symbol(i) for i in (*idx, piece_index(m, orbit[-1]))))
 
 
 def uncaptured_measures(m: PiecewiseAffine1D, depth: int) -> list[Fraction]:
@@ -1345,7 +1377,7 @@ def normalized_plateau_width(m: PiecewiseAffine1D, extended: bool = False) -> Fr
     between the rising branch's fixed point and that point's preimage under
     the falling branch (the shape parameter of the normalized trapezoid).
     """
-    consts = [i for i, p in enumerate(m.pieces) if p.is_constant]
+    consts = [i for i, p in enumerate(m.pieces) if not p.slope]
     if len(consts) != 1:
         raise ValueError("map must have exactly one constancy piece")
     i = consts[0]

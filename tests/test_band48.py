@@ -112,6 +112,23 @@ def test_level_polynomials():
     )
 
 
+def test_negative_levels_and_unknown_letters_are_refused():
+    # a family built a polynomial for n < 0 (poly_upper_s(-1) was
+    # x^4 - x^3 - x - 2), upper_root_below(-3, ...) failed with a TypeError
+    # inside the sign kernel, and an unknown letter raised KeyError
+    for fam in (poly_lower, poly_upper_s, poly_exact_t, poly_upper_u, poly_exact_v):
+        for n in (-1, -5):
+            with pytest.raises(ValueError, match=f"^n must be >= 0, got {n}$"):
+                fam(n)
+        assert fam(0).degree in (7, 10)
+    with pytest.raises(ValueError, match="^n must be >= 0, got -3$"):
+        upper_root_below(-3, F(1, 10))
+    for lc in (LevelClass(0, "X"), LevelClass(2, "s")):
+        for read in (LevelClass.interval, level_polynomials):
+            with pytest.raises(ValueError, match=f"^class letter must be S, T, U or V, got {lc.letter!r}$"):
+                read(lc)
+
+
 def test_entropy_examples():
     res = entropy_or_bounds(5)
     assert res.kind == "exact"

@@ -136,7 +136,7 @@ def test_uncaptured_nests_to_repelling_fixed_point():
     m = return_map("negb", -3, "A")
     prof = edge_capture_profile("negb", -3, "A", 8)
     fixed = F(-17, 15)
-    assert m(fixed) == fixed
+    assert oracles.apply(m, fixed) == fixed
     prev_width = None
     for n in range(1, 9):
         ivs = uncaptured_intervals(m, n)
@@ -205,6 +205,28 @@ def test_full_measure_report_builds_fewer_fractions_than_entries(monkeypatch):
     # one Fraction per (captured, uncaptured) row would be 7 * 61
     assert [len(prof.entries) for prof in rep.profiles] == [61] * 7
     assert made < 7 * 61, made
+
+
+def test_full_measure_report_builds_its_totals_when_read(monkeypatch):
+    # the report stores no per-depth total: building it makes 85 Fractions
+    # with all 61 totals and 23 without, and one total is built alone
+    made = 0
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return new(cls, *args, **kwargs)
+
+    want = full_measure_report("negb", -3, 60)
+    monkeypatch.setattr(F, "__new__", counting)
+    rep = full_measure_report("negb", -3, 60)
+    built, made = made, 0
+    fraction = rep.uncaptured_fraction(60)
+    monkeypatch.undo()
+    assert built <= 30, built
+    assert made <= 30, made
+    assert rep == want and fraction == want.uncaptured_total[60] / want.total_length
 
 
 def test_full_measure_report_matches_fraction_oracle():

@@ -47,6 +47,77 @@ def test_iterate_point_escape_errors():
         iterate_point(shift, F(1, 2), 2)
 
 
+def _random_integer_slope_map(rng) -> PiecewiseAffine1D:
+    """1-5 pieces of integer slope (some constant) on a seeded rational
+    interval, each image placed near the domain, so that some orbits
+    escape and some cuts join a constancy piece."""
+    lo = F(rng.randint(-20, 20), rng.randint(1, 12))
+    length = F(rng.randint(1, 40), rng.randint(1, 6))
+    inner = {lo + length * F(rng.randint(1, 99), 100) for _ in range(rng.randint(0, 4))}
+    cuts = [lo, *sorted(inner), lo + length]
+    pieces = []
+    for a, b in zip(cuts, cuts[1:]):
+        s = rng.choice((0, 0, 1, -1, 2, -2, 3, -4))
+        low = lo + length * F(rng.randint(-5, 100), 100)
+        pieces.append(Piece(F(s), low - min(s * a, s * b), rng.choice(("L", "C", "R", None))))
+    return PiecewiseAffine1D(cuts[0], cuts[-1], cuts[1:-1], pieces)
+
+
+def _orbit_or_error(walk, *args):
+    try:
+        return walk(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_iterate_point_matches_the_fraction_orbit():
+    # orbits and piece indices of the integer walk against the oracle's
+    # Fraction scan, on 100 trapezoid maps and 300 random integer-slope
+    # maps, from cuts, domain ends and interior points, escapes included
+    rng = random.Random(4949)
+    maps = [fam.at(F(rng.randint(0, 4096), 4096)) for fam in (phi_family(), psi_family()) for _ in range(50)]
+    maps += [_random_integer_slope_map(rng) for _ in range(300)]
+    seen = {"orbits": 0, "escapes": 0, "ties": 0}
+    for m in maps:
+        cuts = [m.lo, *m.breakpoints, m.hi]
+        starts = [*cuts, F(1), *(m.lo + (m.hi - m.lo) * F(rng.randint(1, 999), 1000) for _ in range(3))]
+        for x0 in starts:
+            for k in (0, 1, 5, 30):
+                want = _orbit_or_error(oracles.fraction_orbit, m, x0, k)
+                assert _orbit_or_error(iterate_point, m, x0, k) == (want if isinstance(want, str) else want[0])
+                if isinstance(want, str):
+                    assert want.startswith("iterate ") and " escaped domain " in want
+                    seen["escapes"] += 1
+                    continue
+                frame, (x,) = m.integer_frame((x0,))
+                assert frame.walk(x, k)[1] == want[1], (m.pieces, x0, k)
+                seen["orbits"] += 1
+                seen["ties"] += sum(y in cuts[1:-1] for y in want[0][:-1])
+    assert min(seen.values()) >= 300, seen
+
+
+def test_the_fraction_orbit_uses_no_engine_code(monkeypatch):
+    # the oracle's evaluation answers with the lattice walk, the frame and
+    # the engine's cut bisection all disabled
+    from pwldyn import piecewise
+
+    m = phi_family().at(F(7295, 8191))
+    want = (iterate_point(m, 1, 6), str(itinerary_of(m, 1, 5)), [oracles.apply(m, x) for x in (F(0), F(56, 8191), 1)])
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("engine code reached")
+
+    for target, name in ((IntegerFrame, "walk"), (PiecewiseAffine1D, "integer_frame"), (piecewise, "_pieces_holding")):
+        monkeypatch.setattr(target, name, disabled)
+    with pytest.raises(AssertionError, match="engine code reached"):
+        iterate_point(m, 1, 6)
+    orbit, idx = oracles.fraction_orbit(m, 1, 6)
+    assert (orbit, str(itinerary_of(m, 1, 5))) == want[:2]
+    assert [m.symbol(i) for i in idx] == list("RLRRRC")
+    assert [oracles.apply(m, x) for x in (F(0), F(56, 8191), 1)] == want[2] == [F(7295, 8191), 1, 0]
+    assert oracles.piece_index(m, F(56, 8191)) == 1
+
+
 def test_itinerary_examples():
     m = phi_family().at(F(7295, 8191))
     assert str(itinerary_of(m, 1, 5)) == "RLRRRC"  # last point on the plateau edge
@@ -59,11 +130,17 @@ def test_itinerary_examples():
 
 
 def test_itinerary_tie_breaks():
-    m = phi_family().at(F(7295, 8191))
-    # (1-d)/16 sits on the L|C boundary
-    boundary = F(56, 8191)
-    assert m.pieces[m.piece_index_at(boundary)].name == "C"
-    assert m.pieces[m.piece_index_at(F(7, 8))].name == "C"
+    # At a cut a constancy piece wins, else the left piece does, in the
+    # engine's walk and in the oracle's scan: (1-d)/16 sits on the L|C
+    # boundary and 7/8 on C|R; jump_map's 1/2 has no constancy piece, and
+    # two plateaus meet at 1/2 of `plateaus`.
+    plateaus = PiecewiseAffine1D(F(0), F(1), [F(1, 2)], [Piece(F(0), F(0), "P"), Piece(F(0), F(1), "Q")])
+    cases = [(phi_family().at(F(7295, 8191)), F(56, 8191), "C"), (phi_family().at(F(7295, 8191)), F(7, 8), "C"),
+             (jump_map(), F(1, 4), "A"), (jump_map(), F(1, 2), "B"), (plateaus, F(1, 2), "P")]
+    for m, x, name in cases:
+        frame, (numerator,) = m.integer_frame((x,))
+        assert m.pieces[frame.walk(numerator, 1)[1][0]].name == name, (x, name)
+        assert m.pieces[oracles.piece_index(m, x)].name == name, (x, name)
 
 
 def test_closing_window_examples():
@@ -188,7 +265,7 @@ def test_conjugate_affine():
     rng = random.Random(9)
     for _ in range(200):
         x = F(-3) + 2 * F(rng.randint(0, 10**6), 10**6)
-        assert g(-x + 4) == -fA(x) + 4
+        assert oracles.apply(g, -x + 4) == -oracles.apply(fA, x) + 4
     # the lattice conjugation against the Fraction one, frame for frame
     cases = [(fA, -1, F(4)), (fA, 3, F(-2, 7)), (fA, -2, F(5, 6)), (fA, 1, F(0))]
     for _ in range(40):
@@ -209,7 +286,7 @@ def test_family_affinity_in_d():
         x = F(1)
         for sym in pattern.symbols:
             piece = {p.name: p for p in m.pieces}[sym]
-            x = piece.apply(x)
+            x = oracles.value(piece, x)
         return x
 
     d1, d2, d3 = F(93, 100), F(94, 100), F(95, 100)

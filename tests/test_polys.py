@@ -92,6 +92,71 @@ def test_root_interval_invariants():
         RootInterval(F(0), F(1), p)  # hi is a root
 
 
+def test_from_terms_refuses_a_negative_power():
+    with pytest.raises(ValueError, match="^polynomial powers must be >= 0, got -2$"):
+        IntPoly.from_terms({-2: 1, 0: 3})
+    with pytest.raises(ValueError, match="^polynomial powers must be >= 0, got -7$"):
+        IntPoly.from_terms({4: 1, -1: 2, -7: -1})
+    assert IntPoly.from_terms({-2: 0, 0: 3}) == IntPoly([3])  # a zero term is no term
+
+
+def test_root_interval_refuses_a_second_root():
+    # (x-1)(x-2)(x-3) on (0, 10] changes sign but holds three roots; had it
+    # been accepted, compare_roots would call it equal to two enclosures
+    # that it orders apart
+    p = poly(p1=1, p0=-1) * poly(p1=1, p0=-2) * poly(p1=1, p0=-3)
+    with pytest.raises(ValueError, match=r"^polynomial has more than one root in \(lo, hi\]$"):
+        RootInterval(F(0), F(10), p)
+    two, three = RootInterval(F(3, 2), F(5, 2), p), RootInterval(F(5, 2), F(7, 2), p)
+    assert RootInterval(F(1), F(5, 2), p) == RootInterval._proven(F(1), F(5, 2), p)  # lo may be a smaller root
+    assert (compare_roots(two, three), compare_roots(three, two)) == (-1, 1)
+
+
+def _sign_right_of(p: IntPoly, x: F) -> int:
+    """The oracle's sign of a nonzero p just right of x, by derivatives."""
+    while (s := oracles._sign_of_value(p, x)) == 0:
+        p = p.derivative()
+    return s
+
+
+def test_root_interval_accepts_exactly_one_distinct_root():
+    # Seeded (p, lo, hi): products of rational roots of multiplicity 1-3,
+    # some times x^2 - 2 or x^2 + 1, on rational brackets of either sign.
+    # The constructor accepts exactly the brackets holding one distinct
+    # root with a sign change, by the oracle's Sturm count of the
+    # square-free part, and refuses the rest with its one-line reason.
+    rng = random.Random(4901)
+    seen = {"one": 0, "several": 0, "no change": 0, "exact": 0}
+    for _ in range(1200):
+        p = IntPoly([rng.choice((1, -1, 3))])
+        for _ in range(rng.randint(1, 4)):
+            r = F(rng.randint(-12, 12), rng.choice((1, 1, 2, 3)))
+            for _ in range(rng.choice((1, 1, 1, 2, 3))):
+                p = p * IntPoly([-r.numerator, r.denominator])
+        p = p * rng.choice((IntPoly([1]), IntPoly([-2, 0, 1]), IntPoly([1, 0, 1])))
+        lo = F(rng.randint(-30, 30), rng.choice((1, 2, 4, 7)))
+        hi = lo if rng.random() < 0.05 else lo + F(rng.randint(1, 40), rng.choice((1, 2, 3, 8)))
+        if lo == hi:
+            expect = oracles._sign_of_value(p, lo) == 0
+            key = "exact"
+        else:
+            count = oracles.count_roots_in(oracles.squarefree_part(p), lo, hi)
+            changes = oracles._sign_of_value(p, hi) != 0 and _sign_right_of(p, lo) != oracles._sign_of_value(p, hi)
+            expect = changes and count == 1
+            key = "one" if expect else "several" if changes else "no change"
+        try:
+            RootInterval(lo, hi, p)
+            got = True
+        except ValueError as exc:
+            got = False
+            assert "\n" not in str(exc)
+            if key == "several":
+                assert str(exc) == "polynomial has more than one root in (lo, hi]"
+        assert got == expect, (p, lo, hi)
+        seen[key] += 1
+    assert min(seen.values()) >= 50, seen
+
+
 def test_root_interval_refuses_the_zero_polynomial():
     # every point is a root of 0, so no enclosure holds one root of it
     for lo, hi in ((F(1), F(1)), (F(1), F(2))):
@@ -741,10 +806,12 @@ def _oracle_starts(rng: random.Random) -> list[tuple[RootInterval, int]]:
             p = p * IntPoly([-r, 1])
         lo = F(rng.randint(-200, -1), rng.randint(1, 21))
         hi = lo + F(rng.randint(1, 300), rng.randint(1, 21))
-        try:
-            starts.append((RootInterval(lo, hi, p), rng.randint(0, 40)))
-        except ValueError:
-            continue  # hi is a root, or no sign change over (lo, hi]
+        # p's roots are simple: it changes sign over (lo, hi] where an odd
+        # number of them lie in (lo, hi), hi not one.  Several roots there
+        # are wanted (the plain bisection), so the bracket is built unproven.
+        if p(hi) == 0 or oracles.count_roots_in(p, lo, hi) % 2 == 0:
+            continue
+        starts.append((RootInterval._proven(lo, hi, p), rng.randint(0, 40)))
         negative += 1
     return starts
 
@@ -772,10 +839,13 @@ def test_refined_bisects_past_several_roots():
 
     # Three roots in (lo, hi): by three sign changes, or by one sign
     # change and two negative roots right of lo < 0.  Both take the plain
-    # bisection step, which keeps the root its own rule picks.
+    # bisection step, which keeps the root its own rule picks.  The
+    # constructor refuses such brackets, so they are built unproven.
     for p, lo, hi in ((roots(1, 2, 3), F(0), F(10)), (roots(-3, -4, 1), F(-20), F(5, 3))):
+        with pytest.raises(ValueError, match=r"^polynomial has more than one root in \(lo, hi\]$"):
+            RootInterval(lo, hi, p)
         for digits in (1, 5, 40):
-            _assert_refines_like_oracle(RootInterval(lo, hi, p), digits)
+            _assert_refines_like_oracle(RootInterval._proven(lo, hi, p), digits)
 
 
 def test_refined_evaluation_count(monkeypatch):

@@ -150,6 +150,15 @@ def test_ln_bounds_certified_against_float():
         ln_enclosure(F(0), F(0), F(1, 10))
 
 
+def test_ln_enclosure_refuses_an_inverted_interval():
+    # an inverted interval would give an inverted bracket, (46516315/67108864, 0)
+    for lo, hi, shown in ((2, 1, "lo = 2 and hi = 1"), (F(5, 3), F(1, 2), "lo = 5/3 and hi = 1/2")):
+        with pytest.raises(ValueError, match=f"^ln_enclosure requires lo <= hi, got {shown}$"):
+            ln_enclosure(lo, hi, F(1, 100))
+    lo, hi = ln_enclosure(F(3, 2), F(3, 2), F(1, 100))  # a point is no inverted interval
+    assert lo <= hi
+
+
 def test_exact_addition_independent_normalization():
     # Oracle: add via raw cross-multiplication and explicit gcd reduction,
     # compare bit-for-bit with Fraction arithmetic.
